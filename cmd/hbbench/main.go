@@ -15,8 +15,8 @@
 // With -wall the command leaves the paper's virtual clock and measures
 // the serving layer on the host's: pipelined clients drive lookups
 // through the coalescer (plus an optional batched update mix) against
-// the locked baseline, the snapshot fast path and — with -shards T —
-// the key-space sharded server, reporting real MQPS, latency
+// the single-tree snapshot server and — with -shards T — the key-space
+// sharded server, reporting real MQPS, latency
 // percentiles and per-shard swap/update counts.
 // -cpuprofile/-memprofile capture pprof profiles of any mode.
 package main
@@ -59,9 +59,6 @@ func main() {
 		updateSkew = flag.Float64("update-skew", 0, "fraction of updates drawn from the hottest key-space quarter (-wall)")
 		rebalance  = flag.Bool("rebalance", false, "run the sharded configuration with the online rebalancer armed (-wall; requires -shards > 1)")
 		coalesceB  = flag.Int("coalesce-batch", 0, "coalescer flush size (-wall; 0 = the 1024 default)")
-		unsorted   = flag.Bool("unsorted", false, "serve every -wall configuration through the unsorted flush path (skips the sorted/unsorted A/B pair)")
-		layout     = flag.String("layout", "tuned", "inner-node layout for -wall implicit runs: tuned (cost-model per-level widths) | uniform (classic one line per node)")
-		noDelta    = flag.Bool("no-delta-leaves", false, "disable the in-place gapped-leaf update path in every -wall configuration (skips the delta/clone A/B pair)")
 		scenario   = flag.String("wall-scenario", "", "overload scenario instead of the steady -wall mix: flash | diurnal | hot-shift (per-phase latency rows)")
 		targetP99  = flag.Duration("target-p99", 0, "adaptive admission latency target (-wall / -wall-scenario; 0 = static admission)")
 		minPend    = flag.Int("coalesce-min", 0, "adaptive admission window floor (0 = pending/64)")
@@ -116,9 +113,6 @@ func main() {
 			updateSkew:   *updateSkew,
 			rebalance:    *rebalance,
 			maxBatch:     *coalesceB,
-			unsorted:     *unsorted,
-			layout:       *layout,
-			noDelta:      *noDelta,
 			scenario:     *scenario,
 			targetP99:    *targetP99,
 			minPending:   *minPend,
@@ -218,9 +212,6 @@ type wallParams struct {
 	updateSkew   float64
 	rebalance    bool
 	maxBatch     int
-	unsorted     bool
-	layout       string
-	noDelta      bool
 	scenario     string
 	targetP99    time.Duration
 	minPending   int
@@ -235,7 +226,6 @@ type wallParams struct {
 // tracking.
 type benchRecord struct {
 	Name            string  `json:"name"`
-	Unsorted        bool    `json:"unsorted"`
 	Tuples          int     `json:"tuples"`
 	Clients         int     `json:"clients"`
 	MaxBatch        int     `json:"max_batch"`
@@ -256,15 +246,13 @@ type benchRecord struct {
 	// Layout names the inner-node geometry the run was built with
 	// ("uniform" or "tuned"), LevelWidths is the realised per-level
 	// key-slot table (root first), and LineBytes the probe-weighted
-	// device-line traffic (NodeProbes × 64) — the layout A/B gate's
-	// inputs.
+	// device-line traffic (NodeProbes × 64).
 	Layout      string `json:"layout,omitempty"`
 	LevelWidths []int  `json:"level_widths,omitempty"`
 	LineBytes   int64  `json:"line_bytes,omitempty"`
-	Shards          int     `json:"shards,omitempty"`
+	Shards      int    `json:"shards,omitempty"`
 
 	// Write-path accounting (non-zero only with -update-frac > 0).
-	NoDeltaLeaves   bool    `json:"no_delta_leaves,omitempty"`
 	UpdateMQPS      float64 `json:"update_mqps,omitempty"`
 	InPlaceBatches  int64   `json:"in_place_batches,omitempty"`
 	CloneFallbacks  int64   `json:"clone_fallbacks,omitempty"`
@@ -311,13 +299,27 @@ func writeBenchJSON(dir string, rec benchRecord) error {
 	return os.WriteFile(filepath.Join(dir, "BENCH_"+rec.Name+".json"), append(data, '\n'), 0o644)
 }
 
+// wallCfg names one serving configuration of a -wall run.
+type wallCfg struct {
+	name   string
+	shards int
+}
+
+// wallConfigs lists the configurations a -wall or -wall-scenario run
+// covers: the single-tree server, plus the sharded one with shards > 1.
+func wallConfigs(shards int) []wallCfg {
+	cfgs := []wallCfg{{"fast", 0}}
+	if shards > 1 {
+		cfgs = append(cfgs, wallCfg{"sharded", shards})
+	}
+	return cfgs
+}
+
 // runWall measures wall-clock serving throughput and latency for the
-// locked baseline, the snapshot fast path — as a sorted/unsorted A/B
-// pair, unless -unsorted forces the baseline everywhere — and (with
-// shards > 1) the key-space sharded server under the same client mix,
-// printing one row per configuration plus a per-shard breakdown for the
-// sharded run. With -bench-json each row is also written as
-// BENCH_<name>.json.
+// single-tree snapshot server and (with shards > 1) the key-space
+// sharded server under the same client mix, printing one row per
+// configuration plus a per-shard breakdown for the sharded run. With
+// -bench-json each row is also written as BENCH_<name>.json.
 func runWall(p wallParams) error {
 	if p.scenario != "" {
 		return runScenario(p)
@@ -328,58 +330,27 @@ func runWall(p wallParams) error {
 	if p.rebalance && p.shards <= 1 {
 		return fmt.Errorf("-rebalance requires -shards > 1")
 	}
-	if p.layout != "tuned" && p.layout != "uniform" {
-		return fmt.Errorf("-layout must be tuned or uniform, got %q", p.layout)
-	}
 	treeOpt := hbtree.Options{}
 	if p.updateFrac > 0 {
 		treeOpt.Variant = hbtree.Regular
 	}
-	fmt.Printf("wall-clock serving: %d tuples, %d clients, %s per run, update-frac %.2f, rebuild-every %v, shards %d, coalesce-batch %d, layout %s, GOMAXPROCS %d\n",
-		p.n, p.clients, p.dur, p.updateFrac, p.rebuildEvery, p.shards, p.maxBatch, p.layout, runtime.GOMAXPROCS(0))
+	fmt.Printf("wall-clock serving: %d tuples, %d clients, %s per run, update-frac %.2f, rebuild-every %v, shards %d, coalesce-batch %d, GOMAXPROCS %d\n",
+		p.n, p.clients, p.dur, p.updateFrac, p.rebuildEvery, p.shards, p.maxBatch, runtime.GOMAXPROCS(0))
 	pairs := hbtree.GeneratePairs[uint64](p.n, p.seed)
-	type wallCfg struct {
-		name     string
-		locked   bool
-		shards   int
-		unsorted bool
-		noDelta  bool
-	}
-	var cfgs []wallCfg
-	if p.unsorted {
-		cfgs = []wallCfg{{"locked", true, 0, true, p.noDelta}, {"fast", false, 0, true, p.noDelta}}
-	} else {
-		// The fast path runs as an A/B pair: identical client mix, only
-		// the flush discipline differs.
-		cfgs = []wallCfg{{"locked", true, 0, false, p.noDelta},
-			{"fast-unsorted", false, 0, true, p.noDelta}, {"fast", false, 0, false, p.noDelta}}
-	}
-	if p.updateFrac > 0 && !p.noDelta {
-		// The write-path A/B pair: same client mix and leaf layout as
-		// "fast", every batch forced through clone-and-swap.
-		cfgs = append(cfgs, wallCfg{"fast-clone", false, 0, p.unsorted, true})
-	}
-	if p.shards > 1 {
-		cfgs = append(cfgs, wallCfg{"sharded", false, p.shards, p.unsorted, p.noDelta})
-	}
-	for _, cfg := range cfgs {
+	for _, cfg := range wallConfigs(p.shards) {
 		opt := serve.WallOptions{
-			Clients:       p.clients,
-			Duration:      p.dur,
-			UpdateFrac:    p.updateFrac,
-			UpdateSkew:    p.updateSkew,
-			RebuildEvery:  p.rebuildEvery,
-			Locked:        cfg.locked,
-			Shards:        cfg.shards,
-			MaxBatch:      p.maxBatch,
-			Unsorted:      cfg.unsorted,
-			UniformLayout: p.layout == "uniform",
-			NoDeltaLeaves: cfg.noDelta,
-			MaxPending:    p.maxPending,
-			Shed:          p.maxPending > 0 && p.targetP99 == 0 && p.staticAdm,
-			TargetP99:     p.targetP99,
-			MinPending:    p.minPending,
-			FlushStall:    p.flushStall,
+			Clients:      p.clients,
+			Duration:     p.dur,
+			UpdateFrac:   p.updateFrac,
+			UpdateSkew:   p.updateSkew,
+			RebuildEvery: p.rebuildEvery,
+			Shards:       cfg.shards,
+			MaxBatch:     p.maxBatch,
+			MaxPending:   p.maxPending,
+			Shed:         p.maxPending > 0 && p.targetP99 == 0 && p.staticAdm,
+			TargetP99:    p.targetP99,
+			MinPending:   p.minPending,
+			FlushStall:   p.flushStall,
 		}
 		if p.rebalance && cfg.shards > 1 {
 			// Defaults except the poll period: a benchmark-length run
@@ -399,7 +370,6 @@ func runWall(p wallParams) error {
 		if p.jsonDir != "" {
 			rec := benchRecord{
 				Name:            cfg.name,
-				Unsorted:        cfg.unsorted,
 				Tuples:          p.n,
 				Clients:         p.clients,
 				MaxBatch:        p.maxBatch,
@@ -420,7 +390,6 @@ func runWall(p wallParams) error {
 				LevelWidths:     res.LevelWidths,
 				LineBytes:       res.LineBytes,
 				Shards:          res.Shards,
-				NoDeltaLeaves:   cfg.noDelta,
 				UpdateMQPS:      res.UpdateMQPS,
 				InPlaceBatches:  res.InPlaceBatches,
 				CloneFallbacks:  res.CloneFallbacks,
@@ -442,8 +411,8 @@ func runWall(p wallParams) error {
 }
 
 // runScenario drives one overload scenario (-wall-scenario) against the
-// locked baseline, the snapshot fast path and (with -shards > 1) the
-// sharded server, printing per-phase latency rows per configuration.
+// single-tree snapshot server and (with -shards > 1) the sharded
+// server, printing per-phase latency rows per configuration.
 // The same command line with -static-admission added replays identical
 // offered traffic through a fixed admission window — the A/B pair the
 // adaptive controller is judged against.
@@ -464,28 +433,17 @@ func runScenario(p wallParams) error {
 	fmt.Printf("overload scenario %q (%s admission): %d tuples, base clients %d, %s per run, shards %d, target-p99 %v, flush-stall %v, GOMAXPROCS %d\n",
 		p.scenario, arm, p.n, p.clients, p.dur, p.shards, p.targetP99, p.flushStall, runtime.GOMAXPROCS(0))
 	pairs := hbtree.GeneratePairs[uint64](p.n, p.seed)
-	type scenCfg struct {
-		name   string
-		locked bool
-		shards int
-	}
-	cfgs := []scenCfg{{"locked", true, 0}, {"fast", false, 0}}
-	if p.shards > 1 {
-		cfgs = append(cfgs, scenCfg{"sharded", false, p.shards})
-	}
-	for _, cfg := range cfgs {
+	for _, cfg := range wallConfigs(p.shards) {
 		opt := serve.ScenarioOptions{
 			Kind:        p.scenario,
 			BaseClients: p.clients,
 			Duration:    p.dur,
-			Locked:      cfg.locked,
 			Shards:      cfg.shards,
 			MaxBatch:    p.maxBatch,
 			MaxPending:  p.maxPending,
 			MinPending:  p.minPending,
 			TargetP99:   p.targetP99,
 			FlushStall:  p.flushStall,
-			Unsorted:    p.unsorted,
 			UpdateFrac:  p.updateFrac,
 			Seed:        int64(p.seed),
 		}
@@ -497,7 +455,6 @@ func runScenario(p wallParams) error {
 		if p.jsonDir != "" {
 			rec := benchRecord{
 				Name:            p.scenario + "-" + cfg.name + "-" + arm,
-				Unsorted:        p.unsorted,
 				Tuples:          p.n,
 				Clients:         p.clients,
 				MaxBatch:        p.maxBatch,

@@ -26,9 +26,10 @@
 // Connections are served concurrently through the hbtree.Server
 // reader/writer contract; with -coalesce, GETs from all connections are
 // coalesced into bucket-sized heterogeneous batch searches (the paper's
-// intended operating point), and -coalesce-pending bounds each window
-// with backpressure or (-coalesce-shed) fail-fast shedding. -shards T
-// replaces the single tree with a key-space sharded server: T trees,
+// intended operating point), and -coalesce-pending bounds the
+// coalescer's in-flight window with backpressure or (-coalesce-shed)
+// fail-fast shedding. -shards T replaces the single tree with a
+// key-space sharded server: T trees,
 // each with its own snapshot pointer and update pump, so writes clone
 // 1/T of the data and rebuilds overlap. PUT/DEL drive the regular
 // variant's batch update path through the per-mode writer discipline.
@@ -182,7 +183,6 @@ type serveConfig struct {
 	shards     int           // > 1 selects the key-space sharded server
 	maxPending int           // coalescer admission window (0 = unbounded)
 	shed       bool          // fail fast with ERR OVERLOADED instead of blocking
-	unsorted   bool          // flush through the plain (unsorted) batch path
 	deadline   time.Duration // per-request budget for GET/PUT/DEL (0 = none)
 	targetP99  time.Duration // adaptive admission latency target (0 = static)
 	minPending int           // adaptive window floor (0 = maxPending/64)
@@ -209,7 +209,6 @@ func coalescerOptions(cfg serveConfig) hbtree.CoalescerOptions {
 		Window:     cfg.window,
 		MaxPending: cfg.maxPending,
 		Shed:       cfg.shed,
-		Unsorted:   cfg.unsorted,
 		TargetP99:  cfg.targetP99,
 		MinPending: cfg.minPending,
 	}
@@ -376,6 +375,17 @@ func (s *server) serveConn(conn net.Conn) {
 		if err := w.Flush(); err != nil || quit {
 			return
 		}
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		// The scanner cannot resynchronise past an overlong line, so the
+		// connection closes — but with a reply. Closing over unread input
+		// resets the connection, which can discard the reply on the
+		// client's side, so what the client already sent is drained first
+		// (for a bounded time).
+		io.WriteString(w, "ERR line too long\n")
+		w.Flush()
+		conn.SetReadDeadline(time.Now().Add(time.Second))
+		io.Copy(io.Discard, conn)
 	}
 }
 
@@ -837,12 +847,10 @@ func main() {
 		coalesce  = flag.Bool("coalesce", false, "coalesce concurrent GETs into heterogeneous batch searches")
 		window    = flag.Duration("coalesce-window", 100*time.Microsecond, "max time a GET waits for batch companions")
 		maxBatch  = flag.Int("coalesce-batch", 0, "coalesced batch size (0 = the tree's bucket size)")
-		pending   = flag.Int("coalesce-pending", 0, "max in-flight GETs per coalescer window (0 = unbounded)")
+		pending   = flag.Int("coalesce-pending", 0, "max in-flight GETs per coalescer — one budget for all its queues; with -shards, per shard group (0 = unbounded)")
 		shed      = flag.Bool("coalesce-shed", false, "past -coalesce-pending, fail GETs with ERR overloaded instead of blocking")
 		targetP99 = flag.Duration("target-p99", 0, "adaptive admission: hold coalesced flush latency at this p99 target by resizing the pending window online (0 = static -coalesce-pending)")
 		minPend   = flag.Int("coalesce-min", 0, "adaptive admission window floor (0 = -coalesce-pending/64)")
-		unsorted  = flag.Bool("unsorted", false, "flush coalesced batches through the plain (unsorted) search path")
-		uniform   = flag.Bool("uniform-layout", false, "build with the classic one-line-per-node geometry instead of the cost-model-tuned per-level layout (tuned is the default for coalesced sorted serving on the implicit variant)")
 		shards    = flag.Int("shards", 1, "key-space shards, each with its own snapshot pointer and update pump (1 = single tree)")
 
 		rebalance   = flag.Bool("rebalance", false, "start the online shard rebalancer: split hot shards / merge cold neighbours as the update stream skews (requires -shards > 1)")
@@ -898,10 +906,10 @@ func main() {
 		}
 		opt.LeafFill = *leafFill
 	}
-	if opt.Variant == hbtree.Implicit && *coalesce && !*unsorted && !*uniform {
+	if opt.Variant == hbtree.Implicit && *coalesce {
 		// Tuned layouts pay off only when lookups arrive as sorted
-		// shared-descent batches; per-request GETs and unsorted flushes
-		// keep the uniform geometry.
+		// shared-descent batches; per-request GETs keep the uniform
+		// geometry.
 		opt.Layout = hbtree.LayoutTuned
 		opt.LayoutBatch = *maxBatch
 	}
@@ -915,7 +923,6 @@ func main() {
 		shed:       *shed,
 		targetP99:  *targetP99,
 		minPending: *minPend,
-		unsorted:   *unsorted,
 		deadline:   *deadline,
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strconv"
@@ -66,11 +67,17 @@ func startServer(t *testing.T, s *server) func() (net.Conn, *bufio.Reader) {
 	}
 }
 
+// replyWait bounds every reply read: a request that an admission or
+// shutdown regression leaves parked fails the test in seconds instead of
+// at the package timeout.
+const replyWait = 5 * time.Second
+
 func sendLine(t *testing.T, conn net.Conn, r *bufio.Reader, line string) string {
 	t.Helper()
 	if _, err := fmt.Fprintln(conn, line); err != nil {
 		t.Fatal(err)
 	}
+	conn.SetReadDeadline(time.Now().Add(replyWait))
 	resp, err := r.ReadString('\n')
 	if err != nil {
 		t.Fatal(err)
@@ -554,6 +561,7 @@ func TestShutdownUnblocksParkedCoalescedGET(t *testing.T) {
 	}
 	// The parked read was failed, not served: the client sees the
 	// shutdown error, or EOF if its conn was torn down first.
+	conn.SetReadDeadline(time.Now().Add(replyWait))
 	if resp, err := r.ReadString('\n'); err == nil && strings.TrimSpace(resp) != "ERR CLOSED" {
 		t.Fatalf("parked GET reply = %q", resp)
 	}
@@ -610,6 +618,29 @@ func TestErrDeadlineOnParkedGET(t *testing.T) {
 	}
 	if got := sendLine(t, conn, r, "STATS"); !strings.Contains(got, "deadlines=1") {
 		t.Fatalf("STATS after deadline = %q", got)
+	}
+}
+
+// TestOverlongLineGetsReply: a request line past the 64 KiB scanner
+// buffer cannot be parsed or skipped, so the connection ends — but with
+// a typed reply first, and the server keeps serving other connections.
+func TestOverlongLineGetsReply(t *testing.T) {
+	tree, pairs := newTestTree(t, hbtree.Implicit, 13)
+	s := mustServer(t, tree, serveConfig{})
+	dial := startServer(t, s)
+	conn, r := dial()
+	if got := sendLine(t, conn, r, "GET "+strings.Repeat("9", 80<<10)); got != "ERR line too long" {
+		t.Fatalf("overlong line reply = %q", got)
+	}
+	conn.(*net.TCPConn).CloseWrite()
+	conn.SetReadDeadline(time.Now().Add(replyWait))
+	if _, err := r.ReadString('\n'); !errors.Is(err, io.EOF) {
+		t.Fatalf("connection after an overlong line: err = %v, want EOF", err)
+	}
+	conn2, r2 := dial()
+	want := fmt.Sprintf("VALUE %d", pairs[0].Value)
+	if got := sendLine(t, conn2, r2, fmt.Sprintf("GET %d", pairs[0].Key)); got != want {
+		t.Fatalf("GET on a fresh connection = %q, want %q", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"hbtree/internal/keys"
@@ -141,6 +142,57 @@ func TestTunedLayoutMatchesUniformProperty(t *testing.T) {
 	}
 	if !widened32 {
 		t.Error("no uint32 sweep size produced a widened tree; the property ran only on uniform layouts")
+	}
+}
+
+// TestTunedLayoutShortensAndSavesProbeLines is the layout engine's
+// deterministic acceptance criterion: at 2^16 pairs and a 256-query
+// flush quantum the tuner widens a root-side level, which makes the
+// tree one level shorter, and seeded sorted duplicate-free batches of
+// 256 — what the coalescer presents — then cost strictly fewer device
+// lines than on the uniform tree. LevelProbes counts transactions (a
+// fresh probe of a wide node costs its line count), so its sum is the
+// probe-weighted line traffic. Nothing here depends on time or
+// GOMAXPROCS.
+func TestTunedLayoutShortensAndSavesProbeLines(t *testing.T) {
+	const batch = 256
+	pairs := workload.Dataset[uint64](workload.Uniform, 1<<16, 42)
+	measure := func(opt Options) (height int, lines int64) {
+		tr, err := Build(pairs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		r := workload.NewRNG(7)
+		idx := make([]int, batch)
+		qs, vs, fs := make([]uint64, 0, batch), make([]uint64, batch), make([]bool, batch)
+		for b := 0; b < 64; b++ {
+			for i := range idx {
+				idx[i] = r.Intn(len(pairs))
+			}
+			slices.Sort(idx)
+			qs = qs[:0]
+			for _, i := range slices.Compact(idx) {
+				qs = append(qs, pairs[i].Key)
+			}
+			st, err := tr.LookupBatchSortedInto(qs, vs, fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range st.LevelProbes {
+				lines += p
+			}
+		}
+		return len(tr.LevelWidths()), lines
+	}
+	uh, ul := measure(Options{Variant: Implicit})
+	th, tl := measure(Options{Variant: Implicit, Layout: LayoutTuned, LayoutBatch: batch})
+	t.Logf("uniform: height %d, %d probe lines; tuned: height %d, %d probe lines", uh, ul, th, tl)
+	if th >= uh {
+		t.Errorf("tuned height %d not below uniform %d", th, uh)
+	}
+	if ul <= 0 || tl >= ul {
+		t.Errorf("tuned layout did not reduce probe lines: %d vs uniform %d", tl, ul)
 	}
 }
 

@@ -47,7 +47,7 @@ type OverloadMetrics struct {
 	Shed         int64         // requests refused with ErrOverloaded (cumulative)
 	DegradedShed int64         // of those, refused by the degraded clamp
 	ShedRate     float64       // sheds/sec over the last second
-	AdmitWindow  int           // current per-queue admission window
+	AdmitWindow  int           // current admission window (one per coalescer)
 	TargetP99    time.Duration // controller target (0 = static admission)
 	RetryAfter   time.Duration // hint currently attached to sheds
 }
@@ -111,7 +111,7 @@ type controller struct {
 	stepNs int64 // step interval
 	incr   int64 // additive increase per step
 
-	window   atomic.Int64 // current per-queue admission window
+	window   atomic.Int64 // current admission window
 	ewma     atomic.Int64 // smoothed flush span, ns (alpha 1/8)
 	peak     atomic.Int64 // worst span since the last step
 	lastStep atomic.Int64 // unix ns of the last step
@@ -256,9 +256,9 @@ func (c *Coalescer[K]) noteShed() {
 // overloadErr returns the current cached typed shed error.
 func (c *Coalescer[K]) overloadErr() error { return c.overload.Load() }
 
-// AdmitWindow returns the current per-queue admission window: the
-// controller's live value under adaptive admission, Options.MaxPending
-// otherwise (0 = unbounded).
+// AdmitWindow returns the coalescer's admission window, one budget for
+// all its pending queues: the controller's live value under adaptive
+// admission, Options.MaxPending otherwise (0 = unbounded).
 func (c *Coalescer[K]) AdmitWindow() int {
 	if c.ctl != nil {
 		return int(c.ctl.window.Load())

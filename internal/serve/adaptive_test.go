@@ -21,7 +21,7 @@ type slowBackend struct {
 	deg atomic.Bool
 }
 
-func (b *slowBackend) serve(q, v []uint64, f []bool) (core.SearchStats, error) {
+func (b *slowBackend) LookupBatchSortedInto(q, v []uint64, f []bool) (core.SearchStats, error) {
 	if b.per > 0 {
 		b.mu.Lock()
 		time.Sleep(b.per)
@@ -31,14 +31,6 @@ func (b *slowBackend) serve(q, v []uint64, f []bool) (core.SearchStats, error) {
 		v[i], f[i] = q[i], true
 	}
 	return core.SearchStats{Queries: len(q)}, nil
-}
-
-func (b *slowBackend) LookupBatchInto(q, v []uint64, f []bool) (core.SearchStats, error) {
-	return b.serve(q, v, f)
-}
-
-func (b *slowBackend) LookupBatchSortedInto(q, v []uint64, f []bool) (core.SearchStats, error) {
-	return b.serve(q, v, f)
 }
 
 func (b *slowBackend) Options() core.Options { return core.Options{BucketSize: 64} }

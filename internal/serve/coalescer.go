@@ -17,7 +17,7 @@ import (
 var ErrClosed = errors.New("serve: coalescer closed")
 
 // ErrOverloaded is returned for requests shed by admission control: the
-// shard's in-flight window is at Options.MaxPending and Options.Shed
+// coalescer's in-flight window is at Options.MaxPending and Options.Shed
 // selected fail-fast over backpressure. The request was never queued;
 // the caller may retry or degrade.
 var ErrOverloaded = errors.New("serve: coalescer overloaded")
@@ -45,17 +45,12 @@ type Options struct {
 	// queue discipline (deterministic batch formation).
 	Shards int
 
-	// Queue is retained for compatibility with the channel-based
-	// coalescer; the sharded implementation has no submission queue and
-	// ignores it.
-	Queue int
-
-	// MaxPending bounds each shard's in-flight window: the number of
-	// accepted requests whose result has not yet been delivered,
-	// whether still in the forming batch or inside a flush. Zero leaves
-	// the window unbounded — the prior behaviour, where a deep client
-	// pipeline makes tail latency a function of queue depth (the
-	// ROADMAP's 52-110ms p99 at depth 512). With a bound, latency is
+	// MaxPending bounds the coalescer's in-flight window: the number of
+	// accepted requests whose result has not yet been delivered, whether
+	// still in a forming batch or inside a flush, summed over every
+	// pending queue — one budget per coalescer, whatever Shards is. Zero
+	// leaves the window unbounded, where a deep client pipeline makes
+	// tail latency a function of queue depth. With a bound, latency is
 	// capped at roughly (MaxPending/MaxBatch + 1) flush spans.
 	MaxPending int
 
@@ -66,17 +61,10 @@ type Options struct {
 	// an external caller can retry against another replica or degrade.
 	Shed bool
 
-	// Unsorted makes flushes take the plain LookupBatchInto path instead
-	// of the default sorted one: no key sort, no duplicate folding, one
-	// full descent per query. It exists as the A/B baseline for the
-	// shared-descent serving path (hbbench -unsorted) and for backends
-	// whose batches are known hostile to sorting.
-	Unsorted bool
-
 	// DegradedPending is the fault-aware admission window: while the
 	// backend reports Degraded (breaker open, batches answered by the
-	// slower CPU fallback), each shard admits only this many undelivered
-	// requests and fails the excess fast with ErrOverloaded — regardless
+	// slower CPU fallback), the coalescer admits only this many
+	// undelivered requests and fails the excess fast — regardless
 	// of Shed, since backpressure against a degraded backend just builds
 	// the queue the bound exists to prevent. Zero selects MaxPending/2
 	// (minimum 1); ignored when MaxPending is zero (an unbounded
@@ -89,8 +77,8 @@ type Options struct {
 
 	// TargetP99, when positive, turns on adaptive admission (DESIGN
 	// §11): a closed-loop controller measures per-flush spans (first
-	// enqueue to result delivery) and resizes each queue's admission
-	// window online — AIMD, clamped to [MinPending, MaxPending] — to
+	// enqueue to result delivery) and resizes the admission window
+	// online — AIMD, clamped to [MinPending, MaxPending] — to
 	// hold this latency target. Adaptive admission always sheds at the
 	// window (fail-fast with a typed OverloadError carrying a
 	// retry-after hint) regardless of Shed: backpressure would hide the
@@ -130,9 +118,9 @@ type pending[K keys.Key] struct {
 	values  []K
 	found   []bool
 
-	// Sorted-flush staging: each sorted slot's submission position and
-	// the sorted-slot-to-unique-slot map after duplicate folding. Both
-	// pooled with the batch, so the sorted flush allocates nothing. The
+	// Flush staging: each sorted slot's submission position and the
+	// sorted-slot-to-unique-slot map after duplicate folding. Both
+	// pooled with the batch, so the flush allocates nothing. The
 	// keys themselves are sorted in place — the batch is detached from
 	// its shard before flushing and the submission order is recoverable
 	// through perm, so no second key array is needed.
@@ -155,16 +143,10 @@ type shard[K keys.Key] struct {
 	cur    *pending[K] // nil after close
 	timer  *time.Timer
 	closed bool
-
-	// slots is the admission window: capacity MaxPending, one token
-	// held per accepted-but-undelivered request. nil when unbounded.
-	// Tokens are acquired before the shard lock (a blocked submitter
-	// must not hold it) and released after result delivery.
-	slots chan struct{}
 }
 
 // Coalescer collects point lookups arriving from many goroutines into
-// batches and serves each batch with one Server.LookupBatchInto call —
+// batches and serves each batch with one LookupBatchSortedInto call —
 // the request-coalescing discipline that recovers the paper's batched
 // throughput from a point-request workload. Submissions are spread
 // round-robin over independent shards; a shard's batch is flushed when
@@ -173,10 +155,11 @@ type shard[K keys.Key] struct {
 // (by the shard's flusher goroutine), whichever comes first, so a lone
 // request is never starved.
 //
-// With Options.MaxPending set, each shard admits at most that many
-// undelivered requests; excess submissions block for backpressure or,
-// with Options.Shed, fail fast with ErrOverloaded — the admission
-// control that keeps tail latency bounded under deep client pipelines.
+// With Options.MaxPending set, the coalescer admits at most that many
+// undelivered requests across all shards; excess submissions block for
+// backpressure or, with Options.Shed, fail fast with ErrOverloaded —
+// the admission control that keeps tail latency bounded under deep
+// client pipelines.
 //
 // Close stops intake: later submissions fail fast with ErrClosed, and
 // requests still pending when Close runs are failed with ErrClosed
@@ -193,6 +176,13 @@ type Coalescer[K keys.Key] struct {
 	shards []shard[K]
 	next   atomic.Uint64 // round-robin shard cursor
 
+	// slots is the admission window shared by every shard: capacity
+	// MaxPending, one token held per accepted-but-undelivered request.
+	// nil when unbounded. Tokens are acquired before the shard lock (a
+	// blocked submitter must not hold it) and released after result
+	// delivery.
+	slots chan struct{}
+
 	batchPool sync.Pool // *pending[K]
 	replyPool sync.Pool // chan Result[K], capacity 1
 
@@ -202,7 +192,7 @@ type Coalescer[K keys.Key] struct {
 
 	batches   atomic.Int64 // batches flushed
 	queries   atomic.Int64 // requests served through batches
-	folded    atomic.Int64 // duplicate keys folded out of sorted flushes
+	folded    atomic.Int64 // duplicate keys folded out of flushes
 	shed      atomic.Int64 // requests refused with ErrOverloaded
 	degShed   atomic.Int64 // of those, refused by fault-aware admission
 	deadlines atomic.Int64 // requests abandoned with ErrDeadlineExceeded
@@ -281,22 +271,20 @@ func NewCoalescer[K keys.Key](be Backend[K], opt Options) *Coalescer[K] {
 			replies: make([]chan Result[K], 0, opt.MaxBatch),
 			values:  make([]K, opt.MaxBatch),
 			found:   make([]bool, opt.MaxBatch),
-		}
-		if !opt.Unsorted {
-			p.perm = make([]int32, opt.MaxBatch)
-			p.uref = make([]int32, opt.MaxBatch)
+			perm:    make([]int32, opt.MaxBatch),
+			uref:    make([]int32, opt.MaxBatch),
 		}
 		return p
 	}
 	c.replyPool.New = func() any { return make(chan Result[K], 1) }
+	if opt.MaxPending > 0 {
+		c.slots = make(chan struct{}, opt.MaxPending)
+	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.cur = c.getBatch()
 		sh.timer = time.NewTimer(time.Hour)
 		sh.timer.Stop()
-		if opt.MaxPending > 0 {
-			sh.slots = make(chan struct{}, opt.MaxPending)
-		}
 		c.wg.Add(1)
 		go c.flusher(sh)
 	}
@@ -371,84 +359,68 @@ func (c *Coalescer[K]) submit(key K, reply chan Result[K]) error {
 	return c.submitCtx(context.Background(), key, reply)
 }
 
+// admit takes one token from the coalescer's admission pool before the
+// request touches a shard, so a blocked submitter never holds a lock the
+// flushers need. The effective window is the controller's live value
+// under adaptive admission and MaxPending otherwise, clamped to
+// DegradedPending while the backend is degraded (the cheap length check
+// runs first so the healthy path never pays for the breaker-state
+// load). Past the window the request fails fast with the cached typed
+// error when admission is adaptive (backpressure would hide the latency
+// signal the controller regulates), Shed is set, or the degraded clamp
+// engaged (queueing against the slower fallback only builds the backlog
+// the bound exists to prevent); otherwise the submitter blocks until a
+// token frees, the coalescer closes or ctx expires (context.Background's
+// nil Done channel makes that case free for undeadlined callers). The
+// length check is soft — a racing submitter can land one past it — but
+// the token channel's MaxPending capacity stays the hard cap.
+func (c *Coalescer[K]) admit(ctx context.Context) error {
+	w := c.AdmitWindow()
+	eff, n := w, len(c.slots)
+	clamped := n >= c.degPending && c.be.Degraded()
+	if clamped {
+		eff = min(eff, c.degPending)
+	}
+	if c.ctl != nil || c.opt.Shed || clamped {
+		if n < eff {
+			select {
+			case c.slots <- struct{}{}:
+				return nil
+			default:
+			}
+		}
+		c.shed.Add(1)
+		if clamped && n < w {
+			c.degShed.Add(1)
+		}
+		c.noteShed()
+		return c.overloadErr()
+	}
+	select {
+	case c.slots <- struct{}{}:
+		return nil
+	case <-c.done:
+		return ErrClosed
+	case <-ctx.Done():
+		c.deadlines.Add(1)
+		return ErrDeadlineExceeded
+	}
+}
+
 // submitCtx is submit with a deadline on the backpressure wait: a
 // submitter blocked at the MaxPending bound gives up with
-// ErrDeadlineExceeded when ctx expires (context.Background's nil Done
-// channel makes the extra select case free for undeadlined callers).
+// ErrDeadlineExceeded when ctx expires.
 func (c *Coalescer[K]) submitCtx(ctx context.Context, key K, reply chan Result[K]) error {
-	sh := &c.shards[c.next.Add(1)%uint64(len(c.shards))]
-	if sh.slots != nil && c.ctl != nil {
-		// Adaptive admission: the effective window is the controller's
-		// live value, clamped to DegradedPending while the backend is
-		// degraded (the breaker path composes as a clamp on the same
-		// window, not a second mechanism). Past the window the request
-		// always fails fast with the cached typed error — backpressure
-		// would hide the latency signal the controller regulates. The
-		// length check is soft (a racing submitter can land one past
-		// it), but the token channel's MaxPending capacity stays the
-		// hard cap.
-		w := int(c.ctl.window.Load())
-		eff := w
-		clamped := false
-		if eff > c.degPending && len(sh.slots) >= c.degPending && c.be.Degraded() {
-			eff = c.degPending
-			clamped = true
-		}
-		if n := len(sh.slots); n >= eff {
-			c.shed.Add(1)
-			if clamped && n < w {
-				c.degShed.Add(1)
-			}
-			c.noteShed()
-			return c.overloadErr()
-		}
-		select {
-		case sh.slots <- struct{}{}:
-		default:
-			c.shed.Add(1)
-			c.noteShed()
-			return c.overloadErr()
-		}
-	} else if sh.slots != nil {
-		// Fault-aware admission: while the backend is degraded, the
-		// effective window shrinks to DegradedPending and the excess
-		// fails fast — even in backpressure mode, since queueing against
-		// the slower fallback path only builds the backlog the bound
-		// exists to prevent. The cheap length check runs first so the
-		// healthy path never pays for the breaker-state load.
-		if len(sh.slots) >= c.degPending && c.be.Degraded() {
-			c.shed.Add(1)
-			c.degShed.Add(1)
-			c.noteShed()
-			return c.overloadErr()
-		}
-		// Admission: take a window token before the shard lock so a
-		// blocked submitter never holds the lock the flusher needs.
-		if c.opt.Shed {
-			select {
-			case sh.slots <- struct{}{}:
-			default:
-				c.shed.Add(1)
-				c.noteShed()
-				return c.overloadErr()
-			}
-		} else {
-			select {
-			case sh.slots <- struct{}{}:
-			case <-c.done:
-				return ErrClosed
-			case <-ctx.Done():
-				c.deadlines.Add(1)
-				return ErrDeadlineExceeded
-			}
+	if c.slots != nil {
+		if err := c.admit(ctx); err != nil {
+			return err
 		}
 	}
+	sh := &c.shards[c.next.Add(1)%uint64(len(c.shards))]
 	sh.mu.Lock()
 	if sh.closed {
 		sh.mu.Unlock()
-		if sh.slots != nil {
-			<-sh.slots
-		}
+		c.releaseSlots(1)
 		return ErrClosed
 	}
 	p := sh.cur
@@ -461,7 +433,7 @@ func (c *Coalescer[K]) submitCtx(ctx context.Context, key K, reply chan Result[K
 		sh.cur = c.getBatch()
 		sh.timer.Stop()
 		sh.mu.Unlock()
-		c.flush(sh, p)
+		c.flush(p)
 		return nil
 	}
 	if len(p.keys) == 1 {
@@ -490,7 +462,7 @@ func (c *Coalescer[K]) flusher(sh *shard[K]) {
 			}
 			sh.cur = c.getBatch()
 			sh.mu.Unlock()
-			c.flush(sh, p)
+			c.flush(p)
 		case <-c.done:
 			return
 		}
@@ -499,16 +471,16 @@ func (c *Coalescer[K]) flusher(sh *shard[K]) {
 
 // flush serves one batch with the allocation-free batch search and
 // distributes each caller's result, then recycles the batch and
-// releases the shard's admission window tokens.
+// releases its admission window tokens.
 //
-// The default sorted flush presorts the keys (tracking each key's
-// submission position), folds exact duplicates into one batch slot, and
-// hands the backend a sorted duplicate-free batch — which the
-// shared-descent search resolves at one node probe per distinct node
-// per level, and which decomposes into one contiguous run per shard on
-// a sharded backend. Each unique result fans back out to every waiter
-// that submitted that key.
-func (c *Coalescer[K]) flush(sh *shard[K], p *pending[K]) {
+// The flush presorts the keys (tracking each key's submission
+// position), folds exact duplicates into one batch slot, and hands the
+// backend a sorted duplicate-free batch — which the shared-descent
+// search resolves at one node probe per distinct node per level, and
+// which decomposes into one contiguous run per shard on a sharded
+// backend. Each unique result fans back out to every waiter that
+// submitted that key.
+func (c *Coalescer[K]) flush(p *pending[K]) {
 	n := len(p.keys)
 	t0 := p.t0
 	if c.opt.FlushStall > 0 {
@@ -520,23 +492,6 @@ func (c *Coalescer[K]) flush(sh *shard[K], p *pending[K]) {
 		c.stallMu.Unlock()
 	}
 	values, found := p.values[:n], p.found[:n]
-	if c.opt.Unsorted {
-		_, err := c.be.LookupBatchInto(p.keys, values, found)
-		if err != nil {
-			c.fail(sh, p, err)
-			return
-		}
-		for i, reply := range p.replies {
-			reply <- Result[K]{Value: values[i], Found: found[i]}
-		}
-		c.batches.Add(1)
-		c.queries.Add(int64(n))
-		c.releaseSlots(sh, n)
-		c.batchPool.Put(p)
-		c.noteFlushSpan(t0)
-		return
-	}
-
 	skeys, perm, uref := p.keys, p.perm[:n], p.uref[:n]
 	for i := range perm {
 		perm[i] = int32(i)
@@ -558,7 +513,7 @@ func (c *Coalescer[K]) flush(sh *shard[K], p *pending[K]) {
 
 	_, err := c.be.LookupBatchSortedInto(skeys[:u], values[:u], found[:u])
 	if err != nil {
-		c.fail(sh, p, err)
+		c.fail(p, err)
 		return
 	}
 	for i := 0; i < n; i++ {
@@ -568,7 +523,7 @@ func (c *Coalescer[K]) flush(sh *shard[K], p *pending[K]) {
 	c.batches.Add(1)
 	c.queries.Add(int64(n))
 	c.folded.Add(int64(n - u))
-	c.releaseSlots(sh, n)
+	c.releaseSlots(n)
 	c.batchPool.Put(p)
 	c.noteFlushSpan(t0)
 }
@@ -576,24 +531,24 @@ func (c *Coalescer[K]) flush(sh *shard[K], p *pending[K]) {
 // fail delivers err to every caller in the batch and recycles it. The
 // span still feeds the controller: a failed flush occupied the pipeline
 // just the same.
-func (c *Coalescer[K]) fail(sh *shard[K], p *pending[K], err error) {
+func (c *Coalescer[K]) fail(p *pending[K], err error) {
 	t0 := p.t0
 	for _, reply := range p.replies {
 		reply <- Result[K]{Err: err}
 	}
-	c.releaseSlots(sh, len(p.replies))
+	c.releaseSlots(len(p.replies))
 	c.batchPool.Put(p)
 	c.noteFlushSpan(t0)
 }
 
-// releaseSlots returns n admission tokens to the shard's window once
-// their requests' results have been delivered.
-func (c *Coalescer[K]) releaseSlots(sh *shard[K], n int) {
-	if sh.slots == nil {
+// releaseSlots returns n admission tokens to the window once their
+// requests' results have been delivered.
+func (c *Coalescer[K]) releaseSlots(n int) {
+	if c.slots == nil {
 		return
 	}
 	for i := 0; i < n; i++ {
-		<-sh.slots
+		<-c.slots
 	}
 }
 
@@ -612,7 +567,7 @@ func (c *Coalescer[K]) Close() {
 			sh.timer.Stop()
 			sh.mu.Unlock()
 			if p != nil && len(p.keys) > 0 {
-				c.fail(sh, p, ErrClosed)
+				c.fail(p, ErrClosed)
 			}
 		}
 	})
@@ -626,7 +581,7 @@ func (c *Coalescer[K]) Batches() int64 { return c.batches.Load() }
 func (c *Coalescer[K]) Queries() int64 { return c.queries.Load() }
 
 // Folded returns how many duplicate keys were folded into an already-
-// occupied batch slot by sorted flushes: identical keys in one window
+// occupied batch slot by flushes: identical keys in one window
 // cost one descent, and the single result fans out to every waiter.
 func (c *Coalescer[K]) Folded() int64 { return c.folded.Load() }
 

@@ -190,33 +190,34 @@ func TestMissingKeyThroughCoalescer(t *testing.T) {
 }
 
 // TestAdmissionShed: past MaxPending, shed mode fails fast with
-// ErrOverloaded without queueing, and the window recovers once the
-// pending batch flushes.
+// ErrOverloaded without queueing — however many queues the coalescer
+// stripes over, since the window belongs to the coalescer.
 func TestAdmissionShed(t *testing.T) {
 	srv, pairs := newTestServer(t, core.Implicit, 1<<10)
-	// One queue, a window that never fires on its own, batches of 4: the
-	// first 2 submissions sit in the forming batch holding both tokens.
-	c := NewCoalescer(srv, Options{MaxBatch: 4, Window: time.Hour, Shards: 1, MaxPending: 2, Shed: true})
-	defer c.Close()
+	for _, shards := range []int{1, 4} {
+		// A window that never fires on its own, batches of 4: the first 2
+		// submissions sit in forming batches holding both tokens.
+		c := NewCoalescer(srv, Options{MaxBatch: 4, Window: time.Hour, Shards: shards, MaxPending: 2, Shed: true})
 
-	r1 := c.Submit(pairs[0].Key)
-	r2 := c.Submit(pairs[1].Key)
-	res := <-c.Submit(pairs[2].Key)
-	if !errors.Is(res.Err, ErrOverloaded) {
-		t.Fatalf("third submit err = %v, want ErrOverloaded", res.Err)
-	}
-	// Blocking Lookup sheds the same way.
-	if _, _, err := c.Lookup(pairs[3].Key); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("Lookup err = %v, want ErrOverloaded", err)
-	}
-	// The two admitted requests are still pending (tokens exhausted
-	// below MaxBatch, window never fires); Close fails them with
-	// ErrClosed. Token recovery during live serving is covered by
-	// TestAdmissionShedRecovers.
-	c.Close()
-	for i, r := range []<-chan Result[uint64]{r1, r2} {
-		if res := <-r; !errors.Is(res.Err, ErrClosed) {
-			t.Fatalf("pending %d after Close: %+v", i, res)
+		r1 := c.Submit(pairs[0].Key)
+		r2 := c.Submit(pairs[1].Key)
+		res := <-c.Submit(pairs[2].Key)
+		if !errors.Is(res.Err, ErrOverloaded) {
+			t.Fatalf("shards=%d: third submit err = %v, want ErrOverloaded", shards, res.Err)
+		}
+		// Blocking Lookup sheds the same way.
+		if _, _, err := c.Lookup(pairs[3].Key); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("shards=%d: Lookup err = %v, want ErrOverloaded", shards, err)
+		}
+		// The two admitted requests are still pending (tokens exhausted
+		// below MaxBatch, window never fires); Close fails them with
+		// ErrClosed. Token recovery during live serving is covered by
+		// TestAdmissionShedRecovers.
+		c.Close()
+		for i, r := range []<-chan Result[uint64]{r1, r2} {
+			if res := <-r; !errors.Is(res.Err, ErrClosed) {
+				t.Fatalf("shards=%d: pending %d after Close: %+v", shards, i, res)
+			}
 		}
 	}
 }
@@ -273,10 +274,23 @@ func TestAdmissionBackpressure(t *testing.T) {
 	}
 }
 
+// gatedBackend is a Server whose flushes wait on a gate the test holds
+// shut to model a stalled backend.
+type gatedBackend struct {
+	*Server[uint64]
+	gate sync.RWMutex
+}
+
+func (b *gatedBackend) LookupBatchSortedInto(q, v []uint64, f []bool) (core.SearchStats, error) {
+	b.gate.RLock()
+	defer b.gate.RUnlock()
+	return b.Server.LookupBatchSortedInto(q, v, f)
+}
+
 // TestAdmissionBoundsTailLatency is the admission-control acceptance
 // criterion at the ROADMAP's pipeline depth: 8 clients × depth 512 =
-// 4096 concurrent lookups hit a backend that has stalled — the locked
-// server's writer mutex is held for the whole burst, the scenario that
+// 4096 concurrent lookups hit a backend that has stalled — a gate in
+// front of the server is held for the whole burst, the scenario that
 // actually creates a deep in-flight window, since admission tokens only
 // return when a flush delivers. (A healthy backend recycles tokens
 // faster than clients can pile up, so depth alone never engages the
@@ -295,7 +309,7 @@ func TestAdmissionBoundsTailLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(tree.Close)
-	srv := NewLockedServer(tree)
+	srv := &gatedBackend{Server: NewServer(tree)}
 
 	const (
 		clients    = 8
@@ -307,10 +321,9 @@ func TestAdmissionBoundsTailLatency(t *testing.T) {
 	run := func(opt Options) (p99 time.Duration, sheds int64) {
 		c := NewCoalescer(srv, opt)
 		defer c.Close()
-		// Stall the backend: flushes block on the read lock, so no
-		// result is delivered (and no admission token released) until
-		// the writer lock drops.
-		srv.mu.Lock()
+		// Stall the backend: flushes block on the gate, so no result is
+		// delivered (and no admission token released) until it opens.
+		srv.gate.Lock()
 		lat := make([]time.Duration, burst)
 		var shed atomic.Int64
 		var wg sync.WaitGroup
@@ -332,7 +345,7 @@ func TestAdmissionBoundsTailLatency(t *testing.T) {
 		}
 		close(start)
 		time.Sleep(stall)
-		srv.mu.Unlock()
+		srv.gate.Unlock()
 		wg.Wait()
 		sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
 		return lat[burst*99/100], shed.Load()

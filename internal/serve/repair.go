@@ -65,24 +65,10 @@ func (s *Server[K]) repairLoop() {
 // close). A fault during the re-mirror leaves the tree stale for the
 // next attempt.
 func (s *Server[K]) tryRepair() (done, ok bool) {
-	if s.locked {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if !s.tree.ReplicaStale() {
-			return true, true
-		}
-		if err := s.tree.Resync(); err != nil {
-			s.gpuFaults.Add(1)
-			s.brk.Failure()
-			return false, true
-		}
-		s.repairs.Add(1)
-		return true, true
-	}
-	// Snapshot mode: hold the writer slot so the repair never races a
-	// clone/rebuild of the same version, and resolve the tree through a
-	// pin so a concurrent rebalance retiring this member aborts the task
-	// instead of repairing an unreachable tree.
+	// Hold the writer slot so the repair never races a clone/rebuild of
+	// the same version, and resolve the tree through a pin so a
+	// concurrent rebalance retiring this member aborts the task instead
+	// of repairing an unreachable tree.
 	if err := s.acquireWriter(context.Background()); err != nil {
 		return false, false
 	}

@@ -15,7 +15,7 @@
 //
 // # Snapshot reads and the epoch registry
 //
-// The default Server publishes tree versions through an epoch.Registry
+// A Server publishes tree versions through an epoch.Registry
 // — the generation-stamped snapshot registry shared with ShardedServer.
 // Read operations pin the registry's current state, run against it
 // without blocking, and unpin; batch updates and rebuilds construct a
@@ -32,10 +32,7 @@
 // ShardedServer share one registry whose vector holds every shard's
 // tree and whose metadata carries the split-key table — which is what
 // gives the sharded layer atomic cross-shard cuts and online
-// rebalancing for free (see sharded.go and DESIGN §6). NewLockedServer
-// retains the PR-1 discipline — one sync.RWMutex, writers excluding all
-// readers — as the comparison baseline and for memory-constrained
-// deployments.
+// rebalancing for free (see sharded.go and DESIGN §6).
 //
 // Virtual-time accounting follows requests through the layer: point
 // lookups served individually are charged the modelled serial descent
@@ -47,7 +44,6 @@ package serve
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
 	"hbtree/internal/breaker"
@@ -60,22 +56,14 @@ import (
 	"hbtree/internal/vclock"
 )
 
-// Server wraps a core.Tree with a reader/writer contract. In the
-// default snapshot mode, read operations run against a pinned epoch of
-// the snapshot registry and never block on writers; Update and Rebuild
-// build a successor version aside and publish it as a new epoch. In
-// locked mode (NewLockedServer), a sync.RWMutex is used instead and
-// writers exclude all readers. The zero value is not usable; construct
-// with NewServer or NewLockedServer.
+// Server wraps a core.Tree with a reader/writer contract: read
+// operations run against a pinned epoch of the snapshot registry and
+// never block on writers; Update and Rebuild build a successor version
+// aside and publish it as a new epoch. The zero value is not usable;
+// construct with NewServer.
 type Server[K keys.Key] struct {
-	locked bool
-
-	// Locked mode: the PR-1 reader/writer lock over one tree.
-	mu   sync.RWMutex
-	tree *core.Tree[K]
-
-	// Snapshot mode: the epoch registry holding the published versions
-	// and this server's slot in its vector. A standalone server owns a
+	// The epoch registry holding the published versions and this
+	// server's slot in its vector. A standalone server owns a
 	// one-slot registry (ownReg); a shard member shares the
 	// ShardedServer's registry, and its slot index is restamped when a
 	// rebalance reorders the vector. The writer "mutex" is a capacity-1
@@ -91,11 +79,9 @@ type Server[K keys.Key] struct {
 
 	// In-place delta updates (DESIGN §10): batches whose footprint fits
 	// the gapped leaves publish a shared-pool fork instead of a deep
-	// clone. deltaOff disables the fast path (the -no-delta-leaves A/B
-	// baseline); plan is writer-owned planning scratch (guarded by wsem)
-	// so steady-state classification allocates nothing.
-	deltaOff bool
-	plan     cpubtree.DeltaPlan[K]
+	// clone. plan is writer-owned planning scratch (guarded by wsem) so
+	// steady-state classification allocates nothing.
+	plan cpubtree.DeltaPlan[K]
 
 	// Resilience: the circuit breaker over GPU-sim faults and the
 	// bounded-retry policy. The breaker lives here, not on the tree —
@@ -108,53 +94,35 @@ type Server[K keys.Key] struct {
 	repairing atomic.Bool
 
 	// Serving metrics (atomic: updated outside the locks).
-	vtimeNs     atomic.Int64 // accumulated virtual serving time, ns
-	lookups     atomic.Int64 // point lookups served individually
-	batched     atomic.Int64 // queries served through LookupBatch
-	batches     atomic.Int64 // LookupBatch calls
-	nodeProbes  atomic.Int64 // inner-node probes issued by sorted batches
-	probesSaved atomic.Int64 // probes the shared descent avoided
+	vtimeNs     atomic.Int64                  // accumulated virtual serving time, ns
+	lookups     atomic.Int64                  // point lookups served individually
+	batched     atomic.Int64                  // queries served through LookupBatch
+	batches     atomic.Int64                  // LookupBatch calls
+	nodeProbes  atomic.Int64                  // inner-node probes issued by sorted batches
+	probesSaved atomic.Int64                  // probes the shared descent avoided
 	levelProbes [core.StatLevels]atomic.Int64 // kernel transactions per level, root first
-	updates     atomic.Int64 // update/rebuild operations applied
-	swaps       atomic.Int64 // snapshot publications (snapshot mode)
-	gpuFaults   atomic.Int64 // injected device faults observed
-	retries     atomic.Int64 // GPU-path retry attempts after a fault
-	fbBatches   atomic.Int64 // batches answered by the CPU fallback
-	fbQueries   atomic.Int64 // queries answered by the CPU fallback
-	deadlines   atomic.Int64 // requests failed with ErrDeadlineExceeded
-	repairs     atomic.Int64 // background replica repairs completed
-	inplace     atomic.Int64 // batches applied in place (delta fast path)
-	cloneFB     atomic.Int64 // batches that fell back to clone-and-swap
-	clonedNodes atomic.Int64 // inner nodes copied by the clone path
-	clonedBytes atomic.Int64 // host bytes copied by the clone path
+	updates     atomic.Int64                  // update/rebuild operations applied
+	swaps       atomic.Int64                  // snapshot publications
+	gpuFaults   atomic.Int64                  // injected device faults observed
+	retries     atomic.Int64                  // GPU-path retry attempts after a fault
+	fbBatches   atomic.Int64                  // batches answered by the CPU fallback
+	fbQueries   atomic.Int64                  // queries answered by the CPU fallback
+	deadlines   atomic.Int64                  // requests failed with ErrDeadlineExceeded
+	repairs     atomic.Int64                  // background replica repairs completed
+	inplace     atomic.Int64                  // batches applied in place (delta fast path)
+	cloneFB     atomic.Int64                  // batches that fell back to clone-and-swap
+	clonedNodes atomic.Int64                  // inner nodes copied by the clone path
+	clonedBytes atomic.Int64                  // host bytes copied by the clone path
 }
 
-// pin is the registry reference type every snapshot-mode read holds.
-// Go has no generic type aliases, so the helper functions below spell
-// the full instantiation once.
-func zeroPin[K keys.Key]() epoch.Pin[*core.Tree[K], shardMeta[K]] {
-	return epoch.Pin[*core.Tree[K], shardMeta[K]]{}
-}
-
-// NewServer wraps t in snapshot mode: reads never block on batch
-// updates or rebuilds. Load-balance parameters are resolved eagerly
-// when the balanced mode is enabled, so the first concurrent lookups
-// never contend on discovery.
+// NewServer wraps t behind the snapshot-read contract: reads never
+// block on batch updates or rebuilds. Load-balance parameters are
+// resolved eagerly when the balanced mode is enabled, so the first
+// concurrent lookups never contend on discovery.
 func NewServer[K keys.Key](t *core.Tree[K]) *Server[K] {
 	s := newServer(t)
 	s.reg = epoch.New([]*core.Tree[K]{t}, shardMeta[K]{}, func(tr *core.Tree[K]) { tr.Close() })
 	s.ownReg = true
-	return s
-}
-
-// NewLockedServer wraps t behind the PR-1 sync.RWMutex contract:
-// writers exclude all readers for the duration of a batch. It exists as
-// the A/B baseline for the snapshot mode and for deployments that
-// cannot afford a second I-segment replica during updates.
-func NewLockedServer[K keys.Key](t *core.Tree[K]) *Server[K] {
-	s := newServer(t)
-	s.locked = true
-	s.tree = t
 	return s
 }
 
@@ -198,10 +166,8 @@ func attachEnvInjector(d *gpusim.Device) {
 	}
 }
 
-// acquire pins the current tree version for one read operation. In
-// snapshot mode the returned pin must be released with releaseRead; in
-// locked mode the pin is the zero value (Valid() false) and the read
-// lock is held until releaseRead.
+// acquire pins the current tree version for one read operation; the
+// returned pin must be released with Unpin.
 //
 // A shard member resolves its tree from the pinned state: the slot
 // index is validated against the pinned metadata and, when a
@@ -212,10 +178,6 @@ func attachEnvInjector(d *gpusim.Device) {
 // (ShardedServer's read paths resolve members through the pin, which
 // makes that unreachable).
 func (s *Server[K]) acquire() (*core.Tree[K], epoch.Pin[*core.Tree[K], shardMeta[K]]) {
-	if s.locked {
-		s.mu.RLock()
-		return s.tree, zeroPin[K]()
-	}
 	tree, p, ok := s.pinCurrent()
 	if !ok {
 		panic("serve: read on a shard server replaced by rebalance")
@@ -226,7 +188,6 @@ func (s *Server[K]) acquire() (*core.Tree[K], epoch.Pin[*core.Tree[K], shardMeta
 // pinCurrent pins the registry and resolves this server's tree in the
 // pinned state. ok is false — with nothing pinned — when the server is
 // no longer part of the current state (replaced by a rebalance).
-// Snapshot mode only.
 func (s *Server[K]) pinCurrent() (*core.Tree[K], epoch.Pin[*core.Tree[K], shardMeta[K]], bool) {
 	p := s.reg.Pin()
 	m := p.Meta()
@@ -245,15 +206,7 @@ func (s *Server[K]) pinCurrent() (*core.Tree[K], epoch.Pin[*core.Tree[K], shardM
 		}
 	}
 	p.Unpin()
-	return nil, zeroPin[K](), false
-}
-
-func (s *Server[K]) releaseRead(p epoch.Pin[*core.Tree[K], shardMeta[K]]) {
-	if !p.Valid() {
-		s.mu.RUnlock()
-		return
-	}
-	p.Unpin()
+	return nil, epoch.Pin[*core.Tree[K], shardMeta[K]]{}, false
 }
 
 // publish installs t as this server's slot in a new epoch. Callers hold
@@ -270,7 +223,7 @@ type Metrics struct {
 	BatchedQueries int64 // queries served through LookupBatch
 	Batches        int64 // LookupBatch calls
 	Updates        int64 // update/rebuild operations applied
-	Swaps          int64 // snapshot publications (snapshot mode only)
+	Swaps          int64 // snapshot publications
 
 	// Shared-descent accounting (sorted batches only): inner-node probes
 	// the kernel issued, and the probes run-sharing avoided relative to
@@ -387,7 +340,7 @@ func (s *Server[K]) Swaps() int64 { return s.swaps.Load() }
 func (s *Server[K]) LevelWidths() []int {
 	tree, p := s.acquire()
 	w := tree.LevelWidths()
-	s.releaseRead(p)
+	p.Unpin()
 	return w
 }
 
@@ -399,18 +352,12 @@ func (s *Server[K]) LayoutAdvice() []int {
 	m := s.Metrics()
 	tree, p := s.acquire()
 	adv := tree.LayoutAdvice(m.LevelProbes[:])
-	s.releaseRead(p)
+	p.Unpin()
 	return adv
 }
 
-// Epoch returns the registry's current generation stamp (0 in locked
-// mode, which has no registry).
-func (s *Server[K]) Epoch() uint64 {
-	if s.locked {
-		return 0
-	}
-	return s.reg.Epoch()
-}
+// Epoch returns the registry's current generation stamp.
+func (s *Server[K]) Epoch() uint64 { return s.reg.Epoch() }
 
 // Degraded reports whether the server is in degraded mode: the breaker
 // over the device is open and batches are answered by the CPU fallback.
@@ -423,7 +370,7 @@ func (s *Server[K]) Degraded() bool { return s.brk.State() == breaker.Open }
 func (s *Server[K]) Lookup(q K) (K, bool) {
 	tree, p := s.acquire()
 	v, ok := s.lookupPinned(tree, q)
-	s.releaseRead(p)
+	p.Unpin()
 	return v, ok
 }
 
@@ -460,7 +407,7 @@ func (s *Server[K]) LookupBatch(queries []K) ([]K, []bool, core.SearchStats, err
 func (s *Server[K]) LookupBatchInto(queries []K, values []K, found []bool) (core.SearchStats, error) {
 	tree, p := s.acquire()
 	stats, err := s.lookupBatchPinned(tree, queries, values, found)
-	s.releaseRead(p)
+	p.Unpin()
 	return stats, err
 }
 
@@ -472,7 +419,7 @@ func (s *Server[K]) LookupBatchInto(queries []K, values []K, found []bool) (core
 func (s *Server[K]) LookupBatchSortedInto(queries []K, values []K, found []bool) (core.SearchStats, error) {
 	tree, p := s.acquire()
 	stats, err := s.lookupBatchSortedPinned(tree, queries, values, found)
-	s.releaseRead(p)
+	p.Unpin()
 	return stats, err
 }
 
@@ -515,7 +462,7 @@ func (s *Server[K]) noteBatch(n int, stats core.SearchStats, err error) {
 // current version.
 func (s *Server[K]) RangeQuery(start K, count int) []keys.Pair[K] {
 	tree, p := s.acquire()
-	defer s.releaseRead(p)
+	defer p.Unpin()
 	return tree.RangeQuery(start, count, nil)
 }
 
@@ -525,7 +472,7 @@ func (s *Server[K]) RangeQuery(start K, count int) []keys.Pair[K] {
 func (s *Server[K]) RangeQueryBatch(starts []K, count int) ([][]keys.Pair[K], core.RangeStats, error) {
 	tree, p := s.acquire()
 	out, stats, err := s.rangeBatchResilient(tree, starts, count)
-	s.releaseRead(p)
+	p.Unpin()
 	if err == nil {
 		s.addVirtual(stats.SimTime)
 	}
@@ -538,7 +485,7 @@ func (s *Server[K]) RangeQueryBatch(starts []K, count int) ([][]keys.Pair[K], co
 // returning.
 func (s *Server[K]) Scan(start K, count int) []keys.Pair[K] {
 	tree, p := s.acquire()
-	defer s.releaseRead(p)
+	defer p.Unpin()
 	return scanTree(tree, start, count, make([]keys.Pair[K], 0, count))
 }
 
@@ -556,12 +503,12 @@ func scanTree[K keys.Key](t *core.Tree[K], start K, count int, out []keys.Pair[K
 	return out
 }
 
-// Update applies a batch of updates to the regular variant. In snapshot
-// mode the batch executes on a clone of the current version and the
-// patched clone is atomically published — readers proceed against the
-// old version for the whole duration, and a failed batch leaves the
-// published version untouched. In locked mode the update runs in place
-// under the writer lock, excluding all readers.
+// Update applies a batch of updates to the regular variant: the batch
+// lands on a successor of the current version — an in-place fork when
+// it fits the gapped leaves, a patched clone otherwise — which is then
+// atomically published. Readers proceed against the old version for the
+// whole duration, and a failed batch leaves the published version
+// untouched.
 //
 // A batch whose host-side mutation succeeded but whose device re-sync
 // faulted is still acknowledged: the (replica-stale) version is kept,
@@ -578,14 +525,6 @@ func (s *Server[K]) Update(ops []cpubtree.Op[K], method core.UpdateMethod) (core
 // started is always run to completion (partial batches would lose acked
 // writes).
 func (s *Server[K]) UpdateCtx(ctx context.Context, ops []cpubtree.Op[K], method core.UpdateMethod) (core.UpdateStats, error) {
-	if s.locked {
-		s.mu.Lock()
-		stats, err := s.tree.Update(ops, method)
-		err = s.ackStaleSync(s.tree, err)
-		s.mu.Unlock()
-		s.noteUpdate(len(ops), stats, err)
-		return stats, err
-	}
 	if err := s.acquireWriter(ctx); err != nil {
 		return core.UpdateStats{}, err
 	}
@@ -597,18 +536,16 @@ func (s *Server[K]) UpdateCtx(ctx context.Context, ops []cpubtree.Op[K], method 
 	// transfer. Readers pinned to older epochs keep their exact slot
 	// images (the fork only appends to gap slots no published epoch
 	// reads), so publication is the same epoch swap as the clone path.
-	if !s.deltaOff {
-		if fork, stats, ok := cur.ApplyDelta(ops, &s.plan); ok {
-			s.publish(fork)
-			s.inplace.Add(1)
-			s.noteUpdate(len(ops), stats, nil)
-			return stats, nil
-		}
-		if s.opt.Variant == core.Regular {
-			// The batch needed structural work (split/merge or gap
-			// overflow) — the clone path below is the fallback.
-			s.cloneFB.Add(1)
-		}
+	if fork, stats, ok := cur.ApplyDelta(ops, &s.plan); ok {
+		s.publish(fork)
+		s.inplace.Add(1)
+		s.noteUpdate(len(ops), stats, nil)
+		return stats, nil
+	}
+	if s.opt.Variant == core.Regular {
+		// The batch needed structural work (split/merge or gap
+		// overflow) — the clone path below is the fallback.
+		s.cloneFB.Add(1)
 	}
 
 	cn, cb := cur.CloneFootprint()
@@ -630,15 +567,8 @@ func (s *Server[K]) UpdateCtx(ctx context.Context, ops []cpubtree.Op[K], method 
 	return stats, nil
 }
 
-// SetDeltaLeaves toggles the in-place gapped-leaf fast path (on by
-// default). Disabled, every batch takes the clone-and-swap path — the
-// A/B baseline the wall benchmark's -no-delta-leaves flag selects. Not
-// concurrency-safe with in-flight updates; set it before serving.
-func (s *Server[K]) SetDeltaLeaves(on bool) { s.deltaOff = !on }
-
-// Rebuild replaces the implicit variant's contents. In snapshot mode
-// the replacement tree is built aside and atomically published; in
-// locked mode the rebuild runs in place under the writer lock.
+// Rebuild replaces the implicit variant's contents: the replacement
+// tree is built aside and atomically published.
 func (s *Server[K]) Rebuild(pairs []keys.Pair[K]) (core.UpdateStats, error) {
 	return s.RebuildCtx(context.Background(), pairs)
 }
@@ -646,14 +576,6 @@ func (s *Server[K]) Rebuild(pairs []keys.Pair[K]) (core.UpdateStats, error) {
 // RebuildCtx is Rebuild with a caller deadline on the writer wait, with
 // the same started-batches-complete semantics as UpdateCtx.
 func (s *Server[K]) RebuildCtx(ctx context.Context, pairs []keys.Pair[K]) (core.UpdateStats, error) {
-	if s.locked {
-		s.mu.Lock()
-		stats, err := s.tree.Rebuild(pairs)
-		err = s.ackStaleSync(s.tree, err)
-		s.mu.Unlock()
-		s.noteUpdate(len(pairs), stats, err)
-		return stats, err
-	}
 	if err := s.acquireWriter(ctx); err != nil {
 		return core.UpdateStats{}, err
 	}
@@ -719,21 +641,21 @@ func (s *Server[K]) noteUpdate(ops int, stats core.UpdateStats, err error) {
 // Stats reports the tree geometry of the current version.
 func (s *Server[K]) Stats() cpubtree.Stats {
 	tree, p := s.acquire()
-	defer s.releaseRead(p)
+	defer p.Unpin()
 	return tree.Stats()
 }
 
 // Describe returns the current version's human-readable report.
 func (s *Server[K]) Describe() string {
 	tree, p := s.acquire()
-	defer s.releaseRead(p)
+	defer p.Unpin()
 	return tree.Describe()
 }
 
 // NumPairs returns the stored pair count of the current version.
 func (s *Server[K]) NumPairs() int {
 	tree, p := s.acquire()
-	defer s.releaseRead(p)
+	defer p.Unpin()
 	return tree.NumPairs()
 }
 
@@ -741,7 +663,7 @@ func (s *Server[K]) NumPairs() int {
 // device is shared by every snapshot, so the counters span versions.
 func (s *Server[K]) DeviceCounters() gpusim.Counters {
 	tree, p := s.acquire()
-	defer s.releaseRead(p)
+	defer p.Unpin()
 	return tree.Device().Counters()
 }
 
@@ -753,24 +675,15 @@ func (s *Server[K]) Options() core.Options { return s.opt }
 // reader/writer contract when touching it directly; do so only while
 // nothing else uses the server.
 func (s *Server[K]) Tree() *core.Tree[K] {
-	if s.locked {
-		return s.tree
-	}
 	return s.reg.Current(int(s.slot.Load()))
 }
 
-// Close releases the current version's device buffers. In snapshot
-// mode, readers still pinning the version finish first — the buffers
-// are released when the last pin drains. A shard member does not own
+// Close releases the current version's device buffers. Readers still
+// pinning the version finish first — the buffers are released when the
+// last pin drains. A shard member does not own
 // its registry and must be closed through its ShardedServer; Close on
 // it only quiesces the writer slot. Close is idempotent.
 func (s *Server[K]) Close() {
-	if s.locked {
-		s.mu.Lock()
-		s.tree.Close()
-		s.mu.Unlock()
-		return
-	}
 	s.wsem <- struct{}{}
 	defer s.releaseWriter()
 	if s.ownReg {

@@ -140,7 +140,6 @@ type ShardedServer[K keys.Key] struct {
 	polSet     bool
 	polBrk     breaker.Options
 	polRetry   RetryOptions
-	polDelta   bool // delta-leaves fast path disabled (polMu)
 	forcedOpen atomic.Bool
 
 	// updScratch pools UpdateCtx's per-flush routing scratch (the
@@ -796,28 +795,12 @@ func (s *ShardedServer[K]) ForceBreakerOpen(on bool) {
 	}
 }
 
-// SetDeltaLeaves toggles the in-place gapped-leaf fast path on every
-// shard server, and records the setting for shards created by later
-// rebalances. Not concurrency-safe with in-flight updates.
-func (s *ShardedServer[K]) SetDeltaLeaves(on bool) {
-	s.polMu.Lock()
-	s.polDelta = !on
-	s.polMu.Unlock()
-	for _, sub := range s.members() {
-		sub.SetDeltaLeaves(on)
-	}
-}
-
-// applyPolicy stamps the recorded resilience policy, delta-leaves
-// setting and forced-open state onto a shard server created during a
-// rebalance.
+// applyPolicy stamps the recorded resilience policy and forced-open
+// state onto a shard server created during a rebalance.
 func (s *ShardedServer[K]) applyPolicy(sub *Server[K]) {
 	s.polMu.Lock()
 	if s.polSet {
 		sub.SetResilience(s.polBrk, s.polRetry)
-	}
-	if s.polDelta {
-		sub.SetDeltaLeaves(false)
 	}
 	s.polMu.Unlock()
 	if s.forcedOpen.Load() {
@@ -958,13 +941,10 @@ func (s *ShardedServer[K]) Close() {
 // Backend is what a Coalescer flushes against: the single-tree Server
 // and the sharded backend both satisfy it.
 type Backend[K keys.Key] interface {
-	// LookupBatchInto serves one coalesced batch into the caller's
-	// slices (see Server.LookupBatchInto).
-	LookupBatchInto(queries []K, values []K, found []bool) (core.SearchStats, error)
-	// LookupBatchSortedInto serves one coalesced batch through the
-	// shared-descent path (see Server.LookupBatchSortedInto); the
-	// coalescer presorts and deduplicates its batches to land on the
-	// sorted fast path.
+	// LookupBatchSortedInto serves one coalesced batch into the caller's
+	// slices through the shared-descent path (see
+	// Server.LookupBatchSortedInto); the coalescer presorts and
+	// deduplicates its batches to land on the sorted fast path.
 	LookupBatchSortedInto(queries []K, values []K, found []bool) (core.SearchStats, error)
 	// Options exposes the tree configuration (MaxBatch defaults to its
 	// BucketSize).
@@ -1000,26 +980,18 @@ func (b shardBackend[K]) Degraded() bool {
 	return false
 }
 
-func (b shardBackend[K]) LookupBatchInto(queries []K, values []K, found []bool) (core.SearchStats, error) {
-	return b.lookupBatchInto(queries, values, found, false)
-}
-
-// LookupBatchSortedInto is the sorted-path flush: the split-key table
+// LookupBatchSortedInto is the coalescer's flush: the split-key table
 // is range-partitioned, so a globally sorted batch decomposes into
 // exactly one contiguous run per touched shard — the run walk below
 // finds them with no extra work, and each run reaches its shard still
 // sorted and duplicate-free (the coalescer's contract).
 func (b shardBackend[K]) LookupBatchSortedInto(queries []K, values []K, found []bool) (core.SearchStats, error) {
-	return b.lookupBatchInto(queries, values, found, true)
-}
-
-func (b shardBackend[K]) lookupBatchInto(queries []K, values []K, found []bool, sorted bool) (core.SearchStats, error) {
 	p := b.s.reg.Pin()
 	defer p.Unpin()
 	m := p.Meta()
 	var agg core.SearchStats
 	agg.BucketSize = b.s.opt.BucketSize
-	agg.Sorted = sorted
+	agg.Sorted = true
 	start := 0
 	for start < len(queries) {
 		i := m.route(queries[start])
@@ -1027,15 +999,8 @@ func (b shardBackend[K]) lookupBatchInto(queries []K, values []K, found []bool, 
 		for end < len(queries) && m.route(queries[end]) == i {
 			end++
 		}
-		var stats core.SearchStats
-		var err error
-		if sorted {
-			stats, err = m.subs[i].lookupBatchSortedPinned(p.Get(i),
-				queries[start:end], values[start:end], found[start:end])
-		} else {
-			stats, err = m.subs[i].lookupBatchPinned(p.Get(i),
-				queries[start:end], values[start:end], found[start:end])
-		}
+		stats, err := m.subs[i].lookupBatchSortedPinned(p.Get(i),
+			queries[start:end], values[start:end], found[start:end])
 		if err != nil {
 			return agg, err
 		}
@@ -1069,8 +1034,8 @@ type ShardedCoalescer[K keys.Key] struct {
 // sharded backend. When opt.Shards is zero, each per-shard coalescer
 // gets GOMAXPROCS/T pending queues (at least one) so the total queue
 // count stays at GOMAXPROCS across the server. Admission control
-// (opt.MaxPending, opt.Shed, opt.DegradedPending) applies per pending
-// queue, exactly as on a single-tree Coalescer.
+// (opt.MaxPending, opt.Shed, opt.DegradedPending) applies per shard
+// group: each group is one Coalescer with its own window.
 func (s *ShardedServer[K]) Coalesce(opt Options) *ShardedCoalescer[K] {
 	T := s.Shards()
 	if opt.Shards <= 0 {
@@ -1189,8 +1154,8 @@ func (c *ShardedCoalescer[K]) ShedRate() float64 {
 	return r
 }
 
-// AdmitWindow returns the summed per-queue admission windows across all
-// shard groups — the server-wide live admission budget.
+// AdmitWindow returns the summed admission windows of the shard groups —
+// the server-wide live admission budget.
 func (c *ShardedCoalescer[K]) AdmitWindow() int {
 	var n int
 	for _, co := range c.cos {

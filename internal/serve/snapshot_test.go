@@ -58,7 +58,7 @@ func TestSnapshotReaderSeesOldVersionToCompletion(t *testing.T) {
 	// buffers: the shared device's occupancy drops.
 	dev := tree0.Device()
 	before := dev.MemUsed()
-	srv.releaseRead(sn)
+	sn.Unpin()
 	after := dev.MemUsed()
 	if after >= before {
 		t.Fatalf("retired snapshot not released: device %d -> %d bytes", before, after)
@@ -103,7 +103,7 @@ func TestSnapshotRebuildPublishes(t *testing.T) {
 	if v, ok := tree0.Lookup(pairs[3].Key); !ok || v != pairs[3].Value {
 		t.Fatalf("pinned pre-rebuild lookup = (%d, %v)", v, ok)
 	}
-	srv.releaseRead(sn)
+	sn.Unpin()
 }
 
 // TestSnapshotCloseWaitsForReaders: Server.Close with a pinned reader
@@ -120,7 +120,7 @@ func TestSnapshotCloseWaitsForReaders(t *testing.T) {
 	if v, ok := tree0.Lookup(pairs[2].Key); !ok || v != pairs[2].Value {
 		t.Fatalf("pinned lookup after Close = (%d, %v)", v, ok)
 	}
-	srv.releaseRead(sn)
+	sn.Unpin()
 	if dev.MemUsed() >= before {
 		t.Fatal("version not released after the last reader drained")
 	}

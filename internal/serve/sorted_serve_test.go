@@ -57,46 +57,23 @@ func TestCoalescerFoldsDuplicateKeys(t *testing.T) {
 	}
 	// The backend saw the deduplicated batch: the server's batched-query
 	// counter counts unique slots, the coalescer's counts submissions.
-	if srv.Metrics().BatchedQueries != 4 || c.Queries() != maxBatch {
+	m := srv.Metrics()
+	if m.BatchedQueries != 4 || c.Queries() != maxBatch {
 		t.Fatalf("backend saw %d queries / coalescer %d, want 4 / %d",
-			srv.Metrics().BatchedQueries, c.Queries(), maxBatch)
+			m.BatchedQueries, c.Queries(), maxBatch)
 	}
-}
-
-// TestCoalescerUnsortedOptionDisablesFolding: the A/B baseline keeps
-// the original submission order and never folds.
-func TestCoalescerUnsortedOptionDisablesFolding(t *testing.T) {
-	srv, pairs := newTestServer(t, core.Implicit, 1<<10)
-	const maxBatch = 8
-	c := NewCoalescer(srv, Options{MaxBatch: maxBatch, Window: time.Hour, Shards: 1, Unsorted: true})
-	defer c.Close()
-
-	chans := make([]<-chan Result[uint64], maxBatch)
-	for i := range chans {
-		chans[i] = c.Submit(pairs[i%3].Key) // plenty of duplicates
-	}
-	for i, ch := range chans {
-		res := <-ch
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		if !res.Found || res.Value != pairs[i%3].Value {
-			t.Fatalf("waiter %d = (%d, %v), want (%d, true)", i, res.Value, res.Found, pairs[i%3].Value)
-		}
-	}
-	if c.Folded() != 0 {
-		t.Fatalf("unsorted coalescer folded %d keys, want 0", c.Folded())
-	}
-	if srv.Metrics().BatchedQueries != maxBatch {
-		t.Fatalf("unsorted backend saw %d queries, want %d", srv.Metrics().BatchedQueries, maxBatch)
+	// And it served it through the shared descent: the four keys share
+	// at least the root probe.
+	if m.NodeProbes <= 0 || m.ProbesSaved <= 0 {
+		t.Fatalf("flush recorded no probe sharing: probes=%d saved=%d", m.NodeProbes, m.ProbesSaved)
 	}
 }
 
 // TestSortedShardedBatchOracle is the -race oracle for the sorted flush
 // through the sharded backend: concurrent goroutines push shuffled,
-// duplicate- and miss-laden batches through both the sorted and the
-// plain path of the same shardBackend and verify every slot against the
-// dataset. The sorted path must agree with the oracle in the original
+// duplicate- and miss-laden batches through both the coalescer
+// backend's sorted path and the sharded server's plain batch path and
+// verify every slot against the dataset. The sorted path must agree with the oracle in the original
 // (pre-sort) slot order regardless of input order.
 func TestSortedShardedBatchOracle(t *testing.T) {
 	s, pairs := newShardedServer(t, core.Regular, 1<<12, 4)
@@ -144,7 +121,7 @@ func TestSortedShardedBatchOracle(t *testing.T) {
 						return
 					}
 				} else {
-					_, err = be.LookupBatchInto(qs, values, found)
+					_, err = s.LookupBatchInto(qs, values, found)
 				}
 				if err != nil {
 					t.Errorf("worker %d iter %d: %v", w, it, err)

@@ -23,9 +23,8 @@ import (
 // while a fraction of their operations are routed to an update pump
 // that batches them (the paper's batch-update design, Section 5.6) and
 // applies each batch through Server.Update. Two configurations are
-// comparable: the locked baseline (PR-1 discipline: one RWMutex, one
-// coalescer queue) and the fast path (snapshot reads, sharded
-// coalescer, allocation-free batches).
+// comparable: the single-tree snapshot server and the key-space sharded
+// server.
 
 // WallOptions configures one wall-clock serving run.
 type WallOptions struct {
@@ -40,14 +39,10 @@ type WallOptions struct {
 	// regular tree variant when non-zero.
 	UpdateFrac float64
 
-	// Locked selects the baseline: NewLockedServer plus a single-shard
-	// coalescer — the PR-1 serving discipline. The default is the fast
-	// path: snapshot server plus a GOMAXPROCS-sharded coalescer.
-	Locked bool
-
 	// Shards, when above 1, selects the key-space sharded configuration:
 	// a ShardedServer over that many trees with per-shard update pumps
-	// and a per-shard coalescer group. Mutually exclusive with Locked.
+	// and a per-shard coalescer group. The default is one snapshot
+	// server plus a GOMAXPROCS-striped coalescer.
 	Shards int
 
 	// MaxPending and Shed configure coalescer admission control (see
@@ -68,19 +63,6 @@ type WallOptions struct {
 	// a deterministic capacity model for overload experiments.
 	FlushStall time.Duration
 
-	// Unsorted makes coalescer flushes take the plain batch path instead
-	// of the default sorted shared-descent one — the A/B baseline for
-	// measuring what presorting, duplicate folding and level-wise probe
-	// sharing buy in wall-clock terms.
-	Unsorted bool
-
-	// UniformLayout builds the tree with the classic one-line-per-node
-	// geometry instead of the default cost-model-tuned per-level layout
-	// (wide multi-line nodes near the root, sized for the coalescer's
-	// MaxBatch) — the A/B baseline for the layout engine. Implicit
-	// variant only; the regular tree has no tuned layout.
-	UniformLayout bool
-
 	// MaxBatch and Window configure the coalescer (1024 and 200µs
 	// defaults: wall-clock serving wants smaller flush quanta than the
 	// 16K virtual-clock bucket).
@@ -95,13 +77,6 @@ type WallOptions struct {
 
 	// UpdateBatch is the update pump's batch size (4096 default).
 	UpdateBatch int
-
-	// NoDeltaLeaves disables the in-place gapped-leaf update path, so
-	// every batch takes the clone-and-swap route — the A/B baseline for
-	// measuring what the delta leaves buy in wall-clock terms. Both arms
-	// build with the same leaf fill (see RunWall), so the layout is
-	// identical and only the apply path differs.
-	NoDeltaLeaves bool
 
 	// UpdateSkew, when positive, draws this fraction of the update
 	// operations from the hottest quarter of the key space (the lowest
@@ -118,9 +93,8 @@ type WallOptions struct {
 
 	// RebuildEvery, when non-zero, rebuilds the whole tree from the
 	// original pairs on this period (implicit variant only). This is the
-	// reader-stall stress: under the locked baseline every rebuild
-	// blocks all lookups for its full duration; under snapshot reads the
-	// replacement is built aside and swapped in.
+	// reader-stall stress: the replacement is built aside and swapped in
+	// while lookups keep serving the old version.
 	RebuildEvery time.Duration
 }
 
@@ -162,9 +136,8 @@ type WallResult struct {
 	AllocsPerLookup float64
 
 	// Folded counts duplicate keys folded into an already-occupied batch
-	// slot by sorted flushes; NodeProbes/ProbesSaved are the
-	// shared-descent kernel's accounting summed over the run (all three
-	// zero on the unsorted baseline).
+	// slot by flushes; NodeProbes/ProbesSaved are the shared-descent
+	// kernel's accounting summed over the run.
 	Folded      int64
 	NodeProbes  int64
 	ProbesSaved int64
@@ -172,19 +145,17 @@ type WallResult struct {
 	// Layout names the inner-node geometry the run was built with
 	// ("uniform" or "tuned"); LevelWidths is the realised per-level
 	// key-slot table (root first) and LineBytes the probe-weighted
-	// device-line traffic of the run (NodeProbes × the 64-byte line) —
-	// the layout A/B's second metric next to MQPS.
+	// device-line traffic of the run (NodeProbes × the 64-byte line).
 	Layout      string
 	LevelWidths []int
 	LineBytes   int64
 
 	// DuringWriteP50/P99 are percentiles over lookups issued while a
 	// write (update batch or rebuild) was executing — the reader-stall
-	// measure: under the locked baseline these queue behind the writer;
-	// under snapshot reads they proceed against the old version.
-	// DuringWriteSamples counts them: a locked server admits almost no
-	// reads inside a write span (clients stall before they can even
-	// submit), so a high sample count is itself the signature of
+	// measure: snapshot reads proceed against the old version, so these
+	// stay near the at-rest percentiles. DuringWriteSamples counts them:
+	// reads that block on writers never get submitted inside a write
+	// span, so a high sample count is itself the signature of
 	// non-blocking reads.
 	DuringWriteP50     time.Duration
 	DuringWriteP99     time.Duration
@@ -194,7 +165,7 @@ type WallResult struct {
 	WriteTime time.Duration
 
 	// UpdateMQPS is the sustained update throughput: Updates / Elapsed,
-	// in millions/s. The write-path A/B headline number.
+	// in millions/s.
 	UpdateMQPS float64
 
 	// Write-path amplification accounting (DESIGN §10): batches the
@@ -217,7 +188,7 @@ type WallResult struct {
 	TargetP99   time.Duration
 
 	Batches  int64 // coalescer batches flushed
-	Swaps    int64 // snapshot publications (0 for the locked baseline)
+	Swaps    int64 // snapshot publications
 	Rebuilds int64 // full rebuilds executed (RebuildEvery runs)
 
 	// Shards is the shard count of the sharded configuration at the end
@@ -289,7 +260,6 @@ const maxWallSamples = 1 << 17
 type wallBackend[K keys.Key] interface {
 	Update([]cpubtree.Op[K], core.UpdateMethod) (core.UpdateStats, error)
 	Rebuild([]keys.Pair[K]) (core.UpdateStats, error)
-	SetDeltaLeaves(on bool)
 	Swaps() int64
 	Close()
 }
@@ -318,29 +288,22 @@ func RunWall[K keys.Key](pairs []keys.Pair[K], treeOpt core.Options, opt WallOpt
 	if opt.RebuildEvery > 0 && treeOpt.Variant != core.Implicit {
 		return WallResult{}, fmt.Errorf("serve: wall run with rebuilds requires the implicit variant")
 	}
-	if opt.Locked && opt.Shards > 1 {
-		return WallResult{}, fmt.Errorf("serve: Locked and Shards are mutually exclusive")
-	}
 	if opt.Rebalance != nil && opt.Shards <= 1 {
 		return WallResult{}, fmt.Errorf("serve: Rebalance requires a sharded configuration (Shards > 1)")
 	}
-	if treeOpt.Variant == core.Implicit && !opt.UniformLayout && !opt.Unsorted {
-		// Default to the cost-model-tuned layout, sized for the flush
-		// quantum the coalescer will present. Unsorted runs stay uniform:
-		// without the shared descent every query pays a wide root node's
-		// full line count, which the tuner's batch model would never pick.
+	if treeOpt.Variant == core.Implicit {
+		// The cost-model-tuned layout, sized for the flush quantum the
+		// coalescer will present.
 		treeOpt.Layout = core.LayoutTuned
 		treeOpt.LayoutBatch = opt.MaxBatch
 	}
 	if opt.UpdateFrac > 0 && treeOpt.LeafFill == 0 {
 		// Write-heavy runs build with leaf slack so batches can land in
-		// place. Applied to BOTH A/B arms (the -no-delta-leaves baseline
-		// included): the layout must be identical for the comparison to
-		// isolate the apply path.
+		// place.
 		treeOpt.LeafFill = 0.875
 	}
 
-	coOpt := Options{MaxBatch: opt.MaxBatch, Window: opt.Window, MaxPending: opt.MaxPending, Shed: opt.Shed, Unsorted: opt.Unsorted,
+	coOpt := Options{MaxBatch: opt.MaxBatch, Window: opt.Window, MaxPending: opt.MaxPending, Shed: opt.Shed,
 		TargetP99: opt.TargetP99, MinPending: opt.MinPending, FlushStall: opt.FlushStall}
 	var backend wallBackend[K]
 	var co wallCoalescer[K]
@@ -366,19 +329,10 @@ func RunWall[K keys.Key](pairs []keys.Pair[K], treeOpt core.Options, opt WallOpt
 		}
 		levelWidths = tree.LevelWidths()
 		defer tree.Close()
-		var srv *Server[K]
-		if opt.Locked {
-			srv = NewLockedServer(tree)
-			coOpt.Shards = 1
-		} else {
-			srv = NewServer(tree)
-		}
+		srv := NewServer(tree)
 		backend = srv
 		metricsFn = srv.Metrics
 		co = NewCoalescer(srv, coOpt)
-	}
-	if opt.NoDeltaLeaves {
-		backend.SetDeltaLeaves(false)
 	}
 	defer backend.Close()
 	defer co.Close()
@@ -424,8 +378,8 @@ func RunWall[K keys.Key](pairs []keys.Pair[K], treeOpt core.Options, opt WallOpt
 			batch = batch[:0]
 		}
 		// The straggler ticker bounds update latency when clients
-		// trickle. Ticker flushes are gated on fill level: in snapshot
-		// mode every flush pays a whole-tree clone, so flushing a
+		// trickle. Ticker flushes are gated on fill level: a flush that
+		// misses the leaf gaps pays a whole-tree clone, so flushing a
 		// near-empty batch every tick would turn the swap rate into a
 		// function of the tick rate instead of the update rate. A
 		// quarter-full batch flushes immediately; anything smaller waits

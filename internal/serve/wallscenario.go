@@ -49,9 +49,8 @@ type ScenarioOptions struct {
 	// (1.5s default).
 	Duration time.Duration
 
-	// Locked selects the locked baseline backend; Shards > 1 the
-	// sharded one; the default is the snapshot server.
-	Locked bool
+	// Shards > 1 selects the sharded backend; the default is the
+	// single-tree snapshot server.
 	Shards int
 
 	// Coalescer shape: MaxBatch (256), Window (200µs) and QueueShards
@@ -75,9 +74,6 @@ type ScenarioOptions struct {
 	// per second, which makes overload scenarios reproducible across
 	// hosts instead of a function of how fast the tree searches.
 	FlushStall time.Duration
-
-	// Unsorted selects the plain batch path (Options.Unsorted).
-	Unsorted bool
 
 	// UpdateFrac routes this fraction of operations to the update pump
 	// (requires the regular tree variant); UpdateBatch is the pump's
@@ -199,8 +195,8 @@ func (r ScenarioResult) String() string {
 // maxPhaseSamples bounds each client's per-phase latency record.
 const maxPhaseSamples = 1 << 15
 
-// RunWallScenario builds a backend from pairs (locked, snapshot or
-// sharded, exactly as RunWall) and drives it with the scenario's
+// RunWallScenario builds a backend from pairs (single-tree or sharded,
+// exactly as RunWall) and drives it with the scenario's
 // arrival shape for opt.Duration, returning per-phase latency rows.
 // Identical options and seed replay identical offered traffic, so a
 // static-vs-adaptive A/B differs only in admission.
@@ -208,9 +204,6 @@ func RunWallScenario[K keys.Key](pairs []keys.Pair[K], treeOpt core.Options, opt
 	opt.fillDefaults()
 	if opt.UpdateFrac > 0 && treeOpt.Variant != core.Regular {
 		return ScenarioResult{}, fmt.Errorf("serve: scenario with updates requires the regular variant")
-	}
-	if opt.Locked && opt.Shards > 1 {
-		return ScenarioResult{}, fmt.Errorf("serve: Locked and Shards are mutually exclusive")
 	}
 	switch opt.Kind {
 	case ScenarioFlash, ScenarioDiurnal, ScenarioHotShift:
@@ -225,7 +218,6 @@ func RunWallScenario[K keys.Key](pairs []keys.Pair[K], treeOpt core.Options, opt
 		MaxBatch: opt.MaxBatch, Window: opt.Window, Shards: opt.QueueShards,
 		MaxPending: opt.MaxPending, MinPending: opt.MinPending,
 		TargetP99: opt.TargetP99, FlushStall: opt.FlushStall,
-		Unsorted: opt.Unsorted,
 		// The static arm sheds too: scenarios measure the overload
 		// protocol, and backpressure against an arrival spike just
 		// parks every client on a full window.
@@ -246,12 +238,7 @@ func RunWallScenario[K keys.Key](pairs []keys.Pair[K], treeOpt core.Options, opt
 			return ScenarioResult{}, err
 		}
 		defer tree.Close()
-		var srv *Server[K]
-		if opt.Locked {
-			srv = NewLockedServer(tree)
-		} else {
-			srv = NewServer(tree)
-		}
+		srv := NewServer(tree)
 		backend = srv
 		co = NewCoalescer[K](srv, coOpt)
 	}

@@ -70,15 +70,6 @@ func NewServer[K Key](t *Tree[K]) *Server[K] {
 	return &Server[K]{serve.NewServer(t.Tree)}
 }
 
-// NewLockedServer wraps t behind the original sync.RWMutex contract,
-// where Update and Rebuild exclude all readers for the duration of the
-// batch. It is the A/B baseline for the snapshot mode and suits
-// deployments that cannot spare a second I-segment replica during
-// updates.
-func NewLockedServer[K Key](t *Tree[K]) *Server[K] {
-	return &Server[K]{serve.NewLockedServer(t.Tree)}
-}
-
 // Coalescer batches concurrent point lookups into LookupBatch calls
 // under a size-or-deadline window. Obtain one with Server.Coalesce or
 // Tree.Coalesced, and Close it to release its flusher goroutine.

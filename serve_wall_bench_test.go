@@ -2,21 +2,19 @@
 // which compares serving disciplines on the paper's virtual clock, this
 // suite measures real throughput and latency on the host: pipelined
 // clients drive the coalescer while an update pump applies batched
-// writes, in the three configurations serve.RunWall supports — the
-// locked baseline (PR-1 discipline: one RWMutex, one coalescer queue),
-// the fast path (snapshot reads, sharded coalescer, allocation-free
-// batches) and the key-space sharded server (T independent trees, each
-// with its own snapshot pointer and update pump).
+// writes, in the two configurations serve.RunWall supports — the
+// single-tree snapshot server and the key-space sharded server (T
+// independent trees, each with its own snapshot pointer and update
+// pump).
 //
 // Two effects are measured. Batching amortisation shows up in MQPS at
 // any core count. Reader-stall elimination shows up in the during-write
-// latency distribution: a locked server blocks every lookup for the
-// remainder of the write span (a rebuild blocks them for up to its full
-// duration), while a snapshot server keeps serving the old version, so
-// its during-write p50 stays at the at-rest p50. The throughput side of
-// the comparison only scales with cores — on a single-CPU host the
-// snapshot clone has no spare core to hide in — so the multiplicative
-// MQPS gate runs on ≥4-core hosts and the stall gate runs everywhere.
+// latency distribution: a server whose writers exclude readers blocks
+// every lookup for the remainder of the write span (a rebuild blocks
+// them for up to its full duration), while a snapshot server keeps
+// serving the old version, so its during-write p50 stays near the
+// at-rest p50. The sharded update-throughput gate only scales with
+// cores, so it runs on ≥4-core hosts; the stall gate runs everywhere.
 package hbtree_test
 
 import (
@@ -34,95 +32,37 @@ import (
 const wallPairs = 1 << 20
 
 // TestWallSnapshotReadsDontStallOnRebuilds is the reader-stall
-// acceptance criterion: while the tree is being rebuilt, a snapshot
-// server must keep serving lookups at their at-rest latency, where the
-// locked baseline makes them queue behind the writer. It holds at any
-// core count because it compares latency distributions, not throughput.
+// acceptance criterion: while the tree is being rebuilt, the server must
+// keep serving lookups near their at-rest latency. A server that made
+// reads wait for the writer would admit almost none inside a rebuild
+// and hold those few for its whole length (tens of milliseconds against
+// a sub-millisecond median), so both halves are absolute: enough
+// during-rebuild samples, and their median within 3× of the run's
+// overall median. It holds at any core count because it compares
+// latency distributions of one run, not throughput.
 func TestWallSnapshotReadsDontStallOnRebuilds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement")
 	}
 	pairs := hbtree.GeneratePairs[uint64](wallPairs, 42)
-	opt := serve.WallOptions{
+	res, err := serve.RunWall(pairs, hbtree.Options{}, serve.WallOptions{
 		Clients:      8,
 		Duration:     600 * time.Millisecond,
 		RebuildEvery: 100 * time.Millisecond,
 		Depth:        64,
-	}
-
-	lockedOpt := opt
-	lockedOpt.Locked = true
-	locked, err := serve.RunWall(pairs, hbtree.Options{}, lockedOpt)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := serve.RunWall(pairs, hbtree.Options{}, opt)
-	if err != nil {
-		t.Fatal(err)
+	t.Log(res)
+	if res.WriteTime < 20*time.Millisecond {
+		t.Skipf("rebuilds too short to measure (%v of writes)", res.WriteTime)
 	}
-	t.Logf("locked: %s", locked)
-	t.Logf("fast:   %s", fast)
-
-	if locked.WriteTime < 20*time.Millisecond || fast.WriteTime < 20*time.Millisecond {
-		t.Skipf("rebuilds too short to measure (locked %v, fast %v of writes)", locked.WriteTime, fast.WriteTime)
+	if res.DuringWriteSamples < 100 {
+		t.Errorf("only %d lookups were served during rebuilds, want ≥ 100", res.DuringWriteSamples)
 	}
-	if locked.DuringWriteSamples < 100 || fast.DuringWriteSamples < 100 {
-		t.Skipf("too few during-write samples (locked %d, fast %d)", locked.DuringWriteSamples, fast.DuringWriteSamples)
-	}
-	// Reads issued during a rebuild: the locked server stalls them
-	// behind the writer; the snapshot server serves them at its at-rest
-	// median.
-	if fast.DuringWriteP50 >= locked.DuringWriteP50 {
-		t.Errorf("during-rebuild p50 did not improve: locked %v, fast %v",
-			locked.DuringWriteP50, fast.DuringWriteP50)
-	}
-	// And far more reads complete inside write spans at all: a locked
-	// server admits almost none (clients stall before they can submit).
-	if fast.DuringWriteSamples <= locked.DuringWriteSamples {
-		t.Errorf("during-rebuild service did not improve: locked %d samples, fast %d",
-			locked.DuringWriteSamples, fast.DuringWriteSamples)
-	}
-	// The snapshot machinery must not cost meaningful read throughput.
-	if fast.MQPS < 0.7*locked.MQPS {
-		t.Errorf("fast path lost read throughput: locked %.2f MQPS, fast %.2f MQPS", locked.MQPS, fast.MQPS)
-	}
-}
-
-// TestWallFastPathScalesWithClients is the throughput acceptance
-// criterion on multicore hosts: at 8 concurrent clients with a 10%
-// update mix, the sharded+snapshot path must beat the PR-1 mutex path
-// by ≥1.5× MQPS. The parallelism it measures does not exist on smaller
-// hosts (a snapshot clone and a batch apply contend for the same core
-// that serves lookups), so the test skips below 4 CPUs — there the
-// reader-stall criterion above still runs.
-func TestWallFastPathScalesWithClients(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
-	}
-	if runtime.GOMAXPROCS(0) < 4 {
-		t.Skipf("needs ≥4 CPUs to measure parallel scaling, have %d", runtime.GOMAXPROCS(0))
-	}
-	pairs := hbtree.GeneratePairs[uint64](1<<18, 42)
-	opt := serve.WallOptions{
-		Clients:     8,
-		Duration:    time.Second,
-		UpdateFrac:  0.1,
-		UpdateBatch: 16384,
-	}
-	lockedOpt := opt
-	lockedOpt.Locked = true
-	locked, err := serve.RunWall(pairs, hbtree.Options{Variant: hbtree.Regular}, lockedOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := serve.RunWall(pairs, hbtree.Options{Variant: hbtree.Regular}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("locked: %s", locked)
-	t.Logf("fast:   %s", fast)
-	if fast.MQPS < 1.5*locked.MQPS {
-		t.Errorf("fast path %.2f MQPS < 1.5× locked %.2f MQPS at 8 clients, 10%% updates", fast.MQPS, locked.MQPS)
+	if res.DuringWriteP50 > 3*res.P50 {
+		t.Errorf("during-rebuild p50 %v above 3× the at-rest p50 %v", res.DuringWriteP50, res.P50)
 	}
 }
 
@@ -134,9 +74,8 @@ func BenchmarkWallServe(b *testing.B) {
 	pairs := hbtree.GeneratePairs[uint64](1<<18, 42)
 	for _, cfg := range []struct {
 		name   string
-		locked bool
 		shards int
-	}{{"locked", true, 0}, {"fast", false, 0}, {"sharded", false, 4}} {
+	}{{"fast", 0}, {"sharded", 4}} {
 		for _, clients := range []int{1, 8} {
 			for _, frac := range []float64{0, 0.1} {
 				name := fmt.Sprintf("%s/clients=%d/updates=%d%%", cfg.name, clients, int(frac*100))
@@ -149,7 +88,6 @@ func BenchmarkWallServe(b *testing.B) {
 						Clients:    clients,
 						Duration:   time.Duration(b.N) * 25 * time.Millisecond,
 						UpdateFrac: frac,
-						Locked:     cfg.locked,
 						Shards:     cfg.shards,
 					})
 					if err != nil {
@@ -167,66 +105,14 @@ func BenchmarkWallServe(b *testing.B) {
 	}
 }
 
-// TestWallSortedDescentBeatsUnsortedAtLargeWindows is the shared-descent
-// acceptance criterion on multicore hosts: at a coalesce window of 256,
-// the default sorted flush (presort + duplicate fold + level-wise probe
-// sharing + double-buffered transfer overlap) must not serve fewer
-// queries per second than the plain unsorted flush of the same
-// pipeline. The win comes from folding duplicate keys before the
-// backend sees them and from same-child runs sharing inner-node probes,
-// both of which only pay off when windows are large enough to contain
-// runs — which is why the gate pins MaxBatch at 256 and why small
-// windows are only bounded, not gated (see DESIGN §9). Below 4 CPUs the
-// comparison drowns in scheduling noise, so the test skips there; the
-// byte-identical correctness oracles still run everywhere.
-func TestWallSortedDescentBeatsUnsortedAtLargeWindows(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
-	}
-	if runtime.GOMAXPROCS(0) < 4 {
-		t.Skipf("needs ≥4 CPUs for a stable throughput comparison, have %d", runtime.GOMAXPROCS(0))
-	}
-	pairs := hbtree.GeneratePairs[uint64](1<<18, 42)
-	opt := serve.WallOptions{
-		Clients:  8,
-		Duration: time.Second,
-		MaxBatch: 256,
-	}
-	unsortedOpt := opt
-	unsortedOpt.Unsorted = true
-	unsorted, err := serve.RunWall(pairs, hbtree.Options{}, unsortedOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted, err := serve.RunWall(pairs, hbtree.Options{}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("unsorted: %s", unsorted)
-	t.Logf("sorted:   %s", sorted)
-
-	if sorted.NodeProbes <= 0 || sorted.ProbesSaved <= 0 {
-		t.Errorf("sorted run recorded no probe sharing: probes=%d saved=%d",
-			sorted.NodeProbes, sorted.ProbesSaved)
-	}
-	if unsorted.NodeProbes != 0 {
-		t.Errorf("unsorted baseline took the sorted path: probes=%d", unsorted.NodeProbes)
-	}
-	if sorted.MQPS < unsorted.MQPS {
-		t.Errorf("sorted shared descent %.2f MQPS below unsorted baseline %.2f MQPS at window 256",
-			sorted.MQPS, unsorted.MQPS)
-	}
-}
-
 // TestWallShardedUpdateThroughputScales is the sharding acceptance
 // criterion on multicore hosts: under an update-heavy mix, the T=4
 // key-space sharded server must apply ≥2× the update operations per
 // second of the single-tree snapshot path — each sharded write clones
 // 1/4 of the data and the four pumps run concurrently, where the
 // single-tree path clones everything behind one writer mutex — while
-// its during-write read p50 stays no worse. Like the ≥1.5× read gate
-// above, the parallelism does not exist below 4 CPUs, so the test
-// skips there (the sharded correctness oracles still run everywhere).
+// its during-write read p50 stays no worse. The parallelism does not
+// exist below 4 CPUs, so the test skips there (the sharded correctness oracles still run everywhere).
 func TestWallShardedUpdateThroughputScales(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement")
