@@ -1,0 +1,394 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
+	"net"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"hbtree"
+)
+
+// Tests for the connection loop: whatever way a request stream is cut
+// into reads, the reply stream is the one a line-at-a-time server writes.
+
+// scriptConn is a connection whose reads return a fixed sequence of
+// chunks, one per Read, and then EOF; writes collect in out. It makes
+// serveConn's read boundaries a test input instead of a kernel accident.
+type scriptConn struct {
+	net.Conn // nil: only the methods serveConn uses are defined
+	chunks   [][]byte
+	out      bytes.Buffer
+	writes   int
+}
+
+func (c *scriptConn) Read(p []byte) (int, error) {
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	return n, nil
+}
+func (c *scriptConn) Write(p []byte) (int, error)     { c.writes++; return c.out.Write(p) }
+func (c *scriptConn) Close() error                    { return nil }
+func (c *scriptConn) SetReadDeadline(time.Time) error { return nil }
+
+// converse serves input to s over one connection, cut into reads at the
+// given offsets, and returns everything the server wrote.
+func converse(s *server, input []byte, cuts []int) []byte {
+	c := &scriptConn{}
+	prev := 0
+	for _, cut := range append(cuts, len(input)) {
+		if cut > prev {
+			c.chunks = append(c.chunks, input[prev:cut])
+			prev = cut
+		}
+	}
+	s.serveConn(c)
+	return c.out.Bytes()
+}
+
+// connModes are the serving stacks the connection loop runs over.
+type connMode struct {
+	name string
+	cfg  serveConfig
+}
+
+var connModes = []connMode{
+	{"direct", serveConfig{}},
+	{"coalesced", serveConfig{coalesce: true, window: 100 * time.Microsecond, maxBatch: 8}},
+	{"sharded", serveConfig{shards: 4}},
+	{"sharded-coalesced", serveConfig{shards: 4, coalesce: true, window: 100 * time.Microsecond, maxBatch: 8}},
+}
+
+// splitRig holds, per serving mode, three identical servers: one is fed
+// every stream whole, one a byte per read, one cut at random offsets.
+// Streams carry writes, so the three stay comparable only by seeing the
+// same streams in the same order — which is all a rig is ever given.
+type splitRig struct {
+	pairs   []hbtree.Pair[uint64]
+	servers [][3]*server
+}
+
+func newSplitRig(t testing.TB) *splitRig {
+	t.Helper()
+	rig := &splitRig{pairs: hbtree.GeneratePairs[uint64](1<<10, 42)}
+	for _, m := range connModes {
+		var trio [3]*server
+		for i := range trio {
+			tree, err := hbtree.New(rig.pairs, hbtree.Options{Variant: hbtree.Regular, BucketSize: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trio[i], err = newServer(tree, m.cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rig.servers = append(rig.servers, trio)
+	}
+	return rig
+}
+
+func (rig *splitRig) close() {
+	for _, trio := range rig.servers {
+		for _, s := range trio {
+			s.shutdown()
+		}
+	}
+}
+
+// comparableStream reports whether every line of input is one whose reply is a
+// function of the stream alone: STATS-like commands report counters that
+// legitimately differ with how the stream was batched, and the layout
+// commands change what later lines see.
+func comparableStream(input []byte) bool {
+	for _, line := range bytes.Split(input, []byte{'\n'}) {
+		fields := strings.Fields(string(line))
+		if len(fields) == 0 {
+			continue
+		}
+		switch strings.ToUpper(fields[0]) {
+		case "STATS", "SHARDSTATS", "PERSIST", "DESCRIBE", "EPOCH", "REBALANCE", "SNAPSHOT":
+			return false
+		}
+	}
+	return true
+}
+
+// check serves input to every mode's three servers and requires the
+// three reply streams of a mode to be byte-identical.
+func (rig *splitRig) check(t *testing.T, input []byte, seed int64) {
+	t.Helper()
+	every := make([]int, len(input))
+	for i := range every {
+		every[i] = i
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var random []int
+	for i := range input {
+		if rng.Intn(7) == 0 {
+			random = append(random, i)
+		}
+	}
+	for m, trio := range rig.servers {
+		whole := converse(trio[0], input, nil)
+		for i, cuts := range [][]int{every, random} {
+			if got := converse(trio[i+1], input, cuts); !bytes.Equal(got, whole) {
+				t.Fatalf("%s: replies differ between one write and %s\ninput  %q\nwhole  %q\nsplit  %q",
+					connModes[m].name, [...]string{"a byte per read", "random cuts"}[i], input, whole, got)
+			}
+		}
+	}
+}
+
+// randomStream builds a request stream mixing pipelined GETs (hits,
+// misses, duplicates), writes, ranges, malformed and blank lines, CRLF
+// endings and, sometimes, a last line without its newline.
+func randomStream(rng *rand.Rand, pairs []hbtree.Pair[uint64]) []byte {
+	var b bytes.Buffer
+	key := func() uint64 {
+		if rng.Intn(4) == 0 {
+			return uint64(rng.Intn(64)) // mostly absent, and collides with PUTs below
+		}
+		return pairs[rng.Intn(len(pairs))].Key
+	}
+	for n := rng.Intn(60); n >= 0; n-- {
+		switch r := rng.Intn(100); {
+		case r < 55:
+			for run := 1 + rng.Intn(12); run > 0; run-- {
+				fmt.Fprintf(&b, "GET %d\n", key())
+			}
+		case r < 65:
+			fmt.Fprintf(&b, "PUT %d %d\n", key(), rng.Intn(1000))
+		case r < 72:
+			fmt.Fprintf(&b, "DEL %d\n", key())
+		case r < 77:
+			fmt.Fprintf(&b, "RANGE %d %d\n", key(), rng.Intn(5))
+		case r < 80:
+			fmt.Fprintf(&b, "get\t%d \r\n", key())
+		default:
+			b.WriteString([]string{
+				"\n", "   \n", "\r\n", "GET\n", "GET abc\n", "GET 1 2\n", "GET 99999999999999999999999\n",
+				"GET 5\n", "GETX 5\n", "PUT 5\n", "DEL\n", "FLY me\n", "\x00\xff\n", "SCAN 0 2\n",
+			}[rng.Intn(14)])
+		}
+	}
+	if rng.Intn(3) == 0 {
+		fmt.Fprintf(&b, "GET %d", key())
+	}
+	return b.Bytes()
+}
+
+// TestServeConnSplitInvariant is the seeded half of FuzzServeConn:
+// random request streams, plus the edge cases spelled out, get the same
+// replies however the stream is cut into reads — without and with
+// -coalesce, sharded and not.
+func TestServeConnSplitInvariant(t *testing.T) {
+	rig := newSplitRig(t)
+	defer rig.close()
+	k := rig.pairs[5]
+	overlong := "GET " + strings.Repeat("9", maxLine)
+	for i, input := range []string{
+		"",
+		"\n\n",
+		fmt.Sprintf("GET %d", k.Key),
+		fmt.Sprintf("GET %d\r\nGET %d\r\n", k.Key, k.Key),
+		fmt.Sprintf("GET %d\nGET\nGET x\nGET %d\n\nGET %d\n", k.Key, k.Key, k.Key),
+		fmt.Sprintf("GET %d\nQUIT\nGET %d\n", k.Key, k.Key),
+		fmt.Sprintf("GET %d\n%s\nGET %d\n", k.Key, overlong, k.Key),
+		"GET " + strings.Repeat("9", maxLine-6) + "\nGET 1\n", // the longest line that fits
+	} {
+		rig.check(t, []byte(input), int64(i))
+	}
+	rounds := 200
+	if testing.Short() {
+		rounds = 40
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < rounds; i++ {
+		rig.check(t, randomStream(rng, rig.pairs), int64(i))
+	}
+}
+
+// TestReplyWritesPerPipelinedRun pins when replies leave: a run of GETs
+// read in one piece is one coalescer group sent in one write with
+// -coalesce, and without it each reply is written as soon as its lookup
+// returns.
+func TestReplyWritesPerPipelinedRun(t *testing.T) {
+	pairs := hbtree.GeneratePairs[uint64](1<<10, 42)
+	var input []byte
+	for _, p := range pairs[:8] {
+		input = fmt.Appendf(input, "GET %d\n", p.Key)
+	}
+	for _, m := range connModes {
+		tree, err := hbtree.New(pairs, hbtree.Options{BucketSize: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := newServer(tree, m.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &scriptConn{chunks: [][]byte{input}}
+		s.serveConn(c)
+		s.shutdown()
+		want := 8
+		if m.cfg.coalesce {
+			want = 1
+		}
+		if c.writes != want || bytes.Count(c.out.Bytes(), []byte("VALUE ")) != 8 {
+			t.Errorf("%s: %d writes for 8 pipelined GETs, want %d; replies %q", m.name, c.writes, want, c.out.Bytes())
+		}
+	}
+}
+
+// TestPipelinedReadYourWrite: non-GET lines are barriers, so a client
+// that pipelines a write and reads of the same key in one write reads
+// its own write, in every serving mode.
+func TestPipelinedReadYourWrite(t *testing.T) {
+	const input = "PUT 77 5\nGET 77\nGET 77\nDEL 77\nGET 77\nPUT 77 6\nGET 77\n"
+	const want = "OK\nVALUE 5\nVALUE 5\nOK\nNOTFOUND\nOK\nVALUE 6\n"
+	pairs := hbtree.GeneratePairs[uint64](1<<10, 42)
+	for _, m := range connModes {
+		tree, err := hbtree.New(pairs, hbtree.Options{Variant: hbtree.Regular, BucketSize: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := mustServer(t, tree, m.cfg)
+		if got := string(converse(s, []byte(input), nil)); got != want {
+			t.Errorf("%s: replies = %q, want %q", m.name, got, want)
+		}
+		s.shutdown()
+	}
+}
+
+// TestOverlongLineAfterPipelinedGETs: the lines ahead of an overlong one
+// are answered, then the typed error, then nothing.
+func TestOverlongLineAfterPipelinedGETs(t *testing.T) {
+	tree, pairs := newTestTree(t, hbtree.Implicit, 13)
+	s := mustServer(t, tree, serveConfig{})
+	defer s.shutdown()
+	input := fmt.Sprintf("GET %d\nGET %s\nGET %d\n", pairs[0].Key, strings.Repeat("9", 80<<10), pairs[1].Key)
+	want := fmt.Sprintf("VALUE %d\nERR line too long\n", pairs[0].Value)
+	if got := string(converse(s, []byte(input), nil)); got != want {
+		t.Fatalf("replies = %q, want %q", got, want)
+	}
+}
+
+// statField extracts key=<int> from a STATS line.
+func statField(t *testing.T, stats, key string) int64 {
+	t.Helper()
+	for _, f := range strings.Fields(stats) {
+		if v, ok := strings.CutPrefix(f, key+"="); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("STATS %s=%q: %v", key, v, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("STATS has no %s=: %q", key, stats)
+	return 0
+}
+
+// TestPipelinedConnectionFormsBatches: a connection that keeps 16 GETs
+// in flight gets them answered as batches of about 16 (one per shard
+// group when sharded, each with that shard's share) — over a real
+// socket, with the default window — and none of those batches had to
+// wait for the window timer. STATS says why each batch was flushed.
+func TestPipelinedConnectionFormsBatches(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			tree, pairs := newTestTree(t, hbtree.Implicit, 13)
+			s := mustServer(t, tree, serveConfig{coalesce: true, window: 100 * time.Microsecond, shards: shards})
+			dial := startServer(t, s)
+			conn, r := dial()
+
+			const depth, rounds = 16, 50
+			for round := 0; round < rounds; round++ {
+				var req strings.Builder
+				for d := 0; d < depth; d++ {
+					fmt.Fprintf(&req, "GET %d\n", pairs[(round*depth+d)*257%len(pairs)].Key)
+				}
+				if _, err := io.WriteString(conn, req.String()); err != nil {
+					t.Fatal(err)
+				}
+				conn.SetReadDeadline(time.Now().Add(replyWait))
+				for d := 0; d < depth; d++ {
+					resp, err := r.ReadString('\n')
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := fmt.Sprintf("VALUE %d\n", pairs[(round*depth+d)*257%len(pairs)].Value); resp != want {
+						t.Fatalf("round %d reply %d = %q, want %q", round, d, resp, want)
+					}
+				}
+			}
+			stats := sendLine(t, conn, r, "STATS")
+			flushes := statField(t, stats, "flush_full") + statField(t, stats, "flush_idle") +
+				statField(t, stats, "flush_handoff") + statField(t, stats, "flush_deadline")
+			if mean := float64(depth*rounds) / float64(flushes); mean < float64(depth/shards)/2 {
+				t.Fatalf("coalesced flushes held %.1f GETs on average with %d pipelined over %d shards: %q", mean, depth, shards, stats)
+			}
+			if shards == 1 {
+				if b, q := statField(t, stats, "batches"), statField(t, stats, "batched"); q != depth*rounds || q < 8*b {
+					t.Fatalf("batched/batches = %d/%d, want %d GETs in batches of at least 8: %q", q, b, depth*rounds, stats)
+				}
+			}
+			if n := statField(t, stats, "flush_deadline"); n != 0 {
+				t.Fatalf("flush_deadline=%d: a pipelined GET waited out the window: %q", n, stats)
+			}
+		})
+	}
+}
+
+// TestServeLinesGETAllocFree pins zero allocations per drained read
+// buffer on the pipelined GET path — cut lines, parse keys, one group
+// lookup, encode replies — for every serving mode, with an admission
+// window engaged too.
+func TestServeLinesGETAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	pairs := hbtree.GeneratePairs[uint64](1<<10, 42)
+	modes := append(connModes[:len(connModes):len(connModes)],
+		connMode{"coalesced-bounded", serveConfig{coalesce: true, window: 100 * time.Microsecond, maxBatch: 64, maxPending: 256}})
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			tree, err := hbtree.New(pairs, hbtree.Options{BucketSize: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := mustServer(t, tree, m.cfg)
+			defer s.shutdown()
+			var buf []byte
+			for i := 0; i < 16; i++ {
+				buf = fmt.Appendf(buf, "GET %d\n", pairs[i*37%len(pairs)].Key)
+			}
+			w := bufio.NewWriter(io.Discard)
+			run := &getRun{limit: s.groupLimit()}
+			for i := 0; i < 32; i++ { // warm the scratch, cell and batch pools
+				s.serveLines(w, run, buf, false)
+				w.Flush()
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if n, quit := s.serveLines(w, run, buf, false); n != len(buf) || quit {
+					t.Fatalf("consumed %d of %d bytes, quit=%v", n, len(buf), quit)
+				}
+				w.Flush()
+			})
+			if allocs != 0 {
+				t.Fatalf("a buffer of 16 pipelined GETs allocates %.1f times, want 0", allocs)
+			}
+		})
+	}
+}

@@ -117,3 +117,37 @@ func FuzzServeProtocol(f *testing.F) {
 		}
 	})
 }
+
+// fuzzRig lazily builds the split rig shared by all FuzzServeConn
+// executions of a process. Its servers accumulate the writes of every
+// stream they have been fed, all in the same order, so they stay
+// comparable with each other from one execution to the next.
+var (
+	fuzzRigOnce sync.Once
+	fuzzRig     *splitRig
+)
+
+// FuzzServeConn feeds an arbitrary byte stream to the connection loop
+// as one read, a byte per read, and cut at arbitrary offsets — without
+// and with -coalesce, sharded and not — and requires byte-identical
+// reply streams: grouping pipelined GETs must never show in what a
+// client reads. TestServeConnSplitInvariant is its seeded half.
+func FuzzServeConn(f *testing.F) {
+	for _, s := range []string{
+		"GET 5\nGET 6\nGET 7\n",
+		"PUT 5 6\nGET 5\nDEL 5\nGET 5\n",
+		"GET 5\r\nGET\n\nGET x\nGET 5",
+		"RANGE 0 3\nGET 1\nget\t2\nQUIT\nGET 3\n",
+		"GET 18446744073709551615\nGET 18446744073709551616\nGET  7 \n",
+		"\x00\xffGET 1\n\xc2\xa0GET\xc2\xa01\n",
+	} {
+		f.Add([]byte(s), int64(1))
+	}
+	fuzzRigOnce.Do(func() { fuzzRig = newSplitRig(f) })
+	f.Fuzz(func(t *testing.T, input []byte, seed int64) {
+		if !comparableStream(input) {
+			t.Skip("reply depends on counters or changes the shard layout")
+		}
+		fuzzRig.check(t, input, seed)
+	})
+}

@@ -24,12 +24,18 @@
 //	QUIT                 -> closes the connection
 //
 // Connections are served concurrently through the hbtree.Server
-// reader/writer contract; with -coalesce, GETs from all connections are
-// coalesced into bucket-sized heterogeneous batch searches (the paper's
-// intended operating point), and -coalesce-pending bounds the
-// coalescer's in-flight window with backpressure or (-coalesce-shed)
-// fail-fast shedding. -shards T replaces the single tree with a
-// key-space sharded server: T trees,
+// reader/writer contract, and each connection is served pipeline-aware:
+// every complete line already read is executed before the next read,
+// runs of consecutive GETs together, replies in request order. Without
+// -coalesce each GET of a run is answered and sent on its own; with it
+// the run is one group sent in one write, and those groups — from all
+// connections — are coalesced into heterogeneous batch searches of up to
+// a bucket (the paper's intended operating point): a batch leaves when
+// it is full or as soon as no other flush is running, so batch size
+// follows load and -coalesce-window is only the longest a GET waits for
+// companions. -coalesce-pending bounds the coalescer's in-flight window
+// with backpressure or (-coalesce-shed) fail-fast shedding. -shards T
+// replaces the single tree with a key-space sharded server: T trees,
 // each with its own snapshot pointer and update pump, so writes clone
 // 1/T of the data and rebuilds overlap. PUT/DEL drive the regular
 // variant's batch update path through the per-mode writer discipline.
@@ -70,12 +76,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -93,6 +101,7 @@ import (
 	"hbtree/internal/cpubtree"
 	"hbtree/internal/fault"
 	"hbtree/internal/gpusim"
+	"hbtree/internal/serve"
 )
 
 // sentinelKey is the maximum key, reserved internally as the +infinity
@@ -144,6 +153,8 @@ type backend interface {
 type coalescer interface {
 	Lookup(uint64) (uint64, bool, error)
 	LookupCtx(context.Context, uint64) (uint64, bool, error)
+	LookupGroup(context.Context, []uint64, []serve.Result[uint64])
+	Flushes() serve.FlushCounts
 	Shed() int64
 	ShedRate() float64
 	AdmitWindow() int
@@ -167,6 +178,7 @@ type server struct {
 
 	deadline      time.Duration // per-request budget for GET/PUT/DEL (0 = none)
 	targetP99     time.Duration // adaptive admission target (0 = static)
+	maxBatch      int           // -coalesce-batch (0 = the tree's bucket size)
 	overloadReply string        // precomputed "ERR OVERLOADED retry-after-ms=<n>\n"
 
 	mu    sync.Mutex
@@ -191,7 +203,7 @@ type serveConfig struct {
 // newServerShell builds the connection-tracking shell shared by both
 // serving constructors.
 func newServerShell(cfg serveConfig) *server {
-	s := &server{conns: make(map[net.Conn]struct{}), deadline: cfg.deadline, targetP99: cfg.targetP99}
+	s := &server{conns: make(map[net.Conn]struct{}), deadline: cfg.deadline, targetP99: cfg.targetP99, maxBatch: cfg.maxBatch}
 	// A shed request was refused before queueing; the soonest the next
 	// window can have room is one coalescing window away, so that is the
 	// retry hint (floored at 1ms, the practical client-side resolution).
@@ -314,12 +326,12 @@ func (s *server) untrack(conn net.Conn) {
 //  1. close every open connection — no new lines are read once each
 //     handler finishes its current one;
 //  2. close the coalescer — a handler parked inside a coalesced GET
-//     (admitted to a batch whose deadline window has not fired) only
-//     unblocks when the coalescer delivers or fails its request, so
-//     Close must run before waiting on the handlers: parked reads fail
-//     with ErrClosed instead of holding the drain for the rest of the
-//     window. Writes never touch the coalescer, so this cannot fail an
-//     acked PUT/DEL;
+//     (queued behind a flush that is still running) only unblocks when
+//     the coalescer delivers or fails its request, so Close must run
+//     before waiting on the handlers: parked reads fail with ErrClosed
+//     instead of holding the drain for as long as the engine takes.
+//     Writes never touch the coalescer, so this cannot fail an acked
+//     PUT/DEL;
 //  3. wait for the handlers — after wg.Wait() no handler is inside a
 //     Lookup or Update, so every OK the client saw was fully applied;
 //  4. close the serving backend — for the sharded server this blocks
@@ -346,47 +358,218 @@ func (s *server) shutdown() {
 	s.srv.Close()
 }
 
+// maxLine is the read buffer of a connection, and so the longest request
+// line (newline included) it can take.
+const maxLine = 64 << 10
+
 // Per-connection buffers are pooled so the steady state of a busy
-// listener does not allocate per accept: the scanner's read buffer and
-// the bufio.Writer are recycled across connections, and every
-// handleLine call borrows a lineScratch for tokenizing and encoding.
+// listener does not allocate per accept: the read buffer, the
+// bufio.Writer and the GET-run scratch are recycled across connections,
+// and every handleLine call borrows a lineScratch for tokenizing and
+// encoding.
 var (
-	writerPool  = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, 4<<10) }}
-	scanBufPool = sync.Pool{New: func() any { b := make([]byte, 64<<10); return &b }}
+	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, 4<<10) }}
+	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, maxLine) }}
+	getRunPool = sync.Pool{New: func() any { return new(getRun) }}
 )
 
+// serveConn is the one connection loop, and it is pipeline-aware: each
+// turn executes every complete line already in the read buffer — runs
+// of consecutive GETs as one group (serveLines), so a client that
+// pipelines N GETs hands the coalescer a batch of N — writes the replies
+// in request order, and flushes what is still unsent before it waits for
+// more input. It never waits for input while a request it has read is
+// unanswered or a reply is unflushed: a closed-loop client sends nothing
+// more until it has those replies. A client that sends one line at a
+// time sees one read, one reply, one write per request.
 func (s *server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	bp := scanBufPool.Get().(*[]byte)
-	// max == len(*bp): the scanner can never regrow the buffer, so the
-	// pooled slice is exactly what comes back.
-	sc.Buffer(*bp, len(*bp))
-	defer scanBufPool.Put(bp)
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(conn)
 	w := writerPool.Get().(*bufio.Writer)
 	w.Reset(conn)
+	run := getRunPool.Get().(*getRun)
+	run.limit = s.groupLimit()
 	defer func() {
-		w.Reset(io.Discard) // drop the conn reference before pooling
+		br.Reset(nil) // drop the conn reference before pooling
+		readerPool.Put(br)
+		w.Reset(io.Discard)
 		writerPool.Put(w)
+		getRunPool.Put(run)
 	}()
 	defer w.Flush()
-	for sc.Scan() {
-		quit := s.handleLine(w, sc.Text())
+	for {
+		buf, _ := br.Peek(br.Buffered())
+		n, quit := s.serveLines(w, run, buf, false)
+		br.Discard(n)
 		if err := w.Flush(); err != nil || quit {
 			return
 		}
+		// What is left is an incomplete line; block for more of it.
+		_, err := br.Peek(br.Buffered() + 1)
+		if err == nil {
+			continue
+		}
+		if errors.Is(err, bufio.ErrBufferFull) {
+			// A line that fills the buffer cannot be parsed or skipped, so
+			// the connection closes — but with a reply. Closing over unread
+			// input resets the connection, which can discard the reply on
+			// the client's side, so what the client already sent is drained
+			// first (for a bounded time).
+			io.WriteString(w, "ERR line too long\n")
+			w.Flush()
+			conn.SetReadDeadline(time.Now().Add(time.Second))
+			io.Copy(io.Discard, conn)
+			return
+		}
+		// EOF or a read error: the rest is the last line, sent without
+		// its newline.
+		buf, _ = br.Peek(br.Buffered())
+		s.serveLines(w, run, buf, true)
+		return
 	}
-	if errors.Is(sc.Err(), bufio.ErrTooLong) {
-		// The scanner cannot resynchronise past an overlong line, so the
-		// connection closes — but with a reply. Closing over unread input
-		// resets the connection, which can discard the reply on the
-		// client's side, so what the client already sent is drained first
-		// (for a bounded time).
-		io.WriteString(w, "ERR line too long\n")
-		w.Flush()
-		conn.SetReadDeadline(time.Now().Add(time.Second))
-		io.Copy(io.Discard, conn)
+}
+
+// groupLimit bounds a run of pipelined GETs answered as one group at one
+// coalescer batch (whose size defaults to the tree's bucket size).
+func (s *server) groupLimit() int {
+	if s.maxBatch > 0 {
+		return s.maxBatch
 	}
+	return s.srv.Options().BucketSize
+}
+
+// getRun is a connection's scratch for the run of consecutive GETs it is
+// collecting: the keys, their results, and the reply encoder.
+type getRun struct {
+	limit int
+	keys  []uint64
+	res   []serve.Result[uint64]
+	enc   lineScratch
+}
+
+// serveLines executes the complete lines of buf in order — and, when
+// final, a last line without its newline — and returns how many bytes it
+// consumed. Well-formed GETs are collected into a run and answered
+// together; every other line, malformed GETs included, is a barrier:
+// the run before it is answered, then handleLine executes it, so the
+// reply stream is the one a line-at-a-time server writes and a pipelined
+// PUT k, GET k still reads its own write. Replies queued ahead of a
+// PUT/DEL are flushed before it runs: they should not wait out a
+// durable write's group commit.
+func (s *server) serveLines(w *bufio.Writer, run *getRun, buf []byte, final bool) (consumed int, quit bool) {
+	for consumed < len(buf) && !quit {
+		line, next := buf[consumed:], len(buf)
+		if nl := bytes.IndexByte(line, '\n'); nl >= 0 {
+			line, next = line[:nl], consumed+nl+1
+		} else if !final {
+			break
+		}
+		if n := len(line); n > 0 && line[n-1] == '\r' {
+			line = line[:n-1]
+		}
+		tok, arg := leadToken(line)
+		key, canonical := uint64(0), false
+		if cmdIs(tok, "GET") {
+			key, canonical = parseKey(arg)
+		}
+		if canonical {
+			run.keys = append(run.keys, key)
+			if len(run.keys) >= run.limit {
+				s.answerGETs(w, run)
+			}
+		} else {
+			s.answerGETs(w, run)
+			if (cmdIs(tok, "PUT") || cmdIs(tok, "DEL")) && w.Buffered() > 0 && w.Flush() != nil {
+				return consumed, true
+			}
+			quit = s.handleLine(w, string(line))
+		}
+		consumed = next
+	}
+	s.answerGETs(w, run)
+	return consumed, quit
+}
+
+// answerGETs looks up the collected run and writes the replies in request
+// order. With -coalesce the run is one coalescer group under one
+// -deadline budget: its answers arrive together and leave in one write.
+// Without it each key is looked up on its own and its reply is sent as
+// soon as it exists, so the client works on the first answers while the
+// server computes the rest: a server without -coalesce puts the latency
+// of each reply first and batches nothing.
+func (s *server) answerGETs(w *bufio.Writer, run *getRun) {
+	n := len(run.keys)
+	if n == 0 {
+		return
+	}
+	if s.co == nil {
+		for _, k := range run.keys {
+			v, ok := s.srv.Lookup(k)
+			run.enc.writeGETReply(w, v, ok)
+			w.Flush() // a write error sticks to w; serveConn's flush reports it
+		}
+	} else {
+		if cap(run.res) < n {
+			run.res = make([]serve.Result[uint64], n)
+		}
+		res := run.res[:n]
+		ctx := context.Background()
+		if s.deadline > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.deadline)
+			defer cancel()
+		}
+		s.co.LookupGroup(ctx, run.keys, res)
+		for _, r := range res {
+			if r.Err != nil {
+				io.WriteString(w, s.errReply(r.Err))
+			} else {
+				run.enc.writeGETReply(w, r.Value, r.Found)
+			}
+		}
+	}
+	run.keys = run.keys[:0]
+}
+
+func isBlank(c byte) bool { return c == ' ' || c == '\t' }
+
+// leadToken splits a request line in the read buffer at its first token:
+// the bytes between leading ASCII blanks and the next one, and the rest.
+func leadToken(line []byte) (tok, rest []byte) {
+	for len(line) > 0 && isBlank(line[0]) {
+		line = line[1:]
+	}
+	n := 0
+	for n < len(line) && !isBlank(line[n]) {
+		n++
+	}
+	return line[:n], line[n:]
+}
+
+// parseKey parses the argument of a canonical GET — one decimal uint64
+// between ASCII blanks — without allocating. Anything it does not accept
+// (other white space, a missing or second argument, overflow) goes to
+// handleLine, which answers it exactly as strings.Fields and
+// strconv.ParseUint decide; what it accepts, they parse to the same key.
+func parseKey(arg []byte) (key uint64, ok bool) {
+	for len(arg) > 0 && isBlank(arg[0]) {
+		arg = arg[1:]
+	}
+	for len(arg) > 0 && isBlank(arg[len(arg)-1]) {
+		arg = arg[:len(arg)-1]
+	}
+	if len(arg) == 0 || len(arg) > 20 {
+		return 0, false
+	}
+	for _, c := range arg {
+		d := uint64(c - '0')
+		if c < '0' || c > '9' || key > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		key = key*10 + d
+	}
+	return key, true
 }
 
 // lineScratch holds the per-call tokenizing and encoding state of
@@ -428,7 +611,7 @@ func splitFields(dst []string, line string) []string {
 // cmdIs reports whether tok equals the ASCII-uppercase command name,
 // ignoring ASCII case — the allocation-free replacement for
 // strings.ToUpper dispatch.
-func cmdIs(tok, upper string) bool {
+func cmdIs[T string | []byte](tok T, upper string) bool {
 	if len(tok) != len(upper) {
 		return false
 	}
@@ -452,6 +635,15 @@ func (ls *lineScratch) writeUintLine(w io.Writer, prefix string, v uint64) {
 	b = append(b, '\n')
 	w.Write(b)
 	ls.buf = b[:0]
+}
+
+// writeGETReply encodes the answer to a GET.
+func (ls *lineScratch) writeGETReply(w io.Writer, v uint64, found bool) {
+	if found {
+		ls.writeUintLine(w, "VALUE ", v)
+	} else {
+		io.WriteString(w, "NOTFOUND\n")
+	}
 }
 
 // writePairLine encodes "PAIR <k> <v>\n" through the scratch buffer.
@@ -512,11 +704,7 @@ func (s *server) handleLine(w io.Writer, line string) (quit bool) {
 		} else {
 			v, ok = s.srv.Lookup(k)
 		}
-		if ok {
-			ls.writeUintLine(w, "VALUE ", v)
-		} else {
-			io.WriteString(w, "NOTFOUND\n")
-		}
+		ls.writeGETReply(w, v, ok)
 	case cmdIs(cmd, "PUT"):
 		if len(fields) != 3 {
 			io.WriteString(w, "ERR usage: PUT <key> <value>\n")
@@ -630,7 +818,9 @@ func (s *server) handleLine(w io.Writer, line string) (quit bool) {
 		}
 		shed, deadlines, folded := int64(0), m.Deadlines, int64(0)
 		shedRate, admitWindow, targetP99 := 0.0, 0, time.Duration(0)
+		var flushes serve.FlushCounts
 		if s.co != nil {
+			flushes = s.co.Flushes()
 			shed = s.co.Shed()
 			deadlines += s.co.Deadlines()
 			folded = s.co.Folded()
@@ -642,7 +832,7 @@ func (s *server) handleLine(w io.Writer, line string) (quit bool) {
 		if s.sharded != nil {
 			rebalances = s.sharded.RebalanceStats().Rebalances
 		}
-		fmt.Fprintf(w, "STATS pairs=%d height=%d iseg=%d lseg=%d h2d=%d d2h=%d kernels=%d lookups=%d batches=%d batched=%d updates=%d swaps=%d shards=%d vtime=%s gpufaults=%d retries=%d fallbacks=%d fbqueries=%d deadlines=%d shed=%d shed_rate=%.2f admit_window=%d target_p99=%s trips=%d breaker=%s epoch=%d repairs=%d rebalances=%d probes=%d saved=%d folded=%d inplace=%d clonefb=%d clonednodes=%d clonedbytes=%d layout=%s widths=%s advice=%s\n",
+		fmt.Fprintf(w, "STATS pairs=%d height=%d iseg=%d lseg=%d h2d=%d d2h=%d kernels=%d lookups=%d batches=%d batched=%d updates=%d swaps=%d shards=%d vtime=%s gpufaults=%d retries=%d fallbacks=%d fbqueries=%d deadlines=%d shed=%d shed_rate=%.2f admit_window=%d target_p99=%s trips=%d breaker=%s epoch=%d repairs=%d rebalances=%d probes=%d saved=%d folded=%d inplace=%d clonefb=%d clonednodes=%d clonedbytes=%d layout=%s widths=%s advice=%s flush_full=%d flush_deadline=%d flush_idle=%d flush_handoff=%d\n",
 			st.NumPairs, st.Height, st.InnerBytes, st.LeafBytes,
 			c.BytesH2D, c.BytesD2H, c.Kernels,
 			m.Lookups, m.Batches, m.BatchedQueries, m.Updates, s.srv.Swaps(), shards, m.VirtualTime,
@@ -651,7 +841,8 @@ func (s *server) handleLine(w io.Writer, line string) (quit bool) {
 			s.srv.Epoch(), m.Repairs, rebalances,
 			m.NodeProbes, m.ProbesSaved, folded,
 			m.InPlaceApplied, m.CloneFallbacks, m.ClonedNodes, m.ClonedBytes,
-			s.srv.Options().Layout, joinInts(s.srv.LevelWidths()), joinInts(s.srv.LayoutAdvice()))
+			s.srv.Options().Layout, joinInts(s.srv.LevelWidths()), joinInts(s.srv.LayoutAdvice()),
+			flushes.Full, flushes.Deadline, flushes.Idle, flushes.Handoff)
 	case cmdIs(cmd, "SHARDSTATS"):
 		if s.sharded == nil {
 			io.WriteString(w, "ERR not sharded (-shards > 1)\n")

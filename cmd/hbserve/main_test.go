@@ -10,11 +10,14 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hbtree"
+	"hbtree/internal/core"
 	"hbtree/internal/fault"
+	"hbtree/internal/serve"
 )
 
 // newTestTree builds a small dataset tree for protocol tests.
@@ -202,14 +205,14 @@ func TestPutDelProtocol(t *testing.T) {
 }
 
 // TestCoalescedConnections runs concurrent client connections through
-// the coalesced GET path and checks every reply plus that coalescing
-// actually batched the requests.
+// the coalesced GET path, each pipelining a few GETs per write, and
+// checks every reply plus that coalescing actually batched the requests.
 func TestCoalescedConnections(t *testing.T) {
 	tree, pairs := newTestTree(t, hbtree.Implicit, 3)
 	s := mustServer(t, tree, serveConfig{coalesce: true, window: 200 * time.Microsecond, maxBatch: 64})
 	dial := startServer(t, s)
 
-	const clients, perClient = 4, 50
+	const clients, rounds, depth = 4, 10, 5
 	var wg sync.WaitGroup
 	errc := make(chan error, clients)
 	for c := 0; c < clients; c++ {
@@ -217,20 +220,26 @@ func TestCoalescedConnections(t *testing.T) {
 		wg.Add(1)
 		go func(c int, conn net.Conn, r *bufio.Reader) {
 			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				p := pairs[(c*perClient+i*13)%len(pairs)]
-				if _, err := fmt.Fprintf(conn, "GET %d\n", p.Key); err != nil {
+			for i := 0; i < rounds; i++ {
+				var req strings.Builder
+				for d := 0; d < depth; d++ {
+					fmt.Fprintf(&req, "GET %d\n", pairs[(c*rounds*depth+(i*depth+d)*13)%len(pairs)].Key)
+				}
+				if _, err := io.WriteString(conn, req.String()); err != nil {
 					errc <- err
 					return
 				}
-				resp, err := r.ReadString('\n')
-				if err != nil {
-					errc <- err
-					return
-				}
-				if want := fmt.Sprintf("VALUE %d", p.Value); strings.TrimSpace(resp) != want {
-					errc <- fmt.Errorf("client %d: GET = %q, want %q", c, resp, want)
-					return
+				for d := 0; d < depth; d++ {
+					p := pairs[(c*rounds*depth+(i*depth+d)*13)%len(pairs)]
+					resp, err := r.ReadString('\n')
+					if err != nil {
+						errc <- err
+						return
+					}
+					if want := fmt.Sprintf("VALUE %d", p.Value); strings.TrimSpace(resp) != want {
+						errc <- fmt.Errorf("client %d: GET = %q, want %q", c, resp, want)
+						return
+					}
 				}
 			}
 		}(c, conn, r)
@@ -241,8 +250,8 @@ func TestCoalescedConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := s.srv.Metrics()
-	if m.BatchedQueries != clients*perClient {
-		t.Fatalf("batched queries = %d, want %d", m.BatchedQueries, clients*perClient)
+	if m.BatchedQueries != clients*rounds*depth {
+		t.Fatalf("batched queries = %d, want %d", m.BatchedQueries, clients*rounds*depth)
 	}
 	if m.Batches == 0 || m.Batches >= m.BatchedQueries {
 		t.Fatalf("no coalescing happened: %d batches for %d queries", m.Batches, m.BatchedQueries)
@@ -530,40 +539,97 @@ func TestShardStatsNotSharded(t *testing.T) {
 	}
 }
 
-// TestShutdownUnblocksParkedCoalescedGET: regression for the graceful
-// drain hanging behind the coalescing window. A GET admitted to a
-// batch whose deadline has not fired (lone request, one-hour window)
-// leaves its connection handler parked inside the coalescer, and a
-// closed client socket does not unpark it — only the coalescer's Close
-// does. shutdown must therefore close the coalescer before waiting on
-// the handlers, failing the parked read instead of waiting out the
-// window.
-func TestShutdownUnblocksParkedCoalescedGET(t *testing.T) {
+// gatedBackend is the single-tree server with a gate in front of its
+// batch search: a test holds the gate shut to keep the engine busy.
+type gatedBackend struct {
+	*serve.Server[uint64]
+	gate    sync.RWMutex
+	arrived atomic.Int32 // flushes that have reached the gate
+}
+
+func (b *gatedBackend) LookupBatchSortedInto(q, v []uint64, f []bool) (core.SearchStats, error) {
+	b.arrived.Add(1)
+	b.gate.RLock()
+	defer b.gate.RUnlock()
+	return b.Server.LookupBatchSortedInto(q, v, f)
+}
+
+// waitFor polls cond until it holds, failing the test after replyWait.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(replyWait); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// busyServer starts a coalescing server (cfg, single tree) whose engine
+// is busy: a first connection's GET found the coalescer idle, flushed
+// its own batch, and is held inside the batch search by the shut gate —
+// with its admission token, if the window is bounded. With the engine
+// idle a coalesced GET is answered at once, so this is what "a request
+// in flight" takes. open releases the gate; cleanup does it before the
+// server shuts down, which waits for that first handler.
+func busyServer(t *testing.T, cfg serveConfig) (s *server, dial func() (net.Conn, *bufio.Reader), pairs []hbtree.Pair[uint64], open func()) {
+	t.Helper()
 	tree, pairs := newTestTree(t, hbtree.Implicit, 13)
-	s := mustServer(t, tree, serveConfig{coalesce: true, window: time.Hour, maxBatch: 64})
-	dial := startServer(t, s)
-	conn, r := dial()
+	cfg.coalesce = false
+	s = mustServer(t, tree, cfg)
+	be := &gatedBackend{Server: s.srv.(*hbtree.Server[uint64]).Server}
+	s.co = serve.NewCoalescer[uint64](be, coalescerOptions(cfg))
+	dial = startServer(t, s)
+	be.gate.Lock()
+	var once sync.Once
+	open = func() { once.Do(be.gate.Unlock) }
+	t.Cleanup(open)
+	conn, _ := dial()
 	if _, err := fmt.Fprintf(conn, "GET %d\n", pairs[0].Key); err != nil {
 		t.Fatal(err)
 	}
-	// No reply can arrive before the hour-long window fires; give the
-	// handler a moment to park inside the coalesced lookup.
+	waitFor(t, "the first GET's flush to reach the gate", func() bool { return be.arrived.Load() == 1 })
+	return s, dial, pairs, open
+}
+
+// TestShutdownUnblocksParkedCoalescedGET: regression for the graceful
+// drain hanging behind a parked read. A GET queued behind a flush that
+// does not finish (and an hour-long window) leaves its connection
+// handler parked inside the coalescer, and a closed client socket does
+// not unpark it — only the coalescer's Close does. shutdown must
+// therefore close the coalescer before waiting on the handlers, failing
+// the parked read instead of waiting for the engine.
+func TestShutdownUnblocksParkedCoalescedGET(t *testing.T) {
+	s, dial, pairs, open := busyServer(t, serveConfig{window: time.Hour, maxBatch: 64})
+	conn, r := dial()
+	if _, err := fmt.Fprintf(conn, "GET %d\n", pairs[1].Key); err != nil {
+		t.Fatal(err)
+	}
+	// No reply can arrive while the gate is shut; give the handler a
+	// moment to park inside the coalesced lookup.
 	time.Sleep(50 * time.Millisecond)
 	done := make(chan struct{})
 	go func() {
 		s.shutdown()
 		close(done)
 	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("shutdown hung behind a parked coalesced GET")
-	}
+	// The parked handler must exit while the engine is still stuck: only
+	// the first connection's, inside the gated flush, may remain.
+	waitFor(t, "shutdown to release the parked GET", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.conns) == 1
+	})
 	// The parked read was failed, not served: the client sees the
 	// shutdown error, or EOF if its conn was torn down first.
 	conn.SetReadDeadline(time.Now().Add(replyWait))
 	if resp, err := r.ReadString('\n'); err == nil && strings.TrimSpace(resp) != "ERR CLOSED" {
 		t.Fatalf("parked GET reply = %q", resp)
+	}
+	open()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("shutdown hung after the engine came back")
 	}
 }
 
@@ -571,20 +637,10 @@ func TestShutdownUnblocksParkedCoalescedGET(t *testing.T) {
 // refused GET answers the typed OVERLOADED code with a machine-readable
 // retry-after hint instead of prose.
 func TestErrOverloadedCarriesRetryHint(t *testing.T) {
-	tree, pairs := newTestTree(t, hbtree.Implicit, 13)
-	s := mustServer(t, tree, serveConfig{
-		coalesce: true, window: time.Hour, maxBatch: 64, maxPending: 1, shed: true,
+	// The first GET holds the lone admission slot inside the gated flush.
+	_, dial, pairs, _ := busyServer(t, serveConfig{
+		window: time.Hour, maxBatch: 64, maxPending: 1, shed: true,
 	})
-	dial := startServer(t, s)
-
-	// First GET takes the lone admission slot and parks behind the
-	// hour-long window; it is failed by the shutdown at cleanup.
-	conn1, _ := dial()
-	if _, err := fmt.Fprintf(conn1, "GET %d\n", pairs[0].Key); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-
 	conn2, r2 := dial()
 	got := sendLine(t, conn2, r2, fmt.Sprintf("GET %d", pairs[1].Key))
 	if !strings.HasPrefix(got, "ERR OVERLOADED retry-after-ms=") {
@@ -596,19 +652,18 @@ func TestErrOverloadedCarriesRetryHint(t *testing.T) {
 }
 
 // TestErrDeadlineOnParkedGET: with -deadline set, a GET parked behind a
-// coalescing window that will not fire answers ERR DEADLINE when its
-// budget expires — the client is never parked for the window.
+// flush that does not finish, in a coalescing window that will not fire,
+// answers ERR DEADLINE when its budget expires — the client is never
+// parked for the engine or the window.
 func TestErrDeadlineOnParkedGET(t *testing.T) {
-	tree, pairs := newTestTree(t, hbtree.Implicit, 13)
 	const deadline = 100 * time.Millisecond
-	s := mustServer(t, tree, serveConfig{
-		coalesce: true, window: time.Hour, maxBatch: 64, deadline: deadline,
+	_, dial, pairs, _ := busyServer(t, serveConfig{
+		window: time.Hour, maxBatch: 64, deadline: deadline,
 	})
-	dial := startServer(t, s)
 	conn, r := dial()
 
 	start := time.Now()
-	got := sendLine(t, conn, r, fmt.Sprintf("GET %d", pairs[0].Key))
+	got := sendLine(t, conn, r, fmt.Sprintf("GET %d", pairs[1].Key))
 	elapsed := time.Since(start)
 	if got != "ERR DEADLINE" {
 		t.Fatalf("parked GET with deadline = %q", got)
@@ -777,21 +832,11 @@ func TestRebalanceNotSharded(t *testing.T) {
 // controller's computed retry hint, and STATS exposes the overload
 // telemetry (windowed shed rate, live admission window, the target).
 func TestAdaptiveRetryHintDynamic(t *testing.T) {
-	tree, pairs := newTestTree(t, hbtree.Implicit, 13)
-	s := mustServer(t, tree, serveConfig{
-		coalesce: true, window: time.Hour, maxBatch: 64, maxPending: 1,
+	// The first GET holds the lone admission slot inside the gated flush.
+	_, dial, pairs, _ := busyServer(t, serveConfig{
+		window: time.Hour, maxBatch: 64, maxPending: 1,
 		targetP99: 20 * time.Millisecond,
 	})
-	dial := startServer(t, s)
-
-	// First GET takes the lone admission slot and parks behind the
-	// hour-long window; it is failed by the shutdown at cleanup.
-	conn1, _ := dial()
-	if _, err := fmt.Fprintf(conn1, "GET %d\n", pairs[0].Key); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-
 	conn2, r2 := dial()
 	got := sendLine(t, conn2, r2, fmt.Sprintf("GET %d", pairs[1].Key))
 	if !strings.HasPrefix(got, "ERR OVERLOADED retry-after-ms=") {

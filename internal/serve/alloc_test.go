@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"hbtree/internal/core"
 )
@@ -45,8 +47,10 @@ func TestLookupBatchIntoAllocFree(t *testing.T) {
 
 // TestCoalescedLookupPathAllocFree pins zero allocations per request on
 // the full coalesced path: pooled reply cell, shard append, inline
-// flush through LookupBatchInto, result delivery. MaxBatch is 1 so
-// every call deterministically exercises the whole pipeline.
+// flush through LookupBatchInto, result delivery — for Lookup, and for
+// LookupCtx under a live deadline that does not expire (only an expired
+// request gives up its reply cell). MaxBatch is 1 so every call
+// deterministically exercises the whole pipeline.
 func TestCoalescedLookupPathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -54,22 +58,32 @@ func TestCoalescedLookupPathAllocFree(t *testing.T) {
 	srv, pairs := newTestServer(t, core.Implicit, 1<<10)
 	co := NewCoalescer(srv, Options{MaxBatch: 1, Shards: 1})
 	defer co.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
 
-	// Warm the reply, batch and scratch pools.
-	for i := 0; i < 32; i++ {
-		if _, _, err := co.Lookup(pairs[i].Key); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		lookup func(uint64) (uint64, bool, error)
+	}{
+		{"Lookup", co.Lookup},
+		{"LookupCtx", func(k uint64) (uint64, bool, error) { return co.LookupCtx(ctx, k) }},
+	} {
+		// Warm the reply, batch and scratch pools.
+		for i := 0; i < 32; i++ {
+			if _, _, err := tc.lookup(pairs[i].Key); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		i++
-		if _, _, err := co.Lookup(pairs[i%len(pairs)].Key); err != nil {
-			t.Fatal(err)
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			i++
+			if _, _, err := tc.lookup(pairs[i%len(pairs)].Key); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("coalesced %s allocates %.1f times per request, want 0", tc.name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("coalesced lookup allocates %.1f times per request, want 0", allocs)
 	}
 }
 

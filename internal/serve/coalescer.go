@@ -22,8 +22,8 @@ var ErrClosed = errors.New("serve: coalescer closed")
 // the caller may retry or degrade.
 var ErrOverloaded = errors.New("serve: coalescer overloaded")
 
-// DefaultWindow is the default coalescing deadline: a lone request
-// waits at most this long for companions before its batch is flushed.
+// DefaultWindow is the default coalescing deadline: the longest a queued
+// request waits for companions before its batch is flushed.
 const DefaultWindow = 100 * time.Microsecond
 
 // Options configures a Coalescer.
@@ -35,7 +35,10 @@ type Options struct {
 
 	// Window is the deadline: the first request of a batch waits at
 	// most this long before the batch is flushed regardless of size.
-	// Zero selects DefaultWindow.
+	// It is a maximum, not a minimum: a blocking caller's batch is
+	// flushed as soon as no other flush is running (see Coalescer), so
+	// only Submit's asynchronous requests and requests queued behind a
+	// running flush ever wait on it. Zero selects DefaultWindow.
 	Window time.Duration
 
 	// Shards is the number of independent pending queues; submissions
@@ -109,12 +112,60 @@ type Result[K keys.Key] struct {
 	Err   error
 }
 
+// waiter is where one queued request's result goes: the request's own
+// channel (Submit), or member idx of a blocking caller's group.
+type waiter[K keys.Key] struct {
+	ch  chan<- Result[K]
+	g   *group[K]
+	idx int32
+}
+
+// group is the reply cell of one blocking call (Lookup, LookupCtx,
+// LookupGroup): however many requests the call queues, and across
+// however many batches and coalescers they land, their results collect
+// in res and the caller parks once, on done. left counts the members
+// not yet settled plus one hold the caller keeps while it is still
+// queueing, so done is signalled at most once and only to a parked
+// caller. Cells are pooled; res and idx keep their capacity, so the
+// steady state allocates nothing. A caller whose deadline expires
+// abandons its cell instead of pooling it: late flushes still write it.
+type group[K keys.Key] struct {
+	res  []Result[K]
+	left atomic.Int32
+	done chan struct{}
+
+	// Scratch of the queueing caller: the member index of each key of a
+	// run (the identity for a group queued whole), and, for a group
+	// split over a sharded server's coalescers, each key's coalescer
+	// and the keys of the run being queued.
+	idx   []int32
+	route []int32
+	run   []K
+}
+
+// settle marks n members of g as answered and wakes the parked caller
+// on the last one.
+func (g *group[K]) settle(n int) {
+	if g.left.Add(int32(-n)) == 0 {
+		g.done <- struct{}{}
+	}
+}
+
+func (w waiter[K]) deliver(res Result[K]) {
+	if w.g == nil {
+		w.ch <- res
+		return
+	}
+	w.g.res[w.idx] = res
+	w.g.settle(1)
+}
+
 // pending is one shard's forming batch plus the result staging its
 // flush writes into. Instances are pooled: a flusher returns its batch
 // to the pool once every caller's result has been delivered.
 type pending[K keys.Key] struct {
 	keys    []K
-	replies []chan Result[K]
+	waiters []waiter[K]
 	values  []K
 	found   []bool
 
@@ -131,35 +182,91 @@ type pending[K keys.Key] struct {
 	// admission: the flush span time.Since(t0) is the latency the
 	// batch's oldest request observed, the controller's input signal.
 	t0 time.Time
+
+	// armed records that the shard's deadline timer is running for this
+	// batch. Submit arms it on the spot; a blocking caller's kick follows
+	// its enqueue at once and arms it only if the batch then stays, so
+	// the common idle flush never touches the timer.
+	armed bool
 }
 
 // shard is one independent pending queue with its own deadline timer.
-// The timer is created once and re-armed on each batch's first request
-// (Go 1.23 timer semantics make Reset/Stop race-free without channel
-// draining); a per-shard goroutine waits on it and flushes
-// deadline-expired batches.
+// The timer is created once and re-armed for each batch a request may
+// have to wait in (Go 1.23 timer semantics make Reset/Stop race-free
+// without channel draining); a per-shard goroutine waits on it and
+// flushes deadline-expired batches, and on wake, where a finishing
+// flush hands it the batch that queued up behind it.
 type shard[K keys.Key] struct {
 	mu     sync.Mutex
 	cur    *pending[K] // nil after close
 	timer  *time.Timer
+	wake   chan struct{} // cap 1: "take the forming batch now"
 	closed bool
+
+	// want is set while the forming batch holds a blocking caller's
+	// request: such a batch is flushed as soon as the engine allows
+	// rather than at the deadline. Written under mu; read without it by
+	// finishing flushes.
+	want atomic.Bool
+}
+
+// flushCause is why a batch was flushed; it indexes Coalescer.flushes.
+type flushCause int
+
+const (
+	flushFull     flushCause = iota // reached MaxBatch
+	flushDeadline                   // the Window timer fired
+	flushIdle                       // a blocking caller found no flush running
+	flushHandoff                    // a finishing flush passed it on
+	numFlushCauses
+)
+
+// FlushCounts breaks a coalescer's flushes down by what triggered them
+// — the answer to "why was my batch this size". A flush is counted when
+// it starts, so the sum leads Batches by the flushes still running (and
+// by those the backend failed).
+type FlushCounts struct {
+	Full     int64 // the batch reached MaxBatch
+	Deadline int64 // its oldest request waited out the Window
+	Idle     int64 // a blocking caller flushed it because no flush was running
+	Handoff  int64 // it queued behind a running flush, which passed it on when done
 }
 
 // Coalescer collects point lookups arriving from many goroutines into
 // batches and serves each batch with one LookupBatchSortedInto call —
 // the request-coalescing discipline that recovers the paper's batched
 // throughput from a point-request workload. Submissions are spread
-// round-robin over independent shards; a shard's batch is flushed when
-// it reaches MaxBatch requests (inline, by the submitter that filled
-// it) or when its oldest request has waited for the Window deadline
-// (by the shard's flusher goroutine), whichever comes first, so a lone
-// request is never starved.
+// round-robin over independent shards. A shard's batch is flushed
+//
+//   - when it reaches MaxBatch requests, inline by the submitter that
+//     filled it (full);
+//   - when its oldest request has waited for the Window deadline, by the
+//     shard's flusher goroutine (deadline), so a lone request is never
+//     starved;
+//   - when a blocking caller (Lookup, LookupCtx, LookupGroup) has queued
+//     everything it has and no flush is running anywhere in the
+//     coalescer: the caller flushes the batch itself before it parks
+//     (idle);
+//   - when a flush finishes and a blocking caller's requests queued up
+//     behind it: the finishing flush wakes the shard's flusher to take
+//     them at once (handoff).
+//
+// The last two make the flushes work-conserving, so batch size follows
+// load: one request when the engine is idle, a pipelining caller's whole
+// group, and up to MaxBatch while the engine is busy — the Window is
+// the longest a request waits, not the shortest. Submit is asynchronous
+// and has no moment at which its caller has "queued everything": batches
+// holding only submitted requests keep the plain size-or-deadline
+// discipline.
 //
 // With Options.MaxPending set, the coalescer admits at most that many
 // undelivered requests across all shards; excess submissions block for
 // backpressure or, with Options.Shed, fail fast with ErrOverloaded —
 // the admission control that keeps tail latency bounded under deep
-// client pipelines.
+// client pipelines. Admission is per request, in order, also within a
+// group: a group larger than the free window sheds its excess, and a
+// blocking-mode caller flushes what it has queued before it waits for a
+// token, since its own queued requests may hold the tokens it needs.
 //
 // Close stops intake: later submissions fail fast with ErrClosed, and
 // requests still pending when Close runs are failed with ErrClosed
@@ -184,11 +291,15 @@ type Coalescer[K keys.Key] struct {
 	slots chan struct{}
 
 	batchPool sync.Pool // *pending[K]
-	replyPool sync.Pool // chan Result[K], capacity 1
+	groupPool sync.Pool // *group[K]
 
 	done      chan struct{} // closed when Close runs; stops the flushers
 	closeOnce sync.Once
 	wg        sync.WaitGroup
+
+	// flushing counts the flushes running on any shard, from the moment
+	// a batch is detached (under its shard's lock) to result delivery.
+	flushing atomic.Int32
 
 	batches   atomic.Int64 // batches flushed
 	queries   atomic.Int64 // requests served through batches
@@ -196,6 +307,7 @@ type Coalescer[K keys.Key] struct {
 	shed      atomic.Int64 // requests refused with ErrOverloaded
 	degShed   atomic.Int64 // of those, refused by fault-aware admission
 	deadlines atomic.Int64 // requests abandoned with ErrDeadlineExceeded
+	flushes   [numFlushCauses]atomic.Int64
 
 	// Adaptive admission state (DESIGN §11). ctl is nil when TargetP99
 	// is unset, which keeps the static admission path untouched.
@@ -268,7 +380,7 @@ func NewCoalescer[K keys.Key](be Backend[K], opt Options) *Coalescer[K] {
 	c.batchPool.New = func() any {
 		p := &pending[K]{
 			keys:    make([]K, 0, opt.MaxBatch),
-			replies: make([]chan Result[K], 0, opt.MaxBatch),
+			waiters: make([]waiter[K], 0, opt.MaxBatch),
 			values:  make([]K, opt.MaxBatch),
 			found:   make([]bool, opt.MaxBatch),
 			perm:    make([]int32, opt.MaxBatch),
@@ -276,7 +388,7 @@ func NewCoalescer[K keys.Key](be Backend[K], opt Options) *Coalescer[K] {
 		}
 		return p
 	}
-	c.replyPool.New = func() any { return make(chan Result[K], 1) }
+	c.groupPool.New = func() any { return &group[K]{done: make(chan struct{}, 1)} }
 	if opt.MaxPending > 0 {
 		c.slots = make(chan struct{}, opt.MaxPending)
 	}
@@ -285,6 +397,7 @@ func NewCoalescer[K keys.Key](be Backend[K], opt Options) *Coalescer[K] {
 		sh.cur = c.getBatch()
 		sh.timer = time.NewTimer(time.Hour)
 		sh.timer.Stop()
+		sh.wake = make(chan struct{}, 1)
 		c.wg.Add(1)
 		go c.flusher(sh)
 	}
@@ -294,19 +407,54 @@ func NewCoalescer[K keys.Key](be Backend[K], opt Options) *Coalescer[K] {
 func (c *Coalescer[K]) getBatch() *pending[K] {
 	p := c.batchPool.Get().(*pending[K])
 	p.keys = p.keys[:0]
-	p.replies = p.replies[:0]
+	p.waiters = p.waiters[:0]
 	p.t0 = time.Time{}
+	p.armed = false
 	return p
+}
+
+// getGroup returns a reply cell for a blocking call of n requests, its
+// idx scratch holding the identity 0..n-1.
+func (c *Coalescer[K]) getGroup(n int) *group[K] {
+	g := c.groupPool.Get().(*group[K])
+	if cap(g.res) < n {
+		g.res = make([]Result[K], n)
+		g.idx = make([]int32, n)
+	}
+	g.res, g.idx = g.res[:n], g.idx[:n]
+	for i := range g.idx {
+		g.idx[i] = int32(i)
+	}
+	g.left.Store(int32(n) + 1)
+	return g
+}
+
+// stripe picks the shard the tick-th caller queues on.
+func (c *Coalescer[K]) stripe(tick uint64) *shard[K] {
+	return &c.shards[tick%uint64(len(c.shards))]
 }
 
 // Submit enqueues one lookup and returns the channel its Result will be
 // delivered on. The channel receives exactly one Result; after Close it
 // receives ErrClosed, and past the admission bound in shed mode it
-// receives ErrOverloaded.
+// receives ErrOverloaded. Submit never flushes on its own account: the
+// request leaves when its batch fills, when the Window expires, or with
+// a blocking caller's request that shares the batch.
 func (c *Coalescer[K]) Submit(key K) <-chan Result[K] {
 	reply := make(chan Result[K], 1)
-	if err := c.submit(key, reply); err != nil {
-		reply <- Result[K]{Err: err}
+	if c.slots != nil {
+		ok, err := c.tryAdmit()
+		if !ok && err == nil {
+			err = c.waitAdmit(context.Background())
+		}
+		if err != nil {
+			reply <- Result[K]{Err: err}
+			return reply
+		}
+	}
+	k := [1]K{key}
+	if c.enqueue(c.stripe(c.next.Add(1)), k[:], nil, waiter[K]{ch: reply}) == 0 {
+		reply <- Result[K]{Err: ErrClosed}
 	}
 	return reply
 }
@@ -314,88 +462,153 @@ func (c *Coalescer[K]) Submit(key K) <-chan Result[K] {
 // Lookup submits one query and blocks for its coalesced result. The
 // reply cell is pooled, so the steady-state path allocates nothing.
 func (c *Coalescer[K]) Lookup(key K) (K, bool, error) {
-	reply := c.replyPool.Get().(chan Result[K])
-	if err := c.submit(key, reply); err != nil {
-		c.replyPool.Put(reply)
-		var zero K
-		return zero, false, err
-	}
-	res := <-reply
-	c.replyPool.Put(reply)
-	return res.Value, res.Found, res.Err
+	return c.LookupCtx(context.Background(), key)
 }
 
 // LookupCtx is Lookup with a caller deadline covering both admission
 // (a backpressure wait at the MaxPending bound) and the parked wait for
 // the coalesced result. An expired request returns ErrDeadlineExceeded
-// and is abandoned: its slot in the forming batch still flushes, but
-// nobody waits on the reply. Abandoned reply cells are not pooled (the
-// late flush still writes into them, cap 1 makes that non-blocking), so
-// this path allocates — use plain Lookup when no deadline is needed.
+// and is abandoned: its slot in the batch still flushes, but nobody
+// waits on the reply. Only an abandoned reply cell is lost to the pool
+// (the late flush still writes into it); a deadline that does not
+// expire costs no allocation.
 func (c *Coalescer[K]) LookupCtx(ctx context.Context, key K) (K, bool, error) {
-	if ctx.Done() == nil {
-		return c.Lookup(key)
-	}
-	var zero K
-	reply := make(chan Result[K], 1)
-	if err := c.submitCtx(ctx, key, reply); err != nil {
-		return zero, false, err
-	}
-	select {
-	case res := <-reply:
-		return res.Value, res.Found, res.Err
-	case <-ctx.Done():
-		c.deadlines.Add(1)
-		return zero, false, ErrDeadlineExceeded
-	}
+	k, out := [1]K{key}, [1]Result[K]{}
+	c.LookupGroup(ctx, k[:], out[:])
+	return out[0].Value, out[0].Found, out[0].Err
 }
 
-// submit appends the request to a shard's forming batch, arming the
-// shard's deadline timer on the batch's first request and flushing
-// inline when the batch fills. A non-nil error (ErrClosed,
-// ErrOverloaded) means the request was not queued and nothing will be
-// delivered on reply.
-func (c *Coalescer[K]) submit(key K, reply chan Result[K]) error {
-	return c.submitCtx(context.Background(), key, reply)
+// LookupGroup looks up keys[i] into out[i] for a caller that has
+// len(keys) requests in hand at once — a connection's pipelined GETs.
+// The group is queued on one shard under one lock acquisition, flushed
+// at once when no flush is running (so an idle coalescer answers it as
+// one batch of len(keys)), and the caller parks once for all of it.
+// Each request is admitted on its own, in order: out[i].Err is
+// ErrOverloaded for the ones shed, ErrClosed after Close. ctx bounds the
+// whole call — the admission waits and the park; when it expires, every
+// request still queued or in flight answers ErrDeadlineExceeded. out
+// must be at least as long as keys.
+func (c *Coalescer[K]) LookupGroup(ctx context.Context, keys []K, out []Result[K]) {
+	out = out[:len(keys)]
+	clear(out)
+	g := c.getGroup(len(keys))
+	sh := c.stripe(c.next.Add(1))
+	c.submitRun(ctx, g, sh, keys, g.idx, out)
+	c.kick(sh, false)
+	c.await(ctx, g, out)
 }
 
-// admit takes one token from the coalescer's admission pool before the
-// request touches a shard, so a blocked submitter never holds a lock the
-// flushers need. The effective window is the controller's live value
-// under adaptive admission and MaxPending otherwise, clamped to
-// DegradedPending while the backend is degraded (the cheap length check
-// runs first so the healthy path never pays for the breaker-state
-// load). Past the window the request fails fast with the cached typed
-// error when admission is adaptive (backpressure would hide the latency
-// signal the controller regulates), Shed is set, or the degraded clamp
-// engaged (queueing against the slower fallback only builds the backlog
-// the bound exists to prevent); otherwise the submitter blocks until a
-// token frees, the coalescer closes or ctx expires (context.Background's
-// nil Done channel makes that case free for undeadlined callers). The
+// submitRun admits keys[i] as member idx[i] of g, in order, and queues
+// the admitted ones on sh; members refused are settled in out with the
+// reason. It does not flush the forming batch (the caller kicks sh when
+// it has nothing more to queue there) except before it blocks for an
+// admission token.
+func (c *Coalescer[K]) submitRun(ctx context.Context, g *group[K], sh *shard[K], keys []K, idx []int32, out []Result[K]) {
+	lo := 0 // keys[lo:i] hold tokens and are not queued yet
+	queue := func(hi int) {
+		if hi > lo {
+			q := c.enqueue(sh, keys[lo:hi], idx[lo:hi], waiter[K]{g: g})
+			for _, m := range idx[lo+q : hi] {
+				out[m].Err = ErrClosed
+			}
+			g.settle(hi - lo - q)
+		}
+		lo = hi
+	}
+	if c.slots != nil {
+		for i := range keys {
+			ok, err := c.tryAdmit()
+			if !ok && err == nil {
+				// Backpressure at the bound. The tokens this caller is
+				// about to wait for may be held by its own queued
+				// requests, which nobody else is obliged to flush.
+				queue(i)
+				c.kick(sh, true)
+				err = c.waitAdmit(ctx)
+			}
+			if err != nil {
+				queue(i)
+				out[idx[i]].Err = err
+				g.settle(1)
+				lo = i + 1
+			}
+		}
+	}
+	queue(len(keys))
+}
+
+// await drops the caller's hold on g, parks until every member is
+// settled or ctx expires, and copies the results out.
+func (c *Coalescer[K]) await(ctx context.Context, g *group[K], out []Result[K]) {
+	if g.left.Add(-1) != 0 {
+		select {
+		case <-g.done:
+		case <-ctx.Done():
+			// Which members a concurrent flush has already answered
+			// cannot be read without racing it, so the budget fails
+			// every member that was queued.
+			n := 0
+			for i := range out {
+				if out[i].Err == nil {
+					out[i].Err = ErrDeadlineExceeded
+					n++
+				}
+			}
+			c.deadlines.Add(int64(n))
+			return
+		}
+	}
+	for i := range out {
+		if out[i].Err == nil {
+			out[i] = g.res[i]
+		}
+	}
+	c.groupPool.Put(g)
+}
+
+// tryAdmit takes one token from the coalescer's admission pool without
+// blocking, before the request touches a shard. The effective window is
+// the controller's live value under adaptive admission and MaxPending
+// otherwise, clamped to DegradedPending while the backend is degraded
+// (the cheap length check runs first so the healthy path never pays for
+// the breaker-state load). Past the window the request is shed — err is
+// the cached typed error — when admission is adaptive (backpressure
+// would hide the latency signal the controller regulates), Shed is set,
+// or the degraded clamp engaged (queueing against the slower fallback
+// only builds the backlog the bound exists to prevent); otherwise
+// neither ok nor err is set and the caller may block in waitAdmit. The
 // length check is soft — a racing submitter can land one past it — but
 // the token channel's MaxPending capacity stays the hard cap.
-func (c *Coalescer[K]) admit(ctx context.Context) error {
+func (c *Coalescer[K]) tryAdmit() (ok bool, err error) {
 	w := c.AdmitWindow()
 	eff, n := w, len(c.slots)
 	clamped := n >= c.degPending && c.be.Degraded()
 	if clamped {
 		eff = min(eff, c.degPending)
 	}
-	if c.ctl != nil || c.opt.Shed || clamped {
-		if n < eff {
-			select {
-			case c.slots <- struct{}{}:
-				return nil
-			default:
-			}
+	sheds := c.ctl != nil || c.opt.Shed || clamped
+	if !sheds || n < eff {
+		select {
+		case c.slots <- struct{}{}:
+			return true, nil
+		default:
 		}
-		c.shed.Add(1)
-		if clamped && n < w {
-			c.degShed.Add(1)
-		}
-		c.noteShed()
-		return c.overloadErr()
 	}
+	if !sheds {
+		return false, nil
+	}
+	c.shed.Add(1)
+	if clamped && n < w {
+		c.degShed.Add(1)
+	}
+	c.noteShed()
+	return false, c.overloadErr()
+}
+
+// waitAdmit blocks until a token frees, the coalescer closes or ctx
+// expires (context.Background's nil Done channel makes that case free
+// for undeadlined callers).
+func (c *Coalescer[K]) waitAdmit(ctx context.Context) error {
 	select {
 	case c.slots <- struct{}{}:
 		return nil
@@ -407,71 +620,128 @@ func (c *Coalescer[K]) admit(ctx context.Context) error {
 	}
 }
 
-// submitCtx is submit with a deadline on the backpressure wait: a
-// submitter blocked at the MaxPending bound gives up with
-// ErrDeadlineExceeded when ctx expires.
-func (c *Coalescer[K]) submitCtx(ctx context.Context, key K, reply chan Result[K]) error {
-	if c.slots != nil {
-		if err := c.admit(ctx); err != nil {
-			return err
+// enqueue appends a run of admitted requests to sh's forming batch
+// under one lock acquisition; a batch that fills is detached and flushed
+// inline once the lock is dropped, and the rest of the run continues in
+// the fresh one. keys[i] answers to w, as member idx[i] when idx is not
+// nil. It returns how many requests were queued: fewer than len(keys)
+// only on a closed coalescer, where the rest hold no token any more and
+// nothing will be delivered for them.
+func (c *Coalescer[K]) enqueue(sh *shard[K], keys []K, idx []int32, w waiter[K]) int {
+	queued := 0
+	for queued < len(keys) {
+		sh.mu.Lock()
+		if sh.closed {
+			sh.mu.Unlock()
+			c.releaseSlots(len(keys) - queued)
+			break
 		}
-	}
-	sh := &c.shards[c.next.Add(1)%uint64(len(c.shards))]
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
-		c.releaseSlots(1)
-		return ErrClosed
-	}
-	p := sh.cur
-	p.keys = append(p.keys, key)
-	p.replies = append(p.replies, reply)
-	if len(p.keys) >= c.opt.MaxBatch {
-		// The submitter that filled the batch flushes it inline: the
-		// shard gets a fresh batch and the lock is dropped before the
-		// heterogeneous search runs.
-		sh.cur = c.getBatch()
-		sh.timer.Stop()
-		sh.mu.Unlock()
-		c.flush(p)
-		return nil
-	}
-	if len(p.keys) == 1 {
-		if c.ctl != nil {
+		p := sh.cur
+		first := len(p.keys) == 0
+		n := min(len(keys)-queued, c.opt.MaxBatch-len(p.keys))
+		p.keys = append(p.keys, keys[queued:queued+n]...)
+		for i := queued; i < queued+n; i++ {
+			if idx != nil {
+				w.idx = idx[i]
+			}
+			p.waiters = append(p.waiters, w)
+		}
+		queued += n
+		if len(p.keys) >= c.opt.MaxBatch {
+			c.take(sh)
+			sh.mu.Unlock()
+			c.flush(p, flushFull)
+			continue
+		}
+		if first && c.ctl != nil {
 			p.t0 = time.Now()
 		}
-		sh.timer.Reset(c.opt.Window)
+		if w.g != nil {
+			sh.want.Store(true)
+		} else {
+			c.arm(sh)
+		}
+		sh.mu.Unlock()
 	}
-	sh.mu.Unlock()
-	return nil
+	return queued
 }
 
-// flusher is a shard's deadline goroutine: it waits for the shard's
-// reused timer to fire and flushes whatever has accumulated. An empty
-// or already-stolen batch is a benign wakeup.
+// arm starts the deadline timer for sh's forming batch unless it is
+// already running. The caller holds sh.mu.
+func (c *Coalescer[K]) arm(sh *shard[K]) {
+	if p := sh.cur; !p.armed {
+		p.armed = true
+		sh.timer.Reset(c.opt.Window)
+	}
+}
+
+// take detaches sh's forming batch for a flush and counts the flush as
+// running from this moment, so a caller that queues on sh next already
+// sees it. The caller holds sh.mu.
+func (c *Coalescer[K]) take(sh *shard[K]) *pending[K] {
+	p := sh.cur
+	sh.cur = c.getBatch()
+	if p.armed {
+		sh.timer.Stop()
+	}
+	sh.want.Store(false)
+	c.flushing.Add(1)
+	return p
+}
+
+// kick is what a blocking caller does once it has queued everything it
+// has for sh: if its requests are still in the forming batch and no
+// flush is running, it flushes the batch itself rather than leave it to
+// the deadline. With a flush running the batch stays, marked wanted:
+// the first flush to finish hands it to the shard's flusher, and the
+// deadline timer, armed here, backs that up. force flushes regardless,
+// for a caller about to block on tokens its queued requests hold.
+func (c *Coalescer[K]) kick(sh *shard[K], force bool) {
+	sh.mu.Lock()
+	if !sh.want.Load() {
+		sh.mu.Unlock()
+		return
+	}
+	if !force && c.flushing.Load() != 0 {
+		c.arm(sh)
+		sh.mu.Unlock()
+		return
+	}
+	p := c.take(sh)
+	sh.mu.Unlock()
+	c.flush(p, flushIdle)
+}
+
+// flusher is a shard's flush goroutine: it flushes whatever has
+// accumulated when the shard's reused timer fires, and a blocking
+// caller's batch when a finishing flush wakes it. An empty or
+// already-taken batch is a benign wakeup.
 func (c *Coalescer[K]) flusher(sh *shard[K]) {
 	defer c.wg.Done()
 	for {
+		cause := flushDeadline
 		select {
 		case <-sh.timer.C:
-			sh.mu.Lock()
-			p := sh.cur
-			if sh.closed || len(p.keys) == 0 {
-				sh.mu.Unlock()
-				continue
-			}
-			sh.cur = c.getBatch()
-			sh.mu.Unlock()
-			c.flush(p)
+		case <-sh.wake:
+			cause = flushHandoff
 		case <-c.done:
 			return
 		}
+		sh.mu.Lock()
+		if sh.closed || len(sh.cur.keys) == 0 || (cause == flushHandoff && !sh.want.Load()) {
+			sh.mu.Unlock()
+			continue
+		}
+		p := c.take(sh)
+		sh.mu.Unlock()
+		c.flush(p, cause)
 	}
 }
 
-// flush serves one batch with the allocation-free batch search and
-// distributes each caller's result, then recycles the batch and
-// releases its admission window tokens.
+// flush serves one detached batch with the allocation-free batch search
+// and distributes each caller's result, then recycles the batch,
+// releases its admission window tokens and hands the engine to whatever
+// queued up meanwhile.
 //
 // The flush presorts the keys (tracking each key's submission
 // position), folds exact duplicates into one batch slot, and hands the
@@ -480,9 +750,9 @@ func (c *Coalescer[K]) flusher(sh *shard[K]) {
 // which decomposes into one contiguous run per shard on a sharded
 // backend. Each unique result fans back out to every waiter that
 // submitted that key.
-func (c *Coalescer[K]) flush(p *pending[K]) {
+func (c *Coalescer[K]) flush(p *pending[K], cause flushCause) {
+	c.flushes[cause].Add(1)
 	n := len(p.keys)
-	t0 := p.t0
 	if c.opt.FlushStall > 0 {
 		// The serialized stall models device occupancy: one flush at a
 		// time holds the "device" for FlushStall, so the coalescer's
@@ -511,32 +781,53 @@ func (c *Coalescer[K]) flush(p *pending[K]) {
 		u++
 	}
 
-	_, err := c.be.LookupBatchSortedInto(skeys[:u], values[:u], found[:u])
-	if err != nil {
+	if _, err := c.be.LookupBatchSortedInto(skeys[:u], values[:u], found[:u]); err != nil {
 		c.fail(p, err)
-		return
+	} else {
+		// Counted before delivery: a caller holding its result sees the
+		// batch that produced it in the counters.
+		c.batches.Add(1)
+		c.queries.Add(int64(n))
+		c.folded.Add(int64(n - u))
+		for i := 0; i < n; i++ {
+			j := uref[i]
+			p.waiters[perm[i]].deliver(Result[K]{Value: values[j], Found: found[j]})
+		}
+		c.recycle(p)
 	}
-	for i := 0; i < n; i++ {
-		j := uref[i]
-		p.replies[perm[i]] <- Result[K]{Value: values[j], Found: found[j]}
+
+	// Work conservation: requests that blocking callers queued while
+	// this flush ran did not flush themselves (kick saw it running), so
+	// the engine is handed to them now instead of at their deadline.
+	// want is stored before kick loads flushing and flushing is
+	// decremented before want is loaded here, so one side always sees
+	// the other.
+	c.flushing.Add(-1)
+	for i := range c.shards {
+		if sh := &c.shards[i]; sh.want.Load() {
+			select {
+			case sh.wake <- struct{}{}:
+			default:
+			}
+		}
 	}
-	c.batches.Add(1)
-	c.queries.Add(int64(n))
-	c.folded.Add(int64(n - u))
-	c.releaseSlots(n)
-	c.batchPool.Put(p)
-	c.noteFlushSpan(t0)
 }
 
-// fail delivers err to every caller in the batch and recycles it. The
-// span still feeds the controller: a failed flush occupied the pipeline
-// just the same.
+// fail delivers err to every caller in the batch and recycles it.
 func (c *Coalescer[K]) fail(p *pending[K], err error) {
-	t0 := p.t0
-	for _, reply := range p.replies {
-		reply <- Result[K]{Err: err}
+	for _, w := range p.waiters {
+		w.deliver(Result[K]{Err: err})
 	}
-	c.releaseSlots(len(p.replies))
+	c.recycle(p)
+}
+
+// recycle releases a delivered batch's admission tokens, pools it and
+// feeds its span to the controller (a failed flush occupied the
+// pipeline just the same).
+func (c *Coalescer[K]) recycle(p *pending[K]) {
+	t0 := p.t0
+	c.releaseSlots(len(p.waiters))
+	clear(p.waiters) // don't pin reply cells from the pool
 	c.batchPool.Put(p)
 	c.noteFlushSpan(t0)
 }
@@ -565,6 +856,7 @@ func (c *Coalescer[K]) Close() {
 			p := sh.cur
 			sh.cur = nil
 			sh.timer.Stop()
+			sh.want.Store(false)
 			sh.mu.Unlock()
 			if p != nil && len(p.keys) > 0 {
 				c.fail(p, ErrClosed)
@@ -572,6 +864,16 @@ func (c *Coalescer[K]) Close() {
 		}
 	})
 	c.wg.Wait()
+}
+
+// Flushes returns the flushes started so far, by cause.
+func (c *Coalescer[K]) Flushes() FlushCounts {
+	return FlushCounts{
+		Full:     c.flushes[flushFull].Load(),
+		Deadline: c.flushes[flushDeadline].Load(),
+		Idle:     c.flushes[flushIdle].Load(),
+		Handoff:  c.flushes[flushHandoff].Load(),
+	}
 }
 
 // Batches returns the number of flushed batches.

@@ -26,28 +26,116 @@ func newTestServer(t testing.TB, variant core.Variant, n int) (*Server[uint64], 
 	return NewServer(tree), pairs
 }
 
-// TestLoneRequestFlushesAtDeadline: a single request must not starve
-// waiting for companions — the window deadline flushes it.
-func TestLoneRequestFlushesAtDeadline(t *testing.T) {
+// waitFor polls cond until it holds, failing the test after five
+// seconds: the tests below wait on coalescer state, not on sleeps.
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// lookupAsync runs one blocking Lookup on its own goroutine.
+func lookupAsync(c *Coalescer[uint64], key uint64) <-chan Result[uint64] {
+	ch := make(chan Result[uint64], 1)
+	go func() {
+		v, found, err := c.Lookup(key)
+		ch <- Result[uint64]{Value: v, Found: found, Err: err}
+	}()
+	return ch
+}
+
+// busyCoalescer returns a single-queue coalescer whose engine is busy:
+// a first Lookup has found it idle, flushed its own batch and is held
+// inside the backend by the shut gate. The caller opens the gate.
+func busyCoalescer(t *testing.T, opt Options) (*Coalescer[uint64], *gatedBackend, []keys.Pair[uint64], <-chan Result[uint64]) {
+	t.Helper()
 	srv, pairs := newTestServer(t, core.Implicit, 1<<10)
+	be := &gatedBackend{Server: srv}
+	opt.Shards = 1
+	c := NewCoalescer[uint64](be, opt)
+	t.Cleanup(c.Close)
+	be.gate.Lock()
+	first := lookupAsync(c, pairs[4].Key)
+	waitFor(t, "the first flush to reach the gate", func() bool { return be.arrived.Load() == 1 })
+	return c, be, pairs, first
+}
+
+func wantValue(t *testing.T, what string, res Result[uint64], want uint64) {
+	t.Helper()
+	if res.Err != nil || !res.Found || res.Value != want {
+		t.Fatalf("%s = %+v, want value %d", what, res, want)
+	}
+}
+
+// TestLoneRequestFlushesAtDeadline: a request queued behind a flush
+// that does not finish must not starve waiting for it — the window
+// deadline takes its batch.
+func TestLoneRequestFlushesAtDeadline(t *testing.T) {
 	window := 20 * time.Millisecond
-	c := NewCoalescer(srv, Options{MaxBatch: 64, Window: window})
+	c, be, pairs, first := busyCoalescer(t, Options{MaxBatch: 64, Window: window})
+
+	start := time.Now()
+	lone := lookupAsync(c, pairs[5].Key)
+	waitFor(t, "the deadline flush", func() bool { return c.Flushes().Deadline == 1 })
+	if elapsed := time.Since(start); elapsed < window/2 {
+		t.Fatalf("lone request flushed after %v, before the %v window could have fired", elapsed, window)
+	}
+	be.gate.Unlock()
+	wantValue(t, "first lookup", <-first, pairs[4].Value)
+	wantValue(t, "lone lookup", <-lone, pairs[5].Value)
+	if c.Batches() != 2 || c.Queries() != 2 {
+		t.Fatalf("batches=%d queries=%d, want 2/2", c.Batches(), c.Queries())
+	}
+	if f := c.Flushes(); f != (FlushCounts{Idle: 1, Deadline: 1}) {
+		t.Fatalf("flushes = %+v, want one idle and one deadline", f)
+	}
+}
+
+// TestLoneLookupOnIdleCoalescerFlushesAtOnce: the window is the longest
+// a request waits, not the shortest — with the engine idle a lone
+// Lookup flushes its own batch instead of sitting out the window.
+func TestLoneLookupOnIdleCoalescerFlushesAtOnce(t *testing.T) {
+	srv, pairs := newTestServer(t, core.Implicit, 1<<10)
+	c := NewCoalescer(srv, Options{MaxBatch: 64, Window: time.Hour})
 	defer c.Close()
 
 	start := time.Now()
 	v, found, err := c.Lookup(pairs[5].Key)
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
+	wantValue(t, "lone lookup", Result[uint64]{Value: v, Found: found, Err: err}, pairs[5].Value)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("lone lookup on an idle coalescer took %v", elapsed)
 	}
-	if !found || v != pairs[5].Value {
-		t.Fatalf("lone lookup = (%d, %v), want (%d, true)", v, found, pairs[5].Value)
+	if f := c.Flushes(); f != (FlushCounts{Idle: 1}) {
+		t.Fatalf("flushes = %+v, want one idle flush", f)
 	}
-	if elapsed < window/2 {
-		t.Fatalf("lone request flushed after %v, before the %v window could have fired", elapsed, window)
+}
+
+// TestRequestBehindRunningFlushIsHandedOff: a request that arrives while
+// a flush is running is taken by that flush when it finishes — with an
+// hour-long window, so the timer cannot have been what delivered it.
+func TestRequestBehindRunningFlushIsHandedOff(t *testing.T) {
+	c, be, pairs, first := busyCoalescer(t, Options{MaxBatch: 64, Window: time.Hour})
+
+	second := lookupAsync(c, pairs[5].Key)
+	waitFor(t, "the second request to queue", func() bool { return c.shards[0].want.Load() })
+	select {
+	case res := <-second:
+		t.Fatalf("request behind a gated flush answered early: %+v", res)
+	default:
 	}
-	if c.Batches() != 1 || c.Queries() != 1 {
-		t.Fatalf("batches=%d queries=%d, want 1/1", c.Batches(), c.Queries())
+	be.gate.Unlock()
+	wantValue(t, "first lookup", <-first, pairs[4].Value)
+	select {
+	case res := <-second:
+		wantValue(t, "second lookup", res, pairs[5].Value)
+	case <-time.After(5 * time.Second):
+		t.Fatal("request queued behind a flush was not handed off when it finished")
+	}
+	if f := c.Flushes(); f != (FlushCounts{Idle: 1, Handoff: 1}) {
+		t.Fatalf("flushes = %+v, want one idle and one handoff", f)
 	}
 }
 
@@ -125,10 +213,12 @@ func TestCloseFailsPendingRequests(t *testing.T) {
 
 // TestCoalescerCorrectnessUnderLoad hammers the coalescer from many
 // blocking clients and verifies every result, plus that coalescing
-// actually happened (more queries than batches).
+// actually happened (more queries than batches). The flush stall keeps
+// the engine busy at any core count: requests that arrive during a
+// flush queue up behind it and leave together.
 func TestCoalescerCorrectnessUnderLoad(t *testing.T) {
 	srv, pairs := newTestServer(t, core.Regular, 1<<12)
-	c := NewCoalescer(srv, Options{MaxBatch: 64, Window: 200 * time.Microsecond})
+	c := NewCoalescer(srv, Options{MaxBatch: 64, Window: 200 * time.Microsecond, FlushStall: 50 * time.Microsecond})
 	defer c.Close()
 
 	const clients = 8
@@ -278,10 +368,12 @@ func TestAdmissionBackpressure(t *testing.T) {
 // shut to model a stalled backend.
 type gatedBackend struct {
 	*Server[uint64]
-	gate sync.RWMutex
+	gate    sync.RWMutex
+	arrived atomic.Int32 // flushes that have reached the gate
 }
 
 func (b *gatedBackend) LookupBatchSortedInto(q, v []uint64, f []bool) (core.SearchStats, error) {
+	b.arrived.Add(1)
 	b.gate.RLock()
 	defer b.gate.RUnlock()
 	return b.Server.LookupBatchSortedInto(q, v, f)

@@ -96,14 +96,19 @@ func TestBreakerTransitionsUnderScriptedFaults(t *testing.T) {
 	}
 }
 
-// TestDeadlineExceededParkedCoalescedGET: a lone GET admitted to a
-// coalescing window that will not fire for an hour must fail with
-// ErrDeadlineExceeded when its context expires — within twice the
-// deadline, not at the window.
+// TestDeadlineExceededParkedCoalescedGET: a GET parked behind a flush
+// that does not finish, in a coalescing window that will not fire for an
+// hour, must fail with ErrDeadlineExceeded when its context expires —
+// within twice the deadline, not at the window.
 func TestDeadlineExceededParkedCoalescedGET(t *testing.T) {
-	srv, pairs := newTestServer(t, core.Implicit, 1<<10)
-	c := NewCoalescer(srv, Options{MaxBatch: 64, Window: time.Hour, Shards: 1})
-	defer c.Close()
+	c, be, pairs, first := busyCoalescer(t, Options{MaxBatch: 64, Window: time.Hour})
+	// The abandoned request still sits in the forming batch; the
+	// handoff when the gate opens, or Close, must deliver into its
+	// abandoned cell without blocking.
+	defer func() {
+		be.gate.Unlock()
+		<-first
+	}()
 
 	const deadline = 250 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
@@ -120,9 +125,6 @@ func TestDeadlineExceededParkedCoalescedGET(t *testing.T) {
 	if c.Deadlines() != 1 {
 		t.Fatalf("coalescer Deadlines = %d, want 1", c.Deadlines())
 	}
-	// The abandoned request still sits in the forming batch; the
-	// deferred Close must fail it without blocking — cap-1 reply
-	// channels make the late delivery non-blocking by construction.
 }
 
 // TestUpdateCtxDeadlineOnBusyWriter: an update abandoned while waiting

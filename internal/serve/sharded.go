@@ -1061,11 +1061,11 @@ func (s *ShardedServer[K]) Coalesce(opt Options) *ShardedCoalescer[K] {
 // after a split (the group is only an affinity hint — the flush
 // re-routes under its own pin).
 func (c *ShardedCoalescer[K]) group(key K) *Coalescer[K] {
-	i := c.s.route(key)
-	if i >= len(c.cos) {
-		i = len(c.cos) - 1
-	}
-	return c.cos[i]
+	return c.cos[c.groupIndex(key)]
+}
+
+func (c *ShardedCoalescer[K]) groupIndex(key K) int {
+	return min(c.s.route(key), len(c.cos)-1)
 }
 
 // Lookup routes one coalesced lookup to the owning shard's coalescer
@@ -1077,6 +1077,42 @@ func (c *ShardedCoalescer[K]) Lookup(key K) (K, bool, error) {
 // LookupCtx is Lookup with a caller deadline (see Coalescer.LookupCtx).
 func (c *ShardedCoalescer[K]) LookupCtx(ctx context.Context, key K) (K, bool, error) {
 	return c.group(key).LookupCtx(ctx, key)
+}
+
+// LookupGroup is Coalescer.LookupGroup across the shard groups: the keys
+// are split by owning shard, each shard's share is queued on that
+// shard's coalescer as one run — admitted there in order, and flushed at
+// once if that coalescer is idle — and the caller parks once, on one
+// reply cell, for all of them.
+func (c *ShardedCoalescer[K]) LookupGroup(ctx context.Context, keys []K, out []Result[K]) {
+	out = out[:len(keys)]
+	clear(out)
+	first := c.cos[0]
+	g := first.getGroup(len(keys))
+	tick := first.next.Add(1)
+	g.route = g.route[:0]
+	for _, k := range keys {
+		g.route = append(g.route, int32(c.groupIndex(k)))
+	}
+	for s, co := range c.cos {
+		run, idx := g.run[:0], g.idx[:0]
+		for i, r := range g.route {
+			if int(r) == s {
+				run, idx = append(run, keys[i]), append(idx, int32(i))
+			}
+		}
+		g.run = run
+		if len(run) == 0 {
+			continue
+		}
+		// Each run is kicked before the next is queued: a caller that
+		// blocks for the next coalescer's tokens leaves nothing unflushed
+		// behind it that another blocked caller could be waiting on.
+		sh := co.stripe(tick)
+		co.submitRun(ctx, g, sh, run, idx, out)
+		co.kick(sh, false)
+	}
+	first.await(ctx, g, out)
 }
 
 // Submit routes one lookup to the owning shard's coalescer and returns
@@ -1100,6 +1136,19 @@ func (c *ShardedCoalescer[K]) Queries() int64 {
 	var n int64
 	for _, co := range c.cos {
 		n += co.Queries()
+	}
+	return n
+}
+
+// Flushes returns the flushes started across all shards, by cause.
+func (c *ShardedCoalescer[K]) Flushes() FlushCounts {
+	var n FlushCounts
+	for _, co := range c.cos {
+		f := co.Flushes()
+		n.Full += f.Full
+		n.Deadline += f.Deadline
+		n.Idle += f.Idle
+		n.Handoff += f.Handoff
 	}
 	return n
 }

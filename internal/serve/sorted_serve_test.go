@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -210,22 +211,12 @@ func TestCoalescedSortedWindow512AllocFree(t *testing.T) {
 			keys[i] = pairs[rng.Intn(len(pairs))].Key
 		}
 	}
-	// Pipeline the window the way concurrent Lookup callers would:
-	// pooled reply cells and the internal submit, so the measurement
-	// covers the flush pipeline rather than Submit's by-design channel
-	// allocation (its ownership transfers to the caller).
-	replies := make([]chan Result[uint64], maxBatch)
+	// One group fills the window exactly, so the call covers the whole
+	// pipeline: queue, inline full flush, fan-out to the reply cell.
+	out := make([]Result[uint64], maxBatch)
 	run := func() {
-		for i, k := range keys {
-			reply := co.replyPool.Get().(chan Result[uint64])
-			replies[i] = reply
-			if err := co.submit(k, reply); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i, ch := range replies {
-			res := <-ch
-			co.replyPool.Put(ch)
+		co.LookupGroup(context.Background(), keys, out)
+		for i, res := range out {
 			if res.Err != nil {
 				t.Fatal(res.Err)
 			}

@@ -44,8 +44,10 @@ type OverloadMetrics = serve.OverloadMetrics
 // faulted batch degrades to the CPU-only fallback (Server.SetResilience).
 type RetryOptions = serve.RetryOptions
 
-// CoalescerOptions configures Server.Coalesce: the size-or-deadline
-// flush window, the shard count across which submissions spread, the
+// CoalescerOptions configures Server.Coalesce: the batch size and the
+// window (the longest a request waits for companions — blocking callers
+// are flushed as soon as the engine is free), the shard count across
+// which submissions spread, the
 // admission window (MaxPending/Shed), and the adaptive latency-target
 // controller (TargetP99/MinPending) that resizes the window online.
 type CoalescerOptions = serve.Options
@@ -70,8 +72,11 @@ func NewServer[K Key](t *Tree[K]) *Server[K] {
 	return &Server[K]{serve.NewServer(t.Tree)}
 }
 
-// Coalescer batches concurrent point lookups into LookupBatch calls
-// under a size-or-deadline window. Obtain one with Server.Coalesce or
+// Coalescer batches concurrent point lookups into LookupBatch calls:
+// a batch leaves when it is full, when a blocking caller finds no flush
+// running, when the flush it queued behind finishes, or at the window
+// deadline — so batch size follows load. LookupGroup submits several
+// lookups as one blocking call. Obtain one with Server.Coalesce or
 // Tree.Coalesced, and Close it to release its flusher goroutine.
 type Coalescer[K Key] struct {
 	*serve.Coalescer[K]
