@@ -2,13 +2,13 @@ package serve
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"hbtree/internal/core"
-	"hbtree/internal/workload"
 )
 
 // slowBackend is a deterministic-capacity fake: every flush holds a
@@ -207,37 +207,55 @@ func TestAdaptiveConvergenceHalfCapacity(t *testing.T) {
 	}
 }
 
-// TestAdaptiveOverloadHoldsTarget: under sustained 640-client overload
-// of a 16k req/s backend the controller must settle the window near
-// target×capacity — admitted p99 within 2× the target, window samples
-// inside a 4× band (no oscillation), and the excess shed with hints.
-func TestAdaptiveOverloadHoldsTarget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second closed-loop run")
-	}
-	const target = 20 * time.Millisecond
-	be := &slowBackend{per: 2 * time.Millisecond} // 32/2ms = 16k req/s
-	co := NewCoalescer[uint64](be, Options{
-		Shards: 1, MaxBatch: 32, Window: 500 * time.Microsecond,
-		MaxPending: 2048, MinPending: 16, TargetP99: target,
-	})
-	defer co.Close()
+// overloadSampleCap bounds the latencies one client of an overload run
+// keeps.
+const overloadSampleCap = 1 << 15
 
+// p99 returns the 99th percentile of lats (0 when empty), sorting them
+// in place.
+func p99(lats []time.Duration) time.Duration {
+	if len(lats) == 0 {
+		return 0
+	}
+	slices.Sort(lats)
+	return lats[int(float64(len(lats)-1)*0.99)]
+}
+
+// overloadRun is what one arm of runOverload observed.
+type overloadRun struct {
+	completed  int64         // lookups answered over the whole run
+	shed       int64         // and refused
+	samples    int           // admitted lookups timed after warm-up
+	p99        time.Duration // and their 99th percentile
+	wmin, wmax int           // admission-window excursion after warm-up
+}
+
+// runOverload drives 640 closed-loop clients for 3 s against a 16k
+// req/s slowBackend (32-key flushes, 2 ms each, serialized) through a
+// coalescer built from opt; shed clients back off by the retry hint.
+func runOverload(t *testing.T, opt Options) overloadRun {
+	t.Helper()
 	const (
 		clients = 640
 		run     = 3 * time.Second
 		warmup  = 1200 * time.Millisecond
 	)
+	opt.Shards, opt.MaxBatch, opt.Window = 1, 32, 500*time.Microsecond
+	co := NewCoalescer[uint64](&slowBackend{per: 2 * time.Millisecond}, opt)
+	defer co.Close()
+
+	var r overloadRun
+	var lateLats []time.Duration
 	start := time.Now()
 	var stop atomic.Bool
 	var mu sync.Mutex
-	var lateLats []time.Duration
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			var lats []time.Duration
+			var done int64
 			k := uint64(c)
 			for !stop.Load() {
 				t0 := time.Now()
@@ -252,57 +270,81 @@ func TestAdaptiveOverloadHoldsTarget(t *testing.T) {
 					t.Errorf("lookup: %v", err)
 					return
 				}
-				if time.Since(start) > warmup && len(lats) < maxPhaseSamples {
+				done++
+				if time.Since(start) > warmup && len(lats) < overloadSampleCap {
 					lats = append(lats, time.Since(t0))
 				}
 			}
 			mu.Lock()
+			r.completed += done
 			lateLats = append(lateLats, lats...)
 			mu.Unlock()
 		}(c)
 	}
 	// Sample the window over the settled tail of the run.
-	var wmin, wmax int
-	var wsamples []int
 	for time.Since(start) < run {
 		time.Sleep(5 * time.Millisecond)
 		if time.Since(start) <= warmup {
 			continue
 		}
 		w := co.AdmitWindow()
-		wsamples = append(wsamples, w)
-		if wmin == 0 || w < wmin {
-			wmin = w
+		if r.wmin == 0 || w < r.wmin {
+			r.wmin = w
 		}
-		if w > wmax {
-			wmax = w
+		if w > r.wmax {
+			r.wmax = w
 		}
 	}
 	stop.Store(true)
 	wg.Wait()
+	r.shed, r.samples, r.p99 = co.Shed(), len(lateLats), p99(lateLats)
+	t.Logf("target %v: completed %d, admitted p99 %v, window %d..%d, shed %d, rate %.0f/s, retry hint %v",
+		opt.TargetP99, r.completed, r.p99, r.wmin, r.wmax, r.shed, co.ShedRate(), co.RetryAfter())
+	return r
+}
 
-	if co.Shed() == 0 {
+// TestAdaptiveOverloadHoldsTarget: under sustained 640-client overload
+// of a 16k req/s backend the controller must settle the window near
+// target×capacity — admitted p99 within 2× the target, window samples
+// inside a 4× band (no oscillation), and the excess shed with hints.
+// Holding the target must not cost completed work against the static
+// window it replaces: the fail-fast window a deployment would size for
+// the spike, a quarter of a flush. That arm cannot fill a batch, so the
+// per-flush cost caps it at 8 keys per 2 ms whatever the host does.
+func TestAdaptiveOverloadHoldsTarget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second closed-loop run")
+	}
+	const target = 20 * time.Millisecond
+	ad := runOverload(t, Options{MaxPending: 2048, MinPending: 16, TargetP99: target})
+	static := runOverload(t, Options{MaxPending: 8, Shed: true})
+	if static.wmin != 8 || static.wmax != 8 {
+		t.Errorf("static window moved: %d..%d", static.wmin, static.wmax)
+	}
+
+	if ad.shed == 0 {
 		t.Fatal("overload run shed nothing — offered load never exceeded the window")
 	}
-	if len(lateLats) < 1000 {
-		t.Skipf("host too slow for a meaningful sample: %d admitted lookups after warmup", len(lateLats))
+	if ad.samples < 1000 {
+		t.Skipf("host too slow for a meaningful sample: %d admitted lookups after warmup", ad.samples)
 	}
-	_, _, p99 := percentiles(lateLats)
-	if p99 > 2*target {
-		t.Errorf("admitted p99 %v above 2× target %v (window %d..%d)", p99, 2*target, wmin, wmax)
+	if ad.p99 > 2*target {
+		t.Errorf("admitted p99 %v above 2× target %v (window %d..%d)", ad.p99, 2*target, ad.wmin, ad.wmax)
 	}
 	// The variance bound: settled window samples stay within a 4× band
 	// — AIMD with a [target/2, target] deadband holds, it does not saw.
-	if wmin > 0 && wmax > 4*wmin {
-		t.Errorf("window oscillates: samples span %d..%d (> 4x band) over %d samples", wmin, wmax, len(wsamples))
+	if ad.wmin > 0 && ad.wmax > 4*ad.wmin {
+		t.Errorf("window oscillates: samples span %d..%d (> 4x band)", ad.wmin, ad.wmax)
 	}
 	// And it actually regulated: the settled window must sit well below
 	// the 2048 ceiling (capacity × target ≈ 320).
-	if wmax > 1024 {
-		t.Errorf("window %d never came down toward target x capacity (~320)", wmax)
+	if ad.wmax > 1024 {
+		t.Errorf("window %d never came down toward target x capacity (~320)", ad.wmax)
 	}
-	t.Logf("admitted p99 %v (target %v), window %d..%d, shed %d, rate %.0f/s, retry hint %v",
-		p99, target, wmin, wmax, co.Shed(), co.ShedRate(), co.RetryAfter())
+	if ad.completed < static.completed {
+		t.Errorf("adaptive completed %d lookups, static %d — the controller lost throughput",
+			ad.completed, static.completed)
+	}
 }
 
 // TestAdaptiveDegradedClamp: while the backend is degraded the
@@ -344,8 +386,7 @@ func TestAdaptiveDegradedClamp(t *testing.T) {
 
 // TestAdaptiveDrainShutdownMidLoad: closing the coalescer while clients
 // are mid-overload must not deadlock — every in-flight request resolves
-// (result or ErrClosed) and Close returns. The unit-level half of the
-// CI overload-smoke drill.
+// (result or ErrClosed) and Close returns.
 func TestAdaptiveDrainShutdownMidLoad(t *testing.T) {
 	be := &slowBackend{per: 5 * time.Millisecond}
 	co := NewCoalescer[uint64](be, Options{
@@ -391,71 +432,5 @@ func TestAdaptiveDrainShutdownMidLoad(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("clients did not unwind after Close")
-	}
-}
-
-// TestScenarioPhasesAndCancel: the scenario driver reports three named
-// phases with per-phase latency rows, and a CancelAt hard stop unwinds
-// cleanly mid-run.
-func TestScenarioPhasesAndCancel(t *testing.T) {
-	pairs := workload.Dataset[uint64](workload.Uniform, 1<<12, 42)
-	base := ScenarioOptions{
-		Kind: ScenarioFlash, BaseClients: 1, PeakFactor: 2, Depth: 16,
-		Duration: 450 * time.Millisecond, MaxBatch: 64, MaxPending: 256,
-		TargetP99: 20 * time.Millisecond, Seed: 7,
-	}
-	res, err := RunWallScenario(pairs, core.Options{BucketSize: 64}, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Phases) != 3 {
-		t.Fatalf("phases = %d, want 3", len(res.Phases))
-	}
-	want := [3]string{"pre-spike", "spike", "recovery"}
-	for i, ph := range res.Phases {
-		if ph.Name != want[i] {
-			t.Errorf("phase %d named %q, want %q", i, ph.Name, want[i])
-		}
-		if ph.Lookups == 0 {
-			t.Errorf("phase %q served no lookups", ph.Name)
-		}
-		if ph.Lookups > 0 && ph.P99 <= 0 {
-			t.Errorf("phase %q has lookups but no p99", ph.Name)
-		}
-	}
-	if res.Lookups == 0 || res.AdmitMax == 0 {
-		t.Fatalf("empty result: %+v", res)
-	}
-
-	cancel := base
-	cancel.CancelAt = 200 * time.Millisecond
-	done := make(chan struct{})
-	var cres ScenarioResult
-	go func() {
-		defer close(done)
-		cres, err = RunWallScenario(pairs, core.Options{BucketSize: 64}, cancel)
-	}()
-	select {
-	case <-done:
-	case <-time.After(15 * time.Second):
-		t.Fatal("cancelled scenario did not unwind (drain-path deadlock)")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cres.Cancelled {
-		t.Fatal("result not marked Cancelled")
-	}
-	if cres.Elapsed >= base.Duration {
-		t.Fatalf("cancelled run took the full duration: %v", cres.Elapsed)
-	}
-}
-
-// TestScenarioUnknownKind: a bad kind is an error, not a silent flash
-// run.
-func TestScenarioUnknownKind(t *testing.T) {
-	pairs := workload.Dataset[uint64](workload.Uniform, 1<<8, 42)
-	if _, err := RunWallScenario(pairs, core.Options{BucketSize: 64}, ScenarioOptions{Kind: "tsunami"}); err == nil {
-		t.Fatal("unknown scenario kind accepted")
 	}
 }

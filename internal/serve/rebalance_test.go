@@ -298,7 +298,7 @@ func TestScanConsistentOracleUnderRebalance(t *testing.T) {
 // update stream triggers the background rebalancer, the split completes
 // online with zero lost acked writes and no request hang, and the
 // post-rebalance per-shard update spread is measurably better than the
-// pre-rebalance one. The CI scaling lane runs it at GOMAXPROCS=4.
+// pre-rebalance one. CI's serving-oracles job runs it under -race.
 func TestRebalanceSmokeSkewed(t *testing.T) {
 	pairs := workload.Dataset[uint64](workload.Uniform, 1<<13, 42)
 	s, err := BuildSharded(pairs, core.Options{Variant: core.Regular, BucketSize: 64}, 4)

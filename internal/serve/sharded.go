@@ -136,11 +136,10 @@ type ShardedServer[K keys.Key] struct {
 	// Recorded resilience policy, inherited by shard servers created
 	// during a rebalance (fresh breaker instances — shared ones would
 	// double-count trips in the aggregate).
-	polMu      sync.Mutex
-	polSet     bool
-	polBrk     breaker.Options
-	polRetry   RetryOptions
-	forcedOpen atomic.Bool
+	polMu    sync.Mutex
+	polSet   bool
+	polBrk   breaker.Options
+	polRetry RetryOptions
 
 	// updScratch pools UpdateCtx's per-flush routing scratch (the
 	// per-shard op groups and the job list), so the steady-state update
@@ -785,27 +784,14 @@ func (s *ShardedServer[K]) SetResilience(b breaker.Options, r RetryOptions) {
 	}
 }
 
-// ForceBreakerOpen pins (or releases) every shard's breaker open — the
-// bench harness's lever for measuring pure CPU-fallback throughput. The
-// setting carries over to shards created by later rebalances.
-func (s *ShardedServer[K]) ForceBreakerOpen(on bool) {
-	s.forcedOpen.Store(on)
-	for _, sub := range s.members() {
-		sub.Breaker().ForceOpen(on)
-	}
-}
-
-// applyPolicy stamps the recorded resilience policy and forced-open
-// state onto a shard server created during a rebalance.
+// applyPolicy stamps the recorded resilience policy onto a shard server
+// created during a rebalance.
 func (s *ShardedServer[K]) applyPolicy(sub *Server[K]) {
 	s.polMu.Lock()
 	if s.polSet {
 		sub.SetResilience(s.polBrk, s.polRetry)
 	}
 	s.polMu.Unlock()
-	if s.forcedOpen.Load() {
-		sub.Breaker().ForceOpen(true)
-	}
 }
 
 // ShardMetrics returns each current shard's own serving counters,
