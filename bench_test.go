@@ -369,11 +369,6 @@ func BenchmarkExtGPUAssistedUpdate(b *testing.B) {
 	b.ReportMetric(cellF(b, last[3]), "host-speedup")
 }
 
-func BenchmarkExtFramework(b *testing.B) {
-	t := runFigure(b, "ext-framework")
-	b.ReportMetric(cellF(b, t[0].Rows[1][1]), "MQPS-CSS")
-}
-
 func BenchmarkFig0506PipelineTrace(b *testing.B) {
 	t := runFigure(b, "fig5-6")
 	if len(t) != 3 {

@@ -8,9 +8,7 @@ import (
 	"hbtree"
 	"hbtree/internal/core"
 	"hbtree/internal/cpubtree"
-	"hbtree/internal/csstree"
 	"hbtree/internal/fast"
-	"hbtree/internal/hybrid"
 	"hbtree/internal/workload"
 )
 
@@ -114,9 +112,8 @@ func TestLifecycleRegular(t *testing.T) {
 }
 
 // TestAllIndexesAgree cross-checks every index structure in the
-// repository on one dataset: CPU implicit/regular, FAST, CSS, the HB+
-// variants, and the generic hybrid engine must all return identical
-// results for identical queries.
+// repository on one dataset: CPU implicit/regular, FAST and the HB+
+// variants must all return identical results for identical queries.
 func TestAllIndexesAgree(t *testing.T) {
 	const n = 30000
 	pairs := hbtree.GeneratePairs[uint64](n, 7)
@@ -167,18 +164,6 @@ func TestAllIndexesAgree(t *testing.T) {
 	ft.LookupBatch(qs, v3, f3)
 	results["fast"] = result{v3, f3}
 
-	// CSS.
-	ct, err := csstree.Build(pairs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v4 := make([]uint64, len(qs))
-	f4 := make([]bool, len(qs))
-	for i, q := range qs {
-		v4[i], f4[i] = ct.Lookup(q)
-	}
-	results["css"] = result{v4, f4}
-
 	// HB+ implicit and regular (hybrid path).
 	for _, variant := range []core.Variant{core.Implicit, core.Regular} {
 		hb, err := core.Build(pairs, core.Options{Variant: variant})
@@ -192,18 +177,6 @@ func TestAllIndexesAgree(t *testing.T) {
 		results["hb-"+variant.String()] = result{v, f}
 		hb.Close()
 	}
-
-	// Generic hybrid engine over CSS.
-	eng, err := hybrid.NewEngine[uint64](hybrid.WrapCSS(ct), hybrid.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v5, f5, _, err := eng.LookupBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Close()
-	results["hybrid-css"] = result{v5, f5}
 
 	ref := results["cpu-implicit"]
 	for name, res := range results {

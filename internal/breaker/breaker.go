@@ -203,8 +203,8 @@ func (b *Breaker) Failure() {
 }
 
 // ForceOpen pins the breaker open (on=true) or releases the pin and
-// closes it (on=false) — the bench-smoke switch that proves the
-// CPU-only fallback serves on its own.
+// closes it (on=false), so a test can prove the CPU-only fallback
+// serves on its own.
 func (b *Breaker) ForceOpen(on bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -257,9 +257,6 @@ func (t *Tree[K]) gpuStageDuration(n int, levels int) vclock.Duration {
 // keys, 16 for 32-bit keys (Section 5.3).
 func (t *Tree[K]) warpThreads() int { return keys.PerLine[K]() }
 
-// querySize returns S, the per-query payload bytes of the H2D copy.
-func querySize[K keys.Key]() int64 { return int64(keys.Size[K]()) }
-
 // resultSize returns R, the per-query intermediate-result bytes of the
 // D2H copy: a leaf line index for the implicit tree, a (leaf, line)
 // reference for the regular tree.

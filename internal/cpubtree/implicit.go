@@ -349,9 +349,6 @@ func (t *ImplicitTree[K]) Fanout() int { return t.fanout }
 // NumLeafLines returns the number of leaf cache lines.
 func (t *ImplicitTree[K]) NumLeafLines() int { return t.numLeaves }
 
-// LevelNodes returns the node count of level d (root is level 0).
-func (t *ImplicitTree[K]) LevelNodes(d int) int { return t.levelNodes[d] }
-
 // InnerArray exposes the raw breadth-first I-segment together with the
 // per-level node offsets and the base geometry; the HB+-tree mirrors
 // exactly these bytes into GPU memory (Figure 4). Tuned trees must also

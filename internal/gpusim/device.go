@@ -328,7 +328,3 @@ func (d *Device) KernelDurationShared(nQueries int, levels float64, trans int64,
 	}
 	return d.cfg.KInit + t
 }
-
-// Workers returns the host-goroutine parallelism used to execute kernels
-// functionally.
-func (d *Device) Workers() int { return d.workers }

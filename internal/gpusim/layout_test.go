@@ -123,7 +123,7 @@ func TestUniformDescriptorOracle(t *testing.T) {
 }
 
 // buildTunedHB builds an implicit tree with widened root levels and the
-// matching non-uniform descriptor, the way internal/hybrid derives it
+// matching non-uniform descriptor, the way internal/core derives it
 // from cpubtree.LevelGeometry.
 func buildTunedHB(t *testing.T, n int, rootWidths []int) (*cpubtree.ImplicitTree[uint64], ImplicitDesc, []keys.Pair[uint64]) {
 	t.Helper()

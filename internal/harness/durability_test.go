@@ -51,14 +51,14 @@ const (
 
 var listenRE = regexp.MustCompile(`listening on ([0-9.]+:[0-9]+)`)
 
-// buildHBServe compiles cmd/hbserve once per test into dir.
-func buildHBServe(t *testing.T, dir string) string {
+// buildCmd compiles cmd/<name> once per test into dir.
+func buildCmd(t *testing.T, dir, name string) string {
 	t.Helper()
-	bin := filepath.Join(dir, "hbserve")
-	cmd := exec.Command("go", "build", "-o", bin, "hbtree/cmd/hbserve")
+	bin := filepath.Join(dir, name)
+	cmd := exec.Command("go", "build", "-o", bin, "hbtree/cmd/"+name)
 	cmd.Dir = "../.." // module root; tests run in internal/harness
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build hbserve: %v\n%s", err, out)
+		t.Fatalf("build %s: %v\n%s", name, err, out)
 	}
 	return bin
 }
@@ -349,7 +349,7 @@ func TestKillRestartDurability(t *testing.T) {
 	if testing.Short() && os.Getenv("DURABILITY_FULL") == "" {
 		t.Log("-short: running the reduced seeded schedule")
 	}
-	bin := buildHBServe(t, t.TempDir())
+	bin := buildCmd(t, t.TempDir(), "hbserve")
 	pairs := hbtree.GeneratePairs[uint64](durDatasetN, durDatasetSeed)
 
 	runs := durabilityRuns

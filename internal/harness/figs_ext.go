@@ -4,20 +4,12 @@ import (
 	"fmt"
 
 	"hbtree/internal/core"
-	"hbtree/internal/cpubtree"
-	"hbtree/internal/csstree"
-	"hbtree/internal/hybrid"
 	"hbtree/internal/platform"
 	"hbtree/internal/workload"
 )
 
-// The paper's Section 7 names two future-work directions; both are
-// implemented in this repository and evaluated here as extension
-// experiments (they have no figure in the paper).
-
 func init() {
 	register("ext-update", "Extension: GPU-assisted batch updates (paper future work 1, Sec. 7)", runExtUpdate)
-	register("ext-framework", "Extension: generic leaf-stored hybrid framework (paper future work 2, Sec. 7)", runExtFramework)
 }
 
 func runExtUpdate(cfg Config) ([]Table, error) {
@@ -61,58 +53,6 @@ func runExtUpdate(cfg Config) ([]Table, error) {
 			fmtF(cst.HostTime.Seconds()*1e3, 2),
 			fmtF(gst.HostTime.Seconds()*1e3, 2),
 			fmtF(cst.HostTime.Seconds()/gst.HostTime.Seconds(), 2)+"x")
-	}
-	return []Table{t}, nil
-}
-
-func runExtFramework(cfg Config) ([]Table, error) {
-	m, _ := platform.ByName(cfg.Machine)
-	n := cfg.Sizes[len(cfg.Sizes)-1]
-	t := Table{
-		ID:    "ext-framework",
-		Title: fmt.Sprintf("generic hybrid engine over different leaf-stored trees, %s tuples (MQPS)", fmtSize(n)),
-		Note:  "the same engine searches any index exposing a directory image + leaf function; CSS-tree was never supported by the original system",
-		Cols:  []string{"index", "MQPS", "latency (us)", "GPU MB moved"},
-	}
-	pairs := workload.Dataset[uint64](workload.Uniform, n, cfg.Seed)
-	qs := workload.SearchInput(pairs, cfg.Queries, cfg.Seed+3)
-
-	bplus, err := cpubtree.BuildImplicit(pairs, cpubtree.Config{Fanout: 8})
-	if err != nil {
-		return nil, err
-	}
-	css, err := csstree.Build(pairs, 0)
-	if err != nil {
-		return nil, err
-	}
-	indices := []struct {
-		name string
-		idx  hybrid.Index[uint64]
-	}{
-		{"implicit B+-tree", hybrid.WrapBPlus(bplus)},
-		{"CSS-tree", hybrid.WrapCSS(css)},
-	}
-	for _, entry := range indices {
-		e, err := hybrid.NewEngine(entry.idx, hybrid.Options{Machine: m})
-		if err != nil {
-			return nil, err
-		}
-		vals, found, stats, err := e.LookupBatch(qs)
-		if err != nil {
-			e.Close()
-			return nil, err
-		}
-		for i, q := range qs {
-			if !found[i] || vals[i] != workload.ValueFor(q) {
-				e.Close()
-				return nil, fmt.Errorf("ext-framework: %s query %d wrong", entry.name, i)
-			}
-		}
-		c := e.Device().Counters()
-		t.AddRow(entry.name, fmtMQPS(stats.ThroughputQPS),
-			fmtF(stats.AvgLatency.Micros(), 1),
-			fmtF(float64(c.BytesH2D+c.BytesD2H)/(1<<20), 1))
-		e.Close()
 	}
 	return []Table{t}, nil
 }

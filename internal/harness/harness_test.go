@@ -18,7 +18,7 @@ func quickCfg() Config {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"ext-framework", "ext-update",
+	want := []string{"ext-update",
 		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
 		"fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
 		"fig5-6", "fig7", "fig8", "fig9"}
@@ -346,18 +346,6 @@ func TestExtUpdateShapes(t *testing.T) {
 	for _, r := range tb.Rows {
 		if cell(t, r[3]) <= 1.0 {
 			t.Fatalf("GPU-assisted updates not faster: %v", r)
-		}
-	}
-}
-
-func TestExtFrameworkShapes(t *testing.T) {
-	tb := runFig(t, "ext-framework")[0]
-	if len(tb.Rows) != 2 {
-		t.Fatalf("expected two indices, got %d", len(tb.Rows))
-	}
-	for _, r := range tb.Rows {
-		if cell(t, r[1]) <= 0 {
-			t.Fatalf("no throughput for %v", r)
 		}
 	}
 }

@@ -77,8 +77,8 @@ func TestOverloadErrorTyped(t *testing.T) {
 
 // TestStaticPathUnchangedWithoutTarget: with TargetP99 unset the new
 // option fields are inert — an identical submission schedule produces
-// identical admission decisions whether or not MinPending/FlushStall
-// are set, and the window stays the fixed MaxPending.
+// identical admission decisions whether or not MinPending is set, and
+// the window stays the fixed MaxPending.
 func TestStaticPathUnchangedWithoutTarget(t *testing.T) {
 	run := func(opt Options) (shed int64, errs []error) {
 		co := NewCoalescer[uint64](&slowBackend{}, opt)
@@ -105,7 +105,6 @@ func TestStaticPathUnchangedWithoutTarget(t *testing.T) {
 	base := Options{Shards: 1, MaxBatch: 100, Window: time.Hour, MaxPending: 3, Shed: true}
 	withInert := base
 	withInert.MinPending = 7
-	withInert.FlushStall = 0
 
 	shedA, errsA := run(base)
 	shedB, errsB := run(withInert)

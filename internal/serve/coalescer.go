@@ -95,14 +95,6 @@ type Options struct {
 	// admission entirely. Zero selects MaxPending/64 (minimum 1).
 	// Ignored without TargetP99.
 	MinPending int
-
-	// FlushStall, when positive, sleeps this long under a
-	// coalescer-wide mutex before every flush's backend call — a
-	// serialized stall modelling device occupancy, which gives the
-	// coalescer a deterministic capacity of MaxBatch/FlushStall
-	// requests per second regardless of host speed. Benchmark and test
-	// hook only; zero (the default) is a no-op.
-	FlushStall time.Duration
 }
 
 // Result is the outcome of one coalesced lookup.
@@ -317,10 +309,6 @@ type Coalescer[K keys.Key] struct {
 	ctl      *controller
 	overload atomic.Pointer[OverloadError]
 	shedRate rateTracker
-
-	// stallMu serializes Options.FlushStall sleeps across all shards so
-	// the stall models one shared device, not one per queue.
-	stallMu sync.Mutex
 }
 
 // NewCoalescer starts a coalescer over a backend — a Server or a
@@ -753,14 +741,6 @@ func (c *Coalescer[K]) flusher(sh *shard[K]) {
 func (c *Coalescer[K]) flush(p *pending[K], cause flushCause) {
 	c.flushes[cause].Add(1)
 	n := len(p.keys)
-	if c.opt.FlushStall > 0 {
-		// The serialized stall models device occupancy: one flush at a
-		// time holds the "device" for FlushStall, so the coalescer's
-		// capacity is exactly MaxBatch/FlushStall regardless of host.
-		c.stallMu.Lock()
-		time.Sleep(c.opt.FlushStall)
-		c.stallMu.Unlock()
-	}
 	values, found := p.values[:n], p.found[:n]
 	skeys, perm, uref := p.keys, p.perm[:n], p.uref[:n]
 	for i := range perm {

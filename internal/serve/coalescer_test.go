@@ -211,45 +211,46 @@ func TestCloseFailsPendingRequests(t *testing.T) {
 	c.Close()
 }
 
-// TestCoalescerCorrectnessUnderLoad hammers the coalescer from many
-// blocking clients and verifies every result, plus that coalescing
-// actually happened (more queries than batches). The flush stall keeps
-// the engine busy at any core count: requests that arrive during a
-// flush queue up behind it and leave together.
+// TestCoalescerCorrectnessUnderLoad drives rounds of eight blocking
+// clients against a backend held shut: whichever finds the engine idle
+// flushes and parks at the gate, the rest pile up behind it and leave
+// together once it opens. Every result is verified, and coalescing is
+// checked by count (more queries than batches), not by timing.
 func TestCoalescerCorrectnessUnderLoad(t *testing.T) {
 	srv, pairs := newTestServer(t, core.Regular, 1<<12)
-	c := NewCoalescer(srv, Options{MaxBatch: 64, Window: 200 * time.Microsecond, FlushStall: 50 * time.Microsecond})
+	be := &gatedBackend{Server: srv}
+	c := NewCoalescer[uint64](be, Options{MaxBatch: 64, Window: time.Hour, Shards: 1})
 	defer c.Close()
+	sh := &c.shards[0]
+	forming := func() int {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return len(sh.cur.keys)
+	}
 
 	const clients = 8
-	perClient := 200
+	rounds := 50
 	if testing.Short() {
-		perClient = 50
+		rounds = 10
 	}
-	errc := make(chan error, clients)
-	for w := 0; w < clients; w++ {
-		go func(w int) {
-			for i := 0; i < perClient; i++ {
-				p := pairs[(w*perClient+i*31)%len(pairs)]
-				v, found, err := c.Lookup(p.Key)
-				if err != nil {
-					errc <- err
-					return
-				}
-				if !found || v != p.Value {
-					errc <- errors.New("wrong coalesced result")
-					return
-				}
-			}
-			errc <- nil
-		}(w)
-	}
-	for w := 0; w < clients; w++ {
-		if err := <-errc; err != nil {
-			t.Fatal(err)
+	var replies [clients]<-chan Result[uint64]
+	for r := 0; r < rounds; r++ {
+		// Keys are distinct, so a flush folds nothing and the backend's
+		// held count is the requests inside gated flushes.
+		round := pairs[r*clients:]
+		be.gate.Lock()
+		for w := range replies {
+			replies[w] = lookupAsync(c, round[w].Key)
+		}
+		waitFor(t, "every client to sit in a gated flush or behind one", func() bool {
+			return int(be.held.Load())+forming() == (r+1)*clients
+		})
+		be.gate.Unlock()
+		for w, reply := range replies {
+			wantValue(t, "coalesced lookup", <-reply, round[w].Value)
 		}
 	}
-	total := int64(clients * perClient)
+	total := int64(clients * rounds)
 	if c.Queries() != total {
 		t.Fatalf("served %d queries, want %d", c.Queries(), total)
 	}
@@ -370,9 +371,11 @@ type gatedBackend struct {
 	*Server[uint64]
 	gate    sync.RWMutex
 	arrived atomic.Int32 // flushes that have reached the gate
+	held    atomic.Int32 // keys those flushes carried
 }
 
 func (b *gatedBackend) LookupBatchSortedInto(q, v []uint64, f []bool) (core.SearchStats, error) {
+	b.held.Add(int32(len(q)))
 	b.arrived.Add(1)
 	b.gate.RLock()
 	defer b.gate.RUnlock()

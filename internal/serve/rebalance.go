@@ -6,7 +6,6 @@ import (
 
 	"hbtree/internal/core"
 	"hbtree/internal/epoch"
-	"hbtree/internal/keys"
 )
 
 // Online shard rebalancing (DESIGN §6). BuildSharded cuts the key space
@@ -388,28 +387,4 @@ func (s *ShardedServer[K]) resizePumps(n int) {
 		s.pumpWG.Add(1)
 		go s.pumpLoop(s.pumps[i])
 	}
-}
-
-// shardUpdateCounts returns each current shard's applied-update count,
-// the signal the detector windows (exposed for the skew benchmarks).
-func (s *ShardedServer[K]) shardUpdateCounts() []int64 {
-	subs := s.members()
-	out := make([]int64, len(subs))
-	for i, sub := range subs {
-		out[i] = sub.updates.Load()
-	}
-	return out
-}
-
-// materialiseAll collects every shard's pairs in key order under one
-// pinned epoch (used by tests and the bench harness to checkpoint the
-// full key set).
-func (s *ShardedServer[K]) materialiseAll() []keys.Pair[K] {
-	p := s.reg.Pin()
-	defer p.Unpin()
-	var out []keys.Pair[K]
-	for i := 0; i < p.Len(); i++ {
-		out = append(out, materialisePairs(p.Get(i))...)
-	}
-	return out
 }
