@@ -64,10 +64,10 @@ type connMode struct {
 }
 
 var connModes = []connMode{
-	{"direct", serveConfig{}},
-	{"coalesced", serveConfig{coalesce: true, window: 100 * time.Microsecond, maxBatch: 8}},
-	{"sharded", serveConfig{shards: 4}},
-	{"sharded-coalesced", serveConfig{shards: 4, coalesce: true, window: 100 * time.Microsecond, maxBatch: 8}},
+	{"1-shard", serveConfig{shards: 1}},
+	{"1-shard-coalesced", serveConfig{shards: 1, coalesce: true, window: 100 * time.Microsecond, maxBatch: 8}},
+	{"4-shard", serveConfig{shards: 4}},
+	{"4-shard-coalesced", serveConfig{shards: 4, coalesce: true, window: 100 * time.Microsecond, maxBatch: 8}},
 }
 
 // splitRig holds, per serving mode, three identical servers: one is fed
@@ -89,9 +89,7 @@ func newSplitRig(t testing.TB) *splitRig {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if trio[i], err = newServer(tree, m.cfg); err != nil {
-				t.Fatal(err)
-			}
+			trio[i] = mustServer(t, tree, m.cfg)
 		}
 		rig.servers = append(rig.servers, trio)
 	}
@@ -125,7 +123,10 @@ func comparableStream(input []byte) bool {
 }
 
 // check serves input to every mode's three servers and requires the
-// three reply streams of a mode to be byte-identical.
+// three reply streams of a mode to be byte-identical — and, when the
+// replies are a function of the stream alone (comparableStream), the
+// reply stream of every mode to be byte-identical to the first mode's:
+// one shard answers as four do, per-request GETs as coalesced ones.
 func (rig *splitRig) check(t *testing.T, input []byte, seed int64) {
 	t.Helper()
 	every := make([]int, len(input))
@@ -139,8 +140,16 @@ func (rig *splitRig) check(t *testing.T, input []byte, seed int64) {
 			random = append(random, i)
 		}
 	}
+	crossMode := comparableStream(input)
+	var first []byte
 	for m, trio := range rig.servers {
 		whole := converse(trio[0], input, nil)
+		if m == 0 {
+			first = whole
+		} else if crossMode && !bytes.Equal(whole, first) {
+			t.Fatalf("replies differ between %s and %s\ninput  %q\n%s  %q\n%s  %q",
+				connModes[0].name, connModes[m].name, input, connModes[0].name, first, connModes[m].name, whole)
+		}
 		for i, cuts := range [][]int{every, random} {
 			if got := converse(trio[i+1], input, cuts); !bytes.Equal(got, whole) {
 				t.Fatalf("%s: replies differ between one write and %s\ninput  %q\nwhole  %q\nsplit  %q",
@@ -190,8 +199,8 @@ func randomStream(rng *rand.Rand, pairs []hbtree.Pair[uint64]) []byte {
 
 // TestServeConnSplitInvariant is the seeded half of FuzzServeConn:
 // random request streams, plus the edge cases spelled out, get the same
-// replies however the stream is cut into reads — without and with
-// -coalesce, sharded and not.
+// replies however the stream is cut into reads and whatever serves it —
+// one shard and four, without and with -coalesce.
 func TestServeConnSplitInvariant(t *testing.T) {
 	rig := newSplitRig(t)
 	defer rig.close()
@@ -234,10 +243,7 @@ func TestReplyWritesPerPipelinedRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := newServer(tree, m.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := mustServer(t, tree, m.cfg)
 		c := &scriptConn{chunks: [][]byte{input}}
 		s.serveConn(c)
 		s.shutdown()

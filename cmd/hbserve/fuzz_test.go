@@ -24,10 +24,7 @@ func fuzzServerInit(f *testing.F) *server {
 		if err != nil {
 			f.Fatal(err)
 		}
-		fuzzSrv, err = newServer(tree, serveConfig{})
-		if err != nil {
-			f.Fatal(err)
-		}
+		fuzzSrv = mustServer(f, tree, serveConfig{})
 	})
 	return fuzzSrv
 }
@@ -128,10 +125,11 @@ var (
 )
 
 // FuzzServeConn feeds an arbitrary byte stream to the connection loop
-// as one read, a byte per read, and cut at arbitrary offsets — without
-// and with -coalesce, sharded and not — and requires byte-identical
-// reply streams: grouping pipelined GETs must never show in what a
-// client reads. TestServeConnSplitInvariant is its seeded half.
+// as one read, a byte per read, and cut at arbitrary offsets — to one
+// shard and four, without and with -coalesce — and requires byte-identical
+// reply streams, across the cuts and across all four servers: neither
+// grouping pipelined GETs nor the shard layout may show in what a client
+// reads. TestServeConnSplitInvariant is its seeded half.
 func FuzzServeConn(f *testing.F) {
 	for _, s := range []string{
 		"GET 5\nGET 6\nGET 7\n",
@@ -140,6 +138,7 @@ func FuzzServeConn(f *testing.F) {
 		"RANGE 0 3\nGET 1\nget\t2\nQUIT\nGET 3\n",
 		"GET 18446744073709551615\nGET 18446744073709551616\nGET  7 \n",
 		"\x00\xffGET 1\n\xc2\xa0GET\xc2\xa01\n",
+		"RANGE 0 600\nSCAN 0 600\n", // crosses two of the four-shard servers' bounds
 	} {
 		f.Add([]byte(s), int64(1))
 	}

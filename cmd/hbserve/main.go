@@ -12,7 +12,7 @@
 //	SCAN <start> <n>     -> like RANGE but streamed through a cursor
 //	SCANC <start> <n>    -> SCAN from one atomic cross-shard cut (one pinned epoch)
 //	RANGEC <start> <n>   -> RANGE from one atomic cross-shard cut
-//	EPOCH                -> current snapshot epoch (and shard-table generation)
+//	EPOCH                -> EPOCH <n> gen=<g> shards=<s>: snapshot epoch, shard-table generation, shard count
 //	REBALANCE SPLIT <i>  -> split shard i at its median key online; OK | ERR
 //	REBALANCE MERGE <i>  -> merge shards i and i+1 online; OK | ERR
 //	REBALANCE STATS      -> epoch, table generation, split/merge counters
@@ -23,7 +23,7 @@
 //	SNAPSHOT             -> commit an epoch-aligned snapshot now; OK epoch=<e> | ERR
 //	QUIT                 -> closes the connection
 //
-// Connections are served concurrently through the hbtree.Server
+// Connections are served concurrently through the hbtree.ShardedServer
 // reader/writer contract, and each connection is served pipeline-aware:
 // every complete line already read is executed before the next read,
 // runs of consecutive GETs together, replies in request order. Without
@@ -34,14 +34,15 @@
 // it is full or as soon as no other flush is running, so batch size
 // follows load and -coalesce-window is only the longest a GET waits for
 // companions. -coalesce-pending bounds the coalescer's in-flight window
-// with backpressure or (-coalesce-shed) fail-fast shedding. -shards T
-// replaces the single tree with a key-space sharded server: T trees,
-// each with its own snapshot pointer and update pump, so writes clone
-// 1/T of the data and rebuilds overlap. PUT/DEL drive the regular
-// variant's batch update path through the per-mode writer discipline.
-// SIGINT/SIGTERM trigger a graceful shutdown that drains in-flight
-// requests — including dispatched per-shard update jobs — before
-// exiting.
+// with backpressure or (-coalesce-shed) fail-fast shedding. There is one
+// serving engine, the key-space sharded server: -shards T (default 1)
+// builds T trees, each with its own snapshot pointer and update pump, so
+// writes clone 1/T of the data and rebuilds overlap; one shard serves the
+// tree as it was built and can be split online like any other. PUT/DEL
+// drive the regular variant's batch update path through the owning
+// shard's pump. SIGINT/SIGTERM trigger a graceful shutdown that drains
+// in-flight requests — including dispatched per-shard update jobs —
+// before exiting.
 //
 // Failures map to machine-parseable ERR codes so clients can pick the
 // right reaction (see README "Error codes"):
@@ -64,9 +65,9 @@
 // epoch-aligned snapshots (-snapshot-every, the SNAPSHOT command, and
 // shutdown) bound the log so a restart bulk-loads the snapshot images
 // and replays only the WAL tail. A dir holding a committed snapshot is
-// recovered — its shard layout wins over -shards and the seed flags are
-// ignored. -data-dir supersedes -load/-save (combining them is an
-// error).
+// recovered — its shard layout (one shard or many) wins over -shards and
+// the seed flags are ignored. -data-dir supersedes -load/-save
+// (combining them is an error).
 //
 // -pprof <addr> serves net/http/pprof on a side listener (e.g.
 // -pprof localhost:6060, then `go tool pprof
@@ -98,9 +99,7 @@ import (
 	"unicode/utf8"
 
 	"hbtree"
-	"hbtree/internal/cpubtree"
 	"hbtree/internal/fault"
-	"hbtree/internal/gpusim"
 	"hbtree/internal/serve"
 )
 
@@ -127,29 +126,8 @@ func joinInts(xs []int) string {
 // maxCount bounds RANGE/SCAN result sizes.
 const maxCount = 1 << 20
 
-// backend is the serving surface the protocol handlers drive; the
-// single-tree hbtree.Server and the key-space hbtree.ShardedServer
-// both satisfy it, so every command works identically in either mode.
-type backend interface {
-	Lookup(uint64) (uint64, bool)
-	Update([]hbtree.Op[uint64], hbtree.UpdateMethod) (hbtree.UpdateStats, error)
-	UpdateCtx(context.Context, []hbtree.Op[uint64], hbtree.UpdateMethod) (hbtree.UpdateStats, error)
-	RangeQuery(uint64, int) []hbtree.Pair[uint64]
-	Scan(uint64, int) []hbtree.Pair[uint64]
-	Describe() string
-	Stats() cpubtree.Stats
-	Metrics() hbtree.ServerMetrics
-	DeviceCounters() gpusim.Counters
-	Options() hbtree.Options
-	LevelWidths() []int
-	LayoutAdvice() []int
-	Swaps() int64
-	Epoch() uint64
-	Close()
-}
-
-// coalescer is the coalesced-GET surface (single-tree Coalescer or the
-// sharded per-shard group).
+// coalescer is the coalesced-GET surface: the server's per-shard group
+// in production; tests substitute a coalescer over a gated backend.
 type coalescer interface {
 	Lookup(uint64) (uint64, bool, error)
 	LookupCtx(context.Context, uint64) (uint64, bool, error)
@@ -159,7 +137,6 @@ type coalescer interface {
 	ShedRate() float64
 	AdmitWindow() int
 	TargetP99() time.Duration
-	NoteSpan(time.Duration)
 	Deadlines() int64
 	Folded() int64
 	Close()
@@ -167,14 +144,12 @@ type coalescer interface {
 
 // server wires the serving layer to the TCP front end: all reads go
 // through srv (and, when enabled, the coalescer), all writes through
-// the per-mode writer discipline, and open connections are tracked for
-// shutdown.
+// srv's shard pumps (by way of dur when durable), and open connections
+// are tracked for shutdown.
 type server struct {
-	srv     backend
-	co      coalescer                        // nil when -coalesce is off
-	shco    *hbtree.ShardedCoalescer[uint64] // non-nil when the coalescer is the sharded group (SHARDSTATS view)
-	sharded *hbtree.ShardedServer[uint64]    // non-nil in sharded mode
-	dur     *hbtree.Durable[uint64]          // non-nil with -data-dir; all writes route through it
+	srv *hbtree.ShardedServer[uint64]
+	co  coalescer               // nil when -coalesce is off
+	dur *hbtree.Durable[uint64] // non-nil with -data-dir; all writes route through it
 
 	deadline      time.Duration // per-request budget for GET/PUT/DEL (0 = none)
 	targetP99     time.Duration // adaptive admission target (0 = static)
@@ -186,13 +161,13 @@ type server struct {
 	wg    sync.WaitGroup
 }
 
-// serveConfig selects the serving mode and its coalescing/admission
-// parameters.
+// serveConfig is the shard count the tree is served as and the
+// coalescing/admission parameters.
 type serveConfig struct {
 	coalesce   bool
 	window     time.Duration
 	maxBatch   int
-	shards     int           // > 1 selects the key-space sharded server
+	shards     int           // key-space shards the seed data is built into (>= 1)
 	maxPending int           // coalescer admission window (0 = unbounded)
 	shed       bool          // fail fast with ERR OVERLOADED instead of blocking
 	deadline   time.Duration // per-request budget for GET/PUT/DEL (0 = none)
@@ -200,10 +175,12 @@ type serveConfig struct {
 	minPending int           // adaptive window floor (0 = maxPending/64)
 }
 
-// newServerShell builds the connection-tracking shell shared by both
-// serving constructors.
-func newServerShell(cfg serveConfig) *server {
-	s := &server{conns: make(map[net.Conn]struct{}), deadline: cfg.deadline, targetP99: cfg.targetP99, maxBatch: cfg.maxBatch}
+// newServer wires the serving stack for cfg over srv: reads go to srv
+// (through its coalescer group when cfg.coalesce), and every write goes
+// through dur's WAL-before-ack discipline when dur (-data-dir, wrapping
+// srv) is non-nil.
+func newServer(srv *hbtree.ShardedServer[uint64], dur *hbtree.Durable[uint64], cfg serveConfig) *server {
+	s := &server{srv: srv, dur: dur, conns: make(map[net.Conn]struct{}), deadline: cfg.deadline, targetP99: cfg.targetP99, maxBatch: cfg.maxBatch}
 	// A shed request was refused before queueing; the soonest the next
 	// window can have room is one coalescing window away, so that is the
 	// retry hint (floored at 1ms, the practical client-side resolution).
@@ -212,6 +189,9 @@ func newServerShell(cfg serveConfig) *server {
 		retryMS = 1
 	}
 	s.overloadReply = fmt.Sprintf("ERR OVERLOADED retry-after-ms=%d\n", retryMS)
+	if cfg.coalesce {
+		s.co = srv.Coalesce(coalescerOptions(cfg))
+	}
 	return s
 }
 
@@ -224,57 +204,6 @@ func coalescerOptions(cfg serveConfig) hbtree.CoalescerOptions {
 		TargetP99:  cfg.targetP99,
 		MinPending: cfg.minPending,
 	}
-}
-
-// newServer builds the serving stack for cfg. In sharded mode the
-// tree's pairs are resharded across cfg.shards trees and the original
-// tree is closed; the caller must not use it afterwards.
-func newServer(tree *hbtree.Tree[uint64], cfg serveConfig) (*server, error) {
-	s := newServerShell(cfg)
-	coOpt := coalescerOptions(cfg)
-	if cfg.shards > 1 {
-		sh, err := tree.Sharded(cfg.shards)
-		if err != nil {
-			return nil, err
-		}
-		tree.Close()
-		s.srv, s.sharded = sh, sh
-		if cfg.coalesce {
-			s.shco = sh.Coalesce(coOpt)
-			s.co = s.shco
-		}
-		return s, nil
-	}
-	srv := hbtree.NewServer(tree)
-	s.srv = srv
-	if cfg.coalesce {
-		s.co = srv.Coalesce(coOpt)
-	}
-	return s, nil
-}
-
-// newDurableServer builds the serving stack over an opened Durable
-// (-data-dir): reads go to the wrapped server (and the coalescer when
-// enabled), every write routes through the Durable's WAL-before-ack
-// discipline.
-func newDurableServer(dur *hbtree.Durable[uint64], cfg serveConfig) *server {
-	s := newServerShell(cfg)
-	s.dur = dur
-	coOpt := coalescerOptions(cfg)
-	if sh := dur.Sharded(); sh != nil {
-		s.srv, s.sharded = sh, sh
-		if cfg.coalesce {
-			s.shco = sh.Coalesce(coOpt)
-			s.co = s.shco
-		}
-		return s
-	}
-	srv := dur.Server()
-	s.srv = srv
-	if cfg.coalesce {
-		s.co = srv.Coalesce(coOpt)
-	}
-	return s
 }
 
 // acceptLoop accepts until the listener is closed. Transient accept
@@ -334,10 +263,10 @@ func (s *server) untrack(conn net.Conn) {
 //     PUT/DEL;
 //  3. wait for the handlers — after wg.Wait() no handler is inside a
 //     Lookup or Update, so every OK the client saw was fully applied;
-//  4. close the serving backend — for the sharded server this blocks
-//     until every per-shard update pump has drained its dispatched
-//     jobs (a rebuild in flight on one shard completes and publishes
-//     before the shard's snapshot is released).
+//  4. close the serving backend — this blocks until every per-shard
+//     update pump has drained its dispatched jobs (a rebuild in flight
+//     on one shard completes and publishes before the shard's snapshot
+//     is released).
 func (s *server) shutdown() {
 	s.mu.Lock()
 	for conn := range s.conns {
@@ -778,31 +707,20 @@ func (s *server) handleLine(w io.Writer, line string) (quit bool) {
 		if !ok {
 			break
 		}
-		// On a single tree every read already serves from one snapshot;
-		// the consistent variants only differ on the sharded server,
-		// where they pin a single epoch across every shard.
+		// The consistent variants pin a single epoch across every shard.
 		var out []hbtree.Pair[uint64]
-		switch {
-		case s.sharded != nil && name == "SCANC":
-			out = s.sharded.ScanConsistent(start, count)
-		case s.sharded != nil:
-			out = s.sharded.RangeQueryConsistent(start, count)
-		case name == "SCANC":
-			out = s.srv.Scan(start, count)
-		default:
-			out = s.srv.RangeQuery(start, count)
+		if name == "SCANC" {
+			out = s.srv.ScanConsistent(start, count)
+		} else {
+			out = s.srv.RangeQueryConsistent(start, count)
 		}
 		for _, p := range out {
 			ls.writePairLine(w, p.Key, p.Value)
 		}
 		io.WriteString(w, "END\n")
 	case cmdIs(cmd, "EPOCH"):
-		if s.sharded != nil {
-			rs := s.sharded.RebalanceStats()
-			fmt.Fprintf(w, "EPOCH %d gen=%d shards=%d\n", rs.Epoch, rs.TableGen, rs.Shards)
-		} else {
-			ls.writeUintLine(w, "EPOCH ", s.srv.Epoch())
-		}
+		rs := s.srv.RebalanceStats()
+		fmt.Fprintf(w, "EPOCH %d gen=%d shards=%d\n", rs.Epoch, rs.TableGen, rs.Shards)
 	case cmdIs(cmd, "REBALANCE"):
 		s.handleRebalance(w, fields)
 	case cmdIs(cmd, "DESCRIBE"):
@@ -812,10 +730,6 @@ func (s *server) handleLine(w io.Writer, line string) (quit bool) {
 		st := s.srv.Stats()
 		c := s.srv.DeviceCounters()
 		m := s.srv.Metrics()
-		shards := 1
-		if s.sharded != nil {
-			shards = s.sharded.Shards()
-		}
 		shed, deadlines, folded := int64(0), m.Deadlines, int64(0)
 		shedRate, admitWindow, targetP99 := 0.0, 0, time.Duration(0)
 		var flushes serve.FlushCounts
@@ -828,29 +742,22 @@ func (s *server) handleLine(w io.Writer, line string) (quit bool) {
 			admitWindow = s.co.AdmitWindow()
 			targetP99 = s.co.TargetP99()
 		}
-		var rebalances int64
-		if s.sharded != nil {
-			rebalances = s.sharded.RebalanceStats().Rebalances
-		}
 		fmt.Fprintf(w, "STATS pairs=%d height=%d iseg=%d lseg=%d h2d=%d d2h=%d kernels=%d lookups=%d batches=%d batched=%d updates=%d swaps=%d shards=%d vtime=%s gpufaults=%d retries=%d fallbacks=%d fbqueries=%d deadlines=%d shed=%d shed_rate=%.2f admit_window=%d target_p99=%s trips=%d breaker=%s epoch=%d repairs=%d rebalances=%d probes=%d saved=%d folded=%d inplace=%d clonefb=%d clonednodes=%d clonedbytes=%d layout=%s widths=%s advice=%s flush_full=%d flush_deadline=%d flush_idle=%d flush_handoff=%d\n",
 			st.NumPairs, st.Height, st.InnerBytes, st.LeafBytes,
 			c.BytesH2D, c.BytesD2H, c.Kernels,
-			m.Lookups, m.Batches, m.BatchedQueries, m.Updates, s.srv.Swaps(), shards, m.VirtualTime,
+			m.Lookups, m.Batches, m.BatchedQueries, m.Updates, s.srv.Swaps(), s.srv.Shards(), m.VirtualTime,
 			m.GPUFaults, m.Retries, m.FallbackBatches, m.FallbackQueries,
 			deadlines, shed, shedRate, admitWindow, targetP99, m.BreakerTrips, m.BreakerState,
-			s.srv.Epoch(), m.Repairs, rebalances,
+			s.srv.Epoch(), m.Repairs, s.srv.RebalanceStats().Rebalances,
 			m.NodeProbes, m.ProbesSaved, folded,
 			m.InPlaceApplied, m.CloneFallbacks, m.ClonedNodes, m.ClonedBytes,
 			s.srv.Options().Layout, joinInts(s.srv.LevelWidths()), joinInts(s.srv.LayoutAdvice()),
 			flushes.Full, flushes.Deadline, flushes.Idle, flushes.Handoff)
 	case cmdIs(cmd, "SHARDSTATS"):
-		if s.sharded == nil {
-			io.WriteString(w, "ERR not sharded (-shards > 1)\n")
-			break
-		}
-		bounds := s.sharded.Bounds()
-		stats := s.sharded.ShardStats()
-		metrics := s.sharded.ShardMetrics()
+		bounds := s.srv.Bounds()
+		stats := s.srv.ShardStats()
+		metrics := s.srv.ShardMetrics()
+		shco, _ := s.co.(*hbtree.ShardedCoalescer[uint64])
 		for i := range stats {
 			var lo uint64
 			if i > 0 {
@@ -860,8 +767,8 @@ func (s *server) handleLine(w io.Writer, line string) (quit bool) {
 				i, lo, stats[i].NumPairs, stats[i].Height,
 				metrics[i].Lookups, metrics[i].BatchedQueries, metrics[i].Updates, metrics[i].Swaps,
 				metrics[i].GPUFaults, metrics[i].FallbackBatches, metrics[i].BreakerTrips, metrics[i].BreakerState)
-			if s.shco != nil {
-				om := s.shco.GroupOverload(i)
+			if shco != nil {
+				om := shco.GroupOverload(i)
 				fmt.Fprintf(w, " shed=%d shed_rate=%.2f admit_window=%d", om.Shed, om.ShedRate, om.AdmitWindow)
 			}
 			io.WriteString(w, "\n")
@@ -899,14 +806,9 @@ func (s *server) handleLine(w io.Writer, line string) (quit bool) {
 	return false
 }
 
-// handleRebalance executes the REBALANCE subcommands against the
-// sharded server: explicit online SPLIT/MERGE transitions and the
-// STATS counters. Single-tree servers have no shard layout to retile.
+// handleRebalance executes the REBALANCE subcommands: explicit online
+// SPLIT/MERGE transitions and the STATS counters.
 func (s *server) handleRebalance(w io.Writer, fields []string) {
-	if s.sharded == nil {
-		io.WriteString(w, "ERR not sharded (-shards > 1)\n")
-		return
-	}
 	if len(fields) < 2 {
 		io.WriteString(w, "ERR usage: REBALANCE SPLIT <i> | MERGE <i> | STATS\n")
 		return
@@ -914,7 +816,7 @@ func (s *server) handleRebalance(w io.Writer, fields []string) {
 	sub := fields[1]
 	switch {
 	case cmdIs(sub, "STATS"):
-		rs := s.sharded.RebalanceStats()
+		rs := s.srv.RebalanceStats()
 		fmt.Fprintf(w, "REBALANCE epoch=%d gen=%d shards=%d rebalances=%d splits=%d merges=%d last=%q\n",
 			rs.Epoch, rs.TableGen, rs.Shards, rs.Rebalances, rs.Splits, rs.Merges, rs.Last)
 	case cmdIs(sub, "SPLIT"), cmdIs(sub, "MERGE"):
@@ -928,9 +830,9 @@ func (s *server) handleRebalance(w io.Writer, fields []string) {
 			return
 		}
 		if cmdIs(sub, "SPLIT") {
-			err = s.sharded.SplitShard(i)
+			err = s.srv.SplitShard(i)
 		} else {
-			err = s.sharded.MergeShards(i)
+			err = s.srv.MergeShards(i)
 		}
 		if err != nil {
 			fmt.Fprintf(w, "ERR rebalance: %v\n", err)
@@ -966,26 +868,19 @@ func (s *server) errReply(err error) string {
 	}
 }
 
-// update runs one PUT/DEL batch under the per-request deadline. With
-// -data-dir the batch flows through the Durable: it is WAL-appended and
-// group-commit fsynced before it is applied, so the OK the client sees
-// survives a crash.
+// update runs one PUT/DEL batch through the owning shard's pump under
+// the per-request deadline. With -data-dir the batch flows through the
+// Durable: it is WAL-appended and group-commit fsynced before it is
+// applied, so the OK the client sees survives a crash. Adaptive
+// admission reads the pumps' spans (ShardedServer.SetSpanSink), so the
+// writer's share of capacity sizes the read window without help here.
 func (s *server) update(ops []hbtree.Op[uint64]) (hbtree.UpdateStats, error) {
-	// In single-tree mode the adaptive controller only sees lookup flush
-	// spans; feed it update wall time too, so window sizing reflects the
-	// writer's share of capacity. Sharded mode gets pump spans natively.
-	if s.targetP99 > 0 && s.sharded == nil && s.co != nil {
-		t0 := time.Now()
-		defer func() { s.co.NoteSpan(time.Since(t0)) }()
+	ctx := context.Background()
+	if s.deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.deadline)
+		defer cancel()
 	}
-	if s.deadline <= 0 {
-		if s.dur != nil {
-			return s.dur.Update(ops, hbtree.Synchronized)
-		}
-		return s.srv.Update(ops, hbtree.Synchronized)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.deadline)
-	defer cancel()
 	if s.dur != nil {
 		return s.dur.UpdateCtx(ctx, ops, hbtree.Synchronized)
 	}
@@ -1042,9 +937,9 @@ func main() {
 		shed      = flag.Bool("coalesce-shed", false, "past -coalesce-pending, fail GETs with ERR overloaded instead of blocking")
 		targetP99 = flag.Duration("target-p99", 0, "adaptive admission: hold coalesced flush latency at this p99 target by resizing the pending window online (0 = static -coalesce-pending)")
 		minPend   = flag.Int("coalesce-min", 0, "adaptive admission window floor (0 = -coalesce-pending/64)")
-		shards    = flag.Int("shards", 1, "key-space shards, each with its own snapshot pointer and update pump (1 = single tree)")
+		shards    = flag.Int("shards", 1, "key-space shards, each with its own snapshot pointer and update pump (1 = one shard)")
 
-		rebalance   = flag.Bool("rebalance", false, "start the online shard rebalancer: split hot shards / merge cold neighbours as the update stream skews (requires -shards > 1)")
+		rebalance   = flag.Bool("rebalance", false, "start the online shard rebalancer: split hot shards / merge cold neighbours as the update stream skews")
 		rbInterval  = flag.Duration("rebalance-interval", 100*time.Millisecond, "rebalance detector poll period")
 		rbMinOps    = flag.Int64("rebalance-minops", 4096, "update volume a detector window must accumulate before acting")
 		rbHot       = flag.Float64("rebalance-hot", 0.5, "split a shard once it absorbs more than this share of a window's updates")
@@ -1097,6 +992,9 @@ func main() {
 		}
 		opt.LeafFill = *leafFill
 	}
+	if *shards < 1 {
+		log.Fatalf("hbserve: -shards must be >= 1")
+	}
 	if opt.Variant == hbtree.Implicit && *coalesce {
 		// Tuned layouts pay off only when lookups arrive as sorted
 		// shared-descent batches; per-request GETs keep the uniform
@@ -1117,14 +1015,10 @@ func main() {
 		deadline:   *deadline,
 	}
 
-	// All serving modes share one simulated device; keep the handle so
-	// the fault injector can be armed after setup. Attaching only once
-	// the stack is built keeps the bulk load, the sharded reshard and
-	// recovery fault-free — faults exercise serving, not construction.
-	var (
-		s   *server
-		dev *gpusim.Device
-	)
+	// Setup — the bulk load, the reshard, recovery — runs before the
+	// fault injector is armed below: faults exercise serving, not
+	// construction.
+	var s *server
 	if *dataDir != "" {
 		if *loadPath != "" || *savePath != "" {
 			log.Fatalf("hbserve: -load/-save are superseded by -data-dir (its snapshots restore automatically)")
@@ -1134,7 +1028,7 @@ func main() {
 			FsyncInterval: *fsyncIv,
 			SnapshotEvery: *snapEvery,
 			Partitions:    *walParts,
-		}, opt, *shards, func() ([]hbtree.Pair[uint64], error) {
+		}, opt, cfg.shards, func() ([]hbtree.Pair[uint64], error) {
 			log.Printf("hbserve: seeding %d tuples...", *n)
 			return hbtree.GeneratePairs[uint64](*n, *seed), nil
 		})
@@ -1148,8 +1042,7 @@ func main() {
 		} else {
 			log.Printf("hbserve: initialised durable dir %s", *dataDir)
 		}
-		s = newDurableServer(dur, cfg)
-		dev = dur.Device()
+		s = newServer(dur.Sharded(), dur, cfg)
 	} else {
 		var tree *hbtree.Tree[uint64]
 		var err error
@@ -1185,21 +1078,20 @@ func main() {
 			}
 			log.Printf("hbserve: snapshot written to %s", *savePath)
 		}
-		dev = tree.Device()
-		s, err = newServer(tree, cfg)
+		// The server owns the tree from here: one shard adopts it, more
+		// reshard and close it.
+		srv, err := tree.Sharded(cfg.shards)
 		if err != nil {
 			log.Fatalf("hbserve: serve setup: %v", err)
 		}
+		s = newServer(srv, nil, cfg)
 	}
 	st := s.srv.Stats()
 	log.Printf("hbserve: height %d, I-segment %d bytes, L-segment %d bytes",
 		st.Height, st.InnerBytes, st.LeafBytes)
 
 	if *rebalance {
-		if s.sharded == nil {
-			log.Fatalf("hbserve: -rebalance requires -shards > 1")
-		}
-		s.sharded.StartRebalancer(hbtree.RebalanceOptions{
+		s.srv.StartRebalancer(hbtree.RebalanceOptions{
 			HotFraction:  *rbHot,
 			ColdFraction: *rbCold,
 			MinOps:       *rbMinOps,
@@ -1220,7 +1112,8 @@ func main() {
 		Reset:    *fReset,
 		ResetOps: *fResetOps,
 	}); fopt.Kernel+fopt.H2D+fopt.D2H+fopt.OOM+fopt.Reset > 0 {
-		dev.SetInjector(fault.New(fopt))
+		// Every shard lives on one simulated device.
+		s.srv.Options().Device.SetInjector(fault.New(fopt))
 		log.Printf("hbserve: fault injection armed (kernel=%g h2d=%g d2h=%g oom=%g corrupt=%g reset=%g resetops=%d seed=%d)",
 			fopt.Kernel, fopt.H2D, fopt.D2H, fopt.OOM, fopt.Corrupt, fopt.Reset, fopt.ResetOps, fopt.Seed)
 	}

@@ -31,14 +31,16 @@ func newTestTree(t *testing.T, variant hbtree.Variant, seed uint64) (*hbtree.Tre
 	return tree, pairs
 }
 
-// mustServer is newServer or t.Fatal.
-func mustServer(t *testing.T, tree *hbtree.Tree[uint64], cfg serveConfig) *server {
+// mustServer serves tree as cfg.shards shards (the zero config is one
+// shard, the binary's default) behind newServer, or t.Fatal. The server
+// owns the tree from here.
+func mustServer(t testing.TB, tree *hbtree.Tree[uint64], cfg serveConfig) *server {
 	t.Helper()
-	s, err := newServer(tree, cfg)
+	srv, err := tree.Sharded(max(cfg.shards, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return newServer(srv, nil, cfg)
 }
 
 // startServer runs s.acceptLoop on an ephemeral listener and returns a
@@ -197,10 +199,6 @@ func TestPutDelProtocol(t *testing.T) {
 	}
 	if got := send("DEL xyz"); !strings.HasPrefix(got, "ERR") {
 		t.Fatalf("bad DEL = %q", got)
-	}
-	// The GPU replica stayed consistent through the updates.
-	if err := s.srv.(*hbtree.Server[uint64]).Tree().VerifyReplica(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -443,8 +441,8 @@ func TestSnapshotAndScan(t *testing.T) {
 func TestShardedProtocol(t *testing.T) {
 	tree, pairs := newTestTree(t, hbtree.Regular, 9)
 	s := mustServer(t, tree, serveConfig{shards: 4, coalesce: true, window: 100 * time.Microsecond, maxBatch: 32})
-	if s.sharded == nil || s.sharded.Shards() != 4 {
-		t.Fatal("sharded mode not active")
+	if s.srv.Shards() != 4 {
+		t.Fatalf("serving %d shards, want 4", s.srv.Shards())
 	}
 	dial := startServer(t, s)
 	conn, r := dial()
@@ -474,7 +472,7 @@ func TestShardedProtocol(t *testing.T) {
 	// RANGE starting before the last shard boundary and spanning past it
 	// must stitch in key order. pairs is sorted, so compare directly
 	// (skipping the deleted key).
-	bounds := s.sharded.Bounds()
+	bounds := s.srv.Bounds()
 	var startIdx int
 	for startIdx = range pairs {
 		if pairs[startIdx].Key >= bounds[len(bounds)-1] {
@@ -527,22 +525,69 @@ func TestShardedProtocol(t *testing.T) {
 	}
 }
 
-// TestShardStatsNotSharded: SHARDSTATS on a single-tree server is a
-// protocol error, not a panic.
-func TestShardStatsNotSharded(t *testing.T) {
-	tree, _ := newTestTree(t, hbtree.Implicit, 13)
+// TestSingleShardServesLayoutCommands: the default server is the sharded
+// engine with one shard, so the layout commands work on it — SHARDSTATS
+// lists its one shard, EPOCH carries the table generation and shard
+// count, and it can be split online (and merged back) with every key
+// still served and writes landing on both sides of the new bound.
+func TestSingleShardServesLayoutCommands(t *testing.T) {
+	tree, pairs := newTestTree(t, hbtree.Regular, 8)
 	s := mustServer(t, tree, serveConfig{})
 	dial := startServer(t, s)
 	conn, r := dial()
-	if got := sendLine(t, conn, r, "SHARDSTATS"); !strings.HasPrefix(got, "ERR") {
-		t.Fatalf("SHARDSTATS unsharded = %q", got)
+	send := func(line string) string { return sendLine(t, conn, r, line) }
+
+	if got := send("SHARDSTATS"); !strings.HasPrefix(got, fmt.Sprintf("SHARD 0 low=0 pairs=%d ", len(pairs))) {
+		t.Fatalf("SHARDSTATS = %q", got)
+	}
+	if line, _ := r.ReadString('\n'); strings.TrimSpace(line) != "END" {
+		t.Fatalf("SHARDSTATS second line = %q, want END after one shard", line)
+	}
+	if got := send("EPOCH"); !strings.HasPrefix(got, "EPOCH ") || !strings.HasSuffix(got, " gen=1 shards=1") {
+		t.Fatalf("EPOCH = %q", got)
+	}
+	if got := send("REBALANCE MERGE 0"); !strings.HasPrefix(got, "ERR") {
+		t.Fatalf("REBALANCE MERGE on one shard = %q", got)
+	}
+
+	if got := send("REBALANCE SPLIT 0"); got != "OK" {
+		t.Fatalf("REBALANCE SPLIT = %q", got)
+	}
+	if got := send("EPOCH"); !strings.HasSuffix(got, " gen=2 shards=2") {
+		t.Fatalf("EPOCH after split = %q", got)
+	}
+	for _, p := range pairs {
+		if got, want := send(fmt.Sprintf("GET %d", p.Key)), fmt.Sprintf("VALUE %d", p.Value); got != want {
+			t.Fatalf("GET %d after split = %q, want %q", p.Key, got, want)
+		}
+	}
+	// One write on each side of the new bound: an insert just below it,
+	// an overwrite of the bound key itself.
+	bound := s.srv.Bounds()[0]
+	for i, k := range []uint64{bound - 1, bound} {
+		if got := send(fmt.Sprintf("PUT %d %d", k, 1000+i)); got != "OK" {
+			t.Fatalf("PUT %d = %q", k, got)
+		}
+		if got, want := send(fmt.Sprintf("GET %d", k)), fmt.Sprintf("VALUE %d", 1000+i); got != want {
+			t.Fatalf("GET %d = %q, want %q", k, got, want)
+		}
+	}
+
+	if got := send("REBALANCE MERGE 0"); got != "OK" {
+		t.Fatalf("REBALANCE MERGE = %q", got)
+	}
+	if got := send("EPOCH"); !strings.HasSuffix(got, " gen=3 shards=1") {
+		t.Fatalf("EPOCH after merge = %q", got)
+	}
+	if got := send(fmt.Sprintf("GET %d", bound-1)); got != "VALUE 1000" {
+		t.Fatalf("GET %d after merge = %q", bound-1, got)
 	}
 }
 
-// gatedBackend is the single-tree server with a gate in front of its
-// batch search: a test holds the gate shut to keep the engine busy.
+// gatedBackend is the server with a gate in front of its batch search:
+// a test holds the gate shut to keep the engine busy.
 type gatedBackend struct {
-	*serve.Server[uint64]
+	*serve.ShardedServer[uint64]
 	gate    sync.RWMutex
 	arrived atomic.Int32 // flushes that have reached the gate
 }
@@ -551,7 +596,7 @@ func (b *gatedBackend) LookupBatchSortedInto(q, v []uint64, f []bool) (core.Sear
 	b.arrived.Add(1)
 	b.gate.RLock()
 	defer b.gate.RUnlock()
-	return b.Server.LookupBatchSortedInto(q, v, f)
+	return b.ShardedServer.LookupBatchSortedInto(q, v, f)
 }
 
 // waitFor polls cond until it holds, failing the test after replyWait.
@@ -564,7 +609,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// busyServer starts a coalescing server (cfg, single tree) whose engine
+// busyServer starts a coalescing server (cfg, one shard) whose engine
 // is busy: a first connection's GET found the coalescer idle, flushed
 // its own batch, and is held inside the batch search by the shut gate —
 // with its admission token, if the window is bounded. With the engine
@@ -576,7 +621,7 @@ func busyServer(t *testing.T, cfg serveConfig) (s *server, dial func() (net.Conn
 	tree, pairs := newTestTree(t, hbtree.Implicit, 13)
 	cfg.coalesce = false
 	s = mustServer(t, tree, cfg)
-	be := &gatedBackend{Server: s.srv.(*hbtree.Server[uint64]).Server}
+	be := &gatedBackend{ShardedServer: s.srv.ShardedServer}
 	s.co = serve.NewCoalescer[uint64](be, coalescerOptions(cfg))
 	dial = startServer(t, s)
 	be.gate.Lock()
@@ -810,20 +855,6 @@ func TestRebalanceProtocol(t *testing.T) {
 	}
 	if got := send("STATS"); !strings.Contains(got, "rebalances=2") {
 		t.Fatalf("STATS rebalance counter: %q", got)
-	}
-}
-
-// TestRebalanceNotSharded: the layout commands need a shard table.
-func TestRebalanceNotSharded(t *testing.T) {
-	tree, _ := newTestTree(t, hbtree.Regular, 8)
-	s := mustServer(t, tree, serveConfig{})
-	dial := startServer(t, s)
-	conn, r := dial()
-	if got := sendLine(t, conn, r, "REBALANCE STATS"); !strings.HasPrefix(got, "ERR") {
-		t.Fatalf("REBALANCE unsharded = %q", got)
-	}
-	if got := sendLine(t, conn, r, "EPOCH"); !strings.HasPrefix(got, "EPOCH ") {
-		t.Fatalf("EPOCH unsharded = %q", got)
 	}
 }
 

@@ -342,7 +342,6 @@ func TestIntegrationShardedStitchingUnderSwaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree.Close()
 	defer srv.Close()
 	co := srv.Coalesce(hbtree.CoalescerOptions{MaxBatch: 128, Window: 200 * time.Microsecond})
 

@@ -1,12 +1,14 @@
 package harness
 
 import (
+	"context"
 	"os"
 	"os/exec"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 var (
@@ -68,6 +70,25 @@ func TestREADMEFlagTablesMatchBinaries(t *testing.T) {
 		if len(undocumented)+len(unregistered) != 0 {
 			t.Errorf("%s: registered but in no README flag table: %v; in a README flag table but not registered: %v",
 				bin, undocumented, unregistered)
+		}
+	}
+}
+
+// TestHbserveRejectsShardsBelowOne: -shards has one meaning — the number
+// of shards served, at least one. Zero or a negative count exits
+// non-zero naming the flag instead of silently meaning something else.
+func TestHbserveRejectsShardsBelowOne(t *testing.T) {
+	bin := buildCmd(t, t.TempDir(), "hbserve")
+	// A binary that accepts the value would sit in Accept: bound the run.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, shards := range []string{"0", "-2"} {
+		out, err := exec.CommandContext(ctx, bin, "-n", "64", "-addr", "127.0.0.1:0", "-once", "-shards", shards).CombinedOutput()
+		if err == nil {
+			t.Fatalf("-shards %s: hbserve started and exited 0\n%s", shards, out)
+		}
+		if !strings.Contains(string(out), "-shards must be >= 1") {
+			t.Fatalf("-shards %s: exit does not name the flag: %v\n%s", shards, err, out)
 		}
 	}
 }

@@ -173,7 +173,6 @@ func TestShardedUpdateCtxDeadlineOnStalledPump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree.Close()
 	defer sh.Close()
 
 	for _, sub := range sh.members() {

@@ -11,8 +11,6 @@ import (
 
 	"hbtree/internal/core"
 	"hbtree/internal/cpubtree"
-	"hbtree/internal/epoch"
-	"hbtree/internal/gpusim"
 	"hbtree/internal/keys"
 	"hbtree/internal/wal"
 )
@@ -98,13 +96,6 @@ type PersistMetrics struct {
 	SnapFailures  int64  // snapshot attempts that failed
 }
 
-// applier is the write surface a Durable fronts: both Server and
-// ShardedServer satisfy it.
-type applier[K keys.Key] interface {
-	Update(ops []cpubtree.Op[K], method core.UpdateMethod) (core.UpdateStats, error)
-	UpdateCtx(ctx context.Context, ops []cpubtree.Op[K], method core.UpdateMethod) (core.UpdateStats, error)
-}
-
 // floorTracker tracks the contiguous prefix of WAL records whose apply
 // has completed: seqs are marked as their batches finish (possibly out
 // of order — per-shard writers overlap) and the floor advances while
@@ -141,18 +132,16 @@ func (t *floorTracker) get() uint64 {
 	return t.floor
 }
 
-// Durable fronts a Server or ShardedServer with the WAL + snapshot
-// discipline. Reads go straight to the wrapped server (durability does
-// not tax the read path); writes MUST go through the Durable or they
-// will not survive a crash.
+// Durable fronts a ShardedServer — of one shard or many — with the WAL +
+// snapshot discipline. Reads go straight to the wrapped server
+// (durability does not tax the read path); writes MUST go through the
+// Durable or they will not survive a crash.
 type Durable[K keys.Key] struct {
 	dir     string
 	walDir  string
 	keyBits byte
 
-	app     applier[K]
-	single  *Server[K]        // nil in sharded mode
-	sharded *ShardedServer[K] // nil in single mode
+	srv *ShardedServer[K]
 
 	logs   []*wal.Log
 	floors []*floorTracker
@@ -179,11 +168,12 @@ type Durable[K keys.Key] struct {
 // count, bounds) is restored from the manifest — `shards` is ignored —
 // and each WAL partition's tail past the manifest floor is replayed.
 // Otherwise seed() provides the initial sorted pairs, the server is
-// built fresh (sharded when shards > 1), and an initial snapshot is
-// committed so every later boot recovers.
+// built fresh with `shards` shards (<= 0 selects GOMAXPROCS, as in
+// BuildSharded), and an initial snapshot is committed so every later
+// boot recovers.
 //
-// The wrapped server is reachable via Server/Sharded for reads; all
-// writes must flow through the Durable.
+// The wrapped server is reachable via Sharded for reads; all writes
+// must flow through the Durable.
 func OpenDurable[K keys.Key](dopt DurableOptions, opt core.Options, shards int, seed func() ([]keys.Pair[K], error)) (*Durable[K], error) {
 	if dopt.Dir == "" {
 		return nil, fmt.Errorf("serve: durable: empty data dir")
@@ -211,9 +201,7 @@ func OpenDurable[K keys.Key](dopt DurableOptions, opt core.Options, shards int, 
 		}
 	}
 
-	if d.sharded != nil {
-		d.sharded.SetLayoutHook(d.onLayoutChange)
-	}
+	d.srv.SetLayoutHook(d.onLayoutChange)
 	if dopt.SnapshotEvery > 0 {
 		d.stop = make(chan struct{})
 		d.wg.Add(1)
@@ -255,17 +243,11 @@ func (d *Durable[K]) recover(m *wal.Manifest, opt core.Options, dopt DurableOpti
 	if m.Pairs != pairs {
 		return fail(fmt.Errorf("serve: durable: manifest says %d pairs, images hold %d", m.Pairs, pairs))
 	}
-	if len(trees) == 1 {
-		d.single = NewServer(trees[0])
-		d.app = d.single
-	} else {
-		bounds := make([]K, len(m.Bounds))
-		for i, b := range m.Bounds {
-			bounds[i] = K(b)
-		}
-		d.sharded = newShardedFromTrees(trees, bounds, opt, m.TableGen)
-		d.app = d.sharded
+	bounds := make([]K, len(m.Bounds))
+	for i, b := range m.Bounds {
+		bounds[i] = K(b)
 	}
+	d.srv = newShardedFromTrees(trees, bounds, m.TableGen)
 	d.recovery = RecoveryStats{
 		Recovered:       true,
 		SnapshotEpoch:   m.Epoch,
@@ -309,7 +291,7 @@ func (d *Durable[K]) replayRecord(rec wal.Record) error {
 		if err != nil {
 			return err
 		}
-		if _, err := d.app.Update(ops, core.UpdateMethod(method)); err != nil {
+		if _, err := d.srv.Update(ops, core.UpdateMethod(method)); err != nil {
 			return err
 		}
 		d.recovery.ReplayedRecords++
@@ -334,24 +316,12 @@ func (d *Durable[K]) bootstrap(opt core.Options, dopt DurableOptions, shards int
 	if err != nil {
 		return err
 	}
-	if shards > 1 {
-		s, err := BuildSharded(pairs, opt, shards)
-		if err != nil {
-			return err
-		}
-		d.sharded = s
-		d.app = s
-	} else {
-		t, err := core.Build(pairs, opt)
-		if err != nil {
-			return err
-		}
-		d.single = NewServer(t)
-		d.app = d.single
+	if d.srv, err = BuildSharded(pairs, opt, shards); err != nil {
+		return err
 	}
 	p := dopt.Partitions
 	if p <= 0 {
-		p = max(shards, 1)
+		p = d.srv.Shards()
 	}
 	d.floors = make([]*floorTracker, p)
 	for i := range d.floors {
@@ -381,27 +351,20 @@ func (d *Durable[K]) openLogs(partitions int, fsyncInterval time.Duration) error
 	return nil
 }
 
-// Server returns the wrapped single-tree server (nil in sharded mode).
-// Reads route through the wrapped servers directly — a Coalescer over
-// Server() or Sharded().Coalesce takes the sorted shared-descent flush
-// path exactly as on a non-durable deployment; durability only
-// intercepts writes.
-func (d *Durable[K]) Server() *Server[K] { return d.single }
-
-// Device returns the simulated device all wrapped shard trees share.
-func (d *Durable[K]) Device() *gpusim.Device {
-	var p epoch.Pin[*core.Tree[K], shardMeta[K]]
-	if d.sharded != nil {
-		p = d.sharded.reg.Pin()
-	} else {
-		p = d.single.reg.Pin()
+// Server returns the sole shard member while the layout has one shard
+// and nil otherwise — the single-tree view of a one-shard Durable. Reads
+// route through the wrapped server directly — Sharded().Coalesce takes
+// the sorted shared-descent flush path exactly as on a non-durable
+// deployment; durability only intercepts writes.
+func (d *Durable[K]) Server() *Server[K] {
+	if subs := d.srv.members(); len(subs) == 1 {
+		return subs[0]
 	}
-	defer p.Unpin()
-	return p.Get(0).Device()
+	return nil
 }
 
-// Sharded returns the wrapped sharded server (nil in single mode).
-func (d *Durable[K]) Sharded() *ShardedServer[K] { return d.sharded }
+// Sharded returns the wrapped server.
+func (d *Durable[K]) Sharded() *ShardedServer[K] { return d.srv }
 
 // Recovery returns what recovery did at open (zero value on a fresh
 // boot).
@@ -428,7 +391,7 @@ func (d *Durable[K]) Update(ops []cpubtree.Op[K], method core.UpdateMethod) (cor
 // record out of a shared flush is not possible.
 func (d *Durable[K]) UpdateCtx(ctx context.Context, ops []cpubtree.Op[K], method core.UpdateMethod) (core.UpdateStats, error) {
 	if len(ops) == 0 {
-		return d.app.UpdateCtx(ctx, ops, method)
+		return d.srv.UpdateCtx(ctx, ops, method)
 	}
 	type pend struct {
 		part int
@@ -473,7 +436,7 @@ func (d *Durable[K]) UpdateCtx(ctx context.Context, ops []cpubtree.Op[K], method
 		}
 	}
 	d.appendedOps.Add(int64(len(ops)))
-	stats, err := d.app.UpdateCtx(ctx, ops, method)
+	stats, err := d.srv.UpdateCtx(ctx, ops, method)
 	// Mark the appended records complete whether the apply succeeded or
 	// was abandoned: a failed apply means the batch was never acked, so
 	// a snapshot floor past it drops it legitimately — while a stalled
@@ -516,27 +479,13 @@ func (d *Durable[K]) Snapshot() (uint64, error) {
 		floors[i] = ft.get()
 	}
 
-	var (
-		p      epoch.Pin[*core.Tree[K], shardMeta[K]]
-		trees  []*core.Tree[K]
-		bounds []uint64
-		gen    uint64
-	)
-	if d.sharded != nil {
-		p = d.sharded.reg.Pin()
-		m := p.Meta()
-		gen = m.gen
-		for i := 0; i < p.Len(); i++ {
-			trees = append(trees, p.Get(i))
-		}
-		for _, b := range m.bounds {
-			bounds = append(bounds, uint64(b))
-		}
-	} else {
-		p = d.single.reg.Pin()
-		trees = append(trees, p.Get(0))
-	}
+	p := d.srv.reg.Pin()
 	defer p.Unpin()
+	m := p.Meta()
+	var bounds []uint64
+	for _, b := range m.bounds {
+		bounds = append(bounds, uint64(b))
+	}
 	ep := p.Epoch()
 	if ep == d.lastSnapEpoch.Load() {
 		d.snapSkips.Add(1)
@@ -550,13 +499,14 @@ func (d *Durable[K]) Snapshot() (uint64, error) {
 	}
 	man := &wal.Manifest{
 		Epoch:      ep,
-		TableGen:   gen,
+		TableGen:   m.gen,
 		KeyBits:    d.keyBits,
 		Bounds:     bounds,
 		Partitions: len(d.logs),
 		Floors:     floors,
 	}
-	for i, t := range trees {
+	for i := 0; i < p.Len(); i++ {
+		t := p.Get(i)
 		rel := filepath.Join(wal.SnapDir(ep), fmt.Sprintf("shard-%03d.tree", i))
 		if err := writeTreeImage(filepath.Join(d.dir, rel), t); err != nil {
 			d.snapFailures.Add(1)

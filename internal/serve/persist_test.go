@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -29,21 +30,12 @@ func (d *Durable[K]) crash() {
 	}
 }
 
-// closeBackend closes whichever server the Durable wraps.
-func (d *Durable[K]) closeBackend() {
-	if d.sharded != nil {
-		d.sharded.Close()
-	} else if d.single != nil {
-		d.single.Close()
-	}
-}
+// closeBackend closes the server the Durable wraps.
+func (d *Durable[K]) closeBackend() { d.srv.Close() }
 
 // scanAll reads every stored pair through the wrapped server.
 func (d *Durable[K]) scanAll(limit int) []keys.Pair[K] {
-	if d.sharded != nil {
-		return d.sharded.ScanConsistent(0, limit)
-	}
-	return d.single.Scan(0, limit)
+	return d.srv.ScanConsistent(0, limit)
 }
 
 const durN = 2048
@@ -59,6 +51,14 @@ func openDur(t *testing.T, dir string, shards int) *Durable[uint64] {
 		t.Fatalf("OpenDurable: %v", err)
 	}
 	return d
+}
+
+// forShards runs f as a subtest per shard count: the layout tests start
+// from one shard as well as from several.
+func forShards(t *testing.T, counts []int, f func(t *testing.T, shards int)) {
+	for _, shards := range counts {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { f(t, shards) })
+	}
 }
 
 // applyOracle drives n update batches through d, maintaining the oracle
@@ -132,6 +132,39 @@ func TestDurableFreshBootCommitsInitialSnapshot(t *testing.T) {
 	}
 }
 
+// TestDurableServesCoalescedReads: the wrapped server reports the
+// options its trees were built with, defaults resolved, on a fresh boot
+// and after recovery — a Coalescer sizes its batches from
+// Options().BucketSize, and a zero there (the caller's unfilled value;
+// openDur sets one, so this test opens its own) spins its enqueue loop
+// forever.
+func TestDurableServesCoalescedReads(t *testing.T) {
+	forShards(t, []int{1, 2}, func(t *testing.T, shards int) {
+		dir := t.TempDir()
+		pairs, _ := durSeed()
+		for _, boot := range []string{"fresh", "recovered"} {
+			d, err := OpenDurable(DurableOptions{Dir: dir}, core.Options{Variant: core.Regular}, shards, durSeed)
+			if err != nil {
+				t.Fatalf("%s: OpenDurable: %v", boot, err)
+			}
+			if bs := d.Sharded().Options().BucketSize; bs <= 0 {
+				t.Fatalf("%s: wrapped server reports BucketSize %d", boot, bs)
+			}
+			co := d.Sharded().Coalesce(Options{})
+			for _, p := range []keys.Pair[uint64]{pairs[0], pairs[durN/2], pairs[durN-1]} {
+				if v, ok, err := co.Lookup(p.Key); err != nil || !ok || v != p.Value {
+					t.Fatalf("%s: coalesced Lookup(%d) = (%d, %v, %v)", boot, p.Key, v, ok, err)
+				}
+			}
+			co.Close()
+			if err := d.Close(); err != nil {
+				t.Fatalf("%s: Close: %v", boot, err)
+			}
+			d.closeBackend()
+		}
+	})
+}
+
 func TestDurableGracefulRestartNeedsNoReplay(t *testing.T) {
 	dir := t.TempDir()
 	oracle := seedOracle(t)
@@ -189,93 +222,164 @@ func TestDurableCrashReplaysTail(t *testing.T) {
 }
 
 func TestDurableShardedCrashRestoresLayoutAndData(t *testing.T) {
-	dir := t.TempDir()
-	oracle := seedOracle(t)
-	d := openDur(t, dir, 4)
-	if d.Sharded() == nil || d.Sharded().Shards() != 4 {
-		t.Fatal("sharded durable did not build 4 shards")
-	}
-	applyOracle(t, d, oracle, 150, 17)
-	d.crash()
-	d.closeBackend()
+	forShards(t, []int{1, 4}, func(t *testing.T, shards int) {
+		dir := t.TempDir()
+		oracle := seedOracle(t)
+		d := openDur(t, dir, shards)
+		if got := d.Sharded().Shards(); got != shards {
+			t.Fatalf("durable built %d shards, want %d", got, shards)
+		}
+		applyOracle(t, d, oracle, 150, 17)
+		d.crash()
+		d.closeBackend()
 
-	d = openDur(t, dir, 4)
-	defer d.closeBackend()
-	defer d.Close()
-	rs := d.Recovery()
-	if !rs.Recovered || rs.Shards != 4 {
-		t.Fatalf("recovery stats: %+v", rs)
-	}
-	if rs.ReplayedRecords == 0 {
-		t.Fatal("sharded crash recovery replayed nothing")
-	}
-	if got := d.Sharded().Shards(); got != 4 {
-		t.Fatalf("recovered %d shards, want 4", got)
-	}
-	verifyOracle(t, d, oracle)
+		d = openDur(t, dir, shards)
+		defer d.closeBackend()
+		defer d.Close()
+		rs := d.Recovery()
+		if !rs.Recovered || rs.Shards != shards {
+			t.Fatalf("recovery stats: %+v", rs)
+		}
+		if rs.ReplayedRecords == 0 {
+			t.Fatal("crash recovery replayed nothing")
+		}
+		if got := d.Sharded().Shards(); got != shards {
+			t.Fatalf("recovered %d shards, want %d", got, shards)
+		}
+		verifyOracle(t, d, oracle)
+	})
 }
 
 func TestDurableSnapshotCoversRebalancedLayout(t *testing.T) {
-	dir := t.TempDir()
-	oracle := seedOracle(t)
-	d := openDur(t, dir, 3)
-	applyOracle(t, d, oracle, 60, 19)
-	if err := d.Sharded().SplitShard(1); err != nil {
-		t.Fatalf("SplitShard: %v", err)
-	}
-	if d.Metrics().Barriers == 0 {
-		t.Fatal("split wrote no barrier records")
-	}
-	applyOracle(t, d, oracle, 60, 23)
-	if _, err := d.Snapshot(); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	d.crash()
-	d.closeBackend()
+	forShards(t, []int{1, 3}, func(t *testing.T, shards int) {
+		dir := t.TempDir()
+		oracle := seedOracle(t)
+		d := openDur(t, dir, shards)
+		applyOracle(t, d, oracle, 60, 19)
+		if err := d.Sharded().SplitShard(shards / 2); err != nil {
+			t.Fatalf("SplitShard: %v", err)
+		}
+		if d.Metrics().Barriers == 0 {
+			t.Fatal("split wrote no barrier records")
+		}
+		applyOracle(t, d, oracle, 60, 23)
+		if _, err := d.Snapshot(); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		d.crash()
+		d.closeBackend()
 
-	d = openDur(t, dir, 3)
-	defer d.closeBackend()
-	defer d.Close()
-	rs := d.Recovery()
-	if rs.Shards != 4 {
-		t.Fatalf("snapshot after split restored %d shards, want 4", rs.Shards)
-	}
-	if rs.TableGen != 2 {
-		t.Fatalf("restored table generation %d, want 2", rs.TableGen)
-	}
-	if rs.ReplayedRecords != 0 {
-		t.Fatalf("post-snapshot crash replayed %d records", rs.ReplayedRecords)
-	}
-	if got := len(d.Sharded().Bounds()); got != 3 {
-		t.Fatalf("recovered %d bounds, want 3", got)
-	}
-	verifyOracle(t, d, oracle)
+		d = openDur(t, dir, shards)
+		defer d.closeBackend()
+		defer d.Close()
+		rs := d.Recovery()
+		if rs.Shards != shards+1 {
+			t.Fatalf("snapshot after split restored %d shards, want %d", rs.Shards, shards+1)
+		}
+		if rs.TableGen != 2 {
+			t.Fatalf("restored table generation %d, want 2", rs.TableGen)
+		}
+		if rs.ReplayedRecords != 0 {
+			t.Fatalf("post-snapshot crash replayed %d records", rs.ReplayedRecords)
+		}
+		if got := len(d.Sharded().Bounds()); got != shards {
+			t.Fatalf("recovered %d bounds, want %d", got, shards)
+		}
+		verifyOracle(t, d, oracle)
+	})
 }
 
 func TestDurableBarrierCrossesRecovery(t *testing.T) {
+	forShards(t, []int{1, 2}, func(t *testing.T, shards int) {
+		dir := t.TempDir()
+		oracle := seedOracle(t)
+		d := openDur(t, dir, shards)
+		applyOracle(t, d, oracle, 40, 29)
+		if err := d.Sharded().SplitShard(0); err != nil {
+			t.Fatalf("SplitShard: %v", err)
+		}
+		applyOracle(t, d, oracle, 40, 31)
+		d.crash() // manifest still has the pre-split layout
+		d.closeBackend()
+
+		d = openDur(t, dir, shards)
+		defer d.closeBackend()
+		defer d.Close()
+		rs := d.Recovery()
+		// The barrier was logged to every partition (one per initial
+		// shard); replay crosses each.
+		if rs.Barriers != shards {
+			t.Fatalf("recovery crossed %d barriers, want %d (one per partition)", rs.Barriers, shards)
+		}
+		// Layout reverts to the manifest's (the split itself was not yet
+		// snapshotted — it is a serving-plane optimisation, not data).
+		if rs.Shards != shards {
+			t.Fatalf("recovered %d shards, want the manifest's %d", rs.Shards, shards)
+		}
+		verifyOracle(t, d, oracle)
+	})
+}
+
+// TestDurableRecoversParentWrittenDirectory: a data directory written
+// before Durable always fronted a ShardedServer — one tree image, no
+// bounds, TableGen 0 (the single-tree arm never set it) — recovers as a
+// one-shard layout at the manifest's generation, keeps every acked
+// write, and from there behaves like any other: it can be split, and the
+// split layout round-trips through a further close and reopen.
+func TestDurableRecoversParentWrittenDirectory(t *testing.T) {
 	dir := t.TempDir()
 	oracle := seedOracle(t)
-	d := openDur(t, dir, 2)
-	applyOracle(t, d, oracle, 40, 29)
+	d := openDur(t, dir, 1)
+	applyOracle(t, d, oracle, 100, 47)
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	d.closeBackend()
+
+	m, ok, err := wal.ReadCurrentManifest(dir)
+	if err != nil || !ok {
+		t.Fatalf("manifest: ok %v err %v", ok, err)
+	}
+	if len(m.Trees) != 1 || len(m.Bounds) != 0 || m.TableGen != 1 {
+		t.Fatalf("one-shard manifest: %d trees, %d bounds, gen %d", len(m.Trees), len(m.Bounds), m.TableGen)
+	}
+	m.TableGen = 0
+	if err := wal.WriteManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+
+	d = openDur(t, dir, 4) // the manifest's layout wins over the argument
+	rs := d.Recovery()
+	if !rs.Recovered || rs.Shards != 1 || rs.TableGen != 0 || rs.ReplayedRecords != 0 {
+		t.Fatalf("recovery stats: %+v", rs)
+	}
+	// The live table carries the manifest's generation, not a fresh 1.
+	if live := d.Sharded().RebalanceStats(); live.Shards != 1 || live.TableGen != 0 {
+		t.Fatalf("live layout after recovery: %+v", live)
+	}
+	if d.Server() == nil {
+		t.Fatal("one-shard Durable has no sole member")
+	}
+	verifyOracle(t, d, oracle)
+
+	applyOracle(t, d, oracle, 50, 53)
 	if err := d.Sharded().SplitShard(0); err != nil {
 		t.Fatalf("SplitShard: %v", err)
 	}
-	applyOracle(t, d, oracle, 40, 31)
-	d.crash() // manifest still has the pre-split layout
+	if d.Server() != nil {
+		t.Fatal("two-shard Durable still reports a sole member")
+	}
+	applyOracle(t, d, oracle, 50, 59)
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
 	d.closeBackend()
 
-	d = openDur(t, dir, 2)
+	d = openDur(t, dir, 1)
 	defer d.closeBackend()
 	defer d.Close()
-	rs := d.Recovery()
-	// The barrier was logged to every partition; replay crosses each.
-	if rs.Barriers != 2 {
-		t.Fatalf("recovery crossed %d barriers, want 2 (one per partition)", rs.Barriers)
-	}
-	// Layout reverts to the manifest's (the split itself was not yet
-	// snapshotted — it is a serving-plane optimisation, not data).
-	if rs.Shards != 2 {
-		t.Fatalf("recovered %d shards, want the manifest's 2", rs.Shards)
+	if rs := d.Recovery(); rs.Shards != 2 || rs.TableGen != 1 || rs.ReplayedRecords != 0 {
+		t.Fatalf("recovery stats after split: %+v", rs)
 	}
 	verifyOracle(t, d, oracle)
 }

@@ -229,18 +229,21 @@ func BuildSharded[K keys.Key](pairs []keys.Pair[K], opt core.Options, shards int
 		}
 		trees = append(trees, tree)
 	}
-	return newShardedFromTrees(trees, bounds, opt, 1), nil
+	return newShardedFromTrees(trees, bounds, 1), nil
 }
 
 // newShardedFromTrees assembles a ShardedServer over already-built
 // shard trees: trees[i] serves [bounds[i-1], bounds[i]) (open-ended at
 // the edges) and gen seeds the split-key table generation — 1 for a
 // fresh build, the recovered manifest's generation when the durability
-// layer restores a layout. Ownership of the trees passes to the server.
-func newShardedFromTrees[K keys.Key](trees []*core.Tree[K], bounds []K, opt core.Options, gen uint64) *ShardedServer[K] {
-	if opt.Device == nil {
-		opt.Device = trees[0].Device()
-	}
+// layer restores a layout. The trees were built from one Options policy
+// on one device; the server takes both from the first tree — with the
+// defaults the build resolved (a caller's zero BucketSize is not the
+// coalescer's batch size) — for Options and for the shard trees later
+// rebalances build. Ownership of the trees passes to the server.
+func newShardedFromTrees[K keys.Key](trees []*core.Tree[K], bounds []K, gen uint64) *ShardedServer[K] {
+	opt := trees[0].Options()
+	opt.Device = trees[0].Device()
 	s := &ShardedServer[K]{opt: opt}
 	subs := make([]*Server[K], len(trees))
 	for i, t := range trees {
@@ -260,11 +263,19 @@ func newShardedFromTrees[K keys.Key](trees []*core.Tree[K], bounds []K, opt core
 	return s
 }
 
-// NewShardedServer shards an existing tree: its pairs are materialised
-// in key order and rebuilt as T shard trees on the same simulated
-// device. t itself is left untouched (and no longer needed for
-// serving); the caller may Close it to release its device replica.
+// NewShardedServer serves an existing tree as T shards and takes
+// ownership of it. One shard adopts t as the only member — nothing is
+// rebuilt; more reshard it: its pairs are materialised in key order and
+// rebuilt as T shard trees on the same simulated device, and t is closed.
+// shards <= 0 selects GOMAXPROCS. t is closed on every error path too.
 func NewShardedServer[K keys.Key](t *core.Tree[K], shards int) (*ShardedServer[K], error) {
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	if shards == 1 {
+		return newShardedFromTrees([]*core.Tree[K]{t}, nil, 1), nil
+	}
+	defer t.Close()
 	opt := t.Options()
 	opt.Device = t.Device()
 	return BuildSharded(materialisePairs(t), opt, shards)
@@ -925,7 +936,7 @@ func (s *ShardedServer[K]) Close() {
 }
 
 // Backend is what a Coalescer flushes against: the single-tree Server
-// and the sharded backend both satisfy it.
+// and the ShardedServer both satisfy it.
 type Backend[K keys.Key] interface {
 	// LookupBatchSortedInto serves one coalesced batch into the caller's
 	// slices through the shared-descent path (see
@@ -941,24 +952,11 @@ type Backend[K keys.Key] interface {
 	Degraded() bool
 }
 
-// shardBackend adapts a ShardedServer to the Coalescer Backend: one
-// flush pins the registry once, then serves each contiguous same-shard
-// run of the batch against the pinned trees. With per-shard submission
-// routing a batch is a single run (no splitting at all); a mixed batch
-// — possible right after a rebalance moved a boundary — degrades to a
-// few sub-batches, still correct because the runs are routed under the
-// pin. SimTime sums the serial runs.
-type shardBackend[K keys.Key] struct {
-	s *ShardedServer[K]
-}
-
-func (b shardBackend[K]) Options() core.Options { return b.s.Options() }
-
 // Degraded reports whether ANY shard's breaker is open: a mixed batch
 // may touch any shard, so admission tightens as soon as one is
 // degraded.
-func (b shardBackend[K]) Degraded() bool {
-	for _, sub := range b.s.members() {
+func (s *ShardedServer[K]) Degraded() bool {
+	for _, sub := range s.members() {
 		if sub.Degraded() {
 			return true
 		}
@@ -966,17 +964,23 @@ func (b shardBackend[K]) Degraded() bool {
 	return false
 }
 
-// LookupBatchSortedInto is the coalescer's flush: the split-key table
-// is range-partitioned, so a globally sorted batch decomposes into
-// exactly one contiguous run per touched shard — the run walk below
-// finds them with no extra work, and each run reaches its shard still
-// sorted and duplicate-free (the coalescer's contract).
-func (b shardBackend[K]) LookupBatchSortedInto(queries []K, values []K, found []bool) (core.SearchStats, error) {
-	p := b.s.reg.Pin()
+// LookupBatchSortedInto is the coalescer's flush: it pins the registry
+// once, then serves each contiguous same-shard run of the batch against
+// the pinned trees. The split-key table is range-partitioned, so a
+// globally sorted batch decomposes into exactly one contiguous run per
+// touched shard — the run walk below finds them with no extra work, and
+// each run reaches its shard still sorted and duplicate-free (the
+// coalescer's contract). With per-shard submission routing a batch is a
+// single run (no splitting at all); a mixed batch — possible right after
+// a rebalance moved a boundary — degrades to a few sub-batches, still
+// correct because the runs are routed under the pin. SimTime sums the
+// serial runs.
+func (s *ShardedServer[K]) LookupBatchSortedInto(queries []K, values []K, found []bool) (core.SearchStats, error) {
+	p := s.reg.Pin()
 	defer p.Unpin()
 	m := p.Meta()
 	var agg core.SearchStats
-	agg.BucketSize = b.s.opt.BucketSize
+	agg.BucketSize = s.opt.BucketSize
 	agg.Sorted = true
 	start := 0
 	for start < len(queries) {
@@ -1027,10 +1031,9 @@ func (s *ShardedServer[K]) Coalesce(opt Options) *ShardedCoalescer[K] {
 	if opt.Shards <= 0 {
 		opt.Shards = max(1, runtime.GOMAXPROCS(0)/T)
 	}
-	be := shardBackend[K]{s: s}
 	cos := make([]*Coalescer[K], T)
 	for i := range cos {
-		cos[i] = NewCoalescer[K](be, opt)
+		cos[i] = NewCoalescer[K](s, opt)
 	}
 	c := &ShardedCoalescer[K]{s: s, cos: cos}
 	if opt.TargetP99 > 0 {

@@ -122,8 +122,10 @@ func TestShardedReadPaths(t *testing.T) {
 
 // TestShardedUpdate: ops split across shards apply concurrently, stay
 // visible, and merge their stats (counts summed, times as makespan).
-func TestShardedUpdate(t *testing.T) {
-	s, pairs := newShardedServer(t, core.Regular, 1<<12, 4)
+func TestShardedUpdate(t *testing.T) { forShards(t, []int{1, 4}, testShardedUpdate) }
+
+func testShardedUpdate(t *testing.T, shards int) {
+	s, pairs := newShardedServer(t, core.Regular, 1<<12, shards)
 
 	ops := make([]cpubtree.Op[uint64], 0, 400)
 	for i := 0; i < 400; i++ {
@@ -147,14 +149,18 @@ func TestShardedUpdate(t *testing.T) {
 		}
 	}
 	// Each touched shard published a new version.
-	if swaps := s.Swaps(); swaps != 4 {
-		t.Fatalf("swaps = %d, want 4 (one per shard)", swaps)
+	if swaps := s.Swaps(); swaps != int64(shards) {
+		t.Fatalf("swaps = %d, want %d (one per shard)", swaps, shards)
 	}
-	// Same-key ops keep submission order: last write wins.
+	// Same-key ops keep submission order: last write wins. Routing keeps
+	// a shard's ops in order; applying them in order takes a sequential
+	// method — AsyncParallel's workers draw ops off a shared cursor
+	// (cpubtree.ApplyBatchParallel, the paper's Section 5.6 method), so
+	// two ops on one key in one batch may land either way round.
 	k := pairs[99].Key
 	if _, err := s.Update([]cpubtree.Op[uint64]{
 		{Key: k, Value: 1}, {Key: k, Value: 2}, {Key: k, Value: 3},
-	}, core.AsyncParallel); err != nil {
+	}, core.Synchronized); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := s.Lookup(k); !ok || v != 3 {
@@ -174,6 +180,12 @@ func TestShardedUpdate(t *testing.T) {
 		}
 		if after[i].Swaps != want {
 			t.Fatalf("shard %d swaps = %d, want %d", i, after[i].Swaps, want)
+		}
+	}
+	// Every member's GPU replica stayed consistent through the updates.
+	for i, sub := range s.members() {
+		if err := sub.Tree().VerifyReplica(); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
 		}
 	}
 }
@@ -293,27 +305,47 @@ func TestShardedBuildErrors(t *testing.T) {
 	}
 }
 
-// TestNewShardedServerFromTree: resharding an existing tree preserves
-// its contents and shares its simulated device.
+// TestNewShardedServerFromTree: serving an existing tree preserves its
+// contents and shares its simulated device; the server owns the tree —
+// one shard adopts it as built, more reshard it and release it, and so
+// does a failed reshard.
 func TestNewShardedServerFromTree(t *testing.T) {
 	pairs := workload.Dataset[uint64](workload.Uniform, 1<<11, 42)
-	tree, err := core.Build(pairs, core.Options{BucketSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree.Close()
-	s, err := NewShardedServer(tree, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.NumPairs() != len(pairs) {
-		t.Fatalf("NumPairs = %d", s.NumPairs())
-	}
-	for _, i := range []int{0, 1024, 2047} {
-		if v, ok := s.Lookup(pairs[i].Key); !ok || v != pairs[i].Value {
-			t.Fatalf("Lookup(pairs[%d]) = (%d, %v)", i, v, ok)
+	for _, shards := range []int{1, 4} {
+		tree, err := core.Build(pairs, core.Options{BucketSize: 64})
+		if err != nil {
+			t.Fatal(err)
 		}
+		dev := tree.Device()
+		s, err := NewShardedServer(tree, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Shards() != shards || s.NumPairs() != len(pairs) || s.Options().Device != dev {
+			t.Fatalf("%d shards: serving %d shards, %d pairs", shards, s.Shards(), s.NumPairs())
+		}
+		if adopted := s.members()[0].Tree() == tree; adopted != (shards == 1) {
+			t.Fatalf("%d shards: built tree adopted = %v", shards, adopted)
+		}
+		for _, i := range []int{0, 1024, 2047} {
+			if v, ok := s.Lookup(pairs[i].Key); !ok || v != pairs[i].Value {
+				t.Fatalf("%d shards: Lookup(pairs[%d]) = (%d, %v)", shards, i, v, ok)
+			}
+		}
+		s.Close()
+		if n := dev.MemUsed(); n != 0 {
+			t.Fatalf("%d shards: %d device bytes still allocated after Close", shards, n)
+		}
+	}
+	tree, err := core.Build(pairs[:2], core.Options{BucketSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewShardedServer(tree, 4); err == nil {
+		t.Fatal("resharding 2 pairs across 4 shards succeeded")
+	}
+	if n := tree.Device().MemUsed(); n != 0 {
+		t.Fatalf("failed reshard left %d device bytes allocated", n)
 	}
 }
 

@@ -78,7 +78,6 @@ func TestCoalescerFoldsDuplicateKeys(t *testing.T) {
 // (pre-sort) slot order regardless of input order.
 func TestSortedShardedBatchOracle(t *testing.T) {
 	s, pairs := newShardedServer(t, core.Regular, 1<<12, 4)
-	be := shardBackend[uint64]{s: s}
 	oracle := make(map[uint64]uint64, len(pairs))
 	for _, p := range pairs {
 		oracle[p.Key] = p.Value
@@ -116,7 +115,7 @@ func TestSortedShardedBatchOracle(t *testing.T) {
 				var stats core.SearchStats
 				var err error
 				if it%2 == 0 {
-					stats, err = be.LookupBatchSortedInto(qs, values, found)
+					stats, err = s.LookupBatchSortedInto(qs, values, found)
 					if err == nil && !stats.Sorted {
 						t.Errorf("worker %d iter %d: sorted stats not flagged", w, it)
 						return

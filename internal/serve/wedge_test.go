@@ -150,7 +150,7 @@ func TestReadsDoNotWaitForWriter(t *testing.T) {
 		sh, pairs := newShardedServer(t, core.Regular, 1<<12, 4)
 		co := sh.Coalesce(Options{MaxBatch: 64})
 		defer co.Close()
-		check(t, pairs, sh, sh.members(), shardBackend[uint64]{s: sh}, co)
+		check(t, pairs, sh, sh.members(), sh, co)
 	})
 }
 

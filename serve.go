@@ -126,9 +126,10 @@ type RebalanceOptions = serve.RebalanceOptions
 // the split/merge decision counters.
 type RebalanceStats = serve.RebalanceStats
 
-// NewShardedServer reshards t's pairs across `shards` trees (zero or
-// negative selects GOMAXPROCS) on t's simulated device. t itself is
-// left intact; close it once the sharded server is serving.
+// NewShardedServer serves t as `shards` shards (zero or negative selects
+// GOMAXPROCS) and takes ownership of it: one shard adopts t as built,
+// more reshard its pairs across that many trees on t's simulated device
+// and close t. The tree must not be used, or closed, afterwards.
 func NewShardedServer[K Key](t *Tree[K], shards int) (*ShardedServer[K], error) {
 	s, err := serve.NewShardedServer(t.Tree, shards)
 	if err != nil {
@@ -166,7 +167,7 @@ type RecoveryStats = serve.RecoveryStats
 // PersistMetrics is a snapshot of a Durable's WAL and snapshot counters.
 type PersistMetrics = serve.PersistMetrics
 
-// Durable fronts a Server or ShardedServer with write-ahead logging and
+// Durable fronts a ShardedServer with write-ahead logging and
 // epoch-aligned snapshots (DESIGN §8): every update batch is logged and
 // group-commit fsynced BEFORE it is applied and acked, snapshots pin one
 // registry epoch across every shard and truncate the log below the
@@ -191,18 +192,8 @@ func OpenDurable[K Key](dopt DurableOptions, opt Options, shards int, seed func(
 	return &Durable[K]{d}, nil
 }
 
-// Server returns the wrapped single-tree server (nil in sharded mode).
-func (d *Durable[K]) Server() *Server[K] {
-	if s := d.Durable.Server(); s != nil {
-		return &Server[K]{s}
-	}
-	return nil
-}
-
-// Sharded returns the wrapped sharded server (nil in single mode).
+// Sharded returns the wrapped server: reads go to it, writes through
+// the Durable.
 func (d *Durable[K]) Sharded() *ShardedServer[K] {
-	if s := d.Durable.Sharded(); s != nil {
-		return &ShardedServer[K]{s}
-	}
-	return nil
+	return &ShardedServer[K]{d.Durable.Sharded()}
 }
