@@ -126,30 +126,14 @@ func joinInts(xs []int) string {
 // maxCount bounds RANGE/SCAN result sizes.
 const maxCount = 1 << 20
 
-// coalescer is the coalesced-GET surface: the server's per-shard group
-// in production; tests substitute a coalescer over a gated backend.
-type coalescer interface {
-	Lookup(uint64) (uint64, bool, error)
-	LookupCtx(context.Context, uint64) (uint64, bool, error)
-	LookupGroup(context.Context, []uint64, []serve.Result[uint64])
-	Flushes() serve.FlushCounts
-	Shed() int64
-	ShedRate() float64
-	AdmitWindow() int
-	TargetP99() time.Duration
-	Deadlines() int64
-	Folded() int64
-	Close()
-}
-
 // server wires the serving layer to the TCP front end: all reads go
 // through srv (and, when enabled, the coalescer), all writes through
 // srv's shard pumps (by way of dur when durable), and open connections
 // are tracked for shutdown.
 type server struct {
 	srv *hbtree.ShardedServer[uint64]
-	co  coalescer               // nil when -coalesce is off
-	dur *hbtree.Durable[uint64] // non-nil with -data-dir; all writes route through it
+	co  *serve.Coalescer[uint64] // nil when -coalesce is off
+	dur *hbtree.Durable[uint64]  // non-nil with -data-dir; all writes route through it
 
 	deadline      time.Duration // per-request budget for GET/PUT/DEL (0 = none)
 	targetP99     time.Duration // adaptive admission target (0 = static)
@@ -176,7 +160,7 @@ type serveConfig struct {
 }
 
 // newServer wires the serving stack for cfg over srv: reads go to srv
-// (through its coalescer group when cfg.coalesce), and every write goes
+// (through one coalescer when cfg.coalesce), and every write goes
 // through dur's WAL-before-ack discipline when dur (-data-dir, wrapping
 // srv) is non-nil.
 func newServer(srv *hbtree.ShardedServer[uint64], dur *hbtree.Durable[uint64], cfg serveConfig) *server {
@@ -190,7 +174,7 @@ func newServer(srv *hbtree.ShardedServer[uint64], dur *hbtree.Durable[uint64], c
 	}
 	s.overloadReply = fmt.Sprintf("ERR OVERLOADED retry-after-ms=%d\n", retryMS)
 	if cfg.coalesce {
-		s.co = srv.Coalesce(coalescerOptions(cfg))
+		s.co = srv.ShardedServer.Coalesce(coalescerOptions(cfg))
 	}
 	return s
 }
@@ -757,21 +741,15 @@ func (s *server) handleLine(w io.Writer, line string) (quit bool) {
 		bounds := s.srv.Bounds()
 		stats := s.srv.ShardStats()
 		metrics := s.srv.ShardMetrics()
-		shco, _ := s.co.(*hbtree.ShardedCoalescer[uint64])
 		for i := range stats {
 			var lo uint64
 			if i > 0 {
 				lo = bounds[i-1]
 			}
-			fmt.Fprintf(w, "SHARD %d low=%d pairs=%d height=%d lookups=%d batched=%d updates=%d swaps=%d gpufaults=%d fallbacks=%d trips=%d breaker=%s",
+			fmt.Fprintf(w, "SHARD %d low=%d pairs=%d height=%d lookups=%d batched=%d updates=%d swaps=%d gpufaults=%d fallbacks=%d trips=%d breaker=%s\n",
 				i, lo, stats[i].NumPairs, stats[i].Height,
 				metrics[i].Lookups, metrics[i].BatchedQueries, metrics[i].Updates, metrics[i].Swaps,
 				metrics[i].GPUFaults, metrics[i].FallbackBatches, metrics[i].BreakerTrips, metrics[i].BreakerState)
-			if shco != nil {
-				om := shco.GroupOverload(i)
-				fmt.Fprintf(w, " shed=%d shed_rate=%.2f admit_window=%d", om.Shed, om.ShedRate, om.AdmitWindow)
-			}
-			io.WriteString(w, "\n")
 		}
 		io.WriteString(w, "END\n")
 	case cmdIs(cmd, "PERSIST"):
@@ -872,7 +850,7 @@ func (s *server) errReply(err error) string {
 // the per-request deadline. With -data-dir the batch flows through the
 // Durable: it is WAL-appended and group-commit fsynced before it is
 // applied, so the OK the client sees survives a crash. Adaptive
-// admission reads the pumps' spans (ShardedServer.SetSpanSink), so the
+// admission reads the pumps' spans (ShardedServer.Coalesce), so the
 // writer's share of capacity sizes the read window without help here.
 func (s *server) update(ops []hbtree.Op[uint64]) (hbtree.UpdateStats, error) {
 	ctx := context.Background()
@@ -933,7 +911,7 @@ func main() {
 		coalesce  = flag.Bool("coalesce", false, "coalesce concurrent GETs into heterogeneous batch searches")
 		window    = flag.Duration("coalesce-window", 100*time.Microsecond, "max time a GET waits for batch companions")
 		maxBatch  = flag.Int("coalesce-batch", 0, "coalesced batch size (0 = the tree's bucket size)")
-		pending   = flag.Int("coalesce-pending", 0, "max in-flight GETs per coalescer — one budget for all its queues; with -shards, per shard group (0 = unbounded)")
+		pending   = flag.Int("coalesce-pending", 0, "max in-flight GETs — one budget per server, whatever -shards is (0 = unbounded)")
 		shed      = flag.Bool("coalesce-shed", false, "past -coalesce-pending, fail GETs with ERR overloaded instead of blocking")
 		targetP99 = flag.Duration("target-p99", 0, "adaptive admission: hold coalesced flush latency at this p99 target by resizing the pending window online (0 = static -coalesce-pending)")
 		minPend   = flag.Int("coalesce-min", 0, "adaptive admission window floor (0 = -coalesce-pending/64)")

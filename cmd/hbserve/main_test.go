@@ -529,10 +529,21 @@ func TestShardedProtocol(t *testing.T) {
 // engine with one shard, so the layout commands work on it — SHARDSTATS
 // lists its one shard, EPOCH carries the table generation and shard
 // count, and it can be split online (and merged back) with every key
-// still served and writes landing on both sides of the new bound.
+// still served and writes landing on both sides of the new bound. With
+// -coalesce the coalescer was started over the one-shard layout and
+// keeps serving the split one: a pipelined GET run whose keys alternate
+// across the new bound is one group, routed per run at flush time.
 func TestSingleShardServesLayoutCommands(t *testing.T) {
+	for _, coalesce := range []bool{false, true} {
+		t.Run(fmt.Sprintf("coalesce=%v", coalesce), func(t *testing.T) {
+			singleShardServesLayoutCommands(t, serveConfig{coalesce: coalesce})
+		})
+	}
+}
+
+func singleShardServesLayoutCommands(t *testing.T, cfg serveConfig) {
 	tree, pairs := newTestTree(t, hbtree.Regular, 8)
-	s := mustServer(t, tree, serveConfig{})
+	s := mustServer(t, tree, cfg)
 	dial := startServer(t, s)
 	conn, r := dial()
 	send := func(line string) string { return sendLine(t, conn, r, line) }
@@ -559,6 +570,29 @@ func TestSingleShardServesLayoutCommands(t *testing.T) {
 	for _, p := range pairs {
 		if got, want := send(fmt.Sprintf("GET %d", p.Key)), fmt.Sprintf("VALUE %d", p.Value); got != want {
 			t.Fatalf("GET %d after split = %q, want %q", p.Key, got, want)
+		}
+	}
+	// One pipelined run, adjacent keys on opposite sides of the bound
+	// (pairs are in key order).
+	var run strings.Builder
+	const depth = 64
+	straddle := func(i int) hbtree.Pair[uint64] {
+		if i%2 == 1 {
+			return pairs[len(pairs)-i]
+		}
+		return pairs[i]
+	}
+	for i := 0; i < depth; i++ {
+		fmt.Fprintf(&run, "GET %d\n", straddle(i).Key)
+	}
+	if _, err := io.WriteString(conn, run.String()); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(replyWait))
+	for i := 0; i < depth; i++ {
+		got, err := r.ReadString('\n')
+		if want := fmt.Sprintf("VALUE %d\n", straddle(i).Value); err != nil || got != want {
+			t.Fatalf("pipelined GET %d of the run across the bound = %q, %v, want %q", i, got, err, want)
 		}
 	}
 	// One write on each side of the new bound: an insert just below it,
@@ -890,45 +924,41 @@ func TestAdaptiveRetryHintDynamic(t *testing.T) {
 
 // TestStatsOverloadFieldsStatic: the overload telemetry fields are
 // present (zeroed) on a plain static server, so dashboards can scrape
-// them unconditionally.
+// them unconditionally; with -coalesce-pending the window STATS reports
+// is the flag's value whatever -shards is — one budget per server — and
+// SHARDSTATS, which has nothing per shard to say about admission, carries
+// none of the fields.
 func TestStatsOverloadFieldsStatic(t *testing.T) {
-	tree, _ := newTestTree(t, hbtree.Implicit, 13)
-	s := mustServer(t, tree, serveConfig{})
-	dial := startServer(t, s)
-	conn, r := dial()
-	got := sendLine(t, conn, r, "STATS")
-	for _, field := range []string{"shed_rate=0.00", "admit_window=0", "target_p99=0s"} {
-		if !strings.Contains(got, field) {
-			t.Fatalf("STATS missing %q: %q", field, got)
-		}
-	}
-}
-
-// TestShardStatsOverloadMirror: per-shard SHARDSTATS lines mirror the
-// admission telemetry when the sharded coalescer is serving.
-func TestShardStatsOverloadMirror(t *testing.T) {
-	tree, _ := newTestTree(t, hbtree.Implicit, 13)
-	s := mustServer(t, tree, serveConfig{
-		coalesce: true, window: 100 * time.Microsecond, maxBatch: 64,
-		maxPending: 8, shards: 2, targetP99: 50 * time.Millisecond,
-	})
-	dial := startServer(t, s)
-	conn, r := dial()
-	if _, err := fmt.Fprintln(conn, "SHARDSTATS"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, field := range []string{" shed=0", " shed_rate=0.00", " admit_window=8"} {
-			if !strings.Contains(line, field) {
-				t.Fatalf("SHARDSTATS line %d missing %q: %q", i, field, line)
+	for _, tc := range []struct {
+		name   string
+		cfg    serveConfig
+		window string
+	}{
+		{"plain", serveConfig{}, "admit_window=0"},
+		{"pending-8-shards-4", serveConfig{coalesce: true, maxPending: 8, shards: 4}, "admit_window=8"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tree, _ := newTestTree(t, hbtree.Implicit, 13)
+			s := mustServer(t, tree, tc.cfg)
+			dial := startServer(t, s)
+			conn, r := dial()
+			got := sendLine(t, conn, r, "STATS")
+			for _, field := range []string{"shed_rate=0.00", tc.window, "target_p99=0s"} {
+				if !strings.Contains(got, " "+field+" ") {
+					t.Fatalf("STATS missing %q: %q", field, got)
+				}
 			}
-		}
-	}
-	if line, _ := r.ReadString('\n'); strings.TrimSpace(line) != "END" {
-		t.Fatalf("SHARDSTATS terminator = %q", line)
+			line := sendLine(t, conn, r, "SHARDSTATS")
+			for shard := 0; line != "END"; shard++ {
+				if !strings.HasPrefix(line, fmt.Sprintf("SHARD %d ", shard)) || strings.Contains(line, "shed") || strings.Contains(line, "admit_window") {
+					t.Fatalf("SHARDSTATS line %d = %q", shard, line)
+				}
+				next, err := r.ReadString('\n')
+				if err != nil {
+					t.Fatal(err)
+				}
+				line = strings.TrimSpace(next)
+			}
+		})
 	}
 }

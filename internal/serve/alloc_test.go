@@ -113,8 +113,8 @@ func TestShardedLookupAllocFree(t *testing.T) {
 }
 
 // TestShardedCoalescedLookupAllocFree pins zero allocations per request
-// on the full sharded coalesced route — key routing, pooled reply cell,
-// per-shard batch append, inline flush — including with an admission
+// on the coalesced route over a sharded backend — pooled reply cell,
+// batch append, inline flush routed per shard — including with an admission
 // window engaged (token acquire/release must not allocate).
 func TestShardedCoalescedLookupAllocFree(t *testing.T) {
 	if raceEnabled {

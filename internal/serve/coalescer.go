@@ -114,25 +114,17 @@ type waiter[K keys.Key] struct {
 
 // group is the reply cell of one blocking call (Lookup, LookupCtx,
 // LookupGroup): however many requests the call queues, and across
-// however many batches and coalescers they land, their results collect
-// in res and the caller parks once, on done. left counts the members
-// not yet settled plus one hold the caller keeps while it is still
-// queueing, so done is signalled at most once and only to a parked
-// caller. Cells are pooled; res and idx keep their capacity, so the
+// however many batches they land, their results collect in res — member
+// i is the call's i-th key — and the caller parks once, on done. left
+// counts the members not yet settled plus one hold the caller keeps
+// while it is still queueing, so done is signalled at most once and only
+// to a parked caller. Cells are pooled; res keeps its capacity, so the
 // steady state allocates nothing. A caller whose deadline expires
 // abandons its cell instead of pooling it: late flushes still write it.
 type group[K keys.Key] struct {
 	res  []Result[K]
 	left atomic.Int32
 	done chan struct{}
-
-	// Scratch of the queueing caller: the member index of each key of a
-	// run (the identity for a group queued whole), and, for a group
-	// split over a sharded server's coalescers, each key's coalescer
-	// and the keys of the run being queued.
-	idx   []int32
-	route []int32
-	run   []K
 }
 
 // settle marks n members of g as answered and wakes the parked caller
@@ -312,8 +304,8 @@ type Coalescer[K keys.Key] struct {
 }
 
 // NewCoalescer starts a coalescer over a backend — a Server or a
-// ShardedServer's coalescing adapter. The caller must Close it to stop
-// the per-shard flusher goroutines.
+// ShardedServer. The caller must Close it to stop the per-shard flusher
+// goroutines.
 func NewCoalescer[K keys.Key](be Backend[K], opt Options) *Coalescer[K] {
 	if opt.MaxBatch <= 0 {
 		opt.MaxBatch = be.Options().BucketSize
@@ -401,18 +393,13 @@ func (c *Coalescer[K]) getBatch() *pending[K] {
 	return p
 }
 
-// getGroup returns a reply cell for a blocking call of n requests, its
-// idx scratch holding the identity 0..n-1.
+// getGroup returns a reply cell for a blocking call of n requests.
 func (c *Coalescer[K]) getGroup(n int) *group[K] {
 	g := c.groupPool.Get().(*group[K])
 	if cap(g.res) < n {
 		g.res = make([]Result[K], n)
-		g.idx = make([]int32, n)
 	}
-	g.res, g.idx = g.res[:n], g.idx[:n]
-	for i := range g.idx {
-		g.idx[i] = int32(i)
-	}
+	g.res = g.res[:n]
 	g.left.Store(int32(n) + 1)
 	return g
 }
@@ -441,7 +428,7 @@ func (c *Coalescer[K]) Submit(key K) <-chan Result[K] {
 		}
 	}
 	k := [1]K{key}
-	if c.enqueue(c.stripe(c.next.Add(1)), k[:], nil, waiter[K]{ch: reply}) == 0 {
+	if c.enqueue(c.stripe(c.next.Add(1)), k[:], waiter[K]{ch: reply}) == 0 {
 		reply <- Result[K]{Err: ErrClosed}
 	}
 	return reply
@@ -481,22 +468,22 @@ func (c *Coalescer[K]) LookupGroup(ctx context.Context, keys []K, out []Result[K
 	clear(out)
 	g := c.getGroup(len(keys))
 	sh := c.stripe(c.next.Add(1))
-	c.submitRun(ctx, g, sh, keys, g.idx, out)
+	c.submitRun(ctx, g, sh, keys, out)
 	c.kick(sh, false)
 	c.await(ctx, g, out)
 }
 
-// submitRun admits keys[i] as member idx[i] of g, in order, and queues
-// the admitted ones on sh; members refused are settled in out with the
+// submitRun admits keys[i] as member i of g, in order, and queues the
+// admitted ones on sh; members refused are settled in out with the
 // reason. It does not flush the forming batch (the caller kicks sh when
 // it has nothing more to queue there) except before it blocks for an
 // admission token.
-func (c *Coalescer[K]) submitRun(ctx context.Context, g *group[K], sh *shard[K], keys []K, idx []int32, out []Result[K]) {
+func (c *Coalescer[K]) submitRun(ctx context.Context, g *group[K], sh *shard[K], keys []K, out []Result[K]) {
 	lo := 0 // keys[lo:i] hold tokens and are not queued yet
 	queue := func(hi int) {
 		if hi > lo {
-			q := c.enqueue(sh, keys[lo:hi], idx[lo:hi], waiter[K]{g: g})
-			for _, m := range idx[lo+q : hi] {
+			q := c.enqueue(sh, keys[lo:hi], waiter[K]{g: g, idx: int32(lo)})
+			for m := lo + q; m < hi; m++ {
 				out[m].Err = ErrClosed
 			}
 			g.settle(hi - lo - q)
@@ -516,7 +503,7 @@ func (c *Coalescer[K]) submitRun(ctx context.Context, g *group[K], sh *shard[K],
 			}
 			if err != nil {
 				queue(i)
-				out[idx[i]].Err = err
+				out[i].Err = err
 				g.settle(1)
 				lo = i + 1
 			}
@@ -611,11 +598,11 @@ func (c *Coalescer[K]) waitAdmit(ctx context.Context) error {
 // enqueue appends a run of admitted requests to sh's forming batch
 // under one lock acquisition; a batch that fills is detached and flushed
 // inline once the lock is dropped, and the rest of the run continues in
-// the fresh one. keys[i] answers to w, as member idx[i] when idx is not
-// nil. It returns how many requests were queued: fewer than len(keys)
-// only on a closed coalescer, where the rest hold no token any more and
-// nothing will be delivered for them.
-func (c *Coalescer[K]) enqueue(sh *shard[K], keys []K, idx []int32, w waiter[K]) int {
+// the fresh one. keys[i] answers to w — for a group's run, as the member
+// i places after w.idx. It returns how many requests were queued: fewer
+// than len(keys) only on a closed coalescer, where the rest hold no token
+// any more and nothing will be delivered for them.
+func (c *Coalescer[K]) enqueue(sh *shard[K], keys []K, w waiter[K]) int {
 	queued := 0
 	for queued < len(keys) {
 		sh.mu.Lock()
@@ -628,11 +615,9 @@ func (c *Coalescer[K]) enqueue(sh *shard[K], keys []K, idx []int32, w waiter[K])
 		first := len(p.keys) == 0
 		n := min(len(keys)-queued, c.opt.MaxBatch-len(p.keys))
 		p.keys = append(p.keys, keys[queued:queued+n]...)
-		for i := queued; i < queued+n; i++ {
-			if idx != nil {
-				w.idx = idx[i]
-			}
+		for i := 0; i < n; i++ {
 			p.waiters = append(p.waiters, w)
+			w.idx++
 		}
 		queued += n
 		if len(p.keys) >= c.opt.MaxBatch {

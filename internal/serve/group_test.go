@@ -15,14 +15,6 @@ import (
 // Tests for LookupGroup: the blocking call a pipelining connection
 // makes with every request it has in hand.
 
-// groupLooker is the group entry point of both coalescer kinds.
-type groupLooker interface {
-	LookupGroup(context.Context, []uint64, []Result[uint64])
-	Shed() int64
-	Flushes() FlushCounts
-	Close()
-}
-
 // groupKeys picks n stored keys spread over the whole key space, so a
 // sharded server sees every shard, with an absent key at position 3.
 func groupKeys(pairs []keys.Pair[uint64], n int) []uint64 {
@@ -84,30 +76,26 @@ func TestLookupGroupIsOneBatch(t *testing.T) {
 }
 
 // TestLookupGroupStraddlesBatches: a group larger than MaxBatch fills
-// and flushes batches as it goes and still answers every member, on
-// both coalescer kinds, from concurrent callers.
+// and flushes batches as it goes and still answers every member, over
+// one shard and over four, from concurrent callers.
 func TestLookupGroupStraddlesBatches(t *testing.T) {
-	srv, pairs := newTestServer(t, core.Regular, 1<<12)
-	sharded, spairs := newShardedServer(t, core.Regular, 1<<12, 4)
-	for _, tc := range []struct {
-		name  string
-		co    groupLooker
-		pairs []keys.Pair[uint64]
-	}{
-		{"single", NewCoalescer(srv, Options{MaxBatch: 8, Window: time.Hour}), pairs},
-		{"sharded", sharded.Coalesce(Options{MaxBatch: 8, Window: time.Hour}), spairs},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			defer tc.co.Close()
+	for _, be := range []struct {
+		name   string
+		shards int
+	}{{"single", 1}, {"sharded", 4}} {
+		t.Run(be.name, func(t *testing.T) {
+			srv, pairs := newShardedServer(t, core.Regular, 1<<12, be.shards)
+			co := srv.Coalesce(Options{MaxBatch: 8, Window: time.Hour})
+			defer co.Close()
 			var wg sync.WaitGroup
 			for w := 0; w < 4; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
 					for round := 0; round < 20; round++ {
-						ks := groupKeys(tc.pairs[w:], 1+(round*7+w)%40)
+						ks := groupKeys(pairs[w:], 1+(round*7+w)%40)
 						out := make([]Result[uint64], len(ks))
-						tc.co.LookupGroup(context.Background(), ks, out)
+						co.LookupGroup(context.Background(), ks, out)
 						for i, res := range out {
 							if res.Err != nil {
 								t.Errorf("caller %d round %d member %d: %v", w, round, i, res.Err)
@@ -118,11 +106,11 @@ func TestLookupGroupStraddlesBatches(t *testing.T) {
 				}(w)
 			}
 			wg.Wait()
-			ks := groupKeys(tc.pairs, 37)
+			ks := groupKeys(pairs, 37)
 			out := make([]Result[uint64], len(ks))
-			tc.co.LookupGroup(context.Background(), ks, out)
-			checkGroup(t, tc.pairs, ks, out, nil)
-			if f := tc.co.Flushes(); f.Deadline != 0 {
+			co.LookupGroup(context.Background(), ks, out)
+			checkGroup(t, pairs, ks, out, nil)
+			if f := co.Flushes(); f.Deadline != 0 {
 				t.Fatalf("flushes = %+v: a blocking caller waited out the hour-long window", f)
 			}
 		})
@@ -193,10 +181,12 @@ func TestLookupGroupAdmission(t *testing.T) {
 	}
 }
 
-// TestLookupGroupAdmissionSharded: each shard group admits its share of
-// a group on its own budget; the per-request outcome is still values
-// for the admitted, ErrOverloaded for the rest, Shed() matching, and
-// blocking admission completes everything without the window timer.
+// TestLookupGroupAdmissionSharded: MaxPending is one budget per
+// coalescer however many shards its backend has. A group of 32 whose
+// keys cross all four shards against a window of 2 is admitted exactly
+// as on one shard — the first 2 members answered, the other 30 refused
+// with ErrOverloaded, Shed() matching — and blocking admission completes
+// everything without the window timer.
 func TestLookupGroupAdmissionSharded(t *testing.T) {
 	for _, shed := range []bool{true, false} {
 		t.Run(fmt.Sprintf("shed=%v", shed), func(t *testing.T) {
@@ -216,8 +206,11 @@ func TestLookupGroupAdmissionSharded(t *testing.T) {
 				t.Fatal("sharded group did not complete")
 			}
 			if shed {
-				if n := checkGroup(t, pairs, ks, out, ErrOverloaded); n == 0 || int64(n) != co.Shed() {
-					t.Fatalf("%d members shed, Shed() = %d", n, co.Shed())
+				if n := checkGroup(t, pairs, ks, out, ErrOverloaded); n != 30 || co.Shed() != 30 {
+					t.Fatalf("%d members shed, Shed() = %d, want 30: the window of 2 is per coalescer, not per shard", n, co.Shed())
+				}
+				if out[0].Err != nil || out[1].Err != nil {
+					t.Fatalf("members inside the window were refused: %v, %v", out[0].Err, out[1].Err)
 				}
 			} else {
 				checkGroup(t, pairs, ks, out, nil)
@@ -288,8 +281,8 @@ func TestLookupGroupDeadline(t *testing.T) {
 
 // TestLookupGroupAllocFree pins zero allocations per group in steady
 // state — pooled reply cell, one queue append, inline flush, one
-// copy-out — for both coalescer kinds, with and without an admission
-// window, and with a live context that does not expire.
+// copy-out — over one shard and over four, with and without an
+// admission window, and with a live context that does not expire.
 func TestLookupGroupAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -297,29 +290,20 @@ func TestLookupGroupAllocFree(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
 	for _, cfg := range []struct {
-		name    string
-		opt     Options
-		sharded bool
-		ctx     context.Context
+		name   string
+		opt    Options
+		shards int
+		ctx    context.Context
 	}{
-		{"single", Options{MaxBatch: 64, Shards: 1}, false, context.Background()},
-		{"single-bounded", Options{MaxBatch: 64, Shards: 1, MaxPending: 64}, false, context.Background()},
-		{"single-deadline", Options{MaxBatch: 64, Shards: 1}, false, ctx},
-		{"sharded", Options{MaxBatch: 64, Shards: 1}, true, context.Background()},
-		{"sharded-bounded", Options{MaxBatch: 64, Shards: 1, MaxPending: 64}, true, ctx},
+		{"single", Options{MaxBatch: 64, Shards: 1}, 1, context.Background()},
+		{"single-bounded", Options{MaxBatch: 64, Shards: 1, MaxPending: 64}, 1, context.Background()},
+		{"single-deadline", Options{MaxBatch: 64, Shards: 1}, 1, ctx},
+		{"sharded", Options{MaxBatch: 64, Shards: 1}, 4, context.Background()},
+		{"sharded-bounded", Options{MaxBatch: 64, Shards: 1, MaxPending: 64}, 4, ctx},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			var co groupLooker
-			var pairs []keys.Pair[uint64]
-			if cfg.sharded {
-				var s *ShardedServer[uint64]
-				s, pairs = newShardedServer(t, core.Implicit, 1<<10, 4)
-				co = s.Coalesce(cfg.opt)
-			} else {
-				var srv *Server[uint64]
-				srv, pairs = newTestServer(t, core.Implicit, 1<<10)
-				co = NewCoalescer(srv, cfg.opt)
-			}
+			s, pairs := newShardedServer(t, core.Implicit, 1<<10, cfg.shards)
+			co := s.Coalesce(cfg.opt)
 			defer co.Close()
 			ks := groupKeys(pairs, 16)
 			out := make([]Result[uint64], len(ks))

@@ -127,11 +127,12 @@ type ShardedServer[K keys.Key] struct {
 	// or outcome wait); per-shard waits are counted by the sub-servers.
 	deadlines atomic.Int64
 
-	// spanSink, when armed, receives the wall time of every pump-applied
-	// write job — the write-path latency feed for adaptive admission
-	// (Coalesce wires it to the coalescer controller when TargetP99 is
-	// set). nil costs the pump nothing.
-	spanSink atomic.Pointer[func(time.Duration)]
+	// spanSink, when armed, is the coalescer whose admission controller
+	// is fed the wall time of every pump-applied write job, so write-path
+	// cost shifts (delta vs clone lanes, rebuilds) move the read-side
+	// window. Coalesce arms it when TargetP99 is set and states its
+	// lifetime. nil costs the pump nothing.
+	spanSink atomic.Pointer[Coalescer[K]]
 
 	// Recorded resilience policy, inherited by shard servers created
 	// during a rebalance (fresh breaker instances — shared ones would
@@ -301,14 +302,6 @@ func materialisePairs[K keys.Key](t *core.Tree[K]) []keys.Pair[K] {
 // once published; rebalances install a fresh one.
 func (s *ShardedServer[K]) members() []*Server[K] { return s.reg.Meta().subs }
 
-// route returns the shard owning key k under the current split-key
-// table (advisory across a concurrent rebalance; read paths re-resolve
-// under their pin).
-func (s *ShardedServer[K]) route(k K) int {
-	m := s.reg.Meta()
-	return m.route(k)
-}
-
 // Shards returns the current shard count T.
 func (s *ShardedServer[K]) Shards() int { return s.reg.Len() }
 
@@ -341,33 +334,21 @@ func (s *ShardedServer[K]) pumpLoop(ch chan shardJob[K]) {
 			continue
 		}
 		var d shardDone
-		if sink := s.spanSink.Load(); sink != nil {
-			t0 := time.Now()
-			if job.rebuild {
-				d.stats, d.err = job.sub.RebuildCtx(job.ctx, job.pairs)
-			} else {
-				d.stats, d.err = job.sub.UpdateCtx(job.ctx, job.ops, job.method)
-			}
-			(*sink)(time.Since(t0))
-		} else if job.rebuild {
+		var t0 time.Time
+		sink := s.spanSink.Load()
+		if sink != nil {
+			t0 = time.Now()
+		}
+		if job.rebuild {
 			d.stats, d.err = job.sub.RebuildCtx(job.ctx, job.pairs)
 		} else {
 			d.stats, d.err = job.sub.UpdateCtx(job.ctx, job.ops, job.method)
 		}
+		if sink != nil {
+			sink.NoteSpan(time.Since(t0))
+		}
 		job.done <- d
 	}
-}
-
-// SetSpanSink arms (or, with nil, disarms) the pump span feed: fn
-// receives the wall time of every subsequent pump-applied write job.
-// Used by adaptive admission so write-path cost shifts (delta vs clone
-// lanes, rebuilds) move the read-side window.
-func (s *ShardedServer[K]) SetSpanSink(fn func(time.Duration)) {
-	if fn == nil {
-		s.spanSink.Store(nil)
-		return
-	}
-	s.spanSink.Store(&fn)
 }
 
 // dispatch routes one write batch: build receives the pinned shard
@@ -970,11 +951,9 @@ func (s *ShardedServer[K]) Degraded() bool {
 // globally sorted batch decomposes into exactly one contiguous run per
 // touched shard — the run walk below finds them with no extra work, and
 // each run reaches its shard still sorted and duplicate-free (the
-// coalescer's contract). With per-shard submission routing a batch is a
-// single run (no splitting at all); a mixed batch — possible right after
-// a rebalance moved a boundary — degrades to a few sub-batches, still
-// correct because the runs are routed under the pin. SimTime sums the
-// serial runs.
+// coalescer's contract). The runs are routed under the pin, so a batch
+// formed before a rebalance moved a boundary is still answered from the
+// layout current at its flush. SimTime sums the serial runs.
 func (s *ShardedServer[K]) LookupBatchSortedInto(queries []K, values []K, found []bool) (core.SearchStats, error) {
 	p := s.reg.Pin()
 	defer p.Unpin()
@@ -1008,262 +987,20 @@ func (s *ShardedServer[K]) LookupBatchSortedInto(queries []K, values []K, found 
 	return agg, nil
 }
 
-// ShardedCoalescer routes coalesced point lookups to a per-shard
-// coalescer group over one shared sharded backend: batches form against
-// the shard a key routes to at submission (an affinity hint, so a
-// steady-state batch flushes as one contiguous run), while flushes
-// re-route under a registry pin — which keeps results correct across a
-// rebalance that moved the boundary after submission. The coalesced
-// route stays allocation-free in steady state.
-type ShardedCoalescer[K keys.Key] struct {
-	s   *ShardedServer[K]
-	cos []*Coalescer[K]
-}
-
-// Coalesce starts one coalescer per current shard over the shared
-// sharded backend. When opt.Shards is zero, each per-shard coalescer
-// gets GOMAXPROCS/T pending queues (at least one) so the total queue
-// count stays at GOMAXPROCS across the server. Admission control
-// (opt.MaxPending, opt.Shed, opt.DegradedPending) applies per shard
-// group: each group is one Coalescer with its own window.
-func (s *ShardedServer[K]) Coalesce(opt Options) *ShardedCoalescer[K] {
-	T := s.Shards()
-	if opt.Shards <= 0 {
-		opt.Shards = max(1, runtime.GOMAXPROCS(0)/T)
-	}
-	cos := make([]*Coalescer[K], T)
-	for i := range cos {
-		cos[i] = NewCoalescer[K](s, opt)
-	}
-	c := &ShardedCoalescer[K]{s: s, cos: cos}
+// Coalesce starts a coalescer over the server: one stream of lookups
+// cut into sorted batches, each split into one run per shard at flush
+// time (LookupBatchSortedInto), so it serves whatever layout later
+// rebalances install. With opt.TargetP99 set, the update pumps' spans
+// feed its controller as well — all shards share one device, so a
+// write-path slowdown anywhere is a latency signal for the read window.
+// The feed is armed here and never disarmed: after the coalescer's Close
+// a span only touches the controller's atomics, and the pumps that
+// produce them stop at the server's Close. A second Coalesce with a
+// target takes the feed over.
+func (s *ShardedServer[K]) Coalesce(opt Options) *Coalescer[K] {
+	c := NewCoalescer[K](s, opt)
 	if opt.TargetP99 > 0 {
-		// Wire the update pumps' spans into every group's controller:
-		// the device is shared, so a write-path slowdown anywhere is a
-		// latency signal for every shard's read window.
-		s.SetSpanSink(c.NoteSpan)
+		s.spanSink.Store(c)
 	}
 	return c
-}
-
-// group picks the coalescer group for a key: the owning shard under the
-// current table, clamped for layouts that grew past the group count
-// after a split (the group is only an affinity hint — the flush
-// re-routes under its own pin).
-func (c *ShardedCoalescer[K]) group(key K) *Coalescer[K] {
-	return c.cos[c.groupIndex(key)]
-}
-
-func (c *ShardedCoalescer[K]) groupIndex(key K) int {
-	return min(c.s.route(key), len(c.cos)-1)
-}
-
-// Lookup routes one coalesced lookup to the owning shard's coalescer
-// and blocks for the batched result.
-func (c *ShardedCoalescer[K]) Lookup(key K) (K, bool, error) {
-	return c.group(key).Lookup(key)
-}
-
-// LookupCtx is Lookup with a caller deadline (see Coalescer.LookupCtx).
-func (c *ShardedCoalescer[K]) LookupCtx(ctx context.Context, key K) (K, bool, error) {
-	return c.group(key).LookupCtx(ctx, key)
-}
-
-// LookupGroup is Coalescer.LookupGroup across the shard groups: the keys
-// are split by owning shard, each shard's share is queued on that
-// shard's coalescer as one run — admitted there in order, and flushed at
-// once if that coalescer is idle — and the caller parks once, on one
-// reply cell, for all of them.
-func (c *ShardedCoalescer[K]) LookupGroup(ctx context.Context, keys []K, out []Result[K]) {
-	out = out[:len(keys)]
-	clear(out)
-	first := c.cos[0]
-	g := first.getGroup(len(keys))
-	tick := first.next.Add(1)
-	g.route = g.route[:0]
-	for _, k := range keys {
-		g.route = append(g.route, int32(c.groupIndex(k)))
-	}
-	for s, co := range c.cos {
-		run, idx := g.run[:0], g.idx[:0]
-		for i, r := range g.route {
-			if int(r) == s {
-				run, idx = append(run, keys[i]), append(idx, int32(i))
-			}
-		}
-		g.run = run
-		if len(run) == 0 {
-			continue
-		}
-		// Each run is kicked before the next is queued: a caller that
-		// blocks for the next coalescer's tokens leaves nothing unflushed
-		// behind it that another blocked caller could be waiting on.
-		sh := co.stripe(tick)
-		co.submitRun(ctx, g, sh, run, idx, out)
-		co.kick(sh, false)
-	}
-	first.await(ctx, g, out)
-}
-
-// Submit routes one lookup to the owning shard's coalescer and returns
-// its result channel.
-func (c *ShardedCoalescer[K]) Submit(key K) <-chan Result[K] {
-	return c.group(key).Submit(key)
-}
-
-// Batches returns the number of flushed batches across all shards.
-func (c *ShardedCoalescer[K]) Batches() int64 {
-	var n int64
-	for _, co := range c.cos {
-		n += co.Batches()
-	}
-	return n
-}
-
-// Queries returns the requests served through batches across all
-// shards.
-func (c *ShardedCoalescer[K]) Queries() int64 {
-	var n int64
-	for _, co := range c.cos {
-		n += co.Queries()
-	}
-	return n
-}
-
-// Flushes returns the flushes started across all shards, by cause.
-func (c *ShardedCoalescer[K]) Flushes() FlushCounts {
-	var n FlushCounts
-	for _, co := range c.cos {
-		f := co.Flushes()
-		n.Full += f.Full
-		n.Deadline += f.Deadline
-		n.Idle += f.Idle
-		n.Handoff += f.Handoff
-	}
-	return n
-}
-
-// Folded returns the duplicate keys folded by sorted flushes across all
-// shards.
-func (c *ShardedCoalescer[K]) Folded() int64 {
-	var n int64
-	for _, co := range c.cos {
-		n += co.Folded()
-	}
-	return n
-}
-
-// Shed returns the requests refused with ErrOverloaded across all
-// shards.
-func (c *ShardedCoalescer[K]) Shed() int64 {
-	var n int64
-	for _, co := range c.cos {
-		n += co.Shed()
-	}
-	return n
-}
-
-// DegradedShed returns the requests refused by fault-aware admission
-// (the shrunken degraded-mode window) across all shards.
-func (c *ShardedCoalescer[K]) DegradedShed() int64 {
-	var n int64
-	for _, co := range c.cos {
-		n += co.DegradedShed()
-	}
-	return n
-}
-
-// Deadlines returns the requests abandoned with ErrDeadlineExceeded
-// across all shards.
-func (c *ShardedCoalescer[K]) Deadlines() int64 {
-	var n int64
-	for _, co := range c.cos {
-		n += co.Deadlines()
-	}
-	return n
-}
-
-// ShedRate returns the sheds/sec over the last second across all
-// shards.
-func (c *ShardedCoalescer[K]) ShedRate() float64 {
-	var r float64
-	for _, co := range c.cos {
-		r += co.ShedRate()
-	}
-	return r
-}
-
-// AdmitWindow returns the summed admission windows of the shard groups —
-// the server-wide live admission budget.
-func (c *ShardedCoalescer[K]) AdmitWindow() int {
-	var n int
-	for _, co := range c.cos {
-		n += co.AdmitWindow()
-	}
-	return n
-}
-
-// TargetP99 returns the configured latency target (0 = static
-// admission).
-func (c *ShardedCoalescer[K]) TargetP99() time.Duration {
-	if len(c.cos) == 0 {
-		return 0
-	}
-	return c.cos[0].TargetP99()
-}
-
-// RetryAfter returns the worst (longest) retry hint across the shard
-// groups — the conservative advice for a client that cannot tell which
-// shard shed it.
-func (c *ShardedCoalescer[K]) RetryAfter() time.Duration {
-	var ra time.Duration
-	for _, co := range c.cos {
-		if r := co.RetryAfter(); r > ra {
-			ra = r
-		}
-	}
-	return ra
-}
-
-// NoteSpan feeds an externally measured span into every shard group's
-// admission controller (no-op on static groups).
-func (c *ShardedCoalescer[K]) NoteSpan(d time.Duration) {
-	for _, co := range c.cos {
-		co.NoteSpan(d)
-	}
-}
-
-// OverloadMetrics returns the aggregate admission-control snapshot:
-// counters and rates summed, the window summed, and the worst retry
-// hint.
-func (c *ShardedCoalescer[K]) OverloadMetrics() OverloadMetrics {
-	return OverloadMetrics{
-		Shed:         c.Shed(),
-		DegradedShed: c.DegradedShed(),
-		ShedRate:     c.ShedRate(),
-		AdmitWindow:  c.AdmitWindow(),
-		TargetP99:    c.TargetP99(),
-		RetryAfter:   c.RetryAfter(),
-	}
-}
-
-// GroupOverload returns the admission-control snapshot of one shard's
-// coalescer group (clamped for layouts that grew past the group count
-// after a split). The per-shard view behind SHARDSTATS.
-func (c *ShardedCoalescer[K]) GroupOverload(i int) OverloadMetrics {
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(c.cos) {
-		i = len(c.cos) - 1
-	}
-	return c.cos[i].OverloadMetrics()
-}
-
-// Close unhooks the pump span feed and closes every shard's coalescer,
-// failing their pending requests with ErrClosed.
-func (c *ShardedCoalescer[K]) Close() {
-	c.s.SetSpanSink(nil)
-	for _, co := range c.cos {
-		co.Close()
-	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"hbtree/internal/core"
 	"hbtree/internal/cpubtree"
@@ -20,6 +21,13 @@ func newShardedServer(t testing.TB, variant core.Variant, n, shards int) (*Shard
 	}
 	t.Cleanup(s.Close)
 	return s, pairs
+}
+
+// route returns the shard owning key k under the current split-key
+// table.
+func (s *ShardedServer[K]) route(k K) int {
+	m := s.reg.Meta()
+	return m.route(k)
 }
 
 // TestShardedRouting: every key routes to the shard whose range holds
@@ -277,16 +285,23 @@ func TestShardedAggregates(t *testing.T) {
 }
 
 // TestShardedClose: Close drains the pumps and is idempotent; writes
-// after Close fail with ErrClosed instead of hanging or panicking.
+// after Close fail with ErrClosed instead of hanging or panicking. A
+// coalescer with a latency target armed the pumps' span feed and closed
+// first: the write after it still feeds the closed coalescer, harmlessly.
 func TestShardedClose(t *testing.T) {
 	pairs := workload.Dataset[uint64](workload.Uniform, 1<<10, 42)
 	s, err := BuildSharded(pairs, core.Options{Variant: core.Regular, BucketSize: 64}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Update([]cpubtree.Op[uint64]{{Key: pairs[0].Key, Value: 9}}, core.AsyncParallel); err != nil {
-		t.Fatal(err)
+	s.Coalesce(Options{TargetP99: 10 * time.Millisecond}).Close()
+	if s.spanSink.Load() == nil {
+		t.Fatal("span feed not armed by a coalescer with a target")
 	}
+	finishes(t, "a write through the pumps after the coalescer closed", func() error {
+		_, err := s.Update([]cpubtree.Op[uint64]{{Key: pairs[0].Key, Value: 9}}, core.AsyncParallel)
+		return err
+	})
 	s.Close()
 	s.Close()
 	if _, err := s.Update([]cpubtree.Op[uint64]{{Key: pairs[0].Key, Value: 9}}, core.AsyncParallel); err != ErrClosed {
@@ -349,9 +364,11 @@ func TestNewShardedServerFromTree(t *testing.T) {
 	}
 }
 
-// TestShardedCoalescer: coalesced lookups route to per-shard coalescer
-// groups and return correct results from every shard.
-func TestShardedCoalescer(t *testing.T) {
+// TestCoalescerRoutesRunsAcrossShards: one coalescer over a sharded
+// backend forms batches without regard to shard bounds; each flush
+// routes its sorted runs to the owning shards, so lookups spread over
+// the key space return correct results and every shard serves some.
+func TestCoalescerRoutesRunsAcrossShards(t *testing.T) {
 	s, pairs := newShardedServer(t, core.Implicit, 1<<12, 4)
 	co := s.Coalesce(Options{MaxBatch: 16})
 	defer co.Close()
@@ -368,6 +385,11 @@ func TestShardedCoalescer(t *testing.T) {
 	}
 	if co.Batches() == 0 || co.Queries() != 512 {
 		t.Fatalf("coalescer counters: %d batches, %d queries", co.Batches(), co.Queries())
+	}
+	for i, m := range s.ShardMetrics() {
+		if m.BatchedQueries == 0 {
+			t.Fatalf("shard %d served none of the coalesced lookups", i)
+		}
 	}
 	res := <-co.Submit(pairs[1].Key)
 	if res.Err != nil || !res.Found || res.Value != pairs[1].Value {

@@ -68,7 +68,7 @@ func TestReadsDoNotWaitForWriter(t *testing.T) {
 		Lookup(uint64) (uint64, bool)
 	}
 	check := func(t *testing.T, pairs []keys.Pair[uint64], srv server, subs []*Server[uint64],
-		be Backend[uint64], co groupLooker) {
+		be Backend[uint64], co *Coalescer[uint64]) {
 		// Stored keys spread over every shard, ascending (pairs are
 		// sorted): the flush path's contract.
 		ks := make([]uint64, 32)

@@ -76,8 +76,9 @@ func NewServer[K Key](t *Tree[K]) *Server[K] {
 // a batch leaves when it is full, when a blocking caller finds no flush
 // running, when the flush it queued behind finishes, or at the window
 // deadline — so batch size follows load. LookupGroup submits several
-// lookups as one blocking call. Obtain one with Server.Coalesce or
-// Tree.Coalesced, and Close it to release its flusher goroutine.
+// lookups as one blocking call. Obtain one with Server.Coalesce,
+// ShardedServer.Coalesce or Tree.Coalesced, and Close it to release its
+// flusher goroutines.
 type Coalescer[K Key] struct {
 	*serve.Coalescer[K]
 }
@@ -143,15 +144,10 @@ func (t *Tree[K]) Sharded(shards int) (*ShardedServer[K], error) {
 	return NewShardedServer(t, shards)
 }
 
-// ShardedCoalescer routes coalesced point lookups to per-shard
-// coalescers, so batches form against the tree that will search them.
-type ShardedCoalescer[K Key] struct {
-	*serve.ShardedCoalescer[K]
-}
-
-// Coalesce starts one coalescer per shard over the sharded server.
-func (s *ShardedServer[K]) Coalesce(opt CoalescerOptions) *ShardedCoalescer[K] {
-	return &ShardedCoalescer[K]{s.ShardedServer.Coalesce(opt)}
+// Coalesce starts a request coalescer over the sharded server: each
+// sorted batch is split into one run per shard when it is flushed.
+func (s *ShardedServer[K]) Coalesce(opt CoalescerOptions) *Coalescer[K] {
+	return &Coalescer[K]{s.ShardedServer.Coalesce(opt)}
 }
 
 // DurableOptions configures OpenDurable: the data directory, the WAL
