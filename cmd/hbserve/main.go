@@ -33,16 +33,17 @@
 // a bucket (the paper's intended operating point): a batch leaves when
 // it is full or as soon as no other flush is running, so batch size
 // follows load and -coalesce-window is only the longest a GET waits for
-// companions. -coalesce-pending bounds the coalescer's in-flight window
-// with backpressure or (-coalesce-shed) fail-fast shedding. There is one
-// serving engine, the key-space sharded server: -shards T (default 1)
-// builds T trees, each with its own snapshot pointer and update pump, so
-// writes clone 1/T of the data and rebuilds overlap; one shard serves the
-// tree as it was built and can be split online like any other. PUT/DEL
-// drive the regular variant's batch update path through the owning
-// shard's pump. SIGINT/SIGTERM trigger a graceful shutdown that drains
-// in-flight requests — including dispatched per-shard update jobs —
-// before exiting.
+// companions. -coalesce-pending bounds the coalescer's in-flight window,
+// one static budget per server, with backpressure or (-coalesce-shed)
+// fail-fast shedding; a shed GET's retry hint is one -coalesce-window,
+// at least 1 ms. There is one serving engine, the key-space sharded
+// server: -shards T (default 1) builds T trees, each with its own
+// snapshot pointer and update pump, so writes clone 1/T of the data and
+// rebuilds overlap; one shard serves the tree as it was built and can be
+// split online like any other. PUT/DEL drive the regular variant's batch
+// update path through the owning shard's pump. SIGINT/SIGTERM trigger a
+// graceful shutdown that drains in-flight requests — including
+// dispatched per-shard update jobs — before exiting.
 //
 // Failures map to machine-parseable ERR codes so clients can pick the
 // right reaction (see README "Error codes"):
@@ -136,7 +137,6 @@ type server struct {
 	dur *hbtree.Durable[uint64]  // non-nil with -data-dir; all writes route through it
 
 	deadline      time.Duration // per-request budget for GET/PUT/DEL (0 = none)
-	targetP99     time.Duration // adaptive admission target (0 = static)
 	maxBatch      int           // -coalesce-batch (0 = the tree's bucket size)
 	overloadReply string        // precomputed "ERR OVERLOADED retry-after-ms=<n>\n"
 
@@ -155,8 +155,6 @@ type serveConfig struct {
 	maxPending int           // coalescer admission window (0 = unbounded)
 	shed       bool          // fail fast with ERR OVERLOADED instead of blocking
 	deadline   time.Duration // per-request budget for GET/PUT/DEL (0 = none)
-	targetP99  time.Duration // adaptive admission latency target (0 = static)
-	minPending int           // adaptive window floor (0 = maxPending/64)
 }
 
 // newServer wires the serving stack for cfg over srv: reads go to srv
@@ -164,7 +162,7 @@ type serveConfig struct {
 // through dur's WAL-before-ack discipline when dur (-data-dir, wrapping
 // srv) is non-nil.
 func newServer(srv *hbtree.ShardedServer[uint64], dur *hbtree.Durable[uint64], cfg serveConfig) *server {
-	s := &server{srv: srv, dur: dur, conns: make(map[net.Conn]struct{}), deadline: cfg.deadline, targetP99: cfg.targetP99, maxBatch: cfg.maxBatch}
+	s := &server{srv: srv, dur: dur, conns: make(map[net.Conn]struct{}), deadline: cfg.deadline, maxBatch: cfg.maxBatch}
 	// A shed request was refused before queueing; the soonest the next
 	// window can have room is one coalescing window away, so that is the
 	// retry hint (floored at 1ms, the practical client-side resolution).
@@ -185,8 +183,6 @@ func coalescerOptions(cfg serveConfig) hbtree.CoalescerOptions {
 		Window:     cfg.window,
 		MaxPending: cfg.maxPending,
 		Shed:       cfg.shed,
-		TargetP99:  cfg.targetP99,
-		MinPending: cfg.minPending,
 	}
 }
 
@@ -715,7 +711,7 @@ func (s *server) handleLine(w io.Writer, line string) (quit bool) {
 		c := s.srv.DeviceCounters()
 		m := s.srv.Metrics()
 		shed, deadlines, folded := int64(0), m.Deadlines, int64(0)
-		shedRate, admitWindow, targetP99 := 0.0, 0, time.Duration(0)
+		shedRate, admitWindow := 0.0, 0
 		var flushes serve.FlushCounts
 		if s.co != nil {
 			flushes = s.co.Flushes()
@@ -724,14 +720,13 @@ func (s *server) handleLine(w io.Writer, line string) (quit bool) {
 			folded = s.co.Folded()
 			shedRate = s.co.ShedRate()
 			admitWindow = s.co.AdmitWindow()
-			targetP99 = s.co.TargetP99()
 		}
-		fmt.Fprintf(w, "STATS pairs=%d height=%d iseg=%d lseg=%d h2d=%d d2h=%d kernels=%d lookups=%d batches=%d batched=%d updates=%d swaps=%d shards=%d vtime=%s gpufaults=%d retries=%d fallbacks=%d fbqueries=%d deadlines=%d shed=%d shed_rate=%.2f admit_window=%d target_p99=%s trips=%d breaker=%s epoch=%d repairs=%d rebalances=%d probes=%d saved=%d folded=%d inplace=%d clonefb=%d clonednodes=%d clonedbytes=%d layout=%s widths=%s advice=%s flush_full=%d flush_deadline=%d flush_idle=%d flush_handoff=%d\n",
+		fmt.Fprintf(w, "STATS pairs=%d height=%d iseg=%d lseg=%d h2d=%d d2h=%d kernels=%d lookups=%d batches=%d batched=%d updates=%d swaps=%d shards=%d vtime=%s gpufaults=%d retries=%d fallbacks=%d fbqueries=%d deadlines=%d shed=%d shed_rate=%.2f admit_window=%d trips=%d breaker=%s epoch=%d repairs=%d rebalances=%d probes=%d saved=%d folded=%d inplace=%d clonefb=%d clonednodes=%d clonedbytes=%d layout=%s widths=%s advice=%s flush_full=%d flush_deadline=%d flush_idle=%d flush_handoff=%d\n",
 			st.NumPairs, st.Height, st.InnerBytes, st.LeafBytes,
 			c.BytesH2D, c.BytesD2H, c.Kernels,
 			m.Lookups, m.Batches, m.BatchedQueries, m.Updates, s.srv.Swaps(), s.srv.Shards(), m.VirtualTime,
 			m.GPUFaults, m.Retries, m.FallbackBatches, m.FallbackQueries,
-			deadlines, shed, shedRate, admitWindow, targetP99, m.BreakerTrips, m.BreakerState,
+			deadlines, shed, shedRate, admitWindow, m.BreakerTrips, m.BreakerState,
 			s.srv.Epoch(), m.Repairs, s.srv.RebalanceStats().Rebalances,
 			m.NodeProbes, m.ProbesSaved, folded,
 			m.InPlaceApplied, m.CloneFallbacks, m.ClonedNodes, m.ClonedBytes,
@@ -823,21 +818,11 @@ func (s *server) handleRebalance(w io.Writer, fields []string) {
 }
 
 // errReply maps a serving-layer read error to its protocol code:
-// OVERLOADED and DEADLINE invite a retry (immediately bounded by the
-// hint, or with a larger budget), CLOSED does not.
+// OVERLOADED and DEADLINE invite a retry (after the hint, or with a
+// larger budget), CLOSED does not.
 func (s *server) errReply(err error) string {
 	switch {
 	case errors.Is(err, hbtree.ErrServerOverloaded):
-		if s.targetP99 > 0 {
-			var oe *hbtree.OverloadError
-			if errors.As(err, &oe) {
-				ms := oe.RetryAfter.Milliseconds()
-				if ms < 1 {
-					ms = 1
-				}
-				return fmt.Sprintf("ERR OVERLOADED retry-after-ms=%d\n", ms)
-			}
-		}
 		return s.overloadReply
 	case errors.Is(err, hbtree.ErrDeadlineExceeded):
 		return "ERR DEADLINE\n"
@@ -849,9 +834,7 @@ func (s *server) errReply(err error) string {
 // update runs one PUT/DEL batch through the owning shard's pump under
 // the per-request deadline. With -data-dir the batch flows through the
 // Durable: it is WAL-appended and group-commit fsynced before it is
-// applied, so the OK the client sees survives a crash. Adaptive
-// admission reads the pumps' spans (ShardedServer.Coalesce), so the
-// writer's share of capacity sizes the read window without help here.
+// applied, so the OK the client sees survives a crash.
 func (s *server) update(ops []hbtree.Op[uint64]) (hbtree.UpdateStats, error) {
 	ctx := context.Background()
 	if s.deadline > 0 {
@@ -902,20 +885,18 @@ func parseRange(w io.Writer, fields []string, cmd string) (start uint64, count i
 
 func main() {
 	var (
-		addr      = flag.String("addr", "127.0.0.1:7070", "listen address")
-		n         = flag.Int("n", 1<<20, "tuples to bulk-load")
-		seed      = flag.Uint64("seed", 42, "dataset seed")
-		once      = flag.Bool("once", false, "serve a single connection and exit (for tests)")
-		variant   = flag.String("variant", "implicit", "tree organisation: implicit | regular (regular enables PUT/DEL)")
-		leafFill  = flag.Float64("leaf-fill", 0, "regular-variant leaf occupancy at build, in (0,1]; <1 leaves per-leaf gaps so batched updates can apply in place (0 = full leaves, every batch clones)")
-		coalesce  = flag.Bool("coalesce", false, "coalesce concurrent GETs into heterogeneous batch searches")
-		window    = flag.Duration("coalesce-window", 100*time.Microsecond, "max time a GET waits for batch companions")
-		maxBatch  = flag.Int("coalesce-batch", 0, "coalesced batch size (0 = the tree's bucket size)")
-		pending   = flag.Int("coalesce-pending", 0, "max in-flight GETs — one budget per server, whatever -shards is (0 = unbounded)")
-		shed      = flag.Bool("coalesce-shed", false, "past -coalesce-pending, fail GETs with ERR overloaded instead of blocking")
-		targetP99 = flag.Duration("target-p99", 0, "adaptive admission: hold coalesced flush latency at this p99 target by resizing the pending window online (0 = static -coalesce-pending)")
-		minPend   = flag.Int("coalesce-min", 0, "adaptive admission window floor (0 = -coalesce-pending/64)")
-		shards    = flag.Int("shards", 1, "key-space shards, each with its own snapshot pointer and update pump (1 = one shard)")
+		addr     = flag.String("addr", "127.0.0.1:7070", "listen address")
+		n        = flag.Int("n", 1<<20, "tuples to bulk-load")
+		seed     = flag.Uint64("seed", 42, "dataset seed")
+		once     = flag.Bool("once", false, "serve a single connection and exit (for tests)")
+		variant  = flag.String("variant", "implicit", "tree organisation: implicit | regular (regular enables PUT/DEL)")
+		leafFill = flag.Float64("leaf-fill", 0, "regular-variant leaf occupancy at build, in (0,1]; <1 leaves per-leaf gaps so batched updates can apply in place (0 = full leaves, every batch clones)")
+		coalesce = flag.Bool("coalesce", false, "coalesce concurrent GETs into heterogeneous batch searches")
+		window   = flag.Duration("coalesce-window", 100*time.Microsecond, "max time a GET waits for batch companions")
+		maxBatch = flag.Int("coalesce-batch", 0, "coalesced batch size (0 = the tree's bucket size)")
+		pending  = flag.Int("coalesce-pending", 0, "max in-flight GETs — one budget per server, whatever -shards is (0 = unbounded)")
+		shed     = flag.Bool("coalesce-shed", false, "past -coalesce-pending, fail GETs with ERR overloaded instead of blocking")
+		shards   = flag.Int("shards", 1, "key-space shards, each with its own snapshot pointer and update pump (1 = one shard)")
 
 		rebalance   = flag.Bool("rebalance", false, "start the online shard rebalancer: split hot shards / merge cold neighbours as the update stream skews")
 		rbInterval  = flag.Duration("rebalance-interval", 100*time.Millisecond, "rebalance detector poll period")
@@ -988,8 +969,6 @@ func main() {
 		shards:     *shards,
 		maxPending: *pending,
 		shed:       *shed,
-		targetP99:  *targetP99,
-		minPending: *minPend,
 		deadline:   *deadline,
 	}
 

@@ -16,10 +16,12 @@ import (
 // when Close ran.
 var ErrClosed = errors.New("serve: coalescer closed")
 
-// ErrOverloaded is returned for requests shed by admission control: the
-// coalescer's in-flight window is at Options.MaxPending and Options.Shed
-// selected fail-fast over backpressure. The request was never queued;
-// the caller may retry or degrade.
+// ErrOverloaded is returned, as this very value, for requests shed by
+// admission control: the coalescer's in-flight window is at
+// Options.MaxPending and Options.Shed selected fail-fast over
+// backpressure, or the backend is degraded and the window is at
+// Options.DegradedPending. The request was never queued; the caller may
+// retry or degrade.
 var ErrOverloaded = errors.New("serve: coalescer overloaded")
 
 // DefaultWindow is the default coalescing deadline: the longest a queued
@@ -64,37 +66,16 @@ type Options struct {
 	// an external caller can retry against another replica or degrade.
 	Shed bool
 
-	// DegradedPending is the fault-aware admission window: while the
-	// backend reports Degraded (breaker open, batches answered by the
-	// slower CPU fallback), the coalescer admits only this many
-	// undelivered requests and fails the excess fast — regardless
-	// of Shed, since backpressure against a degraded backend just builds
-	// the queue the bound exists to prevent. Zero selects MaxPending/2
-	// (minimum 1); ignored when MaxPending is zero (an unbounded
-	// coalescer has no window to shrink). The full MaxPending window is
-	// restored the moment the backend recovers. Under adaptive admission
-	// (TargetP99 set) the degraded bound is a clamp on the controller's
-	// window, not a second mechanism: the effective window is
-	// min(adaptive, DegradedPending) while the backend is degraded.
+	// DegradedPending is the fault-aware clamp on the MaxPending window
+	// (DESIGN §11): while the backend reports Degraded (breaker open,
+	// batches answered by the slower CPU fallback), the coalescer admits
+	// only this many undelivered requests and fails the excess fast —
+	// regardless of Shed, since backpressure against a degraded backend
+	// just builds the queue the bound exists to prevent. Zero selects
+	// MaxPending/2 (minimum 1); ignored when MaxPending is zero (an
+	// unbounded coalescer has no window to shrink). The full MaxPending
+	// window is restored the moment the backend recovers.
 	DegradedPending int
-
-	// TargetP99, when positive, turns on adaptive admission (DESIGN
-	// §11): a closed-loop controller measures per-flush spans (first
-	// enqueue to result delivery) and resizes the admission window
-	// online — AIMD, clamped to [MinPending, MaxPending] — to
-	// hold this latency target. Adaptive admission always sheds at the
-	// window (fail-fast with a typed OverloadError carrying a
-	// retry-after hint) regardless of Shed: backpressure would hide the
-	// very signal the controller regulates. Zero (the default) keeps
-	// the static MaxPending/Shed behaviour exactly as before. When set
-	// with MaxPending zero, MaxPending defaults to 4096.
-	TargetP99 time.Duration
-
-	// MinPending is the adaptive window's floor: the controller never
-	// shrinks below it, so a transient latency spike cannot collapse
-	// admission entirely. Zero selects MaxPending/64 (minimum 1).
-	// Ignored without TargetP99.
-	MinPending int
 }
 
 // Result is the outcome of one coalesced lookup.
@@ -161,11 +142,6 @@ type pending[K keys.Key] struct {
 	// through perm, so no second key array is needed.
 	perm []int32
 	uref []int32
-
-	// t0 is the batch's first-enqueue time, armed only under adaptive
-	// admission: the flush span time.Since(t0) is the latency the
-	// batch's oldest request observed, the controller's input signal.
-	t0 time.Time
 
 	// armed records that the shard's deadline timer is running for this
 	// batch. Submit arms it on the spot; a blocking caller's kick follows
@@ -292,15 +268,7 @@ type Coalescer[K keys.Key] struct {
 	degShed   atomic.Int64 // of those, refused by fault-aware admission
 	deadlines atomic.Int64 // requests abandoned with ErrDeadlineExceeded
 	flushes   [numFlushCauses]atomic.Int64
-
-	// Adaptive admission state (DESIGN §11). ctl is nil when TargetP99
-	// is unset, which keeps the static admission path untouched.
-	// overload caches the current typed shed error so the shed path
-	// hands out an immutable value instead of allocating per request;
-	// shedRate is the windowed sheds/sec tracker behind ShedRate().
-	ctl      *controller
-	overload atomic.Pointer[OverloadError]
-	shedRate rateTracker
+	shedRate  rateTracker // sheds per second, behind ShedRate
 }
 
 // NewCoalescer starts a coalescer over a backend — a Server or a
@@ -315,21 +283,6 @@ func NewCoalescer[K keys.Key](be Backend[K], opt Options) *Coalescer[K] {
 	}
 	if opt.Shards <= 0 {
 		opt.Shards = runtime.GOMAXPROCS(0)
-	}
-	if opt.TargetP99 > 0 {
-		// Adaptive admission needs a bounded window to resize.
-		if opt.MaxPending <= 0 {
-			opt.MaxPending = 4096
-		}
-		if opt.MinPending <= 0 {
-			opt.MinPending = opt.MaxPending / 64
-		}
-		if opt.MinPending < 1 {
-			opt.MinPending = 1
-		}
-		if opt.MinPending > opt.MaxPending {
-			opt.MinPending = opt.MaxPending
-		}
 	}
 	if opt.MaxPending > 0 {
 		if opt.DegradedPending <= 0 {
@@ -346,17 +299,6 @@ func NewCoalescer[K keys.Key](be Backend[K], opt Options) *Coalescer[K] {
 		shards:     make([]shard[K], opt.Shards),
 		done:       make(chan struct{}),
 	}
-	if opt.TargetP99 > 0 {
-		c.ctl = newController(opt)
-	}
-	// The cached shed error: static coalescers hint one coalescing
-	// window (the pre-adaptive retry advice); adaptive steps refresh it
-	// with the live drain estimate.
-	ra := opt.Window
-	if ra < time.Millisecond {
-		ra = time.Millisecond
-	}
-	c.overload.Store(&OverloadError{RetryAfter: ra})
 	c.batchPool.New = func() any {
 		p := &pending[K]{
 			keys:    make([]K, 0, opt.MaxBatch),
@@ -388,7 +330,6 @@ func (c *Coalescer[K]) getBatch() *pending[K] {
 	p := c.batchPool.Get().(*pending[K])
 	p.keys = p.keys[:0]
 	p.waiters = p.waiters[:0]
-	p.t0 = time.Time{}
 	p.armed = false
 	return p
 }
@@ -543,25 +484,23 @@ func (c *Coalescer[K]) await(ctx context.Context, g *group[K], out []Result[K]) 
 
 // tryAdmit takes one token from the coalescer's admission pool without
 // blocking, before the request touches a shard. The effective window is
-// the controller's live value under adaptive admission and MaxPending
-// otherwise, clamped to DegradedPending while the backend is degraded
+// MaxPending, clamped to DegradedPending while the backend is degraded
 // (the cheap length check runs first so the healthy path never pays for
-// the breaker-state load). Past the window the request is shed — err is
-// the cached typed error — when admission is adaptive (backpressure
-// would hide the latency signal the controller regulates), Shed is set,
-// or the degraded clamp engaged (queueing against the slower fallback
-// only builds the backlog the bound exists to prevent); otherwise
-// neither ok nor err is set and the caller may block in waitAdmit. The
-// length check is soft — a racing submitter can land one past it — but
-// the token channel's MaxPending capacity stays the hard cap.
+// the breaker-state load). Past the window the request is shed with
+// ErrOverloaded when Shed is set or the degraded clamp engaged (queueing
+// against the slower fallback only builds the backlog the bound exists
+// to prevent); otherwise neither ok nor err is set and the caller may
+// block in waitAdmit. The length check is soft — a racing submitter can
+// land one past it — but the token channel's MaxPending capacity stays
+// the hard cap.
 func (c *Coalescer[K]) tryAdmit() (ok bool, err error) {
-	w := c.AdmitWindow()
-	eff, n := w, len(c.slots)
+	w, n := c.opt.MaxPending, len(c.slots)
+	eff := w
 	clamped := n >= c.degPending && c.be.Degraded()
 	if clamped {
 		eff = min(eff, c.degPending)
 	}
-	sheds := c.ctl != nil || c.opt.Shed || clamped
+	sheds := c.opt.Shed || clamped
 	if !sheds || n < eff {
 		select {
 		case c.slots <- struct{}{}:
@@ -576,8 +515,8 @@ func (c *Coalescer[K]) tryAdmit() (ok bool, err error) {
 	if clamped && n < w {
 		c.degShed.Add(1)
 	}
-	c.noteShed()
-	return false, c.overloadErr()
+	c.shedRate.note(time.Now().UnixNano())
+	return false, ErrOverloaded
 }
 
 // waitAdmit blocks until a token frees, the coalescer closes or ctx
@@ -612,7 +551,6 @@ func (c *Coalescer[K]) enqueue(sh *shard[K], keys []K, w waiter[K]) int {
 			break
 		}
 		p := sh.cur
-		first := len(p.keys) == 0
 		n := min(len(keys)-queued, c.opt.MaxBatch-len(p.keys))
 		p.keys = append(p.keys, keys[queued:queued+n]...)
 		for i := 0; i < n; i++ {
@@ -625,9 +563,6 @@ func (c *Coalescer[K]) enqueue(sh *shard[K], keys []K, w waiter[K]) int {
 			sh.mu.Unlock()
 			c.flush(p, flushFull)
 			continue
-		}
-		if first && c.ctl != nil {
-			p.t0 = time.Now()
 		}
 		if w.g != nil {
 			sh.want.Store(true)
@@ -786,15 +721,11 @@ func (c *Coalescer[K]) fail(p *pending[K], err error) {
 	c.recycle(p)
 }
 
-// recycle releases a delivered batch's admission tokens, pools it and
-// feeds its span to the controller (a failed flush occupied the
-// pipeline just the same).
+// recycle releases a delivered batch's admission tokens and pools it.
 func (c *Coalescer[K]) recycle(p *pending[K]) {
-	t0 := p.t0
 	c.releaseSlots(len(p.waiters))
 	clear(p.waiters) // don't pin reply cells from the pool
 	c.batchPool.Put(p)
-	c.noteFlushSpan(t0)
 }
 
 // releaseSlots returns n admission tokens to the window once their
@@ -863,3 +794,56 @@ func (c *Coalescer[K]) DegradedShed() int64 { return c.degShed.Load() }
 // Deadlines returns how many requests were abandoned with
 // ErrDeadlineExceeded.
 func (c *Coalescer[K]) Deadlines() int64 { return c.deadlines.Load() }
+
+// AdmitWindow returns the coalescer's admission window, one budget for
+// all its pending queues: Options.MaxPending (0 = unbounded).
+func (c *Coalescer[K]) AdmitWindow() int { return c.opt.MaxPending }
+
+// ShedRate returns the sheds/sec over the last second.
+func (c *Coalescer[K]) ShedRate() float64 {
+	return c.shedRate.perSecond(time.Now().UnixNano())
+}
+
+// rateBuckets x rateBucketNs make up the shed-rate measurement window:
+// eight 125ms buckets covering the last second.
+const (
+	rateBuckets  = 8
+	rateBucketNs = int64(time.Second) / rateBuckets
+)
+
+// rateTracker is a bucketed ring counting events per 125ms bucket; the
+// sum of live buckets is the events/sec over the last second. It is
+// touched only on the shed path and at metrics reads, so a mutex is
+// fine.
+type rateTracker struct {
+	mu     sync.Mutex
+	counts [rateBuckets]int64
+	bucket [rateBuckets]int64 // which absolute bucket each slot holds
+}
+
+func (r *rateTracker) note(nowNs int64) {
+	b := nowNs / rateBucketNs
+	i := int(b % rateBuckets)
+	r.mu.Lock()
+	if r.bucket[i] != b {
+		r.bucket[i] = b
+		r.counts[i] = 0
+	}
+	r.counts[i]++
+	r.mu.Unlock()
+}
+
+// perSecond returns the event rate over the trailing second (the
+// current partial bucket included).
+func (r *rateTracker) perSecond(nowNs int64) float64 {
+	b := nowNs / rateBucketNs
+	var n int64
+	r.mu.Lock()
+	for i := 0; i < rateBuckets; i++ {
+		if b-r.bucket[i] < rateBuckets {
+			n += r.counts[i]
+		}
+	}
+	r.mu.Unlock()
+	return float64(n)
+}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -221,12 +220,6 @@ func TestCoalescerCorrectnessUnderLoad(t *testing.T) {
 	be := &gatedBackend{Server: srv}
 	c := NewCoalescer[uint64](be, Options{MaxBatch: 64, Window: time.Hour, Shards: 1})
 	defer c.Close()
-	sh := &c.shards[0]
-	forming := func() int {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return len(sh.cur.keys)
-	}
 
 	const clients = 8
 	rounds := 50
@@ -243,7 +236,7 @@ func TestCoalescerCorrectnessUnderLoad(t *testing.T) {
 			replies[w] = lookupAsync(c, round[w].Key)
 		}
 		waitFor(t, "every client to sit in a gated flush or behind one", func() bool {
-			return int(be.held.Load())+forming() == (r+1)*clients
+			return int(be.held.Load())+forming(c) == (r+1)*clients
 		})
 		be.gate.Unlock()
 		for w, reply := range replies {
@@ -299,6 +292,9 @@ func TestAdmissionShed(t *testing.T) {
 		// Blocking Lookup sheds the same way.
 		if _, _, err := c.Lookup(pairs[3].Key); !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("shards=%d: Lookup err = %v, want ErrOverloaded", shards, err)
+		}
+		if c.Shed() != 2 || c.ShedRate() <= 0 {
+			t.Fatalf("shards=%d: Shed = %d, ShedRate = %v right after two sheds", shards, c.Shed(), c.ShedRate())
 		}
 		// The two admitted requests are still pending (tokens exhausted
 		// below MaxBatch, window never fires); Close fails them with
@@ -382,86 +378,91 @@ func (b *gatedBackend) LookupBatchSortedInto(q, v []uint64, f []bool) (core.Sear
 	return b.Server.LookupBatchSortedInto(q, v, f)
 }
 
+// forming counts the requests sitting in c's forming batches.
+func forming(c *Coalescer[uint64]) int {
+	n := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		n += len(sh.cur.keys)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
 // TestAdmissionBoundsTailLatency is the admission-control acceptance
 // criterion at the ROADMAP's pipeline depth: 8 clients × depth 512 =
-// 4096 concurrent lookups hit a backend that has stalled — a gate in
-// front of the server is held for the whole burst, the scenario that
-// actually creates a deep in-flight window, since admission tokens only
-// return when a flush delivers. (A healthy backend recycles tokens
-// faster than clients can pile up, so depth alone never engages the
-// bound.) Unbounded, every request queues behind the stall and the
-// completion p99 is the stall length. With the window bounded and Shed
-// on, at most MaxPending requests are ever in flight; the excess fails
-// fast with ErrOverloaded instead of queueing, so the completion p99 —
-// shed responses included, which is what a retrying client observes —
-// stays flat instead of growing with depth. Backpressure mode bounds
-// the same window by parking the excess in the caller (covered by
-// TestAdmissionBackpressure); shedding is the mode that bounds p99.
+// 4096 concurrent lookups of distinct keys hit a backend that has
+// stalled — a gate in front of the server is held shut for the whole
+// burst, the scenario that actually creates a deep in-flight window,
+// since admission tokens only return when a flush delivers. Unbounded,
+// every request queues behind the stall: all 4096 sit in gated flushes
+// or forming batches and none is answered before the gate opens, so
+// every one waits out the stall. With MaxPending 32 and Shed on, exactly
+// 32 are admitted and the other 4064 fail with ErrOverloaded while the
+// gate is still shut, so no more than 32 requests (0.8 % of the burst)
+// can wait out the stall — the tail is bounded by count, whatever the
+// stall lasts. Backpressure mode bounds the same window by parking the
+// excess in the caller (TestAdmissionBackpressure).
 func TestAdmissionBoundsTailLatency(t *testing.T) {
-	pairs := workload.Dataset[uint64](workload.Uniform, 1<<10, 42)
-	tree, err := core.Build(pairs, core.Options{Variant: core.Implicit, BucketSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tree.Close)
-	srv := &gatedBackend{Server: NewServer(tree)}
-
 	const (
-		clients    = 8
-		depth      = 512
-		burst      = clients * depth
-		stall      = 150 * time.Millisecond
-		maxPending = 32
+		clients = 8
+		depth   = 512
+		burst   = clients * depth
 	)
-	run := func(opt Options) (p99 time.Duration, sheds int64) {
-		c := NewCoalescer(srv, opt)
+	srv, pairs := newTestServer(t, core.Implicit, burst)
+
+	run := func(t *testing.T, opt Options, admitted int) {
+		be := &gatedBackend{Server: srv}
+		c := NewCoalescer[uint64](be, opt)
 		defer c.Close()
 		// Stall the backend: flushes block on the gate, so no result is
 		// delivered (and no admission token released) until it opens.
-		srv.gate.Lock()
-		lat := make([]time.Duration, burst)
-		var shed atomic.Int64
+		be.gate.Lock()
+		open := sync.OnceFunc(be.gate.Unlock)
+		defer open()
+		res := make([]Result[uint64], burst)
+		var shed, answered atomic.Int64
 		var wg sync.WaitGroup
-		start := make(chan struct{})
 		for i := 0; i < burst; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				<-start
-				t0 := time.Now()
-				_, _, err := c.Lookup(pairs[i%len(pairs)].Key)
-				lat[i] = time.Since(t0)
+				v, found, err := c.Lookup(pairs[i].Key)
+				res[i] = Result[uint64]{Value: v, Found: found, Err: err}
 				if errors.Is(err, ErrOverloaded) {
 					shed.Add(1)
-				} else if err != nil {
-					t.Errorf("lookup %d: %v", i, err)
+				} else {
+					answered.Add(1)
 				}
 			}(i)
 		}
-		close(start)
-		time.Sleep(stall)
-		srv.gate.Unlock()
+		// Keys are distinct, so a flush folds nothing and held counts the
+		// requests inside gated flushes.
+		waitFor(t, "every request to be shed or held behind the gate", func() bool {
+			return shed.Load() == int64(burst-admitted) && int(be.held.Load())+forming(c) == admitted
+		})
+		if n := answered.Load(); n != 0 {
+			t.Fatalf("%d lookups answered while the backend was stalled", n)
+		}
+		open()
 		wg.Wait()
-		sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
-		return lat[burst*99/100], shed.Load()
+		if got := c.Shed(); got != int64(burst-admitted) || shed.Load() != got {
+			t.Fatalf("Shed() = %d, lookups shed %d, want %d", got, shed.Load(), burst-admitted)
+		}
+		for i, r := range res {
+			if !errors.Is(r.Err, ErrOverloaded) {
+				wantValue(t, "admitted lookup", r, pairs[i].Value)
+			}
+		}
 	}
 
-	unboundedP99, _ := run(Options{MaxBatch: 64, Window: time.Millisecond, Shards: 1})
-	boundedP99, sheds := run(Options{MaxBatch: 64, Window: time.Millisecond, Shards: 1,
-		MaxPending: maxPending, Shed: true})
-	t.Logf("unbounded p99 %v; bounded p99 %v, %d of %d shed", unboundedP99, boundedP99, sheds, burst)
-
-	if unboundedP99 < stall/2 {
-		t.Fatalf("stall did not register: unbounded p99 %v against a %v stall", unboundedP99, stall)
-	}
-	if sheds < burst/2 {
-		t.Errorf("admission never engaged: only %d of %d requests shed", sheds, burst)
-	}
-	// At most maxPending requests (0.8% of the burst) waited out the
-	// stall; the 99th percentile must land in the fast shed/served group.
-	if boundedP99 > unboundedP99/4 {
-		t.Errorf("bounded p99 %v did not stay flat (unbounded %v)", boundedP99, unboundedP99)
-	}
+	t.Run("unbounded", func(t *testing.T) {
+		run(t, Options{MaxBatch: 64, Window: time.Hour, Shards: 1}, burst)
+	})
+	t.Run("bounded", func(t *testing.T) {
+		run(t, Options{MaxBatch: 64, Window: time.Hour, Shards: 1, MaxPending: 32, Shed: true}, 32)
+	})
 }
 
 // TestAdmissionBackpressureUnblocksOnClose: a submitter blocked in
@@ -489,5 +490,95 @@ func TestAdmissionBackpressureUnblocksOnClose(t *testing.T) {
 	}
 	if res := <-r1; !errors.Is(res.Err, ErrClosed) {
 		t.Fatalf("pending result = %+v, want ErrClosed", res)
+	}
+}
+
+// TestShedRateWindowed: the tracker reports events/sec over the
+// trailing second and forgets them afterwards.
+func TestShedRateWindowed(t *testing.T) {
+	var r rateTracker
+	t0 := int64(10 * time.Second)
+	for i := 0; i < 10; i++ {
+		r.note(t0 + int64(i)*int64(50*time.Millisecond))
+	}
+	if got := r.perSecond(t0 + int64(500*time.Millisecond)); got != 10 {
+		t.Fatalf("perSecond inside window = %v, want 10", got)
+	}
+	if got := r.perSecond(t0 + int64(3*time.Second)); got != 0 {
+		t.Fatalf("perSecond after decay = %v, want 0", got)
+	}
+}
+
+// slowBackend is a deterministic-capacity fake: every flush holds a
+// shared mutex for per — one "device" serving batches serially — so the
+// backend's capacity is exactly MaxBatch/per regardless of host speed.
+// Lookups echo the key as the value.
+type slowBackend struct {
+	mu  sync.Mutex
+	per time.Duration
+}
+
+func (b *slowBackend) LookupBatchSortedInto(q, v []uint64, f []bool) (core.SearchStats, error) {
+	b.mu.Lock()
+	time.Sleep(b.per)
+	b.mu.Unlock()
+	for i := range q {
+		v[i], f[i] = q[i], true
+	}
+	return core.SearchStats{Queries: len(q)}, nil
+}
+
+func (b *slowBackend) Options() core.Options { return core.Options{BucketSize: 64} }
+func (b *slowBackend) Degraded() bool        { return false }
+
+// TestShedDrainShutdownMidLoad: closing a shed-mode coalescer while 32
+// clients keep lookups queued behind a slow backend, holding admission
+// tokens, must not deadlock — every in-flight request resolves (result,
+// ErrOverloaded or ErrClosed) and Close returns.
+func TestShedDrainShutdownMidLoad(t *testing.T) {
+	be := &slowBackend{per: 5 * time.Millisecond}
+	co := NewCoalescer[uint64](be, Options{
+		Shards: 1, MaxBatch: 8, Window: 200 * time.Microsecond,
+		MaxPending: 256, Shed: true,
+	})
+	var wg sync.WaitGroup
+	for c := 0; c < 32; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			k := uint64(c)
+			for {
+				_, _, err := co.Lookup(k)
+				k += 32
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil && !errors.Is(err, ErrOverloaded) {
+					t.Errorf("lookup: %v", err)
+					return
+				}
+			}
+		}(c)
+	}
+	time.Sleep(150 * time.Millisecond)
+	closed := make(chan struct{})
+	go func() {
+		co.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close deadlocked under load")
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("clients did not unwind after Close")
 	}
 }

@@ -118,22 +118,16 @@ func TestLookupGroupStraddlesBatches(t *testing.T) {
 }
 
 // TestLookupGroupAdmission is the admission table for groups: a group
-// of 32 against a window of 1 or 8. Shed and adaptive admission answer
-// exactly the members that fit and refuse the rest, each on its own;
-// blocking admission completes every member — with an hour-long window,
-// so only the caller flushing what it queued before it waits for a
-// token can have made room.
+// of 32 against a window of 1 or 8. Shed admission answers exactly the
+// members that fit and refuses the rest, each on its own; blocking
+// admission completes every member — with an hour-long window, so only
+// the caller flushing what it queued before it waits for a token can
+// have made room.
 func TestLookupGroupAdmission(t *testing.T) {
 	const groupSize = 32
 	for _, maxPending := range []int{1, 8} {
-		for _, mode := range []string{"shed", "blocking", "adaptive"} {
-			opt := Options{MaxBatch: 64, Window: time.Hour, MaxPending: maxPending}
-			switch mode {
-			case "shed":
-				opt.Shed = true
-			case "adaptive":
-				opt.TargetP99 = time.Second
-			}
+		for _, mode := range []string{"shed", "blocking"} {
+			opt := Options{MaxBatch: 64, Window: time.Hour, MaxPending: maxPending, Shed: mode == "shed"}
 			t.Run(fmt.Sprintf("%s-%d", mode, maxPending), func(t *testing.T) {
 				srv, pairs := newTestServer(t, core.Implicit, 1<<10)
 				c := NewCoalescer(srv, opt)

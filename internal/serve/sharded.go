@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hbtree/internal/breaker"
 	"hbtree/internal/core"
@@ -126,13 +125,6 @@ type ShardedServer[K keys.Key] struct {
 	// deadlines counts writes abandoned at the dispatch layer (pump send
 	// or outcome wait); per-shard waits are counted by the sub-servers.
 	deadlines atomic.Int64
-
-	// spanSink, when armed, is the coalescer whose admission controller
-	// is fed the wall time of every pump-applied write job, so write-path
-	// cost shifts (delta vs clone lanes, rebuilds) move the read-side
-	// window. Coalesce arms it when TargetP99 is set and states its
-	// lifetime. nil costs the pump nothing.
-	spanSink atomic.Pointer[Coalescer[K]]
 
 	// Recorded resilience policy, inherited by shard servers created
 	// during a rebalance (fresh breaker instances — shared ones would
@@ -334,18 +326,10 @@ func (s *ShardedServer[K]) pumpLoop(ch chan shardJob[K]) {
 			continue
 		}
 		var d shardDone
-		var t0 time.Time
-		sink := s.spanSink.Load()
-		if sink != nil {
-			t0 = time.Now()
-		}
 		if job.rebuild {
 			d.stats, d.err = job.sub.RebuildCtx(job.ctx, job.pairs)
 		} else {
 			d.stats, d.err = job.sub.UpdateCtx(job.ctx, job.ops, job.method)
-		}
-		if sink != nil {
-			sink.NoteSpan(time.Since(t0))
 		}
 		job.done <- d
 	}
@@ -990,17 +974,7 @@ func (s *ShardedServer[K]) LookupBatchSortedInto(queries []K, values []K, found 
 // Coalesce starts a coalescer over the server: one stream of lookups
 // cut into sorted batches, each split into one run per shard at flush
 // time (LookupBatchSortedInto), so it serves whatever layout later
-// rebalances install. With opt.TargetP99 set, the update pumps' spans
-// feed its controller as well — all shards share one device, so a
-// write-path slowdown anywhere is a latency signal for the read window.
-// The feed is armed here and never disarmed: after the coalescer's Close
-// a span only touches the controller's atomics, and the pumps that
-// produce them stop at the server's Close. A second Coalesce with a
-// target takes the feed over.
+// rebalances install.
 func (s *ShardedServer[K]) Coalesce(opt Options) *Coalescer[K] {
-	c := NewCoalescer[K](s, opt)
-	if opt.TargetP99 > 0 {
-		s.spanSink.Store(c)
-	}
-	return c
+	return NewCoalescer[K](s, opt)
 }

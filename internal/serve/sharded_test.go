@@ -3,7 +3,6 @@ package serve
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"hbtree/internal/core"
 	"hbtree/internal/cpubtree"
@@ -285,23 +284,13 @@ func TestShardedAggregates(t *testing.T) {
 }
 
 // TestShardedClose: Close drains the pumps and is idempotent; writes
-// after Close fail with ErrClosed instead of hanging or panicking. A
-// coalescer with a latency target armed the pumps' span feed and closed
-// first: the write after it still feeds the closed coalescer, harmlessly.
+// after Close fail with ErrClosed instead of hanging or panicking.
 func TestShardedClose(t *testing.T) {
 	pairs := workload.Dataset[uint64](workload.Uniform, 1<<10, 42)
 	s, err := BuildSharded(pairs, core.Options{Variant: core.Regular, BucketSize: 64}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Coalesce(Options{TargetP99: 10 * time.Millisecond}).Close()
-	if s.spanSink.Load() == nil {
-		t.Fatal("span feed not armed by a coalescer with a target")
-	}
-	finishes(t, "a write through the pumps after the coalescer closed", func() error {
-		_, err := s.Update([]cpubtree.Op[uint64]{{Key: pairs[0].Key, Value: 9}}, core.AsyncParallel)
-		return err
-	})
 	s.Close()
 	s.Close()
 	if _, err := s.Update([]cpubtree.Op[uint64]{{Key: pairs[0].Key, Value: 9}}, core.AsyncParallel); err != ErrClosed {

@@ -16,8 +16,9 @@ import (
 // longer serve after Close.
 var ErrServerClosed = serve.ErrClosed
 
-// ErrServerOverloaded is returned by a Coalescer for requests shed by
-// admission control (CoalescerOptions.MaxPending with Shed set): the
+// ErrServerOverloaded is returned, as this very value, by a Coalescer
+// for requests shed by admission control (CoalescerOptions.MaxPending
+// with Shed set, or DegradedPending while the backend is degraded): the
 // in-flight window was full, the request was never queued, and the
 // caller may retry or degrade.
 var ErrServerOverloaded = serve.ErrOverloaded
@@ -29,17 +30,6 @@ var ErrServerOverloaded = serve.ErrOverloaded
 // server refused the work; the request simply ran out of time.
 var ErrDeadlineExceeded = serve.ErrDeadlineExceeded
 
-// OverloadError is the typed shed error: every ErrServerOverloaded
-// response unwraps to it (errors.As), and it carries the retry-after
-// hint — the estimated admission-window drain time inflated by the
-// current shed rate — that clients should back off by before retrying.
-type OverloadError = serve.OverloadError
-
-// OverloadMetrics is the admission-control view of a coalescer: shed
-// counters, the windowed shed rate, the live admission window, and the
-// adaptive controller's target (zero under static admission).
-type OverloadMetrics = serve.OverloadMetrics
-
 // RetryOptions bounds the GPU-path retry loop a Server runs before a
 // faulted batch degrades to the CPU-only fallback (Server.SetResilience).
 type RetryOptions = serve.RetryOptions
@@ -47,9 +37,9 @@ type RetryOptions = serve.RetryOptions
 // CoalescerOptions configures Server.Coalesce: the batch size and the
 // window (the longest a request waits for companions — blocking callers
 // are flushed as soon as the engine is free), the shard count across
-// which submissions spread, the
-// admission window (MaxPending/Shed), and the adaptive latency-target
-// controller (TargetP99/MinPending) that resizes the window online.
+// which submissions spread, and the static admission window: MaxPending
+// undelivered requests, with Shed choosing fail-fast over backpressure
+// past it, clamped to DegradedPending while the backend is degraded.
 type CoalescerOptions = serve.Options
 
 // ServerMetrics is a snapshot of a Server's serving counters, including
