@@ -52,13 +52,15 @@
 //	ERR DEADLINE                        the -deadline budget expired; retrying may help
 //	ERR CLOSED                          the server is shutting down; do not retry here
 //
-// -deadline bounds each GET/PUT/DEL; -fault-* arm the deterministic
+// -deadline bounds each GET/PUT/DEL. The HBTREE_FAULT environment
+// variable ("kernel=1,seed=7", see fault.Parse) arms the deterministic
 // GPU fault injector (kernel/transfer/allocation failure rates, reset
 // bursts) so degraded-mode serving — circuit breaker, CPU-only
-// fallback — can be exercised end to end against a live server.
+// fallback — can be exercised end to end against a live server. It arms
+// when the serving engine is constructed: after the bulk load, before
+// any recovery replay.
 //
-// The server bulk-loads a synthetic uniform dataset at startup, or
-// restores a snapshot written by -save via -load.
+// The server bulk-loads a synthetic uniform dataset at startup.
 //
 // -data-dir <dir> turns on the durability subsystem (DESIGN §8): every
 // acked PUT/DEL is appended to a per-partition write-ahead log and
@@ -67,8 +69,8 @@
 // shutdown) bound the log so a restart bulk-loads the snapshot images
 // and replays only the WAL tail. A dir holding a committed snapshot is
 // recovered — its shard layout (one shard or many) wins over -shards and
-// the seed flags are ignored. -data-dir supersedes -load/-save
-// (combining them is an error).
+// the seed flags are ignored. An implicit (read-only) index persisted
+// this way restarts from its snapshot without rebuilding.
 //
 // -pprof <addr> serves net/http/pprof on a side listener (e.g.
 // -pprof localhost:6060, then `go tool pprof
@@ -888,7 +890,6 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:7070", "listen address")
 		n        = flag.Int("n", 1<<20, "tuples to bulk-load")
 		seed     = flag.Uint64("seed", 42, "dataset seed")
-		once     = flag.Bool("once", false, "serve a single connection and exit (for tests)")
 		variant  = flag.String("variant", "implicit", "tree organisation: implicit | regular (regular enables PUT/DEL)")
 		leafFill = flag.Float64("leaf-fill", 0, "regular-variant leaf occupancy at build, in (0,1]; <1 leaves per-leaf gaps so batched updates can apply in place (0 = full leaves, every batch clones)")
 		coalesce = flag.Bool("coalesce", false, "coalesce concurrent GETs into heterogeneous batch searches")
@@ -898,31 +899,14 @@ func main() {
 		shed     = flag.Bool("coalesce-shed", false, "past -coalesce-pending, fail GETs with ERR overloaded instead of blocking")
 		shards   = flag.Int("shards", 1, "key-space shards, each with its own snapshot pointer and update pump (1 = one shard)")
 
-		rebalance   = flag.Bool("rebalance", false, "start the online shard rebalancer: split hot shards / merge cold neighbours as the update stream skews")
-		rbInterval  = flag.Duration("rebalance-interval", 100*time.Millisecond, "rebalance detector poll period")
-		rbMinOps    = flag.Int64("rebalance-minops", 4096, "update volume a detector window must accumulate before acting")
-		rbHot       = flag.Float64("rebalance-hot", 0.5, "split a shard once it absorbs more than this share of a window's updates")
-		rbCold      = flag.Float64("rebalance-cold", 0.05, "merge an adjacent shard pair below this combined share (negative disables merging)")
-		rbMaxShards = flag.Int("rebalance-max-shards", 0, "shard-count cap for splits (0 = twice the count at decision time)")
-		loadPath    = flag.String("load", "", "restore the index from a snapshot file instead of bulk-loading")
-		savePath    = flag.String("save", "", "write a snapshot of the built index to this file and continue serving")
-		pprofTo     = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
+		rebalance = flag.Bool("rebalance", false, "start the online shard rebalancer: polled every 100ms, once 4096 updates have accumulated it splits a shard that took over half of them or merges a neighbour pair under 5%")
+		pprofTo   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
 
 		dataDir   = flag.String("data-dir", "", "durable data directory (WAL + epoch-aligned snapshots); acked writes survive a crash")
 		fsyncIv   = flag.Duration("fsync-interval", 2*time.Millisecond, "WAL group-commit window (0 = fsync every append inline)")
 		snapEvery = flag.Duration("snapshot-every", 0, "background snapshot period (0 = snapshot only on SNAPSHOT and shutdown)")
-		walParts  = flag.Int("wal-partitions", 0, "WAL partition count, fixed at first boot (0 = the shard count)")
 
 		deadline = flag.Duration("deadline", 0, "per-request budget for GET/PUT/DEL; expiry answers ERR DEADLINE (0 = none)")
-
-		fKernel   = flag.Float64("fault-kernel", 0, "injected kernel launch failure rate [0,1]")
-		fH2D      = flag.Float64("fault-h2d", 0, "injected host-to-device transfer timeout rate [0,1]")
-		fD2H      = flag.Float64("fault-d2h", 0, "injected device-to-host transfer timeout rate [0,1]")
-		fOOM      = flag.Float64("fault-oom", 0, "injected device allocation failure rate [0,1]")
-		fCorrupt  = flag.Float64("fault-corrupt", 0, "fraction of injected transfer faults reported as payload corruption [0,1]")
-		fReset    = flag.Float64("fault-reset", 0, "per-operation probability of starting a device reset burst [0,1]")
-		fResetOps = flag.Int("fault-reset-ops", 0, "reset burst length in device operations (0 = fault.DefaultResetOps)")
-		fSeed     = flag.Uint64("fault-seed", 1, "fault injector PRNG seed (equal seeds replay equal fault sequences)")
 	)
 	flag.Parse()
 
@@ -972,19 +956,12 @@ func main() {
 		deadline:   *deadline,
 	}
 
-	// Setup — the bulk load, the reshard, recovery — runs before the
-	// fault injector is armed below: faults exercise serving, not
-	// construction.
 	var s *server
 	if *dataDir != "" {
-		if *loadPath != "" || *savePath != "" {
-			log.Fatalf("hbserve: -load/-save are superseded by -data-dir (its snapshots restore automatically)")
-		}
 		dur, err := hbtree.OpenDurable(hbtree.DurableOptions{
 			Dir:           *dataDir,
 			FsyncInterval: *fsyncIv,
 			SnapshotEvery: *snapEvery,
-			Partitions:    *walParts,
 		}, opt, cfg.shards, func() ([]hbtree.Pair[uint64], error) {
 			log.Printf("hbserve: seeding %d tuples...", *n)
 			return hbtree.GeneratePairs[uint64](*n, *seed), nil
@@ -1001,39 +978,10 @@ func main() {
 		}
 		s = newServer(dur.Sharded(), dur, cfg)
 	} else {
-		var tree *hbtree.Tree[uint64]
-		var err error
-		if *loadPath != "" {
-			f, ferr := os.Open(*loadPath)
-			if ferr != nil {
-				log.Fatalf("hbserve: open snapshot: %v", ferr)
-			}
-			tree, err = hbtree.Load[uint64](f, opt)
-			f.Close()
-			if err != nil {
-				log.Fatalf("hbserve: load snapshot: %v", err)
-			}
-			log.Printf("hbserve: restored %d tuples from %s", tree.NumPairs(), *loadPath)
-		} else {
-			log.Printf("hbserve: loading %d tuples...", *n)
-			pairs := hbtree.GeneratePairs[uint64](*n, *seed)
-			tree, err = hbtree.New(pairs, opt)
-			if err != nil {
-				log.Fatalf("hbserve: build: %v", err)
-			}
-		}
-		if *savePath != "" {
-			f, ferr := os.Create(*savePath)
-			if ferr != nil {
-				log.Fatalf("hbserve: create snapshot: %v", ferr)
-			}
-			if _, err := tree.WriteTo(f); err != nil {
-				log.Fatalf("hbserve: write snapshot: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatalf("hbserve: close snapshot: %v", err)
-			}
-			log.Printf("hbserve: snapshot written to %s", *savePath)
+		log.Printf("hbserve: loading %d tuples...", *n)
+		tree, err := hbtree.New(hbtree.GeneratePairs[uint64](*n, *seed), opt)
+		if err != nil {
+			log.Fatalf("hbserve: build: %v", err)
 		}
 		// The server owns the tree from here: one shard adopts it, more
 		// reshard and close it.
@@ -1048,30 +996,17 @@ func main() {
 		st.Height, st.InnerBytes, st.LeafBytes)
 
 	if *rebalance {
-		s.srv.StartRebalancer(hbtree.RebalanceOptions{
-			HotFraction:  *rbHot,
-			ColdFraction: *rbCold,
-			MinOps:       *rbMinOps,
-			MaxShards:    *rbMaxShards,
-			Interval:     *rbInterval,
-		})
-		log.Printf("hbserve: online rebalancer armed (hot=%g cold=%g minops=%d maxshards=%d interval=%v)",
-			*rbHot, *rbCold, *rbMinOps, *rbMaxShards, *rbInterval)
+		s.srv.StartRebalancer(hbtree.RebalanceOptions{})
+		log.Printf("hbserve: online rebalancer armed")
 	}
 
-	if fopt := (fault.Options{
-		Seed:     *fSeed,
-		Kernel:   *fKernel,
-		H2D:      *fH2D,
-		D2H:      *fD2H,
-		OOM:      *fOOM,
-		Corrupt:  *fCorrupt,
-		Reset:    *fReset,
-		ResetOps: *fResetOps,
-	}); fopt.Kernel+fopt.H2D+fopt.D2H+fopt.OOM+fopt.Reset > 0 {
-		// Every shard lives on one simulated device.
-		s.srv.Options().Device.SetInjector(fault.New(fopt))
-		log.Printf("hbserve: fault injection armed (kernel=%g h2d=%g d2h=%g oom=%g corrupt=%g reset=%g resetops=%d seed=%d)",
+	// The serving engine attached the HBTREE_FAULT injector to the shared
+	// device when it was constructed above, so the bulk load ran
+	// fault-free.
+	if in := fault.FromEnv(); in != nil {
+		fopt := in.Options()
+		log.Printf("hbserve: fault injection armed by %s=%q (kernel=%g h2d=%g d2h=%g oom=%g corrupt=%g reset=%g resetops=%d seed=%d)",
+			fault.EnvVar, os.Getenv(fault.EnvVar),
 			fopt.Kernel, fopt.H2D, fopt.D2H, fopt.OOM, fopt.Corrupt, fopt.Reset, fopt.ResetOps, fopt.Seed)
 	}
 
@@ -1091,16 +1026,7 @@ func main() {
 		ln.Close()
 	}()
 
-	if *once {
-		conn, err := ln.Accept()
-		if err == nil {
-			s.track(conn)
-			func() { defer s.untrack(conn); s.serveConn(conn) }()
-		}
-		ln.Close()
-	} else {
-		s.acceptLoop(ln)
-	}
+	s.acceptLoop(ln)
 	s.shutdown()
 	log.Printf("hbserve: drained, bye")
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -363,39 +362,10 @@ func TestGracefulShutdown(t *testing.T) {
 	conn.Close()
 }
 
-// TestSnapshotRoundTrip exercises -save/-load semantics through the
-// library calls the flags invoke, plus the SCAN and DESCRIBE commands.
-func TestSnapshotAndScan(t *testing.T) {
-	pairs := hbtree.GeneratePairs[uint64](1<<12, 7)
-	tree, err := hbtree.New(pairs, hbtree.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Snapshot to a temp file and restore.
-	path := t.TempDir() + "/snap.hbt"
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tree.WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tree.Close()
-	rf, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := hbtree.Load[uint64](rf, hbtree.Options{})
-	rf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Serve SCAN and DESCRIBE against the restored tree.
-	s := mustServer(t, restored, serveConfig{})
+// TestScanAndDescribe drives the SCAN and DESCRIBE commands.
+func TestScanAndDescribe(t *testing.T) {
+	tree, pairs := newTestTree(t, hbtree.Implicit, 7)
+	s := mustServer(t, tree, serveConfig{})
 	dial := startServer(t, s)
 	conn, r := dial()
 

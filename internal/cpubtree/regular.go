@@ -543,10 +543,6 @@ func (t *RegularTree[K]) InnerArrays() (upper, last []K, root int32, height, nod
 // Config returns the build configuration.
 func (t *RegularTree[K]) Config() Config { return t.cfg }
 
-// Root returns the root node index and whether it lives in the upper
-// pool (height >= 2) or the last-level pool.
-func (t *RegularTree[K]) Root() (idx int32, inUpper bool) { return t.root, t.height >= 2 }
-
 // LevelNodeCounts returns the number of inner nodes at each level, root
 // first; the last entry is the last-level node count. The cost model
 // uses these to size the cache-resident prefix of the I-segment.

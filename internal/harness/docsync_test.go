@@ -83,7 +83,7 @@ func TestHbserveRejectsShardsBelowOne(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for _, shards := range []string{"0", "-2"} {
-		out, err := exec.CommandContext(ctx, bin, "-n", "64", "-addr", "127.0.0.1:0", "-once", "-shards", shards).CombinedOutput()
+		out, err := exec.CommandContext(ctx, bin, "-n", "64", "-addr", "127.0.0.1:0", "-shards", shards).CombinedOutput()
 		if err == nil {
 			t.Fatalf("-shards %s: hbserve started and exited 0\n%s", shards, out)
 		}

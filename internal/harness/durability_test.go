@@ -71,19 +71,25 @@ type child struct {
 	mu     sync.Mutex
 }
 
-// startChild launches hbserve on an ephemeral port and waits for its
-// "listening on" line.
+// startChild launches a durable regular-variant hbserve on dataDir.
 func startChild(t *testing.T, bin, dataDir string, extra ...string) *child {
 	t.Helper()
 	args := append([]string{
-		"-addr", "127.0.0.1:0",
 		"-variant", "regular",
 		"-n", fmt.Sprint(durDatasetN),
 		"-seed", fmt.Sprint(durDatasetSeed),
 		"-data-dir", dataDir,
 		"-fsync-interval", "500us",
 	}, extra...)
-	c := &child{cmd: exec.Command(bin, args...), stderr: &bytes.Buffer{}}
+	return launch(t, exec.Command(bin, args...))
+}
+
+// launch starts an hbserve command on an ephemeral port and waits for
+// its "listening on" line.
+func launch(t *testing.T, cmd *exec.Cmd) *child {
+	t.Helper()
+	cmd.Args = append(cmd.Args, "-addr", "127.0.0.1:0")
+	c := &child{cmd: cmd, stderr: &bytes.Buffer{}}
 	pr, pw, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)

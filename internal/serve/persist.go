@@ -33,12 +33,13 @@ import (
 //     data that was already indexed) and then replays only each
 //     partition's WAL tail past its floor, in order.
 //
-// WAL partitions are fixed at first boot and routed by key hash, NOT by
-// the dynamic shard layout: a rebalance moves shard boundaries but
-// never changes which log a key's writes land in, so split/merge needs
-// no log migration. Each rebalance appends a barrier record to every
-// partition (the manifest barrier of the layout change); replay treats
-// barriers as counted no-ops because routing is layout-independent.
+// WAL partitions are fixed at first boot — one per initial shard — and
+// routed by key hash, NOT by the dynamic shard layout: a rebalance moves
+// shard boundaries but never changes which log a key's writes land in,
+// so split/merge needs no log migration. Each rebalance appends a
+// barrier record to every partition (the manifest barrier of the layout
+// change); replay treats barriers as counted no-ops because routing is
+// layout-independent.
 //
 // Replay past the floor is idempotent: floors are conservative (the
 // contiguous prefix of appended records whose apply had completed when
@@ -60,10 +61,6 @@ type DurableOptions struct {
 	// zero disables it (snapshots happen only via Snapshot calls and on
 	// Close).
 	SnapshotEvery time.Duration
-	// Partitions is the WAL partition count at first boot; zero picks
-	// the shard count. Ignored on recovery — the manifest's count wins
-	// (partitioning is fixed for the life of the data dir).
-	Partitions int
 }
 
 // RecoveryStats reports what a recovery did — the acceptance harness
@@ -169,8 +166,9 @@ type Durable[K keys.Key] struct {
 // and each WAL partition's tail past the manifest floor is replayed.
 // Otherwise seed() provides the initial sorted pairs, the server is
 // built fresh with `shards` shards (<= 0 selects GOMAXPROCS, as in
-// BuildSharded), and an initial snapshot is committed so every later
-// boot recovers.
+// BuildSharded) and one WAL partition per shard — a count the manifest
+// then fixes for the life of the directory — and an initial snapshot is
+// committed so every later boot recovers.
 //
 // The wrapped server is reachable via Sharded for reads; all writes
 // must flow through the Durable.
@@ -319,15 +317,11 @@ func (d *Durable[K]) bootstrap(opt core.Options, dopt DurableOptions, shards int
 	if d.srv, err = BuildSharded(pairs, opt, shards); err != nil {
 		return err
 	}
-	p := dopt.Partitions
-	if p <= 0 {
-		p = d.srv.Shards()
-	}
-	d.floors = make([]*floorTracker, p)
+	d.floors = make([]*floorTracker, d.srv.Shards())
 	for i := range d.floors {
 		d.floors[i] = newFloorTracker(0)
 	}
-	if err := d.openLogs(p, dopt.FsyncInterval); err != nil {
+	if err := d.openLogs(len(d.floors), dopt.FsyncInterval); err != nil {
 		return err
 	}
 	if _, err := d.Snapshot(); err != nil {
@@ -389,9 +383,16 @@ func (d *Durable[K]) Update(ops []cpubtree.Op[K], method core.UpdateMethod) (cor
 // phase (writer-slot waits). The WAL append itself is not abandoned on
 // ctx expiry — it is bounded by the group-commit window, and tearing a
 // record out of a shared flush is not possible.
+//
+// Only the regular variant takes updates. Any other variant is refused
+// before the append: a logged batch that cannot apply would fail again
+// on every recovery replay.
 func (d *Durable[K]) UpdateCtx(ctx context.Context, ops []cpubtree.Op[K], method core.UpdateMethod) (core.UpdateStats, error) {
 	if len(ops) == 0 {
 		return d.srv.UpdateCtx(ctx, ops, method)
+	}
+	if d.srv.opt.Variant != core.Regular {
+		return core.UpdateStats{}, fmt.Errorf("serve: durable: updates apply to the regular variant")
 	}
 	type pend struct {
 		part int

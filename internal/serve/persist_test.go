@@ -221,6 +221,37 @@ func TestDurableCrashReplaysTail(t *testing.T) {
 	verifyOracle(t, d, oracle)
 }
 
+// TestDurableImplicitRefusesWritesAndRestarts: an implicit Durable
+// refuses an update before logging it, so a crash after the refusal
+// leaves a directory that recovers with nothing to replay and every
+// seeded pair back.
+func TestDurableImplicitRefusesWritesAndRestarts(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Durable[uint64] {
+		t.Helper()
+		d, err := OpenDurable(DurableOptions{Dir: dir}, core.Options{Variant: core.Implicit, BucketSize: 64}, 1, durSeed)
+		if err != nil {
+			t.Fatalf("OpenDurable: %v", err)
+		}
+		return d
+	}
+	d := open()
+	pairs, _ := durSeed()
+	if _, err := d.Update([]cpubtree.Op[uint64]{{Key: pairs[0].Key, Value: 1}}, core.Synchronized); err == nil {
+		t.Fatal("implicit Durable accepted an update")
+	}
+	d.crash()
+	d.closeBackend()
+
+	d = open()
+	defer d.closeBackend()
+	defer d.Close()
+	if rs := d.Recovery(); !rs.Recovered || rs.ReplayedRecords != 0 || rs.BulkLoadedPairs != durN {
+		t.Fatalf("recovery stats: %+v (want recovered, 0 replayed, %d bulk-loaded)", rs, durN)
+	}
+	verifyOracle(t, d, seedOracle(t))
+}
+
 func TestDurableShardedCrashRestoresLayoutAndData(t *testing.T) {
 	forShards(t, []int{1, 4}, func(t *testing.T, shards int) {
 		dir := t.TempDir()

@@ -27,7 +27,7 @@ import (
 // reads on replaced shard servers finish on their pinned versions.
 // Replaced servers' counters fold into the retired accumulator so
 // aggregate metrics stay continuous; replacement servers start with
-// fresh breakers carrying the recorded resilience policy.
+// fresh breakers under the default resilience policy.
 
 // RebalanceOptions tunes the imbalance detector. The zero value is
 // ready to use.
@@ -289,8 +289,6 @@ func (s *ShardedServer[K]) splitShard(i int) error {
 
 	ls := newShardMember(left, s.reg, i)
 	rs := newShardMember(right, s.reg, i+1)
-	s.applyPolicy(ls)
-	s.applyPolicy(rs)
 	ns := make([]*Server[K], 0, len(m.subs)+1)
 	ns = append(ns, m.subs[:i]...)
 	ns = append(ns, ls, rs)
@@ -343,7 +341,6 @@ func (s *ShardedServer[K]) mergeShards(i int) error {
 	nb = append(nb, m.bounds[i+1:]...)
 
 	ms := newShardMember(merged, s.reg, i)
-	s.applyPolicy(ms)
 	ns := make([]*Server[K], 0, len(m.subs)-1)
 	ns = append(ns, m.subs[:i]...)
 	ns = append(ns, ms)

@@ -8,8 +8,6 @@ import (
 	"hbtree/internal/breaker"
 	"hbtree/internal/core"
 	"hbtree/internal/fault"
-	"hbtree/internal/keys"
-	"hbtree/internal/vclock"
 )
 
 // ErrDeadlineExceeded is returned when a request's context expires
@@ -21,7 +19,9 @@ import (
 var ErrDeadlineExceeded = errors.New("serve: request deadline exceeded")
 
 // RetryOptions bounds the GPU-path retry loop that runs before a batch
-// degrades to the CPU-only fallback.
+// degrades to the CPU-only fallback. A standalone Server takes one
+// through SetResilience; every shard of a ShardedServer runs the
+// defaults with its own breaker.
 type RetryOptions struct {
 	// MaxAttempts is the total number of GPU-path attempts per batch
 	// (first try included). Default 3.
@@ -56,8 +56,8 @@ func (s *Server[K]) SetResilience(b breaker.Options, r RetryOptions) {
 	s.retry = r
 }
 
-// Breaker exposes the server's circuit breaker (tests and the bench
-// harness force it open to measure pure-fallback throughput).
+// Breaker exposes the server's circuit breaker (tests force it open to
+// measure pure-fallback throughput).
 func (s *Server[K]) Breaker() *breaker.Breaker { return s.brk }
 
 // backoff sleeps the jittered exponential delay before retry `attempt`
@@ -118,44 +118,6 @@ func (s *Server[K]) lookupBatchResilient(tree *core.Tree[K], queries []K, values
 	s.fbBatches.Add(1)
 	s.fbQueries.Add(int64(len(queries)))
 	return stats, nil
-}
-
-// rangeBatchResilient is lookupBatchResilient for batched range
-// queries. The fallback resolves each start key with a host-side range
-// scan; its virtual cost approximates one serial descent per query plus
-// the leaf walk already included in the descent model — an upper bound
-// the during-fault p99 assertions lean on.
-func (s *Server[K]) rangeBatchResilient(tree *core.Tree[K], starts []K, count int) ([][]keys.Pair[K], core.RangeStats, error) {
-	for attempt := 1; attempt <= s.retry.MaxAttempts && s.brk.Allow(); attempt++ {
-		if attempt > 1 {
-			s.retries.Add(1)
-			s.backoff(attempt - 1)
-		}
-		out, stats, err := tree.RangeQueryBatch(starts, count)
-		if err == nil {
-			s.brk.Success()
-			return out, stats, nil
-		}
-		if !fault.Is(err) {
-			return nil, stats, err
-		}
-		s.brk.Failure()
-		s.gpuFaults.Add(1)
-	}
-	out := make([][]keys.Pair[K], len(starts))
-	var stats core.RangeStats
-	stats.Queries = len(starts)
-	for i, st := range starts {
-		out[i] = tree.RangeQuery(st, count, nil)
-		stats.Matches += len(out[i])
-	}
-	stats.SimTime = s.pointCost * vclock.Duration(len(starts))
-	if stats.SimTime > 0 {
-		stats.ThroughputQPS = float64(len(starts)) / stats.SimTime.Seconds()
-	}
-	s.fbBatches.Add(1)
-	s.fbQueries.Add(int64(len(starts)))
-	return out, stats, nil
 }
 
 // worseState orders breaker states by degradation for the sharded

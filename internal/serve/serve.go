@@ -356,9 +356,6 @@ func (s *Server[K]) LayoutAdvice() []int {
 	return adv
 }
 
-// Epoch returns the registry's current generation stamp.
-func (s *Server[K]) Epoch() uint64 { return s.reg.Epoch() }
-
 // Degraded reports whether the server is in degraded mode: the breaker
 // over the device is open and batches are answered by the CPU fallback.
 // The Coalescer's fault-aware admission sheds earlier while this holds.
@@ -464,19 +461,6 @@ func (s *Server[K]) RangeQuery(start K, count int) []keys.Pair[K] {
 	tree, p := s.acquire()
 	defer p.Unpin()
 	return tree.RangeQuery(start, count, nil)
-}
-
-// RangeQueryBatch runs the hybrid batched range search against the
-// current version, charging its simulated makespan. Like LookupBatch
-// it degrades to host-side range scans on injected device faults.
-func (s *Server[K]) RangeQueryBatch(starts []K, count int) ([][]keys.Pair[K], core.RangeStats, error) {
-	tree, p := s.acquire()
-	out, stats, err := s.rangeBatchResilient(tree, starts, count)
-	p.Unpin()
-	if err == nil {
-		s.addVirtual(stats.SimTime)
-	}
-	return out, stats, err
 }
 
 // Scan collects up to count pairs starting at the first key >= start by

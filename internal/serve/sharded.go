@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hbtree/internal/breaker"
 	"hbtree/internal/core"
 	"hbtree/internal/cpubtree"
 	"hbtree/internal/epoch"
@@ -125,14 +124,6 @@ type ShardedServer[K keys.Key] struct {
 	// deadlines counts writes abandoned at the dispatch layer (pump send
 	// or outcome wait); per-shard waits are counted by the sub-servers.
 	deadlines atomic.Int64
-
-	// Recorded resilience policy, inherited by shard servers created
-	// during a rebalance (fresh breaker instances — shared ones would
-	// double-count trips in the aggregate).
-	polMu    sync.Mutex
-	polSet   bool
-	polBrk   breaker.Options
-	polRetry RetryOptions
 
 	// updScratch pools UpdateCtx's per-flush routing scratch (the
 	// per-shard op groups and the job list), so the steady-state update
@@ -746,28 +737,6 @@ func (s *ShardedServer[K]) Metrics() Metrics {
 	}
 	agg.Deadlines += s.deadlines.Load()
 	return agg
-}
-
-// SetResilience applies one breaker/retry policy to every shard server
-// (each shard keeps its own independent breaker instance) and records
-// it for shards created by later rebalances.
-func (s *ShardedServer[K]) SetResilience(b breaker.Options, r RetryOptions) {
-	s.polMu.Lock()
-	s.polBrk, s.polRetry, s.polSet = b, r, true
-	s.polMu.Unlock()
-	for _, sub := range s.members() {
-		sub.SetResilience(b, r)
-	}
-}
-
-// applyPolicy stamps the recorded resilience policy onto a shard server
-// created during a rebalance.
-func (s *ShardedServer[K]) applyPolicy(sub *Server[K]) {
-	s.polMu.Lock()
-	if s.polSet {
-		sub.SetResilience(s.polBrk, s.polRetry)
-	}
-	s.polMu.Unlock()
 }
 
 // ShardMetrics returns each current shard's own serving counters,

@@ -28,9 +28,6 @@ const (
 	Second               = 1000 * Millisecond
 )
 
-// Nanoseconds returns d as a float64 count of nanoseconds.
-func (d Duration) Nanoseconds() float64 { return float64(d) }
-
 // Seconds returns d as a float64 count of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 

@@ -32,6 +32,7 @@ var ErrDeadlineExceeded = serve.ErrDeadlineExceeded
 
 // RetryOptions bounds the GPU-path retry loop a Server runs before a
 // faulted batch degrades to the CPU-only fallback (Server.SetResilience).
+// A ShardedServer's shards always run the defaults.
 type RetryOptions = serve.RetryOptions
 
 // CoalescerOptions configures Server.Coalesce: the batch size and the
@@ -141,8 +142,9 @@ func (s *ShardedServer[K]) Coalesce(opt CoalescerOptions) *Coalescer[K] {
 }
 
 // DurableOptions configures OpenDurable: the data directory, the WAL
-// group-commit window, the background snapshot period, and the WAL
-// partition count fixed at first boot.
+// group-commit window and the background snapshot period. The WAL has
+// one partition per shard of the first boot, fixed for the life of the
+// directory.
 type DurableOptions = serve.DurableOptions
 
 // RecoveryStats reports what a Durable's recovery did at open: the
