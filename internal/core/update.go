@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hbtree/internal/cpubtree"
 	"hbtree/internal/gpusim"
@@ -344,11 +345,12 @@ func (t *Tree[K]) VerifyReplica() error {
 	return nil
 }
 
-// sortOps orders update operations by key; the paper's batch updates
-// benefit from key-ordered application (fewer random node touches).
-// Exposed for examples and the harness.
+// SortOps orders update operations by key; the paper's batch updates
+// benefit from key-ordered application (fewer random node touches). The
+// sort is stable, so operations on one key keep their batch order and
+// the last of them wins, as it does when the batch is applied in order.
 func SortOps[K keys.Key](ops []cpubtree.Op[K]) {
-	sort.Slice(ops, func(i, j int) bool { return ops[i].Key < ops[j].Key })
+	slices.SortStableFunc(ops, func(a, b cpubtree.Op[K]) int { return cmp.Compare(a.Key, b.Key) })
 }
 
 // UpdateGPUAssisted executes a batch of updates on the regular HB+-tree

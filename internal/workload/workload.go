@@ -10,7 +10,6 @@ package workload
 
 import (
 	"math"
-	"sort"
 
 	"hbtree/internal/keys"
 )
@@ -225,7 +224,7 @@ func DistinctKeys[K keys.Key](d Distribution, n int, seed uint64) []K {
 }
 
 func dedupSorted[K keys.Key](s []K) []K {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	keys.SortRadix(s)
 	w := 0
 	for i, v := range s {
 		if i == 0 || v != s[w-1] {
