@@ -1,165 +1,22 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (one benchmark per figure, Figures 7-21), plus ablation
-// benches for the design decisions called out in DESIGN.md and
-// wall-clock micro-benchmarks of the functional trees.
+// Wall-clock micro-benchmarks of the functional trees, plus ablation
+// benches for the design decisions called out in DESIGN.md.
 //
-// Figure benches drive the experiment harness at a reduced scale and
-// report the headline simulated metric (MQPS or milliseconds) via
-// b.ReportMetric; the full-scale tables come from `go run ./cmd/hbbench`.
+// The paper's figures are not re-run here: `go run ./cmd/hbbench -run
+// <id>` prints one, and TestFiguresGolden (internal/harness) pins every
+// cell of `hbbench -run all -quick` against testdata/figures.golden.
 package hbtree_test
 
 import (
-	"strconv"
 	"testing"
 
 	"hbtree"
 	"hbtree/internal/core"
 	"hbtree/internal/cpubtree"
 	"hbtree/internal/fast"
-	"hbtree/internal/harness"
 	"hbtree/internal/platform"
 	"hbtree/internal/simd"
 	"hbtree/internal/workload"
 )
-
-// benchCfg is the reduced-scale configuration for figure regeneration
-// inside the benchmark suite.
-func benchCfg() harness.Config {
-	return harness.Config{Quick: true, Sizes: []int{1 << 19}, Queries: 1 << 16, Seed: 42}
-}
-
-// cellF parses a numeric cell of a harness table.
-func cellF(b *testing.B, s string) float64 {
-	b.Helper()
-	for len(s) > 0 && (s[len(s)-1] == 'x' || s[len(s)-1] == '%') {
-		s = s[:len(s)-1]
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		b.Fatalf("cell %q: %v", s, err)
-	}
-	return v
-}
-
-// runFigure regenerates one figure per iteration and returns the last
-// run's tables.
-func runFigure(b *testing.B, id string) []harness.Table {
-	b.Helper()
-	var tables []harness.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tables, err = harness.Run(id, benchCfg())
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-	}
-	return tables
-}
-
-func BenchmarkFig07PageConfig(b *testing.B) {
-	t := runFigure(b, "fig7")
-	last := t[1].Rows[len(t[1].Rows)-1]
-	b.ReportMetric(cellF(b, last[3]), "MQPS-1G/1G")
-	b.ReportMetric(cellF(b, t[0].Rows[len(t[0].Rows)-1][1]), "TLBmiss/q-4K")
-}
-
-func BenchmarkFig08NodeSearch(b *testing.B) {
-	t := runFigure(b, "fig8")
-	last := t[0].Rows[len(t[0].Rows)-1]
-	b.ReportMetric(cellF(b, last[4]), "MQPS-hier")
-	b.ReportMetric(cellF(b, last[5]), "SWP-gain")
-}
-
-func BenchmarkFig09FAST(b *testing.B) {
-	t := runFigure(b, "fig9")
-	last := t[0].Rows[len(t[0].Rows)-1]
-	b.ReportMetric(cellF(b, last[3]), "Bplus/FAST")
-}
-
-func BenchmarkFig10BucketStrategy(b *testing.B) {
-	t := runFigure(b, "fig10")
-	for _, r := range t[0].Rows {
-		if r[0] == "implicit" {
-			b.ReportMetric(cellF(b, r[3]), "MQPS-doublebuf")
-			b.ReportMetric(cellF(b, r[4]), "gain-%")
-		}
-	}
-}
-
-func BenchmarkFig11BucketSize(b *testing.B) {
-	t := runFigure(b, "fig11")
-	b.ReportMetric(cellF(b, t[0].Rows[1][1]), "MQPS-16K")
-	b.ReportMetric(cellF(b, t[1].Rows[1][1]), "lat-ms-16K")
-}
-
-func BenchmarkFig12Skew(b *testing.B) {
-	t := runFigure(b, "fig12")
-	for _, r := range t[0].Rows {
-		if r[0] == "Zipf" {
-			b.ReportMetric(cellF(b, r[1]), "zipf-gain")
-		}
-	}
-}
-
-func BenchmarkFig13Update(b *testing.B) {
-	t := runFigure(b, "fig13")
-	last := t[0].Rows[len(t[0].Rows)-1]
-	b.ReportMetric(cellF(b, last[2]), "MUPS-asyncMT")
-	b.ReportMetric(cellF(b, last[3]), "MUPS-sync")
-}
-
-func BenchmarkFig14BatchSize(b *testing.B) {
-	t := runFigure(b, "fig14")
-	b.ReportMetric(cellF(b, t[0].Rows[0][1]), "sync-ms-small")
-	b.ReportMetric(cellF(b, t[0].Rows[len(t[0].Rows)-1][2]), "async-ms-large")
-}
-
-func BenchmarkFig15ImplicitUpdate(b *testing.B) {
-	t := runFigure(b, "fig15")
-	last := t[0].Rows[len(t[0].Rows)-1]
-	b.ReportMetric(cellF(b, last[4]), "xfer-share-%")
-}
-
-func BenchmarkFig16Throughput(b *testing.B) {
-	t := runFigure(b, "fig16")
-	last := t[0].Rows[len(t[0].Rows)-1]
-	b.ReportMetric(cellF(b, last[3]), "MQPS-HBimpl")
-	b.ReportMetric(cellF(b, last[5]), "HB/CPU-gain")
-}
-
-func BenchmarkFig17Range(b *testing.B) {
-	t := runFigure(b, "fig17")
-	b.ReportMetric(cellF(b, t[0].Rows[0][5]), "adv-%-1match")
-	b.ReportMetric(cellF(b, t[0].Rows[len(t[0].Rows)-1][5]), "adv-%-32match")
-}
-
-func BenchmarkFig18LoadBalance(b *testing.B) {
-	t := runFigure(b, "fig18")
-	last := t[0].Rows[len(t[0].Rows)-1]
-	b.ReportMetric(cellF(b, last[4]), "MQPS-LB")
-	b.ReportMetric(cellF(b, last[3]), "MQPS-noLB")
-}
-
-func BenchmarkFig19CPUOnly(b *testing.B) {
-	t := runFigure(b, "fig19")
-	last := t[0].Rows[len(t[0].Rows)-1]
-	b.ReportMetric(cellF(b, last[2]), "MQPS-HBcpu")
-}
-
-func BenchmarkFig20Pipelining(b *testing.B) {
-	t := runFigure(b, "fig20")
-	for _, r := range t[0].Rows {
-		if r[0] == "16" {
-			b.ReportMetric(cellF(b, r[1]), "MQPS-depth16")
-		}
-	}
-}
-
-func BenchmarkFig21Mixed(b *testing.B) {
-	t := runFigure(b, "fig21")
-	last := t[0].Rows[len(t[0].Rows)-1]
-	b.ReportMetric(cellF(b, last[1]), "MOPS-async-100%upd")
-}
 
 // --- wall-clock micro-benchmarks of the functional trees -------------
 
@@ -359,19 +216,4 @@ func BenchmarkAblationDiscovery(b *testing.B) {
 			_ = best
 		}
 	})
-}
-
-// --- extension benches (paper Section 7 future work) ------------------
-
-func BenchmarkExtGPUAssistedUpdate(b *testing.B) {
-	t := runFigure(b, "ext-update")
-	last := t[0].Rows[len(t[0].Rows)-1]
-	b.ReportMetric(cellF(b, last[3]), "host-speedup")
-}
-
-func BenchmarkFig0506PipelineTrace(b *testing.B) {
-	t := runFigure(b, "fig5-6")
-	if len(t) != 3 {
-		b.Fatal("missing strategy charts")
-	}
 }

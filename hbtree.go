@@ -24,8 +24,9 @@
 // LookupBatch, RangeQuery, cursors, Stats) but must not be mutated —
 // Update, Rebuild, MixedBatch, Close or the option setters — while any
 // other call is in flight. To share a tree between goroutines that also
-// write, wrap it with NewServer, which enforces the reader/writer
-// contract with a lock, or use Tree.Coalesced to additionally merge
+// write, wrap it with NewServer, whose readers pin a snapshot epoch and
+// never block while writers build and publish a successor version, or
+// use Tree.Coalesced to additionally merge
 // concurrent point lookups into the bucket-sized batch searches the
 // heterogeneous pipeline is built for.
 //

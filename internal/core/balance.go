@@ -139,17 +139,16 @@ func (t *Tree[K]) Discover() Balance {
 // levels for the rest, the GPU resumes from the intermediate nodes, and
 // the CPU finishes in the leaves. Three buckets run concurrently so the
 // GPU can schedule the next kernel while the current one executes
-// (Section 5.5).
-func (t *Tree[K]) lookupBatchBalanced(queries []K) (values []K, found []bool, stats SearchStats, err error) {
+// (Section 5.5). Results land in the caller's slices, which hold
+// exactly len(queries) elements.
+func (t *Tree[K]) lookupBatchBalanced(queries []K, values []K, found []bool) (stats SearchStats, err error) {
 	t.ensureBalanced()
 	n := len(queries)
-	values = make([]K, n)
-	found = make([]bool, n)
 	if n == 0 {
-		return values, found, stats, nil
+		return stats, nil
 	}
 	if t.replicaStale.Load() {
-		return nil, nil, stats, fault.ErrReplicaStale
+		return stats, fault.ErrReplicaStale
 	}
 	m := t.opt.BucketSize
 	stats.BucketSize = m
@@ -157,17 +156,17 @@ func (t *Tree[K]) lookupBatchBalanced(queries []K) (values []K, found []bool, st
 
 	qbuf, err := gpusim.Malloc[K](t.dev, m)
 	if err != nil {
-		return nil, nil, stats, fmt.Errorf("core: allocating query buffer: %w", err)
+		return stats, fmt.Errorf("core: allocating query buffer: %w", err)
 	}
 	defer qbuf.Free()
 	sbuf, err := gpusim.Malloc[int32](t.dev, m) // intermediate start nodes
 	if err != nil {
-		return nil, nil, stats, fmt.Errorf("core: allocating start buffer: %w", err)
+		return stats, fmt.Errorf("core: allocating start buffer: %w", err)
 	}
 	defer sbuf.Free()
 	rbuf, err := gpusim.Malloc[int32](t.dev, 2*m)
 	if err != nil {
-		return nil, nil, stats, fmt.Errorf("core: allocating result buffer: %w", err)
+		return stats, fmt.Errorf("core: allocating result buffer: %w", err)
 	}
 	defer rbuf.Free()
 
@@ -180,6 +179,7 @@ func (t *Tree[K]) lookupBatchBalanced(queries []K) (values []K, found []bool, st
 	d2hEnd := make(map[int]vclock.Duration)
 	preStart := make(map[int]vclock.Duration)
 	var lats []vclock.Duration
+	res := make([]int32, 2*m) // D2H staging of the leaf references
 	buckets := 0
 	cpuDepth := Balance{D: t.lbD, R: t.lbR}.depth()
 
@@ -220,10 +220,10 @@ func (t *Tree[K]) lookupBatchBalanced(queries []K) (values []K, found []bool, st
 		// H2D: queries plus intermediate node indices.
 		d1a, err := t.copyQueriesToDevice(qbuf, bq)
 		if err != nil {
-			return nil, nil, stats, err
+			return stats, err
 		}
 		if _, err := sbuf.CopyFromHost(starts); err != nil {
-			return nil, nil, stats, err
+			return stats, err
 		}
 		d1 := d1a + t.dev.CopyDuration(int64(bn)*4) - t.dev.Config().TInit // one batched transfer, one T_init
 		tl.Schedule(stream, vclock.ResPCIeH2D, "H2D", d1)
@@ -235,7 +235,7 @@ func (t *Tree[K]) lookupBatchBalanced(queries []K) (values []K, found []bool, st
 		// station (Section 5.5's bucket-handling change).
 		d2, err := t.runKernelFrom(qbuf, sbuf, rbuf, bn, rm)
 		if err != nil {
-			return nil, nil, stats, err
+			return stats, err
 		}
 		if d2 > t.dev.Config().KInit {
 			d2 -= t.dev.Config().KInit
@@ -251,8 +251,8 @@ func (t *Tree[K]) lookupBatchBalanced(queries []K) (values []K, found []bool, st
 		// buffer is reused next bucket), temporally deferred behind the
 		// next bucket's pre-walk.
 		d4 := t.cpuLeafStageDuration(bn)
-		if err := t.finishOnCPU(rbuf, bq, values[start:end], found[start:end]); err != nil {
-			return nil, nil, stats, err
+		if err := t.finishLeaves(rbuf, bq, values[start:end], found[start:end], res, nil); err != nil {
+			return stats, err
 		}
 		if pending != nil {
 			scheduleLeaf(*pending)
@@ -266,7 +266,7 @@ func (t *Tree[K]) lookupBatchBalanced(queries []K) (values []K, found []bool, st
 	stats.Buckets = buckets
 	stats.setLatencies(lats)
 	stats.finalize(tl)
-	return values, found, stats, nil
+	return stats, nil
 }
 
 // preWalk computes the intermediate node per query: depth D for the

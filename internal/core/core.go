@@ -23,12 +23,13 @@
 //
 // # Concurrency
 //
-// A Tree's read-only operations — Lookup, LookupBatch, LookupBatchCPU,
-// RangeQuery, RangeQueryBatch, Seek, Describe, Stats and the other
-// accessors — are safe to call from multiple goroutines concurrently
-// with one another: each LookupBatch composes its own vclock.Timeline
-// and its own device staging buffers, device counters are atomic, and
-// the recorded trace (SetTrace/LastTrace) is mutex-guarded. Mutating
+// A Tree's read-only operations — Lookup, LookupBatch and its Into,
+// SortedInto and CPUInto forms, RangeQuery, RangeQueryBatch, Seek,
+// Describe, Stats and the other accessors — are safe to call from
+// multiple goroutines concurrently with one another: each LookupBatch
+// composes its own vclock.Timeline and its own device staging buffers,
+// device counters are atomic, and the recorded trace
+// (SetTrace/LastTrace) is mutex-guarded. Mutating
 // operations — Update, Rebuild, UpdateGPUAssisted, MixedBatch, Close,
 // and the configuration setters SetTrace, SetBalance and
 // SetLeafMissOverride — require exclusive access: no other call may

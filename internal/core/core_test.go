@@ -268,10 +268,20 @@ func TestDiscoveryNearOptimal(t *testing.T) {
 	}
 }
 
+// TestCPUOnlyLookup: the host-only batch search answers correctly and
+// never touches the device, so it stays valid on a replica-stale tree —
+// the degraded state the serving fallback uses it for.
 func TestCPUOnlyLookup(t *testing.T) {
 	tr, pairs := build64(t, 60000, Options{Variant: Implicit})
 	qs := workload.SearchInput(pairs, 30000, 13)
-	vals, fnd, stats := tr.LookupBatchCPU(qs)
+	tr.replicaStale.Store(true)
+	defer tr.replicaStale.Store(false)
+	kBefore := tr.Device().Counters().Kernels
+	vals, fnd := make([]uint64, len(qs)), make([]bool, len(qs))
+	stats := tr.LookupBatchCPUInto(qs, vals, fnd)
+	if got := tr.Device().Counters().Kernels; got != kBefore {
+		t.Fatalf("CPU-only batch launched %d kernels", got-kBefore)
+	}
 	checkBatch(t, tr, qs, vals, fnd)
 	if stats.ThroughputQPS <= 0 {
 		t.Fatal("no CPU-only throughput")
@@ -471,7 +481,8 @@ func TestHybridVsCPUConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, cf, _ := tr.LookupBatchCPU(qs)
+	cv, cf := make([]uint64, len(qs)), make([]bool, len(qs))
+	tr.LookupBatchCPUInto(qs, cv, cf)
 	for i := range qs {
 		if hv[i] != cv[i] || hf[i] != cf[i] {
 			t.Fatalf("hybrid and CPU paths diverge at %d", i)

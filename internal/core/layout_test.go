@@ -77,7 +77,7 @@ func layoutPropRun[K keys.Key](t *testing.T, n int, seed uint64) (widened bool) 
 
 	// Batch shapes spanning partial, exact and multi-bucket sizes, each
 	// through the plain pipeline, the sorted shared descent, and the
-	// partial-CPU fallback.
+	// host-only CPU fallback.
 	for bi, bn := range []int{1, 7, DefaultBucketSize, 3*DefaultBucketSize + 13} {
 		qs := layoutPropQueries(pairs, bn, seed+uint64(bi)+100)
 		uv, uf, _, err := uni.LookupBatch(qs)
@@ -94,10 +94,7 @@ func layoutPropRun[K keys.Key](t *testing.T, n int, seed uint64) (widened bool) 
 					n, bn, i, qs[i], uv[i], uf[i], tv[i], tf[i])
 			}
 		}
-		sv, sf, _, err := tun.LookupBatchSorted(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sv, sf, _ := lookupSorted(t, tun, qs)
 		for i := range qs {
 			if uv[i] != sv[i] || uf[i] != sf[i] {
 				t.Fatalf("n=%d bn=%d: sorted descent diverges at %d (key %v): uniform (%v,%v), tuned sorted (%v,%v)",
@@ -105,10 +102,10 @@ func layoutPropRun[K keys.Key](t *testing.T, n int, seed uint64) (widened bool) 
 			}
 		}
 		pv, pf := make([]K, bn), make([]bool, bn)
-		tun.LookupBatchPartialCPUInto(qs, pv, pf)
+		tun.LookupBatchCPUInto(qs, pv, pf)
 		for i := range qs {
 			if uv[i] != pv[i] || uf[i] != pf[i] {
-				t.Fatalf("n=%d bn=%d: partial-CPU fallback diverges at %d (key %v): uniform (%v,%v), tuned partial (%v,%v)",
+				t.Fatalf("n=%d bn=%d: CPU fallback diverges at %d (key %v): uniform (%v,%v), tuned CPU (%v,%v)",
 					n, bn, i, qs[i], uv[i], uf[i], pv[i], pf[i])
 			}
 		}
@@ -120,7 +117,7 @@ func layoutPropRun[K keys.Key](t *testing.T, n int, seed uint64) (widened bool) 
 // correctness contract: for random trees across both key widths and
 // batch shapes, a tuned-layout tree returns byte-identical results to
 // the uniform tree on every lookup path — point, plain batch, sorted
-// shared descent, and the load-balanced partial-CPU fallback. The sweep
+// shared descent, and the host-only CPU fallback. The sweep
 // also requires that at least one tree per key width genuinely widened,
 // so the property is never vacuously green.
 func TestTunedLayoutMatchesUniformProperty(t *testing.T) {
@@ -235,14 +232,8 @@ func TestTunedLayoutSurvivesSerialization(t *testing.T) {
 		}
 	}
 	qs := layoutPropQueries(pairs, 3*DefaultBucketSize, 99)
-	ov, of, _, err := tr.LookupBatchSorted(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv, lf, _, err := rt.LookupBatchSorted(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ov, of, _ := lookupSorted(t, tr, qs)
+	lv, lf, _ := lookupSorted(t, rt, qs)
 	for i := range qs {
 		if ov[i] != lv[i] || of[i] != lf[i] {
 			t.Fatalf("loaded tuned tree diverges at %d (key %d)", i, qs[i])

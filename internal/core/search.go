@@ -12,14 +12,14 @@ import (
 	"hbtree/internal/vclock"
 )
 
-// SearchStats summarises one LookupBatch execution: the simulated
-// makespan, throughput and latency, plus the average per-bucket stage
-// durations T1..T4 of the Section 5.4 cost model, for inspection by the
-// harness and tests.
 // StatLevels bounds the per-level probe breakdown recorded in
 // SearchStats.LevelProbes; tree heights never approach it.
 const StatLevels = 16
 
+// SearchStats summarises one LookupBatch execution: the simulated
+// makespan, throughput and latency, plus the average per-bucket stage
+// durations T1..T4 of the Section 5.4 cost model, for inspection by the
+// harness and tests.
 type SearchStats struct {
 	Queries    int
 	Buckets    int
@@ -34,8 +34,8 @@ type SearchStats struct {
 
 	T1, T2, T3, T4 vclock.Duration // average per-bucket stage durations
 
-	// Shared-descent accounting, filled by LookupBatchSorted (zero on
-	// the unsorted path). NodeProbes is the number of device-memory
+	// Shared-descent accounting, filled by LookupBatchSortedInto (zero
+	// on the unsorted path). NodeProbes is the number of device-memory
 	// transactions the kernels actually issued; ProbesSaved is how many
 	// the per-query descent would have issued on top of that;
 	// LevelProbes breaks NodeProbes down by inner level (root first).
@@ -84,27 +84,22 @@ func (s *SearchStats) finalize(tl *vclock.Timeline) {
 // search, and buckets are scheduled according to the configured strategy
 // (sequential, pipelined, double-buffered) — or the load-balanced
 // variant when enabled. Results are exact (computed on the device
-// replica and host leaves); timing is virtual.
+// replica and host leaves); timing is virtual. It is LookupBatchInto
+// into freshly allocated result slices.
 func (t *Tree[K]) LookupBatch(queries []K) (values []K, found []bool, stats SearchStats, err error) {
-	if t.opt.LoadBalance {
-		return t.lookupBatchBalanced(queries)
-	}
-	values = make([]K, len(queries))
-	found = make([]bool, len(queries))
-	stats, err = t.lookupBatchPlainInto(queries, values, found)
-	if err != nil {
+	values, found = make([]K, len(queries)), make([]bool, len(queries))
+	if stats, err = t.LookupBatchInto(queries, values, found); err != nil {
 		return nil, nil, stats, err
 	}
 	return values, found, stats, nil
 }
 
-// LookupBatchInto is the allocation-free form of LookupBatch: results
-// are written into the caller-provided slices, which must hold at least
-// len(queries) elements. On the plain (non-load-balanced) path the
-// steady state performs no heap allocation — device staging buffers,
-// host staging slices and the virtual timeline come from the tree's
-// scratch pool. The load-balanced path runs the Section 5.5 executor
-// (which allocates) and copies its results into the provided slices.
+// LookupBatchInto is LookupBatch into caller-provided result slices,
+// which must hold at least len(queries) elements. On the plain
+// (non-load-balanced) path the steady state performs no heap allocation
+// — device staging buffers, host staging slices and the virtual
+// timeline come from the tree's scratch pool. The load-balanced path
+// runs the Section 5.5 executor, which allocates its own staging.
 func (t *Tree[K]) LookupBatchInto(queries []K, values []K, found []bool) (SearchStats, error) {
 	n := len(queries)
 	if len(values) < n || len(found) < n {
@@ -112,13 +107,7 @@ func (t *Tree[K]) LookupBatchInto(queries []K, values []K, found []bool) (Search
 			len(values), len(found), n)
 	}
 	if t.opt.LoadBalance {
-		v, f, stats, err := t.lookupBatchBalanced(queries)
-		if err != nil {
-			return stats, err
-		}
-		copy(values, v)
-		copy(found, f)
-		return stats, nil
+		return t.lookupBatchBalanced(queries[:n:n], values[:n], found[:n])
 	}
 	return t.lookupBatchPlainInto(queries[:n:n], values[:n], found[:n])
 }
@@ -267,13 +256,8 @@ func (t *Tree[K]) runKernel(qbuf *gpusim.Buffer[K], rbuf *gpusim.Buffer[int32], 
 	}
 }
 
-// finishOnCPU runs step 4 functionally: the CPU searches the leaf lines
-// named by the device-resident intermediate results.
-func (t *Tree[K]) finishOnCPU(rbuf *gpusim.Buffer[int32], bq []K, values []K, found []bool) error {
-	return t.finishLeaves(rbuf, bq, values, found, make([]int32, 2*len(bq)), nil)
-}
-
-// finishLeaves is finishOnCPU with caller-provided staging: res must
+// finishLeaves runs step 4 functionally: the CPU searches the leaf
+// lines named by the device-resident intermediate results. res must
 // hold at least 2*len(bq) elements; refs may be nil (the regular
 // variant then allocates it) or hold at least len(bq) elements. It
 // fails only on an injected D2H fault.
@@ -298,22 +282,14 @@ func (t *Tree[K]) finishLeaves(rbuf *gpusim.Buffer[int32], bq []K, values []K, f
 	return nil
 }
 
-// LookupBatchCPU resolves the queries entirely on the CPU using the
+// LookupBatchCPUInto resolves the queries entirely on the CPU using the
 // HB+-tree's own node layout — the Appendix B.1 comparison (Figure 19),
-// where the implicit HB+-tree pays for its reduced fanout.
-func (t *Tree[K]) LookupBatchCPU(queries []K) (values []K, found []bool, stats SearchStats) {
-	n := len(queries)
-	values = make([]K, n)
-	found = make([]bool, n)
-	stats = t.LookupBatchCPUInto(queries, values, found)
-	return values, found, stats
-}
-
-// LookupBatchCPUInto is LookupBatchCPU into caller-owned result slices
-// (at least len(queries) long each). It never touches the simulated
-// device, which makes it the degraded-mode serving path: when the
-// circuit breaker over the GPU-sim is open, the serving layer answers
-// every batch through this host-only search at the Appendix B.1 cost.
+// where the implicit HB+-tree pays for its reduced fanout — into
+// caller-owned result slices (at least len(queries) long each). It
+// never touches the simulated device, which makes it the degraded-mode
+// serving path: when the circuit breaker over the GPU-sim is open, the
+// serving layer answers every batch through this host-only search at
+// the Appendix B.1 cost.
 func (t *Tree[K]) LookupBatchCPUInto(queries []K, values []K, found []bool) (stats SearchStats) {
 	n := len(queries)
 	stats.Queries = n

@@ -28,28 +28,17 @@ import (
 // goroutine finishes bucket k's CPU leaf stage on the second buffer
 // pair.
 
-// LookupBatchSorted resolves the queries with the shared-descent batch
-// search. Results are byte-identical to LookupBatch over the same
-// queries and are returned in caller order — the queries themselves
-// need not be sorted (each bucket is sorted internally, tracking the
-// permutation), but presorted duplicate-free input skips that work
-// entirely. The load-balanced variant has no shared-descent form and
-// falls back to the Section 5.5 executor.
-func (t *Tree[K]) LookupBatchSorted(queries []K) (values []K, found []bool, stats SearchStats, err error) {
-	values = make([]K, len(queries))
-	found = make([]bool, len(queries))
-	stats, err = t.LookupBatchSortedInto(queries, values, found)
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	return values, found, stats, nil
-}
-
-// LookupBatchSortedInto is LookupBatchSorted into caller-owned result
-// slices (at least len(queries) long each). Like LookupBatchInto, the
-// steady state allocates nothing: the sort, permutation, dedup and
-// scatter staging all live in the tree's pooled scratch, sized to the
-// bucket once (grow-once) on first use.
+// LookupBatchSortedInto resolves the queries with the shared-descent
+// batch search into caller-owned result slices (at least len(queries)
+// long each). Results are byte-identical to LookupBatchInto over the
+// same queries and are returned in caller order — the queries
+// themselves need not be sorted (each bucket is sorted internally,
+// tracking the permutation), but presorted duplicate-free input skips
+// that work entirely. Like LookupBatchInto, the steady state allocates
+// nothing: the sort, permutation, dedup and scatter staging all live in
+// the tree's pooled scratch, sized to the bucket once (grow-once) on
+// first use. The load-balanced variant has no shared-descent form and
+// runs the Section 5.5 executor instead.
 func (t *Tree[K]) LookupBatchSortedInto(queries []K, values []K, found []bool) (SearchStats, error) {
 	n := len(queries)
 	if len(values) < n || len(found) < n {
@@ -57,7 +46,7 @@ func (t *Tree[K]) LookupBatchSortedInto(queries []K, values []K, found []bool) (
 			len(values), len(found), n)
 	}
 	if t.opt.LoadBalance {
-		return t.LookupBatchInto(queries, values, found)
+		return t.lookupBatchBalanced(queries[:n:n], values[:n], found[:n])
 	}
 	return t.lookupBatchSortedInto(queries[:n:n], values[:n], found[:n])
 }

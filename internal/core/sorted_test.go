@@ -35,8 +35,20 @@ func sortedPropQueries(pairs []keys.Pair[uint64], n int, seed uint64) []uint64 {
 	return qs
 }
 
+// lookupSorted runs LookupBatchSortedInto into fresh result slices,
+// failing the test on error.
+func lookupSorted[K keys.Key](t *testing.T, tr *Tree[K], qs []K) ([]K, []bool, SearchStats) {
+	t.Helper()
+	vals, fnd := make([]K, len(qs)), make([]bool, len(qs))
+	stats, err := tr.LookupBatchSortedInto(qs, vals, fnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vals, fnd, stats
+}
+
 // TestSortedMatchesUnsortedProperty is the core contract: over random
-// key orders, duplicates and missing keys, LookupBatchSorted returns
+// key orders, duplicates and missing keys, LookupBatchSortedInto returns
 // byte-identical results to LookupBatch, in caller order, for both
 // variants, every strategy, and batch sizes spanning partial, exact and
 // multi-bucket shapes.
@@ -53,10 +65,7 @@ func TestSortedMatchesUnsortedProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sv, sf, stats, err := tr.LookupBatchSorted(qs)
-				if err != nil {
-					t.Fatal(err)
-				}
+				sv, sf, stats := lookupSorted(t, tr, qs)
 				if !stats.Sorted {
 					t.Fatalf("%v/%v: stats not flagged sorted", v, s)
 				}
@@ -86,10 +95,7 @@ func TestSortedPresortedFastPath(t *testing.T) {
 				uq = append(uq, q)
 			}
 		}
-		vals, fnd, stats, err := tr.LookupBatchSorted(uq)
-		if err != nil {
-			t.Fatal(err)
-		}
+		vals, fnd, stats := lookupSorted(t, tr, uq)
 		checkBatch(t, tr, uq, vals, fnd)
 		if stats.DedupFolded != 0 {
 			t.Fatalf("%v: presorted distinct batch folded %d", v, stats.DedupFolded)
@@ -107,10 +113,7 @@ func TestSortedProbeAccounting(t *testing.T) {
 	qs := workload.SearchInput(pairs, DefaultBucketSize, 4)
 	sort.Slice(qs, func(i, j int) bool { return qs[i] < qs[j] })
 
-	_, _, stats, err := tr.LookupBatchSorted(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, stats := lookupSorted(t, tr, qs)
 	baseline := int64(len(qs)) * int64(tr.implDesc.Height)
 	if stats.NodeProbes <= 0 || stats.NodeProbes >= baseline {
 		t.Fatalf("NodeProbes = %d, want in (0, %d)", stats.NodeProbes, baseline)
@@ -139,10 +142,7 @@ func TestSortedProbeAccounting(t *testing.T) {
 	for i := range dup {
 		dup[i] = pairs[123].Key
 	}
-	vals, fnd, dstats, err := tr.LookupBatchSorted(dup)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vals, fnd, dstats := lookupSorted(t, tr, dup)
 	checkBatch(t, tr, dup, vals, fnd)
 	if dstats.DedupFolded != len(dup)-1 {
 		t.Fatalf("DedupFolded = %d, want %d", dstats.DedupFolded, len(dup)-1)
@@ -159,10 +159,7 @@ func TestSortedRegularProbeAccounting(t *testing.T) {
 	tr, pairs := build64(t, 200000, Options{Variant: Regular})
 	qs := workload.SearchInput(pairs, DefaultBucketSize, 6)
 	sort.Slice(qs, func(i, j int) bool { return qs[i] < qs[j] })
-	_, _, stats, err := tr.LookupBatchSorted(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, stats := lookupSorted(t, tr, qs)
 	baseline := int64(len(qs)) * int64(tr.regDesc.Height) * 3
 	if stats.NodeProbes <= 0 || stats.NodeProbes >= baseline {
 		t.Fatalf("NodeProbes = %d, want in (0, %d)", stats.NodeProbes, baseline)
@@ -180,7 +177,7 @@ func TestSortedRegularProbeAccounting(t *testing.T) {
 }
 
 // TestSortedLoadBalanceDelegates: the balanced executor has no sorted
-// form; LookupBatchSorted must still answer correctly through it.
+// form; LookupBatchSortedInto must still answer correctly through it.
 func TestSortedLoadBalanceDelegates(t *testing.T) {
 	tr, pairs := build64(t, 150000, Options{Variant: Implicit, LoadBalance: true})
 	qs := sortedPropQueries(pairs, 3*DefaultBucketSize, 21)
@@ -188,10 +185,7 @@ func TestSortedLoadBalanceDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, sf, _, err := tr.LookupBatchSorted(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sv, sf, _ := lookupSorted(t, tr, qs)
 	for i := range qs {
 		if sv[i] != bv[i] || sf[i] != bf[i] {
 			t.Fatalf("load-balanced sorted path diverges at %d", i)

@@ -174,17 +174,6 @@ func (t *RegularTree[K]) lookupPipelined(qs []K, vals []K, fnd []bool) {
 	}
 }
 
-// SearchInnerBatch resolves the inner-level traversal for a batch,
-// producing the leaf reference per query (the GPU's work share).
-func (t *RegularTree[K]) SearchInnerBatch(queries []K, refs []LeafRef) {
-	parallelFor(len(queries), t.cfg.Threads, func(s, e int) {
-		for i := s; i < e; i++ {
-			b, c := t.SearchToLeaf(queries[i])
-			refs[i] = LeafRef{Leaf: b, Line: int32(c)}
-		}
-	})
-}
-
 // SearchLeavesBatch finishes lookups from leaf references (the CPU stage
 // of the hybrid search).
 func (t *RegularTree[K]) SearchLeavesBatch(queries []K, refs []LeafRef, values []K, found []bool) {

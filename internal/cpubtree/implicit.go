@@ -236,21 +236,6 @@ func (t *ImplicitTree[K]) SearchInner(q K) int {
 	return idx
 }
 
-// SearchInnerFrom resumes inner traversal at (level, nodeIdx); used by
-// the load-balanced HB+-tree where the CPU walks the top D levels and the
-// GPU continues (Section 5.5).
-func (t *ImplicitTree[K]) SearchInnerFrom(q K, level, nodeIdx int) int {
-	idx := nodeIdx
-	for d := level; d < t.height; d++ {
-		j := simd.Search(t.cfg.NodeSearch, t.node(d, idx), q)
-		idx = idx*t.levelFanout[d] + j
-	}
-	if idx >= t.numLeaves {
-		idx = t.numLeaves - 1
-	}
-	return idx
-}
-
 // SearchLeafLine finishes a lookup in leaf line l.
 func (t *ImplicitTree[K]) SearchLeafLine(l int, q K) (K, bool) {
 	line := t.leafLine(l)

@@ -277,22 +277,3 @@ func TestImplicitQuickLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestImplicitSearchInnerFrom(t *testing.T) {
-	tr, pairs := buildImplicit64(t, 20000, Config{})
-	for i := 0; i < len(pairs); i += 13 {
-		q := pairs[i].Key
-		full := tr.SearchInner(q)
-		// Resuming from the root must agree with the full search.
-		if got := tr.SearchInnerFrom(q, 0, 0); got != full {
-			t.Fatalf("SearchInnerFrom(root) = %d, want %d", got, full)
-		}
-		// Resuming from depth 1 must agree: recompute the level-1 node.
-		if tr.Height() >= 2 {
-			j := simd.Search(tr.cfg.NodeSearch, tr.node(0, 0), q)
-			if got := tr.SearchInnerFrom(q, 1, j); got != full {
-				t.Fatalf("SearchInnerFrom(1,%d) = %d, want %d", j, got, full)
-			}
-		}
-	}
-}

@@ -376,17 +376,6 @@ func (t *RegularTree[K]) SearchToLeaf(q K) (leaf int32, line int) {
 	return idx, t.searchNode(t.last, idx, q)
 }
 
-// SearchToLeafFrom resumes the descent at a node of the given height
-// (load-balanced HB+-tree, Section 5.5).
-func (t *RegularTree[K]) SearchToLeafFrom(q K, height int, nodeIdx int32) (leaf int32, line int) {
-	idx := nodeIdx
-	for h := height; h >= 2; h-- {
-		c := t.searchNode(t.upper, idx, q)
-		idx = int32(t.nodeRefs(t.upper, idx)[c])
-	}
-	return idx, t.searchNode(t.last, idx, q)
-}
-
 // SearchLeafLine finishes a lookup within line c of big leaf b. The
 // leaf's delta region is consulted first — the newest append for a key
 // wins, and a tombstone is a definitive miss — before the base line's

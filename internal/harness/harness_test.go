@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -350,20 +352,50 @@ func TestExtUpdateShapes(t *testing.T) {
 	}
 }
 
-func TestRunAllQuick(t *testing.T) {
+// goldenRegen is the shell command, run from the repository root, that
+// rewrites testdata/figures.golden: hbbench's quick run with each
+// "[<id> completed in …]" timing line and the blank line after it removed.
+const goldenRegen = `go run ./cmd/hbbench -run all -quick | sed '/ completed in /{N;d}' > internal/harness/testdata/figures.golden`
+
+// TestFiguresGolden is the virtual clock's ledger: every table of
+// `hbbench -run all -quick` is regenerated in-process and must match
+// testdata/figures.golden byte for byte, so a change that moves any cell
+// of any figure fails here. A deliberate move is re-blessed with
+// goldenRegen, and its diff shown and explained.
+func TestFiguresGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("RunAll is too slow for -short mode")
+		t.Skip("figure regeneration skipped in -short mode")
 	}
-	var buf bytes.Buffer
-	cfg := Config{Quick: true, Sizes: []int{1 << 14}, Queries: 1 << 14}
-	if err := RunAll(cfg, &buf); err != nil {
+	want, err := os.ReadFile(filepath.Join("testdata", "figures.golden"))
+	if err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
 	for _, id := range IDs() {
-		if !strings.Contains(buf.String(), id) {
-			t.Fatalf("RunAll output missing %s", id)
+		tables, err := Run(id, Config{Quick: true})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		for i := range tables {
+			tables[i].Fprint(&buf)
 		}
 	}
+	if bytes.Equal(buf.Bytes(), want) {
+		return
+	}
+	got, exp := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(got) && i < len(exp) && got[i] == exp[i] {
+		i++
+	}
+	at := func(lines []string) string {
+		if i < len(lines) {
+			return strconv.Quote(lines[i])
+		}
+		return "<end of output>"
+	}
+	t.Fatalf("figures differ from testdata/figures.golden at line %d:\n  got:  %s\n  want: %s\nif the move is intended, regenerate the golden from the repository root with\n  %s",
+		i+1, at(got), at(exp), goldenRegen)
 }
 
 func TestWriteCSV(t *testing.T) {

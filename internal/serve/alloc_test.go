@@ -14,7 +14,8 @@ import (
 // is a per-call allocation the small-batch path legitimately avoids.
 
 // TestLookupBatchIntoAllocFree pins zero allocations per call on the
-// scratch-pooled heterogeneous batch search, for both tree variants.
+// scratch-pooled batch search (LookupBatchSortedInto) at one bucket of
+// unsorted queries, for both tree variants.
 func TestLookupBatchIntoAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -30,16 +31,16 @@ func TestLookupBatchIntoAllocFree(t *testing.T) {
 				queries[i] = pairs[(i*31)%len(pairs)].Key
 			}
 			// Warm the scratch pool.
-			if _, err := srv.LookupBatchInto(queries, values, found); err != nil {
+			if _, err := srv.LookupBatchSortedInto(queries, values, found); err != nil {
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(100, func() {
-				if _, err := srv.LookupBatchInto(queries, values, found); err != nil {
+				if _, err := srv.LookupBatchSortedInto(queries, values, found); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs != 0 {
-				t.Fatalf("LookupBatchInto allocates %.1f times per call, want 0", allocs)
+				t.Fatalf("LookupBatchSortedInto allocates %.1f times per call, want 0", allocs)
 			}
 		})
 	}
@@ -47,7 +48,7 @@ func TestLookupBatchIntoAllocFree(t *testing.T) {
 
 // TestCoalescedLookupPathAllocFree pins zero allocations per request on
 // the full coalesced path: pooled reply cell, shard append, inline
-// flush through LookupBatchInto, result delivery — for Lookup, and for
+// flush through LookupBatchSortedInto, result delivery — for Lookup, and for
 // LookupCtx under a live deadline that does not expire (only an expired
 // request gives up its reply cell). MaxBatch is 1 so every call
 // deterministically exercises the whole pipeline.

@@ -141,11 +141,11 @@ func TestDegradedAdmissionSheds(t *testing.T) {
 	}
 }
 
-// TestLoadBalancedFallbackUsesPartialDescent: with the breaker forced
-// open on a load-balanced server, batches are served by the host-side
-// partial-descent fallback — correct results, no kernel launches, and
-// the fallback counters advancing.
-func TestLoadBalancedFallbackUsesPartialDescent(t *testing.T) {
+// TestLoadBalancedFallbackUsesFlatCPUSearch: with the breaker forced
+// open on a load-balanced server, batches are served by the same flat
+// host-only batch search as every other server — correct results, no
+// kernel launches, one bucket, and the fallback counters advancing.
+func TestLoadBalancedFallbackUsesFlatCPUSearch(t *testing.T) {
 	pairs := workload.Dataset[uint64](workload.Uniform, 1<<12, 42)
 	tree, err := core.Build(pairs, core.Options{
 		Variant: core.Implicit, BucketSize: 64,
@@ -182,8 +182,8 @@ func TestLoadBalancedFallbackUsesPartialDescent(t *testing.T) {
 			t.Fatalf("fallback[%d] = (%d,%v)", i, values[i], found[i])
 		}
 	}
-	if stats.SimTime <= 0 {
-		t.Fatalf("fallback carries no virtual cost: %+v", stats)
+	if stats.SimTime <= 0 || stats.Buckets != 1 {
+		t.Fatalf("fallback is not the flat CPU batch: %+v", stats)
 	}
 	m := srv.Metrics()
 	if m.FallbackBatches != 1 || m.FallbackQueries != int64(len(queries)) {

@@ -72,27 +72,20 @@ func (s *Server[K]) backoff(attempt int) {
 }
 
 // lookupBatchResilient answers one batch with the degraded-mode
-// discipline: try the heterogeneous GPU path while the breaker admits
+// discipline: try the shared-descent GPU path while the breaker admits
 // it, retrying injected faults with jittered backoff; past the retry
 // budget — or with the breaker open — answer from the host-resident
-// tree instead. Structural (non-injected) errors surface unchanged.
-// The caller still holds its snapshot pin, so the fallback reads the
-// same version the GPU attempt did. With sorted set, the GPU attempts
-// take the shared-descent path (the host fallback is order-agnostic, so
-// degraded-mode results are identical either way).
-func (s *Server[K]) lookupBatchResilient(tree *core.Tree[K], queries []K, values []K, found []bool, sorted bool) (core.SearchStats, error) {
+// tree instead, whatever the tree's plan (a load-balanced tree falls
+// back like any other). Structural (non-injected) errors surface
+// unchanged. The caller still holds its snapshot pin, so the fallback
+// reads the same version the GPU attempt did.
+func (s *Server[K]) lookupBatchResilient(tree *core.Tree[K], queries []K, values []K, found []bool) (core.SearchStats, error) {
 	for attempt := 1; attempt <= s.retry.MaxAttempts && s.brk.Allow(); attempt++ {
 		if attempt > 1 {
 			s.retries.Add(1)
 			s.backoff(attempt - 1)
 		}
-		var stats core.SearchStats
-		var err error
-		if sorted {
-			stats, err = tree.LookupBatchSortedInto(queries, values, found)
-		} else {
-			stats, err = tree.LookupBatchInto(queries, values, found)
-		}
+		stats, err := tree.LookupBatchSortedInto(queries, values, found)
 		if err == nil {
 			s.brk.Success()
 			return stats, nil
@@ -103,18 +96,7 @@ func (s *Server[K]) lookupBatchResilient(tree *core.Tree[K], queries []K, values
 		s.brk.Failure()
 		s.gpuFaults.Add(1)
 	}
-	// Host-only fallback. A load-balanced server keeps the balanced
-	// plan's partial-descent shape — pre-walk to the discovered depth,
-	// then resume the remaining levels on the host instead of the device
-	// — so degraded-mode serving exercises the same bucket structure and
-	// cache-resident top levels as the healthy path. Plain servers take
-	// the flat host batch search.
-	var stats core.SearchStats
-	if s.opt.LoadBalance {
-		stats = tree.LookupBatchPartialCPUInto(queries, values, found)
-	} else {
-		stats = tree.LookupBatchCPUInto(queries, values, found)
-	}
+	stats := tree.LookupBatchCPUInto(queries, values, found)
 	s.fbBatches.Add(1)
 	s.fbQueries.Add(int64(len(queries)))
 	return stats, nil

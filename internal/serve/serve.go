@@ -381,38 +381,29 @@ func (s *Server[K]) lookupPinned(tree *core.Tree[K], q K) (K, bool) {
 	return v, ok
 }
 
-// LookupBatch runs the heterogeneous batch search against the current
-// version; concurrent batches share the device and keep isolated stats.
-// The batch's simulated makespan is charged to the virtual clock.
-// Injected device faults are retried with jittered backoff and, past
-// the retry budget or with the breaker open, the batch is answered by
-// the host-only search — callers see correct results either way.
+// LookupBatch runs the shared-descent batch search against the current
+// version into freshly allocated result slices; it is
+// LookupBatchSortedInto's allocating form. Concurrent batches share the
+// device and keep isolated stats. The batch's simulated makespan is
+// charged to the virtual clock.
 func (s *Server[K]) LookupBatch(queries []K) ([]K, []bool, core.SearchStats, error) {
 	values := make([]K, len(queries))
 	found := make([]bool, len(queries))
-	stats, err := s.LookupBatchInto(queries, values, found)
+	stats, err := s.LookupBatchSortedInto(queries, values, found)
 	if err != nil {
 		return nil, nil, stats, err
 	}
 	return values, found, stats, nil
 }
 
-// LookupBatchInto is the allocation-free batch search: results land in
-// the caller's slices (at least len(queries) long each) and the steady
-// state allocates nothing — the path the Coalescer's flushers use. The
-// same retry/fallback discipline as LookupBatch applies.
-func (s *Server[K]) LookupBatchInto(queries []K, values []K, found []bool) (core.SearchStats, error) {
-	tree, p := s.acquire()
-	stats, err := s.lookupBatchPinned(tree, queries, values, found)
-	p.Unpin()
-	return stats, err
-}
-
-// LookupBatchSortedInto is LookupBatchInto through the shared-descent
-// batch search (core.Tree.LookupBatchSortedInto): results are identical
-// and returned in caller order, with presorted duplicate-free batches —
-// the Coalescer's steady state — resolved at one node probe per
-// distinct node per level. The same retry/fallback discipline applies.
+// LookupBatchSortedInto is the server's batch search: the shared-descent
+// path (core.Tree.LookupBatchSortedInto) into the caller's slices (at
+// least len(queries) long each), results in caller order; the steady
+// state allocates nothing. Presorted duplicate-free batches — the
+// Coalescer's steady state — are resolved at one node probe per
+// distinct node per level. Injected device faults are retried with jittered backoff and, past the
+// retry budget or with the breaker open, the batch is answered by the
+// host-only search — callers see correct results either way.
 func (s *Server[K]) LookupBatchSortedInto(queries []K, values []K, found []bool) (core.SearchStats, error) {
 	tree, p := s.acquire()
 	stats, err := s.lookupBatchSortedPinned(tree, queries, values, found)
@@ -420,19 +411,11 @@ func (s *Server[K]) LookupBatchSortedInto(queries []K, values []K, found []bool)
 	return stats, err
 }
 
-// lookupBatchPinned is the batch-search body against an already-pinned
-// tree, with the resilient retry/fallback discipline and this server's
-// counters.
-func (s *Server[K]) lookupBatchPinned(tree *core.Tree[K], queries []K, values []K, found []bool) (core.SearchStats, error) {
-	stats, err := s.lookupBatchResilient(tree, queries, values, found, false)
-	s.noteBatch(len(queries), stats, err)
-	return stats, err
-}
-
-// lookupBatchSortedPinned is lookupBatchPinned through the
-// shared-descent path.
+// lookupBatchSortedPinned is the batch-search body against an
+// already-pinned tree, with the resilient retry/fallback discipline and
+// this server's counters.
 func (s *Server[K]) lookupBatchSortedPinned(tree *core.Tree[K], queries []K, values []K, found []bool) (core.SearchStats, error) {
-	stats, err := s.lookupBatchResilient(tree, queries, values, found, true)
+	stats, err := s.lookupBatchResilient(tree, queries, values, found)
 	s.noteBatch(len(queries), stats, err)
 	return stats, err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,17 +18,17 @@ import (
 	"hbtree/internal/vclock"
 )
 
-// Key-space sharded serving (DESIGN §6). The snapshot Server turns
-// every batch update into a whole-tree clone and serialises all writers
-// behind one mutex, so write cost is O(data) and rebuilds cannot
-// overlap — the scaling wall the ROADMAP's "sharded trees" item names.
-// ShardedServer partitions the key space across T independent trees,
-// each behind its own shard Server with a dedicated update-pump
-// goroutine (the per-shard worker pool standing in for NUMA placement
-// until real NUMA is observable). Writers clone 1/T of the data and
-// shards rebuild concurrently, so clone cost drops to O(data/T) and
-// update throughput scales with cores; point lookups route by key and
-// stay allocation-free; range reads stitch ordered results across shard
+// Key-space sharded serving (DESIGN §6). A single Server serialises all
+// writers behind one writer slot, and a batch that does not fit its
+// gapped leaves' delta regions (DESIGN §10) — or any batch on a tree
+// built without gaps, or a rebuild — costs O(data). ShardedServer
+// partitions the key space across T independent trees, each behind its
+// own shard Server with a dedicated update-pump goroutine (the per-shard
+// worker pool standing in for NUMA placement until real NUMA is
+// observable). A clone fallback copies 1/T of the data and shards
+// rebuild concurrently, so that cost drops to O(data/T) and update
+// throughput scales with cores; point lookups route by key and stay
+// allocation-free; range reads stitch ordered results across shard
 // boundaries.
 //
 // All T shard versions live in ONE epoch.Registry: the registry's
@@ -528,75 +529,30 @@ func (s *ShardedServer[K]) Lookup(q K) (K, bool) {
 	return v, ok
 }
 
-// LookupBatch splits the queries by shard, runs the per-shard
-// heterogeneous batch searches concurrently, and scatters the results
-// back into query order. The merged stats sum queries and buckets;
-// SimTime is the slowest shard's makespan.
+// LookupBatch answers the queries in caller order into freshly
+// allocated result slices. It serves a co-sorted copy of the queries
+// through LookupBatchSortedInto — so each touched shard gets exactly one
+// sorted run, all under one registry pin (an atomic cross-shard cut) —
+// and scatters the results back through the permutation. The stats are
+// LookupBatchSortedInto's: SimTime sums the shard runs.
 func (s *ShardedServer[K]) LookupBatch(queries []K) ([]K, []bool, core.SearchStats, error) {
-	values := make([]K, len(queries))
-	found := make([]bool, len(queries))
-	stats, err := s.LookupBatchInto(queries, values, found)
-	return values, found, stats, err
-}
-
-// LookupBatchInto is LookupBatch into caller-owned result slices (at
-// least len(queries) long each). The whole batch runs under one
-// registry pin — an atomic cross-shard cut. Unlike the single-tree path
-// it is not allocation-free: the split and scatter buffers are
-// per-call.
-func (s *ShardedServer[K]) LookupBatchInto(queries []K, values []K, found []bool) (core.SearchStats, error) {
-	p := s.reg.Pin()
-	defer p.Unpin()
-	m := p.Meta()
-	T := len(m.subs)
-	qs := make([][]K, T)
-	idx := make([][]int, T)
-	for pos, q := range queries {
-		i := m.route(q)
-		qs[i] = append(qs[i], q)
-		idx[i] = append(idx[i], pos)
+	n := len(queries)
+	sorted := slices.Clone(queries)
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
 	}
-	subVals := make([][]K, T)
-	subFound := make([][]bool, T)
-	subStats := make([]core.SearchStats, T)
-	errs := make([]error, T)
-	var wg sync.WaitGroup
-	for i := 0; i < T; i++ {
-		if len(qs[i]) == 0 {
-			continue
-		}
-		subVals[i] = make([]K, len(qs[i]))
-		subFound[i] = make([]bool, len(qs[i]))
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			subStats[i], errs[i] = m.subs[i].lookupBatchPinned(p.Get(i), qs[i], subVals[i], subFound[i])
-		}(i)
+	keys.SortWithPerm(sorted, perm)
+	sv, sf := make([]K, n), make([]bool, n)
+	stats, err := s.LookupBatchSortedInto(sorted, sv, sf)
+	if err != nil {
+		return nil, nil, stats, err
 	}
-	wg.Wait()
-	var agg core.SearchStats
-	agg.BucketSize = s.opt.BucketSize
-	for i := 0; i < T; i++ {
-		if len(qs[i]) == 0 {
-			continue
-		}
-		if errs[i] != nil {
-			return agg, errs[i]
-		}
-		for j, pos := range idx[i] {
-			values[pos] = subVals[i][j]
-			found[pos] = subFound[i][j]
-		}
-		agg.Queries += subStats[i].Queries
-		agg.Buckets += subStats[i].Buckets
-		if subStats[i].SimTime > agg.SimTime {
-			agg.SimTime = subStats[i].SimTime
-		}
+	values, found := make([]K, n), make([]bool, n)
+	for i, p := range perm {
+		values[p], found[p] = sv[i], sf[i]
 	}
-	if agg.SimTime > 0 {
-		agg.ThroughputQPS = float64(agg.Queries) / agg.SimTime.Seconds()
-	}
-	return agg, nil
+	return values, found, stats, nil
 }
 
 // RangeQuery returns up to count pairs with key >= start, stitched in
@@ -932,6 +888,10 @@ func (s *ShardedServer[K]) LookupBatchSortedInto(queries []K, values []K, found 
 		agg.NodeProbes += stats.NodeProbes
 		agg.ProbesSaved += stats.ProbesSaved
 		agg.DedupFolded += stats.DedupFolded
+		agg.LeafLines += stats.LeafLines
+		for l, c := range stats.LevelProbes {
+			agg.LevelProbes[l] += c
+		}
 		start = end
 	}
 	if agg.SimTime > 0 {

@@ -127,6 +127,36 @@ func TestShardedReadPaths(t *testing.T) {
 	}
 }
 
+// TestShardedLookupBatchOneRunPerShard: LookupBatch on unsorted keys
+// spanning every shard co-sorts them first, so each touched shard serves
+// exactly one run (one batch) and the results still come back in caller
+// order.
+func TestShardedLookupBatchOneRunPerShard(t *testing.T) {
+	s, pairs := newShardedServer(t, core.Implicit, 1<<12, 4)
+	queries := make([]uint64, 256)
+	touched := map[int]bool{}
+	for i := range queries {
+		queries[i] = pairs[(i*53)%len(pairs)].Key
+		touched[s.route(queries[i])] = true
+	}
+	before := s.Metrics().Batches
+	values, found, stats, err := s.LookupBatch(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range queries {
+		if !found[i] || values[i] != workload.ValueFor(q) {
+			t.Fatalf("batch[%d] (key %d) = (%d, %v)", i, q, values[i], found[i])
+		}
+	}
+	if got := s.Metrics().Batches - before; got != int64(len(touched)) {
+		t.Fatalf("batch served as %d shard runs, want one per touched shard (%d)", got, len(touched))
+	}
+	if !stats.Sorted || stats.Queries != len(queries) {
+		t.Fatalf("stats: %+v", stats)
+	}
+}
+
 // TestShardedUpdate: ops split across shards apply concurrently, stay
 // visible, and merge their stats (counts summed, times as makespan).
 func TestShardedUpdate(t *testing.T) { forShards(t, []int{1, 4}, testShardedUpdate) }

@@ -73,9 +73,10 @@ func TestCoalescerFoldsDuplicateKeys(t *testing.T) {
 // TestSortedShardedBatchOracle is the -race oracle for the sorted flush
 // through the sharded backend: concurrent goroutines push shuffled,
 // duplicate- and miss-laden batches through both the coalescer
-// backend's sorted path and the sharded server's plain batch path and
-// verify every slot against the dataset. The sorted path must agree with the oracle in the original
-// (pre-sort) slot order regardless of input order.
+// backend's LookupBatchSortedInto and the co-sorting LookupBatch wrapper
+// and verify every slot against the dataset. Both must agree with the
+// oracle in the original (pre-sort) slot order regardless of input
+// order.
 func TestSortedShardedBatchOracle(t *testing.T) {
 	s, pairs := newShardedServer(t, core.Regular, 1<<12, 4)
 	oracle := make(map[uint64]uint64, len(pairs))
@@ -116,12 +117,12 @@ func TestSortedShardedBatchOracle(t *testing.T) {
 				var err error
 				if it%2 == 0 {
 					stats, err = s.LookupBatchSortedInto(qs, values, found)
-					if err == nil && !stats.Sorted {
-						t.Errorf("worker %d iter %d: sorted stats not flagged", w, it)
-						return
-					}
 				} else {
-					_, err = s.LookupBatchInto(qs, values, found)
+					values, found, stats, err = s.LookupBatch(qs)
+				}
+				if err == nil && !stats.Sorted {
+					t.Errorf("worker %d iter %d: sorted stats not flagged", w, it)
+					return
 				}
 				if err != nil {
 					t.Errorf("worker %d iter %d: %v", w, it, err)
@@ -143,6 +144,38 @@ func TestSortedShardedBatchOracle(t *testing.T) {
 	m := s.Metrics()
 	if m.NodeProbes <= 0 || m.ProbesSaved <= 0 {
 		t.Fatalf("sorted sharded runs recorded no probe accounting: %+v", m)
+	}
+}
+
+// TestShardedSortedStatsKeepLevelInvariant: a sharded batch's stats sum
+// every shard run's per-level probes and leaf lines, so the aggregate
+// keeps sum(LevelProbes) == NodeProbes — for an unsorted,
+// duplicate-laden batch that the run walk cuts into many runs.
+func TestShardedSortedStatsKeepLevelInvariant(t *testing.T) {
+	s, pairs := newShardedServer(t, core.Regular, 1<<12, 4)
+	rng := rand.New(rand.NewSource(3))
+	qs := make([]uint64, 300)
+	for i := range qs {
+		if i > 0 && rng.Intn(4) == 0 {
+			qs[i] = qs[rng.Intn(i)]
+		} else {
+			qs[i] = pairs[rng.Intn(len(pairs))].Key
+		}
+	}
+	values, found := make([]uint64, len(qs)), make([]bool, len(qs))
+	stats, err := s.LookupBatchSortedInto(qs, values, found)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, c := range stats.LevelProbes {
+		sum += c
+	}
+	if stats.NodeProbes <= 0 || sum != stats.NodeProbes {
+		t.Fatalf("sum(LevelProbes) = %d, NodeProbes = %d", sum, stats.NodeProbes)
+	}
+	if stats.LeafLines <= 0 {
+		t.Fatalf("LeafLines = %d, want > 0", stats.LeafLines)
 	}
 }
 
