@@ -19,17 +19,22 @@ import (
 // into reads, the reply stream is the one a line-at-a-time server writes.
 
 // scriptConn is a connection whose reads return a fixed sequence of
-// chunks, one per Read, and then EOF; writes collect in out. It makes
-// serveConn's read boundaries a test input instead of a kernel accident.
+// chunks, one per Read, and then err (io.EOF when nil); writes collect in
+// out, and the length of each one in writes. It makes serveConn's read
+// boundaries a test input instead of a kernel accident.
 type scriptConn struct {
 	net.Conn // nil: only the methods serveConn uses are defined
 	chunks   [][]byte
+	err      error
 	out      bytes.Buffer
-	writes   int
+	writes   []int
 }
 
 func (c *scriptConn) Read(p []byte) (int, error) {
 	if len(c.chunks) == 0 {
+		if c.err != nil {
+			return 0, c.err
+		}
 		return 0, io.EOF
 	}
 	n := copy(p, c.chunks[0])
@@ -38,7 +43,10 @@ func (c *scriptConn) Read(p []byte) (int, error) {
 	}
 	return n, nil
 }
-func (c *scriptConn) Write(p []byte) (int, error)     { c.writes++; return c.out.Write(p) }
+func (c *scriptConn) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, len(p))
+	return c.out.Write(p)
+}
 func (c *scriptConn) Close() error                    { return nil }
 func (c *scriptConn) SetReadDeadline(time.Time) error { return nil }
 
@@ -228,32 +236,108 @@ func TestServeConnSplitInvariant(t *testing.T) {
 	}
 }
 
-// TestReplyWritesPerPipelinedRun pins when replies leave: a run of GETs
-// read in one piece is one coalescer group sent in one write with
-// -coalesce, and without it each reply is written as soon as its lookup
-// returns.
-func TestReplyWritesPerPipelinedRun(t *testing.T) {
+// TestRepliesLeaveOncePerDrainedRead pins when replies leave, in every
+// serving mode: the replies to a run of GETs read in one piece are
+// flushed once, after the drained read, and the only thing that splits
+// them into more writes is the writer filling up — every write but the
+// last then carries exactly the writer's 4096 bytes.
+func TestRepliesLeaveOncePerDrainedRead(t *testing.T) {
 	pairs := hbtree.GeneratePairs[uint64](1<<10, 42)
-	var input []byte
-	for _, p := range pairs[:8] {
-		input = fmt.Appendf(input, "GET %d\n", p.Key)
-	}
 	for _, m := range connModes {
 		tree, err := hbtree.New(pairs, hbtree.Options{BucketSize: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := mustServer(t, tree, m.cfg)
-		c := &scriptConn{chunks: [][]byte{input}}
-		s.serveConn(c)
+		for _, n := range []int{8, 400} {
+			var input, want []byte
+			for _, p := range pairs[:n] {
+				input = fmt.Appendf(input, "GET %d\n", p.Key)
+				want = fmt.Appendf(want, "VALUE %d\n", p.Value)
+			}
+			c := &scriptConn{chunks: [][]byte{input}}
+			s.serveConn(c)
+			if !bytes.Equal(c.out.Bytes(), want) {
+				t.Fatalf("%s: replies to %d pipelined GETs = %q, want %q", m.name, n, c.out.Bytes(), want)
+			}
+			if n == 8 && len(c.writes) != 1 {
+				t.Errorf("%s: 8 pipelined GETs read in one piece took %d writes %v, want 1", m.name, len(c.writes), c.writes)
+			}
+			for i, size := range c.writes[:len(c.writes)-1] {
+				if size != 4096 {
+					t.Errorf("%s: write %d of %d for %d pipelined GETs carried %d bytes, want the writer's 4096 (writes %v)",
+						m.name, i, len(c.writes), n, size, c.writes)
+					break
+				}
+			}
+		}
 		s.shutdown()
-		want := 8
-		if m.cfg.coalesce {
-			want = 1
+	}
+}
+
+// TestReadErrorDropsPartialLine: a connection that breaks mid-line — a
+// reset, or shutdown closing it — leaves an unterminated tail that may be
+// a longer request cut short ("PUT 77 12" of "PUT 77 123"). Only EOF makes
+// that tail a request; after any other read error it is dropped, with no
+// write applied and no reply sent.
+func TestReadErrorDropsPartialLine(t *testing.T) {
+	pairs := hbtree.GeneratePairs[uint64](1<<10, 42)
+	for _, m := range connModes {
+		tree, err := hbtree.New(pairs, hbtree.Options{Variant: hbtree.Regular, BucketSize: 64})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if c.writes != want || bytes.Count(c.out.Bytes(), []byte("VALUE ")) != 8 {
-			t.Errorf("%s: %d writes for 8 pipelined GETs, want %d; replies %q", m.name, c.writes, want, c.out.Bytes())
+		s := mustServer(t, tree, m.cfg)
+		if _, ok := s.srv.Lookup(77); ok {
+			t.Fatalf("%s: key 77 is in the dataset; pick another", m.name)
 		}
+		c := &scriptConn{chunks: [][]byte{[]byte("PUT 77 12")}, err: net.ErrClosed}
+		s.serveConn(c)
+		if v, ok := s.srv.Lookup(77); ok {
+			t.Errorf("%s: the cut-off line was executed: key 77 = %d", m.name, v)
+		}
+		if c.out.Len() != 0 {
+			t.Errorf("%s: replied %q to a line cut off by a read error", m.name, c.out.Bytes())
+		}
+		s.shutdown()
+	}
+}
+
+// TestHalfClosedClientGetsEveryReply: a client that pipelines GETs, ends
+// with one that has no newline and then half-closes its side gets every
+// reply, in order, before the server's FIN — over a real socket, in every
+// serving mode.
+func TestHalfClosedClientGetsEveryReply(t *testing.T) {
+	const n = 40
+	for _, m := range connModes {
+		t.Run(m.name, func(t *testing.T) {
+			tree, pairs := newTestTree(t, hbtree.Implicit, 13)
+			dial := startServer(t, mustServer(t, tree, m.cfg))
+			conn, r := dial()
+			var req []byte
+			for i := 0; i <= n; i++ {
+				req = fmt.Appendf(req, "GET %d\n", pairs[i*37].Key)
+			}
+			if _, err := conn.Write(req[:len(req)-1]); err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(replyWait))
+			for i := 0; i <= n; i++ {
+				resp, err := r.ReadString('\n')
+				if err != nil {
+					t.Fatalf("reply %d of %d: %v", i, n+1, err)
+				}
+				if want := fmt.Sprintf("VALUE %d\n", pairs[i*37].Value); resp != want {
+					t.Fatalf("reply %d = %q, want %q", i, resp, want)
+				}
+			}
+			if extra, err := r.ReadString('\n'); err != io.EOF {
+				t.Fatalf("after %d replies: read %q, %v; want EOF", n+1, extra, err)
+			}
+		})
 	}
 }
 

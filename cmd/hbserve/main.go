@@ -26,14 +26,15 @@
 // Connections are served concurrently through the hbtree.ShardedServer
 // reader/writer contract, and each connection is served pipeline-aware:
 // every complete line already read is executed before the next read,
-// runs of consecutive GETs together, replies in request order. Without
-// -coalesce each GET of a run is answered and sent on its own; with it
-// the run is one group sent in one write, and those groups — from all
-// connections — are coalesced into heterogeneous batch searches of up to
-// a bucket (the paper's intended operating point): a batch leaves when
-// it is full or as soon as no other flush is running, so batch size
-// follows load and -coalesce-window is only the longest a GET waits for
-// companions. -coalesce-pending bounds the coalescer's in-flight window,
+// runs of consecutive GETs together, replies in request order, and the
+// replies to one read leave in one write (or one per 4 KiB of replies).
+// Without -coalesce each GET of a run is looked up on its own; with it
+// the run is one group, and those groups — from all connections — are
+// coalesced into heterogeneous batch searches of up to a bucket (the
+// paper's intended operating point): a batch leaves when it is full or
+// as soon as no other flush is running, so batch size follows load and
+// -coalesce-window is only the longest a GET waits for companions.
+// -coalesce-pending bounds the coalescer's in-flight window,
 // one static budget per server, with backpressure or (-coalesce-shed)
 // fail-fast shedding; a shed GET's retry hint is one -coalesce-window,
 // at least 1 ms. There is one serving engine, the key-space sharded
@@ -288,11 +289,15 @@ var (
 // turn executes every complete line already in the read buffer — runs
 // of consecutive GETs as one group (serveLines), so a client that
 // pipelines N GETs hands the coalescer a batch of N — writes the replies
-// in request order, and flushes what is still unsent before it waits for
-// more input. It never waits for input while a request it has read is
-// unanswered or a reply is unflushed: a closed-loop client sends nothing
-// more until it has those replies. A client that sends one line at a
-// time sees one read, one reply, one write per request.
+// in request order, and flushes them before it waits for more input. So
+// a drained read of N pipelined GETs costs one write, or one per 4 KiB
+// of replies when they fill the writer first. It never waits for input
+// while a request it has read is unanswered or a reply is unflushed: a
+// closed-loop client sends nothing more until it has those replies. A
+// client that sends one line at a time sees one read, one reply, one
+// write per request. At EOF an unterminated last line is executed and
+// its reply leaves through the deferred flush; after any other read
+// error it is dropped.
 func (s *server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	br := readerPool.Get().(*bufio.Reader)
@@ -333,10 +338,15 @@ func (s *server) serveConn(conn net.Conn) {
 			io.Copy(io.Discard, conn)
 			return
 		}
-		// EOF or a read error: the rest is the last line, sent without
-		// its newline.
-		buf, _ = br.Peek(br.Buffered())
-		s.serveLines(w, run, buf, true)
+		// At EOF the rest is the last line, sent without its newline.
+		// Any other read error (a reset, or shutdown closing the
+		// connection) may have cut that line short, so it is dropped
+		// rather than executed: "PUT 77 12" must not stand for a
+		// "PUT 77 123" that broke off.
+		if err == io.EOF {
+			buf, _ = br.Peek(br.Buffered())
+			s.serveLines(w, run, buf, true)
+		}
 		return
 	}
 }
@@ -403,12 +413,11 @@ func (s *server) serveLines(w *bufio.Writer, run *getRun, buf []byte, final bool
 }
 
 // answerGETs looks up the collected run and writes the replies in request
-// order. With -coalesce the run is one coalescer group under one
-// -deadline budget: its answers arrive together and leave in one write.
-// Without it each key is looked up on its own and its reply is sent as
-// soon as it exists, so the client works on the first answers while the
-// server computes the rest: a server without -coalesce puts the latency
-// of each reply first and batches nothing.
+// order into w. With -coalesce the run is one coalescer group under one
+// -deadline budget; without it each key is looked up on its own. Either
+// way the replies are only buffered: they leave when serveConn flushes
+// the drained read, before a PUT/DEL, or whenever the writer fills, so
+// the writer's size bounds how long a long run's first reply waits.
 func (s *server) answerGETs(w *bufio.Writer, run *getRun) {
 	n := len(run.keys)
 	if n == 0 {
@@ -418,7 +427,6 @@ func (s *server) answerGETs(w *bufio.Writer, run *getRun) {
 		for _, k := range run.keys {
 			v, ok := s.srv.Lookup(k)
 			run.enc.writeGETReply(w, v, ok)
-			w.Flush() // a write error sticks to w; serveConn's flush reports it
 		}
 	} else {
 		if cap(run.res) < n {
