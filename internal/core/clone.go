@@ -31,6 +31,8 @@ func (t *Tree[K]) Clone() (*Tree[K], error) {
 		leafMissOverride: t.leafMissOverride,
 		buildStats:       t.buildStats,
 		scratch:          make(chan *searchScratch[K], scratchPoolCap),
+		implProfile:      t.implProfile,
+		implSearches:     t.implSearches,
 	}
 	if t.impl != nil {
 		c.impl = t.impl.Clone()

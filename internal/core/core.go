@@ -291,6 +291,11 @@ type Tree[K keys.Key] struct {
 	// buffers, host staging slices, timeline) so the steady-state
 	// lookup path allocates nothing. See scratch.go.
 	scratch chan *searchScratch[K]
+
+	// implProfile/implSearches cache the implicit tree's full-lookup
+	// miss profile (see lookupProfile).
+	implProfile  missProfile
+	implSearches float64
 }
 
 // Build constructs an HB+-tree from sorted, distinct pairs and mirrors
@@ -331,6 +336,9 @@ func Build[K keys.Key](pairs []keys.Pair[K], opt Options) (*Tree[K], error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	if t.impl != nil {
+		t.cacheLookupProfile()
 	}
 	t.buildStats.LSegBuild, t.buildStats.ISegBuild = t.modelBuildCost()
 	if err := t.mirrorISegment(); err != nil {
@@ -661,6 +669,7 @@ func Load[K keys.Key](r io.Reader, opt Options) (*Tree[K], error) {
 			return nil, err
 		}
 		t.impl = impl
+		t.cacheLookupProfile()
 	case 2:
 		opt.Variant = Regular
 		t.opt.Variant = Regular

@@ -288,6 +288,42 @@ func TestCPUOnlyLookup(t *testing.T) {
 	}
 }
 
+// TestCPUFallbackAllocFree: the host-only batch search is the serving
+// layer's degraded mode, so it must cost no more than the lookups it
+// performs — no allocation on the implicit tree, and on the regular
+// tree only the inner-node census its miss profile needs. Its modelled
+// stats stay what they were before the profile was cached.
+func TestCPUFallbackAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	for _, c := range []struct {
+		variant   Variant
+		maxAllocs float64
+		want      SearchStats
+	}{
+		{Implicit, 0, SearchStats{Queries: 16, Buckets: 1, BucketSize: 16,
+			SimTime: 81, ThroughputQPS: 1.9753086419753087e+08, AvgLatency: 1296}},
+		{Regular, 6, SearchStats{Queries: 16, Buckets: 1, BucketSize: 16,
+			SimTime: 73.2413895924886, ThroughputQPS: 2.1845571321111184e+08, AvgLatency: 1171.8622334798176}},
+	} {
+		tr, pairs := build64(t, 1<<20, Options{Variant: c.variant})
+		for _, n := range []int{16, 100} {
+			qs := workload.SearchInput(pairs, n, 7)
+			vals, fnd := make([]uint64, n), make([]bool, n)
+			st := tr.LookupBatchCPUInto(qs, vals, fnd)
+			checkBatch(t, tr, qs, vals, fnd)
+			if n == 16 && st != c.want {
+				t.Errorf("%v: stats = %+v, want %+v", c.variant, st, c.want)
+			}
+			allocs := testing.AllocsPerRun(100, func() { tr.LookupBatchCPUInto(qs, vals, fnd) })
+			if allocs > c.maxAllocs {
+				t.Errorf("%v, %d keys: %v allocations per batch, want at most %v", c.variant, n, allocs, c.maxAllocs)
+			}
+		}
+	}
+}
+
 func TestImplicitRebuildUpdatesReplica(t *testing.T) {
 	tr, _ := build64(t, 30000, Options{Variant: Implicit})
 	pairs2 := workload.Dataset[uint64](workload.Uniform, 45000, 99)

@@ -48,27 +48,15 @@ func profileLevels(levelBytes []int64, levelLines []float64, llcBytes int64) mis
 }
 
 // lookupProfile returns the miss profile and in-node search count of one
-// full lookup on the underlying tree.
+// full lookup on the underlying tree. The implicit tree's depends only
+// on its geometry, so it is computed once per build (cacheLookupProfile)
+// and the degraded-mode fallback pays nothing for it per batch; the
+// regular tree's inner node counts move with every update.
 func (t *Tree[K]) lookupProfile() (missProfile, float64) {
-	llc := t.opt.Machine.CPU.LLCBytes
 	if t.impl != nil {
-		h := t.impl.Height()
-		st := t.impl.Stats()
-		geom := t.impl.LevelGeometry()
-		bytes := make([]int64, h+1)
-		lines := make([]float64, h+1)
-		for d := 0; d < h; d++ {
-			// A tuned level's wide nodes span several lines; each probe
-			// touches all of them. Uniform levels are the historical
-			// one-line-per-node shape.
-			ln := int64(geom[d].Kpn / keys.PerLine[K]())
-			bytes[d] = int64(geom[d].Nodes) * ln * keys.LineBytes
-			lines[d] = float64(ln)
-		}
-		bytes[h] = st.LeafBytes
-		lines[h] = 1
-		return profileLevels(bytes, lines, llc), float64(h + 1)
+		return t.implProfile, t.implSearches
 	}
+	llc := t.opt.Machine.CPU.LLCBytes
 	counts := t.reg.LevelNodeCounts()
 	st := t.reg.Stats()
 	nodeBytes := int64(17 * keys.LineBytes) // S_I
@@ -89,6 +77,28 @@ func (t *Tree[K]) lookupProfile() (missProfile, float64) {
 	bytes[h] = st.LeafBytes
 	lines[h] = 1
 	return profileLevels(bytes, lines, llc), 2*float64(h) - 1
+}
+
+// cacheLookupProfile records the implicit tree's full-lookup miss
+// profile. Call it whenever t.impl is built, loaded or rebuilt.
+func (t *Tree[K]) cacheLookupProfile() {
+	h := t.impl.Height()
+	st := t.impl.Stats()
+	geom := t.impl.LevelGeometry()
+	bytes := make([]int64, h+1)
+	lines := make([]float64, h+1)
+	for d := 0; d < h; d++ {
+		// A tuned level's wide nodes span several lines; each probe
+		// touches all of them. Uniform levels are the historical
+		// one-line-per-node shape.
+		ln := int64(geom[d].Kpn / keys.PerLine[K]())
+		bytes[d] = int64(geom[d].Nodes) * ln * keys.LineBytes
+		lines[d] = float64(ln)
+	}
+	bytes[h] = st.LeafBytes
+	lines[h] = 1
+	t.implProfile = profileLevels(bytes, lines, t.opt.Machine.CPU.LLCBytes)
+	t.implSearches = float64(h + 1)
 }
 
 // leafProfile returns the miss profile of the CPU leaf stage alone
@@ -171,11 +181,12 @@ func cpuBatchDuration(cpu platform.CPU, n int, perQuery vclock.Duration, missByt
 
 // cpuFullLookupBatch models the CPU-optimized baseline: a batch of n
 // full-tree lookups with the tree's own geometry (used by the harness
-// for Figures 7b, 8, 16, 19 and 20).
-func (t *Tree[K]) cpuFullLookupBatch(n int, walk vclock.Duration) vclock.Duration {
+// for Figures 7b, 8, 16, 19 and 20). It returns the batch duration and
+// the per-query cost it is built from.
+func (t *Tree[K]) cpuFullLookupBatch(n int) (batch, perQuery vclock.Duration) {
 	p, searches := t.lookupProfile()
-	pq := cpuPerQuery(t.opt.Machine.CPU, t.opt.NodeSearch, searches, p, walk, t.opt.PipelineDepth, 0)
-	return cpuBatchDuration(t.opt.Machine.CPU, n, pq, p.Miss*keys.LineBytes, t.opt.Threads)
+	pq := cpuPerQuery(t.opt.Machine.CPU, t.opt.NodeSearch, searches, p, 0, t.opt.PipelineDepth, 0)
+	return cpuBatchDuration(t.opt.Machine.CPU, n, pq, p.Miss*keys.LineBytes, t.opt.Threads), pq
 }
 
 // cpuLeafStageDuration models step 4 of the hybrid search: n leaf-line

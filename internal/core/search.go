@@ -303,13 +303,12 @@ func (t *Tree[K]) LookupBatchCPUInto(queries []K, values []K, found []bool) (sta
 	} else {
 		t.reg.LookupBatch(queries, values[:n], found[:n])
 	}
-	stats.SimTime = t.cpuFullLookupBatch(n, 0)
+	var pq vclock.Duration
+	stats.SimTime, pq = t.cpuFullLookupBatch(n)
 	if stats.SimTime > 0 {
 		stats.ThroughputQPS = float64(n) / stats.SimTime.Seconds()
 	}
-	p, searches := t.lookupProfile()
-	stats.AvgLatency = cpuPerQuery(t.opt.Machine.CPU, t.opt.NodeSearch, searches, p, 0,
-		t.opt.PipelineDepth, 0) * vclock.Duration(t.opt.PipelineDepth)
+	stats.AvgLatency = pq * vclock.Duration(t.opt.PipelineDepth)
 	return stats
 }
 

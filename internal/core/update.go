@@ -122,6 +122,7 @@ func (t *Tree[K]) Rebuild(pairs []keys.Pair[K]) (UpdateStats, error) {
 	if err := t.impl.Rebuild(pairs); err != nil {
 		return UpdateStats{}, err
 	}
+	t.cacheLookupProfile()
 	lseg, iseg := t.modelBuildCost()
 	t.buildStats.LSegBuild, t.buildStats.ISegBuild = lseg, iseg
 	// The host segments are already rebuilt; a faulted mirror marks the

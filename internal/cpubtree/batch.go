@@ -16,9 +16,19 @@ import (
 // data fetching exactly as the paper's prefetch-enabled loop does. The
 // paper found P = 16 optimal; Figure 20 sweeps it.
 
+// maxPipelineGroup caps the number of queries one worker advances
+// together, so the group's node cursors live on the stack; deeper
+// configured pipelines run in groups of this size.
+const maxPipelineGroup = 64
+
 // LookupBatch resolves queries[i] into values[i]/found[i] using all
 // configured worker threads and the configured software-pipeline depth.
+// A batch too small to fan out runs on the caller without allocating.
 func (t *ImplicitTree[K]) LookupBatch(queries []K, values []K, found []bool) {
+	if runsInline(len(queries), t.cfg.Threads) {
+		t.lookupPipelined(queries, values, found)
+		return
+	}
 	parallelFor(len(queries), t.cfg.Threads, func(s, e int) {
 		t.lookupPipelined(queries[s:e], values[s:e], found[s:e])
 	})
@@ -26,14 +36,14 @@ func (t *ImplicitTree[K]) LookupBatch(queries []K, values []K, found []bool) {
 
 // lookupPipelined is the single-thread software-pipelined lookup loop.
 func (t *ImplicitTree[K]) lookupPipelined(qs []K, vals []K, fnd []bool) {
-	p := t.cfg.PipelineDepth
+	p := min(t.cfg.PipelineDepth, maxPipelineGroup)
 	if p <= 1 {
 		for i, q := range qs {
 			vals[i], fnd[i] = t.Lookup(q)
 		}
 		return
 	}
-	node := make([]int, p)
+	var node [maxPipelineGroup]int
 	for start := 0; start < len(qs); start += p {
 		end := start + p
 		if end > len(qs) {
@@ -135,22 +145,27 @@ type LeafRef struct {
 }
 
 // LookupBatch resolves queries[i] into values[i]/found[i] using all
-// configured worker threads and software pipelining.
+// configured worker threads and software pipelining. A batch too small
+// to fan out runs on the caller without allocating.
 func (t *RegularTree[K]) LookupBatch(queries []K, values []K, found []bool) {
+	if runsInline(len(queries), t.cfg.Threads) {
+		t.lookupPipelined(queries, values, found)
+		return
+	}
 	parallelFor(len(queries), t.cfg.Threads, func(s, e int) {
 		t.lookupPipelined(queries[s:e], values[s:e], found[s:e])
 	})
 }
 
 func (t *RegularTree[K]) lookupPipelined(qs []K, vals []K, fnd []bool) {
-	p := t.cfg.PipelineDepth
+	p := min(t.cfg.PipelineDepth, maxPipelineGroup)
 	if p <= 1 {
 		for i, q := range qs {
 			vals[i], fnd[i] = t.Lookup(q)
 		}
 		return
 	}
-	node := make([]int32, p)
+	var node [maxPipelineGroup]int32
 	for start := 0; start < len(qs); start += p {
 		end := start + p
 		if end > len(qs) {

@@ -25,7 +25,6 @@ import (
 	"runtime"
 	"sync"
 
-	"hbtree/internal/keys"
 	"hbtree/internal/mem"
 	"hbtree/internal/simd"
 )
@@ -60,8 +59,8 @@ type Config struct {
 	// zero selects DefaultPipelineDepth, negative disables pipelining.
 	PipelineDepth int
 
-	// Threads is the number of worker goroutines for batch operations;
-	// zero selects GOMAXPROCS.
+	// Threads is the number of worker goroutines for batch operations
+	// and the implicit tree's bulk load; zero selects GOMAXPROCS.
 	Threads int
 
 	// ISegPages / LSegPages choose the page kind backing each segment
@@ -145,13 +144,4 @@ func parallelFor(n, workers int, fn func(start, end int)) {
 		}(start, end)
 	}
 	wg.Wait()
-}
-
-// maxKeyOf returns the largest real key of a run of pairs, or MAX when
-// the run is empty.
-func maxKeyOf[K keys.Key](pairs []keys.Pair[K]) K {
-	if len(pairs) == 0 {
-		return keys.Max[K]()
-	}
-	return pairs[len(pairs)-1].Key
 }

@@ -2,6 +2,7 @@ package cpubtree
 
 import (
 	"fmt"
+	"sync"
 
 	"hbtree/internal/keys"
 	"hbtree/internal/mem"
@@ -71,14 +72,6 @@ func BuildImplicit[K keys.Key](pairs []keys.Pair[K], cfg Config) (*ImplicitTree[
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("cpubtree: empty dataset")
 	}
-	for i := 1; i < len(pairs); i++ {
-		if pairs[i-1].Key >= pairs[i].Key {
-			return nil, fmt.Errorf("cpubtree: pairs not sorted/distinct at %d", i)
-		}
-	}
-	if pairs[len(pairs)-1].Key == keys.Max[K]() {
-		return nil, fmt.Errorf("cpubtree: key MAX is reserved as sentinel")
-	}
 
 	t := &ImplicitTree[K]{
 		cfg:       cfg,
@@ -87,35 +80,79 @@ func BuildImplicit[K keys.Key](pairs []keys.Pair[K], cfg Config) (*ImplicitTree[
 		pairsLine: kpn / 2,
 		numPairs:  len(pairs),
 	}
-	t.build(pairs)
+	lineMax, bad := t.buildLeaves(pairs)
+	if bad >= 0 {
+		return nil, fmt.Errorf("cpubtree: pairs not sorted/distinct at %d", bad)
+	}
+	if pairs[len(pairs)-1].Key == keys.Max[K]() {
+		return nil, fmt.Errorf("cpubtree: key MAX is reserved as sentinel")
+	}
+	t.buildInner(lineMax)
 	t.iseg = cfg.Alloc.Alloc(int64(len(t.inner))*int64(keys.Size[K]()), cfg.ISegPages)
 	t.lseg = cfg.Alloc.Alloc(int64(len(t.leaves))*int64(keys.Size[K]()), cfg.LSegPages)
 	return t, nil
 }
 
-// build fills the leaf lines and the breadth-first inner levels.
-func (t *ImplicitTree[K]) build(pairs []keys.Pair[K]) {
-	maxK := keys.Max[K]()
+// buildLeaves packs the pairs densely into leaf lines in one pass, split
+// into contiguous line ranges across the configured workers. Each worker
+// checks key order within its range and against the pair just before
+// it, copies its pairs into place, pads only the unused tail of the last
+// line with the MAX sentinel and records every line's maximum key. It
+// returns the line maxima and the first index i whose pair does not
+// exceed pair i-1, or -1 when the pairs are sorted and distinct; the
+// result is the same at every thread count.
+func (t *ImplicitTree[K]) buildLeaves(pairs []keys.Pair[K]) (lineMax []K, bad int) {
 	t.numLeaves = (len(pairs) + t.pairsLine - 1) / t.pairsLine
-
-	// Leaf lines, packed densely and padded with the MAX sentinel.
 	t.leaves = make([]K, t.numLeaves*t.kpn)
-	for i := range t.leaves {
-		t.leaves[i] = maxK
+	lineMax = make([]K, t.numLeaves)
+	bad = len(pairs)
+	var mu sync.Mutex
+	parallelFor(t.numLeaves, t.cfg.Threads, func(ls, le int) {
+		if i := t.fillLines(pairs, lineMax, ls, le); i >= 0 {
+			mu.Lock()
+			bad = min(bad, i)
+			mu.Unlock()
+		}
+	})
+	if bad == len(pairs) {
+		bad = -1
 	}
-	lineMax := make([]K, t.numLeaves)
-	for l := 0; l < t.numLeaves; l++ {
+	return lineMax, bad
+}
+
+// fillLines builds leaf lines [ls, le). It returns the first index in
+// the lines' pairs that is out of order, or -1; on a disorder the lines
+// are left partly built, since the tree is discarded.
+func (t *ImplicitTree[K]) fillLines(pairs []keys.Pair[K], lineMax []K, ls, le int) int {
+	maxK := keys.Max[K]()
+	var prev K
+	if ls > 0 {
+		prev = pairs[ls*t.pairsLine-1].Key
+	}
+	for l := ls; l < le; l++ {
 		start := l * t.pairsLine
-		end := start + t.pairsLine
-		if end > len(pairs) {
-			end = len(pairs)
-		}
+		end := min(start+t.pairsLine, len(pairs))
+		line := t.leaves[l*t.kpn : (l+1)*t.kpn]
 		for j, p := range pairs[start:end] {
-			t.leaves[l*t.kpn+2*j] = p.Key
-			t.leaves[l*t.kpn+2*j+1] = p.Value
+			if p.Key <= prev && start+j > 0 {
+				return start + j
+			}
+			prev = p.Key
+			line[2*j] = p.Key
+			line[2*j+1] = p.Value
 		}
-		lineMax[l] = maxKeyOf(pairs[start:end])
+		for j := 2 * (end - start); j < len(line); j++ {
+			line[j] = maxK
+		}
+		lineMax[l] = prev
 	}
+	return -1
+}
+
+// buildInner fills the breadth-first inner levels above leaf lines whose
+// maxima are lineMax.
+func (t *ImplicitTree[K]) buildInner(lineMax []K) {
+	maxK := keys.Max[K]()
 
 	// Per-level geometry, root first. The height is the smallest H whose
 	// per-level fanouts multiply to at least the leaf count — for uniform
@@ -157,43 +194,7 @@ func (t *ImplicitTree[K]) build(pairs []keys.Pair[K]) {
 		t.levelNodes[l] = n
 	}
 
-	// Inner levels, bottom-up. The keys of node i are the subtree maxima
-	// of its children, MAX for absent children.
-	type level struct {
-		nodes []K
-		maxes []K
-	}
-	levels := make([]level, t.height)
-	childMax := lineMax
-	for l := t.height - 1; l >= 0; l-- {
-		kpn, fanout := t.levelKpn[l], t.levelFanout[l]
-		n := t.levelNodes[l]
-		lv := level{nodes: make([]K, n*kpn), maxes: make([]K, n)}
-		for i := range lv.nodes {
-			lv.nodes[i] = maxK
-		}
-		for i := 0; i < n; i++ {
-			first := i * fanout
-			nch := len(childMax) - first
-			if nch > fanout {
-				nch = fanout
-			}
-			// Slot j holds the separator between children j and j+1 —
-			// the subtree maximum of child j. The last child needs no
-			// separator: with a full fanout-(kpn+1) node it is reached
-			// by exceeding all kpn keys, otherwise its slot stays MAX
-			// (the paper pins trailing slots, including K_8 of the
-			// fanout-8 HB+ nodes, to the maximum value).
-			for j := 0; j < nch-1; j++ {
-				lv.nodes[i*kpn+j] = childMax[first+j]
-			}
-			lv.maxes[i] = childMax[first+nch-1]
-		}
-		levels[l] = lv
-		childMax = lv.maxes
-	}
-
-	// Concatenate root-first.
+	// Root-first offsets of the levels within the one inner array.
 	t.levelOff = make([]int, t.height)
 	t.levelSlot = make([]int, t.height)
 	totalNodes, totalSlots := 0, 0
@@ -204,8 +205,35 @@ func (t *ImplicitTree[K]) build(pairs []keys.Pair[K]) {
 		totalSlots += t.levelNodes[d] * t.levelKpn[d]
 	}
 	t.inner = make([]K, totalSlots)
-	for d := 0; d < t.height; d++ {
-		copy(t.inner[t.levelSlot[d]:], levels[d].nodes)
+
+	// Inner levels, bottom-up, each written in place and split across the
+	// workers by node. The keys of node i are the subtree maxima of its
+	// children, MAX for absent children.
+	childMax := lineMax
+	for l := t.height - 1; l >= 0; l-- {
+		kpn, fanout, n := t.levelKpn[l], t.levelFanout[l], t.levelNodes[l]
+		nodes := t.inner[t.levelSlot[l] : t.levelSlot[l]+n*kpn]
+		maxes := make([]K, n)
+		parallelFor(n, t.cfg.Threads, func(s, e int) {
+			for i := s; i < e; i++ {
+				first := i * fanout
+				nch := min(len(childMax)-first, fanout)
+				// Slot j holds the separator between children j and
+				// j+1 — the subtree maximum of child j. The last child
+				// needs no separator: with a full fanout-(kpn+1) node it
+				// is reached by exceeding all kpn keys, otherwise its
+				// slot stays MAX (the paper pins trailing slots,
+				// including K_8 of the fanout-8 HB+ nodes, to the
+				// maximum value).
+				node := nodes[i*kpn : (i+1)*kpn]
+				copy(node, childMax[first:first+nch-1])
+				for j := nch - 1; j < kpn; j++ {
+					node[j] = maxK
+				}
+				maxes[i] = childMax[first+nch-1]
+			}
+		})
+		childMax = maxes
 	}
 }
 

@@ -1,6 +1,8 @@
 package cpubtree
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -275,5 +277,87 @@ func TestImplicitQuickLookup(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestImplicitBuildIndependentOfThreads pins the parallel bulk load to
+// the serial one: at every worker count the serialized image is the
+// same, and every malformed input fails with the same error, naming the
+// first out-of-order index even when the disorder sits on a chunk
+// boundary between workers.
+func TestImplicitBuildIndependentOfThreads(t *testing.T) {
+	t.Run("uint64", func(t *testing.T) { checkBuildIndependentOfThreads[uint64](t) })
+	t.Run("uint32", func(t *testing.T) { checkBuildIndependentOfThreads[uint32](t) })
+}
+
+func checkBuildIndependentOfThreads[K keys.Key](t *testing.T) {
+	threads := []int{1, 2, 7}
+	pl := keys.PerLine[K]() / 2
+	inline := 2 * 1024 * pl // pairs filling the first line count that fans out
+	sizes := []int{1000*pl + 3, inline - pl, inline - 1, inline, inline + 1, 3*inline + 5}
+	geoms := map[string]Config{
+		"uniform": {},
+		"tuned":   {Fanout: keys.PerLine[K](), RootWidths: []int{4 * keys.PerLine[K](), 2 * keys.PerLine[K]()}},
+	}
+	for name, geom := range geoms {
+		for _, n := range sizes {
+			pairs := workload.Dataset[K](workload.Uniform, n, 42)
+			var want []byte
+			for _, th := range threads {
+				cfg := geom
+				cfg.Threads = th
+				tr, err := BuildImplicit(pairs, cfg)
+				if err != nil {
+					t.Fatalf("%s n=%d threads=%d: %v", name, n, th, err)
+				}
+				var buf bytes.Buffer
+				if _, err := tr.WriteTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = buf.Bytes()
+				} else if !bytes.Equal(buf.Bytes(), want) {
+					t.Fatalf("%s n=%d: image at %d threads differs from 1 thread", name, n, th)
+				}
+			}
+		}
+	}
+
+	// Error inputs on a size every thread count splits: the first
+	// out-of-order index must not depend on which worker sees it.
+	n := 3*inline + 5
+	lines := (n + pl - 1) / pl
+	swapAt := func(i int) func([]keys.Pair[K]) {
+		return func(p []keys.Pair[K]) { p[i-1].Key, p[i].Key = p[i].Key, p[i-1].Key }
+	}
+	unsorted := func(i int) string { return fmt.Sprintf("cpubtree: pairs not sorted/distinct at %d", i) }
+	type errCase struct {
+		name   string
+		mutate func([]keys.Pair[K])
+		want   string
+	}
+	cases := []errCase{
+		{"descending at 1", swapAt(1), unsorted(1)},
+		{"descending in last line", swapAt(n - 1), unsorted(n - 1)},
+		{"duplicate", func(p []keys.Pair[K]) { p[n/2].Key = p[n/2-1].Key }, unsorted(n / 2)},
+		{"MAX last and unsorted earlier", func(p []keys.Pair[K]) {
+			p[n-1].Key = keys.Max[K]()
+			swapAt(100)(p)
+		}, unsorted(100)},
+		{"MAX last", func(p []keys.Pair[K]) { p[n-1].Key = keys.Max[K]() }, "cpubtree: key MAX is reserved as sentinel"},
+	}
+	for _, w := range threads[1:] {
+		b := (lines + w - 1) / w * pl // first pair of the second worker's range
+		cases = append(cases, errCase{fmt.Sprintf("descending on the %d-thread chunk boundary", w), swapAt(b), unsorted(b)})
+	}
+	for _, c := range cases {
+		pairs := workload.Dataset[K](workload.Uniform, n, 42)
+		c.mutate(pairs)
+		for _, th := range threads {
+			_, err := BuildImplicit(pairs, Config{Threads: th})
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s, threads=%d: err = %v, want %q", c.name, th, err, c.want)
+			}
+		}
 	}
 }

@@ -32,6 +32,21 @@ type segScan struct {
 	records  int
 	tornAt   int64 // file offset of the first invalid byte, or -1 if clean
 	payloads [][]byte
+	// short marks a file shorter than its header: a crash inside
+	// segment creation, before the header's sync. It comes with an
+	// ErrCorrupt error, which the caller may waive for the last segment
+	// (see headerless).
+	short bool
+}
+
+// headerless reports whether a segment whose scan returned ss is the
+// remnant of a crash inside its own creation, and so holds no record:
+// it is shorter than a header, it is the last segment, and its filename
+// seq is the seq the log resumes at. Only such a segment is dropped on
+// recovery; a short interior segment, or a full header with bad magic
+// or checksum, stays corrupt.
+func headerless(ss segScan, si segInfo, last bool, resume uint64) bool {
+	return ss.short && last && si.firstSeq == resume
 }
 
 // scanSegment reads one segment file, validating the header against the
@@ -47,7 +62,7 @@ func scanSegment(path string, keyBits byte, part int) (segScan, error) {
 	}
 	kb, p, firstSeq, err := parseHeader(data)
 	if err != nil {
-		return segScan{}, fmt.Errorf("%s: %w", path, err)
+		return segScan{short: len(data) < headerLen}, fmt.Errorf("%s: %w", path, err)
 	}
 	if kb != keyBits {
 		return segScan{}, fmt.Errorf("%w: %s: key width %d bits, want %d", ErrCorrupt, path, kb, keyBits)
@@ -118,7 +133,8 @@ func ScanBytes(data []byte) ([]Record, bool, error) {
 // Scan reads partition part's records with sequence number > floor, in
 // order, across all live segments. Segments must chain densely (each
 // one's first seq following the previous one's last); a torn final
-// record in the LAST segment is tolerated and reported, while a torn or
+// record in the LAST segment is tolerated and reported, as is a last
+// segment cut short inside its header (see headerless), while a torn or
 // corrupt interior segment is an error — with a crash-only fault model
 // only the tail of the log can be mid-write.
 func Scan(dir string, part int, keyBits byte, floor uint64) (ScanResult, error) {
@@ -131,6 +147,10 @@ func Scan(dir string, part int, keyBits byte, floor uint64) (ScanResult, error) 
 	for i, si := range segs {
 		ss, err := scanSegment(si.path, keyBits, part)
 		if err != nil {
+			if headerless(ss, si, i == len(segs)-1, max(next, 1)) {
+				res.TornTail = true
+				break
+			}
 			return ScanResult{}, err
 		}
 		if ss.firstSeq != si.firstSeq {

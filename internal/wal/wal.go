@@ -122,7 +122,9 @@ func parseHeader(h []byte) (keyBits byte, part int, firstSeq uint64, err error) 
 // into new segment headers and validated against existing ones.
 // Existing segments are scanned so appends continue the dense sequence
 // past the last valid record; a torn final record is truncated away
-// (its append was never acked — the sync covering it never completed).
+// (its append was never acked — the sync covering it never completed),
+// and a last segment cut short inside its header is removed and created
+// again.
 func Open(dir string, part int, keyBits byte, opt Options) (*Log, error) {
 	pd := partDir(dir, part)
 	if err := os.MkdirAll(pd, 0o755); err != nil {
@@ -141,10 +143,23 @@ func Open(dir string, part int, keyBits byte, opt Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
+	recreate := false
 	for i, si := range segs {
 		res, err := scanSegment(si.path, keyBits, part)
 		if err != nil {
-			return nil, err
+			if !headerless(res, si, i == len(segs)-1, l.nextSeq) {
+				return nil, err
+			}
+			// A crash between creating the segment and syncing its
+			// header: nothing was ever appended to it.
+			if err := os.Remove(si.path); err != nil {
+				return nil, err
+			}
+			if err := syncDir(pd); err != nil {
+				return nil, err
+			}
+			recreate = true
+			break
 		}
 		if res.firstSeq != si.firstSeq {
 			return nil, fmt.Errorf("%w: segment %s header seq %d", ErrCorrupt, si.path, res.firstSeq)
@@ -169,7 +184,7 @@ func Open(dir string, part int, keyBits byte, opt Options) (*Log, error) {
 	l.durable = l.nextSeq - 1
 	l.flushed = l.durable
 
-	if len(l.segs) == 0 {
+	if len(l.segs) == 0 || recreate {
 		if err := l.newSegmentLocked(l.nextSeq); err != nil {
 			return nil, err
 		}

@@ -250,6 +250,113 @@ func TestInteriorCorruptionIsAnError(t *testing.T) {
 	}
 }
 
+// TestShortLastSegmentRecovers: a crash inside segment creation leaves
+// a last segment shorter than its header. It holds no record, so Scan
+// skips it as a torn tail and Open replaces it — but only when it is the
+// last segment and starts where the log resumes; a short interior
+// segment, a short segment at the wrong seq and a full header with bad
+// magic all stay corrupt.
+func TestShortLastSegmentRecovers(t *testing.T) {
+	header := appendHeader(nil, 32, 0, 4)
+	for _, c := range []struct {
+		name    string
+		appends int    // records written before the crash
+		seq     uint64 // first seq in the short segment's filename
+		body    []byte // the short segment's contents
+	}{
+		{"empty after three records", 3, 4, nil},
+		{"ten header bytes after three records", 3, 4, header[:10]},
+		{"empty sole segment", 0, 1, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if c.appends > 0 {
+				l := mustOpen(t, dir, 0, Options{})
+				for i := 1; i <= c.appends; i++ {
+					if _, err := l.Append(payload(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				mustDo(t, l.Close())
+			} else {
+				mustDo(t, os.MkdirAll(partDir(dir, 0), 0o755))
+			}
+			seg := segPath(dir, 0, c.seq)
+			mustDo(t, os.WriteFile(seg, c.body, 0o644))
+
+			res, err := Scan(dir, 0, 32, 0)
+			if err != nil {
+				t.Fatalf("Scan: %v", err)
+			}
+			if !res.TornTail || len(res.Records) != c.appends || res.NextSeq != c.seq {
+				t.Fatalf("Scan: torn %v, %d records, NextSeq %d; want torn, %d, %d",
+					res.TornTail, len(res.Records), res.NextSeq, c.appends, c.seq)
+			}
+
+			l := mustOpen(t, dir, 0, Options{})
+			if seq, err := l.Append(payload(int(c.seq))); err != nil || seq != c.seq {
+				t.Fatalf("append after reopen: seq %d err %v, want %d", seq, err, c.seq)
+			}
+			mustDo(t, l.Close())
+			res, err = Scan(dir, 0, 32, 0)
+			if err != nil || res.TornTail || len(res.Records) != c.appends+1 {
+				t.Fatalf("post-repair scan: err %v torn %v records %d", err, res.TornTail, len(res.Records))
+			}
+			if fi, err := os.Stat(seg); err != nil || fi.Size() <= headerLen {
+				t.Fatalf("segment not recreated with its record: %v", err)
+			}
+		})
+	}
+
+	for _, c := range []struct {
+		name string
+		// setup leaves records 1..3 in seg 1 and 4..6 in seg 4, then
+		// damages the log.
+		damage func(t *testing.T, dir string)
+	}{
+		{"short interior segment", func(t *testing.T, dir string) {
+			mustDo(t, os.Truncate(segPath(dir, 0, 4), 10))
+			mustDo(t, os.WriteFile(segPath(dir, 0, 7), nil, 0o644))
+		}},
+		{"short last segment at the wrong seq", func(t *testing.T, dir string) {
+			mustDo(t, os.WriteFile(segPath(dir, 0, 9), nil, 0o644))
+		}},
+		{"full last header with bad magic", func(t *testing.T, dir string) {
+			bad := appendHeader(nil, 32, 0, 7)
+			bad[0] ^= 0xff
+			mustDo(t, os.WriteFile(segPath(dir, 0, 7), bad, 0o644))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l := mustOpen(t, dir, 0, Options{})
+			for i := 1; i <= 6; i++ {
+				if i == 4 {
+					mustDo(t, l.Rotate())
+				}
+				if _, err := l.Append(payload(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustDo(t, l.Close())
+			c.damage(t, dir)
+			if _, err := Scan(dir, 0, 32, 0); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Scan: err %v, want ErrCorrupt", err)
+			}
+			if _, err := Open(dir, 0, 32, Options{}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open: err %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+func mustDo(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPartitionAndWidthMismatch(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, 0, Options{})
