@@ -35,25 +35,48 @@ func FuzzNodeSearchKernels(f *testing.F) {
 	})
 }
 
-func FuzzSnapshotDecoder(f *testing.F) {
-	// Seed with a valid snapshot and a few mutations of it.
-	pairs := hbtree.GeneratePairs[uint64](512, 1)
-	tree, err := hbtree.New(pairs, hbtree.Options{})
+// snapshotImage returns the WriteTo image of a tree built from n
+// generated pairs under opt.
+func snapshotImage(f *testing.F, n int, opt hbtree.Options) []byte {
+	tree, err := hbtree.New(hbtree.GeneratePairs[uint64](n, 1), opt)
 	if err != nil {
 		f.Fatal(err)
 	}
+	defer tree.Close()
 	var buf bytes.Buffer
 	if _, err := tree.WriteTo(&buf); err != nil {
 		f.Fatal(err)
 	}
-	tree.Close()
-	valid := buf.Bytes()
+	return buf.Bytes()
+}
+
+func FuzzSnapshotDecoder(f *testing.F) {
+	// Seed with a valid snapshot and a few mutations of it.
+	valid := snapshotImage(f, 512, hbtree.Options{})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
 	mut := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint64(mut[8:], ^uint64(0))
 	f.Add(mut)
+
+	// Regular trees of height 2 (8 full leaves) and 4 (6 leaves of 7
+	// pairs, 2 children per upper node), and each with its first upper
+	// node's first child reference pointed outside every pool. The
+	// references of upper node 0 start after the variant byte, the
+	// 6-byte header, five geometry words, the pool's length prefix and
+	// the node's index and key lines (8+64 keys).
+	const firstRef = 1 + 6 + 5*8 + 8 + (8+64)*8
+	for _, shape := range []struct {
+		n    int
+		fill float64
+	}{{2000, 1}, {40, 0.03}} {
+		reg := snapshotImage(f, shape.n, hbtree.Options{Variant: hbtree.Regular, LeafFill: shape.fill})
+		f.Add(reg)
+		mut := append([]byte(nil), reg...)
+		binary.LittleEndian.PutUint64(mut[firstRef:], 1_000_000)
+		f.Add(mut)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic or over-allocate; errors are fine. When the

@@ -60,7 +60,7 @@ type Config struct {
 	PipelineDepth int
 
 	// Threads is the number of worker goroutines for batch operations
-	// and the implicit tree's bulk load; zero selects GOMAXPROCS.
+	// and both trees' bulk loads; zero selects GOMAXPROCS.
 	Threads int
 
 	// ISegPages / LSegPages choose the page kind backing each segment
