@@ -22,7 +22,8 @@ import (
 // not qualify: non-regular variant, or some touched leaf would
 // overflow its gap capacity or be emptied (the structural cases that
 // need the clone path). plan is caller-owned scratch so steady-state
-// planning allocates nothing.
+// planning allocates nothing. Like Update, it applies the batch's
+// normal form (normalBatch) and counts it in the stats, except Ops.
 //
 // The fork shares t's leaf and inner pools; it must never receive
 // structural mutations (Update, MixedBatch) — Clone() it first, which
@@ -33,6 +34,8 @@ func (t *Tree[K]) ApplyDelta(ops []cpubtree.Op[K], plan *cpubtree.DeltaPlan[K]) 
 	if t.opt.Variant != Regular || len(ops) == 0 {
 		return nil, UpdateStats{}, false
 	}
+	nops := len(ops)
+	ops = normalBatch(ops)
 	if !t.reg.PlanDelta(ops, plan) {
 		return nil, UpdateStats{}, false
 	}
@@ -58,7 +61,7 @@ func (t *Tree[K]) ApplyDelta(ops []cpubtree.Op[K], plan *cpubtree.DeltaPlan[K]) 
 	res := nt.reg.ApplyPlannedDelta(ops, plan)
 
 	stats := UpdateStats{
-		Ops:        len(ops),
+		Ops:        nops,
 		Applied:    res.Applied,
 		NotFound:   res.NotFound,
 		DirtyNodes: len(res.DirtyLast),

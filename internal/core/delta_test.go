@@ -36,8 +36,13 @@ func TestApplyDeltaForkSharesDeviceReplica(t *testing.T) {
 	if !stats.InPlace || stats.SyncTime != 0 || stats.Structural != 0 {
 		t.Fatalf("in-place stats wrong: %+v", stats)
 	}
-	if stats.Applied != len(ops) {
-		t.Fatalf("Applied = %d, want %d", stats.Applied, len(ops))
+	// One key repeats: its last op (a delete) is the one applied.
+	final := make(map[uint64]cpubtree.Op[uint64], len(ops))
+	for _, op := range ops {
+		final[op.Key] = op
+	}
+	if stats.Ops != len(ops) || stats.Applied != len(final) {
+		t.Fatalf("Ops/Applied = %d/%d, want %d/%d", stats.Ops, stats.Applied, len(ops), len(final))
 	}
 	if fork.DeltaLeaves() == 0 {
 		t.Fatalf("fork carries no delta leaves")
@@ -68,11 +73,6 @@ func TestApplyDeltaForkSharesDeviceReplica(t *testing.T) {
 	vals, fnd, _, err = fork.LookupBatch(qs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Later ops win on duplicate keys: replay the batch into a map.
-	final := make(map[uint64]cpubtree.Op[uint64], len(ops))
-	for _, op := range ops {
-		final[op.Key] = op
 	}
 	for i, q := range qs {
 		op := final[q]

@@ -67,7 +67,10 @@ func (m UpdateMethod) String() string {
 	return "unknown"
 }
 
-// UpdateStats reports one batch update's outcome and virtual cost.
+// UpdateStats reports one batch update's outcome and virtual cost. Ops
+// is the caller's op count; every other field is computed on the
+// batch's normal form (see normalBatch), so a batch that names a key
+// twice counts that key once.
 type UpdateStats struct {
 	Ops        int
 	Applied    int
@@ -139,14 +142,47 @@ func (t *Tree[K]) Rebuild(pairs []keys.Pair[K]) (UpdateStats, error) {
 	}, nil
 }
 
+// normalBatch returns ops in the one form every regular-tree write
+// method applies: sorted by key, one op per key — the batch's last op
+// for that key — and no PUT of the reserved MAX key (a DEL of MAX stays
+// and counts as not found). A batch already in that form is returned
+// as is; any other is normalised into a fresh slice, so the caller's
+// ops are never reordered. A write batch's final state depends only on
+// each key's last op, so every method agrees on it by construction.
+func normalBatch[K keys.Key](ops []cpubtree.Op[K]) []cpubtree.Op[K] {
+	maxK := keys.Max[K]()
+	inForm := len(ops) == 0 || ops[len(ops)-1].Key != maxK || ops[len(ops)-1].Delete
+	for i := 1; inForm && i < len(ops); i++ {
+		inForm = ops[i-1].Key < ops[i].Key
+	}
+	if inForm {
+		return ops
+	}
+	out := slices.Clone(ops)
+	slices.SortStableFunc(out, func(a, b cpubtree.Op[K]) int { return cmp.Compare(a.Key, b.Key) })
+	n := 0
+	for i, op := range out {
+		if i+1 < len(out) && out[i+1].Key == op.Key || op.Key == maxK && !op.Delete {
+			continue
+		}
+		out[n] = op
+		n++
+	}
+	return out[:n]
+}
+
 // Update executes a batch of updates on the regular HB+-tree with the
 // chosen method, keeping the device-resident I-segment replica exact.
+// The method applies the batch's normal form (normalBatch), so every
+// method leaves the same contents; the stats count that form, except
+// Ops, which is the caller's op count.
 func (t *Tree[K]) Update(ops []cpubtree.Op[K], method UpdateMethod) (UpdateStats, error) {
 	if t.opt.Variant != Regular {
 		return UpdateStats{}, fmt.Errorf("core: Update applies to the regular variant; use Rebuild")
 	}
 	var stats UpdateStats
 	stats.Ops = len(ops)
+	ops = normalBatch(ops)
 	if len(ops) == 0 {
 		return stats, nil
 	}
@@ -346,14 +382,6 @@ func (t *Tree[K]) VerifyReplica() error {
 	return nil
 }
 
-// SortOps orders update operations by key; the paper's batch updates
-// benefit from key-ordered application (fewer random node touches). The
-// sort is stable, so operations on one key keep their batch order and
-// the last of them wins, as it does when the batch is applied in order.
-func SortOps[K keys.Key](ops []cpubtree.Op[K]) {
-	slices.SortStableFunc(ops, func(a, b cpubtree.Op[K]) int { return cmp.Compare(a.Key, b.Key) })
-}
-
 // UpdateGPUAssisted executes a batch of updates on the regular HB+-tree
 // with GPU-side target resolution — the paper's first future-work
 // direction (Section 7: "employing GPU cycles in support of parallel
@@ -363,24 +391,25 @@ func SortOps[K keys.Key](ops []cpubtree.Op[K]) {
 // operations as a group without re-descending the inner levels, and the
 // I-segment is re-mirrored asynchronously.
 //
-// Operations are applied in key order (groups are contiguous because the
-// big leaves partition the key space); splits triggered inside a group
-// are resolved locally, so the pre-update leaf resolution stays valid.
+// It applies the batch's normal form (normalBatch): key order makes each
+// leaf's group contiguous, because the big leaves partition the key
+// space, and splits triggered inside a group are resolved locally, so
+// the pre-update leaf resolution stays valid. As for Update, Ops is the
+// caller's op count and the other stats count the normal form.
 func (t *Tree[K]) UpdateGPUAssisted(ops []cpubtree.Op[K]) (UpdateStats, error) {
 	if t.opt.Variant != Regular {
 		return UpdateStats{}, fmt.Errorf("core: UpdateGPUAssisted applies to the regular variant")
 	}
 	var stats UpdateStats
 	stats.Ops = len(ops)
+	ops = normalBatch(ops)
 	if len(ops) == 0 {
 		return stats, nil
 	}
-	sorted := append([]cpubtree.Op[K]{}, ops...)
-	SortOps(sorted)
 
 	// Step 1-3 of the hybrid search, applied to the update keys: H2D,
 	// GPU traversal, D2H of the target leaves.
-	n := len(sorted)
+	n := len(ops)
 	qbuf, err := gpusim.Malloc[K](t.dev, n)
 	if err != nil {
 		return stats, fmt.Errorf("core: update key buffer: %w", err)
@@ -392,7 +421,7 @@ func (t *Tree[K]) UpdateGPUAssisted(ops []cpubtree.Op[K]) (UpdateStats, error) {
 	}
 	defer rbuf.Free()
 	keysOnly := make([]K, n)
-	for i, op := range sorted {
+	for i, op := range ops {
 		keysOnly[i] = op.Key
 	}
 	d1, err := qbuf.CopyFromHost(keysOnly)
@@ -420,7 +449,7 @@ func (t *Tree[K]) UpdateGPUAssisted(ops []cpubtree.Op[K]) (UpdateStats, error) {
 		for end < n && leaves[end] == leaves[start] {
 			end++
 		}
-		res := t.reg.ApplyOpsToLeaf(leaves[start], sorted[start:end])
+		res := t.reg.ApplyOpsToLeaf(leaves[start], ops[start:end])
 		stats.Applied += res.Applied
 		stats.NotFound += res.NotFound
 		stats.Structural += res.Structural

@@ -168,49 +168,6 @@ func TestUpdateGPUAssistedFasterHostPhase(t *testing.T) {
 	}
 }
 
-// TestUpdateGPUAssistedKeepsSameKeyOrder: a batch that writes the same
-// few keys many times must leave each key as applying the batch in order
-// does — the last write wins, and a delete followed by a put is a put.
-func TestUpdateGPUAssistedKeepsSameKeyOrder(t *testing.T) {
-	pairs := workload.Dataset[uint64](workload.Uniform, 4096, 3)
-	rng := workload.NewRNG(11)
-	hot := make([]uint64, 8)
-	for i := range hot {
-		hot[i] = pairs[rng.Intn(len(pairs))].Key
-	}
-	ops := make([]cpubtree.Op[uint64], 400)
-	for i := range ops {
-		ops[i] = cpubtree.Op[uint64]{Key: hot[rng.Intn(len(hot))], Value: rng.Uint64() >> 1, Delete: rng.Intn(8) == 0}
-	}
-
-	a, err := Build(pairs, Options{Variant: Regular, LeafFill: 0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Build(pairs, Options{Variant: Regular, LeafFill: 0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if _, err := a.UpdateGPUAssisted(ops); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Update(ops, Synchronized); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range hot {
-		gv, gok := a.Lookup(k)
-		wv, wok := b.Lookup(k)
-		if gv != wv || gok != wok {
-			t.Errorf("key %d: GPU-assisted (%d,%v), in-order (%d,%v)", k, gv, gok, wv, wok)
-		}
-	}
-	if a.NumPairs() != b.NumPairs() {
-		t.Fatalf("pair counts diverge: %d vs %d", a.NumPairs(), b.NumPairs())
-	}
-}
-
 // TestUpdateGPUAssistedQuick property-tests random batches against the
 // sequential reference.
 func TestUpdateGPUAssistedQuick(t *testing.T) {

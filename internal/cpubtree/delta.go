@@ -92,8 +92,7 @@ func (t *RegularTree[K]) deltaLookup(b int32, m *leafMeta, q K) (v K, tombstoned
 
 // Per-op plan actions.
 const (
-	actSkip      uint8 = iota // reserved key; not applied, not counted
-	actInsert                 // append; net live +1
+	actInsert    uint8 = iota // append; net live +1
 	actOverwrite              // append shadowing an existing value
 	actDelete                 // append tombstone; net live -1
 	actNotFound               // delete of an absent key; no append
@@ -105,13 +104,7 @@ const (
 type DeltaPlan[K keys.Key] struct {
 	leaves []int32 // target leaf per op
 	acts   []uint8 // action per op
-	prev   []int32 // previous pending op on the same leaf (batch-local chain)
-
-	heads map[int32]int32 // leaf -> index of its newest pending op
-
-	dirty    []int32 // distinct leaves the batch appends to
-	applied  int
-	notFound int
+	dirty  []int32 // distinct leaves the batch appends to
 }
 
 // PlanDelta classifies ops against t per target leaf and reports
@@ -120,110 +113,66 @@ type DeltaPlan[K keys.Key] struct {
 // pair. Any violation fails the whole batch (the caller falls back to
 // clone-and-swap); a feasible plan never triggers structural change.
 // The plan only reads t; it does not mutate it.
+//
+// ops must be in the write-batch normal form: keys strictly ascending
+// and no insert of the reserved MAX key. Each leaf's ops then form one
+// contiguous run, and no op depends on an earlier one in the batch. A
+// batch out of that form fails the plan.
 func (t *RegularTree[K]) PlanDelta(ops []Op[K], p *DeltaPlan[K]) bool {
 	if cap(p.leaves) < len(ops) {
 		p.leaves = make([]int32, len(ops))
 		p.acts = make([]uint8, len(ops))
-		p.prev = make([]int32, len(ops))
 	}
 	p.leaves = p.leaves[:len(ops)]
 	p.acts = p.acts[:len(ops)]
-	p.prev = p.prev[:len(ops)]
-	if p.heads == nil {
-		p.heads = make(map[int32]int32)
-	} else {
-		clear(p.heads)
-	}
 	p.dirty = p.dirty[:0]
-	p.applied, p.notFound = 0, 0
-
-	// Per-leaf pending-append and live-delta accounting, chained off the
-	// heads map so one pass suffices.
-	type leafAcc struct {
-		pend int32
-		live int32
-	}
-	accs := make(map[int32]*leafAcc, 16)
 
 	maxK := keys.Max[K]()
+	run := nilRef // leaf of the current run
+	var m *leafMeta
+	pend, live := 0, 0 // the run's appends and net live-pair change
 	for i, op := range ops {
-		if op.Key == maxK {
-			if op.Delete {
-				p.acts[i] = actNotFound
-				p.notFound++
-			} else {
-				p.acts[i] = actSkip
-			}
-			p.leaves[i] = nilRef
-			p.prev[i] = nilRef
-			continue
+		if i > 0 && op.Key <= ops[i-1].Key || op.Key == maxK && !op.Delete {
+			return false
 		}
 		b := t.descendUpper(op.Key)
 		p.leaves[i] = b
-
-		// Presence: newest pending append in this batch wins, then the
-		// tree's own delta region, then the packed base.
-		present := false
-		decided := false
-		head, chained := p.heads[b]
-		for j := head; chained && j != nilRef; j = p.prev[j] {
-			if ops[j].Key == op.Key {
-				present = p.acts[j] != actDelete
-				decided = true
-				break
-			}
-		}
-		if !decided {
-			m := &t.leafMeta[b]
-			if m.ndelta > 0 {
-				if _, tomb, ok := t.deltaLookup(b, m, op.Key); ok {
-					present = !tomb
-					decided = true
-				}
-			}
-			if !decided {
-				present = t.contains(b, op.Key)
-			}
+		if b != run {
+			run, m, pend, live = b, &t.leafMeta[b], 0, 0
 		}
 
+		// Presence: the tree's own delta region, then the packed base.
+		var present bool
+		if _, tomb, ok := t.deltaLookup(b, m, op.Key); ok {
+			present = !tomb
+		} else {
+			present = t.contains(b, op.Key)
+		}
 		if op.Delete && !present {
 			p.acts[i] = actNotFound
-			p.prev[i] = nilRef
-			p.notFound++
 			continue
 		}
 
-		acc := accs[b]
-		if acc == nil {
-			acc = &leafAcc{}
-			accs[b] = acc
+		if pend == 0 {
 			p.dirty = append(p.dirty, b)
 		}
-		m := &t.leafMeta[b]
-		if int(m.ndelta)+int(acc.pend)+1 > t.deltaCap(int(m.npairs)) {
+		if int(m.ndelta)+pend+1 > t.deltaCap(int(m.npairs)) {
 			return false // gap exhausted: whole batch takes the clone path
 		}
+		pend++
 		switch {
 		case op.Delete:
 			p.acts[i] = actDelete
-			acc.live--
-			if int(m.npairs)+int(m.nlive)+int(acc.live) <= 0 {
+			live--
+			if int(m.npairs)+int(m.nlive)+live <= 0 {
 				return false // leaf would empty: structural, clone path
 			}
 		case present:
 			p.acts[i] = actOverwrite
 		default:
 			p.acts[i] = actInsert
-			acc.live++
+			live++
 		}
-		acc.pend++
-		p.applied++
-		if chained {
-			p.prev[i] = head
-		} else {
-			p.prev[i] = nilRef
-		}
-		p.heads[b] = int32(i)
 	}
 	return true
 }
@@ -249,10 +198,7 @@ func (t *RegularTree[K]) ForkDelta() *RegularTree[K] {
 func (t *RegularTree[K]) ApplyPlannedDelta(ops []Op[K], p *DeltaPlan[K]) BatchResult {
 	var res BatchResult
 	for i, op := range ops {
-		switch p.acts[i] {
-		case actSkip:
-			continue
-		case actNotFound:
+		if p.acts[i] == actNotFound {
 			res.NotFound++
 			continue
 		}

@@ -2,7 +2,9 @@ package cpubtree
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hbtree/internal/keys"
@@ -29,9 +31,25 @@ func buildDeltaTree[K keys.Key](t *testing.T, n int, fill float64) (*RegularTree
 	return tr, pairs
 }
 
+// normalForm returns ops in the write-batch normal form PlanDelta
+// requires: sorted by key, the last op per key kept.
+func normalForm[K keys.Key](ops []Op[K]) []Op[K] {
+	out := slices.Clone(ops)
+	slices.SortStableFunc(out, func(a, b Op[K]) int { return cmp.Compare(a.Key, b.Key) })
+	n := 0
+	for i, op := range out {
+		if i+1 < len(out) && out[i+1].Key == op.Key {
+			continue
+		}
+		out[n] = op
+		n++
+	}
+	return out[:n]
+}
+
 // randomDeltaOps draws a batch biased to stay within gap capacity:
 // overwrites and near-miss keys around the loaded range, with a
-// delete/insert mix.
+// delete/insert mix, and returns its normal form.
 func randomDeltaOps[K keys.Key](rng *rand.Rand, pairs []keys.Pair[K], n int) []Op[K] {
 	ops := make([]Op[K], n)
 	for i := range ops {
@@ -52,7 +70,7 @@ func randomDeltaOps[K keys.Key](rng *rand.Rand, pairs []keys.Pair[K], n int) []O
 		}
 		ops[i] = Op[K]{Key: k, Value: K(rng.Intn(1 << 20)), Delete: rng.Intn(3) == 0}
 	}
-	return ops
+	return normalForm(ops)
 }
 
 // treeFingerprint collects every observable read surface of the tree.
@@ -90,7 +108,9 @@ func comparePairSlices[K keys.Key](t *testing.T, what string, got, want []keys.P
 	}
 }
 
-func runDeltaOracleRound[K keys.Key](t *testing.T, tr *RegularTree[K], pairs []keys.Pair[K], rng *rand.Rand, batch int) *RegularTree[K] {
+// runDeltaOracleRound applies one random batch and reports whether it
+// ran in place (false: it took the clone fallback, which checks nothing).
+func runDeltaOracleRound[K keys.Key](t *testing.T, tr *RegularTree[K], pairs []keys.Pair[K], rng *rand.Rand, batch int) (*RegularTree[K], bool) {
 	t.Helper()
 	ops := randomDeltaOps(rng, pairs, batch)
 
@@ -102,7 +122,7 @@ func runDeltaOracleRound[K keys.Key](t *testing.T, tr *RegularTree[K], pairs []k
 		if !tr.PlanDelta(ops, &plan) {
 			cl := tr.Clone()
 			cl.ApplyBatchSequential(ops)
-			return cl
+			return cl, false
 		}
 	}
 
@@ -153,7 +173,7 @@ func runDeltaOracleRound[K keys.Key](t *testing.T, tr *RegularTree[K], pairs []k
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("compacted image differs from oracle image (%d vs %d bytes)", got.Len(), want.Len())
 	}
-	return fork
+	return fork, true
 }
 
 func testDeltaOracle[K keys.Key](t *testing.T, seed int64) {
@@ -169,8 +189,16 @@ func testDeltaOracle[K keys.Key](t *testing.T, seed int64) {
 	pl, pf, ps, pr, pn := treeFingerprint(tr, probes)
 
 	cur := tr
+	inPlace := 0
 	for round := 0; round < 8; round++ {
-		cur = runDeltaOracleRound(t, cur, pairs, rng, 64)
+		var ok bool
+		cur, ok = runDeltaOracleRound(t, cur, pairs, rng, 64)
+		if ok {
+			inPlace++
+		}
+	}
+	if inPlace == 0 {
+		t.Fatalf("seed %d: no round ran in place", seed)
 	}
 
 	gl, gf, gs, gr, gn := treeFingerprint(tr, probes)
@@ -226,6 +254,45 @@ func TestDeltaPlanRejectsOverflow(t *testing.T) {
 	// Deleting one key of a multi-pair tree is fine.
 	if !tr2.PlanDelta(dels[:1], &plan) {
 		t.Fatalf("plan rejected a single in-gap delete")
+	}
+
+	// A batch out of the normal form — keys not strictly ascending, or an
+	// insert of the reserved MAX key — fails the plan, so the caller's
+	// clone path normalises it; a delete of MAX is in form (not found).
+	k0, k1 := pairs2[0].Key, pairs2[1].Key
+	maxK := keys.Max[uint64]()
+	for _, ops := range [][]Op[uint64]{
+		{{Key: k1, Value: 1}, {Key: k0, Value: 2}},
+		{{Key: k0, Value: 1}, {Key: k0, Value: 2}},
+		{{Key: k0, Value: 1}, {Key: maxK, Value: 2}},
+	} {
+		if tr2.PlanDelta(ops, &plan) {
+			t.Fatalf("plan accepted out-of-form batch %v", ops)
+		}
+	}
+	if !tr2.PlanDelta([]Op[uint64]{{Key: k0, Value: 1}, {Key: maxK, Delete: true}}, &plan) {
+		t.Fatalf("plan rejected an in-form batch ending in a delete of MAX")
+	}
+}
+
+// TestPlanDeltaAllocFree: with a reused plan, planning an in-form batch
+// allocates nothing, whatever its size.
+func TestPlanDeltaAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tr, pairs := buildDeltaTree[uint64](t, 20000, 0.8)
+	var plan DeltaPlan[uint64]
+	for _, n := range []int{1, 16, 256} {
+		ops := make([]Op[uint64], n)
+		for i := range ops {
+			p := pairs[(i*len(pairs))/n+rng.Intn(len(pairs)/n)]
+			ops[i] = Op[uint64]{Key: p.Key + uint64(rng.Intn(2)), Value: 1, Delete: rng.Intn(4) == 0}
+		}
+		if !tr.PlanDelta(ops, &plan) {
+			t.Fatalf("%d ops: plan rejected", n)
+		}
+		if a := testing.AllocsPerRun(100, func() { tr.PlanDelta(ops, &plan) }); a != 0 {
+			t.Fatalf("%d ops: PlanDelta allocates %.0f times per call, want 0", n, a)
+		}
 	}
 }
 

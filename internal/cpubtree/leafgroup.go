@@ -14,10 +14,13 @@ import (
 // locally by tracking the separators that partition the original leaf's
 // key range.
 
-// ApplyOpsToLeaf applies a key-sorted group of operations that all
-// target big leaf b (as resolved against the pre-update tree). Splits
-// triggered inside the group are handled locally: the group's keys can
-// only fall into b or the leaves split off from b's range.
+// ApplyOpsToLeaf applies a group of operations that all target big leaf
+// b (as resolved against the pre-update tree). The group must be in the
+// write-batch normal form: keys strictly ascending, so no op depends on
+// an earlier one, and no insert of the reserved MAX key (a delete of MAX
+// counts as not found). Splits triggered inside the group are handled
+// locally: the group's keys can only fall into b or the leaves split
+// off from b's range.
 func (t *RegularTree[K]) ApplyOpsToLeaf(b int32, ops []Op[K]) BatchResult {
 	t.ensurePrivate()
 	var res BatchResult
@@ -44,6 +47,7 @@ func (t *RegularTree[K]) ApplyOpsToLeaf(b int32, ops []Op[K]) BatchResult {
 
 	for _, op := range ops {
 		if op.Key == maxK {
+			res.NotFound++
 			continue
 		}
 		ci := target(op.Key)

@@ -132,13 +132,13 @@ func TestApplyOpsToLeafOverwriteAndSentinel(t *testing.T) {
 	}
 	leaf, _ := tr.SearchToLeaf(pairs[0].Key)
 	group := []Op[uint64]{
-		{Key: pairs[0].Key, Value: 777},     // overwrite
-		{Key: keys.Max[uint64](), Value: 1}, // sentinel: skipped
+		{Key: pairs[0].Key, Value: 777},         // overwrite
+		{Key: keys.Max[uint64](), Delete: true}, // sentinel: not found
 	}
 	sort.Slice(group, func(i, j int) bool { return group[i].Key < group[j].Key })
 	res := tr.ApplyOpsToLeaf(leaf, group)
-	if res.Applied != 1 {
-		t.Fatalf("applied %d", res.Applied)
+	if res.Applied != 1 || res.NotFound != 1 {
+		t.Fatalf("applied %d, not found %d", res.Applied, res.NotFound)
 	}
 	if v, _ := tr.Lookup(pairs[0].Key); v != 777 {
 		t.Fatal("overwrite not applied")

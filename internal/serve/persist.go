@@ -45,8 +45,10 @@ import (
 // contiguous prefix of appended records whose apply had completed when
 // the cut was taken), so a tail record may already be reflected in the
 // snapshot — reapplying an insert overwrites with the same value and
-// reapplying a delete finds nothing, and per-partition order preserves
-// last-write-wins for same-key sequences.
+// reapplying a delete finds nothing. A key's records all live in one
+// partition and replay in order, each through the same update entry as
+// the live write, so the last op for a key wins on replay as it did
+// when the record was first applied.
 
 // DurableOptions configures OpenDurable.
 type DurableOptions struct {

@@ -196,6 +196,26 @@ func TestDurableCrashReplaysTail(t *testing.T) {
 	oracle := seedOracle(t)
 	d := openDur(t, dir, 1)
 	applyOracle(t, d, oracle, 200, 11)
+
+	// One record that writes a few stored and absent keys many times,
+	// logged with the parallel method: live and on replay, each key ends
+	// at its last write.
+	pairs, _ := durSeed()
+	hot := []uint64{pairs[3].Key, pairs[700].Key, pairs[1900].Key, 7, 8, 9}
+	r := workload.NewRNG(19)
+	ops := make([]cpubtree.Op[uint64], 300)
+	for i := range ops {
+		ops[i] = cpubtree.Op[uint64]{Key: hot[r.Intn(len(hot))], Value: r.Uint64(), Delete: r.Intn(4) == 0}
+		if ops[i].Delete {
+			delete(oracle, ops[i].Key)
+		} else {
+			oracle[ops[i].Key] = ops[i].Value
+		}
+	}
+	if _, err := d.Update(ops, core.AsyncParallel); err != nil {
+		t.Fatal(err)
+	}
+	verifyOracle(t, d, oracle)
 	d.crash() // no final snapshot: the tail lives only in the WAL
 	d.closeBackend()
 
@@ -203,8 +223,8 @@ func TestDurableCrashReplaysTail(t *testing.T) {
 	defer d.closeBackend()
 	defer d.Close()
 	rs := d.Recovery()
-	if !rs.Recovered || rs.ReplayedRecords != 200 || rs.ReplayedOps == 0 {
-		t.Fatalf("recovery stats: %+v (want 200 replayed records)", rs)
+	if !rs.Recovered || rs.ReplayedRecords != 201 || rs.ReplayedOps == 0 {
+		t.Fatalf("recovery stats: %+v (want 201 replayed records)", rs)
 	}
 	if rs.BulkLoadedPairs != durN {
 		t.Fatalf("bulk-loaded %d pairs, want the %d seeded", rs.BulkLoadedPairs, durN)

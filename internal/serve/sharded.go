@@ -104,10 +104,11 @@ type shardDone struct {
 // ScanConsistent/RangeQueryConsistent pin ONE epoch for the whole
 // stitch and are the atomic cross-shard cut. Update splits its ops by
 // shard and applies the per-shard sub-batches concurrently (each one a
-// clone-aside-and-publish on 1/T of the data); ops for the same key
-// keep their submission order because routing preserves relative order
-// within a shard. Rebuild partitions the replacement pairs by the
-// current bounds and rebuilds all shards concurrently.
+// clone-aside-and-publish on 1/T of the data); a key's ops all route to
+// one shard in submission order, and every update method applies a
+// batch's normal form (core's last op per key wins). Rebuild partitions
+// the replacement pairs by the current bounds and rebuilds all shards
+// concurrently.
 type ShardedServer[K keys.Key] struct {
 	reg *epoch.Registry[*core.Tree[K], shardMeta[K]]
 	opt core.Options // shard build options; Device is the shared card
@@ -430,8 +431,8 @@ func (s *ShardedServer[K]) dispatch(ctx context.Context, build func(m *shardMeta
 
 // Update splits ops by shard and applies the sub-batches concurrently,
 // one clone-aside-and-publish per touched shard. Per-shard sub-batches
-// keep their submission order, so same-key ops retain last-write-wins
-// semantics; shards that fail leave their published version untouched
+// keep their submission order, so the last op for a key wins under
+// every method; shards that fail leave their published version untouched
 // while other shards may have applied (per-shard, not cross-shard,
 // atomicity — see the type contract).
 func (s *ShardedServer[K]) Update(ops []cpubtree.Op[K], method core.UpdateMethod) (core.UpdateStats, error) {

@@ -189,19 +189,30 @@ func testShardedUpdate(t *testing.T, shards int) {
 	if swaps := s.Swaps(); swaps != int64(shards) {
 		t.Fatalf("swaps = %d, want %d (one per shard)", swaps, shards)
 	}
-	// Same-key ops keep submission order: last write wins. Routing keeps
-	// a shard's ops in order; applying them in order takes a sequential
-	// method — AsyncParallel's workers draw ops off a shared cursor
-	// (cpubtree.ApplyBatchParallel, the paper's Section 5.6 method), so
-	// two ops on one key in one batch may land either way round.
-	k := pairs[99].Key
-	if _, err := s.Update([]cpubtree.Op[uint64]{
-		{Key: k, Value: 1}, {Key: k, Value: 2}, {Key: k, Value: 3},
-	}, core.Synchronized); err != nil {
-		t.Fatal(err)
+	// The last write to a key wins under every method. The batches write
+	// stored and absent keys in every shard many times over, deletes
+	// included; full leaves send them down the clone path.
+	r := workload.NewRNG(5)
+	hot := make([]uint64, 0, 16)
+	for i := 0; i < 8; i++ {
+		k := pairs[(i*len(pairs))/8+r.Intn(len(pairs)/8)].Key
+		hot = append(hot, k, k+1)
 	}
-	if v, ok := s.Lookup(k); !ok || v != 3 {
-		t.Fatalf("last-write-wins violated: (%d, %v)", v, ok)
+	for _, method := range []core.UpdateMethod{core.AsyncParallel, core.AsyncSingle, core.Synchronized, core.SynchronizedMT} {
+		ops := make([]cpubtree.Op[uint64], 400)
+		last := make(map[uint64]cpubtree.Op[uint64], len(hot))
+		for i := range ops {
+			ops[i] = cpubtree.Op[uint64]{Key: hot[r.Intn(len(hot))], Value: r.Uint64() >> 1, Delete: r.Intn(4) == 0}
+			last[ops[i].Key] = ops[i]
+		}
+		if _, err := s.Update(ops, method); err != nil {
+			t.Fatal(err)
+		}
+		for k, op := range last {
+			if v, ok := s.Lookup(k); ok == op.Delete || ok && v != op.Value {
+				t.Fatalf("%v: last write to %d was %+v, Lookup = (%d, %v)", method, k, op, v, ok)
+			}
+		}
 	}
 	// An update touching one shard swaps only that shard.
 	before := s.ShardMetrics()
