@@ -23,7 +23,7 @@
 //	SNAPSHOT             -> commit an epoch-aligned snapshot now; OK epoch=<e> | ERR
 //	QUIT                 -> closes the connection
 //
-// Connections are served concurrently through the hbtree.ShardedServer
+// Connections are served concurrently through the hbtree.Server
 // reader/writer contract, and each connection is served pipeline-aware:
 // every complete line already read is executed before the next read,
 // runs of consecutive GETs together, replies in request order, and the
@@ -135,7 +135,7 @@ const maxCount = 1 << 20
 // srv's shard pumps (by way of dur when durable), and open connections
 // are tracked for shutdown.
 type server struct {
-	srv *hbtree.ShardedServer[uint64]
+	srv *hbtree.Server[uint64]
 	co  *serve.Coalescer[uint64] // nil when -coalesce is off
 	dur *hbtree.Durable[uint64]  // non-nil with -data-dir; all writes route through it
 
@@ -164,7 +164,7 @@ type serveConfig struct {
 // (through one coalescer when cfg.coalesce), and every write goes
 // through dur's WAL-before-ack discipline when dur (-data-dir, wrapping
 // srv) is non-nil.
-func newServer(srv *hbtree.ShardedServer[uint64], dur *hbtree.Durable[uint64], cfg serveConfig) *server {
+func newServer(srv *hbtree.Server[uint64], dur *hbtree.Durable[uint64], cfg serveConfig) *server {
 	s := &server{srv: srv, dur: dur, conns: make(map[net.Conn]struct{}), deadline: cfg.deadline, maxBatch: cfg.maxBatch}
 	// A shed request was refused before queueing; the soonest the next
 	// window can have room is one coalescing window away, so that is the
@@ -175,7 +175,7 @@ func newServer(srv *hbtree.ShardedServer[uint64], dur *hbtree.Durable[uint64], c
 	}
 	s.overloadReply = fmt.Sprintf("ERR OVERLOADED retry-after-ms=%d\n", retryMS)
 	if cfg.coalesce {
-		s.co = srv.ShardedServer.Coalesce(coalescerOptions(cfg))
+		s.co = srv.Server.Coalesce(coalescerOptions(cfg))
 	}
 	return s
 }
@@ -743,9 +743,9 @@ func (s *server) handleLine(w io.Writer, line string) (quit bool) {
 			s.srv.Options().Layout, joinInts(s.srv.LevelWidths()), joinInts(s.srv.LayoutAdvice()),
 			flushes.Full, flushes.Deadline, flushes.Idle, flushes.Handoff)
 	case cmdIs(cmd, "SHARDSTATS"):
-		bounds := s.srv.Bounds()
-		stats := s.srv.ShardStats()
-		metrics := s.srv.ShardMetrics()
+		// One view: a rebalance between separate reads would leave the
+		// three slices at different lengths.
+		bounds, stats, metrics := s.srv.ShardStats()
 		for i := range stats {
 			var lo uint64
 			if i > 0 {
@@ -984,7 +984,7 @@ func main() {
 		} else {
 			log.Printf("hbserve: initialised durable dir %s", *dataDir)
 		}
-		s = newServer(dur.Sharded(), dur, cfg)
+		s = newServer(dur.Server(), dur, cfg)
 	} else {
 		log.Printf("hbserve: loading %d tuples...", *n)
 		tree, err := hbtree.New(hbtree.GeneratePairs[uint64](*n, *seed), opt)

@@ -590,7 +590,7 @@ func singleShardServesLayoutCommands(t *testing.T, cfg serveConfig) {
 // gatedBackend is the server with a gate in front of its batch search:
 // a test holds the gate shut to keep the engine busy.
 type gatedBackend struct {
-	*serve.ShardedServer[uint64]
+	*serve.Server[uint64]
 	gate    sync.RWMutex
 	arrived atomic.Int32 // flushes that have reached the gate
 }
@@ -599,7 +599,7 @@ func (b *gatedBackend) LookupBatchSortedInto(q, v []uint64, f []bool) (core.Sear
 	b.arrived.Add(1)
 	b.gate.RLock()
 	defer b.gate.RUnlock()
-	return b.ShardedServer.LookupBatchSortedInto(q, v, f)
+	return b.Server.LookupBatchSortedInto(q, v, f)
 }
 
 // waitFor polls cond until it holds, failing the test after replyWait.
@@ -624,7 +624,7 @@ func busyServer(t *testing.T, cfg serveConfig) (s *server, dial func() (net.Conn
 	tree, pairs := newTestTree(t, hbtree.Implicit, 13)
 	cfg.coalesce = false
 	s = mustServer(t, tree, cfg)
-	be := &gatedBackend{ShardedServer: s.srv.ShardedServer}
+	be := &gatedBackend{Server: s.srv.Server}
 	s.co = serve.NewCoalescer[uint64](be, coalescerOptions(cfg))
 	dial = startServer(t, s)
 	be.gate.Lock()

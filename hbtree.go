@@ -24,11 +24,12 @@
 // LookupBatch, RangeQuery, cursors, Stats) but must not be mutated —
 // Update, Rebuild, MixedBatch, Close or the option setters — while any
 // other call is in flight. To share a tree between goroutines that also
-// write, wrap it with NewServer, whose readers pin a snapshot epoch and
-// never block while writers build and publish a successor version, or
-// use Tree.Coalesced to additionally merge
-// concurrent point lookups into the bucket-sized batch searches the
-// heterogeneous pipeline is built for.
+// write, wrap it in a Server — NewServer for one shard, NewShardedServer
+// for T key-range shards of the same engine. Its readers pin a snapshot
+// epoch and never block while writers build and publish a successor
+// version. Tree.Coalesced additionally merges concurrent point lookups
+// into the bucket-sized batch searches the heterogeneous pipeline is
+// built for.
 //
 // Quickstart:
 //

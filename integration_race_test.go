@@ -473,7 +473,8 @@ func TestIntegrationShardedStitchingUnderSwaps(t *testing.T) {
 	co.Close()
 
 	// Every shard took part in the swapping.
-	for i, m := range srv.ShardMetrics() {
+	_, _, metrics := srv.ShardStats()
+	for i, m := range metrics {
 		if m.Swaps == 0 {
 			t.Fatalf("shard %d never swapped", i)
 		}

@@ -1,8 +1,8 @@
 // Package epoch is the generation-stamped snapshot registry behind the
 // serving layer: one monotonic epoch counter over a refcounted *vector*
 // of payload snapshots plus a routing-metadata value that travels with
-// the vector. Both the single-tree Server and the key-space sharded
-// ShardedServer publish through a Registry, which is what makes two
+// the vector. The serving layer's Server — one key-space shard per
+// slot — publishes through a Registry, which is what makes two
 // previously separate ideas expressible with one mechanism:
 //
 //   - Per-slot publication (Publish): a batch update swaps one shard's

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hbtree/internal/core"
 	"hbtree/internal/keys"
 )
 
@@ -19,9 +20,9 @@ var ErrClosed = errors.New("serve: coalescer closed")
 // ErrOverloaded is returned, as this very value, for requests shed by
 // admission control: the coalescer's in-flight window is at
 // Options.MaxPending and Options.Shed selected fail-fast over
-// backpressure, or the backend is degraded and the window is at
-// Options.DegradedPending. The request was never queued; the caller may
-// retry or degrade.
+// backpressure, or the backend is degraded and the window is at half of
+// MaxPending. The request was never queued; the caller may retry or
+// degrade.
 var ErrOverloaded = errors.New("serve: coalescer overloaded")
 
 // DefaultWindow is the default coalescing deadline: the longest a queued
@@ -57,6 +58,13 @@ type Options struct {
 	// leaves the window unbounded, where a deep client pipeline makes
 	// tail latency a function of queue depth. With a bound, latency is
 	// capped at roughly (MaxPending/MaxBatch + 1) flush spans.
+	//
+	// While the server reports Degraded (breaker open, batches answered
+	// by the slower CPU fallback) the window is clamped to MaxPending/2
+	// (minimum 1) and the excess fails fast regardless of Shed, since
+	// backpressure against a degraded backend just builds the queue the
+	// bound exists to prevent (DESIGN §11). The full window is restored
+	// the moment the server recovers.
 	MaxPending int
 
 	// Shed selects the response at the MaxPending bound: false (the
@@ -65,17 +73,6 @@ type Options struct {
 	// true fails the excess request immediately with ErrOverloaded so
 	// an external caller can retry against another replica or degrade.
 	Shed bool
-
-	// DegradedPending is the fault-aware clamp on the MaxPending window
-	// (DESIGN §11): while the backend reports Degraded (breaker open,
-	// batches answered by the slower CPU fallback), the coalescer admits
-	// only this many undelivered requests and fails the excess fast —
-	// regardless of Shed, since backpressure against a degraded backend
-	// just builds the queue the bound exists to prevent. Zero selects
-	// MaxPending/2 (minimum 1); ignored when MaxPending is zero (an
-	// unbounded coalescer has no window to shrink). The full MaxPending
-	// window is restored the moment the backend recovers.
-	DegradedPending int
 }
 
 // Result is the outcome of one coalesced lookup.
@@ -233,11 +230,11 @@ type FlushCounts struct {
 // rather than left hanging. A batch already being flushed completes
 // normally.
 type Coalescer[K keys.Key] struct {
-	be  Backend[K]
+	be  backend[K]
 	opt Options
 
-	// degPending is the resolved degraded-mode admission bound (0 when
-	// MaxPending is unbounded).
+	// degPending is the degraded-mode admission bound, MaxPending/2
+	// (minimum 1; 0 when MaxPending is unbounded).
 	degPending int
 
 	shards []shard[K]
@@ -271,10 +268,27 @@ type Coalescer[K keys.Key] struct {
 	shedRate  rateTracker // sheds per second, behind ShedRate
 }
 
-// NewCoalescer starts a coalescer over a backend — a Server or a
-// ShardedServer. The caller must Close it to stop the per-shard flusher
-// goroutines.
-func NewCoalescer[K keys.Key](be Backend[K], opt Options) *Coalescer[K] {
+// backend is what a Coalescer flushes against. *Server is its one
+// production implementation; it stays an interface because tests hold
+// a flush open with a gated or slowed stand-in for the server, and a
+// server's reads never wait on anything a test could hold.
+type backend[K keys.Key] interface {
+	// LookupBatchSortedInto serves one coalesced batch into the caller's
+	// slices through the shared-descent path (see
+	// Server.LookupBatchSortedInto); the coalescer presorts and
+	// deduplicates its batches to land on the sorted fast path.
+	LookupBatchSortedInto(queries []K, values []K, found []bool) (core.SearchStats, error)
+	// Options exposes the tree configuration (MaxBatch defaults to its
+	// BucketSize).
+	Options() core.Options
+	// Degraded reports whether the server is in degraded mode; the
+	// coalescer sheds earlier while it holds.
+	Degraded() bool
+}
+
+// NewCoalescer starts a coalescer over a server (see Server.Coalesce).
+// The caller must Close it to stop the per-shard flusher goroutines.
+func NewCoalescer[K keys.Key](be backend[K], opt Options) *Coalescer[K] {
 	if opt.MaxBatch <= 0 {
 		opt.MaxBatch = be.Options().BucketSize
 	}
@@ -284,18 +298,14 @@ func NewCoalescer[K keys.Key](be Backend[K], opt Options) *Coalescer[K] {
 	if opt.Shards <= 0 {
 		opt.Shards = runtime.GOMAXPROCS(0)
 	}
+	degPending := 0
 	if opt.MaxPending > 0 {
-		if opt.DegradedPending <= 0 {
-			opt.DegradedPending = opt.MaxPending / 2
-		}
-		if opt.DegradedPending < 1 {
-			opt.DegradedPending = 1
-		}
+		degPending = max(opt.MaxPending/2, 1)
 	}
 	c := &Coalescer[K]{
 		be:         be,
 		opt:        opt,
-		degPending: opt.DegradedPending,
+		degPending: degPending,
 		shards:     make([]shard[K], opt.Shards),
 		done:       make(chan struct{}),
 	}
@@ -484,7 +494,7 @@ func (c *Coalescer[K]) await(ctx context.Context, g *group[K], out []Result[K]) 
 
 // tryAdmit takes one token from the coalescer's admission pool without
 // blocking, before the request touches a shard. The effective window is
-// MaxPending, clamped to DegradedPending while the backend is degraded
+// MaxPending, clamped to MaxPending/2 while the backend is degraded
 // (the cheap length check runs first so the healthy path never pays for
 // the breaker-state load). Past the window the request is shed with
 // ErrOverloaded when Shed is set or the degraded clamp engaged (queueing

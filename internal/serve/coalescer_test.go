@@ -9,22 +9,10 @@ import (
 
 	"hbtree/internal/core"
 	"hbtree/internal/keys"
-	"hbtree/internal/workload"
 )
 
 // newTestServer builds a small tree and wraps it; the bucket size is
 // kept tiny so batch boundaries are exercised.
-func newTestServer(t testing.TB, variant core.Variant, n int) (*Server[uint64], []keys.Pair[uint64]) {
-	t.Helper()
-	pairs := workload.Dataset[uint64](workload.Uniform, n, 42)
-	tree, err := core.Build(pairs, core.Options{Variant: variant, BucketSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tree.Close)
-	return NewServer(tree), pairs
-}
-
 // waitFor polls cond until it holds, failing the test after five
 // seconds: the tests below wait on coalescer state, not on sleeps.
 func waitFor(t testing.TB, what string, cond func() bool) {

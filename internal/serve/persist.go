@@ -131,7 +131,7 @@ func (t *floorTracker) get() uint64 {
 	return t.floor
 }
 
-// Durable fronts a ShardedServer — of one shard or many — with the WAL +
+// Durable fronts a Server — of one shard or many — with the WAL +
 // snapshot discipline. Reads go straight to the wrapped server
 // (durability does not tax the read path); writes MUST go through the
 // Durable or they will not survive a crash.
@@ -140,7 +140,7 @@ type Durable[K keys.Key] struct {
 	walDir  string
 	keyBits byte
 
-	srv *ShardedServer[K]
+	srv *Server[K]
 
 	logs   []*wal.Log
 	floors []*floorTracker
@@ -172,7 +172,7 @@ type Durable[K keys.Key] struct {
 // then fixes for the life of the directory — and an initial snapshot is
 // committed so every later boot recovers.
 //
-// The wrapped server is reachable via Sharded for reads; all writes
+// The wrapped server is reachable via Server for reads; all writes
 // must flow through the Durable.
 func OpenDurable[K keys.Key](dopt DurableOptions, opt core.Options, shards int, seed func() ([]keys.Pair[K], error)) (*Durable[K], error) {
 	if dopt.Dir == "" {
@@ -347,20 +347,11 @@ func (d *Durable[K]) openLogs(partitions int, fsyncInterval time.Duration) error
 	return nil
 }
 
-// Server returns the sole shard member while the layout has one shard
-// and nil otherwise — the single-tree view of a one-shard Durable. Reads
-// route through the wrapped server directly — Sharded().Coalesce takes
-// the sorted shared-descent flush path exactly as on a non-durable
-// deployment; durability only intercepts writes.
-func (d *Durable[K]) Server() *Server[K] {
-	if subs := d.srv.members(); len(subs) == 1 {
-		return subs[0]
-	}
-	return nil
-}
-
-// Sharded returns the wrapped server.
-func (d *Durable[K]) Sharded() *ShardedServer[K] { return d.srv }
+// Server returns the wrapped server, whatever its shard count. Reads
+// route through it directly — Server().Coalesce takes the sorted
+// shared-descent flush path exactly as on a non-durable deployment;
+// durability only intercepts writes.
+func (d *Durable[K]) Server() *Server[K] { return d.srv }
 
 // Recovery returns what recovery did at open (zero value on a fresh
 // boot).

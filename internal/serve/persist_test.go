@@ -147,10 +147,10 @@ func TestDurableServesCoalescedReads(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: OpenDurable: %v", boot, err)
 			}
-			if bs := d.Sharded().Options().BucketSize; bs <= 0 {
+			if bs := d.Server().Options().BucketSize; bs <= 0 {
 				t.Fatalf("%s: wrapped server reports BucketSize %d", boot, bs)
 			}
-			co := d.Sharded().Coalesce(Options{})
+			co := d.Server().Coalesce(Options{})
 			for _, p := range []keys.Pair[uint64]{pairs[0], pairs[durN/2], pairs[durN-1]} {
 				if v, ok, err := co.Lookup(p.Key); err != nil || !ok || v != p.Value {
 					t.Fatalf("%s: coalesced Lookup(%d) = (%d, %v, %v)", boot, p.Key, v, ok, err)
@@ -277,7 +277,7 @@ func TestDurableShardedCrashRestoresLayoutAndData(t *testing.T) {
 		dir := t.TempDir()
 		oracle := seedOracle(t)
 		d := openDur(t, dir, shards)
-		if got := d.Sharded().Shards(); got != shards {
+		if got := d.Server().Shards(); got != shards {
 			t.Fatalf("durable built %d shards, want %d", got, shards)
 		}
 		applyOracle(t, d, oracle, 150, 17)
@@ -294,7 +294,7 @@ func TestDurableShardedCrashRestoresLayoutAndData(t *testing.T) {
 		if rs.ReplayedRecords == 0 {
 			t.Fatal("crash recovery replayed nothing")
 		}
-		if got := d.Sharded().Shards(); got != shards {
+		if got := d.Server().Shards(); got != shards {
 			t.Fatalf("recovered %d shards, want %d", got, shards)
 		}
 		verifyOracle(t, d, oracle)
@@ -307,7 +307,7 @@ func TestDurableSnapshotCoversRebalancedLayout(t *testing.T) {
 		oracle := seedOracle(t)
 		d := openDur(t, dir, shards)
 		applyOracle(t, d, oracle, 60, 19)
-		if err := d.Sharded().SplitShard(shards / 2); err != nil {
+		if err := d.Server().SplitShard(shards / 2); err != nil {
 			t.Fatalf("SplitShard: %v", err)
 		}
 		if d.Metrics().Barriers == 0 {
@@ -333,7 +333,7 @@ func TestDurableSnapshotCoversRebalancedLayout(t *testing.T) {
 		if rs.ReplayedRecords != 0 {
 			t.Fatalf("post-snapshot crash replayed %d records", rs.ReplayedRecords)
 		}
-		if got := len(d.Sharded().Bounds()); got != shards {
+		if got := len(d.Server().Bounds()); got != shards {
 			t.Fatalf("recovered %d bounds, want %d", got, shards)
 		}
 		verifyOracle(t, d, oracle)
@@ -346,7 +346,7 @@ func TestDurableBarrierCrossesRecovery(t *testing.T) {
 		oracle := seedOracle(t)
 		d := openDur(t, dir, shards)
 		applyOracle(t, d, oracle, 40, 29)
-		if err := d.Sharded().SplitShard(0); err != nil {
+		if err := d.Server().SplitShard(0); err != nil {
 			t.Fatalf("SplitShard: %v", err)
 		}
 		applyOracle(t, d, oracle, 40, 31)
@@ -372,7 +372,7 @@ func TestDurableBarrierCrossesRecovery(t *testing.T) {
 }
 
 // TestDurableRecoversParentWrittenDirectory: a data directory written
-// before Durable always fronted a ShardedServer — one tree image, no
+// before Durable always fronted a Server — one tree image, no
 // bounds, TableGen 0 (the single-tree arm never set it) — recovers as a
 // one-shard layout at the manifest's generation, keeps every acked
 // write, and from there behaves like any other: it can be split, and the
@@ -405,20 +405,21 @@ func TestDurableRecoversParentWrittenDirectory(t *testing.T) {
 		t.Fatalf("recovery stats: %+v", rs)
 	}
 	// The live table carries the manifest's generation, not a fresh 1.
-	if live := d.Sharded().RebalanceStats(); live.Shards != 1 || live.TableGen != 0 {
+	if live := d.Server().RebalanceStats(); live.Shards != 1 || live.TableGen != 0 {
 		t.Fatalf("live layout after recovery: %+v", live)
 	}
-	if d.Server() == nil {
-		t.Fatal("one-shard Durable has no sole member")
+	srv := d.Server()
+	if srv != d.srv || srv.Shards() != 1 {
+		t.Fatalf("one-shard Durable's Server() = %p with %d shards, want the engine %p", srv, srv.Shards(), d.srv)
 	}
 	verifyOracle(t, d, oracle)
 
 	applyOracle(t, d, oracle, 50, 53)
-	if err := d.Sharded().SplitShard(0); err != nil {
+	if err := d.Server().SplitShard(0); err != nil {
 		t.Fatalf("SplitShard: %v", err)
 	}
-	if d.Server() != nil {
-		t.Fatal("two-shard Durable still reports a sole member")
+	if d.Server() != srv || srv.Shards() != 2 {
+		t.Fatalf("after a split Server() = %p with %d shards, want the same engine with 2", d.Server(), srv.Shards())
 	}
 	applyOracle(t, d, oracle, 50, 59)
 	if err := d.Close(); err != nil {

@@ -245,7 +245,7 @@ func (w *raceWorld) finalCheck(t *testing.T) {
 	if w.srv.NumPairs() != len(snap) {
 		t.Fatalf("final NumPairs %d, oracle %d", w.srv.NumPairs(), len(snap))
 	}
-	if err := w.srv.Tree().VerifyReplica(); err != nil {
+	if err := w.srv.tree().VerifyReplica(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -302,7 +302,7 @@ func TestRaceCoalescedReadersVsSynchronizedUpdates(t *testing.T) {
 // publication of the trace is serialised).
 func TestRaceConcurrentBatchLookups(t *testing.T) {
 	srv, pairs := newTestServer(t, core.Implicit, 1<<12)
-	srv.Tree().SetTrace(true)
+	srv.tree().SetTrace(true)
 	qs := make([]uint64, 256)
 	for i := range qs {
 		qs[i] = pairs[(i*17)%len(pairs)].Key
@@ -328,7 +328,7 @@ func TestRaceConcurrentBatchLookups(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if srv.Tree().LastTrace() == nil {
+	if srv.tree().LastTrace() == nil {
 		t.Fatal("no trace published")
 	}
 }

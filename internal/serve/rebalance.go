@@ -24,10 +24,10 @@ import (
 // carry their current version over by reference (epoch.KeepSlot), so
 // the work is proportional to the shards being reshaped. Readers are
 // never blocked: they pin epochs through the whole window, and in-flight
-// reads on replaced shard servers finish on their pinned versions.
-// Replaced servers' counters fold into the retired accumulator so
-// aggregate metrics stay continuous; replacement servers start with
-// fresh breakers under the default resilience policy.
+// reads on replaced members finish on their pinned versions. Replaced
+// members' counters fold into the retired accumulator so aggregate
+// metrics stay continuous; replacement members start with fresh
+// breakers under the default resilience policy.
 
 // RebalanceOptions tunes the imbalance detector. The zero value is
 // ready to use.
@@ -83,7 +83,7 @@ type RebalanceStats struct {
 }
 
 // RebalanceStats returns the current rebalancing counters.
-func (s *ShardedServer[K]) RebalanceStats() RebalanceStats {
+func (s *Server[K]) RebalanceStats() RebalanceStats {
 	m := s.reg.Meta()
 	st := RebalanceStats{
 		Epoch:      s.reg.Epoch(),
@@ -99,7 +99,7 @@ func (s *ShardedServer[K]) RebalanceStats() RebalanceStats {
 	return st
 }
 
-func (s *ShardedServer[K]) noteRebalance(desc string) {
+func (s *Server[K]) noteRebalance(desc string) {
 	s.rebalances.Add(1)
 	s.lastRb.Store(&desc)
 }
@@ -107,7 +107,7 @@ func (s *ShardedServer[K]) noteRebalance(desc string) {
 // StartRebalancer runs the imbalance detector on a background ticker
 // until Close. Starting twice is a no-op; decisions and errors are
 // reported through RebalanceStats.
-func (s *ShardedServer[K]) StartRebalancer(opt RebalanceOptions) {
+func (s *Server[K]) StartRebalancer(opt RebalanceOptions) {
 	opt.fill()
 	s.rbMu.Lock()
 	defer s.rbMu.Unlock()
@@ -137,7 +137,7 @@ func (s *ShardedServer[K]) StartRebalancer(opt RebalanceOptions) {
 // HotFraction or merges the coldest adjacent pair below ColdFraction —
 // at most one action per pass. It returns a description of the action
 // taken ("" for none).
-func (s *ShardedServer[K]) CheckRebalance(opt RebalanceOptions) (string, error) {
+func (s *Server[K]) CheckRebalance(opt RebalanceOptions) (string, error) {
 	opt.fill()
 	s.rbMu.Lock()
 	defer s.rbMu.Unlock()
@@ -201,7 +201,7 @@ func (s *ShardedServer[K]) CheckRebalance(opt RebalanceOptions) (string, error) 
 
 // restartWindow re-bases the detector window on the post-rebalance
 // layout. Callers hold rbMu.
-func (s *ShardedServer[K]) restartWindow() {
+func (s *Server[K]) restartWindow() {
 	m := s.reg.Meta()
 	counts := make([]int64, len(m.subs))
 	for i, sub := range m.subs {
@@ -214,7 +214,7 @@ func (s *ShardedServer[K]) restartWindow() {
 // installed as one epoch transition. Readers are never blocked; the
 // write plane is quiesced for the duration of materialising and
 // rebuilding the one shard.
-func (s *ShardedServer[K]) SplitShard(i int) error {
+func (s *Server[K]) SplitShard(i int) error {
 	s.rbMu.Lock()
 	defer s.rbMu.Unlock()
 	return s.splitShard(i)
@@ -222,7 +222,7 @@ func (s *ShardedServer[K]) SplitShard(i int) error {
 
 // MergeShards merges shards i and i+1 into one, installed as one epoch
 // transition.
-func (s *ShardedServer[K]) MergeShards(i int) error {
+func (s *Server[K]) MergeShards(i int) error {
 	s.rbMu.Lock()
 	defer s.rbMu.Unlock()
 	return s.mergeShards(i)
@@ -231,7 +231,7 @@ func (s *ShardedServer[K]) MergeShards(i int) error {
 // quiesceWrites takes the pump lock and drains in-flight pump jobs, so
 // the shard trees are stable until the returned unlock runs. Callers
 // hold rbMu. Returns ErrClosed after Close.
-func (s *ShardedServer[K]) quiesceWrites() error {
+func (s *Server[K]) quiesceWrites() error {
 	s.pumpMu.Lock()
 	if s.closed {
 		s.pumpMu.Unlock()
@@ -253,7 +253,7 @@ func (s *ShardedServer[K]) quiesceWrites() error {
 }
 
 // splitShard is SplitShard's body; callers hold rbMu.
-func (s *ShardedServer[K]) splitShard(i int) error {
+func (s *Server[K]) splitShard(i int) error {
 	if err := s.quiesceWrites(); err != nil {
 		return err
 	}
@@ -287,9 +287,9 @@ func (s *ShardedServer[K]) splitShard(i int) error {
 	nb = append(nb, splitKey)
 	nb = append(nb, m.bounds[i:]...)
 
-	ls := newShardMember(left, s.reg, i)
-	rs := newShardMember(right, s.reg, i+1)
-	ns := make([]*Server[K], 0, len(m.subs)+1)
+	ls := newMember(left, s.reg, i)
+	rs := newMember(right, s.reg, i+1)
+	ns := make([]*member[K], 0, len(m.subs)+1)
 	ns = append(ns, m.subs[:i]...)
 	ns = append(ns, ls, rs)
 	ns = append(ns, m.subs[i+1:]...)
@@ -318,7 +318,7 @@ func (s *ShardedServer[K]) splitShard(i int) error {
 }
 
 // mergeShards is MergeShards's body; callers hold rbMu.
-func (s *ShardedServer[K]) mergeShards(i int) error {
+func (s *Server[K]) mergeShards(i int) error {
 	if err := s.quiesceWrites(); err != nil {
 		return err
 	}
@@ -340,8 +340,8 @@ func (s *ShardedServer[K]) mergeShards(i int) error {
 	nb = append(nb, m.bounds[:i]...)
 	nb = append(nb, m.bounds[i+1:]...)
 
-	ms := newShardMember(merged, s.reg, i)
-	ns := make([]*Server[K], 0, len(m.subs)-1)
+	ms := newMember(merged, s.reg, i)
+	ns := make([]*member[K], 0, len(m.subs)-1)
 	ns = append(ns, m.subs[:i]...)
 	ns = append(ns, ms)
 	ns = append(ns, m.subs[i+2:]...)
@@ -370,7 +370,7 @@ func (s *ShardedServer[K]) mergeShards(i int) error {
 // resizePumps replaces the pump set to match a new shard count. Callers
 // hold the pump write lock with the old pumps drained, so closing them
 // and waiting is safe.
-func (s *ShardedServer[K]) resizePumps(n int) {
+func (s *Server[K]) resizePumps(n int) {
 	if n == len(s.pumps) {
 		return
 	}

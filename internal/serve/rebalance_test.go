@@ -2,7 +2,9 @@ package serve
 
 import (
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -91,6 +93,90 @@ func TestSplitAndMergeShards(t *testing.T) {
 	}
 	if v, ok := s.Lookup(pairs[0].Key); !ok || v != 777 {
 		t.Fatalf("post-rebalance write invisible: (%d,%v)", v, ok)
+	}
+}
+
+// TestShardedReportsSurviveRebalance: every report — Stats, ShardStats,
+// Describe, LevelWidths, LayoutAdvice — stays safe to call while a
+// fixed number of split+merge rounds retire members under it, and each
+// report is one layout: the stitched pair count is exact, ShardStats
+// carries T-1 bounds for T shards, and Describe's header names the
+// sections that follow. A report that reached a member outside its own
+// pin read a retired one (and panicked) or mixed two layouts.
+func TestShardedReportsSurviveRebalance(t *testing.T) {
+	s, pairs := newShardedServer(t, core.Regular, 1<<12, 2)
+	rounds := 256
+	if testing.Short() {
+		rounds = 32
+	}
+	reports := map[string]func() error{
+		"Stats": func() error {
+			if n := s.Stats().NumPairs; n != len(pairs) {
+				return fmt.Errorf("Stats.NumPairs = %d, want %d", n, len(pairs))
+			}
+			return nil
+		},
+		"ShardStats": func() error {
+			bounds, stats, metrics := s.ShardStats()
+			n := 0
+			for _, st := range stats {
+				n += st.NumPairs
+			}
+			if len(bounds)+1 != len(stats) || len(metrics) != len(stats) || n != len(pairs) {
+				return fmt.Errorf("ShardStats view: %d bounds, %d stats, %d metrics, %d pairs", len(bounds), len(stats), len(metrics), n)
+			}
+			return nil
+		},
+		"Describe": func() error {
+			d := s.Describe()
+			var shards int
+			if _, err := fmt.Sscanf(d, "sharded serving: %d shards", &shards); err != nil || strings.Count(d, "--- shard ") != shards {
+				return fmt.Errorf("Describe header and sections disagree: %q", d[:min(len(d), 80)])
+			}
+			return nil
+		},
+		"LevelWidths+LayoutAdvice": func() error {
+			s.LevelWidths()
+			s.LayoutAdvice()
+			return nil
+		},
+	}
+	var stop atomic.Bool
+	var wg, running sync.WaitGroup
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+	for name, report := range reports {
+		wg.Add(1)
+		running.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s panicked under a rebalance: %v", name, r)
+				}
+			}()
+			running.Done()
+			for !stop.Load() {
+				if err := report(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	running.Wait() // every reader is running before the first rebalance
+	for i := 0; i < rounds; i++ {
+		if err := s.SplitShard(0); err != nil {
+			t.Fatalf("round %d: SplitShard: %v", i, err)
+		}
+		if err := s.MergeShards(0); err != nil {
+			t.Fatalf("round %d: MergeShards: %v", i, err)
+		}
+	}
+	if rs := s.RebalanceStats(); rs.Splits != int64(rounds) || rs.Merges != int64(rounds) || rs.Shards != 2 {
+		t.Fatalf("after %d rounds: %+v", rounds, rs)
 	}
 }
 

@@ -40,13 +40,13 @@ const (
 // maybeRepair starts the background repair task unless one is already
 // in flight. Called from ackStaleSync with the writer slot held; the
 // task itself runs without it.
-func (s *Server[K]) maybeRepair() {
+func (s *member[K]) maybeRepair() {
 	if s.repairing.CompareAndSwap(false, true) {
 		go s.repairLoop()
 	}
 }
 
-func (s *Server[K]) repairLoop() {
+func (s *member[K]) repairLoop() {
 	defer s.repairing.Store(false)
 	for attempt := 0; attempt < repairAttempts; attempt++ {
 		time.Sleep(repairDelay)
@@ -60,11 +60,11 @@ func (s *Server[K]) repairLoop() {
 
 // tryRepair re-mirrors the current version if it is still stale.
 // done reports that no further attempts are needed (healed, or repaired
-// by someone else); ok=false aborts the loop because the server can no
+// by someone else); ok=false aborts the loop because the member can no
 // longer repair (retired by a rebalance, or a writer deadline raced the
 // close). A fault during the re-mirror leaves the tree stale for the
 // next attempt.
-func (s *Server[K]) tryRepair() (done, ok bool) {
+func (s *member[K]) tryRepair() (done, ok bool) {
 	// Hold the writer slot so the repair never races a clone/rebuild of
 	// the same version, and resolve the tree through a pin so a
 	// concurrent rebalance retiring this member aborts the task instead

@@ -47,7 +47,7 @@ func TestBackgroundRepairHealsStaleReplica(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if srv.Tree().ReplicaStale() {
+	if srv.tree().ReplicaStale() {
 		t.Fatal("replica still stale after a completed repair")
 	}
 	// The healed replica serves the GPU path again.
@@ -87,27 +87,27 @@ func TestRepairExhaustsAndHealsOnNextMirror(t *testing.T) {
 	if got := srv.Metrics().Repairs; got != 0 {
 		t.Fatalf("exhausted repair reported %d successes", got)
 	}
-	if !srv.Tree().ReplicaStale() {
+	if !srv.tree().ReplicaStale() {
 		t.Fatal("replica unexpectedly healed with every repair faulted")
 	}
 	// Heal-on-next-mirror: a clean write re-mirrors and clears the flag.
 	if _, err := srv.Update([]cpubtree.Op[uint64]{{Key: pairs[6].Key, Value: 124}}, core.Synchronized); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Tree().ReplicaStale() {
+	if srv.tree().ReplicaStale() {
 		t.Fatal("clean write did not heal the replica")
 	}
 }
 
 // TestDegradedAdmissionSheds: while the backend's breaker is open, the
-// coalescer's effective admission window shrinks to DegradedPending and
-// the excess is refused fast with ErrOverloaded — even though Shed is
+// coalescer's effective admission window shrinks to half of MaxPending
+// and the excess is refused fast with ErrOverloaded — even though Shed is
 // false — and the full window is restored on recovery.
 func TestDegradedAdmissionSheds(t *testing.T) {
 	srv, pairs := newTestServer(t, core.Regular, 1<<10)
 	co := NewCoalescer[uint64](srv, Options{
 		MaxBatch: 64, Window: time.Hour, Shards: 1,
-		MaxPending: 8, DegradedPending: 4,
+		MaxPending: 8, // degraded window 4
 	})
 	defer co.Close()
 
@@ -120,7 +120,7 @@ func TestDegradedAdmissionSheds(t *testing.T) {
 		t.Fatalf("healthy admission shed %d", co.Shed())
 	}
 
-	srv.Breaker().ForceOpen(true)
+	srv.sole().brk.ForceOpen(true)
 	if _, _, err := co.Lookup(pairs[6].Key); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("degraded submission past the shrunken window = %v, want ErrOverloaded", err)
 	}
@@ -129,7 +129,7 @@ func TestDegradedAdmissionSheds(t *testing.T) {
 	}
 
 	// Recovery: the same submission is admitted again (7th of 8).
-	srv.Breaker().ForceOpen(false)
+	srv.sole().brk.ForceOpen(false)
 	reply := co.Submit(pairs[6].Key)
 	select {
 	case res := <-reply:
@@ -156,7 +156,7 @@ func TestLoadBalancedFallbackUsesFlatCPUSearch(t *testing.T) {
 	}
 	srv := NewServer(tree)
 	defer srv.Close()
-	srv.Breaker().ForceOpen(true)
+	srv.sole().brk.ForceOpen(true)
 	if !srv.Degraded() {
 		t.Fatal("forced-open server not degraded")
 	}

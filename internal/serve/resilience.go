@@ -18,11 +18,10 @@ import (
 // down — do not retry here).
 var ErrDeadlineExceeded = errors.New("serve: request deadline exceeded")
 
-// RetryOptions bounds the GPU-path retry loop that runs before a batch
-// degrades to the CPU-only fallback. A standalone Server takes one
-// through SetResilience; every shard of a ShardedServer runs the
-// defaults with its own breaker.
-type RetryOptions struct {
+// retryOptions bounds the GPU-path retry loop that runs before a batch
+// degrades to the CPU-only fallback. Every member runs the defaults
+// with its own breaker.
+type retryOptions struct {
 	// MaxAttempts is the total number of GPU-path attempts per batch
 	// (first try included). Default 3.
 	MaxAttempts int
@@ -35,7 +34,7 @@ type RetryOptions struct {
 	BackoffMax  time.Duration
 }
 
-func (r *RetryOptions) fill() {
+func (r *retryOptions) fill() {
 	if r.MaxAttempts <= 0 {
 		r.MaxAttempts = 3
 	}
@@ -47,23 +46,10 @@ func (r *RetryOptions) fill() {
 	}
 }
 
-// SetResilience replaces the server's breaker and retry policy. Call
-// before serving traffic; the breaker swap is not synchronised with
-// in-flight batches.
-func (s *Server[K]) SetResilience(b breaker.Options, r RetryOptions) {
-	r.fill()
-	s.brk = breaker.New(b)
-	s.retry = r
-}
-
-// Breaker exposes the server's circuit breaker (tests force it open to
-// measure pure-fallback throughput).
-func (s *Server[K]) Breaker() *breaker.Breaker { return s.brk }
-
 // backoff sleeps the jittered exponential delay before retry `attempt`
 // (1-based): base<<(attempt-1) capped at BackoffMax, jittered uniformly
 // over [d/2, 3d/2) so synchronised clients decorrelate.
-func (s *Server[K]) backoff(attempt int) {
+func (s *member[K]) backoff(attempt int) {
 	d := s.retry.BackoffBase << (attempt - 1)
 	if d > s.retry.BackoffMax || d <= 0 {
 		d = s.retry.BackoffMax
@@ -79,7 +65,7 @@ func (s *Server[K]) backoff(attempt int) {
 // back like any other). Structural (non-injected) errors surface
 // unchanged. The caller still holds its snapshot pin, so the fallback
 // reads the same version the GPU attempt did.
-func (s *Server[K]) lookupBatchResilient(tree *core.Tree[K], queries []K, values []K, found []bool) (core.SearchStats, error) {
+func (s *member[K]) lookupBatchResilient(tree *core.Tree[K], queries []K, values []K, found []bool) (core.SearchStats, error) {
 	for attempt := 1; attempt <= s.retry.MaxAttempts && s.brk.Allow(); attempt++ {
 		if attempt > 1 {
 			s.retries.Add(1)
@@ -102,7 +88,7 @@ func (s *Server[K]) lookupBatchResilient(tree *core.Tree[K], queries []K, values
 	return stats, nil
 }
 
-// worseState orders breaker states by degradation for the sharded
+// worseState orders breaker states by degradation for the engine's
 // aggregate: open > half-open > closed.
 func worseState(a, b breaker.State) breaker.State {
 	rank := func(st breaker.State) int {

@@ -13,26 +13,23 @@
 // calls under a size-or-deadline window, so the serving layer recovers
 // the paper's batched throughput from a point-request workload.
 //
-// # Snapshot reads and the epoch registry
+// # One engine, T shards, one epoch registry
 //
-// A Server publishes tree versions through an epoch.Registry
-// — the generation-stamped snapshot registry shared with ShardedServer.
-// Read operations pin the registry's current state, run against it
-// without blocking, and unpin; batch updates and rebuilds construct a
-// successor tree aside — a clone patched with the batch, or a fresh
-// build — and publish it as a new epoch. Readers that pinned the old
-// epoch finish on it undisturbed; its device-resident I-segment replica
-// is released when the last pin drains. This mirrors the paper's
-// asynchronous update mode (Section 5.6) at the serving layer: the
-// index remains searchable for the full duration of a batch update, at
-// the cost of the clone/rebuild work and a transiently doubled
-// I-segment footprint on the device.
-//
-// A standalone Server owns a one-slot registry; shard members of a
-// ShardedServer share one registry whose vector holds every shard's
-// tree and whose metadata carries the split-key table — which is what
-// gives the sharded layer atomic cross-shard cuts and online
-// rebalancing for free (see sharded.go and DESIGN §6).
+// Server partitions the key space across T shard trees — one by
+// default (NewServer) — each behind an unexported member that owns its
+// writer slot, breaker and counters (sharded.go, DESIGN §6). Every
+// shard's tree version lives in one epoch.Registry, whose metadata
+// carries the split-key table. Read operations pin the registry's
+// current state, run against it without blocking, and unpin; batch
+// updates and rebuilds construct a successor tree aside — a clone
+// patched with the batch, or a fresh build — and publish it as a new
+// epoch. Readers that pinned the old epoch finish on it undisturbed;
+// its device-resident I-segment replica is released when the last pin
+// drains. This mirrors the paper's asynchronous update mode (Section
+// 5.6) at the serving layer: the index remains searchable for the full
+// duration of a batch update, at the cost of the clone/rebuild work and
+// a transiently doubled I-segment footprint on the device. The same
+// registry gives atomic cross-shard cuts and online rebalancing.
 //
 // Virtual-time accounting follows requests through the layer: point
 // lookups served individually are charged the modelled serial descent
@@ -56,25 +53,21 @@ import (
 	"hbtree/internal/vclock"
 )
 
-// Server wraps a core.Tree with a reader/writer contract: read
-// operations run against a pinned epoch of the snapshot registry and
-// never block on writers; Update and Rebuild build a successor version
-// aside and publish it as a new epoch. The zero value is not usable;
-// construct with NewServer.
-type Server[K keys.Key] struct {
-	// The epoch registry holding the published versions and this
-	// server's slot in its vector. A standalone server owns a
-	// one-slot registry (ownReg); a shard member shares the
-	// ShardedServer's registry, and its slot index is restamped when a
-	// rebalance reorders the vector. The writer "mutex" is a capacity-1
-	// channel so UpdateCtx/RebuildCtx can abandon the wait when the
-	// caller's deadline expires.
-	reg    *epoch.Registry[*core.Tree[K], shardMeta[K]]
-	slot   atomic.Int32
-	ownReg bool
-	wsem   chan struct{}
+// member serves one shard of a Server: one slot of the engine's epoch
+// registry, the writer slot that serialises that shard's updates, its
+// breaker and retry policy, and its counters. Only the engine reaches
+// it — reads through lookupPinned/lookupBatchSortedPinned with a tree
+// resolved from the engine's own pin, writes through update/rebuild on
+// the shard's update pump.
+type member[K keys.Key] struct {
+	// The engine's registry and this member's slot in its vector; the
+	// slot index is restamped when a rebalance reorders the vector. The
+	// writer "mutex" is a capacity-1 channel so update/rebuild can
+	// abandon the wait when the caller's deadline expires.
+	reg  *epoch.Registry[*core.Tree[K], shardMeta[K]]
+	slot atomic.Int32
+	wsem chan struct{}
 
-	opt       core.Options
 	pointCost vclock.Duration // modelled cost of one per-request lookup
 
 	// In-place delta updates (DESIGN §10): batches whose footprint fits
@@ -87,7 +80,7 @@ type Server[K keys.Key] struct {
 	// bounded-retry policy. The breaker lives here, not on the tree —
 	// snapshot swaps replace trees but error history must survive them.
 	brk   *breaker.Breaker
-	retry RetryOptions
+	retry retryOptions
 
 	// repairing single-flights the background replica repair (see
 	// repair.go).
@@ -107,7 +100,6 @@ type Server[K keys.Key] struct {
 	retries     atomic.Int64                  // GPU-path retry attempts after a fault
 	fbBatches   atomic.Int64                  // batches answered by the CPU fallback
 	fbQueries   atomic.Int64                  // queries answered by the CPU fallback
-	deadlines   atomic.Int64                  // requests failed with ErrDeadlineExceeded
 	repairs     atomic.Int64                  // background replica repairs completed
 	inplace     atomic.Int64                  // batches applied in place (delta fast path)
 	cloneFB     atomic.Int64                  // batches that fell back to clone-and-swap
@@ -115,44 +107,27 @@ type Server[K keys.Key] struct {
 	clonedBytes atomic.Int64                  // host bytes copied by the clone path
 }
 
-// NewServer wraps t behind the snapshot-read contract: reads never
-// block on batch updates or rebuilds. Load-balance parameters are
-// resolved eagerly when the balanced mode is enabled, so the first
-// concurrent lookups never contend on discovery.
-func NewServer[K keys.Key](t *core.Tree[K]) *Server[K] {
-	s := newServer(t)
-	s.reg = epoch.New([]*core.Tree[K]{t}, shardMeta[K]{}, func(tr *core.Tree[K]) { tr.Close() })
-	s.ownReg = true
-	return s
-}
-
-// newShardMember wraps t as one shard of a shared registry: the server
-// reads and publishes through reg at the given slot and does not own
-// the registry's lifetime (ShardedServer closes it once for all
-// shards).
-func newShardMember[K keys.Key](t *core.Tree[K], reg *epoch.Registry[*core.Tree[K], shardMeta[K]], slot int) *Server[K] {
-	s := newServer(t)
-	s.reg = reg
-	s.slot.Store(int32(slot))
-	return s
-}
-
-func newServer[K keys.Key](t *core.Tree[K]) *Server[K] {
+// newMember wraps t as the shard at slot of reg. Load-balance
+// parameters are resolved eagerly when the balanced mode is enabled, so
+// the first concurrent lookups never contend on discovery.
+func newMember[K keys.Key](t *core.Tree[K], reg *epoch.Registry[*core.Tree[K], shardMeta[K]], slot int) *member[K] {
 	if t.Options().LoadBalance {
 		if _, ok := t.Balance(); !ok {
 			t.Discover()
 		}
 	}
 	attachEnvInjector(t.Device())
-	var r RetryOptions
+	var r retryOptions
 	r.fill()
-	return &Server[K]{
-		opt:       t.Options(),
+	s := &member[K]{
+		reg:       reg,
 		pointCost: t.PointLookupCost(),
 		wsem:      make(chan struct{}, 1),
 		brk:       breaker.New(breaker.Options{}),
 		retry:     r,
 	}
+	s.slot.Store(int32(slot))
+	return s
 }
 
 // attachEnvInjector wires the process-wide HBTREE_FAULT injector into a
@@ -166,40 +141,17 @@ func attachEnvInjector(d *gpusim.Device) {
 	}
 }
 
-// acquire pins the current tree version for one read operation; the
-// returned pin must be released with Unpin.
-//
-// A shard member resolves its tree from the pinned state: the slot
-// index is validated against the pinned metadata and, when a
-// just-published rebalance has restamped it, the member locates itself
-// in the pinned vector instead — so a read never mixes a new index
-// with an old epoch. Acquiring on a shard server that a rebalance has
-// replaced panics: retired members must not be used for new reads
-// (ShardedServer's read paths resolve members through the pin, which
-// makes that unreachable).
-func (s *Server[K]) acquire() (*core.Tree[K], epoch.Pin[*core.Tree[K], shardMeta[K]]) {
-	tree, p, ok := s.pinCurrent()
-	if !ok {
-		panic("serve: read on a shard server replaced by rebalance")
-	}
-	return tree, p
-}
-
-// pinCurrent pins the registry and resolves this server's tree in the
-// pinned state. ok is false — with nothing pinned — when the server is
-// no longer part of the current state (replaced by a rebalance).
-func (s *Server[K]) pinCurrent() (*core.Tree[K], epoch.Pin[*core.Tree[K], shardMeta[K]], bool) {
+// pinCurrent pins the registry and resolves this member's tree in the
+// pinned state: the slot index is validated against the pinned metadata
+// and, when a just-published rebalance has restamped it, the member
+// locates itself in the pinned vector instead. ok is false — with
+// nothing pinned — when a rebalance has retired the member.
+func (s *member[K]) pinCurrent() (*core.Tree[K], epoch.Pin[*core.Tree[K], shardMeta[K]], bool) {
 	p := s.reg.Pin()
 	m := p.Meta()
-	if len(m.subs) == 0 {
-		// Standalone registry: one slot, never restamped.
-		return p.Get(0), p, true
-	}
 	if i := int(s.slot.Load()); i < len(m.subs) && m.subs[i] == s {
 		return p.Get(i), p, true
 	}
-	// Slow path: the pin and the slot stamp straddle a rebalance —
-	// locate this member in the pinned vector itself.
 	for j, sub := range m.subs {
 		if sub == s {
 			return p.Get(j), p, true
@@ -209,10 +161,10 @@ func (s *Server[K]) pinCurrent() (*core.Tree[K], epoch.Pin[*core.Tree[K], shardM
 	return nil, epoch.Pin[*core.Tree[K], shardMeta[K]]{}, false
 }
 
-// publish installs t as this server's slot in a new epoch. Callers hold
+// publish installs t as this member's slot in a new epoch. Callers hold
 // the writer slot. In-flight readers of the old version finish on it;
 // its device buffers are released when the last pin drains.
-func (s *Server[K]) publish(t *core.Tree[K]) {
+func (s *member[K]) publish(t *core.Tree[K]) {
 	s.reg.Publish(int(s.slot.Load()), t)
 	s.swaps.Add(1)
 }
@@ -259,8 +211,9 @@ type Metrics struct {
 	VirtualTime vclock.Duration
 }
 
-// Metrics returns the current counter snapshot.
-func (s *Server[K]) Metrics() Metrics {
+// metrics returns the member's counter snapshot. Deadlines stays zero:
+// expiries are counted by the engine, which returns them.
+func (s *member[K]) metrics() Metrics {
 	m := Metrics{
 		Lookups:         s.lookups.Load(),
 		BatchedQueries:  s.batched.Load(),
@@ -273,7 +226,6 @@ func (s *Server[K]) Metrics() Metrics {
 		Retries:         s.retries.Load(),
 		FallbackBatches: s.fbBatches.Load(),
 		FallbackQueries: s.fbQueries.Load(),
-		Deadlines:       s.deadlines.Load(),
 		Repairs:         s.repairs.Load(),
 		InPlaceApplied:  s.inplace.Load(),
 		CloneFallbacks:  s.cloneFB.Load(),
@@ -289,10 +241,10 @@ func (s *Server[K]) Metrics() Metrics {
 	return m
 }
 
-// ResetMetrics zeroes the serving counters (benchmark A/B phases). The
-// breaker's state and trip history are left alone — they describe the
-// device, not the measurement window.
-func (s *Server[K]) ResetMetrics() {
+// resetMetrics zeroes the member's serving counters. The breaker's
+// state and trip history are left alone — they describe the device,
+// not the measurement window.
+func (s *member[K]) resetMetrics() {
 	s.vtimeNs.Store(0)
 	s.lookups.Store(0)
 	s.batched.Store(0)
@@ -308,7 +260,6 @@ func (s *Server[K]) ResetMetrics() {
 	s.retries.Store(0)
 	s.fbBatches.Store(0)
 	s.fbQueries.Store(0)
-	s.deadlines.Store(0)
 	s.repairs.Store(0)
 	s.inplace.Store(0)
 	s.cloneFB.Store(0)
@@ -316,111 +267,39 @@ func (s *Server[K]) ResetMetrics() {
 	s.clonedBytes.Store(0)
 }
 
-// VirtualTime returns the accumulated virtual serving time.
-func (s *Server[K]) VirtualTime() vclock.Duration {
-	return vclock.Duration(s.vtimeNs.Load())
-}
-
-func (s *Server[K]) addVirtual(d vclock.Duration) {
+func (s *member[K]) addVirtual(d vclock.Duration) {
 	if d > 0 {
 		s.vtimeNs.Add(int64(d))
 	}
 }
 
-// PointLookupCost returns the modelled virtual cost charged per
-// individually served lookup.
-func (s *Server[K]) PointLookupCost() vclock.Duration { return s.pointCost }
+// degraded reports whether the member's breaker over the device is
+// open, so its batches are answered by the CPU fallback.
+func (s *member[K]) degraded() bool { return s.brk.State() == breaker.Open }
 
-// Swaps returns how many snapshot versions this server has published.
-func (s *Server[K]) Swaps() int64 { return s.swaps.Load() }
-
-// LevelWidths returns the current tree version's per-level key-slot
-// widths (root first; nil for the regular variant) — the realised
-// layout the STATS surface reports.
-func (s *Server[K]) LevelWidths() []int {
-	tree, p := s.acquire()
-	w := tree.LevelWidths()
-	p.Unpin()
-	return w
-}
-
-// LayoutAdvice recommends per-level root widths for the current tree
-// from the probe histogram this server has accumulated (nil = stay
-// uniform / not enough signal). It is advisory: the serving layer never
-// relayouts online; operators feed it back as a build flag.
-func (s *Server[K]) LayoutAdvice() []int {
-	m := s.Metrics()
-	tree, p := s.acquire()
-	adv := tree.LayoutAdvice(m.LevelProbes[:])
-	p.Unpin()
-	return adv
-}
-
-// Degraded reports whether the server is in degraded mode: the breaker
-// over the device is open and batches are answered by the CPU fallback.
-// The Coalescer's fault-aware admission sheds earlier while this holds.
-func (s *Server[K]) Degraded() bool { return s.brk.State() == breaker.Open }
-
-// Lookup resolves one query on the CPU path against the current
-// version. Each call is charged the full serial descent on the virtual
-// clock — the per-request serving cost a Coalescer amortises away.
-func (s *Server[K]) Lookup(q K) (K, bool) {
-	tree, p := s.acquire()
-	v, ok := s.lookupPinned(tree, q)
-	p.Unpin()
-	return v, ok
-}
-
-// lookupPinned is the point-lookup body against an already-pinned
-// tree: ShardedServer resolves the tree from its own pin and calls
-// this, so shard reads never re-pin per member.
-func (s *Server[K]) lookupPinned(tree *core.Tree[K], q K) (K, bool) {
+// lookupPinned resolves one query on the CPU path against a tree the
+// engine pinned. Each call is charged the full serial descent on the
+// virtual clock — the per-request serving cost a Coalescer amortises
+// away.
+func (s *member[K]) lookupPinned(tree *core.Tree[K], q K) (K, bool) {
 	v, ok := tree.Lookup(q)
 	s.lookups.Add(1)
 	s.addVirtual(s.pointCost)
 	return v, ok
 }
 
-// LookupBatch runs the shared-descent batch search against the current
-// version into freshly allocated result slices; it is
-// LookupBatchSortedInto's allocating form. Concurrent batches share the
-// device and keep isolated stats. The batch's simulated makespan is
-// charged to the virtual clock.
-func (s *Server[K]) LookupBatch(queries []K) ([]K, []bool, core.SearchStats, error) {
-	values := make([]K, len(queries))
-	found := make([]bool, len(queries))
-	stats, err := s.LookupBatchSortedInto(queries, values, found)
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	return values, found, stats, nil
-}
-
-// LookupBatchSortedInto is the server's batch search: the shared-descent
-// path (core.Tree.LookupBatchSortedInto) into the caller's slices (at
-// least len(queries) long each), results in caller order; the steady
-// state allocates nothing. Presorted duplicate-free batches — the
-// Coalescer's steady state — are resolved at one node probe per
-// distinct node per level. Injected device faults are retried with jittered backoff and, past the
-// retry budget or with the breaker open, the batch is answered by the
-// host-only search — callers see correct results either way.
-func (s *Server[K]) LookupBatchSortedInto(queries []K, values []K, found []bool) (core.SearchStats, error) {
-	tree, p := s.acquire()
-	stats, err := s.lookupBatchSortedPinned(tree, queries, values, found)
-	p.Unpin()
-	return stats, err
-}
-
-// lookupBatchSortedPinned is the batch-search body against an
-// already-pinned tree, with the resilient retry/fallback discipline and
-// this server's counters.
-func (s *Server[K]) lookupBatchSortedPinned(tree *core.Tree[K], queries []K, values []K, found []bool) (core.SearchStats, error) {
+// lookupBatchSortedPinned runs the shared-descent batch search
+// (core.Tree.LookupBatchSortedInto) against a tree the engine pinned,
+// into the caller's slices, with the resilient retry/fallback
+// discipline and this member's counters; the batch's simulated makespan
+// is charged to the virtual clock.
+func (s *member[K]) lookupBatchSortedPinned(tree *core.Tree[K], queries []K, values []K, found []bool) (core.SearchStats, error) {
 	stats, err := s.lookupBatchResilient(tree, queries, values, found)
 	s.noteBatch(len(queries), stats, err)
 	return stats, err
 }
 
-func (s *Server[K]) noteBatch(n int, stats core.SearchStats, err error) {
+func (s *member[K]) noteBatch(n int, stats core.SearchStats, err error) {
 	if err != nil {
 		return
 	}
@@ -438,26 +317,8 @@ func (s *Server[K]) noteBatch(n int, stats core.SearchStats, err error) {
 	}
 }
 
-// RangeQuery returns up to count pairs with key >= start against the
-// current version.
-func (s *Server[K]) RangeQuery(start K, count int) []keys.Pair[K] {
-	tree, p := s.acquire()
-	defer p.Unpin()
-	return tree.RangeQuery(start, count, nil)
-}
-
-// Scan collects up to count pairs starting at the first key >= start by
-// walking a cursor against the current version. Cursors must not
-// outlive the version pin, so the walk is materialised before
-// returning.
-func (s *Server[K]) Scan(start K, count int) []keys.Pair[K] {
-	tree, p := s.acquire()
-	defer p.Unpin()
-	return scanTree(tree, start, count, make([]keys.Pair[K], 0, count))
-}
-
 // scanTree materialises up to count pairs from a pinned tree's cursor
-// into out — shared by Server.Scan and the sharded stitch loops.
+// into out — shared by the engine's stitch loops.
 func scanTree[K keys.Key](t *core.Tree[K], start K, count int, out []keys.Pair[K]) []keys.Pair[K] {
 	cur := t.Seek(start)
 	for len(out) < count {
@@ -470,28 +331,21 @@ func scanTree[K keys.Key](t *core.Tree[K], start K, count int, out []keys.Pair[K
 	return out
 }
 
-// Update applies a batch of updates to the regular variant: the batch
-// lands on a successor of the current version — an in-place fork when
-// it fits the gapped leaves, a patched clone otherwise — which is then
-// atomically published. Readers proceed against the old version for the
-// whole duration, and a failed batch leaves the published version
-// untouched.
+// update applies one shard's batch: it lands on a successor of the
+// current version — an in-place fork when it fits the gapped leaves, a
+// patched clone otherwise — which is then atomically published. Readers
+// proceed against the old version for the whole duration, and a failed
+// batch leaves the published version untouched. If ctx expires before
+// the writer slot is free, ErrDeadlineExceeded is returned and nothing
+// changes; a batch that has started is always run to completion
+// (partial batches would lose acked writes).
 //
 // A batch whose host-side mutation succeeded but whose device re-sync
 // faulted is still acknowledged: the (replica-stale) version is kept,
 // reads on it degrade to the CPU path, and a background repair
 // re-mirrors it (with heal-on-next-mirror as the fallback) — acked
 // writes are never lost to an injected fault.
-func (s *Server[K]) Update(ops []cpubtree.Op[K], method core.UpdateMethod) (core.UpdateStats, error) {
-	return s.UpdateCtx(context.Background(), ops, method)
-}
-
-// UpdateCtx is Update with a caller deadline on the writer-serialisation
-// wait: if ctx expires before the batch starts, ErrDeadlineExceeded is
-// returned and the published version is untouched. A batch that has
-// started is always run to completion (partial batches would lose acked
-// writes).
-func (s *Server[K]) UpdateCtx(ctx context.Context, ops []cpubtree.Op[K], method core.UpdateMethod) (core.UpdateStats, error) {
+func (s *member[K]) update(ctx context.Context, ops []cpubtree.Op[K], method core.UpdateMethod) (core.UpdateStats, error) {
 	if err := s.acquireWriter(ctx); err != nil {
 		return core.UpdateStats{}, err
 	}
@@ -509,7 +363,7 @@ func (s *Server[K]) UpdateCtx(ctx context.Context, ops []cpubtree.Op[K], method 
 		s.noteUpdate(len(ops), stats, nil)
 		return stats, nil
 	}
-	if s.opt.Variant == core.Regular {
+	if cur.Options().Variant == core.Regular {
 		// The batch needed structural work (split/merge or gap
 		// overflow) — the clone path below is the fallback.
 		s.cloneFB.Add(1)
@@ -534,15 +388,10 @@ func (s *Server[K]) UpdateCtx(ctx context.Context, ops []cpubtree.Op[K], method 
 	return stats, nil
 }
 
-// Rebuild replaces the implicit variant's contents: the replacement
-// tree is built aside and atomically published.
-func (s *Server[K]) Rebuild(pairs []keys.Pair[K]) (core.UpdateStats, error) {
-	return s.RebuildCtx(context.Background(), pairs)
-}
-
-// RebuildCtx is Rebuild with a caller deadline on the writer wait, with
-// the same started-batches-complete semantics as UpdateCtx.
-func (s *Server[K]) RebuildCtx(ctx context.Context, pairs []keys.Pair[K]) (core.UpdateStats, error) {
+// rebuild replaces the shard's contents (implicit variant): the
+// replacement tree is built aside and atomically published, with the
+// same deadline and started-batches-complete semantics as update.
+func (s *member[K]) rebuild(ctx context.Context, pairs []keys.Pair[K]) (core.UpdateStats, error) {
 	if err := s.acquireWriter(ctx); err != nil {
 		return core.UpdateStats{}, err
 	}
@@ -566,7 +415,7 @@ func (s *Server[K]) RebuildCtx(ctx context.Context, pairs []keys.Pair[K]) (core.
 // the batch is acknowledged (nil), only the device image lags, and a
 // background repair is kicked off to re-mirror it. Any other error is
 // returned unchanged.
-func (s *Server[K]) ackStaleSync(t *core.Tree[K], err error) error {
+func (s *member[K]) ackStaleSync(t *core.Tree[K], err error) error {
 	if err == nil {
 		return nil
 	}
@@ -580,8 +429,9 @@ func (s *Server[K]) ackStaleSync(t *core.Tree[K], err error) error {
 }
 
 // acquireWriter takes the writer slot, abandoning the wait when ctx
-// expires first.
-func (s *Server[K]) acquireWriter(ctx context.Context) error {
+// expires first. The expiry is not counted here: the engine counts it
+// once, where it returns ErrDeadlineExceeded to the caller.
+func (s *member[K]) acquireWriter(ctx context.Context) error {
 	select {
 	case s.wsem <- struct{}{}:
 		return nil
@@ -591,69 +441,15 @@ func (s *Server[K]) acquireWriter(ctx context.Context) error {
 	case s.wsem <- struct{}{}:
 		return nil
 	case <-ctx.Done():
-		s.deadlines.Add(1)
 		return ErrDeadlineExceeded
 	}
 }
 
-func (s *Server[K]) releaseWriter() { <-s.wsem }
+func (s *member[K]) releaseWriter() { <-s.wsem }
 
-func (s *Server[K]) noteUpdate(ops int, stats core.UpdateStats, err error) {
+func (s *member[K]) noteUpdate(ops int, stats core.UpdateStats, err error) {
 	if err == nil {
 		s.updates.Add(int64(ops))
 		s.addVirtual(stats.Total())
-	}
-}
-
-// Stats reports the tree geometry of the current version.
-func (s *Server[K]) Stats() cpubtree.Stats {
-	tree, p := s.acquire()
-	defer p.Unpin()
-	return tree.Stats()
-}
-
-// Describe returns the current version's human-readable report.
-func (s *Server[K]) Describe() string {
-	tree, p := s.acquire()
-	defer p.Unpin()
-	return tree.Describe()
-}
-
-// NumPairs returns the stored pair count of the current version.
-func (s *Server[K]) NumPairs() int {
-	tree, p := s.acquire()
-	defer p.Unpin()
-	return tree.NumPairs()
-}
-
-// DeviceCounters snapshots the simulated GPU's hardware counters. The
-// device is shared by every snapshot, so the counters span versions.
-func (s *Server[K]) DeviceCounters() gpusim.Counters {
-	tree, p := s.acquire()
-	defer p.Unpin()
-	return tree.Device().Counters()
-}
-
-// Options returns the wrapped tree's configuration (fixed across
-// snapshot versions).
-func (s *Server[K]) Options() core.Options { return s.opt }
-
-// Tree exposes the current version's tree. Callers bypass the
-// reader/writer contract when touching it directly; do so only while
-// nothing else uses the server.
-func (s *Server[K]) Tree() *core.Tree[K] {
-	return s.reg.Current(int(s.slot.Load()))
-}
-
-// Close releases the current version's device buffers. Readers still
-// pinning the version finish first — the buffers are released when the
-// last pin drains. A shard member does not own
-// its registry and must be closed through its ShardedServer; Close on
-// it only quiesces the writer slot. Close is idempotent.
-func (s *Server[K]) Close() {
-	s.wsem <- struct{}{}
-	defer s.releaseWriter()
-	if s.ownReg {
-		s.reg.Close()
 	}
 }

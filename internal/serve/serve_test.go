@@ -1,12 +1,65 @@
 package serve
 
 import (
+	"fmt"
 	"testing"
 
+	"hbtree/internal/breaker"
 	"hbtree/internal/core"
 	"hbtree/internal/cpubtree"
+	"hbtree/internal/epoch"
+	"hbtree/internal/keys"
 	"hbtree/internal/workload"
 )
+
+// sole returns the only member of a one-shard server: the tests below
+// reach the writer slot and breaker through it.
+func (s *Server[K]) sole() *member[K] {
+	subs := s.members()
+	if len(subs) != 1 {
+		panic(fmt.Sprintf("sole member of a %d-shard server", len(subs)))
+	}
+	return subs[0]
+}
+
+// tree returns a one-shard server's current tree version, bypassing
+// the reader/writer contract.
+func (s *Server[K]) tree() *core.Tree[K] {
+	s.sole()
+	return s.reg.Current(0)
+}
+
+// acquire pins the registry as a reader would and returns a one-shard
+// server's tree in the pinned state; release the pin with Unpin.
+func (s *Server[K]) acquire() (*core.Tree[K], epoch.Pin[*core.Tree[K], shardMeta[K]]) {
+	s.sole()
+	p := s.reg.Pin()
+	return p.Get(0), p
+}
+
+// setResilience replaces every member's breaker and retry policy. Call
+// it before serving traffic.
+func (s *Server[K]) setResilience(b breaker.Options, r retryOptions) {
+	r.fill()
+	for _, m := range s.members() {
+		m.brk = breaker.New(b)
+		m.retry = r
+	}
+}
+
+// newTestServer builds an n-pair tree of the given variant and serves it
+// on a one-shard server that the test's cleanup closes.
+func newTestServer(t testing.TB, variant core.Variant, n int) (*Server[uint64], []keys.Pair[uint64]) {
+	t.Helper()
+	pairs := workload.Dataset[uint64](workload.Uniform, n, 42)
+	tree, err := core.Build(pairs, core.Options{Variant: variant, BucketSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(tree)
+	t.Cleanup(srv.Close)
+	return srv, pairs
+}
 
 // TestServerReadPaths verifies every read operation through the lock.
 func TestServerReadPaths(t *testing.T) {
@@ -74,7 +127,7 @@ func TestServerWritePath(t *testing.T) {
 	if _, ok := srv.Lookup(pairs[4].Key); ok {
 		t.Fatal("deleted key still found")
 	}
-	if err := srv.Tree().VerifyReplica(); err != nil {
+	if err := srv.tree().VerifyReplica(); err != nil {
 		t.Fatal(err)
 	}
 	m := srv.Metrics()
@@ -107,7 +160,7 @@ func TestVirtualTimeAccounting(t *testing.T) {
 	for _, k := range queries {
 		srv.Lookup(k)
 	}
-	perRequest := srv.VirtualTime()
+	perRequest := srv.Metrics().VirtualTime
 	if want := float64(srv.PointLookupCost()) * q; float64(perRequest) < 0.99*want {
 		t.Fatalf("per-request virtual time %v below %v", perRequest, want)
 	}
@@ -116,7 +169,7 @@ func TestVirtualTimeAccounting(t *testing.T) {
 	if _, _, _, err := srv.LookupBatch(queries); err != nil {
 		t.Fatal(err)
 	}
-	batched := srv.VirtualTime()
+	batched := srv.Metrics().VirtualTime
 	if batched <= 0 {
 		t.Fatal("batch charged no virtual time")
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -18,18 +19,19 @@ import (
 	"hbtree/internal/vclock"
 )
 
-// Key-space sharded serving (DESIGN §6). A single Server serialises all
+// Key-space sharded serving (DESIGN §6). One shard serialises all
 // writers behind one writer slot, and a batch that does not fit its
 // gapped leaves' delta regions (DESIGN §10) — or any batch on a tree
-// built without gaps, or a rebuild — costs O(data). ShardedServer
-// partitions the key space across T independent trees, each behind its
-// own shard Server with a dedicated update-pump goroutine (the per-shard
-// worker pool standing in for NUMA placement until real NUMA is
-// observable). A clone fallback copies 1/T of the data and shards
-// rebuild concurrently, so that cost drops to O(data/T) and update
-// throughput scales with cores; point lookups route by key and stay
+// built without gaps, or a rebuild — costs O(data). Server partitions
+// the key space across T independent trees, each behind its own member
+// with a dedicated update-pump goroutine (the per-shard worker pool
+// standing in for NUMA placement until real NUMA is observable). A
+// clone fallback copies 1/T of the data and shards rebuild
+// concurrently, so that cost drops to O(data/T) and update throughput
+// scales with cores; point lookups route by key and stay
 // allocation-free; range reads stitch ordered results across shard
-// boundaries.
+// boundaries. NewServer is the one-shard case: it adopts the tree as
+// the only member, and SplitShard can retile it online.
 //
 // All T shard versions live in ONE epoch.Registry: the registry's
 // vector holds every shard's current tree and its metadata carries the
@@ -38,14 +40,17 @@ import (
 // new table and a new tree set as one whole-vector transition — which
 // is what makes ScanConsistent/RangeQueryConsistent an atomic
 // cross-shard cut at the cost of a single pin, and lets the shard
-// layout change online without ever blocking readers.
+// layout change online without ever blocking readers. Every report —
+// Stats, ShardStats, Describe, LevelWidths, LayoutAdvice — resolves
+// its members and trees through one pin too, so a concurrent rebalance
+// never hands it a retired member or a table of another length.
 
 // shardMeta is the registry metadata published atomically with the
-// shard tree vector: the split-key table, the shard servers serving
-// each slot, and a table generation bumped by every rebalance.
+// shard tree vector: the split-key table, the members serving each
+// slot, and a table generation bumped by every rebalance.
 type shardMeta[K keys.Key] struct {
 	bounds []K          // lower bounds of shards 1..T-1
-	subs   []*Server[K] // shard servers, index-aligned with the vector
+	subs   []*member[K] // shard members, index-aligned with the vector
 	gen    uint64       // split-key table generation
 }
 
@@ -68,11 +73,11 @@ func (m *shardMeta[K]) route(k K) int {
 // shardJob is one unit of write work handed to an update pump: a batch
 // of routed ops, a rebuild of one shard's key range, or a rebalance
 // barrier. ctx carries the dispatcher's deadline into the pump's writer
-// wait; sub binds the job to the shard server it was routed to at
-// dispatch time.
+// wait; sub binds the job to the member it was routed to at dispatch
+// time.
 type shardJob[K keys.Key] struct {
 	ctx     context.Context
-	sub     *Server[K]
+	sub     *member[K]
 	pump    int
 	ops     []cpubtree.Op[K]
 	pairs   []keys.Pair[K]
@@ -88,13 +93,14 @@ type shardDone struct {
 	err   error
 }
 
-// ShardedServer partitions the key space across T shard Servers behind
-// one epoch registry. Shard i (i > 0) serves keys in
-// [bounds[i-1], bounds[i]); shard 0 serves everything below bounds[0]
-// and the last shard everything from its lower bound up. The bounds are
-// set at construction from the initial key distribution and move only
-// through rebalancing (SplitShard/MergeShards/CheckRebalance), each
-// move one atomic epoch transition.
+// Server makes core trees safe for concurrent use: it partitions the
+// key space across T shard members behind one epoch registry. Shard i
+// (i > 0) serves keys in [bounds[i-1], bounds[i]); shard 0 serves
+// everything below bounds[0] and the last shard everything from its
+// lower bound up. The bounds are set at construction from the initial
+// key distribution and move only through rebalancing
+// (SplitShard/MergeShards/CheckRebalance), each move one atomic epoch
+// transition.
 //
 // Contract (DESIGN §6): point and batch lookups observe the epoch
 // current at their pin; a cross-shard RangeQuery or Scan re-pins as the
@@ -109,7 +115,7 @@ type shardDone struct {
 // batch's normal form (core's last op per key wins). Rebuild partitions
 // the replacement pairs by the current bounds and rebuilds all shards
 // concurrently.
-type ShardedServer[K keys.Key] struct {
+type Server[K keys.Key] struct {
 	reg *epoch.Registry[*core.Tree[K], shardMeta[K]]
 	opt core.Options // shard build options; Device is the shared card
 
@@ -123,8 +129,8 @@ type ShardedServer[K keys.Key] struct {
 	pumpMu sync.RWMutex
 	closed bool
 
-	// deadlines counts writes abandoned at the dispatch layer (pump send
-	// or outcome wait); per-shard waits are counted by the sub-servers.
+	// deadlines counts writes that returned ErrDeadlineExceeded: the
+	// pump send, a member's writer wait or the outcome wait expired.
 	deadlines atomic.Int64
 
 	// updScratch pools UpdateCtx's per-flush routing scratch (the
@@ -147,7 +153,7 @@ type ShardedServer[K keys.Key] struct {
 	rbStop     chan struct{}
 	rbWG       sync.WaitGroup
 
-	// Counters of shard servers replaced by rebalances, folded into the
+	// Counters of members replaced by rebalances, folded into the
 	// aggregates so metrics stay continuous across layout changes.
 	retMu   sync.Mutex
 	retired Metrics
@@ -166,14 +172,14 @@ type ShardedServer[K keys.Key] struct {
 // The hook runs on the rebalancing goroutine while the layout change is
 // still excluding dispatches, so it must not write through the server.
 // A nil fn clears the hook.
-func (s *ShardedServer[K]) SetLayoutHook(fn func(gen uint64, shards int)) {
+func (s *Server[K]) SetLayoutHook(fn func(gen uint64, shards int)) {
 	s.hookMu.Lock()
 	s.layoutHook = fn
 	s.hookMu.Unlock()
 }
 
 // notifyLayout invokes the registered layout hook, if any.
-func (s *ShardedServer[K]) notifyLayout(gen uint64, shards int) {
+func (s *Server[K]) notifyLayout(gen uint64, shards int) {
 	s.hookMu.Lock()
 	fn := s.layoutHook
 	s.hookMu.Unlock()
@@ -182,12 +188,12 @@ func (s *ShardedServer[K]) notifyLayout(gen uint64, shards int) {
 	}
 }
 
-// BuildSharded builds a ShardedServer over T trees from sorted,
+// BuildSharded builds a Server over T trees from sorted,
 // distinct pairs: the pairs are cut into T equal contiguous runs, the
 // run boundaries become the initial shard bounds, and every shard tree
 // is built with opt on one shared simulated device (opt.Device, or the
 // first shard's device when nil). shards <= 0 selects GOMAXPROCS.
-func BuildSharded[K keys.Key](pairs []keys.Pair[K], opt core.Options, shards int) (*ShardedServer[K], error) {
+func BuildSharded[K keys.Key](pairs []keys.Pair[K], opt core.Options, shards int) (*Server[K], error) {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
@@ -218,7 +224,7 @@ func BuildSharded[K keys.Key](pairs []keys.Pair[K], opt core.Options, shards int
 	return newShardedFromTrees(trees, bounds, 1), nil
 }
 
-// newShardedFromTrees assembles a ShardedServer over already-built
+// newShardedFromTrees assembles a Server over already-built
 // shard trees: trees[i] serves [bounds[i-1], bounds[i]) (open-ended at
 // the edges) and gen seeds the split-key table generation — 1 for a
 // fresh build, the recovered manifest's generation when the durability
@@ -227,13 +233,13 @@ func BuildSharded[K keys.Key](pairs []keys.Pair[K], opt core.Options, shards int
 // defaults the build resolved (a caller's zero BucketSize is not the
 // coalescer's batch size) — for Options and for the shard trees later
 // rebalances build. Ownership of the trees passes to the server.
-func newShardedFromTrees[K keys.Key](trees []*core.Tree[K], bounds []K, gen uint64) *ShardedServer[K] {
+func newShardedFromTrees[K keys.Key](trees []*core.Tree[K], bounds []K, gen uint64) *Server[K] {
 	opt := trees[0].Options()
 	opt.Device = trees[0].Device()
-	s := &ShardedServer[K]{opt: opt}
-	subs := make([]*Server[K], len(trees))
+	s := &Server[K]{opt: opt}
+	subs := make([]*member[K], len(trees))
 	for i, t := range trees {
-		subs[i] = newShardMember(t, nil, i)
+		subs[i] = newMember(t, nil, i)
 	}
 	s.reg = epoch.New(trees, shardMeta[K]{bounds: bounds, subs: subs, gen: gen},
 		func(t *core.Tree[K]) { t.Close() })
@@ -249,12 +255,19 @@ func newShardedFromTrees[K keys.Key](trees []*core.Tree[K], bounds []K, gen uint
 	return s
 }
 
+// NewServer serves t as one shard and takes ownership of it: t is
+// adopted as the only member, nothing is rebuilt. It is
+// NewShardedServer(t, 1).
+func NewServer[K keys.Key](t *core.Tree[K]) *Server[K] {
+	return newShardedFromTrees([]*core.Tree[K]{t}, nil, 1)
+}
+
 // NewShardedServer serves an existing tree as T shards and takes
 // ownership of it. One shard adopts t as the only member — nothing is
 // rebuilt; more reshard it: its pairs are materialised in key order and
 // rebuilt as T shard trees on the same simulated device, and t is closed.
 // shards <= 0 selects GOMAXPROCS. t is closed on every error path too.
-func NewShardedServer[K keys.Key](t *core.Tree[K], shards int) (*ShardedServer[K], error) {
+func NewShardedServer[K keys.Key](t *core.Tree[K], shards int) (*Server[K], error) {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
@@ -283,35 +296,48 @@ func materialisePairs[K keys.Key](t *core.Tree[K]) []keys.Pair[K] {
 	return out
 }
 
-// members returns the current shard servers. The slice is immutable
+// members returns the current shard members. The slice is immutable
 // once published; rebalances install a fresh one.
-func (s *ShardedServer[K]) members() []*Server[K] { return s.reg.Meta().subs }
+func (s *Server[K]) members() []*member[K] { return s.reg.Meta().subs }
 
 // Shards returns the current shard count T.
-func (s *ShardedServer[K]) Shards() int { return s.reg.Len() }
+func (s *Server[K]) Shards() int { return s.reg.Len() }
 
 // LevelWidths returns the first shard tree's per-level key-slot widths
-// (all shards are built from one Options policy, so their layouts agree
-// up to height differences from uneven shard sizes).
-func (s *ShardedServer[K]) LevelWidths() []int { return s.members()[0].LevelWidths() }
+// (root first; nil for the regular variant) — the realised layout the
+// STATS surface reports. All shards are built from one Options policy,
+// so their layouts agree up to height differences from uneven shard
+// sizes.
+func (s *Server[K]) LevelWidths() []int {
+	p := s.reg.Pin()
+	defer p.Unpin()
+	return p.Get(0).LevelWidths()
+}
 
-// LayoutAdvice recommends per-level root widths from the first shard's
-// probe histogram (see Server.LayoutAdvice).
-func (s *ShardedServer[K]) LayoutAdvice() []int { return s.members()[0].LayoutAdvice() }
+// LayoutAdvice recommends per-level root widths for the first shard's
+// tree from the probe histogram its member has accumulated (nil = stay
+// uniform / not enough signal). It is advisory: the serving layer never
+// relayouts online; operators feed it back as a build flag.
+func (s *Server[K]) LayoutAdvice() []int {
+	p := s.reg.Pin()
+	defer p.Unpin()
+	m := p.Meta().subs[0].metrics()
+	return p.Get(0).LayoutAdvice(m.LevelProbes[:])
+}
 
 // Bounds returns the current shard lower bounds (len T-1).
-func (s *ShardedServer[K]) Bounds() []K { return s.reg.Meta().bounds }
+func (s *Server[K]) Bounds() []K { return s.reg.Meta().bounds }
 
 // Epoch returns the registry's current generation stamp: it advances on
 // every per-shard publication and every rebalance transition.
-func (s *ShardedServer[K]) Epoch() uint64 { return s.reg.Epoch() }
+func (s *Server[K]) Epoch() uint64 { return s.reg.Epoch() }
 
 // pumpLoop is an update worker: it applies routed write jobs serially
-// against whatever shard server each job carries, and echoes barrier
+// against whatever member each job carries, and echoes barrier
 // jobs back (the rebalancer's drain handshake). Workers are anonymous —
 // shard identity lives in the job, so the worker set survives layout
 // changes unchanged.
-func (s *ShardedServer[K]) pumpLoop(ch chan shardJob[K]) {
+func (s *Server[K]) pumpLoop(ch chan shardJob[K]) {
 	defer s.pumpWG.Done()
 	for job := range ch {
 		if job.barrier {
@@ -320,9 +346,9 @@ func (s *ShardedServer[K]) pumpLoop(ch chan shardJob[K]) {
 		}
 		var d shardDone
 		if job.rebuild {
-			d.stats, d.err = job.sub.RebuildCtx(job.ctx, job.pairs)
+			d.stats, d.err = job.sub.rebuild(job.ctx, job.pairs)
 		} else {
-			d.stats, d.err = job.sub.UpdateCtx(job.ctx, job.ops, job.method)
+			d.stats, d.err = job.sub.update(job.ctx, job.ops, job.method)
 		}
 		job.done <- d
 	}
@@ -336,7 +362,7 @@ func (s *ShardedServer[K]) pumpLoop(ch chan shardJob[K]) {
 //
 // The jobs are built and sent under one registry pin and the pump read
 // lock, so a rebalance cannot slide between routing and hand-off: every
-// job reaches the pump targeting a shard server that is current at send
+// job reaches the pump targeting a member that is current at send
 // time, and the rebalancer's barrier drains it before any layout
 // change.
 //
@@ -346,7 +372,7 @@ func (s *ShardedServer[K]) pumpLoop(ch chan shardJob[K]) {
 // late outcome — the job still completes on its shard, the caller just
 // stops waiting (per-shard atomicity: a deadline reply means "outcome
 // unknown on some shards", exactly like any distributed write timeout).
-func (s *ShardedServer[K]) dispatch(ctx context.Context, build func(m *shardMeta[K]) ([]shardJob[K], error)) (core.UpdateStats, error) {
+func (s *Server[K]) dispatch(ctx context.Context, build func(m *shardMeta[K]) ([]shardJob[K], error)) (core.UpdateStats, error) {
 	s.pumpMu.RLock()
 	if s.closed {
 		s.pumpMu.RUnlock()
@@ -420,11 +446,13 @@ func (s *ShardedServer[K]) dispatch(ctx context.Context, build func(m *shardMeta
 	}
 	// The aggregate is in-place only when every touched shard was.
 	agg.InPlace = okJobs > 0 && inplaceJobs == okJobs
-	if expired {
+	if expired && firstErr == nil {
+		firstErr = ErrDeadlineExceeded
+	}
+	// One count per request that returns the expiry, whichever wait
+	// (pump send, a member's writer slot, outcome) it expired in.
+	if errors.Is(firstErr, ErrDeadlineExceeded) {
 		s.deadlines.Add(1)
-		if firstErr == nil {
-			firstErr = ErrDeadlineExceeded
-		}
 	}
 	return agg, firstErr
 }
@@ -435,7 +463,7 @@ func (s *ShardedServer[K]) dispatch(ctx context.Context, build func(m *shardMeta
 // every method; shards that fail leave their published version untouched
 // while other shards may have applied (per-shard, not cross-shard,
 // atomicity — see the type contract).
-func (s *ShardedServer[K]) Update(ops []cpubtree.Op[K], method core.UpdateMethod) (core.UpdateStats, error) {
+func (s *Server[K]) Update(ops []cpubtree.Op[K], method core.UpdateMethod) (core.UpdateStats, error) {
 	return s.UpdateCtx(context.Background(), ops, method)
 }
 
@@ -447,7 +475,7 @@ type updateScratch[K keys.Key] struct {
 
 // UpdateCtx is Update with a caller deadline over the whole dispatch:
 // pump hand-off, per-shard writer waits, and outcome collection.
-func (s *ShardedServer[K]) UpdateCtx(ctx context.Context, ops []cpubtree.Op[K], method core.UpdateMethod) (core.UpdateStats, error) {
+func (s *Server[K]) UpdateCtx(ctx context.Context, ops []cpubtree.Op[K], method core.UpdateMethod) (core.UpdateStats, error) {
 	sc, _ := s.updScratch.Get().(*updateScratch[K])
 	if sc == nil {
 		sc = &updateScratch[K]{}
@@ -487,12 +515,12 @@ func (s *ShardedServer[K]) UpdateCtx(ctx context.Context, ops []cpubtree.Op[K], 
 // bounds and rebuilds every shard concurrently (implicit variant). The
 // replacement must leave no shard empty: an empty shard tree cannot be
 // built (a later merge can retire a shard, a rebuild cannot).
-func (s *ShardedServer[K]) Rebuild(pairs []keys.Pair[K]) (core.UpdateStats, error) {
+func (s *Server[K]) Rebuild(pairs []keys.Pair[K]) (core.UpdateStats, error) {
 	return s.RebuildCtx(context.Background(), pairs)
 }
 
 // RebuildCtx is Rebuild with a caller deadline over the whole dispatch.
-func (s *ShardedServer[K]) RebuildCtx(ctx context.Context, pairs []keys.Pair[K]) (core.UpdateStats, error) {
+func (s *Server[K]) RebuildCtx(ctx context.Context, pairs []keys.Pair[K]) (core.UpdateStats, error) {
 	return s.dispatch(ctx, func(m *shardMeta[K]) ([]shardJob[K], error) {
 		parts := make([][]keys.Pair[K], len(m.subs))
 		lo := 0
@@ -520,8 +548,10 @@ func (s *ShardedServer[K]) RebuildCtx(ctx context.Context, pairs []keys.Pair[K])
 
 // Lookup routes one point lookup to the shard owning q under a single
 // registry pin; the path is allocation-free (binary-search route plus
-// the shard's pinned lookup).
-func (s *ShardedServer[K]) Lookup(q K) (K, bool) {
+// the shard's pinned lookup). Each call is charged the full serial
+// descent on the virtual clock — the per-request serving cost a
+// Coalescer amortises away.
+func (s *Server[K]) Lookup(q K) (K, bool) {
 	p := s.reg.Pin()
 	m := p.Meta()
 	i := m.route(q)
@@ -536,7 +566,7 @@ func (s *ShardedServer[K]) Lookup(q K) (K, bool) {
 // sorted run, all under one registry pin (an atomic cross-shard cut) —
 // and scatters the results back through the permutation. The stats are
 // LookupBatchSortedInto's: SimTime sums the shard runs.
-func (s *ShardedServer[K]) LookupBatch(queries []K) ([]K, []bool, core.SearchStats, error) {
+func (s *Server[K]) LookupBatch(queries []K) ([]K, []bool, core.SearchStats, error) {
 	n := len(queries)
 	sorted := slices.Clone(queries)
 	perm := make([]int32, n)
@@ -563,7 +593,7 @@ func (s *ShardedServer[K]) LookupBatch(queries []K) ([]K, []bool, core.SearchSta
 // continuation token is the next key, never a shard index. Each segment
 // is a consistent snapshot; the whole stitch is not one atomic cut —
 // use RangeQueryConsistent for that.
-func (s *ShardedServer[K]) RangeQuery(start K, count int) []keys.Pair[K] {
+func (s *Server[K]) RangeQuery(start K, count int) []keys.Pair[K] {
 	out := make([]keys.Pair[K], 0, count)
 	from := start
 	for len(out) < count {
@@ -585,7 +615,7 @@ func (s *ShardedServer[K]) RangeQuery(start K, count int) []keys.Pair[K] {
 
 // Scan is the cursor-walk counterpart of RangeQuery with the same
 // per-segment stitching.
-func (s *ShardedServer[K]) Scan(start K, count int) []keys.Pair[K] {
+func (s *Server[K]) Scan(start K, count int) []keys.Pair[K] {
 	out := make([]keys.Pair[K], 0, count)
 	from := start
 	for len(out) < count {
@@ -611,7 +641,7 @@ func (s *ShardedServer[K]) Scan(start K, count int) []keys.Pair[K] {
 // exactly the cost of a single-slot pin. The pin holds all T shard
 // versions alive for the duration, so a slow consistent scan delays
 // device-replica reclamation of concurrently superseded versions.
-func (s *ShardedServer[K]) ScanConsistent(start K, count int) []keys.Pair[K] {
+func (s *Server[K]) ScanConsistent(start K, count int) []keys.Pair[K] {
 	p := s.reg.Pin()
 	defer p.Unpin()
 	m := p.Meta()
@@ -628,7 +658,7 @@ func (s *ShardedServer[K]) ScanConsistent(start K, count int) []keys.Pair[K] {
 
 // RangeQueryConsistent is RangeQuery against one pinned epoch — the
 // same atomic cross-shard cut as ScanConsistent.
-func (s *ShardedServer[K]) RangeQueryConsistent(start K, count int) []keys.Pair[K] {
+func (s *Server[K]) RangeQueryConsistent(start K, count int) []keys.Pair[K] {
 	p := s.reg.Pin()
 	defer p.Unpin()
 	m := p.Meta()
@@ -669,11 +699,11 @@ func addMetrics(m *Metrics, o Metrics) {
 	m.VirtualTime += o.VirtualTime
 }
 
-// absorbRetired folds a replaced shard server's counters into the
+// absorbRetired folds a replaced member's counters into the
 // retired accumulator so aggregates stay continuous across rebalances.
 // Callers hold pumpMu exclusively (the member is quiesced).
-func (s *ShardedServer[K]) absorbRetired(sub *Server[K]) {
-	m := sub.Metrics()
+func (s *Server[K]) absorbRetired(sub *member[K]) {
+	m := sub.metrics()
 	s.retMu.Lock()
 	addMetrics(&s.retired, m)
 	s.retMu.Unlock()
@@ -683,12 +713,12 @@ func (s *ShardedServer[K]) absorbRetired(sub *Server[K]) {
 // plus every shard retired by a rebalance. The aggregate BreakerState
 // reports the worst current shard (open > half-open > closed), so one
 // degraded shard is visible at the top level.
-func (s *ShardedServer[K]) Metrics() Metrics {
+func (s *Server[K]) Metrics() Metrics {
 	s.retMu.Lock()
 	agg := s.retired
 	s.retMu.Unlock()
 	for _, sub := range s.members() {
-		m := sub.Metrics()
+		m := sub.metrics()
 		addMetrics(&agg, m)
 		agg.BreakerState = worseState(agg.BreakerState, m.BreakerState)
 	}
@@ -696,48 +726,43 @@ func (s *ShardedServer[K]) Metrics() Metrics {
 	return agg
 }
 
-// ShardMetrics returns each current shard's own serving counters,
+// ShardStats returns one consistent view of the shard layout, from a
+// single registry pin: the lower bounds of shards 1..T-1 (len T-1), and
+// each shard tree's geometry and its member's serving counters,
 // index-aligned with the shard order (ascending key ranges).
-func (s *ShardedServer[K]) ShardMetrics() []Metrics {
-	subs := s.members()
-	out := make([]Metrics, len(subs))
-	for i, sub := range subs {
-		out[i] = sub.Metrics()
+func (s *Server[K]) ShardStats() (bounds []K, stats []cpubtree.Stats, metrics []Metrics) {
+	p := s.reg.Pin()
+	defer p.Unpin()
+	m := p.Meta()
+	stats = make([]cpubtree.Stats, len(m.subs))
+	metrics = make([]Metrics, len(m.subs))
+	for i, sub := range m.subs {
+		stats[i] = p.Get(i).Stats()
+		metrics[i] = sub.metrics()
 	}
-	return out
-}
-
-// ShardStats returns each shard tree's geometry, index-aligned with the
-// shard order.
-func (s *ShardedServer[K]) ShardStats() []cpubtree.Stats {
-	subs := s.members()
-	out := make([]cpubtree.Stats, len(subs))
-	for i, sub := range subs {
-		out[i] = sub.Stats()
-	}
-	return out
+	return m.bounds, stats, metrics
 }
 
 // ResetMetrics zeroes every shard's serving counters and the retired
 // accumulator.
-func (s *ShardedServer[K]) ResetMetrics() {
+func (s *Server[K]) ResetMetrics() {
 	s.retMu.Lock()
 	s.retired = Metrics{}
 	s.retMu.Unlock()
 	s.deadlines.Store(0)
 	for _, sub := range s.members() {
-		sub.ResetMetrics()
+		sub.resetMetrics()
 	}
 }
 
 // Swaps returns the total snapshot publications across all shards,
 // including shards since retired by rebalances.
-func (s *ShardedServer[K]) Swaps() int64 {
+func (s *Server[K]) Swaps() int64 {
 	s.retMu.Lock()
 	n := s.retired.Swaps
 	s.retMu.Unlock()
 	for _, sub := range s.members() {
-		n += sub.Swaps()
+		n += sub.swaps.Load()
 	}
 	return n
 }
@@ -745,10 +770,12 @@ func (s *ShardedServer[K]) Swaps() int64 {
 // Stats aggregates the shard trees' geometry: pair counts and segment
 // bytes sum; height and per-lookup line touches report the deepest
 // shard.
-func (s *ShardedServer[K]) Stats() cpubtree.Stats {
+func (s *Server[K]) Stats() cpubtree.Stats {
+	p := s.reg.Pin()
+	defer p.Unpin()
 	var agg cpubtree.Stats
-	for _, sub := range s.members() {
-		st := sub.Stats()
+	for i := 0; i < p.Len(); i++ {
+		st := p.Get(i).Stats()
 		agg.NumPairs += st.NumPairs
 		agg.InnerBytes += st.InnerBytes
 		agg.LeafBytes += st.LeafBytes
@@ -764,7 +791,7 @@ func (s *ShardedServer[K]) Stats() cpubtree.Stats {
 
 // NumPairs returns the stored pair count across all shards, under one
 // pin so a concurrent rebalance never double-counts moving keys.
-func (s *ShardedServer[K]) NumPairs() int {
+func (s *Server[K]) NumPairs() int {
 	p := s.reg.Pin()
 	defer p.Unpin()
 	n := 0
@@ -774,31 +801,33 @@ func (s *ShardedServer[K]) NumPairs() int {
 	return n
 }
 
-// Describe concatenates each shard's report under a shard header.
-func (s *ShardedServer[K]) Describe() string {
-	subs := s.members()
+// Describe concatenates each shard tree's report under a shard header.
+func (s *Server[K]) Describe() string {
+	p := s.reg.Pin()
+	defer p.Unpin()
 	var b strings.Builder
-	fmt.Fprintf(&b, "sharded serving: %d shards by key range\n", len(subs))
-	for i, sub := range subs {
+	fmt.Fprintf(&b, "sharded serving: %d shards by key range\n", p.Len())
+	for i := 0; i < p.Len(); i++ {
 		fmt.Fprintf(&b, "--- shard %d ---\n", i)
-		b.WriteString(sub.Describe())
+		b.WriteString(p.Get(i).Describe())
 	}
 	return b.String()
 }
 
 // DeviceCounters snapshots the shared simulated GPU's hardware
 // counters (all shards live on one card).
-func (s *ShardedServer[K]) DeviceCounters() gpusim.Counters {
+func (s *Server[K]) DeviceCounters() gpusim.Counters {
 	return s.opt.Device.Counters()
 }
 
 // Options returns the shard trees' common configuration.
-func (s *ShardedServer[K]) Options() core.Options { return s.opt }
+func (s *Server[K]) Options() core.Options { return s.opt }
 
-// PointLookupCost returns the modelled per-request lookup cost of the
-// first shard (shards share one configuration and key distribution).
-func (s *ShardedServer[K]) PointLookupCost() vclock.Duration {
-	return s.members()[0].PointLookupCost()
+// PointLookupCost returns the modelled virtual cost the first shard
+// charges per individually served lookup (shards share one
+// configuration and key distribution).
+func (s *Server[K]) PointLookupCost() vclock.Duration {
+	return s.members()[0].pointCost
 }
 
 // Close stops the rebalancer, drains the update pumps — jobs already
@@ -806,7 +835,7 @@ func (s *ShardedServer[K]) PointLookupCost() vclock.Duration {
 // registry's current epoch: every shard's device buffers are released
 // once the last reader pin drains. Writes arriving after Close fail
 // with ErrClosed. Close is idempotent.
-func (s *ShardedServer[K]) Close() {
+func (s *Server[K]) Close() {
 	s.closeOnce.Do(func() {
 		s.rbMu.Lock()
 		stop := s.rbStop
@@ -826,29 +855,13 @@ func (s *ShardedServer[K]) Close() {
 	})
 }
 
-// Backend is what a Coalescer flushes against: the single-tree Server
-// and the ShardedServer both satisfy it.
-type Backend[K keys.Key] interface {
-	// LookupBatchSortedInto serves one coalesced batch into the caller's
-	// slices through the shared-descent path (see
-	// Server.LookupBatchSortedInto); the coalescer presorts and
-	// deduplicates its batches to land on the sorted fast path.
-	LookupBatchSortedInto(queries []K, values []K, found []bool) (core.SearchStats, error)
-	// Options exposes the tree configuration (MaxBatch defaults to its
-	// BucketSize).
-	Options() core.Options
-	// Degraded reports whether the backend is serving in degraded mode
-	// (breaker open, CPU fallback); the coalescer sheds earlier while it
-	// holds.
-	Degraded() bool
-}
-
-// Degraded reports whether ANY shard's breaker is open: a mixed batch
-// may touch any shard, so admission tightens as soon as one is
+// Degraded reports whether ANY shard's breaker is open — batches on it
+// are answered by the CPU fallback. A mixed batch may touch any shard,
+// so the Coalescer's fault-aware admission tightens as soon as one is
 // degraded.
-func (s *ShardedServer[K]) Degraded() bool {
+func (s *Server[K]) Degraded() bool {
 	for _, sub := range s.members() {
-		if sub.Degraded() {
+		if sub.degraded() {
 			return true
 		}
 	}
@@ -863,8 +876,11 @@ func (s *ShardedServer[K]) Degraded() bool {
 // each run reaches its shard still sorted and duplicate-free (the
 // coalescer's contract). The runs are routed under the pin, so a batch
 // formed before a rebalance moved a boundary is still answered from the
-// layout current at its flush. SimTime sums the serial runs.
-func (s *ShardedServer[K]) LookupBatchSortedInto(queries []K, values []K, found []bool) (core.SearchStats, error) {
+// layout current at its flush. SimTime sums the serial runs. Injected
+// device faults are retried with jittered backoff and, past the retry
+// budget or with the shard's breaker open, the run is answered by the
+// host-only search — callers see correct results either way.
+func (s *Server[K]) LookupBatchSortedInto(queries []K, values []K, found []bool) (core.SearchStats, error) {
 	p := s.reg.Pin()
 	defer p.Unpin()
 	m := p.Meta()
@@ -905,6 +921,6 @@ func (s *ShardedServer[K]) LookupBatchSortedInto(queries []K, values []K, found 
 // cut into sorted batches, each split into one run per shard at flush
 // time (LookupBatchSortedInto), so it serves whatever layout later
 // rebalances install.
-func (s *ShardedServer[K]) Coalesce(opt Options) *Coalescer[K] {
+func (s *Server[K]) Coalesce(opt Options) *Coalescer[K] {
 	return NewCoalescer[K](s, opt)
 }

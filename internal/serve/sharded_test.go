@@ -11,7 +11,7 @@ import (
 )
 
 // newShardedServer builds a small sharded server for tests.
-func newShardedServer(t testing.TB, variant core.Variant, n, shards int) (*ShardedServer[uint64], []keys.Pair[uint64]) {
+func newShardedServer(t testing.TB, variant core.Variant, n, shards int) (*Server[uint64], []keys.Pair[uint64]) {
 	t.Helper()
 	pairs := workload.Dataset[uint64](workload.Uniform, n, 42)
 	s, err := BuildSharded(pairs, core.Options{Variant: variant, BucketSize: 64}, shards)
@@ -24,7 +24,7 @@ func newShardedServer(t testing.TB, variant core.Variant, n, shards int) (*Shard
 
 // route returns the shard owning key k under the current split-key
 // table.
-func (s *ShardedServer[K]) route(k K) int {
+func (s *Server[K]) route(k K) int {
 	m := s.reg.Meta()
 	return m.route(k)
 }
@@ -215,11 +215,11 @@ func testShardedUpdate(t *testing.T, shards int) {
 		}
 	}
 	// An update touching one shard swaps only that shard.
-	before := s.ShardMetrics()
+	_, _, before := s.ShardStats()
 	if _, err := s.Update([]cpubtree.Op[uint64]{{Key: pairs[0].Key, Value: 5}}, core.AsyncParallel); err != nil {
 		t.Fatal(err)
 	}
-	after := s.ShardMetrics()
+	_, _, after := s.ShardStats()
 	touched := s.route(pairs[0].Key)
 	for i := range after {
 		want := before[i].Swaps
@@ -231,8 +231,8 @@ func testShardedUpdate(t *testing.T, shards int) {
 		}
 	}
 	// Every member's GPU replica stayed consistent through the updates.
-	for i, sub := range s.members() {
-		if err := sub.Tree().VerifyReplica(); err != nil {
+	for i := range s.members() {
+		if err := s.reg.Current(i).VerifyReplica(); err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
 	}
@@ -295,7 +295,7 @@ func TestShardedAggregates(t *testing.T) {
 	if m.Lookups != 2 {
 		t.Fatalf("Metrics.Lookups = %d, want 2", m.Lookups)
 	}
-	per := s.ShardMetrics()
+	bounds, stats, per := s.ShardStats()
 	var sum int64
 	for _, pm := range per {
 		sum += pm.Lookups
@@ -303,8 +303,8 @@ func TestShardedAggregates(t *testing.T) {
 	if sum != 2 {
 		t.Fatalf("per-shard lookups sum = %d, want 2", sum)
 	}
-	if len(s.ShardStats()) != 4 {
-		t.Fatalf("ShardStats len = %d", len(s.ShardStats()))
+	if len(bounds) != 3 || len(stats) != 4 || len(per) != 4 {
+		t.Fatalf("ShardStats lens = %d bounds, %d stats, %d metrics", len(bounds), len(stats), len(per))
 	}
 	if d := s.Describe(); !strings.Contains(d, "shard 3") {
 		t.Fatalf("Describe missing shard sections: %q", d[:80])
@@ -369,7 +369,7 @@ func TestNewShardedServerFromTree(t *testing.T) {
 		if s.Shards() != shards || s.NumPairs() != len(pairs) || s.Options().Device != dev {
 			t.Fatalf("%d shards: serving %d shards, %d pairs", shards, s.Shards(), s.NumPairs())
 		}
-		if adopted := s.members()[0].Tree() == tree; adopted != (shards == 1) {
+		if adopted := s.reg.Current(0) == tree; adopted != (shards == 1) {
 			t.Fatalf("%d shards: built tree adopted = %v", shards, adopted)
 		}
 		for _, i := range []int{0, 1024, 2047} {
@@ -416,7 +416,8 @@ func TestCoalescerRoutesRunsAcrossShards(t *testing.T) {
 	if co.Batches() == 0 || co.Queries() != 512 {
 		t.Fatalf("coalescer counters: %d batches, %d queries", co.Batches(), co.Queries())
 	}
-	for i, m := range s.ShardMetrics() {
+	_, _, per := s.ShardStats()
+	for i, m := range per {
 		if m.BatchedQueries == 0 {
 			t.Fatalf("shard %d served none of the coalesced lookups", i)
 		}

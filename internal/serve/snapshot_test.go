@@ -27,7 +27,7 @@ func TestSnapshotReaderSeesOldVersionToCompletion(t *testing.T) {
 	if _, err := srv.Update([]cpubtree.Op[uint64]{{Key: key, Value: 4242}}, core.AsyncParallel); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Tree() == tree0 {
+	if srv.tree() == tree0 {
 		t.Fatal("update did not publish a new version")
 	}
 	if srv.Swaps() != 1 {
@@ -70,12 +70,12 @@ func TestSnapshotReaderSeesOldVersionToCompletion(t *testing.T) {
 // in-place locked path cannot offer).
 func TestSnapshotUpdateFailureKeepsVersion(t *testing.T) {
 	srv, _ := newTestServer(t, core.Implicit, 1<<10)
-	tree0 := srv.Tree()
+	tree0 := srv.tree()
 	// Update on the implicit variant is an error by contract.
 	if _, err := srv.Update([]cpubtree.Op[uint64]{{Key: 1, Value: 1}}, core.AsyncParallel); err == nil {
 		t.Fatal("implicit-variant Update unexpectedly succeeded")
 	}
-	if srv.Tree() != tree0 || srv.Swaps() != 0 {
+	if srv.tree() != tree0 || srv.Swaps() != 0 {
 		t.Fatal("failed update published a new version")
 	}
 }
@@ -94,7 +94,7 @@ func TestSnapshotRebuildPublishes(t *testing.T) {
 	if _, err := srv.Rebuild(next); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Tree() == tree0 {
+	if srv.tree() == tree0 {
 		t.Fatal("rebuild did not publish a new version")
 	}
 	if v, ok := srv.Lookup(pairs[3].Key); !ok || v != pairs[3].Value+7 {
@@ -194,7 +194,7 @@ func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 	if srv.Swaps() == 0 {
 		t.Fatal("no snapshot publications recorded")
 	}
-	if err := srv.Tree().VerifyReplica(); err != nil {
+	if err := srv.tree().VerifyReplica(); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range pairs[:64] {

@@ -35,9 +35,9 @@ func finishes(t *testing.T, what string, fn func() error) {
 	}
 }
 
-// wedge takes every server's writer slot and returns the (idempotent)
+// wedge takes every member's writer slot and returns the (idempotent)
 // release.
-func wedge(subs []*Server[uint64]) (release func()) {
+func wedge(subs []*member[uint64]) (release func()) {
 	for _, s := range subs {
 		s.wsem <- struct{}{}
 	}
@@ -58,17 +58,12 @@ func overwrite(ks []uint64, delta uint64) []cpubtree.Op[uint64] {
 	return ops
 }
 
-// TestReadsDoNotWaitForWriter: with the writer slot of a server (of
-// every member of a sharded one) held and a second writer parked behind
-// it, point lookups, the flush-path batch lookup and a coalesced group
-// all answer, from the published version, while the slot is still held.
+// TestReadsDoNotWaitForWriter: with the writer slot of every member of
+// a server held and a second writer parked behind it, point lookups,
+// the flush-path batch lookup and a coalesced group all answer, from
+// the published version, while the slots are still held.
 func TestReadsDoNotWaitForWriter(t *testing.T) {
-	type server interface {
-		Update([]cpubtree.Op[uint64], core.UpdateMethod) (core.UpdateStats, error)
-		Lookup(uint64) (uint64, bool)
-	}
-	check := func(t *testing.T, pairs []keys.Pair[uint64], srv server, subs []*Server[uint64],
-		be Backend[uint64], co *Coalescer[uint64]) {
+	check := func(t *testing.T, pairs []keys.Pair[uint64], srv *Server[uint64], co *Coalescer[uint64]) {
 		// Stored keys spread over every shard, ascending (pairs are
 		// sorted): the flush path's contract.
 		ks := make([]uint64, 32)
@@ -85,6 +80,7 @@ func TestReadsDoNotWaitForWriter(t *testing.T) {
 			return nil
 		}
 
+		subs := srv.members()
 		release := wedge(subs)
 		defer release()
 		parked := make(chan error, 1)
@@ -101,7 +97,7 @@ func TestReadsDoNotWaitForWriter(t *testing.T) {
 				}
 			}
 			vals, found := make([]uint64, len(ks)), make([]bool, len(ks))
-			if _, err := be.LookupBatchSortedInto(ks, vals, found); err != nil {
+			if _, err := srv.LookupBatchSortedInto(ks, vals, found); err != nil {
 				return err
 			}
 			out := make([]Result[uint64], len(ks))
@@ -144,13 +140,13 @@ func TestReadsDoNotWaitForWriter(t *testing.T) {
 		srv, pairs := newTestServer(t, core.Regular, 1<<12)
 		co := NewCoalescer[uint64](srv, Options{MaxBatch: 64})
 		defer co.Close()
-		check(t, pairs, srv, []*Server[uint64]{srv}, srv, co)
+		check(t, pairs, srv, co)
 	})
 	t.Run("sharded", func(t *testing.T) {
 		sh, pairs := newShardedServer(t, core.Regular, 1<<12, 4)
 		co := sh.Coalesce(Options{MaxBatch: 64})
 		defer co.Close()
-		check(t, pairs, sh, sh.members(), sh, co)
+		check(t, pairs, sh, co)
 	})
 }
 
@@ -204,7 +200,7 @@ func TestShardPumpsIndependent(t *testing.T) {
 
 // TestShardedWriteClonesOneShard: on full leaves every batch takes the
 // clone path, and the same one-key batch copies the whole tree on a
-// single-tree server but only the owning shard's on a 4-shard one.
+// one-shard server but only the owning shard's on a 4-shard one.
 func TestShardedWriteClonesOneShard(t *testing.T) {
 	pairs := workload.Dataset[uint64](workload.Uniform, 1<<14, 42)
 	opt := core.Options{Variant: core.Regular, LeafFill: 1, BucketSize: 64}

@@ -7,10 +7,12 @@ import (
 // This file is the facade over internal/serve: the concurrency layer
 // that makes a Tree safe to share between goroutines. A bare Tree
 // follows the package's single-writer contract (see the package
-// documentation); NewServer publishes it behind an atomic snapshot
-// pointer (readers never block on batch updates or rebuilds), and a
-// Coalescer batches concurrent point lookups into the bucket-sized
-// LookupBatch calls the heterogeneous search path is built for.
+// documentation); NewServer publishes it behind an epoch-versioned
+// snapshot registry (readers never block on batch updates or rebuilds),
+// NewShardedServer spreads it across key-range shards of that one
+// engine, and a Coalescer batches concurrent point lookups into the
+// bucket-sized LookupBatch calls the heterogeneous search path is built
+// for.
 
 // ErrServerClosed is returned by a Coalescer for requests it can no
 // longer serve after Close.
@@ -18,7 +20,7 @@ var ErrServerClosed = serve.ErrClosed
 
 // ErrServerOverloaded is returned, as this very value, by a Coalescer
 // for requests shed by admission control (CoalescerOptions.MaxPending
-// with Shed set, or DegradedPending while the backend is degraded): the
+// with Shed set, or half of it while the server is degraded): the
 // in-flight window was full, the request was never queued, and the
 // caller may retry or degrade.
 var ErrServerOverloaded = serve.ErrOverloaded
@@ -30,17 +32,12 @@ var ErrServerOverloaded = serve.ErrOverloaded
 // server refused the work; the request simply ran out of time.
 var ErrDeadlineExceeded = serve.ErrDeadlineExceeded
 
-// RetryOptions bounds the GPU-path retry loop a Server runs before a
-// faulted batch degrades to the CPU-only fallback (Server.SetResilience).
-// A ShardedServer's shards always run the defaults.
-type RetryOptions = serve.RetryOptions
-
 // CoalescerOptions configures Server.Coalesce: the batch size and the
 // window (the longest a request waits for companions — blocking callers
 // are flushed as soon as the engine is free), the shard count across
 // which submissions spread, and the static admission window: MaxPending
 // undelivered requests, with Shed choosing fail-fast over backpressure
-// past it, clamped to DegradedPending while the backend is degraded.
+// past it, clamped to half of it while the server is degraded.
 type CoalescerOptions = serve.Options
 
 // ServerMetrics is a snapshot of a Server's serving counters, including
@@ -53,30 +50,64 @@ type ServerMetrics = serve.Metrics
 // current snapshot; Update and Rebuild construct a successor version
 // aside and atomically publish it, so readers are never blocked for the
 // duration of a batch write.
+//
+// A Server partitions the key space across T shard trees behind one
+// epoch-versioned snapshot registry — one shard from NewServer, T from
+// NewShardedServer. Writers clone 1/T of the data, shards rebuild
+// concurrently, point lookups route by key allocation-free, and range
+// reads stitch ordered results across shard boundaries. Scan and
+// RangeQuery are per-shard consistent; ScanConsistent and
+// RangeQueryConsistent pin a single registry epoch across every shard
+// for one atomic cross-shard cut — see DESIGN §6 for the consistency
+// matrix.
+//
+// The shard layout itself is dynamic: SplitShard and MergeShards
+// retile the key space online through single epoch transitions (no
+// stop-the-world), and StartRebalancer runs a background detector that
+// splits hot shards and merges cold neighbours as the update stream
+// skews (RebalanceStats reports what it did).
 type Server[K Key] struct {
 	*serve.Server[K]
 }
 
-// NewServer wraps t behind the snapshot-read contract. The tree must
-// not be used directly while the server is serving.
+// NewServer serves t as one shard behind the snapshot-read contract,
+// adopting it as built. The tree must not be used directly while the
+// server is serving; closing the server also closes the tree.
 func NewServer[K Key](t *Tree[K]) *Server[K] {
 	return &Server[K]{serve.NewServer(t.Tree)}
+}
+
+// NewShardedServer serves t as `shards` shards (zero or negative selects
+// GOMAXPROCS) and takes ownership of it: one shard adopts t as built,
+// more reshard its pairs across that many trees on t's simulated device
+// and close t. The tree must not be used, or closed, afterwards.
+func NewShardedServer[K Key](t *Tree[K], shards int) (*Server[K], error) {
+	s, err := serve.NewShardedServer(t.Tree, shards)
+	if err != nil {
+		return nil, err
+	}
+	return &Server[K]{s}, nil
+}
+
+// Sharded is shorthand for NewShardedServer(t, shards).
+func (t *Tree[K]) Sharded(shards int) (*Server[K], error) {
+	return NewShardedServer(t, shards)
 }
 
 // Coalescer batches concurrent point lookups into LookupBatch calls:
 // a batch leaves when it is full, when a blocking caller finds no flush
 // running, when the flush it queued behind finishes, or at the window
-// deadline — so batch size follows load. LookupGroup submits several
-// lookups as one blocking call. Obtain one with Server.Coalesce,
-// ShardedServer.Coalesce or Tree.Coalesced, and Close it to release its
-// flusher goroutines.
+// deadline — so batch size follows load. Each sorted batch is split
+// into one run per shard when it is flushed. LookupGroup submits
+// several lookups as one blocking call. Obtain one with Server.Coalesce
+// or Tree.Coalesced, and Close it to release its flusher goroutines.
 type Coalescer[K Key] struct {
 	*serve.Coalescer[K]
 }
 
 // Coalesce starts a request coalescer over the server.
 func (s *Server[K]) Coalesce(opt CoalescerOptions) *Coalescer[K] {
-	return &Coalescer[K]{serve.NewCoalescer(s.Server, opt)}
+	return &Coalescer[K]{s.Server.Coalesce(opt)}
 }
 
 // Coalesced wraps the tree in a Server and a default-configured
@@ -89,57 +120,16 @@ func (t *Tree[K]) Coalesced() (*Server[K], *Coalescer[K]) {
 	return s, s.Coalesce(CoalescerOptions{})
 }
 
-// ShardedServer partitions the key space across T independent trees
-// behind one epoch-versioned snapshot registry: writers clone 1/T of
-// the data, shards rebuild concurrently, point lookups route by key
-// allocation-free, and range reads stitch ordered results across shard
-// boundaries. Scan and RangeQuery are per-shard consistent;
-// ScanConsistent and RangeQueryConsistent pin a single registry epoch
-// across every shard for one atomic cross-shard cut — see DESIGN §6
-// for the consistency matrix.
-//
-// The shard layout itself is dynamic: SplitShard and MergeShards
-// retile the key space online through single epoch transitions (no
-// stop-the-world), and StartRebalancer runs a background detector that
-// splits hot shards and merges cold neighbours as the update stream
-// skews (RebalanceStats reports what it did).
-type ShardedServer[K Key] struct {
-	*serve.ShardedServer[K]
-}
-
 // RebalanceOptions tunes the online shard-rebalancing detector
-// (ShardedServer.StartRebalancer, ShardedServer.CheckRebalance): the
-// hot/cold share thresholds, the window's minimum update volume, the
-// shard-count bounds, and the poll interval.
+// (Server.StartRebalancer, Server.CheckRebalance): the hot/cold share
+// thresholds, the window's minimum update volume, the shard-count
+// bounds, and the poll interval.
 type RebalanceOptions = serve.RebalanceOptions
 
-// RebalanceStats reports a ShardedServer's rebalancing state: the
-// registry epoch, split-key table generation, current shard count, and
-// the split/merge decision counters.
+// RebalanceStats reports a Server's rebalancing state: the registry
+// epoch, split-key table generation, current shard count, and the
+// split/merge decision counters.
 type RebalanceStats = serve.RebalanceStats
-
-// NewShardedServer serves t as `shards` shards (zero or negative selects
-// GOMAXPROCS) and takes ownership of it: one shard adopts t as built,
-// more reshard its pairs across that many trees on t's simulated device
-// and close t. The tree must not be used, or closed, afterwards.
-func NewShardedServer[K Key](t *Tree[K], shards int) (*ShardedServer[K], error) {
-	s, err := serve.NewShardedServer(t.Tree, shards)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedServer[K]{s}, nil
-}
-
-// Sharded is shorthand for NewShardedServer(t, shards).
-func (t *Tree[K]) Sharded(shards int) (*ShardedServer[K], error) {
-	return NewShardedServer(t, shards)
-}
-
-// Coalesce starts a request coalescer over the sharded server: each
-// sorted batch is split into one run per shard when it is flushed.
-func (s *ShardedServer[K]) Coalesce(opt CoalescerOptions) *Coalescer[K] {
-	return &Coalescer[K]{s.ShardedServer.Coalesce(opt)}
-}
 
 // DurableOptions configures OpenDurable: the data directory, the WAL
 // group-commit window and the background snapshot period. The WAL has
@@ -155,7 +145,7 @@ type RecoveryStats = serve.RecoveryStats
 // PersistMetrics is a snapshot of a Durable's WAL and snapshot counters.
 type PersistMetrics = serve.PersistMetrics
 
-// Durable fronts a ShardedServer with write-ahead logging and
+// Durable fronts a Server with write-ahead logging and
 // epoch-aligned snapshots (DESIGN §8): every update batch is logged and
 // group-commit fsynced BEFORE it is applied and acked, snapshots pin one
 // registry epoch across every shard and truncate the log below the
@@ -180,8 +170,8 @@ func OpenDurable[K Key](dopt DurableOptions, opt Options, shards int, seed func(
 	return &Durable[K]{d}, nil
 }
 
-// Sharded returns the wrapped server: reads go to it, writes through
-// the Durable.
-func (d *Durable[K]) Sharded() *ShardedServer[K] {
-	return &ShardedServer[K]{d.Durable.Sharded()}
+// Server returns the wrapped server, whatever its shard count: reads
+// go to it, writes through the Durable.
+func (d *Durable[K]) Server() *Server[K] {
+	return &Server[K]{d.Durable.Server()}
 }

@@ -70,7 +70,7 @@ func perRequestVMQPS(tb testing.TB, srv *hbtree.Server[uint64], pairs []hbtree.P
 	if threads := srv.Options().Threads; parallel > threads {
 		parallel = threads
 	}
-	makespan := srv.VirtualTime().Seconds() / float64(parallel)
+	makespan := srv.Metrics().VirtualTime.Seconds() / float64(parallel)
 	return float64(clients*perClient) / makespan / 1e6
 }
 
@@ -107,7 +107,7 @@ func coalescedVMQPS(tb testing.TB, srv *hbtree.Server[uint64], pairs []hbtree.Pa
 		}(c)
 	}
 	wg.Wait()
-	makespan := srv.VirtualTime().Seconds()
+	makespan := srv.Metrics().VirtualTime.Seconds()
 	return float64(clients*perClient) / makespan / 1e6
 }
 
