@@ -946,6 +946,9 @@ func main() {
 	if *shards < 1 {
 		log.Fatalf("hbserve: -shards must be >= 1")
 	}
+	if *n < 1 {
+		log.Fatalf("hbserve: -n must be >= 1")
+	}
 	if opt.Variant == hbtree.Implicit && *coalesce {
 		// Tuned layouts pay off only when lookups arrive as sorted
 		// shared-descent batches; per-request GETs keep the uniform
@@ -966,13 +969,18 @@ func main() {
 
 	var s *server
 	if *dataDir != "" {
+		var seeded time.Duration
+		start := time.Now()
 		dur, err := hbtree.OpenDurable(hbtree.DurableOptions{
 			Dir:           *dataDir,
 			FsyncInterval: *fsyncIv,
 			SnapshotEvery: *snapEvery,
 		}, opt, cfg.shards, func() ([]hbtree.Pair[uint64], error) {
 			log.Printf("hbserve: seeding %d tuples...", *n)
-			return hbtree.GeneratePairs[uint64](*n, *seed), nil
+			t := time.Now()
+			pairs := hbtree.GeneratePairs[uint64](*n, *seed)
+			seeded = time.Since(t)
+			return pairs, nil
 		})
 		if err != nil {
 			log.Fatalf("hbserve: open durable: %v", err)
@@ -982,15 +990,21 @@ func main() {
 				*dataDir, rs.SnapshotEpoch, rs.Shards, rs.BulkLoadedPairs,
 				rs.ReplayedRecords, rs.ReplayedOps, rs.Barriers, rs.TornTails)
 		} else {
-			log.Printf("hbserve: initialised durable dir %s", *dataDir)
+			log.Printf("hbserve: initialised durable dir %s: generated in %v, built and persisted in %v",
+				*dataDir, seeded.Round(time.Microsecond), (time.Since(start) - seeded).Round(time.Microsecond))
 		}
 		s = newServer(dur.Server(), dur, cfg)
 	} else {
 		log.Printf("hbserve: loading %d tuples...", *n)
-		tree, err := hbtree.New(hbtree.GeneratePairs[uint64](*n, *seed), opt)
+		start := time.Now()
+		pairs := hbtree.GeneratePairs[uint64](*n, *seed)
+		generated := time.Now()
+		tree, err := hbtree.New(pairs, opt)
 		if err != nil {
 			log.Fatalf("hbserve: build: %v", err)
 		}
+		log.Printf("hbserve: generated in %v, built in %v",
+			generated.Sub(start).Round(time.Microsecond), time.Since(generated).Round(time.Microsecond))
 		// The server owns the tree from here: one shard adopts it, more
 		// reshard and close it.
 		srv, err := tree.Sharded(cfg.shards)

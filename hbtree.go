@@ -168,7 +168,9 @@ func New[K Key](pairs []Pair[K], opt Options) (*Tree[K], error) {
 }
 
 // GeneratePairs returns n sorted, distinct, uniformly distributed
-// key-value pairs — the paper's dataset generator (Section 6.1).
+// key-value pairs — the paper's dataset generator (Section 6.1). The
+// pairs depend only on n and seed, not on GOMAXPROCS; n <= 0 yields an
+// empty slice.
 func GeneratePairs[K Key](n int, seed uint64) []Pair[K] {
 	return workload.Dataset[K](workload.Uniform, n, seed)
 }

@@ -8,6 +8,19 @@ import (
 	"hbtree"
 )
 
+// TestGeneratePairsNonPositive: zero or a negative count is an empty
+// dataset, not a panic.
+func TestGeneratePairsNonPositive(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if got := hbtree.GeneratePairs[uint64](n, 42); got == nil || len(got) != 0 {
+			t.Errorf("GeneratePairs(%d) = %v, want an empty slice", n, got)
+		}
+		if got := hbtree.GeneratePairs[uint32](n, 42); got == nil || len(got) != 0 {
+			t.Errorf("GeneratePairs[uint32](%d) = %v, want an empty slice", n, got)
+		}
+	}
+}
+
 func TestPublicAPIQuickstart(t *testing.T) {
 	pairs := hbtree.GeneratePairs[uint64](1<<16, 42)
 	if !sort.SliceIsSorted(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key }) {

@@ -92,3 +92,26 @@ func TestHbserveRejectsShardsBelowOne(t *testing.T) {
 		}
 	}
 }
+
+// TestHbserveRejectsNBelowOne: a server needs at least one tuple to
+// bulk-load. Zero or a negative -n exits non-zero naming the flag,
+// durable or not, instead of panicking in the generator or failing
+// later in the build.
+func TestHbserveRejectsNBelowOne(t *testing.T) {
+	bin := buildCmd(t, t.TempDir(), "hbserve")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, args := range [][]string{
+		{"-n", "-1"},
+		{"-n", "0"},
+		{"-n", "-1", "-data-dir", t.TempDir()},
+	} {
+		out, err := exec.CommandContext(ctx, bin, append(args, "-addr", "127.0.0.1:0")...).CombinedOutput()
+		if err == nil {
+			t.Fatalf("%v: hbserve started and exited 0\n%s", args, out)
+		}
+		if !strings.Contains(string(out), "-n must be >= 1") || strings.Contains(string(out), "panic") {
+			t.Fatalf("%v: exit does not name the flag: %v\n%s", args, err, out)
+		}
+	}
+}

@@ -275,10 +275,3 @@ func runFig20(cfg Config) ([]Table, error) {
 	}
 	return []Table{t}, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -99,3 +99,38 @@ func insertionSort[K Key](s []K) {
 		s[j] = k
 	}
 }
+
+// SortBucket sorts src ascending into dst, which must be as long as src;
+// src is left in an unspecified order. It is the in-cache sort for the
+// buckets of a key set already partitioned by its top bits: one counting
+// pass on the 8 bits just below bit shift spreads src over 256
+// sub-buckets in dst, and an insertion sort finishes them in place. When
+// every key agrees above shift and the keys below it are roughly
+// uniform, each sub-bucket holds a few keys and the insertion sort is
+// linear; any other input still sorts correctly, only slower.
+// SortBucket allocates nothing.
+func SortBucket[K Key](dst, src []K, shift uint) {
+	if len(dst) != len(src) {
+		panic("keys: SortBucket with dst and src of different lengths")
+	}
+	if shift >= 8 {
+		shift -= 8
+	} else {
+		shift = 0
+	}
+	var next [256]int
+	for _, k := range src {
+		next[byte(k>>shift)]++
+	}
+	sum := 0
+	for b, c := range next {
+		next[b] = sum
+		sum += c
+	}
+	for _, k := range src {
+		d := byte(k >> shift)
+		dst[next[d]] = k
+		next[d]++
+	}
+	insertionSort(dst)
+}

@@ -77,6 +77,45 @@ func TestSortRadixAllocsNothing(t *testing.T) {
 	}
 }
 
+func checkSortBucket[K Key](t *testing.T, rng *rand.Rand) {
+	width := uint(8 * Size[K]())
+	for _, shift := range []uint{0, 4, 8, width - 11, width} {
+		for _, n := range []int{0, 1, 2, 512, 1000} {
+			for name, ks := range radixInputs[K](rng, n) {
+				if name == "random" && shift < width {
+					// A bucket: every key shares the bits above shift.
+					for i := range ks {
+						ks[i] = ks[0]>>shift<<shift | ks[i]&(1<<shift-1)
+					}
+				}
+				want := slices.Clone(ks)
+				slices.Sort(want)
+				got := make([]K, n)
+				SortBucket(got, ks, shift)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s/n=%d/shift=%d: SortBucket differs from slices.Sort", name, n, shift)
+				}
+			}
+		}
+	}
+}
+
+// TestSortBucket compares SortBucket with slices.Sort on buckets (keys
+// sharing their bits above shift) and on the adversarial shapes, which
+// it must sort too, for both key widths.
+func TestSortBucket(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	t.Run("uint32", func(t *testing.T) { checkSortBucket[uint32](t, rng) })
+	t.Run("uint64", func(t *testing.T) { checkSortBucket[uint64](t, rng) })
+	allocs := testing.AllocsPerRun(10, func() {
+		src, dst := []uint64{3, 1, 2}, make([]uint64, 3)
+		SortBucket(dst, src, 64)
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per sort, want 0", allocs)
+	}
+}
+
 // FuzzSortRadix reads the input as little-endian keys of both widths,
 // and as one key per byte holding that byte in its top and the next byte
 // in its bottom digit (long, duplicate-heavy inputs from short ones),

@@ -149,23 +149,20 @@ func maxUsable[K keys.Key]() K { return keys.Max[K]() - 1 }
 // [0, MAX-1] (MAX itself is the tree's sentinel and never generated).
 func Draw[K keys.Key](d Distribution, r *RNG) K {
 	if d == Uniform {
-		var k K
-		switch any(k).(type) {
-		case uint32:
-			v := r.Uint32()
-			if v == uint32(keys.Max[uint32]()) {
-				v--
-			}
-			return K(v)
-		default:
-			v := r.Uint64()
-			if v == math.MaxUint64 {
-				v--
-			}
-			return K(v)
-		}
+		return K(uniformKey(r.Uint64(), uint(64-8*keys.Size[K]())))
 	}
 	return fromUnit[K](d.unit(r))
+}
+
+// uniformKey maps one generator output onto a Uniform key of 64-top
+// bits: the output's high bits (Uint32's in 32-bit mode), MAX moved one
+// down to keep the sentinel free.
+func uniformKey(v uint64, top uint) uint64 {
+	v >>= top
+	if v == math.MaxUint64>>top {
+		v--
+	}
+	return v
 }
 
 // fromUnit maps u in [0,1] onto the key domain. The value is quantised
@@ -208,16 +205,20 @@ func ValueFor[K keys.Key](k K) K {
 }
 
 // DistinctKeys returns n distinct keys drawn from the distribution,
-// sorted ascending. For Uniform the splitmix bijection makes collisions
-// impossible in 64-bit mode and rare in 32-bit mode; any duplicates from
-// skewed distributions are discarded and regenerated.
+// sorted ascending, or none when n <= 0. It draws a first batch of about
+// 1.03·n keys, sorts it with keys.SortRadix and drops duplicates, then
+// draws and merges the shortfall until n distinct keys remain. For
+// Uniform the splitmix bijection makes collisions impossible in 64-bit
+// mode and rare in 32-bit mode; skewed distributions redraw more.
 func DistinctKeys[K keys.Key](d Distribution, n int, seed uint64) []K {
+	if n <= 0 {
+		return []K{}
+	}
 	r := NewRNG(seed)
-	out := make([]K, 0, n+n/64+16)
+	out := make([]K, 0, firstBatch(n))
 	for len(out) < n {
 		want := n - len(out)
-		batch := want + want/32 + 16
-		for i := 0; i < batch; i++ {
+		for range firstBatch(want) {
 			out = append(out, Draw[K](d, r))
 		}
 		out = dedupSorted(out)
@@ -238,8 +239,22 @@ func dedupSorted[K keys.Key](s []K) []K {
 }
 
 // Dataset returns n sorted, distinct key-value pairs for bulk-loading a
-// tree. Values are ValueFor(key).
+// tree, or none when n <= 0. Values are ValueFor(key). The keys are
+// DistinctKeys(d, n, seed); Uniform ones come from uniformDataset's
+// parallel counting path, which yields the same pairs.
 func Dataset[K keys.Key](d Distribution, n int, seed uint64) []keys.Pair[K] {
+	if n <= 0 {
+		return []keys.Pair[K]{}
+	}
+	if d == Uniform {
+		return uniformDataset[K](n, firstBatch(n), seed)
+	}
+	return drawLoopDataset[K](d, n, seed)
+}
+
+// drawLoopDataset pairs DistinctKeys' keys with their values: the
+// general path, and the oracle of the Uniform one.
+func drawLoopDataset[K keys.Key](d Distribution, n int, seed uint64) []keys.Pair[K] {
 	ks := DistinctKeys[K](d, n, seed)
 	pairs := make([]keys.Pair[K], n)
 	for i, k := range ks {
@@ -346,11 +361,4 @@ func UpdateBatch[K keys.Key](pairs []keys.Pair[K], n int, deleteFrac float64, se
 		out = append(out, UpdateOp[K]{Pair: keys.Pair[K]{Key: k, Value: ValueFor(k)}})
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
