@@ -15,12 +15,13 @@ import (
 // replica, so the clone's re-mirroring shows up in the device H2D
 // counters exactly like the asynchronous I-segment shipping of §5.6.
 
-// Clone returns an independent deep copy of the tree on the same
-// simulated device. The copy has its own host segments (see
-// cpubtree.Clone) and its own device-resident I-segment replica;
-// updates applied to one tree are invisible to the other. Clone counts
-// as a read of t: it may run concurrently with lookups but not with
-// mutations of t.
+// Clone returns an independent copy of the tree on the same simulated
+// device: updates applied to one tree are invisible to the other. The
+// copy has its own inner pools and leaf records and shares the leaf data
+// copy-on-write (cpubtree.RegularTree.Clone): it takes over t's append
+// right and copies a leaf only when it rewrites one. It has its own
+// device-resident I-segment replica. Clone counts as a read of t: it may
+// run concurrently with lookups but not with mutations of t.
 func (t *Tree[K]) Clone() (*Tree[K], error) {
 	c := &Tree[K]{
 		opt:              t.opt,

@@ -296,6 +296,13 @@ type Tree[K keys.Key] struct {
 	// miss profile (see lookupProfile).
 	implProfile  missProfile
 	implSearches float64
+
+	// deltaCost memoises deltaPerOpCost on a delta fork: it depends only
+	// on the inner shape and the leaf count, which an in-place chain
+	// shares, so the first fork computes it and its successors inherit
+	// it. Zero on every other tree; a tree that can change shape is
+	// never a fork.
+	deltaCost vclock.Duration
 }
 
 // Build constructs an HB+-tree from sorted, distinct pairs and mirrors

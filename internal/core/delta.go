@@ -8,13 +8,13 @@ import (
 // In-place batch updates under epochs (DESIGN §10). A write batch whose
 // per-leaf footprint fits the gapped leaves' slack slots does not need
 // the clone-and-swap path at all: ApplyDelta forks the tree — sharing
-// every host pool except the per-leaf metadata and, crucially, the
-// device-resident I-segment replica — and appends the batch into leaf
-// gaps the parent epoch never reads. Readers pinned to older epochs
-// keep seeing their exact slot images (publication is the per-leaf
-// delta count on the fork's private metadata; no slot live in an older
-// epoch is ever reused), and the device image needs zero transfer
-// because the inner pools are byte-identical across the chain.
+// every host pool and, crucially, the device-resident I-segment replica,
+// and copying only the leaf-record pages the batch writes — and appends
+// the batch into leaf gaps the parent epoch never reads. Readers pinned
+// to older epochs keep seeing their exact slot images (publication is
+// the per-leaf delta count on the fork's own record pages; no slot live
+// in an older epoch is ever reused), and the device image needs zero
+// transfer because the inner pools are byte-identical across the chain.
 
 // ApplyDelta attempts to apply ops as an in-place gapped-leaf batch,
 // returning a shared-pool fork that serves the post-batch epoch. It
@@ -25,11 +25,11 @@ import (
 // planning allocates nothing. Like Update, it applies the batch's
 // normal form (normalBatch) and counts it in the stats, except Ops.
 //
-// The fork shares t's leaf and inner pools; it must never receive
-// structural mutations (Update, MixedBatch) — Clone() it first, which
-// compacts the deltas back into packed leaves. Close the fork like any
-// tree: the shared device buffers are refcounted and freed with the
-// chain's last member.
+// The fork takes over t's append right on the shared leaves (a second
+// fork of t copies each leaf it appends to), shares t's inner pools and
+// must never receive structural mutations (Update, MixedBatch) —
+// Clone() it first. Close the fork like any tree: the shared device
+// buffers are refcounted and freed with the chain's last member.
 func (t *Tree[K]) ApplyDelta(ops []cpubtree.Op[K], plan *cpubtree.DeltaPlan[K]) (*Tree[K], UpdateStats, bool) {
 	if t.opt.Variant != Regular || len(ops) == 0 {
 		return nil, UpdateStats{}, false
@@ -52,6 +52,10 @@ func (t *Tree[K]) ApplyDelta(ops []cpubtree.Op[K], plan *cpubtree.DeltaPlan[K]) 
 		leafMissOverride: t.leafMissOverride,
 		buildStats:       t.buildStats,
 		scratch:          make(chan *searchScratch[K], scratchPoolCap),
+		deltaCost:        t.deltaCost,
+	}
+	if nt.deltaCost == 0 {
+		nt.deltaCost = t.deltaPerOpCost()
 	}
 	nt.replicaStale.Store(t.replicaStale.Load())
 	if nt.bufShare != nil {
@@ -69,7 +73,7 @@ func (t *Tree[K]) ApplyDelta(ops []cpubtree.Op[K], plan *cpubtree.DeltaPlan[K]) 
 		// The whole batch is lookup-bound: each op descends to its leaf
 		// and writes one gap slot — no packed-leaf shifting, no
 		// I-segment transfer (SyncTime stays zero).
-		HostTime: vclock.Duration(len(ops)) * t.deltaPerOpCost(),
+		HostTime: vclock.Duration(len(ops)) * nt.deltaCost,
 	}
 	return nt, stats, true
 }
@@ -84,6 +88,8 @@ func (t *Tree[K]) deltaPerOpCost() vclock.Duration {
 }
 
 // CloneFootprint reports the host copy cost of cloning this tree — the
+// inner pools, the leaf records and the leaves Clone compacts, never
+// the shared leaf data (cpubtree.RegularTree.CloneFootprint) — the
 // amplification ApplyDelta avoids. Zero for the implicit variant
 // (whose write path is whole-tree rebuild, not clone-and-swap).
 func (t *Tree[K]) CloneFootprint() (nodes int, bytes int64) {
@@ -94,7 +100,8 @@ func (t *Tree[K]) CloneFootprint() (nodes int, bytes int64) {
 }
 
 // DeltaLeaves reports how many big leaves currently carry un-compacted
-// delta entries (always zero after Clone, which compacts).
+// delta entries. Clone compacts only the delta regions at least half
+// full, so a clone may carry the rest.
 func (t *Tree[K]) DeltaLeaves() int {
 	if t.reg == nil {
 		return 0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"hbtree/internal/cpubtree"
@@ -86,56 +87,97 @@ func TestApplyDeltaForkSharesDeviceReplica(t *testing.T) {
 	fork.Close()
 }
 
-// TestApplyDeltaChainAndCloneCompacts checks that forks chain (each new
-// epoch forks the previous one) and that Clone() of a delta-bearing
-// fork compacts back to a private tree that accepts structural updates.
-func TestApplyDeltaChainAndCloneCompacts(t *testing.T) {
+// TestCloneCompactsHalfFullDeltaRegions checks that forks chain (each
+// new epoch forks the previous one) and what Clone() of a delta-bearing
+// fork compacts: the delta regions at least half full, and no others.
+// A structural update compacts a leaf it touches, re-syncing its
+// last-level node, and the clone's image is byte-identical to the image
+// of the same history applied through clones only.
+func TestCloneCompactsHalfFullDeltaRegions(t *testing.T) {
 	pairs := workload.Dataset[uint64](workload.Uniform, 40000, 13)
 	tr, err := Build(pairs, Options{Variant: Regular, LeafFill: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
+	oracle, err := tr.Clone() // the clone-only history
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oracle.Close()
 
-	cur := tr
-	var plan cpubtree.DeltaPlan[uint64]
+	// Four rounds of overwrites and inserts spread over the leaves, and
+	// one round of 30 overwrites in leaf 100, whose 52-slot delta region
+	// ends more than half full (a 0.8-full leaf holds 204 of 256 pairs).
+	var rounds [][]cpubtree.Op[uint64]
 	for round := 0; round < 4; round++ {
 		ops := make([]cpubtree.Op[uint64], 32)
 		for i := range ops {
-			ops[i] = cpubtree.Op[uint64]{Key: pairs[(round*997+i*61)%len(pairs)].Key, Value: uint64(round*1000 + i)}
+			k := pairs[(round*997+i*61)%len(pairs)].Key
+			ops[i] = cpubtree.Op[uint64]{Key: k + uint64(i%2), Value: uint64(round*1000 + i)}
 		}
+		rounds = append(rounds, ops)
+	}
+	hot := make([]cpubtree.Op[uint64], 30)
+	for i := range hot {
+		hot[i] = cpubtree.Op[uint64]{Key: pairs[20400+i].Key, Value: uint64(7000 + i)}
+	}
+	rounds = append(rounds, hot)
+
+	cur := tr
+	var plan cpubtree.DeltaPlan[uint64]
+	for r, ops := range rounds {
 		fork, stats, ok := cur.ApplyDelta(ops, &plan)
-		if !ok {
-			t.Fatalf("round %d: ApplyDelta rejected", round)
-		}
-		if !stats.InPlace {
-			t.Fatalf("round %d: not in-place", round)
+		if !ok || !stats.InPlace {
+			t.Fatalf("round %d: ApplyDelta rejected", r)
 		}
 		if cur != tr {
 			cur.Close()
 		}
 		cur = fork
+		if _, err := oracle.Update(ops, AsyncSingle); err != nil {
+			t.Fatal(err)
+		}
 	}
+	defer cur.Close()
 
-	nodes, bytes := cur.CloneFootprint()
-	if nodes <= 0 || bytes <= 0 {
-		t.Fatalf("CloneFootprint = (%d, %d)", nodes, bytes)
+	if nodes, nb := cur.CloneFootprint(); nodes <= 0 || nb <= 0 {
+		t.Fatalf("CloneFootprint = (%d, %d)", nodes, nb)
 	}
-
 	clone, err := cur.Clone()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clone.DeltaLeaves() != 0 {
-		t.Fatalf("clone still carries %d delta leaves", clone.DeltaLeaves())
+	defer clone.Close()
+	if got, want := clone.DeltaLeaves(), cur.DeltaLeaves()-1; got != want || got == 0 {
+		t.Fatalf("clone carries %d delta leaves, want %d: all but the half-full one", got, want)
 	}
-	// Structural update on the compacted clone must work (would panic on
-	// the shared-pool fork).
-	if _, err := clone.Update([]cpubtree.Op[uint64]{{Key: 1, Value: 2}}, AsyncSingle); err != nil {
-		t.Fatalf("Update on compacted clone: %v", err)
+
+	// A structural touch of a delta-bearing leaf compacts it: an
+	// overwrite, which Update applies on the clone in place.
+	touch := []cpubtree.Op[uint64]{{Key: rounds[0][0].Key, Value: 99}}
+	before := clone.DeltaLeaves()
+	if _, err := clone.Update(touch, Synchronized); err != nil {
+		t.Fatalf("Update on the clone: %v", err)
 	}
-	clone.Close()
-	if cur != tr {
-		cur.Close()
+	if _, err := oracle.Update(touch, Synchronized); err != nil {
+		t.Fatal(err)
+	}
+	if got := clone.DeltaLeaves(); got != before-1 {
+		t.Fatalf("the touched leaf kept its deltas: %d delta leaves, want %d", got, before-1)
+	}
+	if err := clone.VerifyReplica(); err != nil {
+		t.Fatalf("the compacted leaf's node was not re-synced: %v", err)
+	}
+
+	var got, want bytes.Buffer
+	if _, err := clone.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := oracle.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("the clone's image (%d bytes) differs from the clone-only history's (%d bytes)", got.Len(), want.Len())
 	}
 }

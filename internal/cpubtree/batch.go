@@ -273,7 +273,7 @@ type MixedResult[K keys.Key] struct {
 // as our previously evaluated lookup methods ... due to the mutex
 // locking and synchronization overhead".
 func (t *RegularTree[K]) MixedBatch(ops []MixedOp[K], threads int) MixedResult[K] {
-	t.ensurePrivate()
+	t.ensurePrivate() // before the workers: it may copy record pages
 	if threads <= 0 {
 		threads = t.cfg.Threads
 	}
@@ -311,9 +311,8 @@ func (t *RegularTree[K]) MixedBatch(ops []MixedOp[K], threads int) MixedResult[K
 					c := t.searchNode(t.last, b, op.Key)
 					res.Values[i], res.Found[i] = t.SearchLeafLine(b, int(c), op.Key)
 				case MixedInsert:
-					had := t.contains(b, op.Key)
-					if t.leafInsert(b, op.Key, op.Value) {
-						if !had {
+					if added, ok := t.leafInsert(b, op.Key, op.Value); ok {
+						if added {
 							np.Add(1)
 						}
 						dirtyCh[w] = append(dirtyCh[w], b)
@@ -323,8 +322,7 @@ func (t *RegularTree[K]) MixedBatch(ops []MixedOp[K], threads int) MixedResult[K
 						pendingMu.Unlock()
 					}
 				case MixedDelete:
-					c := t.searchNode(t.last, b, op.Key)
-					found, emptied := t.leafDelete(b, c, op.Key)
+					found, emptied := t.leafDelete(b, op.Key)
 					res.Found[i] = found
 					if found {
 						np.Add(-1)
@@ -359,7 +357,7 @@ func (t *RegularTree[K]) MixedBatch(ops []MixedOp[K], threads int) MixedResult[K
 				res.Structural++
 			}
 		case MixedDelete:
-			if _, done := freed[p.leaf]; done || t.leafMeta[p.leaf].npairs != 0 {
+			if _, done := freed[p.leaf]; done || t.leaf(p.leaf).npairs != 0 {
 				continue
 			}
 			freed[p.leaf] = struct{}{}

@@ -1,14 +1,20 @@
 package cpubtree
 
-import "hbtree/internal/keys"
+import (
+	"unsafe"
+
+	"hbtree/internal/keys"
+)
 
 // Snapshot cloning for the serving layer's RCU-style reader/writer
 // split: a batch update clones the current tree, mutates the clone, and
 // publishes it atomically, so in-flight readers keep traversing the old
-// version untouched. Clones deep-copy every mutable pool; the Config
-// (including the simulated address-space allocator) and the segment
-// descriptors are shared, since a snapshot is a logical sibling of the
-// same index, not a second index.
+// version untouched. An implicit clone deep-copies its arrays; a
+// regular clone copies its inner pools and leaf records and shares its
+// leaf data copy-on-write (cow.go). The Config (including the simulated
+// address-space allocator) and the segment descriptors are shared,
+// since a snapshot is a logical sibling of the same index, not a second
+// index.
 
 // Clone returns a deep copy of the tree. The copy shares no mutable
 // state with the original: updates applied to one are invisible to the
@@ -22,36 +28,58 @@ func (t *ImplicitTree[K]) Clone() *ImplicitTree[K] {
 	return &c
 }
 
-// Clone returns a deep copy of the tree. The copy shares no mutable
-// state with the original: updates applied to one are invisible to the
-// other. Cloning a tree that carries gapped delta entries (delta.go)
-// compacts them into the base pairs, so a clone is always a plain
-// packed tree ready for structural mutation — this is the
+// Clone returns a copy of the tree that accepts structural updates;
+// updates applied to one are invisible to the other. It copies the
+// inner pools, the free lists and the leaf records, not the leaf data:
+// the leaves stay shared copy-on-write (cow.go), and the clone takes
+// over t's append right, so its in-place successors append where t's
+// would have. Leaves whose delta region is at least half full are
+// compacted into private copies; the others keep their deltas until a
+// structural update rewrites them, which compacts first. This is the
 // clone-fallback entry point of the in-place update path.
 func (t *RegularTree[K]) Clone() *RegularTree[K] {
-	c := *t
-	c.upper = append([]K(nil), t.upper...)
-	c.upperMeta = append([]nodeMeta(nil), t.upperMeta...)
-	c.last = append([]K(nil), t.last...)
-	c.lastMeta = append([]nodeMeta(nil), t.lastMeta...)
-	c.leafData = append([]K(nil), t.leafData...)
-	c.leafMeta = append([]leafMeta(nil), t.leafMeta...)
-	c.freeLast = append([]int32(nil), t.freeLast...)
-	c.freeUpper = append([]int32(nil), t.freeUpper...)
-	c.sharedPools = false
-	c.compactDeltas()
-	return &c
+	c := t.copyTree(t.share())
+	for b := int32(0); int(b) < c.nleaves; b++ {
+		if r := c.leaf(b); c.halfFull(r) {
+			c.compactLeaf(b, r)
+		}
+	}
+	return c
+}
+
+// compacted returns a private copy of t with every delta region
+// compacted and no right on t's leaves: the image WriteTo writes.
+func (t *RegularTree[K]) compacted() *RegularTree[K] {
+	now := cowClock.Add(1)
+	c := t.copyTree(now, now)
+	for b := int32(0); int(b) < c.nleaves; b++ {
+		if r := c.leaf(b); r.ndelta > 0 {
+			c.compactLeaf(b, r)
+		}
+	}
+	return c
 }
 
 // CloneFootprint reports what one Clone() of this tree copies: the
-// pooled node count (upper + last-level/leaf pairs) and the total bytes
-// of the copied pools — the clone-on-write amplification the in-place
-// delta path avoids.
+// pooled inner-node count (upper + last-level) and the bytes of the
+// copied inner pools, their metadata, the leaf records and their page
+// table, the free lists, and the leaves whose delta region Clone
+// compacts. Leaf data is shared, not copied, so a clone of a tree with
+// few full delta regions costs about a quarter of the leaf pool for
+// 64-bit keys.
 func (t *RegularTree[K]) CloneFootprint() (nodes int, bytes int64) {
 	sz := int64(keys.Size[K]())
 	nodes = len(t.upperMeta) + len(t.lastMeta)
-	bytes = (int64(len(t.upper)) + int64(len(t.last)) + int64(len(t.leafData))) * sz
-	bytes += int64(len(t.upperMeta))*8 + int64(len(t.lastMeta))*8 + int64(len(t.leafMeta))*28
+	bytes = (int64(len(t.upper)) + int64(len(t.last))) * sz
+	bytes += int64(len(t.upperMeta))*8 + int64(len(t.lastMeta))*8
+	bytes += int64(t.nleaves)*int64(unsafe.Sizeof(leafRec[K]{})) + int64(len(t.pages))*int64(unsafe.Sizeof([]leafRec[K]{}))
 	bytes += (int64(len(t.freeLast)) + int64(len(t.freeUpper))) * 4
+	for _, pg := range t.pages {
+		for i := range pg {
+			if t.halfFull(&pg[i]) {
+				bytes += int64(t.leafSlots) * sz
+			}
+		}
+	}
 	return nodes, bytes
 }

@@ -72,8 +72,8 @@ func (t *RegularTree[K]) Seek(start K) Cursor[K] {
 	b, c := t.SearchToLeaf(start)
 	i, _ := simd.SearchPairsLine(t.leafLine(b, c), start)
 	cur := &regularCursor[K]{t: t, leaf: b, pos: c*t.ppl + i, scanLeaf: nilRef}
-	if t.leafMeta[b].ndelta > 0 {
-		t.buildLeafScan(b, &cur.scan)
+	if m := t.leaf(b); m.ndelta > 0 {
+		t.buildLeafScan(m, &cur.scan)
 		cur.scanLeaf = b
 		for cur.di < cur.scan.n && cur.scan.keys[cur.di] < start {
 			cur.di++
@@ -86,22 +86,22 @@ func (t *RegularTree[K]) Seek(start K) Cursor[K] {
 func (c *regularCursor[K]) Next() (keys.Pair[K], bool) {
 	t := c.t
 	for c.leaf != nilRef {
-		m := &t.leafMeta[c.leaf]
+		m := t.leaf(c.leaf)
 		np := int(m.npairs)
 		if m.ndelta == 0 {
 			if c.pos < np {
-				data := t.leafPairs(c.leaf)
+				data := m.data
 				p := keys.Pair[K]{Key: data[2*c.pos], Value: data[2*c.pos+1]}
 				c.pos++
 				return p, true
 			}
 		} else {
 			if c.scanLeaf != c.leaf {
-				t.buildLeafScan(c.leaf, &c.scan)
+				t.buildLeafScan(m, &c.scan)
 				c.scanLeaf = c.leaf
 				c.di = 0
 			}
-			data := t.leafPairs(c.leaf)
+			data := m.data
 			for c.pos < np || c.di < c.scan.n {
 				haveB, haveD := c.pos < np, c.di < c.scan.n
 				if haveD && (!haveB || c.scan.keys[c.di] <= data[2*c.pos]) {

@@ -1,6 +1,8 @@
 package cpubtree
 
 import (
+	"slices"
+
 	"hbtree/internal/keys"
 )
 
@@ -15,25 +17,29 @@ import (
 // delta region starts at the first cache-line boundary past the base
 // pairs (deltaStart) and holds up to deltaCap append-only (key, value)
 // entries, newest last. A delete is an appended entry whose bit in the
-// leafMeta.tomb mask is set — a tombstone shadowing the key below it.
+// record's tomb mask is set — a tombstone shadowing the key below it.
 // Line alignment matters: readers pinned on an older epoch probe base
 // lines with SIMD line loads, and a delta entry sharing a line with
 // base pairs would tear those loads. Line 0 is always base-reserved so
 // an empty leaf's probes never touch delta state. The mask bounds
 // deltaCap at 64 entries.
 //
-// Epoch discipline. ForkDelta produces a view that shares every node
-// pool with its parent and deep-copies only the per-leaf metadata
-// (npairs/ndelta/tomb/nlive — a few int32s per leaf). The fork appends
-// delta entries into leafData slots at indices >= every ancestor's
-// ndelta: addresses no pinned reader of an older epoch ever loads,
-// because each epoch's reads are bounded by its own leafMeta snapshot.
-// A slot is therefore never reused while an epoch that could see it is
-// pinned, and publication through the epoch registry's atomic swap
-// orders the appends before any new-epoch read. Everything structural —
-// splits, merges, base-region shifts — is forbidden on a fork
-// (sharedPools guards panic) and falls back to the clone-and-swap path,
-// whose Clone() first compacts every delta into the base region.
+// Epoch discipline. ForkDelta produces a view that shares every pool
+// with its parent and copies only the leaf-record page table; writing a
+// leaf's record copies that record's page (cow.go), so an in-place
+// batch copies the pages of the leaves it writes, not the tree. The
+// fork appends delta entries into leaf slots at indices >= every
+// ancestor's ndelta: addresses no pinned reader of an older epoch ever
+// loads, because each epoch's reads are bounded by its own records. A
+// fork appends only to leaves whose append right it holds (cow.go) and
+// copies any other leaf first, so two forks of one parent never append
+// into the same slots. A slot is therefore never reused while an epoch
+// that could see it is pinned, and publication through the epoch
+// registry's atomic swap orders the appends before any new-epoch read.
+// Everything structural — splits, merges, base-region shifts — is
+// forbidden on a fork (sharedPools guards panic) and falls back to the
+// clone-and-swap path: Clone() compacts the delta regions at least half
+// full, and a structural update compacts any other leaf it rewrites.
 
 // deltaStart returns the first pair slot of the delta region for a leaf
 // holding np base pairs: the next leaf-line boundary, with line 0
@@ -59,29 +65,31 @@ func (t *RegularTree[K]) deltaCap(np int) int {
 	return c
 }
 
-// DeltaLeaves reports how many big leaves currently carry uncompacted
-// delta entries.
-func (t *RegularTree[K]) DeltaLeaves() int { return t.deltaLeaves }
+// DeltaLeaves reports how many big leaves carry uncompacted delta
+// entries. Clone keeps the delta regions less than half full, so a
+// clone may carry some.
+func (t *RegularTree[K]) DeltaLeaves() int {
+	n := 0
+	for _, pg := range t.pages {
+		for i := range pg {
+			if pg[i].ndelta > 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // Shared reports whether this tree is a delta fork sharing node pools
 // with its ancestors (structural mutation is forbidden on it).
 func (t *RegularTree[K]) Shared() bool { return t.sharedPools }
 
-// ensurePrivate guards every mutation that shifts base pairs or changes
-// tree structure: running one on a fork would corrupt the pools other
-// epochs still read.
-func (t *RegularTree[K]) ensurePrivate() {
-	if t.sharedPools {
-		panic("cpubtree: structural mutation on a delta fork; Clone() first")
-	}
-}
-
-// deltaLookup resolves q against leaf b's delta region, newest entry
+// deltaLookup resolves q against leaf m's delta region, newest entry
 // first (the latest append for a key wins). ok reports whether the key
 // has a delta entry at all; tombstoned reports a delete shadow.
-func (t *RegularTree[K]) deltaLookup(b int32, m *leafMeta, q K) (v K, tombstoned, ok bool) {
+func (t *RegularTree[K]) deltaLookup(m *leafRec[K], q K) (v K, tombstoned, ok bool) {
 	ds := t.deltaStart(int(m.npairs))
-	data := t.leafPairs(b)
+	data := m.data
 	for j := int(m.ndelta) - 1; j >= 0; j-- {
 		if data[2*(ds+j)] == q {
 			return data[2*(ds+j)+1], m.tomb&(1<<uint(j)) != 0, true
@@ -129,7 +137,7 @@ func (t *RegularTree[K]) PlanDelta(ops []Op[K], p *DeltaPlan[K]) bool {
 
 	maxK := keys.Max[K]()
 	run := nilRef // leaf of the current run
-	var m *leafMeta
+	var m *leafRec[K]
 	pend, live := 0, 0 // the run's appends and net live-pair change
 	for i, op := range ops {
 		if i > 0 && op.Key <= ops[i-1].Key || op.Key == maxK && !op.Delete {
@@ -138,15 +146,15 @@ func (t *RegularTree[K]) PlanDelta(ops []Op[K], p *DeltaPlan[K]) bool {
 		b := t.descendUpper(op.Key)
 		p.leaves[i] = b
 		if b != run {
-			run, m, pend, live = b, &t.leafMeta[b], 0, 0
+			run, m, pend, live = b, t.leaf(b), 0, 0
 		}
 
 		// Presence: the tree's own delta region, then the packed base.
 		var present bool
-		if _, tomb, ok := t.deltaLookup(b, m, op.Key); ok {
+		if _, tomb, ok := t.deltaLookup(m, op.Key); ok {
 			present = !tomb
 		} else {
-			present = t.contains(b, op.Key)
+			present = t.contains(m, op.Key)
 		}
 		if op.Delete && !present {
 			p.acts[i] = actNotFound
@@ -177,36 +185,49 @@ func (t *RegularTree[K]) PlanDelta(ops []Op[K], p *DeltaPlan[K]) bool {
 	return true
 }
 
-// ForkDelta returns a view of t that shares every node pool (upper,
-// last, leaf data, free lists) and deep-copies only the per-leaf
-// metadata, so ApplyPlannedDelta can publish new per-leaf slot counts
-// without disturbing readers of t. The fork refuses structural
-// mutation; Clone() it to obtain a private tree.
+// ForkDelta returns a view of t that shares every pool (inner nodes,
+// leaf records and data, free lists) and copies only the leaf-record
+// page table; it takes over t's append right (cow.go). ApplyPlannedDelta
+// then copies the record pages of the leaves it writes, so it can
+// publish new per-leaf slot counts without disturbing readers of t. The
+// fork refuses structural mutation; Clone() it to obtain a private
+// tree.
 func (t *RegularTree[K]) ForkDelta() *RegularTree[K] {
-	c := *t
-	c.leafMeta = append([]leafMeta(nil), t.leafMeta...)
+	c := t.derive(t.share())
+	c.pages = slices.Clone(t.pages)
 	c.sharedPools = true
-	return &c
+	return c
 }
 
 // ApplyPlannedDelta applies a batch classified by PlanDelta to t — a
-// fork of the tree the plan was computed from. Every op appends into
-// its leaf's delta region at slots past the parent's ndelta, so readers
-// of any ancestor epoch keep seeing their exact pre-batch images. The
-// inner pools are untouched: no separator, node or device state
-// changes.
+// fresh fork of the tree the plan was computed from. Every op appends
+// into its leaf's delta region at slots past the parent's ndelta, so
+// readers of any ancestor epoch keep seeing their exact pre-batch
+// images. The record page of each leaf written is copied once (the
+// batch's leaves ascend), and a leaf whose append right another tree
+// holds is copied first. The inner pools are untouched: no separator,
+// node or device state changes.
 func (t *RegularTree[K]) ApplyPlannedDelta(ops []Op[K], p *DeltaPlan[K]) BatchResult {
 	var res BatchResult
+	app, x := t.app.Load(), t.excl()
+	copied := -1 // the last record page copied
 	for i, op := range ops {
 		if p.acts[i] == actNotFound {
 			res.NotFound++
 			continue
 		}
 		b := p.leaves[i]
-		m := &t.leafMeta[b]
+		if pi := int(b >> leafPageBits); pi != copied {
+			t.pages[pi] = copyPage(t.pages[pi])
+			copied = pi
+		}
+		m := t.leaf(b)
+		if m.stamp < app {
+			m.data, m.stamp = t.leafCopy(m), x
+		}
 		j := int(m.ndelta)
 		pos := t.deltaStart(int(m.npairs)) + j
-		data := t.leafPairs(b)
+		data := m.data
 		data[2*pos] = op.Key
 		data[2*pos+1] = op.Value
 		switch p.acts[i] {
@@ -217,9 +238,6 @@ func (t *RegularTree[K]) ApplyPlannedDelta(ops []Op[K], p *DeltaPlan[K]) BatchRe
 		case actInsert:
 			m.nlive++
 			t.numPairs++
-		}
-		if j == 0 {
-			t.deltaLeaves++
 		}
 		m.ndelta = int32(j + 1)
 		res.Applied++
@@ -239,12 +257,11 @@ type leafScan[K keys.Key] struct {
 	n    int
 }
 
-// buildLeafScan fills s from leaf b's delta region.
-func (t *RegularTree[K]) buildLeafScan(b int32, s *leafScan[K]) {
-	m := &t.leafMeta[b]
+// buildLeafScan fills s from leaf m's delta region.
+func (t *RegularTree[K]) buildLeafScan(m *leafRec[K], s *leafScan[K]) {
 	s.n = 0
 	ds := t.deltaStart(int(m.npairs))
-	data := t.leafPairs(b)
+	data := m.data
 	for j := int(m.ndelta) - 1; j >= 0; j-- {
 		k := data[2*(ds+j)]
 		dup := false
@@ -273,55 +290,44 @@ func (t *RegularTree[K]) buildLeafScan(b int32, s *leafScan[K]) {
 	}
 }
 
-// compactDeltas merges every leaf's delta region into its base pairs.
-// Only called on a private deep copy (from Clone): compaction shifts
-// base pairs and refreshes separators, which a shared fork must never
-// do. A compacted leaf always fits: base + delta <= leafCap by the
-// deltaCap bound, so compaction never splits.
-func (t *RegularTree[K]) compactDeltas() {
-	if t.deltaLeaves == 0 {
-		return
-	}
-	t.ensurePrivate()
+// compactLeaf merges leaf b's delta region into its base pairs on a
+// private tree (ensurePrivate, copyTree). The merge lands in fresh slots: the
+// old ones may be read by another tree, and a merge in place would need
+// a scratch copy anyway. A compacted leaf always fits — base + delta <=
+// leafCap by the deltaCap bound — so compaction never splits; it does
+// rewrite the leaf's last-level node, which the caller must report.
+func (t *RegularTree[K]) compactLeaf(b int32, m *leafRec[K]) {
 	var s leafScan[K]
-	scratch := make([]K, 0, 2*t.leafCap)
-	maxK := keys.Max[K]()
-	for b := int32(0); int(b) < len(t.leafMeta); b++ {
-		m := &t.leafMeta[b]
-		if m.ndelta == 0 {
+	t.buildLeafScan(m, &s)
+	np := int(m.npairs)
+	old := m.data
+	data := make([]K, t.leafSlots)
+	out, bi, di := 0, 0, 0
+	emit := func(k, v K) {
+		data[2*out], data[2*out+1] = k, v
+		out++
+	}
+	for bi < np || di < s.n {
+		haveB, haveD := bi < np, di < s.n
+		if haveD && (!haveB || s.keys[di] <= old[2*bi]) {
+			if haveB && s.keys[di] == old[2*bi] {
+				bi++
+			}
+			if !s.tomb[di] {
+				emit(s.keys[di], s.vals[di])
+			}
+			di++
 			continue
 		}
-		t.buildLeafScan(b, &s)
-		np := int(m.npairs)
-		ds := t.deltaStart(np)
-		data := t.leafPairs(b)
-		merged := scratch[:0]
-		bi, di := 0, 0
-		for bi < np || di < s.n {
-			haveB, haveD := bi < np, di < s.n
-			if haveD && (!haveB || s.keys[di] <= data[2*bi]) {
-				if haveB && s.keys[di] == data[2*bi] {
-					bi++
-				}
-				if !s.tomb[di] {
-					merged = append(merged, s.keys[di], s.vals[di])
-				}
-				di++
-				continue
-			}
-			merged = append(merged, data[2*bi], data[2*bi+1])
-			bi++
-		}
-		out := len(merged) / 2
-		copy(data, merged)
-		clearTo := ds + int(m.ndelta)
-		for pos := out; pos < clearTo; pos++ {
-			data[2*pos] = maxK
-			data[2*pos+1] = 0
-		}
-		m.npairs = int32(out)
-		m.ndelta, m.tomb, m.nlive = 0, 0, 0
-		t.refreshLastKeys(b)
+		emit(old[2*bi], old[2*bi+1])
+		bi++
 	}
-	t.deltaLeaves = 0
+	maxK := keys.Max[K]()
+	for pos := out; pos < t.leafCap; pos++ {
+		data[2*pos] = maxK
+	}
+	m.data, m.stamp = data, t.owned
+	m.npairs = int32(out)
+	m.ndelta, m.tomb, m.nlive = 0, 0, 0
+	t.refreshLastKeys(b)
 }

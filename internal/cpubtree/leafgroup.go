@@ -60,8 +60,7 @@ func (t *RegularTree[K]) ApplyOpsToLeaf(b int32, ops []Op[K]) BatchResult {
 			carves[ci].leaf = lf
 		}
 		if op.Delete {
-			c := t.searchNode(t.last, lf, op.Key)
-			found, emptied := t.leafDelete(lf, c, op.Key)
+			found, emptied := t.leafDelete(lf, op.Key)
 			if !found {
 				res.NotFound++
 				continue
@@ -102,9 +101,8 @@ func (t *RegularTree[K]) ApplyOpsToLeaf(b int32, ops []Op[K]) BatchResult {
 			continue
 		}
 
-		had := t.contains(lf, op.Key)
-		if t.leafInsert(lf, op.Key, op.Value) {
-			if !had {
+		if added, ok := t.leafInsert(lf, op.Key, op.Value); ok {
+			if added {
 				t.numPairs++
 			}
 			res.Applied++
@@ -123,7 +121,7 @@ func (t *RegularTree[K]) ApplyOpsToLeaf(b int32, ops []Op[K]) BatchResult {
 		if op.Key > splitKey {
 			lf = nb
 		}
-		if !t.leafInsert(lf, op.Key, op.Value) {
+		if _, ok := t.leafInsert(lf, op.Key, op.Value); !ok {
 			panic("cpubtree: insert failed after local split")
 		}
 		t.numPairs++

@@ -3,6 +3,7 @@ package cpubtree
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"hbtree/internal/keys"
 	"hbtree/internal/mem"
@@ -23,9 +24,11 @@ import (
 //     the same index, so it never pollutes the search path.
 //   - Big leaves: 64 small leaf lines (4 pairs each for 64-bit) plus an
 //     info line are packed into one 256-entry big leaf. Last-level inner
-//     nodes and big leaves are allocated from paired pools sharing the
-//     same index, so the lookup retrieves the target leaf cache line
-//     directly from the last inner node's index and search result.
+//     nodes and big leaves share one index, so the lookup retrieves the
+//     target leaf cache line directly from the last inner node's index
+//     and search result. A big leaf's slots and info line are reached
+//     through its record (cow.go), one page-table load away, which lets
+//     trees of one lineage share leaves copy-on-write.
 //
 // Empty key slots hold MAX so node search needs no size field; the slot
 // of a node's last child also stays MAX, making it the catch-all for
@@ -48,20 +51,29 @@ type RegularTree[K keys.Key] struct {
 	upperMeta []nodeMeta
 	last      []K // last-level inner nodes (height 1), index-paired with big leaves
 	lastMeta  []nodeMeta
-	leafData  []K // big leaves: packed interleaved pairs
-	leafMeta  []leafMeta
+
+	// Big leaves: one record per leaf (cow.go) in pages of leafPageSize.
+	// Bulk load and ReadRegular cut every leaf's slots from leafPool and
+	// every record from recPool; their headroom takes later leaves.
+	pages    [][]leafRec[K]
+	nleaves  int
+	leafPool []K
+	recPool  []leafRec[K]
 
 	freeLast  []int32
 	freeUpper []int32
 
 	headLeaf, tailLeaf int32 // leaf-chain ends for ordered scans
 
-	// sharedPools marks a delta fork (ForkDelta): the node pools belong
+	// sharedPools marks a delta fork (ForkDelta): the inner pools belong
 	// to the ancestor chain and structural mutation must panic.
-	// deltaLeaves counts big leaves with uncompacted delta entries;
-	// Clone() compacts and resets it.
 	sharedPools bool
-	deltaLeaves int
+
+	// Ownership (cow.go): the append floor (allocated with the tree,
+	// regularBox), the birth, the rewrite stamp ensurePrivate last
+	// established, and the stamp of the pools' headroom.
+	app                    *atomic.Uint64
+	born, owned, poolStamp uint64
 
 	upperSeg, lastSeg, leafSeg mem.Segment
 }
@@ -72,23 +84,6 @@ type RegularTree[K keys.Key] struct {
 type nodeMeta struct {
 	nchild int32
 	parent int32 // index into the upper pool; -1 for the root
-}
-
-// leafMeta is the big leaf's info line: pair count and sibling links for
-// the sorted leaf chain, plus the gapped-delta state (delta.go): ndelta
-// append-only entries behind the base pairs, a tombstone bitmask over
-// them, and the net live-pair adjustment they carry. The delta fields
-// are per-epoch — ForkDelta deep-copies this slice — which is what lets
-// an in-place batch publish new slot counts while older epochs keep
-// their own.
-type leafMeta struct {
-	npairs int32
-	next   int32
-	prev   int32
-
-	ndelta int32  // delta entries appended behind the base pairs
-	nlive  int32  // net live-pair delta: live(b) = npairs + nlive
-	tomb   uint64 // bit j set: delta entry j is a tombstone
 }
 
 const nilRef = int32(-1)
@@ -113,13 +108,15 @@ func BuildRegular[K keys.Key](pairs []keys.Pair[K], cfg Config) (*RegularTree[K]
 // newRegular returns an empty tree with K's node geometry.
 func newRegular[K keys.Key](cfg Config) *RegularTree[K] {
 	kpl := keys.PerLine[K]()
-	t := &RegularTree[K]{
+	bx := &regularBox[K]{t: RegularTree[K]{
 		cfg:       cfg,
 		kpl:       kpl,
 		fanout:    kpl * kpl,
 		ppl:       kpl / 2,
 		nodeSlots: kpl * (1 + 2*kpl),
-	}
+	}}
+	t := &bx.t
+	t.app = &bx.app
 	t.leafCap = t.fanout * t.ppl
 	t.leafSlots = t.fanout * t.kpl
 	return t
@@ -130,7 +127,7 @@ func (t *RegularTree[K]) allocSegments() {
 	sz := int64(keys.Size[K]())
 	t.upperSeg = t.cfg.Alloc.Alloc(int64(len(t.upper))*sz, t.cfg.ISegPages)
 	t.lastSeg = t.cfg.Alloc.Alloc(int64(len(t.last))*sz, t.cfg.ISegPages)
-	t.leafSeg = t.cfg.Alloc.Alloc(int64(len(t.leafData))*sz, t.cfg.LSegPages)
+	t.leafSeg = t.cfg.Alloc.Alloc(int64(t.nleaves)*int64(t.leafSlots)*sz, t.cfg.LSegPages)
 }
 
 // --- node accessors -------------------------------------------------
@@ -161,14 +158,8 @@ func (t *RegularTree[K]) nodeRefs(pool []K, idx int32) []K {
 
 // leafLine returns line c of big leaf b as interleaved pairs.
 func (t *RegularTree[K]) leafLine(b int32, c int) []K {
-	off := int(b)*t.leafSlots + c*t.kpl
-	return t.leafData[off : off+t.kpl]
-}
-
-// leafPairs returns the packed pair array (all slots) of big leaf b.
-func (t *RegularTree[K]) leafPairs(b int32) []K {
-	off := int(b) * t.leafSlots
-	return t.leafData[off : off+t.leafSlots]
+	off := c * t.kpl
+	return t.leaf(b).data[off : off+t.kpl]
 }
 
 // refreshIndexLine recomputes the index line from the separator array:
@@ -188,12 +179,13 @@ func (t *RegularTree[K]) refreshIndexLine(pool []K, idx int32) {
 func (t *RegularTree[K]) refreshLastKeys(b int32) {
 	maxK := keys.Max[K]()
 	ks := t.nodeKeys(t.last, b)
-	np := int(t.leafMeta[b].npairs)
+	r := t.leaf(b)
+	np := int(r.npairs)
 	used := (np + t.ppl - 1) / t.ppl
 	if used < 1 {
 		used = 1
 	}
-	data := t.leafPairs(b)
+	data := r.data
 	for c := 0; c < t.fanout; c++ {
 		if c < used-1 {
 			ks[c] = data[2*((c+1)*t.ppl-1)]
@@ -209,13 +201,13 @@ func (t *RegularTree[K]) refreshLastKeys(b int32) {
 
 // reserve is the one capacity rule of the node pools: a pool of n nodes
 // is allocated with room for n/32 more (at least one), so the splits
-// after a build or a load append in place instead of copying the pool.
-// Bulk load and ReadRegular size through it. The headroom is small
-// because every live tree carries it and the garbage collector's heap
-// goal doubles it: n/8 put wire-mixed-durable's peak RSS about 10 %
-// above the append-grown pools', at its bound. Clone copies each pool
-// at its length instead: copying into reserved pools timed slower on
-// the clone-and-update path than a plain append copy.
+// after a build, a load or a clone append in place instead of copying
+// the pool. Bulk load, ReadRegular and Clone size through it. The
+// headroom is small because every live tree carries it and the garbage
+// collector's heap goal doubles it: n/8 put wire-mixed-durable's peak
+// RSS about 10 % above the append-grown pools', at its bound. A clone
+// copies the inner pools and leaf records only, never the leaf data,
+// so the headroom costs it a thirty-second of those.
 func reserve(n int) int {
 	return n + max(n/32, 1)
 }
@@ -226,21 +218,22 @@ func makePool[T any](n, per int) []T {
 	return make([]T, n*per, reserve(n)*per)
 }
 
+// allocLast returns a cleared last-level node and its big leaf, which
+// gets fresh slots: a freed leaf's old slots may still be read by
+// another tree.
 func (t *RegularTree[K]) allocLast() int32 {
+	var idx int32
 	if n := len(t.freeLast); n > 0 {
-		idx := t.freeLast[n-1]
+		idx = t.freeLast[n-1]
 		t.freeLast = t.freeLast[:n-1]
-		t.clearNode(t.last, idx)
-		t.clearLeaf(idx)
-		return idx
+	} else {
+		idx = int32(len(t.lastMeta))
+		t.last = append(t.last, make([]K, t.nodeSlots)...)
+		t.lastMeta = append(t.lastMeta, nodeMeta{parent: nilRef})
+		t.addLeafRec()
 	}
-	idx := int32(len(t.lastMeta))
-	t.last = append(t.last, make([]K, t.nodeSlots)...)
-	t.lastMeta = append(t.lastMeta, nodeMeta{parent: nilRef})
-	t.leafData = append(t.leafData, make([]K, t.leafSlots)...)
-	t.leafMeta = append(t.leafMeta, leafMeta{next: nilRef, prev: nilRef})
 	t.clearNode(t.last, idx)
-	t.clearLeaf(idx)
+	t.clearLeaf(idx, t.newLeafData())
 	return idx
 }
 
@@ -271,14 +264,13 @@ func (t *RegularTree[K]) clearNode(pool []K, idx int32) {
 	}
 }
 
-func (t *RegularTree[K]) clearLeaf(b int32) {
+// clearLeaf makes data, zeroed slots, the empty big leaf b.
+func (t *RegularTree[K]) clearLeaf(b int32, data []K) {
 	maxK := keys.Max[K]()
-	data := t.leafPairs(b)
 	for i := 0; i < len(data); i += 2 {
 		data[i] = maxK
-		data[i+1] = 0
 	}
-	t.leafMeta[b] = leafMeta{next: nilRef, prev: nilRef}
+	*t.leaf(b) = leafRec[K]{data: data, stamp: t.owned, next: nilRef, prev: nilRef}
 	t.lastMeta[b] = nodeMeta{parent: nilRef, nchild: 1}
 }
 
@@ -305,8 +297,11 @@ func (t *RegularTree[K]) bulkLoad(pairs []keys.Pair[K]) (bad int) {
 
 	t.last = makePool[K](numLeaves, t.nodeSlots)
 	t.lastMeta = makePool[nodeMeta](numLeaves, 1)
-	t.leafData = makePool[K](numLeaves, t.leafSlots)
-	t.leafMeta = makePool[leafMeta](numLeaves, 1)
+	t.leafPool = makePool[K](numLeaves, t.leafSlots)
+	t.recPool = makePool[leafRec[K]](numLeaves, 1)
+	t.nleaves = numLeaves
+	t.initRights()
+	t.pages = pageLeaves(t.recPool)
 	t.upper = make([]K, 0, reserve(numUpper)*t.nodeSlots)
 	t.upperMeta = make([]nodeMeta, 0, reserve(numUpper))
 
@@ -337,7 +332,6 @@ func (t *RegularTree[K]) bulkLoad(pairs []keys.Pair[K]) (bad int) {
 // and the last-level nodes' reference slots are left as they are.
 func (t *RegularTree[K]) fillLeaves(pairs []keys.Pair[K], perLeaf int, leafMax []K, ls, le int) int {
 	maxK := keys.Max[K]()
-	numLeaves := len(t.leafMeta)
 	var prev K
 	if ls > 0 {
 		prev = pairs[ls*perLeaf-1].Key
@@ -345,7 +339,7 @@ func (t *RegularTree[K]) fillLeaves(pairs []keys.Pair[K], perLeaf int, leafMax [
 	for l := ls; l < le; l++ {
 		start := l * perLeaf
 		end := min(start+perLeaf, len(pairs))
-		data := t.leafPairs(int32(l))
+		data := t.leafPool[l*t.leafSlots : (l+1)*t.leafSlots : (l+1)*t.leafSlots]
 		for j, p := range pairs[start:end] {
 			if p.Key <= prev && start+j > 0 {
 				return start + j
@@ -359,11 +353,11 @@ func (t *RegularTree[K]) fillLeaves(pairs []keys.Pair[K], perLeaf int, leafMax [
 		}
 		leafMax[l] = prev
 
-		m := leafMeta{npairs: int32(end - start), next: int32(l + 1), prev: int32(l - 1)}
-		if l == numLeaves-1 {
-			m.next = nilRef
+		r := leafRec[K]{data: data, stamp: t.owned, npairs: int32(end - start), next: int32(l + 1), prev: int32(l - 1)}
+		if l == t.nleaves-1 {
+			r.next = nilRef
 		}
-		t.leafMeta[l] = m
+		*t.leaf(int32(l)) = r
 		t.lastMeta[l].parent = nilRef
 		t.refreshLastKeys(int32(l)) // writes every key slot and the index line
 	}
@@ -449,15 +443,16 @@ func (t *RegularTree[K]) SearchToLeaf(q K) (leaf int32, line int) {
 // wins, and a tombstone is a definitive miss — before the base line's
 // SIMD probe.
 func (t *RegularTree[K]) SearchLeafLine(b int32, c int, q K) (K, bool) {
-	if m := &t.leafMeta[b]; m.ndelta > 0 {
-		if v, tomb, ok := t.deltaLookup(b, m, q); ok {
+	r := t.leaf(b)
+	if r.ndelta > 0 {
+		if v, tomb, ok := t.deltaLookup(r, q); ok {
 			if tomb {
 				return 0, false
 			}
 			return v, true
 		}
 	}
-	line := t.leafLine(b, c)
+	line := r.data[c*t.kpl : c*t.kpl+t.kpl]
 	i, found := simd.SearchPairsLine(line, q)
 	if !found {
 		return 0, false
@@ -526,15 +521,15 @@ func (t *RegularTree[K]) rangeFrom(b int32, c int, start K, count int, out []key
 	first := true
 	var s leafScan[K]
 	for b != nilRef && len(out) < count {
-		m := &t.leafMeta[b]
+		m := t.leaf(b)
 		np := int(m.npairs)
-		data := t.leafPairs(b)
+		data := m.data
 		if m.ndelta == 0 {
 			for ; pos < np && len(out) < count; pos++ {
 				out = append(out, keys.Pair[K]{Key: data[2*pos], Value: data[2*pos+1]})
 			}
 		} else {
-			t.buildLeafScan(b, &s)
+			t.buildLeafScan(m, &s)
 			di := 0
 			if first {
 				for di < s.n && s.keys[di] < start {
@@ -574,7 +569,7 @@ func (t *RegularTree[K]) Stats() Stats {
 		NumPairs:      t.numPairs,
 		Height:        t.height,
 		InnerBytes:    (int64(len(t.upper)) + int64(len(t.last))) * sz,
-		LeafBytes:     int64(len(t.leafData)) * sz,
+		LeafBytes:     int64(t.nleaves) * int64(t.leafSlots) * sz,
 		LinesPerQuery: 3 * t.height,
 	}
 }
@@ -673,7 +668,7 @@ func (t *RegularTree[K]) LookupScanAblation(q K) (K, bool) {
 // without touching the I-segment — the CPU stage of a hybrid range
 // query.
 func (t *RegularTree[K]) RangeFromRef(b int32, c int, start K, count int, out []keys.Pair[K]) []keys.Pair[K] {
-	if b < 0 || int(b) >= len(t.leafMeta) || c < 0 || c >= t.fanout {
+	if b < 0 || int(b) >= t.nleaves || c < 0 || c >= t.fanout {
 		return out
 	}
 	return t.rangeFrom(b, c, start, count, out)

@@ -235,8 +235,8 @@ func checkPoolCapacities(t *testing.T, from string, tr *RegularTree[uint64]) {
 		{"upperMeta", len(tr.upperMeta), cap(tr.upperMeta), len(tr.upperMeta), 1},
 		{"last", len(tr.last), cap(tr.last), len(tr.lastMeta), tr.nodeSlots},
 		{"lastMeta", len(tr.lastMeta), cap(tr.lastMeta), len(tr.lastMeta), 1},
-		{"leafData", len(tr.leafData), cap(tr.leafData), len(tr.leafMeta), tr.leafSlots},
-		{"leafMeta", len(tr.leafMeta), cap(tr.leafMeta), len(tr.leafMeta), 1},
+		{"leafPool", len(tr.leafPool), cap(tr.leafPool), tr.nleaves, tr.leafSlots},
+		{"recPool", len(tr.recPool), cap(tr.recPool), tr.nleaves, 1},
 	}
 	for _, p := range pools {
 		if p.len != p.nodes*p.per {
@@ -252,25 +252,25 @@ func checkPoolCapacities(t *testing.T, from string, tr *RegularTree[uint64]) {
 // splits it, and checks that no pool's backing array moved.
 func checkSplitInPlace(t *testing.T, from string, tr *RegularTree[uint64], pairs []keys.Pair[uint64]) {
 	t.Helper()
-	before := [...]*uint64{&tr.upper[0], &tr.last[0], &tr.leafData[0]}
+	before := [...]*uint64{&tr.upper[0], &tr.last[0], &tr.leafPool[0]}
 	metaBefore := [...]*nodeMeta{&tr.upperMeta[0], &tr.lastMeta[0]}
-	leafMetaBefore := &tr.leafMeta[0]
-	leaves := len(tr.leafMeta)
+	leafMetaBefore := &tr.recPool[0]
+	leaves := tr.nleaves
 	k := pairs[0].Key + 1 // pairs are sparse: pairs[1].Key > k
 	structural, err := tr.Insert(k, 7)
 	if err != nil || !structural {
 		t.Fatalf("%s: Insert(%d) = structural %v, err %v; want a split", from, k, structural, err)
 	}
-	if len(tr.leafMeta) != leaves+1 {
-		t.Fatalf("%s: split grew the leaf pool from %d to %d nodes", from, leaves, len(tr.leafMeta))
+	if tr.nleaves != leaves+1 {
+		t.Fatalf("%s: split grew the leaf pool from %d to %d nodes", from, leaves, tr.nleaves)
 	}
-	after := [...]*uint64{&tr.upper[0], &tr.last[0], &tr.leafData[0]}
-	for i, name := range []string{"upper", "last", "leafData"} {
+	after := [...]*uint64{&tr.upper[0], &tr.last[0], &tr.leafPool[0]}
+	for i, name := range []string{"upper", "last", "leafPool"} {
 		if before[i] != after[i] {
 			t.Errorf("%s: the split moved %s", from, name)
 		}
 	}
-	if metaBefore != [...]*nodeMeta{&tr.upperMeta[0], &tr.lastMeta[0]} || leafMetaBefore != &tr.leafMeta[0] {
+	if metaBefore != [...]*nodeMeta{&tr.upperMeta[0], &tr.lastMeta[0]} || leafMetaBefore != &tr.recPool[0] {
 		t.Errorf("%s: the split moved a metadata pool", from)
 	}
 	if v, ok := tr.Lookup(k); !ok || v != 7 {

@@ -28,9 +28,9 @@ func checkInvariants(t *testing.T, tr *RegularTree[uint64], want []keys.Pair[uin
 	t.Helper()
 	// Leaf chain yields all pairs in order.
 	var got []keys.Pair[uint64]
-	for b := tr.headLeaf; b != nilRef; b = tr.leafMeta[b].next {
-		np := int(tr.leafMeta[b].npairs)
-		data := tr.leafPairs(b)
+	for b := tr.headLeaf; b != nilRef; b = tr.leaf(b).next {
+		np := int(tr.leaf(b).npairs)
+		data := tr.leaf(b).data
 		for i := 0; i < np; i++ {
 			got = append(got, keys.Pair[uint64]{Key: data[2*i], Value: data[2*i+1]})
 		}

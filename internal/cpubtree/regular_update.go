@@ -31,10 +31,9 @@ func (t *RegularTree[K]) Insert(k, v K) (structural bool, err error) {
 	if k == keys.Max[K]() {
 		return false, ErrSentinelKey
 	}
-	b, _ := t.SearchToLeaf(k)
-	had := t.contains(b, k)
-	if t.leafInsert(b, k, v) {
-		if !had {
+	b := t.descendUpper(k)
+	if added, ok := t.leafInsert(b, k, v); ok {
+		if added {
 			t.numPairs++
 		}
 		return false, nil
@@ -44,7 +43,7 @@ func (t *RegularTree[K]) Insert(k, v K) (structural bool, err error) {
 	if k > t.leafMaxKey(b) {
 		b = nb
 	}
-	if !t.leafInsert(b, k, v) {
+	if _, ok := t.leafInsert(b, k, v); !ok {
 		panic("cpubtree: insert failed after leaf split")
 	}
 	t.numPairs++
@@ -55,8 +54,8 @@ func (t *RegularTree[K]) Insert(k, v K) (structural bool, err error) {
 // removal changed the tree structure (an emptied leaf was unlinked).
 func (t *RegularTree[K]) Delete(k K) (found, structural bool) {
 	t.ensurePrivate()
-	b, c := t.SearchToLeaf(k)
-	found, emptied := t.leafDelete(b, c, k)
+	b := t.descendUpper(k)
+	found, emptied := t.leafDelete(b, k)
 	if !found {
 		return false, false
 	}
@@ -71,49 +70,60 @@ func (t *RegularTree[K]) Delete(k K) (found, structural bool) {
 // leafMaxKey returns the largest stored key of big leaf b (the leaf must
 // be non-empty).
 func (t *RegularTree[K]) leafMaxKey(b int32) K {
-	np := int(t.leafMeta[b].npairs)
-	return t.leafPairs(b)[2*(np-1)]
+	r := t.leaf(b)
+	return r.data[2*(r.npairs-1)]
 }
 
-// leafInsert inserts (k, v) into big leaf b, shifting the packed tail.
-// It reports false when the leaf is full (a split is required); an
-// overwrite of an existing key always succeeds.
-func (t *RegularTree[K]) leafInsert(b int32, k, v K) bool {
-	data := t.leafPairs(b)
-	np := int(t.leafMeta[b].npairs)
+// leafInsert inserts (k, v) into big leaf b, shifting the packed tail,
+// after writeLeaf has given the leaf its own compacted slots. It reports
+// whether k was absent, and ok false when the leaf is full (a split is
+// required); an overwrite of an existing key always succeeds.
+func (t *RegularTree[K]) leafInsert(b int32, k, v K) (added, ok bool) {
+	r := t.writeLeaf(b)
+	data := r.data
+	np := int(r.npairs)
 	pos := sort.Search(np, func(i int) bool { return data[2*i] >= k })
 	if pos < np && data[2*pos] == k {
 		data[2*pos+1] = v
-		return true
+		return false, true
 	}
 	if np == t.leafCap {
-		return false
+		return false, false
 	}
 	copy(data[2*(pos+1):2*(np+1)], data[2*pos:2*np])
 	data[2*pos] = k
 	data[2*pos+1] = v
-	t.leafMeta[b].npairs = int32(np + 1)
+	r.npairs = int32(np + 1)
 	t.refreshLastKeys(b)
-	return true
+	return true, true
 }
 
-// leafDelete removes k from big leaf b (the lookup already located leaf
-// line c). It reports whether k was present and whether the leaf became
-// empty.
-func (t *RegularTree[K]) leafDelete(b int32, c int, k K) (found, emptied bool) {
-	line := t.leafLine(b, c)
-	i, ok := simd.SearchPairsLine(line, k)
+// leafDelete removes k from big leaf b. It reports whether k was
+// present and whether the leaf became empty. A leaf is rewritten
+// (writeLeaf) only when k is present, so a delete that misses changes
+// nothing, not even a delta region.
+func (t *RegularTree[K]) leafDelete(b int32, k K) (found, emptied bool) {
+	c := t.searchNode(t.last, b, k)
+	if t.leaf(b).ndelta > 0 {
+		if _, ok := t.SearchLeafLine(b, c, k); !ok {
+			return false, false
+		}
+		t.writeLeaf(b) // compacts: k is now a base pair
+		c = t.searchNode(t.last, b, k)
+	}
+	i, ok := simd.SearchPairsLine(t.leafLine(b, c), k)
 	if !ok {
 		return false, false
 	}
 	pos := c*t.ppl + i
-	data := t.leafPairs(b)
-	np := int(t.leafMeta[b].npairs)
+	r := t.writeLeaf(b)
+	data := r.data
+	np := int(r.npairs)
 	copy(data[2*pos:2*(np-1)], data[2*(pos+1):2*np])
 	data[2*(np-1)] = keys.Max[K]()
 	data[2*(np-1)+1] = 0
 	np--
-	t.leafMeta[b].npairs = int32(np)
+	r.npairs = int32(np)
 	if np == 0 {
 		return true, true
 	}
@@ -123,29 +133,29 @@ func (t *RegularTree[K]) leafDelete(b int32, c int, k K) (found, emptied bool) {
 
 // splitLeaf splits big leaf b, moving the upper half of its pairs into a
 // fresh leaf that is linked after b and registered with b's parent. It
-// returns the new leaf's index.
+// returns the new leaf's index. b must have been through writeLeaf.
 func (t *RegularTree[K]) splitLeaf(b int32) int32 {
 	nb := t.allocLast()
-	np := int(t.leafMeta[b].npairs)
+	lr, nr := t.leaf(b), t.leaf(nb)
+	np := int(lr.npairs)
 	lo := np / 2
-	src := t.leafPairs(b)
-	dst := t.leafPairs(nb)
+	src, dst := lr.data, nr.data
 	copy(dst, src[2*lo:2*np])
 	maxK := keys.Max[K]()
 	for i := lo; i < np; i++ {
 		src[2*i] = maxK
 		src[2*i+1] = 0
 	}
-	t.leafMeta[b].npairs = int32(lo)
-	t.leafMeta[nb].npairs = int32(np - lo)
+	lr.npairs = int32(lo)
+	nr.npairs = int32(np - lo)
 
 	// Sibling chain.
-	nxt := t.leafMeta[b].next
-	t.leafMeta[nb].next = nxt
-	t.leafMeta[nb].prev = b
-	t.leafMeta[b].next = nb
+	nxt := lr.next
+	nr.next = nxt
+	nr.prev = b
+	lr.next = nb
 	if nxt != nilRef {
-		t.leafMeta[nxt].prev = nb
+		t.leaf(nxt).prev = nb
 	} else {
 		t.tailLeaf = nb
 	}
@@ -275,14 +285,14 @@ func (t *RegularTree[K]) removeLeaf(b int32) {
 		t.refreshLastKeys(b)
 		return
 	}
-	prev, next := t.leafMeta[b].prev, t.leafMeta[b].next
+	prev, next := t.leaf(b).prev, t.leaf(b).next
 	if prev != nilRef {
-		t.leafMeta[prev].next = next
+		t.leaf(prev).next = next
 	} else {
 		t.headLeaf = next
 	}
 	if next != nilRef {
-		t.leafMeta[next].prev = prev
+		t.leaf(next).prev = prev
 	} else {
 		t.tailLeaf = prev
 	}
@@ -357,7 +367,7 @@ const lockStripes = 256
 // thread. The result lists every modified last-level node so the caller
 // can re-synchronise the GPU replica.
 func (t *RegularTree[K]) ApplyBatchParallel(ops []Op[K], threads int) BatchResult {
-	t.ensurePrivate()
+	t.ensurePrivate() // before the workers: it may copy record pages
 	if threads <= 0 {
 		threads = t.cfg.Threads
 	}
@@ -404,8 +414,7 @@ func (t *RegularTree[K]) applyGroup(ops []Op[K], threads int, res *BatchResult, 
 				lk.Lock()
 				switch {
 				case op.Delete:
-					c := t.searchNode(t.last, b, op.Key)
-					found, emptied := t.leafDelete(b, c, op.Key)
+					found, emptied := t.leafDelete(b, op.Key)
 					switch {
 					case !found:
 						notFound.Add(1)
@@ -423,9 +432,8 @@ func (t *RegularTree[K]) applyGroup(ops []Op[K], threads int, res *BatchResult, 
 						workerDirty[w] = append(workerDirty[w], b)
 					}
 				default:
-					had := t.contains(b, op.Key)
-					if t.leafInsert(b, op.Key, op.Value) {
-						if !had {
+					if added, ok := t.leafInsert(b, op.Key, op.Value); ok {
+						if added {
 							np.Add(1)
 						}
 						workerDirty[w] = append(workerDirty[w], b)
@@ -463,7 +471,7 @@ func (t *RegularTree[K]) applyGroup(ops []Op[K], threads int, res *BatchResult, 
 			// insert refilled it or another delete already freed it.
 			b := int32(op.Value)
 			res.Applied++
-			if _, done := freed[b]; done || t.leafMeta[b].npairs != 0 {
+			if _, done := freed[b]; done || t.leaf(b).npairs != 0 {
 				continue
 			}
 			freed[b] = struct{}{}
@@ -496,10 +504,10 @@ func (t *RegularTree[K]) descendUpper(q K) int32 {
 	return idx
 }
 
-// contains reports whether big leaf b currently stores k.
-func (t *RegularTree[K]) contains(b int32, k K) bool {
-	data := t.leafPairs(b)
-	np := int(t.leafMeta[b].npairs)
+// contains reports whether leaf m's base pairs hold k.
+func (t *RegularTree[K]) contains(m *leafRec[K], k K) bool {
+	data := m.data
+	np := int(m.npairs)
 	pos := sort.Search(np, func(i int) bool { return data[2*i] >= k })
 	return pos < np && data[2*pos] == k
 }

@@ -118,6 +118,11 @@ func (e *imageWriter) u64s(vs ...uint64) {
 // writeKeys writes s with its length prefix.
 func writeKeys[K keys.Key](e *imageWriter, s []K) {
 	e.u64s(uint64(len(s)))
+	writeKeyData(e, s)
+}
+
+// writeKeyData writes s without a length prefix.
+func writeKeyData[K keys.Key](e *imageWriter, s []K) {
 	if keys.Size[K]() == 8 {
 		e.encode(len(s), 8, func(b []byte, first int) {
 			for i, v := range s[first : first+len(b)/8] {
@@ -129,6 +134,25 @@ func writeKeys[K keys.Key](e *imageWriter, s []K) {
 	e.encode(len(s), 4, func(b []byte, first int) {
 		for i, v := range s[first : first+len(b)/4] {
 			binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+		}
+	})
+}
+
+// writePadding writes n empty pair slots: a MAX key and a zero value.
+func writePadding[K keys.Key](e *imageWriter, n int) {
+	maxK := uint64(keys.Max[K]())
+	size := keys.Size[K]()
+	e.encode(2*n, size, func(b []byte, first int) {
+		for i := 0; i < len(b)/size; i++ {
+			v := uint64(0)
+			if (first+i)%2 == 0 {
+				v = maxK
+			}
+			if size == 8 {
+				binary.LittleEndian.PutUint64(b[8*i:], v)
+			} else {
+				binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+			}
 		}
 	})
 }
@@ -459,13 +483,16 @@ func ReadImplicit[K keys.Key](r io.Reader, cfg Config) (*ImplicitTree[K], error)
 }
 
 // WriteTo serialises the regular tree (node pools, metadata, free lists
-// and the leaf chain); it returns the bytes written.
+// and the leaf chain); it returns the bytes written. The leaves go out
+// in leaf order as one slot pool and one info-line array, the layout the
+// format has always had.
 func (t *RegularTree[K]) WriteTo(w io.Writer) (int64, error) {
-	if t.deltaLeaves > 0 {
+	if t.DeltaLeaves() > 0 {
 		// The image format stores packed leaves only: compact the delta
-		// regions on a private copy first. The clone has no deltas, so
-		// this recurses at most once.
-		return t.Clone().WriteTo(w)
+		// regions on a private copy first, which copies the leaves that
+		// carry deltas and takes no right on t's. The copy has no
+		// deltas, so this recurses at most once.
+		return t.compacted().WriteTo(w)
 	}
 	e := newImageWriter(w)
 	writeHeader[K](e, kindRegular)
@@ -473,7 +500,16 @@ func (t *RegularTree[K]) WriteTo(w io.Writer) (int64, error) {
 		uint64(uint32(t.headLeaf)), uint64(uint32(t.tailLeaf)))
 	writeKeys(e, t.upper)
 	writeKeys(e, t.last)
-	writeKeys(e, t.leafData)
+	// A leaf is written as its base pairs and MAX-key padding: its gap
+	// may hold a successor's appends, written while this runs.
+	e.u64s(uint64(t.nleaves * t.leafSlots))
+	for _, pg := range t.pages {
+		for i := range pg {
+			np := int(pg[i].npairs)
+			writeKeyData(e, pg[i].data[:2*np])
+			writePadding[K](e, t.leafCap-np)
+		}
+	}
 	for _, ms := range [][]nodeMeta{t.upperMeta, t.lastMeta} {
 		e.u64s(uint64(len(ms)))
 		e.encode(len(ms), 8, func(b []byte, first int) {
@@ -483,9 +519,10 @@ func (t *RegularTree[K]) WriteTo(w io.Writer) (int64, error) {
 			}
 		})
 	}
-	e.u64s(uint64(len(t.leafMeta)))
-	e.encode(len(t.leafMeta), 12, func(b []byte, first int) {
-		for i, m := range t.leafMeta[first : first+len(b)/12] {
+	e.u64s(uint64(t.nleaves))
+	e.encode(t.nleaves, 12, func(b []byte, first int) {
+		for i := 0; i < len(b)/12; i++ {
+			m := t.leaf(int32(first + i))
 			binary.LittleEndian.PutUint32(b[12*i:], uint32(m.npairs))
 			binary.LittleEndian.PutUint32(b[12*i+4:], uint32(m.next))
 			binary.LittleEndian.PutUint32(b[12*i+8:], uint32(m.prev))
@@ -497,8 +534,9 @@ func (t *RegularTree[K]) WriteTo(w io.Writer) (int64, error) {
 	return e.n, e.flush()
 }
 
-// ReadRegular deserialises a regular tree written by WriteTo. Its node
-// pools are sized by the same capacity rule as a bulk load's.
+// ReadRegular deserialises a regular tree written by WriteTo. Its pools
+// are sized by the same capacity rule as a bulk load's, and its leaves
+// are cut from one leaf pool and one record pool, as a bulk load's are.
 func ReadRegular[K keys.Key](r io.Reader, cfg Config) (*RegularTree[K], error) {
 	cfg.fillDefaults()
 	d := newImageReader(r)
@@ -528,7 +566,7 @@ func ReadRegular[K keys.Key](r io.Reader, cfg Config) (*RegularTree[K], error) {
 	if t.last, err = readKeys[K](d, t.nodeSlots); err != nil {
 		return nil, err
 	}
-	if t.leafData, err = readKeys[K](d, t.leafSlots); err != nil {
+	if t.leafPool, err = readKeys[K](d, t.leafSlots); err != nil {
 		return nil, err
 	}
 	readMeta := func() ([]nodeMeta, error) {
@@ -555,9 +593,9 @@ func ReadRegular[K keys.Key](r io.Reader, cfg Config) (*RegularTree[K], error) {
 	if err != nil {
 		return nil, err
 	}
-	t.leafMeta, err = readSlice(d, nLeafMeta, reserve(nLeafMeta), 12, func(dst []leafMeta, b []byte) {
+	t.recPool, err = readSlice(d, nLeafMeta, reserve(nLeafMeta), 12, func(dst []leafRec[K], b []byte) {
 		for i := range dst {
-			dst[i] = leafMeta{
+			dst[i] = leafRec[K]{
 				npairs: int32(binary.LittleEndian.Uint32(b[12*i:])),
 				next:   int32(binary.LittleEndian.Uint32(b[12*i+4:])),
 				prev:   int32(binary.LittleEndian.Uint32(b[12*i+8:])),
@@ -580,6 +618,17 @@ func ReadRegular[K keys.Key](r io.Reader, cfg Config) (*RegularTree[K], error) {
 	if end != serialEndCheck {
 		return nil, corruptf("bad end marker %#x", end)
 	}
+	if len(t.leafPool) != len(t.recPool)*t.leafSlots {
+		return nil, corruptf("leaf data %d keys for %d leaf groups", len(t.leafPool), len(t.recPool))
+	}
+	t.nleaves = len(t.recPool)
+	t.initRights()
+	for l := range t.recPool {
+		r := &t.recPool[l]
+		r.data = t.leafPool[l*t.leafSlots : (l+1)*t.leafSlots : (l+1)*t.leafSlots]
+		r.stamp = t.owned
+	}
+	t.pages = pageLeaves(t.recPool)
 	if err := t.validate(); err != nil {
 		return nil, err
 	}
@@ -587,7 +636,8 @@ func ReadRegular[K keys.Key](r io.Reader, cfg Config) (*RegularTree[K], error) {
 	return t, nil
 }
 
-// validate checks a decoded tree's structure before first use: pool
+// validate checks a decoded tree's structure before first use, its
+// leaves all in the record pool as ReadRegular cut them: pool
 // sizes agree with their metadata, every metadata link stays inside its
 // pool, and every reference slot of a live inner node indexes the pool
 // its height implies. A corrupt image must fail here, not as an index
@@ -600,12 +650,9 @@ func (t *RegularTree[K]) validate() error {
 	if len(t.upperMeta) != len(t.upper)/t.nodeSlots {
 		return corruptf("upper metadata %d entries for %d nodes", len(t.upperMeta), len(t.upper)/t.nodeSlots)
 	}
-	if len(t.lastMeta) != len(t.last)/t.nodeSlots || len(t.leafMeta) != len(t.lastMeta) {
+	if len(t.lastMeta) != len(t.last)/t.nodeSlots || t.nleaves != len(t.lastMeta) {
 		return corruptf("last metadata %d / leaf metadata %d for %d nodes",
-			len(t.lastMeta), len(t.leafMeta), len(t.last)/t.nodeSlots)
-	}
-	if len(t.leafData) != len(t.leafMeta)*t.leafSlots {
-		return corruptf("leaf data %d keys for %d leaf groups", len(t.leafData), len(t.leafMeta))
+			len(t.lastMeta), t.nleaves, len(t.last)/t.nodeSlots)
 	}
 	// Link sanity: the root must index the pool its height implies, the
 	// leaf chain endpoints must be real leaf groups, and every meta link
@@ -631,7 +678,7 @@ func (t *RegularTree[K]) validate() error {
 			return corruptf("last node %d meta (nchild %d, parent %d)", i, m.nchild, m.parent)
 		}
 	}
-	for i, m := range t.leafMeta {
+	for i, m := range t.recPool {
 		if m.npairs < 0 || int(m.npairs) > t.leafCap || m.next < -1 || m.next >= nLast || m.prev < -1 || m.prev >= nLast {
 			return corruptf("leaf group %d meta (npairs %d, next %d, prev %d)", i, m.npairs, m.next, m.prev)
 		}
@@ -639,7 +686,7 @@ func (t *RegularTree[K]) validate() error {
 	// A leaf-chain walk (range scans, cursors) must end: the chain from
 	// headLeaf may visit each leaf group at most once.
 	steps := int32(0)
-	for b := t.headLeaf; b != nilRef; b = t.leafMeta[b].next {
+	for b := t.headLeaf; b != nilRef; b = t.recPool[b].next {
 		if steps++; steps > nLast {
 			return corruptf("leaf chain from %d has a cycle", t.headLeaf)
 		}

@@ -243,7 +243,7 @@ func TestSerializeTypedErrors(t *testing.T) {
 	// chain walk would never end. Leaf metadata follows the three key
 	// pools and the two node-metadata arrays, each with its length.
 	img = append([]byte(nil), rbuf.Bytes()...)
-	leafMetaAt := 6 + 5*8 + 8*(5+len(reg.upper)+len(reg.last)+len(reg.leafData)+len(reg.upperMeta)+len(reg.lastMeta)) + 8
+	leafMetaAt := 6 + 5*8 + 8*(5+len(reg.upper)+len(reg.last)+reg.nleaves*reg.leafSlots+len(reg.upperMeta)+len(reg.lastMeta)) + 8
 	if next := binary.LittleEndian.Uint32(img[leafMetaAt+12+4:]); next != 2 {
 		t.Fatalf("leaf 1's next link reads %d, want 2", next)
 	}
