@@ -907,8 +907,7 @@ func main() {
 		shed     = flag.Bool("coalesce-shed", false, "past -coalesce-pending, fail GETs with ERR overloaded instead of blocking")
 		shards   = flag.Int("shards", 1, "key-space shards, each with its own snapshot pointer and update pump (1 = one shard)")
 
-		rebalance = flag.Bool("rebalance", false, "start the online shard rebalancer: polled every 100ms, once 4096 updates have accumulated it splits a shard that took over half of them or merges a neighbour pair under 5%")
-		pprofTo   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
+		pprofTo = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
 
 		dataDir   = flag.String("data-dir", "", "durable data directory (WAL + epoch-aligned snapshots); acked writes survive a crash")
 		fsyncIv   = flag.Duration("fsync-interval", 2*time.Millisecond, "WAL group-commit window (0 = fsync every append inline)")
@@ -1016,11 +1015,6 @@ func main() {
 	st := s.srv.Stats()
 	log.Printf("hbserve: height %d, I-segment %d bytes, L-segment %d bytes",
 		st.Height, st.InnerBytes, st.LeafBytes)
-
-	if *rebalance {
-		s.srv.StartRebalancer(hbtree.RebalanceOptions{})
-		log.Printf("hbserve: online rebalancer armed")
-	}
 
 	// The serving engine attached the HBTREE_FAULT injector to the shared
 	// device when it was constructed above, so the bulk load ran

@@ -6,10 +6,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"hbtree/internal/core"
 	"hbtree/internal/cpubtree"
+	"hbtree/internal/keys"
 	"hbtree/internal/workload"
 )
 
@@ -195,60 +195,6 @@ func TestSplitErrors(t *testing.T) {
 	}
 }
 
-// TestCheckRebalanceDetector: the window detector splits a hot shard
-// once its update share crosses HotFraction, and merges a cold adjacent
-// pair once their combined share drops below ColdFraction.
-func TestCheckRebalanceDetector(t *testing.T) {
-	s, pairs := newShardedServer(t, core.Regular, 1<<12, 4)
-	hotKey := pairs[len(pairs)-1].Key
-	hot := s.route(hotKey)
-
-	opt := RebalanceOptions{MinOps: 64, HotFraction: 0.5, ColdFraction: -1, Interval: time.Hour}
-	if act, err := s.CheckRebalance(opt); err != nil || act != "" {
-		t.Fatalf("first pass acted: %q, %v", act, err)
-	}
-	// 128 updates, all to the hottest shard: share 1.0.
-	ops := make([]cpubtree.Op[uint64], 128)
-	for i := range ops {
-		p := pairs[len(pairs)-1-i%32]
-		ops[i] = cpubtree.Op[uint64]{Key: p.Key, Value: p.Value}
-	}
-	if _, err := s.Update(ops, core.Synchronized); err != nil {
-		t.Fatal(err)
-	}
-	act, err := s.CheckRebalance(opt)
-	if err != nil || act == "" {
-		t.Fatalf("hot window did not split: %q, %v", act, err)
-	}
-	if s.Shards() != 5 || s.RebalanceStats().Splits != 1 {
-		t.Fatalf("post-detector layout: %d shards, %+v", s.Shards(), s.RebalanceStats())
-	}
-
-	// Merge detection: traffic on the upper shards only leaves the
-	// bottom adjacent pair cold.
-	mopt := RebalanceOptions{MinOps: 64, HotFraction: 0.99, ColdFraction: 0.2, Interval: time.Hour}
-	if act, err := s.CheckRebalance(mopt); err != nil || act != "" {
-		t.Fatalf("window re-base acted: %q, %v", act, err)
-	}
-	mid := len(pairs) / 2
-	ops = ops[:0]
-	for i := 0; i < 192; i++ {
-		p := pairs[mid+(i*37)%(len(pairs)-mid)]
-		ops = append(ops, cpubtree.Op[uint64]{Key: p.Key, Value: p.Value})
-	}
-	if _, err := s.Update(ops, core.Synchronized); err != nil {
-		t.Fatal(err)
-	}
-	act, err = s.CheckRebalance(mopt)
-	if err != nil || act == "" {
-		t.Fatalf("cold window did not merge: %q, %v", act, err)
-	}
-	if s.Shards() != 4 || s.RebalanceStats().Merges != 1 {
-		t.Fatalf("post-merge layout: %d shards, %+v", s.Shards(), s.RebalanceStats())
-	}
-	_ = hot
-}
-
 // TestScanConsistentOracleUnderRebalance is the torn-cut oracle, run
 // under -race by the race CI lane. A writer serialises acked writes
 // left-to-right: it writes v to a key in the lowest shard, waits for
@@ -380,12 +326,15 @@ func TestScanConsistentOracleUnderRebalance(t *testing.T) {
 	}
 }
 
-// TestRebalanceSmokeSkewed is the acceptance smoke: a 90/10 skewed
-// update stream triggers the background rebalancer, the split completes
-// online with zero lost acked writes and no request hang, and the
-// post-rebalance per-shard update spread is measurably better than the
-// pre-rebalance one. CI's serving-oracles job runs it under -race.
-func TestRebalanceSmokeSkewed(t *testing.T) {
+// TestSplitUnderSkewedWrites: writers drive a 90/10 skewed update
+// stream; once they have acked a fixed number of batches, the test
+// reads the per-shard update counts an operator sees in SHARDSTATS and
+// splits the hottest shard online while the writers keep running. The
+// split loses no acked write and keeps the key set, and the new
+// split-key table divides the same skewed stream measurably better. The
+// handoffs are counts and channels — no sleep, no deadline loop. CI's
+// serving-oracles job runs it under -race -cpu 1,2,4.
+func TestSplitUnderSkewedWrites(t *testing.T) {
 	pairs := workload.Dataset[uint64](workload.Uniform, 1<<13, 42)
 	s, err := BuildSharded(pairs, core.Options{Variant: core.Regular, BucketSize: 64}, 4)
 	if err != nil {
@@ -394,94 +343,270 @@ func TestRebalanceSmokeSkewed(t *testing.T) {
 	defer s.Close()
 
 	hotPool := pairs[:len(pairs)/4] // initial shard 0's range
-	acked := make(map[uint64]uint64)
-	rng := uint64(1)
-	next := func() uint64 { rng = rng*6364136223846793005 + 1442695040888963407; return rng >> 33 }
-	skewedBatch := func(n int, tag uint64) []cpubtree.Op[uint64] {
-		ops := make([]cpubtree.Op[uint64], n)
-		for i := range ops {
-			var p = pairs[next()%uint64(len(pairs))]
-			if next()%10 < 9 { // 90% hot
-				p = hotPool[next()%uint64(len(hotPool))]
-			}
-			ops[i] = cpubtree.Op[uint64]{Key: p.Key, Value: tag}
+	// skewed draws one pair of the 90/10 stream from the LCG state *rng.
+	skewed := func(rng *uint64) keys.Pair[uint64] {
+		next := func() uint64 { *rng = *rng*6364136223846793005 + 1442695040888963407; return *rng >> 33 }
+		p := pairs[next()%uint64(len(pairs))]
+		if next()%10 < 9 { // 90% hot
+			p = hotPool[next()%uint64(len(hotPool))]
 		}
-		return ops
-	}
-	drive := func(batches int, tag uint64) {
-		for b := 0; b < batches; b++ {
-			ops := skewedBatch(16, tag)
-			if _, err := s.Update(ops, core.Synchronized); err != nil {
-				t.Fatalf("skewed update: %v", err)
-			}
-			for _, op := range ops {
-				acked[op.Key] = op.Value
-			}
-		}
+		return p
 	}
 	// spread routes one synthetic window of the skewed stream through
 	// the CURRENT split-key table and returns the hottest shard's share
-	// — a deterministic measure of how the layout divides the skew,
-	// independent of which shard servers happened to exist mid-window.
+	// — a deterministic measure of how the layout divides the skew.
 	spread := func() (maxShare float64) {
 		probe := uint64(12345)
-		pnext := func() uint64 { probe = probe*6364136223846793005 + 1442695040888963407; return probe >> 33 }
 		counts := make([]int64, s.Shards())
 		const window = 4096
 		for i := 0; i < window; i++ {
-			p := pairs[pnext()%uint64(len(pairs))]
-			if pnext()%10 < 9 {
-				p = hotPool[pnext()%uint64(len(hotPool))]
-			}
-			if idx := s.route(p.Key); idx < len(counts) {
-				counts[idx]++
-			}
+			counts[s.route(skewed(&probe).Key)]++
 		}
 		for _, c := range counts {
-			if share := float64(c) / float64(window); share > maxShare {
-				maxShare = share
-			}
+			maxShare = max(maxShare, float64(c)/float64(window))
 		}
 		return maxShare
 	}
 
-	// Pre-rebalance: the initial equal-cut table sends ~90% of the
-	// stream to one shard.
+	// Pre-split: the initial equal-cut table sends ~90% of the stream to
+	// one shard.
 	preMax := spread()
 	if preMax < 0.8 {
 		t.Fatalf("skew generator too weak: hottest share %.2f", preMax)
 	}
-	drive(64, 1)
 
-	s.StartRebalancer(RebalanceOptions{
-		MinOps: 512, HotFraction: 0.6, ColdFraction: -1,
-		MaxShards: 8, Interval: time.Millisecond,
-	})
-	waitUntil := time.Now().Add(10 * time.Second)
-	for s.RebalanceStats().Splits == 0 {
-		if time.Now().After(waitUntil) {
-			t.Fatalf("rebalancer never split under skew: %+v", s.RebalanceStats())
-		}
-		drive(8, 2)
+	// Each writer owns the keys congruent to its index, so the last
+	// value it acked for a key is the value that key must read back.
+	// A writer acks `pre` batches, reports ready, acks `mid` more while
+	// the split runs, waits for the split, then acks `post` batches
+	// through the new layout.
+	const writers, batch, pre, mid, post = 2, 16, 32, 16, 32
+	acked := make([]map[uint64]uint64, writers)
+	var ready, wg sync.WaitGroup
+	ready.Add(writers)
+	split := make(chan struct{})
+	for w := range writers {
+		acked[w] = make(map[uint64]uint64)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := uint64(w + 1)
+			ops := make([]cpubtree.Op[uint64], 0, batch)
+			for b := 0; b < pre+mid+post; b++ {
+				switch b {
+				case pre:
+					ready.Done()
+				case pre + mid:
+					<-split
+				}
+				ops = ops[:0]
+				for len(ops) < batch {
+					if p := skewed(&rng); p.Key%writers == uint64(w) {
+						ops = append(ops, cpubtree.Op[uint64]{Key: p.Key, Value: uint64(w+1)<<32 | uint64(b)})
+					}
+				}
+				if _, err := s.Update(ops, core.Synchronized); err != nil {
+					t.Errorf("writer %d: skewed update: %v", w, err)
+					if b < pre {
+						ready.Done()
+					}
+					return
+				}
+				for _, op := range ops {
+					acked[w][op.Key] = op.Value
+				}
+			}
+		}()
 	}
 
-	// Drain one more acked round through the post-rebalance layout, then
-	// measure how the new table divides the same skewed stream: the hot
-	// range now spans at least two shards.
-	drive(64, 3)
+	ready.Wait()
+	_, _, metrics := s.ShardStats()
+	hot := 0
+	for i, m := range metrics {
+		if m.Updates > metrics[hot].Updates {
+			hot = i
+		}
+	}
+	err = s.SplitShard(hot)
+	close(split)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("split of hottest shard %d: %v", hot, err)
+	}
+	if hot != 0 {
+		t.Fatalf("hottest shard by update count is %d, want 0 (the hot range): %+v", hot, metrics)
+	}
+
 	postMax := spread()
 	if postMax > preMax-0.15 {
 		t.Fatalf("split did not improve spread: pre %.2f, post %.2f (stats %+v)",
 			preMax, postMax, s.RebalanceStats())
 	}
-
-	// Zero lost acked writes, served without a hang.
-	for k, v := range acked {
-		if got, ok := s.Lookup(k); !ok || got != v {
-			t.Fatalf("acked write lost: key %d = (%d,%v), want %d", k, got, ok, v)
+	for w := range acked {
+		for k, v := range acked[w] {
+			if got, ok := s.Lookup(k); !ok || got != v {
+				t.Fatalf("acked write lost: key %d = (%d,%v), want %d", k, got, ok, v)
+			}
 		}
 	}
 	if s.NumPairs() != len(pairs) {
-		t.Fatalf("rebalance changed pair count: %d, want %d", s.NumPairs(), len(pairs))
+		t.Fatalf("split changed pair count: %d, want %d", s.NumPairs(), len(pairs))
+	}
+}
+
+// TestRebalanceStatsOneState: RebalanceStats reads the epoch, the table
+// generation and the shard count from one registry state. With no
+// writes, every epoch step is a retile, so Epoch-TableGen is constant
+// and the shard count follows the generation's parity (a split then a
+// merge per round); a view that took the epoch from a later state than
+// the generation breaks the first.
+func TestRebalanceStatsOneState(t *testing.T) {
+	s, _ := newShardedServer(t, core.Regular, 1<<10, 2)
+	first := s.RebalanceStats()
+	offset := first.Epoch - first.TableGen
+	rounds := 256
+	if testing.Short() {
+		rounds = 32
+	}
+	var stop atomic.Bool
+	var wg, running sync.WaitGroup
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+	for range 2 {
+		wg.Add(1)
+		running.Add(1)
+		go func() {
+			defer wg.Done()
+			running.Done()
+			for !stop.Load() {
+				st := s.RebalanceStats()
+				if st.Epoch-st.TableGen != offset || st.Shards != first.Shards+int(st.TableGen-first.TableGen)%2 {
+					t.Errorf("torn view: %+v (first %+v)", st, first)
+					return
+				}
+			}
+		}()
+	}
+	running.Wait()
+	for i := 0; i < rounds; i++ {
+		if err := s.SplitShard(0); err != nil {
+			t.Fatalf("round %d: SplitShard: %v", i, err)
+		}
+		if err := s.MergeShards(0); err != nil {
+			t.Fatalf("round %d: MergeShards: %v", i, err)
+		}
+	}
+}
+
+// TestConcurrentRetilesSerialise: two goroutines retile one server at
+// once while writers and readers run. Retiles serialise on the
+// exclusive pump lock alone, so each one builds on its predecessor's
+// layout: the table generation counts every retile, the shard count is
+// the initial one plus splits minus merges, the bounds stay strictly
+// increasing, and every acked write reads back.
+func TestConcurrentRetilesSerialise(t *testing.T) {
+	s, pairs := newShardedServer(t, core.Regular, 1<<12, 4)
+	rounds := 24
+	if testing.Short() {
+		rounds = 8
+	}
+	var splits, merges atomic.Int64
+	done := make(chan struct{}) // closed once both retilers finished
+	finished := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+
+	var retilers, others sync.WaitGroup
+	// Both retilers split and re-merge shard 0, so the shards they cut
+	// are at least a quarter of the bottom one whatever the interleaving.
+	for r := range 2 {
+		retilers.Add(1)
+		go func() {
+			defer retilers.Done()
+			for i := 0; i < rounds; i++ {
+				if err := s.SplitShard(0); err != nil {
+					t.Errorf("retiler %d round %d: SplitShard: %v", r, i, err)
+					return
+				}
+				splits.Add(1)
+				if err := s.MergeShards(0); err != nil {
+					t.Errorf("retiler %d round %d: MergeShards: %v", r, i, err)
+					return
+				}
+				merges.Add(1)
+			}
+		}()
+	}
+
+	// Writers own disjoint keys (index parity) and record what they
+	// acked; readers check the constant key set stays visible.
+	const writers = 2
+	acked := make([]map[uint64]uint64, writers)
+	for w := range writers {
+		acked[w] = make(map[uint64]uint64)
+		others.Add(1)
+		go func() {
+			defer others.Done()
+			for v := uint64(1); !finished(); v++ {
+				p := pairs[(int(v)*97*writers+w)%len(pairs)]
+				if _, err := s.Update([]cpubtree.Op[uint64]{{Key: p.Key, Value: v}}, core.Synchronized); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				acked[w][p.Key] = v
+			}
+		}()
+	}
+	for r := range 2 {
+		others.Add(1)
+		go func() {
+			defer others.Done()
+			for i := r; !finished(); i += 31 {
+				if _, ok := s.Lookup(pairs[i%len(pairs)].Key); !ok {
+					t.Errorf("reader %d: key %d vanished", r, pairs[i%len(pairs)].Key)
+					return
+				}
+			}
+		}()
+	}
+
+	retilers.Wait()
+	close(done)
+	others.Wait()
+
+	rs := s.RebalanceStats()
+	n := splits.Load() + merges.Load()
+	if rs.TableGen != 1+uint64(n) || rs.Splits != splits.Load() || rs.Merges != merges.Load() {
+		t.Fatalf("table generation %d after %d successful retiles (%d splits, %d merges): %+v",
+			rs.TableGen, n, splits.Load(), merges.Load(), rs)
+	}
+	if want := 4 + int(splits.Load()-merges.Load()); rs.Shards != want || s.Shards() != want {
+		t.Fatalf("%d shards, want %d", rs.Shards, want)
+	}
+	bounds := s.Bounds()
+	if len(bounds) != rs.Shards-1 {
+		t.Fatalf("%d bounds for %d shards", len(bounds), rs.Shards)
+	}
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i-1] >= bounds[i] {
+			t.Fatalf("bounds not strictly increasing: %v", bounds)
+		}
+	}
+	for w := range acked {
+		for k, v := range acked[w] {
+			if got, ok := s.Lookup(k); !ok || got != v {
+				t.Fatalf("acked write lost: key %d = (%d,%v), want %d", k, got, ok, v)
+			}
+		}
+	}
+	if s.NumPairs() != len(pairs) {
+		t.Fatalf("retiles changed pair count: %d, want %d", s.NumPairs(), len(pairs))
 	}
 }

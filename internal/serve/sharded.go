@@ -98,9 +98,8 @@ type shardDone struct {
 // (i > 0) serves keys in [bounds[i-1], bounds[i]); shard 0 serves
 // everything below bounds[0] and the last shard everything from its
 // lower bound up. The bounds are set at construction from the initial
-// key distribution and move only through rebalancing
-// (SplitShard/MergeShards/CheckRebalance), each move one atomic epoch
-// transition.
+// key distribution and move only through an explicit SplitShard or
+// MergeShards, each move one atomic epoch transition.
 //
 // Contract (DESIGN §6): point and batch lookups observe the epoch
 // current at their pin; a cross-shard RangeQuery or Scan re-pins as the
@@ -122,8 +121,8 @@ type Server[K keys.Key] struct {
 	// Per-shard update pumps: one goroutine per shard applies that
 	// shard's write jobs serially, so writers on different shards never
 	// contend while a single shard's writes stay ordered. pumpMu
-	// excludes Close and rebalancing (which replace the channel set)
-	// from in-flight dispatches.
+	// excludes Close and retiles (which replace the channel set) from
+	// in-flight dispatches and from each other.
 	pumps  []chan shardJob[K]
 	pumpWG sync.WaitGroup
 	pumpMu sync.RWMutex
@@ -141,17 +140,11 @@ type Server[K keys.Key] struct {
 	// running on the pumps.
 	updScratch sync.Pool
 
-	// Rebalancing state (rebalance.go). rbMu serialises the detector
-	// and the manual split/merge entry points.
-	rbMu       sync.Mutex
-	rbLastGen  uint64
-	rbLast     []int64
-	rebalances atomic.Int64
-	splits     atomic.Int64
-	merges     atomic.Int64
-	lastRb     atomic.Pointer[string]
-	rbStop     chan struct{}
-	rbWG       sync.WaitGroup
+	// Retiling counters (rebalance.go). Retiles serialise on pumpMu,
+	// which each holds exclusively from quiesce to layout hook.
+	splits atomic.Int64
+	merges atomic.Int64
+	lastRb atomic.Pointer[string]
 
 	// Counters of members replaced by rebalances, folded into the
 	// aggregates so metrics stay continuous across layout changes.
@@ -169,7 +162,7 @@ type Server[K keys.Key] struct {
 
 // SetLayoutHook registers fn to run after every committed rebalance
 // transition, with the new split-key table generation and shard count.
-// The hook runs on the rebalancing goroutine while the layout change is
+// The hook runs on the retiling goroutine while the layout change is
 // still excluding dispatches, so it must not write through the server.
 // A nil fn clears the hook.
 func (s *Server[K]) SetLayoutHook(fn func(gen uint64, shards int)) {
@@ -334,7 +327,7 @@ func (s *Server[K]) Epoch() uint64 { return s.reg.Epoch() }
 
 // pumpLoop is an update worker: it applies routed write jobs serially
 // against whatever member each job carries, and echoes barrier
-// jobs back (the rebalancer's drain handshake). Workers are anonymous —
+// jobs back (a retile's drain handshake). Workers are anonymous —
 // shard identity lives in the job, so the worker set survives layout
 // changes unchanged.
 func (s *Server[K]) pumpLoop(ch chan shardJob[K]) {
@@ -363,8 +356,7 @@ func (s *Server[K]) pumpLoop(ch chan shardJob[K]) {
 // The jobs are built and sent under one registry pin and the pump read
 // lock, so a rebalance cannot slide between routing and hand-off: every
 // job reaches the pump targeting a member that is current at send
-// time, and the rebalancer's barrier drains it before any layout
-// change.
+// time, and a retile's barrier drains it before any layout change.
 //
 // ctx bounds both the pump hand-off (a stalled pump no longer parks the
 // dispatcher) and the outcome wait. The done channel is buffered to the
@@ -830,20 +822,13 @@ func (s *Server[K]) PointLookupCost() vclock.Duration {
 	return s.members()[0].pointCost
 }
 
-// Close stops the rebalancer, drains the update pumps — jobs already
-// dispatched complete and deliver their results — then retires the
-// registry's current epoch: every shard's device buffers are released
-// once the last reader pin drains. Writes arriving after Close fail
-// with ErrClosed. Close is idempotent.
+// Close drains the update pumps — jobs already dispatched complete and
+// deliver their results — then retires the registry's current epoch:
+// every shard's device buffers are released once the last reader pin
+// drains. Writes arriving after Close fail with ErrClosed. Close is
+// idempotent.
 func (s *Server[K]) Close() {
 	s.closeOnce.Do(func() {
-		s.rbMu.Lock()
-		stop := s.rbStop
-		s.rbMu.Unlock()
-		if stop != nil {
-			close(stop)
-			s.rbWG.Wait()
-		}
 		s.pumpMu.Lock()
 		s.closed = true
 		for _, p := range s.pumps {

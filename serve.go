@@ -61,11 +61,9 @@ type ServerMetrics = serve.Metrics
 // for one atomic cross-shard cut — see DESIGN §6 for the consistency
 // matrix.
 //
-// The shard layout itself is dynamic: SplitShard and MergeShards
+// The shard layout changes only on command: SplitShard and MergeShards
 // retile the key space online through single epoch transitions (no
-// stop-the-world), and StartRebalancer runs a background detector that
-// splits hot shards and merges cold neighbours as the update stream
-// skews (RebalanceStats reports what it did).
+// stop-the-world), and RebalanceStats reports what they did.
 type Server[K Key] struct {
 	*serve.Server[K]
 }
@@ -120,15 +118,9 @@ func (t *Tree[K]) Coalesced() (*Server[K], *Coalescer[K]) {
 	return s, s.Coalesce(CoalescerOptions{})
 }
 
-// RebalanceOptions tunes the online shard-rebalancing detector
-// (Server.StartRebalancer, Server.CheckRebalance): the hot/cold share
-// thresholds, the window's minimum update volume, the shard-count
-// bounds, and the poll interval.
-type RebalanceOptions = serve.RebalanceOptions
-
-// RebalanceStats reports a Server's rebalancing state: the registry
-// epoch, split-key table generation, current shard count, and the
-// split/merge decision counters.
+// RebalanceStats reports a Server's retiling state: the registry epoch,
+// split-key table generation and current shard count from one registry
+// state, and the split/merge counters.
 type RebalanceStats = serve.RebalanceStats
 
 // DurableOptions configures OpenDurable: the data directory, the WAL
