@@ -18,7 +18,9 @@ func main() {
 
 	// 2. Build the tree. The zero Options reproduce the paper's final
 	// configuration: machine M1 (Xeon E5-2665 + GTX 780), implicit
-	// variant, 16K buckets, double buffering.
+	// variant, 16K buckets, double buffering. The implicit tree may
+	// keep pairs as its leaf segment, so they must not be modified
+	// afterwards.
 	tree, err := hbtree.New(pairs, hbtree.Options{})
 	if err != nil {
 		log.Fatal(err)

@@ -34,7 +34,7 @@
 // Quickstart:
 //
 //	pairs := hbtree.GeneratePairs[uint64](1<<20, 42)
-//	t, err := hbtree.New(pairs, hbtree.Options{})
+//	t, err := hbtree.New(pairs, hbtree.Options{}) // may keep pairs: do not modify them
 //	if err != nil { ... }
 //	defer t.Close()
 //	values, found, stats, err := t.LookupBatch(queries)
@@ -159,6 +159,12 @@ func MachineM2() platform.Machine { return platform.M2() }
 // I-segment into the simulated GPU's memory. It fails when the pairs are
 // not strictly increasing, when a key equals the reserved maximum value,
 // or when the I-segment exceeds the GPU memory capacity.
+//
+// An implicit build may keep pairs as its leaf segment; do not modify
+// them afterwards. The implicit tree's leaf lines interleave keys and
+// values exactly as a []Pair does, so when the pairs fill whole 64-byte
+// lines from a line boundary, the tree reads them in place instead of
+// holding a second copy.
 func New[K Key](pairs []Pair[K], opt Options) (*Tree[K], error) {
 	t, err := core.Build(pairs, opt)
 	if err != nil {

@@ -16,12 +16,13 @@ import (
 // counters exactly like the asynchronous I-segment shipping of §5.6.
 
 // Clone returns an independent copy of the tree on the same simulated
-// device: updates applied to one tree are invisible to the other. The
-// copy has its own inner pools and leaf records and shares the leaf data
-// copy-on-write (cpubtree.RegularTree.Clone): it takes over t's append
-// right and copies a leaf only when it rewrites one. It has its own
-// device-resident I-segment replica. Clone counts as a read of t: it may
-// run concurrently with lookups but not with mutations of t.
+// device: updates applied to one tree are invisible to the other. A
+// regular copy has its own inner pools and leaf records and shares the
+// leaf data copy-on-write (cpubtree.RegularTree.Clone): it takes over t's
+// append right and copies a leaf only when it rewrites one. An implicit
+// copy shares both host segments, which no update writes. Either has
+// its own device-resident I-segment replica. Clone counts as a read of
+// t: it may run concurrently with lookups but not with mutations of t.
 func (t *Tree[K]) Clone() (*Tree[K], error) {
 	c := &Tree[K]{
 		opt:              t.opt,
@@ -52,7 +53,8 @@ func (t *Tree[K]) Clone() (*Tree[K], error) {
 // load-balance parameters), and returns it with rebuild-shaped stats.
 // It is the snapshot counterpart of Rebuild: t itself is not modified,
 // so readers of t proceed undisturbed while the replacement is
-// constructed.
+// constructed. An implicit build may keep pairs as its leaf segment; do
+// not modify them afterwards.
 func (t *Tree[K]) Rebuilt(pairs []keys.Pair[K]) (*Tree[K], UpdateStats, error) {
 	if t.opt.Variant != Implicit {
 		return nil, UpdateStats{}, fmt.Errorf("core: Rebuilt applies to the implicit variant; use Clone+Update")

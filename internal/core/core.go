@@ -309,7 +309,8 @@ type Tree[K keys.Key] struct {
 // its I-segment into simulated GPU memory. It fails with
 // gpusim.ErrOutOfMemory (wrapped) when the I-segment exceeds the card's
 // capacity — the constraint that rules out whole-tree GPU residency and
-// motivates the hybrid layout.
+// motivates the hybrid layout. An implicit build may keep pairs as its
+// leaf segment; do not modify them afterwards.
 func Build[K keys.Key](pairs []keys.Pair[K], opt Options) (*Tree[K], error) {
 	opt.fillDefaults()
 	if err := opt.validate(); err != nil {

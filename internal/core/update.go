@@ -117,7 +117,8 @@ const syncMTSpeedup = 1.3
 // Rebuild replaces the implicit HB+-tree's contents with a new sorted
 // dataset: both segments are rebuilt in main memory and the I-segment is
 // transferred to GPU memory (Section 5.6). The returned stats carry the
-// three phase costs of Figure 15.
+// three phase costs of Figure 15. An implicit build may keep pairs as
+// its leaf segment; do not modify them afterwards.
 func (t *Tree[K]) Rebuild(pairs []keys.Pair[K]) (UpdateStats, error) {
 	if t.opt.Variant != Implicit {
 		return UpdateStats{}, fmt.Errorf("core: Rebuild applies to the implicit variant; use Update")

@@ -9,22 +9,19 @@ import (
 // Snapshot cloning for the serving layer's RCU-style reader/writer
 // split: a batch update clones the current tree, mutates the clone, and
 // publishes it atomically, so in-flight readers keep traversing the old
-// version untouched. An implicit clone deep-copies its arrays; a
-// regular clone copies its inner pools and leaf records and shares its
-// leaf data copy-on-write (cow.go). The Config (including the simulated
-// address-space allocator) and the segment descriptors are shared,
-// since a snapshot is a logical sibling of the same index, not a second
-// index.
+// version untouched. An implicit tree is never written after its build,
+// so its clone shares every array; a regular clone copies its inner
+// pools and leaf records and shares its leaf data copy-on-write
+// (cow.go). The Config (including the simulated address-space
+// allocator) and the segment descriptors are shared, since a snapshot
+// is a logical sibling of the same index, not a second index.
 
-// Clone returns a deep copy of the tree. The copy shares no mutable
-// state with the original: updates applied to one are invisible to the
-// other.
+// Clone returns a copy of the tree. The implicit tree is static — its
+// only update, Rebuild, replaces the receiver's fields with a fresh
+// build — so the copy shares the node and leaf arrays, and nothing
+// done to one tree is visible in the other.
 func (t *ImplicitTree[K]) Clone() *ImplicitTree[K] {
 	c := *t
-	c.levelNodes = append([]int(nil), t.levelNodes...)
-	c.levelOff = append([]int(nil), t.levelOff...)
-	c.inner = append([]K(nil), t.inner...)
-	c.leaves = append([]K(nil), t.leaves...)
 	return &c
 }
 

@@ -3,6 +3,7 @@ package cpubtree
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"hbtree/internal/keys"
 	"hbtree/internal/mem"
@@ -39,7 +40,7 @@ type ImplicitTree[K keys.Key] struct {
 	levelSlot   []int // first key slot of each level within inner
 
 	inner  []K // all inner nodes, breadth first, levelKpn[d] keys each
-	leaves []K // leaf lines, interleaved [k0 v0 k1 v1 ...]
+	leaves []K // leaf lines, interleaved [k0 v0 k1 v1 ...]; may be the caller's pairs
 
 	iseg mem.Segment
 	lseg mem.Segment
@@ -51,6 +52,8 @@ type ImplicitTree[K keys.Key] struct {
 const maxImplicitWidth = 64
 
 // BuildImplicit bulk-loads an implicit tree from sorted, distinct pairs.
+// An implicit build may keep pairs as its leaf segment (buildLeaves); do
+// not modify them afterwards.
 func BuildImplicit[K keys.Key](pairs []keys.Pair[K], cfg Config) (*ImplicitTree[K], error) {
 	cfg.fillDefaults()
 	kpn := keys.PerLine[K]()
@@ -93,22 +96,31 @@ func BuildImplicit[K keys.Key](pairs []keys.Pair[K], cfg Config) (*ImplicitTree[
 	return t, nil
 }
 
-// buildLeaves packs the pairs densely into leaf lines in one pass, split
-// into contiguous line ranges across the configured workers. Each worker
-// checks key order within its range and against the pair just before
-// it, copies its pairs into place, pads only the unused tail of the last
-// line with the MAX sentinel and records every line's maximum key. It
+// buildLeaves lays the pairs out as leaf lines in one pass, split into
+// contiguous line ranges across the configured workers. When the pairs
+// already have the leaf layout — whole lines of two unpadded keys per
+// pair, starting on a cache line — the leaf segment is the pairs' own
+// memory (the paper's L-segment is the sorted tuple array itself) and
+// the pass only reads them; otherwise it copies them into a fresh array
+// and pads the unused tail of the last line with the MAX sentinel.
+// Either way each worker checks key order within its range and against
+// the pair just before it and records every line's maximum key. It
 // returns the line maxima and the first index i whose pair does not
 // exceed pair i-1, or -1 when the pairs are sorted and distinct; the
-// result is the same at every thread count.
+// result is the same at every thread count and on both paths.
 func (t *ImplicitTree[K]) buildLeaves(pairs []keys.Pair[K]) (lineMax []K, bad int) {
 	t.numLeaves = (len(pairs) + t.pairsLine - 1) / t.pairsLine
-	t.leaves = make([]K, t.numLeaves*t.kpn)
+	alias := leafLayout(pairs, t.pairsLine)
+	if alias {
+		t.leaves = unsafe.Slice((*K)(unsafe.Pointer(&pairs[0])), 2*len(pairs))
+	} else {
+		t.leaves = make([]K, t.numLeaves*t.kpn)
+	}
 	lineMax = make([]K, t.numLeaves)
 	bad = len(pairs)
 	var mu sync.Mutex
 	parallelFor(t.numLeaves, t.cfg.Threads, func(ls, le int) {
-		if i := t.fillLines(pairs, lineMax, ls, le); i >= 0 {
+		if i := t.fillLines(pairs, lineMax, ls, le, !alias); i >= 0 {
 			mu.Lock()
 			bad = min(bad, i)
 			mu.Unlock()
@@ -120,10 +132,19 @@ func (t *ImplicitTree[K]) buildLeaves(pairs []keys.Pair[K]) (lineMax []K, bad in
 	return lineMax, bad
 }
 
-// fillLines builds leaf lines [ls, le). It returns the first index in
+// leafLayout reports whether pairs, read as keys, already are whole leaf
+// lines of pairsLine pairs starting on a 64-byte boundary.
+func leafLayout[K keys.Key](pairs []keys.Pair[K], pairsLine int) bool {
+	return len(pairs) > 0 && len(pairs)%pairsLine == 0 &&
+		unsafe.Sizeof(pairs[0]) == 2*unsafe.Sizeof(pairs[0].Key) &&
+		uintptr(unsafe.Pointer(&pairs[0]))%64 == 0
+}
+
+// fillLines checks leaf lines [ls, le) and records their maxima, and with
+// write set also builds them in t.leaves. It returns the first index in
 // the lines' pairs that is out of order, or -1; on a disorder the lines
 // are left partly built, since the tree is discarded.
-func (t *ImplicitTree[K]) fillLines(pairs []keys.Pair[K], lineMax []K, ls, le int) int {
+func (t *ImplicitTree[K]) fillLines(pairs []keys.Pair[K], lineMax []K, ls, le int, write bool) int {
 	maxK := keys.Max[K]()
 	var prev K
 	if ls > 0 {
@@ -132,19 +153,24 @@ func (t *ImplicitTree[K]) fillLines(pairs []keys.Pair[K], lineMax []K, ls, le in
 	for l := ls; l < le; l++ {
 		start := l * t.pairsLine
 		end := min(start+t.pairsLine, len(pairs))
-		line := t.leaves[l*t.kpn : (l+1)*t.kpn]
 		for j, p := range pairs[start:end] {
 			if p.Key <= prev && start+j > 0 {
 				return start + j
 			}
 			prev = p.Key
+		}
+		lineMax[l] = prev
+		if !write {
+			continue
+		}
+		line := t.leaves[l*t.kpn : (l+1)*t.kpn]
+		for j, p := range pairs[start:end] {
 			line[2*j] = p.Key
 			line[2*j+1] = p.Value
 		}
 		for j := 2 * (end - start); j < len(line); j++ {
 			line[j] = maxK
 		}
-		lineMax[l] = prev
 	}
 	return -1
 }
@@ -332,7 +358,8 @@ func (t *ImplicitTree[K]) RangeQuery(start K, count int, out []keys.Pair[K]) []k
 
 // Rebuild replaces the tree contents with a new sorted dataset — the
 // implicit tree's only update mechanism (Section 5.6). Segments are
-// reallocated, matching the paper's full reconstruction.
+// reallocated, matching the paper's full reconstruction. Like
+// BuildImplicit, it may keep pairs as the leaf segment.
 func (t *ImplicitTree[K]) Rebuild(pairs []keys.Pair[K]) error {
 	nt, err := BuildImplicit(pairs, t.cfg)
 	if err != nil {

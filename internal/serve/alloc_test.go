@@ -2,10 +2,13 @@ package serve
 
 import (
 	"context"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"hbtree/internal/core"
+	"hbtree/internal/cpubtree"
 )
 
 // Allocation regression tests for the steady-state serving pipeline.
@@ -152,5 +155,31 @@ func TestShardedCoalescedLookupAllocFree(t *testing.T) {
 				t.Fatalf("sharded coalesced Lookup allocates %.2f times per run, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestRefusedImplicitUpdateClonesNothing pins that a write refused by
+// the implicit variant is refused before the clone path: one one-op
+// Update on a 2^20-pair implicit server returns core's error, moves no
+// counter and allocates well under the tree's inner segment.
+func TestRefusedImplicitUpdateClonesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	srv, pairs := newTestServer(t, core.Implicit, 1<<20)
+	ops := []cpubtree.Op[uint64]{{Key: pairs[0].Key, Value: 1}}
+	before := srv.Metrics()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	_, err := srv.Update(ops, core.Synchronized)
+	runtime.ReadMemStats(&ms1)
+	if err == nil || !strings.Contains(err.Error(), "core: Update applies to the regular variant") {
+		t.Fatalf("Update on an implicit server: err = %v, want core's refusal", err)
+	}
+	if got := ms1.TotalAlloc - ms0.TotalAlloc; got > 64<<10 {
+		t.Fatalf("a refused one-op update allocated %d B, want <= 64 KiB", got)
+	}
+	if after := srv.Metrics(); after != before {
+		t.Fatalf("a refused update moved the counters:\n before %+v\n after  %+v", before, after)
 	}
 }

@@ -170,7 +170,8 @@ type Durable[K keys.Key] struct {
 // built fresh with `shards` shards (<= 0 selects GOMAXPROCS, as in
 // BuildSharded) and one WAL partition per shard — a count the manifest
 // then fixes for the life of the directory — and an initial snapshot is
-// committed so every later boot recovers.
+// committed so every later boot recovers. An implicit build may keep the
+// seed pairs as its leaf segment; do not modify them afterwards.
 //
 // The wrapped server is reachable via Server for reads; all writes
 // must flow through the Durable.

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"hbtree/internal/core"
 	"hbtree/internal/epoch"
@@ -43,7 +42,16 @@ type RebalanceStats struct {
 	Last       string // human-readable description of the last action
 }
 
-// RebalanceStats returns the current retiling counters.
+// retileRecord counts the retiles up to one layout and describes the
+// last. It is immutable and published in that layout's shardMeta, so
+// RebalanceStats reads it from the same registry state as the layout.
+type retileRecord struct {
+	splits, merges int64
+	last           string
+}
+
+// RebalanceStats returns the current retiling counters, all from one
+// registry state.
 func (s *Server[K]) RebalanceStats() RebalanceStats {
 	p := s.reg.Pin()
 	defer p.Unpin()
@@ -52,13 +60,11 @@ func (s *Server[K]) RebalanceStats() RebalanceStats {
 		Epoch:    p.Epoch(),
 		TableGen: m.gen,
 		Shards:   len(m.subs),
-		Splits:   s.splits.Load(),
-		Merges:   s.merges.Load(),
+	}
+	if r := m.retile; r != nil {
+		st.Splits, st.Merges, st.Last = r.splits, r.merges, r.last
 	}
 	st.Rebalances = st.Splits + st.Merges
-	if d := s.lastRb.Load(); d != nil {
-		st.Last = *d
-	}
 	return st
 }
 
@@ -91,7 +97,7 @@ func (s *Server[K]) SplitShard(i int) error {
 		return fmt.Errorf("serve: split shard %d: %w", i, err)
 	}
 	s.retile(m, i, 1, []*core.Tree[K]{left, right}, []K{splitKey},
-		&s.splits, fmt.Sprintf("split shard %d at %v", i, splitKey))
+		fmt.Sprintf("split shard %d at %v", i, splitKey))
 	return nil
 }
 
@@ -113,7 +119,7 @@ func (s *Server[K]) MergeShards(i int) error {
 		return fmt.Errorf("serve: merge shards %d+%d: %w", i, i+1, err)
 	}
 	s.retile(m, i, 2, []*core.Tree[K]{merged}, nil,
-		&s.merges, fmt.Sprintf("merged shards %d+%d", i, i+1))
+		fmt.Sprintf("merged shards %d+%d", i, i+1))
 	return nil
 }
 
@@ -145,10 +151,12 @@ func (s *Server[K]) quiesceWrites() error {
 // retile replaces the n members at index i of layout m with one member
 // per tree, as one epoch transition: cuts are the lower bounds of
 // trees[1:], taking the place of the n-1 bounds between the replaced
-// members. It then restamps the members' slots, resizes the pump set,
-// counts the action on counter and reports it to the layout hook.
-// Callers hold the quiesced write plane (quiesceWrites).
-func (s *Server[K]) retile(m shardMeta[K], i, n int, trees []*core.Tree[K], cuts []K, counter *atomic.Int64, what string) {
+// members; the new layout carries m's retile record with this action
+// counted, as a split when it adds a shard and a merge otherwise, and
+// described by what. It then restamps the members' slots, resizes the
+// pump set and reports the action to the layout hook. Callers hold the
+// quiesced write plane (quiesceWrites).
+func (s *Server[K]) retile(m shardMeta[K], i, n int, trees []*core.Tree[K], cuts []K, what string) {
 	// Shard j's lower bound is bounds[j-1], so the replaced members'
 	// inner bounds are bounds[i:i+n-1].
 	nb := make([]K, 0, len(m.bounds)-n+len(trees))
@@ -175,14 +183,20 @@ func (s *Server[K]) retile(m shardMeta[K], i, n int, trees []*core.Tree[K], cuts
 		s.absorbRetired(sub)
 	}
 	gen := m.gen + 1
-	s.reg.Transition(slots, shardMeta[K]{bounds: nb, subs: ns, gen: gen})
+	rec := retileRecord{last: fmt.Sprintf("%s (gen %d, %d shards)", what, gen, len(ns))}
+	if m.retile != nil {
+		rec.splits, rec.merges = m.retile.splits, m.retile.merges
+	}
+	if len(trees) > n {
+		rec.splits++
+	} else {
+		rec.merges++
+	}
+	s.reg.Transition(slots, shardMeta[K]{bounds: nb, subs: ns, gen: gen, retile: &rec})
 	for j, sub := range ns {
 		sub.slot.Store(int32(j))
 	}
 	s.resizePumps(len(ns))
-	counter.Add(1)
-	desc := fmt.Sprintf("%s (gen %d, %d shards)", what, gen, len(ns))
-	s.lastRb.Store(&desc)
 	// The write plane is still quiesced here, so the barrier the hook
 	// logs lands between the last pre-layout record and the first
 	// post-layout one in every WAL partition.

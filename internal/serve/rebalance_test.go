@@ -455,11 +455,13 @@ func TestSplitUnderSkewedWrites(t *testing.T) {
 }
 
 // TestRebalanceStatsOneState: RebalanceStats reads the epoch, the table
-// generation and the shard count from one registry state. With no
-// writes, every epoch step is a retile, so Epoch-TableGen is constant
-// and the shard count follows the generation's parity (a split then a
-// merge per round); a view that took the epoch from a later state than
-// the generation breaks the first.
+// generation, the shard count and the retile counters from one registry
+// state. With no writes, every epoch step is a retile, so Epoch-TableGen
+// is constant, the shard count and Splits-Merges follow the generation's
+// parity (a split then a merge per round), Rebalances counts the
+// generations since the first view and Last names the current one; a
+// view that took any of them from another state than the generation
+// breaks one of these.
 func TestRebalanceStatsOneState(t *testing.T) {
 	s, _ := newShardedServer(t, core.Regular, 1<<10, 2)
 	first := s.RebalanceStats()
@@ -482,7 +484,10 @@ func TestRebalanceStatsOneState(t *testing.T) {
 			running.Done()
 			for !stop.Load() {
 				st := s.RebalanceStats()
-				if st.Epoch-st.TableGen != offset || st.Shards != first.Shards+int(st.TableGen-first.TableGen)%2 {
+				gens := st.TableGen - first.TableGen
+				if st.Epoch-st.TableGen != offset || st.Shards != first.Shards+int(gens)%2 ||
+					st.Rebalances != int64(gens) || st.Splits-st.Merges != int64(gens%2) ||
+					gens > 0 && !strings.Contains(st.Last, fmt.Sprintf("(gen %d,", st.TableGen)) {
 					t.Errorf("torn view: %+v (first %+v)", st, first)
 					return
 				}

@@ -351,6 +351,12 @@ func (s *member[K]) update(ctx context.Context, ops []cpubtree.Op[K], method cor
 	}
 	defer s.releaseWriter()
 	cur := s.reg.Current(int(s.slot.Load()))
+	if cur.Options().Variant != core.Regular {
+		// The implicit variant takes only rebuilds. core.Update refuses
+		// it before reading the tree, so the published version gives
+		// that error without a clone or a device mirror.
+		return cur.Update(ops, method)
+	}
 
 	// Fast path: a batch that fits the gapped leaves lands in place on a
 	// shared-pool fork of the current epoch — no deep clone, no device
@@ -363,11 +369,9 @@ func (s *member[K]) update(ctx context.Context, ops []cpubtree.Op[K], method cor
 		s.noteUpdate(len(ops), stats, nil)
 		return stats, nil
 	}
-	if cur.Options().Variant == core.Regular {
-		// The batch needed structural work (split/merge or gap
-		// overflow) — the clone path below is the fallback.
-		s.cloneFB.Add(1)
-	}
+	// The batch needed structural work (split/merge or gap overflow) —
+	// the clone path below is the fallback.
+	s.cloneFB.Add(1)
 
 	cn, cb := cur.CloneFootprint()
 	clone, err := cur.Clone()

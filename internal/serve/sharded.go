@@ -47,11 +47,13 @@ import (
 
 // shardMeta is the registry metadata published atomically with the
 // shard tree vector: the split-key table, the members serving each
-// slot, and a table generation bumped by every rebalance.
+// slot, a table generation bumped by every rebalance, and the retile
+// history that produced the layout.
 type shardMeta[K keys.Key] struct {
-	bounds []K          // lower bounds of shards 1..T-1
-	subs   []*member[K] // shard members, index-aligned with the vector
-	gen    uint64       // split-key table generation
+	bounds []K           // lower bounds of shards 1..T-1
+	subs   []*member[K]  // shard members, index-aligned with the vector
+	gen    uint64        // split-key table generation
+	retile *retileRecord // retiles up to this layout; nil before the first
 }
 
 // route returns the shard owning key k under this table: the number of
@@ -140,12 +142,6 @@ type Server[K keys.Key] struct {
 	// running on the pumps.
 	updScratch sync.Pool
 
-	// Retiling counters (rebalance.go). Retiles serialise on pumpMu,
-	// which each holds exclusively from quiesce to layout hook.
-	splits atomic.Int64
-	merges atomic.Int64
-	lastRb atomic.Pointer[string]
-
 	// Counters of members replaced by rebalances, folded into the
 	// aggregates so metrics stay continuous across layout changes.
 	retMu   sync.Mutex
@@ -185,7 +181,9 @@ func (s *Server[K]) notifyLayout(gen uint64, shards int) {
 // distinct pairs: the pairs are cut into T equal contiguous runs, the
 // run boundaries become the initial shard bounds, and every shard tree
 // is built with opt on one shared simulated device (opt.Device, or the
-// first shard's device when nil). shards <= 0 selects GOMAXPROCS.
+// first shard's device when nil). shards <= 0 selects GOMAXPROCS. An
+// implicit build may keep pairs as its leaf segment; do not modify them
+// afterwards.
 func BuildSharded[K keys.Key](pairs []keys.Pair[K], opt core.Options, shards int) (*Server[K], error) {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -506,12 +504,16 @@ func (s *Server[K]) UpdateCtx(ctx context.Context, ops []cpubtree.Op[K], method 
 // Rebuild partitions the sorted replacement pairs by the current shard
 // bounds and rebuilds every shard concurrently (implicit variant). The
 // replacement must leave no shard empty: an empty shard tree cannot be
-// built (a later merge can retire a shard, a rebuild cannot).
+// built (a later merge can retire a shard, a rebuild cannot). An
+// implicit build may keep pairs as its leaf segment; do not modify them
+// afterwards.
 func (s *Server[K]) Rebuild(pairs []keys.Pair[K]) (core.UpdateStats, error) {
 	return s.RebuildCtx(context.Background(), pairs)
 }
 
 // RebuildCtx is Rebuild with a caller deadline over the whole dispatch.
+// An implicit build may keep pairs as its leaf segment; do not modify
+// them afterwards.
 func (s *Server[K]) RebuildCtx(ctx context.Context, pairs []keys.Pair[K]) (core.UpdateStats, error) {
 	return s.dispatch(ctx, func(m *shardMeta[K]) ([]shardJob[K], error) {
 		parts := make([][]keys.Pair[K], len(m.subs))

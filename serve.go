@@ -152,8 +152,9 @@ type Durable[K Key] struct {
 // A directory holding a committed snapshot is recovered — shard trees
 // bulk-loaded from images, layout restored from the manifest (shards is
 // ignored), WAL tails replayed; otherwise seed() provides the initial
-// sorted pairs and an initial snapshot is committed. Close the Durable
-// first, then the wrapped server.
+// sorted pairs and an initial snapshot is committed. An implicit build
+// may keep the seed pairs as its leaf segment; do not modify them
+// afterwards. Close the Durable first, then the wrapped server.
 func OpenDurable[K Key](dopt DurableOptions, opt Options, shards int, seed func() ([]Pair[K], error)) (*Durable[K], error) {
 	d, err := serve.OpenDurable(dopt, opt, shards, seed)
 	if err != nil {
