@@ -329,13 +329,13 @@ func (t *Tree[K]) runKernelFrom(qbuf *gpusim.Buffer[K], sbuf, rbuf *gpusim.Buffe
 		hB = 1
 	}
 	if rm > 0 {
-		if _, err := gpusim.RegularSearchKernel(t.dev, t.upperBuf.Data(), t.lastBuf.Data(), t.regDesc,
+		if _, err := gpusim.RegularSearchKernel(t.dev, t.upperBuf.Data(), t.lastBuf.Pages(), t.regDesc,
 			qs[:rm], out[:rm], out[bn:bn+rm], hA, ss[:rm]); err != nil {
 			return 0, err
 		}
 	}
 	if bn > rm {
-		if _, err := gpusim.RegularSearchKernel(t.dev, t.upperBuf.Data(), t.lastBuf.Data(), t.regDesc,
+		if _, err := gpusim.RegularSearchKernel(t.dev, t.upperBuf.Data(), t.lastBuf.Pages(), t.regDesc,
 			qs[rm:bn], out[rm:bn], out[bn+rm:2*bn], hB, ss[rm:bn]); err != nil {
 			return 0, err
 		}

@@ -14,15 +14,20 @@ import (
 // hosts every index — but carry their own device-resident I-segment
 // replica, so the clone's re-mirroring shows up in the device H2D
 // counters exactly like the asynchronous I-segment shipping of §5.6.
+// A regular clone's last-level replica is charged as a full mirror but
+// shares every page of t's replica that neither tree has written
+// (gpusim.PagedBuffer), as the host pools share their pages.
 
 // Clone returns an independent copy of the tree on the same simulated
 // device: updates applied to one tree are invisible to the other. A
-// regular copy has its own inner pools and leaf records and shares the
-// leaf data copy-on-write (cpubtree.RegularTree.Clone): it takes over t's
-// append right and copies a leaf only when it rewrites one. An implicit
-// copy shares both host segments, which no update writes. Either has
-// its own device-resident I-segment replica. Clone counts as a read of
-// t: it may run concurrently with lookups but not with mutations of t.
+// regular copy has its own upper pool, metadata, leaf records and page
+// tables and shares the leaf data and the last-level pages
+// copy-on-write (cpubtree.RegularTree.Clone): it takes over t's append
+// right and copies a leaf or a page only when it rewrites one. An
+// implicit copy shares both host segments, which no update writes.
+// Either has its own device-resident I-segment replica. Clone counts as
+// a read of t: it may run concurrently with lookups but not with
+// mutations of t.
 func (t *Tree[K]) Clone() (*Tree[K], error) {
 	c := &Tree[K]{
 		opt:              t.opt,
@@ -42,7 +47,7 @@ func (t *Tree[K]) Clone() (*Tree[K], error) {
 	if t.reg != nil {
 		c.reg = t.reg.Clone()
 	}
-	if err := c.mirrorISegment(); err != nil {
+	if err := c.mirrorISegment(t.lastBuf); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -321,11 +321,13 @@ func TestInPlaceWriteCostIsPerBatch(t *testing.T) {
 
 // TestClonePathWriteCopiesNoLeafData pins what a clone-path write
 // copies at 2^20 pairs: Clone and a one-op synchronised Update allocate
-// less than the leaf pool, because the clone shares every leaf and the
-// update copies the one it rewrites. The rest is the last-level pool
-// and its device replica, each about 0.27 of the leaf pool for 64-bit
-// keys. Before copy-on-write leaves the same write allocated 1.55 leaf
-// pools (28.4 MiB).
+// at most 1 MiB, because the clone shares every leaf and every
+// last-level page, on the host and in the device replica, and the
+// update copies the leaf it rewrites and that leaf's node page, twice.
+// The rest is the upper pool and its replica, the metadata, the leaf
+// records and the page tables. Before copy-on-write leaves the same
+// write allocated 1.55 leaf pools (28.4 MiB); before paged last-level
+// pools, 10.9 MB.
 func TestClonePathWriteCopiesNoLeafData(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -349,8 +351,8 @@ func TestClonePathWriteCopiesNoLeafData(t *testing.T) {
 		}
 	})
 	defer cl.Close()
-	if got >= leafPool {
-		t.Fatalf("clone-path write allocated %d bytes, want less than the %d-byte leaf pool", got, leafPool)
+	if got > 1<<20 {
+		t.Fatalf("clone-path write allocated %d bytes, want at most 1 MiB", got)
 	}
 	if v, ok := cl.Lookup(op[0].Key); !ok || v != 1 {
 		t.Fatalf("clone lost the write: (%d, %v)", v, ok)

@@ -88,9 +88,10 @@ func (t *Tree[K]) deltaPerOpCost() vclock.Duration {
 }
 
 // CloneFootprint reports the host copy cost of cloning this tree — the
-// inner pools, the leaf records and the leaves Clone compacts, never
-// the shared leaf data (cpubtree.RegularTree.CloneFootprint) — the
-// amplification ApplyDelta avoids. Zero for the implicit variant
+// upper pool, the metadata, the leaf records, the page tables and the
+// leaves Clone compacts with their last-level pages, never the shared
+// leaf data or an unwritten page (cpubtree.RegularTree.CloneFootprint) —
+// the amplification ApplyDelta avoids. Zero for the implicit variant
 // (whose write path is whole-tree rebuild, not clone-and-swap).
 func (t *Tree[K]) CloneFootprint() (nodes int, bytes int64) {
 	if t.reg == nil {

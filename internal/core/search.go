@@ -248,7 +248,7 @@ func (t *Tree[K]) runKernel(qbuf *gpusim.Buffer[K], rbuf *gpusim.Buffer[int32], 
 		return t.gpuStageDurationF(bn, float64(t.implDesc.TransPerQuery(0))), nil
 	default:
 		out := rbuf.Data()
-		if _, err := gpusim.RegularSearchKernel(t.dev, t.upperBuf.Data(), t.lastBuf.Data(), t.regDesc,
+		if _, err := gpusim.RegularSearchKernel(t.dev, t.upperBuf.Data(), t.lastBuf.Pages(), t.regDesc,
 			qbuf.Data()[:bn], out[:bn], out[bn:2*bn], 0, nil); err != nil {
 			return 0, err
 		}

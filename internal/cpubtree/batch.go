@@ -183,7 +183,8 @@ func (t *RegularTree[K]) lookupPipelined(qs []K, vals []K, fnd []bool) {
 			}
 		}
 		for i := 0; i < n; i++ {
-			c := t.searchNode(t.last, node[i], grp[i])
+			pg, j := t.lastAt(node[i])
+			c := t.searchNode(pg, j, grp[i])
 			vals[start+i], fnd[start+i] = t.SearchLeafLine(node[i], c, grp[i])
 		}
 	}
@@ -304,11 +305,12 @@ func (t *RegularTree[K]) MixedBatch(ops []MixedOp[K], threads int) MixedResult[K
 				}
 				op := ops[i]
 				b := t.descendUpper(op.Key)
-				lk := &locks[int(b)&(lockStripes-1)]
+				lk := lockOf(&locks, b)
 				lk.Lock()
 				switch op.Kind {
 				case MixedSearch:
-					c := t.searchNode(t.last, b, op.Key)
+					pg, j := t.lastAt(b)
+					c := t.searchNode(pg, j, op.Key)
 					res.Values[i], res.Found[i] = t.SearchLeafLine(b, int(c), op.Key)
 				case MixedInsert:
 					if added, ok := t.leafInsert(b, op.Key, op.Value); ok {

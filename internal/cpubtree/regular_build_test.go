@@ -233,10 +233,16 @@ func checkPoolCapacities(t *testing.T, from string, tr *RegularTree[uint64]) {
 	}{
 		{"upper", len(tr.upper), cap(tr.upper), len(tr.upperMeta), tr.nodeSlots},
 		{"upperMeta", len(tr.upperMeta), cap(tr.upperMeta), len(tr.upperMeta), 1},
-		{"last", len(tr.last), cap(tr.last), len(tr.lastMeta), tr.nodeSlots},
 		{"lastMeta", len(tr.lastMeta), cap(tr.lastMeta), len(tr.lastMeta), 1},
 		{"leafPool", len(tr.leafPool), cap(tr.leafPool), tr.nleaves, tr.leafSlots},
 		{"recPool", len(tr.recPool), cap(tr.recPool), tr.nleaves, 1},
+	}
+	// The last-level pool is paged: every page but the last is full and
+	// every page has room to a full page.
+	for p, pg := range tr.last {
+		if nodes := min(len(tr.lastMeta)-p*LastPageNodes, LastPageNodes); len(pg) != nodes*tr.nodeSlots || cap(pg) != LastPageNodes*tr.nodeSlots {
+			t.Fatalf("%s: last-level page %d holds %d slots of %d, want %d nodes of a full page", from, p, len(pg), cap(pg), nodes)
+		}
 	}
 	for _, p := range pools {
 		if p.len != p.nodes*p.per {
@@ -252,7 +258,7 @@ func checkPoolCapacities(t *testing.T, from string, tr *RegularTree[uint64]) {
 // splits it, and checks that no pool's backing array moved.
 func checkSplitInPlace(t *testing.T, from string, tr *RegularTree[uint64], pairs []keys.Pair[uint64]) {
 	t.Helper()
-	before := [...]*uint64{&tr.upper[0], &tr.last[0], &tr.leafPool[0]}
+	before := [...]*uint64{&tr.upper[0], &tr.last[0][0], &tr.leafPool[0]}
 	metaBefore := [...]*nodeMeta{&tr.upperMeta[0], &tr.lastMeta[0]}
 	leafMetaBefore := &tr.recPool[0]
 	leaves := tr.nleaves
@@ -264,7 +270,7 @@ func checkSplitInPlace(t *testing.T, from string, tr *RegularTree[uint64], pairs
 	if tr.nleaves != leaves+1 {
 		t.Fatalf("%s: split grew the leaf pool from %d to %d nodes", from, leaves, tr.nleaves)
 	}
-	after := [...]*uint64{&tr.upper[0], &tr.last[0], &tr.leafPool[0]}
+	after := [...]*uint64{&tr.upper[0], &tr.last[0][0], &tr.leafPool[0]}
 	for i, name := range []string{"upper", "last", "leafPool"} {
 		if before[i] != after[i] {
 			t.Errorf("%s: the split moved %s", from, name)

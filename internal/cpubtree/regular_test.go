@@ -102,10 +102,10 @@ func checkInvariants(t *testing.T, tr *RegularTree[uint64], want []keys.Pair[uin
 			level = next
 		}
 		for _, b := range level {
-			checkNode(tr.last, b)
+			checkNode(tr.lastAt(b))
 		}
 	} else {
-		checkNode(tr.last, tr.root)
+		checkNode(tr.lastAt(tr.root))
 	}
 }
 

@@ -103,13 +103,15 @@ func (t *RegularTree[K]) leafInsert(b int32, k, v K) (added, ok bool) {
 // (writeLeaf) only when k is present, so a delete that misses changes
 // nothing, not even a delta region.
 func (t *RegularTree[K]) leafDelete(b int32, k K) (found, emptied bool) {
-	c := t.searchNode(t.last, b, k)
+	pg, j := t.lastAt(b)
+	c := t.searchNode(pg, j, k)
 	if t.leaf(b).ndelta > 0 {
 		if _, ok := t.SearchLeafLine(b, c, k); !ok {
 			return false, false
 		}
 		t.writeLeaf(b) // compacts: k is now a base pair
-		c = t.searchNode(t.last, b, k)
+		pg, j = t.lastAt(b)
+		c = t.searchNode(pg, j, k)
 	}
 	i, ok := simd.SearchPairsLine(t.leafLine(b, c), k)
 	if !ok {
@@ -356,8 +358,14 @@ type BatchResult struct {
 const updateGroupSize = 16 * 1024
 
 // lockStripes is the size of the striped lock table guarding last-level
-// inner nodes during parallel updates.
+// inner nodes during parallel updates. A stripe covers whole last-level
+// pages (lockOf), since a write may copy its node's page.
 const lockStripes = 256
+
+// lockOf returns the stripe of locks guarding last-level node b.
+func lockOf(locks *[lockStripes]sync.Mutex, b int32) *sync.Mutex {
+	return &locks[int(b>>lastPageBits)&(lockStripes-1)]
+}
 
 // ApplyBatchParallel executes a batch of update operations with the
 // paper's asynchronous parallel method (Section 5.6): worker threads
@@ -410,7 +418,7 @@ func (t *RegularTree[K]) applyGroup(ops []Op[K], threads int, res *BatchResult, 
 				op := ops[i]
 				// Descend the (immutable, this phase) upper levels.
 				b := t.descendUpper(op.Key)
-				lk := &locks[int(b)&(lockStripes-1)]
+				lk := lockOf(&locks, b)
 				lk.Lock()
 				switch {
 				case op.Delete:

@@ -243,7 +243,7 @@ func TestSerializeTypedErrors(t *testing.T) {
 	// chain walk would never end. Leaf metadata follows the three key
 	// pools and the two node-metadata arrays, each with its length.
 	img = append([]byte(nil), rbuf.Bytes()...)
-	leafMetaAt := 6 + 5*8 + 8*(5+len(reg.upper)+len(reg.last)+reg.nleaves*reg.leafSlots+len(reg.upperMeta)+len(reg.lastMeta)) + 8
+	leafMetaAt := 6 + 5*8 + 8*(5+len(reg.upper)+len(reg.lastMeta)*reg.nodeSlots+reg.nleaves*reg.leafSlots+len(reg.upperMeta)+len(reg.lastMeta)) + 8
 	if next := binary.LittleEndian.Uint32(img[leafMetaAt+12+4:]); next != 2 {
 		t.Fatalf("leaf 1's next link reads %d, want 2", next)
 	}
@@ -356,7 +356,9 @@ func TestRegularImageCodecAllocs(t *testing.T) {
 	if writes[0] != writes[1] || writes[1] > maxWrite {
 		t.Errorf("WriteTo allocations at 2^12 and 2^16 pairs = %v, want the same, at most %d", writes, maxWrite)
 	}
-	const pools = 8 // three key pools, three metadata pools, two free lists
+	// Three key pools, three metadata pools, two free lists, and the
+	// last-level pool's page table and page states.
+	const pools = 10
 	if reads[0] != reads[1] || reads[1] > pools+maxReadOverhead {
 		t.Errorf("ReadRegular allocations at 2^12 and 2^16 pairs = %v, want the same, at most %d", reads, pools+maxReadOverhead)
 	}

@@ -134,16 +134,31 @@ type Buffer[K any] struct {
 func Malloc[K any](d *Device, n int) (*Buffer[K], error) {
 	var z K
 	size := int64(n) * int64(sizeofAny(z))
+	if err := d.alloc(size); err != nil {
+		return nil, err
+	}
+	return &Buffer[K]{dev: d, data: make([]K, n), size: size}, nil
+}
+
+// alloc takes size bytes of device memory for a new buffer.
+func (d *Device) alloc(size int64) error {
 	if err := d.check(fault.OpMalloc); err != nil {
-		return nil, fmt.Errorf("gpusim: malloc of %d bytes: %w", size, err)
+		return fmt.Errorf("gpusim: malloc of %d bytes: %w", size, err)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.used+size > d.cfg.MemBytes {
-		return nil, fmt.Errorf("%w: need %d bytes, %d free", ErrOutOfMemory, size, d.cfg.MemBytes-d.used)
+		return fmt.Errorf("%w: need %d bytes, %d free", ErrOutOfMemory, size, d.cfg.MemBytes-d.used)
 	}
 	d.used += size
-	return &Buffer[K]{dev: d, data: make([]K, n), size: size}, nil
+	return nil
+}
+
+// release returns size bytes of device memory.
+func (d *Device) release(size int64) {
+	d.mu.Lock()
+	d.used -= size
+	d.mu.Unlock()
 }
 
 // sizeofAny returns the byte size of supported element types.
@@ -165,9 +180,7 @@ func (b *Buffer[K]) Free() {
 	if b.data == nil {
 		return
 	}
-	b.dev.mu.Lock()
-	b.dev.used -= b.size
-	b.dev.mu.Unlock()
+	b.dev.release(b.size)
 	b.data = nil
 }
 
@@ -187,25 +200,6 @@ func (b *Buffer[K]) CopyFromHost(src []K) (vclock.Duration, error) {
 		return 0, err // no bytes moved: the device image is unchanged
 	}
 	copy(b.data, src)
-	var z K
-	bytes := int64(len(src)) * int64(sizeofAny(z))
-	b.dev.bytesH2D.Add(bytes)
-	return b.dev.CopyDuration(bytes), nil
-}
-
-// CopyRegionFromHost copies src into the buffer at element offset off —
-// the per-node synchronisation primitive of the synchronized update
-// method (Section 5.6). Each call pays the full T_init, which is exactly
-// why that method is "bounded by the communication initialization
-// latency".
-func (b *Buffer[K]) CopyRegionFromHost(off int, src []K) (vclock.Duration, error) {
-	if off < 0 || off+len(src) > len(b.data) {
-		return 0, fmt.Errorf("gpusim: H2D region copy out of range [%d, %d) of %d", off, off+len(src), len(b.data))
-	}
-	if err := b.dev.check(fault.OpH2D); err != nil {
-		return 0, err // no bytes moved: the device image is unchanged
-	}
-	copy(b.data[off:], src)
 	var z K
 	bytes := int64(len(src)) * int64(sizeofAny(z))
 	b.dev.bytesH2D.Add(bytes)
