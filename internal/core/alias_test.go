@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"hbtree/internal/cpubtree"
+	"hbtree/internal/keys"
 	"hbtree/internal/workload"
 )
 
@@ -29,5 +31,38 @@ func TestAlignedImplicitBuildCopiesNoLeaves(t *testing.T) {
 		if v, ok := tr.Lookup(pairs[i].Key); !ok || v != pairs[i].Value {
 			t.Fatalf("Lookup(%d) = (%d, %v)", pairs[i].Key, v, ok)
 		}
+	}
+}
+
+// TestImplicitMirrorCopiesNoISegment pins the aliased device replica:
+// the I-segment mirror of an implicit Build from 2^16 line-aligned pairs
+// reads the host's inner array instead of copying it, so Build allocates
+// less than the host tree's own build plus one I-segment. A mirror that
+// copied the inner array allocated that I-segment on top.
+func TestImplicitMirrorCopiesNoISegment(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	pairs := workload.Dataset[uint64](workload.Uniform, 1<<16, 5)
+	cfg := cpubtree.Config{Fanout: keys.PerLine[uint64]()}
+	host := allocatedBytes(func() {
+		if _, err := cpubtree.BuildImplicit(pairs, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var tr *Tree[uint64]
+	var err error
+	got := allocatedBytes(func() { tr, err = Build(pairs, Options{Variant: Implicit}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	iseg := uint64(tr.BuildStats().ISegBytes)
+	t.Logf("Build allocated %d bytes, the host tree's build %d; I-segment %d bytes", got, host, iseg)
+	if got >= host+iseg {
+		t.Fatalf("Build allocated %d bytes, the host build %d: the mirror allocated at least the %d-byte I-segment", got, host, iseg)
+	}
+	if err := tr.VerifyReplica(); err != nil {
+		t.Fatal(err)
 	}
 }

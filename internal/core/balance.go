@@ -311,12 +311,12 @@ func (t *Tree[K]) runKernelFrom(qbuf *gpusim.Buffer[K], sbuf, rbuf *gpusim.Buffe
 	if t.opt.Variant == Implicit {
 		out := rbuf.Data()
 		if rm > 0 {
-			if _, err := gpusim.ImplicitSearchKernel(t.dev, t.isegBuf.Data(), t.implDesc, qs[:rm], out[:rm], t.lbD, ss[:rm]); err != nil {
+			if _, err := gpusim.ImplicitSearchKernel(t.dev, t.isegBuf.Pages()[0], t.implDesc, qs[:rm], out[:rm], t.lbD, ss[:rm]); err != nil {
 				return 0, err
 			}
 		}
 		if bn > rm {
-			if _, err := gpusim.ImplicitSearchKernel(t.dev, t.isegBuf.Data(), t.implDesc, qs[rm:bn], out[rm:bn], t.lbD+1, ss[rm:bn]); err != nil {
+			if _, err := gpusim.ImplicitSearchKernel(t.dev, t.isegBuf.Pages()[0], t.implDesc, qs[rm:bn], out[rm:bn], t.lbD+1, ss[rm:bn]); err != nil {
 				return 0, err
 			}
 		}
@@ -329,13 +329,13 @@ func (t *Tree[K]) runKernelFrom(qbuf *gpusim.Buffer[K], sbuf, rbuf *gpusim.Buffe
 		hB = 1
 	}
 	if rm > 0 {
-		if _, err := gpusim.RegularSearchKernel(t.dev, t.upperBuf.Data(), t.lastBuf.Pages(), t.regDesc,
+		if _, err := gpusim.RegularSearchKernel(t.dev, t.upperBuf.Pages()[0], t.lastBuf.Pages(), t.regDesc,
 			qs[:rm], out[:rm], out[bn:bn+rm], hA, ss[:rm]); err != nil {
 			return 0, err
 		}
 	}
 	if bn > rm {
-		if _, err := gpusim.RegularSearchKernel(t.dev, t.upperBuf.Data(), t.lastBuf.Pages(), t.regDesc,
+		if _, err := gpusim.RegularSearchKernel(t.dev, t.upperBuf.Pages()[0], t.lastBuf.Pages(), t.regDesc,
 			qs[rm:bn], out[rm:bn], out[bn+rm:2*bn], hB, ss[rm:bn]); err != nil {
 			return 0, err
 		}

@@ -14,20 +14,20 @@ import (
 // hosts every index — but carry their own device-resident I-segment
 // replica, so the clone's re-mirroring shows up in the device H2D
 // counters exactly like the asynchronous I-segment shipping of §5.6.
-// A regular clone's last-level replica is charged as a full mirror but
-// shares every page of t's replica that neither tree has written
-// (gpusim.PagedBuffer), as the host pools share their pages.
+// That replica is a version of the clone's host tree, charged as a full
+// mirror: it reads the inner memory the clone shares with t until
+// either writes it, and a write copies what it touches first.
 
 // Clone returns an independent copy of the tree on the same simulated
 // device: updates applied to one tree are invisible to the other. A
-// regular copy has its own upper pool, metadata, leaf records and page
-// tables and shares the leaf data and the last-level pages
+// regular copy has its own metadata, leaf records and page tables and
+// shares the leaf data, the last-level pages and the upper pool
 // copy-on-write (cpubtree.RegularTree.Clone): it takes over t's append
-// right and copies a leaf or a page only when it rewrites one. An
-// implicit copy shares both host segments, which no update writes.
-// Either has its own device-resident I-segment replica. Clone counts as
-// a read of t: it may run concurrently with lookups but not with
-// mutations of t.
+// right and copies a leaf, a page or the upper pool only when it
+// rewrites one. An implicit copy shares both host segments, which no
+// update writes. Either has its own device-resident replica of its own
+// host I-segment. Clone counts as a read of t: it may run concurrently
+// with lookups but not with mutations of t.
 func (t *Tree[K]) Clone() (*Tree[K], error) {
 	c := &Tree[K]{
 		opt:              t.opt,
@@ -47,7 +47,7 @@ func (t *Tree[K]) Clone() (*Tree[K], error) {
 	if t.reg != nil {
 		c.reg = t.reg.Clone()
 	}
-	if err := c.mirrorISegment(t.lastBuf); err != nil {
+	if err := c.mirrorISegment(); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -238,15 +238,16 @@ type Tree[K keys.Key] struct {
 	impl *cpubtree.ImplicitTree[K] // set when opt.Variant == Implicit
 	reg  *cpubtree.RegularTree[K]  // set when opt.Variant == Regular
 
-	// Device-resident I-segment replica. A delta fork (ApplyDelta)
-	// shares these buffers with its ancestors — the inner pools are
-	// byte-identical across an in-place epoch chain, so re-uploading
-	// them would be pure waste — and bufShare refcounts the sharing
-	// group: the buffers are freed when the last tree drops its
-	// reference, and a remirror detaches into a fresh group.
-	isegBuf  *gpusim.Buffer[K] // implicit variant
-	upperBuf *gpusim.Buffer[K] // regular variant
-	lastBuf  *gpusim.PagedBuffer[K]
+	// Device-resident I-segment replica: a version of the host tree's
+	// inner memory as it stood at the last mirror or node sync, charged
+	// as device memory (gpusim.PagedBuffer). A delta fork (ApplyDelta)
+	// shares it with its ancestors — the inner pools are identical
+	// across an in-place epoch chain — and bufShare refcounts the
+	// sharing group: the charge is released when the last tree drops
+	// its reference, and a remirror detaches into a fresh group.
+	isegBuf  *gpusim.PagedBuffer[K] // implicit variant: the inner array
+	upperBuf *gpusim.PagedBuffer[K] // regular variant: the upper pool
+	lastBuf  *gpusim.PagedBuffer[K] // regular variant: the last-level pages
 	bufShare *devShare
 
 	implDesc gpusim.ImplicitDesc
@@ -349,7 +350,7 @@ func Build[K keys.Key](pairs []keys.Pair[K], opt Options) (*Tree[K], error) {
 		t.cacheLookupProfile()
 	}
 	t.buildStats.LSegBuild, t.buildStats.ISegBuild = t.modelBuildCost()
-	if err := t.mirrorISegment(nil); err != nil {
+	if err := t.mirrorISegment(); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -374,23 +375,42 @@ func tunedWidths[K keys.Key](opt Options, numPairs int) []int {
 	return model.TuneWidths(numLeaves, kpn, kpn, batch)
 }
 
-// mirrorISegment (re)creates the device-resident replica of the
-// I-segment, recording the transfer cost. A regular tree's last-level
-// replica shares with prev — the replica of this tree before the
-// mirror, or of the tree it was cloned from; nil for none — every page
-// that still holds what the host page holds. The transfer is charged in
-// full either way.
-func (t *Tree[K]) mirrorISegment(prev *gpusim.PagedBuffer[K]) error {
+// mirrorISegment makes the device replica a version of the host
+// I-segment as it stands, recording the transfer cost. The replica reads
+// the host tree's own inner memory (gpusim.PagedBuffer): the implicit
+// tree never writes its inner array after its build, and a regular tree
+// copies an inner page, or its upper pool, before its next write to it
+// (cpubtree.RegularTree.ShareInner). The transfer is charged in full. A
+// failed mirror leaves the tree on its previous replica.
+func (t *Tree[K]) mirrorISegment() error {
+	iseg, upper, last, share := t.isegBuf, t.upperBuf, t.lastBuf, t.bufShare
 	t.releaseDeviceBufs()
+	if err := t.mirror(); err != nil {
+		t.isegBuf, t.upperBuf, t.lastBuf, t.bufShare = iseg, upper, last, share
+		if share != nil {
+			share.refs.Add(1)
+		}
+		return err
+	}
+	sh := &devShare{}
+	sh.refs.Store(1)
+	t.bufShare = sh
+	t.replicaStale.Store(false) // a full mirror re-establishes consistency
+	return nil
+}
+
+// mirror allocates and fills the replica's buffers; it sets nothing on
+// t when it fails.
+func (t *Tree[K]) mirror() error {
 	sz := int64(keys.Size[K]())
 	switch t.opt.Variant {
 	case Implicit:
 		inner, levelOff, kpn, fanout := t.impl.InnerArray()
-		buf, err := gpusim.Malloc[K](t.dev, len(inner))
+		buf, err := gpusim.MallocPaged[K](t.dev, len(inner), len(inner))
 		if err != nil {
 			return fmt.Errorf("core: I-segment does not fit in GPU memory: %w", err)
 		}
-		d, err := buf.CopyFromHost(inner)
+		d, err := buf.Mirror([][]K{inner})
 		if err != nil {
 			buf.Free()
 			return err
@@ -428,7 +448,7 @@ func (t *Tree[K]) mirrorISegment(prev *gpusim.PagedBuffer[K]) error {
 	case Regular:
 		upper, last, root, height, nodeSlots, kpl := t.reg.InnerArrays()
 		nLast := poolLen(last)
-		ub, err := gpusim.Malloc[K](t.dev, len(upper))
+		ub, err := gpusim.MallocPaged[K](t.dev, len(upper), len(upper))
 		if err != nil {
 			return fmt.Errorf("core: I-segment (upper) does not fit in GPU memory: %w", err)
 		}
@@ -437,18 +457,17 @@ func (t *Tree[K]) mirrorISegment(prev *gpusim.PagedBuffer[K]) error {
 			ub.Free()
 			return fmt.Errorf("core: I-segment (last) does not fit in GPU memory: %w", err)
 		}
-		d1, err := ub.CopyFromHost(upper)
+		d1, err := ub.Mirror([][]K{upper})
+		var d2 vclock.Duration
+		if err == nil {
+			d2, err = lb.Mirror(last)
+		}
 		if err != nil {
 			ub.Free()
 			lb.Free()
 			return err
 		}
-		d2, err := lb.CopyPagesFromHost(last, prev)
-		if err != nil {
-			ub.Free()
-			lb.Free()
-			return err
-		}
+		t.reg.ShareInner()
 		t.upperBuf, t.lastBuf = ub, lb
 		t.regDesc = gpusim.RegularDesc{
 			Root:        root,
@@ -461,10 +480,6 @@ func (t *Tree[K]) mirrorISegment(prev *gpusim.PagedBuffer[K]) error {
 		t.buildStats.ISegBytes = int64(len(upper)+nLast) * sz
 		t.buildStats.LSegBytes = t.reg.Stats().LeafBytes
 	}
-	sh := &devShare{}
-	sh.refs.Store(1)
-	t.bufShare = sh
-	t.replicaStale.Store(false) // a full mirror re-establishes consistency
 	return nil
 }
 
@@ -482,25 +497,12 @@ func poolLen[K keys.Key](pages [][]K) int {
 // local pointers are always cleared, so the call is idempotent and a
 // later mirror starts from a clean slate.
 func (t *Tree[K]) releaseDeviceBufs() {
-	sh := t.bufShare
-	t.bufShare = nil
-	if sh != nil && sh.refs.Add(-1) > 0 {
-		// Other epoch-chain members still use the buffers.
-		t.isegBuf, t.upperBuf, t.lastBuf = nil, nil, nil
-		return
-	}
-	if t.isegBuf != nil {
+	if sh := t.bufShare; sh == nil || sh.refs.Add(-1) == 0 {
 		t.isegBuf.Free()
-		t.isegBuf = nil
-	}
-	if t.upperBuf != nil {
 		t.upperBuf.Free()
-		t.upperBuf = nil
-	}
-	if t.lastBuf != nil {
 		t.lastBuf.Free()
-		t.lastBuf = nil
 	}
+	t.isegBuf, t.upperBuf, t.lastBuf, t.bufShare = nil, nil, nil, nil
 }
 
 // ReplicaStale reports whether the device replica is known to lag the
@@ -508,14 +510,14 @@ func (t *Tree[K]) releaseDeviceBufs() {
 func (t *Tree[K]) ReplicaStale() bool { return t.replicaStale.Load() }
 
 // remirror re-creates the device replica after a host-side mutation.
-// Unlike the construction-time mirror, a failure here leaves the host
-// tree ahead of the device image, so the tree is marked replica-stale:
-// the batch itself succeeded in host memory (no acked write is lost)
-// and GPU-path lookups fail typed until a later mirror heals the
-// replica. The original transfer/allocation error is returned so the
-// caller can classify it (fault.Is).
+// Unlike the construction-time mirror, a failure here leaves the device
+// on the previous version of the host tree, so the tree is marked
+// replica-stale: the batch itself succeeded in host memory (no acked
+// write is lost) and GPU-path lookups fail typed until a later mirror
+// heals the replica. The original transfer/allocation error is returned
+// so the caller can classify it (fault.Is).
 func (t *Tree[K]) remirror() error {
-	if err := t.mirrorISegment(t.lastBuf); err != nil {
+	if err := t.mirrorISegment(); err != nil {
 		t.replicaStale.Store(true)
 		return err
 	}
@@ -704,7 +706,7 @@ func Load[K keys.Key](r io.Reader, opt Options) (*Tree[K], error) {
 		return nil, fmt.Errorf("core: unknown serialised variant %d", kind[0])
 	}
 	t.buildStats.LSegBuild, t.buildStats.ISegBuild = t.modelBuildCost()
-	if err := t.mirrorISegment(nil); err != nil {
+	if err := t.mirrorISegment(); err != nil {
 		return nil, err
 	}
 	return t, nil

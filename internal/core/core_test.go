@@ -109,20 +109,41 @@ func TestHybridMissingKeys(t *testing.T) {
 // TestGPUReadsReplica corrupts the host I-segment after Build and checks
 // that hybrid lookups still succeed — proving the kernel traverses the
 // device-resident replica, not host memory.
+// TestGPUReadsReplica: the GPU path descends the device replica, the
+// CPU path the host's inner array. The replica is pointed at a copy of
+// the host array with every key MAX, which routes every query to leaf
+// line 0: the GPU path then finds only that line's keys, and the CPU
+// path still finds every key.
 func TestGPUReadsReplica(t *testing.T) {
 	tr, pairs := build64(t, 30000, Options{Variant: Implicit})
-	inner, _, _, _ := tr.impl.InnerArray()
-	saved := append([]uint64(nil), inner...)
-	for i := range inner {
-		inner[i] = 0xDEAD
-	}
+	pointReplicaAtMax(t, tr)
 	qs := workload.SearchInput(pairs, DefaultBucketSize, 1)
 	vals, fnd, _, err := tr.LookupBatch(qs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	line0 := pairs[keys.PerLine[uint64]()/2-1].Key
+	for i, q := range qs {
+		if want := q <= line0; fnd[i] != want || want && vals[i] != workload.ValueFor(q) {
+			t.Fatalf("GPU path, query %d (key %d): got (%d, %v); the replica routes it to leaf line 0", i, q, vals[i], fnd[i])
+		}
+	}
+	tr.LookupBatchCPUInto(qs, vals, fnd)
 	checkBatch(t, tr, qs, vals, fnd)
-	copy(inner, saved)
+}
+
+// pointReplicaAtMax points tr's implicit replica at a copy of its inner
+// array whose every key is MAX.
+func pointReplicaAtMax(t *testing.T, tr *Tree[uint64]) {
+	t.Helper()
+	inner, _, _, _ := tr.impl.InnerArray()
+	scribbled := make([]uint64, len(inner))
+	for i := range scribbled {
+		scribbled[i] = keys.Max[uint64]()
+	}
+	if _, err := tr.isegBuf.Mirror([][]uint64{scribbled}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestStrategyOrdering(t *testing.T) {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
 	"maps"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"hbtree/internal/cpubtree"
+	"hbtree/internal/fault"
 	"hbtree/internal/keys"
 	"hbtree/internal/vclock"
 	"hbtree/internal/workload"
@@ -297,31 +300,119 @@ func TestClonePathChargesFullMirror(t *testing.T) {
 	}
 }
 
-// TestMirrorHealsDriftedReplica: a clone's mirror takes a page of its
-// source's replica only when that page holds what the host page holds,
-// so a replica page that drifted from its host is copied afresh, not
-// handed on; every page that did not drift is still shared.
-func TestMirrorHealsDriftedReplica(t *testing.T) {
+// TestFaultedSyncKeepsPreBatchPages: the device replica is a version
+// of the host tree. A synchronised batch writes two nodes on two pages;
+// the first node's sync succeeds, the second's faults, and so does the
+// full mirror the sync degrades to. The replica stays on the pre-batch
+// pages, all of them, while the host reads the post-batch ones, and the
+// stale tree refuses the GPU path. A Resync then points the replica at
+// the host's own pages.
+func TestFaultedSyncKeepsPreBatchPages(t *testing.T) {
 	pairs := pagesDataset[uint64](13)
 	tr, err := Build(pairs, Options{Variant: Regular, LeafFill: 0.875})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	const drifted = 1
-	tr.lastBuf.Pages()[drifted][3]++
-	if tr.VerifyReplica() == nil {
-		t.Fatal("VerifyReplica missed a drifted replica page")
+	perLeaf := tr.reg.LeafCapacity() * 7 / 8
+	pre, preDev := lastPageIDs(tr)
+	checkPagesShared(t, "mirror", pre, preDev)
+
+	b1, b2 := 2*cpubtree.LastPageNodes+5, 3*cpubtree.LastPageNodes+1
+	ops := []cpubtree.Op[uint64]{
+		{Key: pairs[b1*perLeaf+3].Key + 1, Value: 1},
+		{Key: pairs[b2*perLeaf+3].Key + 1, Value: 2},
 	}
-	_, srcDev := lastPageIDs(tr)
-	cl, err := tr.Clone()
+	inj := fault.New(fault.Options{})
+	inj.ScriptNext(fault.OpH2D, nil, fault.ErrH2D, fault.ErrH2D)
+	tr.Device().SetInjector(inj)
+	if st, err := tr.Update(ops, Synchronized); !errors.Is(err, fault.ErrH2D) || st.Structural != 0 {
+		t.Fatalf("Update: stats %+v, err %v; want an H2D fault and no split", st, err)
+	}
+	tr.Device().SetInjector(nil)
+	if !tr.ReplicaStale() {
+		t.Fatal("a faulted sync left the tree fresh")
+	}
+	host, dev := lastPageIDs(tr)
+	checkPagesShared(t, "faulted sync, device", pre, dev)
+	checkPagesShared(t, "faulted sync, host", pre, host, b1/cpubtree.LastPageNodes, b2/cpubtree.LastPageNodes)
+	if tr.VerifyReplica() == nil {
+		t.Fatal("the replica reads the post-batch nodes")
+	}
+	for _, op := range ops {
+		if v, ok := tr.Lookup(op.Key); !ok || v != op.Value {
+			t.Fatalf("host Lookup(%d) = (%d, %v), want the batch's write", op.Key, v, ok)
+		}
+	}
+	if _, _, _, err := tr.LookupBatch([]uint64{ops[0].Key}); !errors.Is(err, fault.ErrReplicaStale) {
+		t.Fatalf("GPU path on a stale replica: %v, want ErrReplicaStale", err)
+	}
+
+	if err := tr.Resync(); err != nil {
+		t.Fatal(err)
+	}
+	host, dev = lastPageIDs(tr)
+	checkPagesShared(t, "resynced replica", host, dev)
+	upper, _, _, _, _, _ := tr.reg.InnerArrays()
+	if unsafe.SliceData(tr.upperBuf.Pages()[0]) != unsafe.SliceData(upper) {
+		t.Fatal("the resynced upper replica is not the host's pool")
+	}
+	vals, fnd, _, err := tr.LookupBatch([]uint64{ops[0].Key, ops[1].Key})
+	if err != nil || !fnd[0] || !fnd[1] || vals[0] != 1 || vals[1] != 2 {
+		t.Fatalf("GPU path after Resync: %v %v %v", vals, fnd, err)
+	}
+}
+
+// TestHostWriteCopiesReplicaPages: after a mirror and after a node
+// sync, the replica reads the host's own pages and upper pool. The
+// host's next write to a page, or to the upper pool, copies it first,
+// so the replica keeps reading the version it was synced to until the
+// write's own sync.
+func TestHostWriteCopiesReplicaPages(t *testing.T) {
+	pairs := pagesDataset[uint64](17)
+	tr, err := Build(pairs, Options{Variant: Regular, LeafFill: 0.875})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	if err := cl.VerifyReplica(); err != nil {
-		t.Fatalf("the clone inherited its source's drift: %v", err)
+	defer tr.Close()
+	perLeaf := tr.reg.LeafCapacity() * 7 / 8
+	b := 2*cpubtree.LastPageNodes + 5
+	p := b / cpubtree.LastPageNodes
+	put := func(i int, v uint64) []cpubtree.Op[uint64] {
+		return []cpubtree.Op[uint64]{{Key: pairs[i].Key + 1, Value: v}}
 	}
-	_, dev := lastPageIDs(cl)
-	checkPagesShared(t, "clone of a drifted replica, device", srcDev, dev, drifted)
+
+	// Every method writes the host tree, then syncs: the write alone
+	// must not reach the replica.
+	for step, n := range []int{b, b + 1} { // after the mirror, then after a node sync
+		host, dev := lastPageIDs(tr)
+		checkPagesShared(t, "synced replica", host, dev)
+		before := slices.Clone(tr.lastBuf.Pages()[p])
+		res := tr.reg.ApplyBatchSequential(put(n*perLeaf+3, uint64(step)))
+		written, stillDev := lastPageIDs(tr)
+		checkPagesShared(t, "host write, device", dev, stillDev)
+		checkPagesShared(t, "host write, host", host, written, p)
+		if !slices.Equal(tr.lastBuf.Pages()[p], before) || tr.VerifyReplica() == nil {
+			t.Fatalf("step %d: the host write reached the replica", step)
+		}
+		if _, _, err := tr.syncDirtyNodes(res); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.VerifyReplica(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A split writes the upper pool: the host copies the pool first.
+	upper, _, _, _, _, _ := tr.reg.InnerArrays()
+	if unsafe.SliceData(tr.upperBuf.Pages()[0]) != unsafe.SliceData(upper) {
+		t.Fatal("the upper replica is not the host's pool")
+	}
+	before := slices.Clone(upper)
+	if res := tr.reg.ApplyBatchSequential(splitOps(pairs, b*perLeaf+5, splitCount(tr), 7)); !res.UpperChanged {
+		t.Fatal("no split")
+	}
+	if !slices.Equal(tr.upperBuf.Pages()[0], before) {
+		t.Fatal("the host's split reached the upper replica")
+	}
 }

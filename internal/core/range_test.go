@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"hbtree/internal/workload"
@@ -44,6 +45,10 @@ func TestRangeQueryBatchMatchesSingle(t *testing.T) {
 
 // TestRangeQueryBatchUsesReplica corrupts the host I-segment: the hybrid
 // range path must still resolve correctly from the device replica.
+// TestRangeQueryBatchUsesReplica: the batched range query resolves its
+// start leaf on the device replica, the CPU range query on the host. A
+// replica with every key MAX routes the start to leaf line 0, whose
+// scan runs on from line 1.
 func TestRangeQueryBatchUsesReplica(t *testing.T) {
 	pairs := workload.Dataset[uint64](workload.Uniform, 30000, 7)
 	tr, err := Build(pairs, Options{Variant: Implicit})
@@ -51,25 +56,23 @@ func TestRangeQueryBatchUsesReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	want := tr.RangeQuery(pairs[100].Key, 8, nil)
-
-	inner, _, _, _ := tr.impl.InnerArray()
-	saved := append([]uint64(nil), inner...)
-	for i := range inner {
-		inner[i] = 0xBAD
+	start := pairs[100].Key
+	want := tr.RangeQuery(start, 8, nil)
+	viaLine0 := tr.impl.RangeFromLine(0, start, 8, nil)
+	if slices.Equal(viaLine0, want) {
+		t.Fatal("a scan from leaf line 0 gives the right answer; the test cannot tell the paths apart")
 	}
-	out, _, err := tr.RangeQueryBatch([]uint64{pairs[100].Key}, 8)
+
+	pointReplicaAtMax(t, tr)
+	out, _, err := tr.RangeQueryBatch([]uint64{start}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(inner, saved)
-	if len(out[0]) != len(want) {
-		t.Fatalf("replica range returned %d, want %d", len(out[0]), len(want))
+	if !slices.Equal(out[0], viaLine0) {
+		t.Fatalf("replica range %v, want the scan from leaf line 0 %v", out[0], viaLine0)
 	}
-	for i := range want {
-		if out[0][i] != want[i] {
-			t.Fatalf("replica range diverges at %d", i)
-		}
+	if got := tr.RangeQuery(start, 8, nil); !slices.Equal(got, want) {
+		t.Fatalf("CPU range %v followed the replica, want %v", got, want)
 	}
 }
 

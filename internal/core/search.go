@@ -238,7 +238,7 @@ func (t *Tree[K]) copyQueriesToDevice(qbuf *gpusim.Buffer[K], bq []K) (vclock.Du
 func (t *Tree[K]) runKernel(qbuf *gpusim.Buffer[K], rbuf *gpusim.Buffer[int32], bn int) (vclock.Duration, error) {
 	switch t.opt.Variant {
 	case Implicit:
-		if _, err := gpusim.ImplicitSearchKernel(t.dev, t.isegBuf.Data(), t.implDesc,
+		if _, err := gpusim.ImplicitSearchKernel(t.dev, t.isegBuf.Pages()[0], t.implDesc,
 			qbuf.Data()[:bn], rbuf.Data()[:bn], 0, nil); err != nil {
 			return 0, err
 		}
@@ -248,7 +248,7 @@ func (t *Tree[K]) runKernel(qbuf *gpusim.Buffer[K], rbuf *gpusim.Buffer[int32], 
 		return t.gpuStageDurationF(bn, float64(t.implDesc.TransPerQuery(0))), nil
 	default:
 		out := rbuf.Data()
-		if _, err := gpusim.RegularSearchKernel(t.dev, t.upperBuf.Data(), t.lastBuf.Pages(), t.regDesc,
+		if _, err := gpusim.RegularSearchKernel(t.dev, t.upperBuf.Pages()[0], t.lastBuf.Pages(), t.regDesc,
 			qbuf.Data()[:bn], out[:bn], out[bn:2*bn], 0, nil); err != nil {
 			return 0, err
 		}

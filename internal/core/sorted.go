@@ -302,7 +302,7 @@ func (t *Tree[K]) runKernelSorted(qbuf *gpusim.Buffer[K], rbuf *gpusim.Buffer[in
 	u := len(ukeys)
 	switch t.opt.Variant {
 	case Implicit:
-		trans, err := gpusim.ImplicitSearchKernelSorted(t.dev, t.isegBuf.Data(), t.implDesc,
+		trans, err := gpusim.ImplicitSearchKernelSorted(t.dev, t.isegBuf.Pages()[0], t.implDesc,
 			qbuf.Data()[:u], rbuf.Data()[:u], lvl)
 		if err != nil {
 			return 0, 0, err
@@ -310,7 +310,7 @@ func (t *Tree[K]) runKernelSorted(qbuf *gpusim.Buffer[K], rbuf *gpusim.Buffer[in
 		return trans, t.gpuStageDurationShared(u, float64(t.implDesc.TransPerQuery(0)), trans), nil
 	default:
 		out := rbuf.Data()
-		trans, err := gpusim.RegularSearchKernelSorted(t.dev, t.upperBuf.Data(), t.lastBuf.Pages(), t.regDesc,
+		trans, err := gpusim.RegularSearchKernelSorted(t.dev, t.upperBuf.Pages()[0], t.lastBuf.Pages(), t.regDesc,
 			qbuf.Data()[:u], out[:u], out[u:2*u], lvl)
 		if err != nil {
 			return 0, 0, err

@@ -255,12 +255,14 @@ func (t *Tree[K]) updatePerOpCost() vclock.Duration {
 // syncDirtyNodes replays every modified last-level node image (and, on
 // structural changes, the whole upper pool) to the device replica,
 // returning the synchronizing thread's busy time. A structural change
-// is charged as a full mirror, which copies only the last-level pages
-// that differ from the replica's (mirrorISegment); a node image lands in
-// the replica's own copy of its page.
+// is charged as a full mirror. A node sync points the replica at the
+// host's current page of the node (gpusim.PagedBuffer.SyncNodes), which
+// the host then copies before its next write to it. A kernel never
+// reads a node between its host write and its sync: the host writes
+// only pages the replica does not hold, and every method syncs before
+// it returns the tree to its readers.
 func (t *Tree[K]) syncDirtyNodes(res cpubtree.BatchResult) (vclock.Duration, int, error) {
 	upper, last, root, height, nodeSlots, _ := t.reg.InnerArrays()
-	var total vclock.Duration
 	dirty := len(res.DirtyLast)
 
 	// Pool growth (splits) forces re-allocation of the device buffers.
@@ -268,28 +270,28 @@ func (t *Tree[K]) syncDirtyNodes(res cpubtree.BatchResult) (vclock.Duration, int
 		if err := t.remirror(); err != nil {
 			return 0, dirty, err
 		}
-		total += t.buildStats.ISegXfer
-		return total, dirty, nil
+		return t.buildStats.ISegXfer, dirty, nil
 	}
 
+	// Each enqueued node copy pays the asynchronous initiation cost
+	// plus its bytes (Section 5.6: bounded by initiation latency).
 	nodeBytes := int64(nodeSlots) * int64(keys.Size[K]())
-	for _, b := range res.DirtyLast {
-		pg, off := last[b/cpubtree.LastPageNodes], int(b%cpubtree.LastPageNodes)*nodeSlots
-		if _, err := t.lastBuf.CopyRegionFromHost(int(b)*nodeSlots, pg[off:off+nodeSlots]); err != nil {
-			// A faulted per-node copy leaves the replica partially
-			// synchronised; degrade to one full mirror — the async
-			// method's transfer — before giving up and going stale.
-			if merr := t.remirror(); merr != nil {
-				return 0, dirty, err
-			}
-			total += t.buildStats.ISegXfer
-			return total, dirty, nil
-		}
-		// Each enqueued node copy pays the asynchronous initiation cost
-		// plus its bytes (Section 5.6: bounded by initiation latency).
-		total += t.dev.Config().TInitAsync +
-			vclock.Duration(float64(nodeBytes)/t.dev.Config().PCIeBWBytes*1e9)
+	perNode := t.dev.Config().TInitAsync + vclock.Duration(float64(nodeBytes)/t.dev.Config().PCIeBWBytes*1e9)
+	synced, err := t.lastBuf.SyncNodes(last, res.DirtyLast, nodeSlots)
+	var total vclock.Duration
+	for range synced { // node by node, as the sync thread pays them
+		total += perNode
 	}
+	if err != nil {
+		// A faulted node copy leaves the replica on its pre-batch pages;
+		// degrade to one full mirror — the async method's transfer —
+		// before giving up and going stale.
+		if merr := t.remirror(); merr != nil {
+			return 0, dirty, err
+		}
+		return total + t.buildStats.ISegXfer, dirty, nil
+	}
+	t.reg.ShareInner()
 	t.regDesc.Root = root
 	t.regDesc.RootInUpper = height >= 2
 	t.regDesc.Height = height
@@ -352,45 +354,38 @@ func (t *Tree[K]) MixedBatch(ops []cpubtree.MixedOp[K], method UpdateMethod) (cp
 // divergence. Tests and the examples use it as a consistency audit after
 // updates.
 func (t *Tree[K]) VerifyReplica() error {
-	switch t.opt.Variant {
-	case Implicit:
+	if t.impl != nil {
 		inner, _, _, _ := t.impl.InnerArray()
-		dev := t.isegBuf.Data()
-		if len(dev) != len(inner) {
-			return fmt.Errorf("core: replica length %d != host %d", len(dev), len(inner))
+		return samePages("I-segment", [][]K{inner}, t.isegBuf.Pages())
+	}
+	upper, last, _, _, _, _ := t.reg.InnerArrays()
+	if t.upperBuf.Len() != len(upper) || t.lastBuf.Len() != poolLen(last) {
+		return fmt.Errorf("core: replica pool sizes diverge: %d/%d vs %d/%d",
+			t.upperBuf.Len(), t.lastBuf.Len(), len(upper), poolLen(last))
+	}
+	if err := samePages("upper", [][]K{upper}, t.upperBuf.Pages()); err != nil {
+		return err
+	}
+	return samePages("last", last, t.lastBuf.Pages())
+}
+
+// samePages returns an error naming the first element at which the
+// replica pages dev differ from the host pages host.
+func samePages[K keys.Key](what string, host, dev [][]K) error {
+	if len(dev) != len(host) {
+		return fmt.Errorf("core: %s replica has %d pages, host %d", what, len(dev), len(host))
+	}
+	off := 0
+	for p, pg := range host {
+		if len(dev[p]) != len(pg) {
+			return fmt.Errorf("core: %s replica page %d holds %d elements, host %d", what, p, len(dev[p]), len(pg))
 		}
-		for i := range inner {
-			if dev[i] != inner[i] {
-				return fmt.Errorf("core: replica diverges at element %d: %v != %v", i, dev[i], inner[i])
+		for i := range pg {
+			if dev[p][i] != pg[i] {
+				return fmt.Errorf("core: %s replica diverges at element %d: %v != %v", what, off+i, dev[p][i], pg[i])
 			}
 		}
-	case Regular:
-		upper, last, _, _, _, _ := t.reg.InnerArrays()
-		if t.upperBuf.Len() != len(upper) || t.lastBuf.Len() != poolLen(last) {
-			return fmt.Errorf("core: replica pool sizes diverge: %d/%d vs %d/%d",
-				t.upperBuf.Len(), t.lastBuf.Len(), len(upper), poolLen(last))
-		}
-		du, dl := t.upperBuf.Data(), t.lastBuf.Pages()
-		for i := range upper {
-			if du[i] != upper[i] {
-				return fmt.Errorf("core: upper replica diverges at element %d", i)
-			}
-		}
-		if len(dl) != len(last) {
-			return fmt.Errorf("core: last replica has %d pages, host %d", len(dl), len(last))
-		}
-		off := 0
-		for p, pg := range last {
-			if len(dl[p]) != len(pg) {
-				return fmt.Errorf("core: last replica page %d holds %d elements, host %d", p, len(dl[p]), len(pg))
-			}
-			for i := range pg {
-				if dl[p][i] != pg[i] {
-					return fmt.Errorf("core: last replica diverges at element %d", off+i)
-				}
-			}
-			off += len(pg)
-		}
+		off += len(pg)
 	}
 	return nil
 }
@@ -444,7 +439,7 @@ func (t *Tree[K]) UpdateGPUAssisted(ops []cpubtree.Op[K]) (UpdateStats, error) {
 	out := rbuf.Data()
 	// A kernel fault here precedes any host mutation: the batch simply
 	// fails and may be retried (or applied via the CPU-only methods).
-	if _, err := gpusim.RegularSearchKernel(t.dev, t.upperBuf.Data(), t.lastBuf.Pages(), t.regDesc,
+	if _, err := gpusim.RegularSearchKernel(t.dev, t.upperBuf.Pages()[0], t.lastBuf.Pages(), t.regDesc,
 		qbuf.Data()[:n], out[:n], out[n:2*n], 0, nil); err != nil {
 		return stats, err
 	}

@@ -10,9 +10,9 @@ import (
 // split: a batch update clones the current tree, mutates the clone, and
 // publishes it atomically, so in-flight readers keep traversing the old
 // version untouched. An implicit tree is never written after its build,
-// so its clone shares every array; a regular clone copies its upper
-// pool, metadata, leaf records and page tables and shares its leaf data
-// and last-level pages copy-on-write (cow.go). The Config (including
+// so its clone shares every array; a regular clone copies its
+// metadata, leaf records and page tables and shares its leaf data,
+// last-level pages and upper pool copy-on-write (cow.go). The Config (including
 // the simulated address-space allocator) and the segment descriptors
 // are shared, since a snapshot is a logical sibling of the same index,
 // not a second index.
@@ -28,8 +28,8 @@ func (t *ImplicitTree[K]) Clone() *ImplicitTree[K] {
 
 // Clone returns a copy of the tree that accepts structural updates;
 // updates applied to one are invisible to the other. It copies the
-// upper pool, the metadata, the free lists, the leaf records and the
-// last-level page table, not the leaf data or the last-level pages:
+// metadata, the free lists, the leaf records and the last-level page
+// table, not the leaf data, the last-level pages or the upper pool:
 // those stay shared copy-on-write (cow.go), and the clone takes
 // over t's append right, so its in-place successors append where t's
 // would have. Leaves whose delta region is at least half full are
@@ -59,9 +59,10 @@ func (t *RegularTree[K]) compacted() *RegularTree[K] {
 	return c
 }
 
-// CloneFootprint reports what one Clone() of this tree copies: the
-// inner nodes it copies (the upper pool and the last-level pages it
-// writes) and the bytes of the upper pool, the node metadata, the leaf
+// CloneFootprint reports what one Clone() of this tree and the
+// structural write after it copy: the inner nodes copied (the upper pool
+// and the last-level pages Clone writes) and the bytes of the upper
+// pool, the node metadata, the leaf
 // records and both page tables, the free lists, and the leaves whose
 // delta region Clone compacts with the last-level pages holding them.
 // Leaf data and the last-level pages Clone does not write are shared,

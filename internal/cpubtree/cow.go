@@ -11,9 +11,9 @@ import (
 // per big leaf — its data slice, pair count, chain links and delta
 // state — in pages of leafPageSize records. A delta fork (ForkDelta)
 // copies the page table and, as it writes, the pages of the leaves it
-// writes; a clone copies the upper pool, the node metadata, every
-// record page and the last-level page table, but no leaf data and no
-// last-level page. No two trees write one record page: a fork copies a
+// writes; a clone copies the node metadata, every record page and the
+// last-level page table, but no leaf data, no last-level page and not
+// the upper pool. No two trees write one record page: a fork copies a
 // page before its first write to it, and a tree shared since it last
 // restructured copies all its pages before it restructures again. Trees
 // of one lineage do share leaf data and last-level pages, and one
@@ -38,11 +38,13 @@ import (
 // loses every right, the result keeps the append right and no rewrite
 // right, and what either copies from then on is stamped past both.
 //
-// Last-level pages follow the rewrite half of the rule: every page
-// carries the clock time it was made or copied, and a tree writes a page
-// in place only if that stamp is at or after t.owned. Any other page is
-// copied first (lastW), so a write copies the pages of the nodes it
-// dirties and shares the rest.
+// Inner memory follows the rewrite half of the rule, with the device
+// replica as one more reader (gpusim.PagedBuffer): every last-level
+// page, and the upper pool, carries the clock time it was made or
+// copied, and a tree writes it in place only if that stamp is at or
+// after both t.owned and the inner floor, which each mirror or sync
+// raises to now (ShareInner). Any other page is copied first (lastW,
+// upperW), so a write copies the pages it dirties and shares the rest.
 
 // Leaf records sit in pages of leafPageSize; a record is one cache line.
 const (
@@ -98,15 +100,31 @@ func (t *RegularTree[K]) lastAt(b int32) ([]K, int32) {
 	return t.last[b>>lastPageBits], b & lastPageMask
 }
 
-// lastW is lastAt for a write: a page another tree may read is copied
-// first.
+// lastW is lastAt for a write: a page another tree or the device
+// replica may read is copied first.
 func (t *RegularTree[K]) lastW(b int32) ([]K, int32) {
 	p := b >> lastPageBits
-	if t.lastStamp[p] < t.owned {
-		t.last[p], t.lastStamp[p] = t.copyLastPage(t.last[p]), t.owned
+	if w := t.innerW(); t.lastStamp[p] < w {
+		t.last[p], t.lastStamp[p] = t.copyLastPage(t.last[p]), w
 	}
 	return t.last[p], b & lastPageMask
 }
+
+// upperW makes the upper pool safe to write: a pool another tree or the
+// device replica may read is copied first, with reserve's headroom.
+func (t *RegularTree[K]) upperW() {
+	if w := t.innerW(); t.upperStamp < w {
+		t.upper, t.upperStamp = clonePool(t.upper, t.nodeSlots), w
+	}
+}
+
+// innerW returns the stamp from which t may write inner memory in place.
+func (t *RegularTree[K]) innerW() uint64 { return max(t.owned, t.inner) }
+
+// ShareInner marks the inner memory InnerArrays returns as read by a
+// device replica: t copies each last-level page, and the upper pool,
+// before its next write to it. The leaves' rights are untouched.
+func (t *RegularTree[K]) ShareInner() { t.inner = cowClock.Add(1) }
 
 // copyLastPage returns a private copy of last-level page pg, with
 // capacity for a full page.
@@ -145,7 +163,7 @@ func (t *RegularTree[K]) addLastNode() {
 	n := int32(len(t.lastMeta))
 	if n&lastPageMask == 0 {
 		t.last = append(t.last, make([]K, t.nodeSlots, LastPageNodes*t.nodeSlots))
-		t.lastStamp = append(t.lastStamp, t.owned)
+		t.lastStamp = append(t.lastStamp, t.innerW())
 		return
 	}
 	pg, _ := t.lastW(n - 1)
@@ -174,7 +192,7 @@ func (t *RegularTree[K]) derive(app, born uint64) *RegularTree[K] {
 func (t *RegularTree[K]) initRights() {
 	now := cowClock.Add(1)
 	t.app.Store(now)
-	t.born, t.owned, t.poolStamp = now, now, now
+	t.born, t.owned, t.poolStamp, t.upperStamp = now, now, now, now
 }
 
 // excl returns the stamp from which t may rewrite a leaf.
@@ -211,9 +229,10 @@ func copyPage[K keys.Key](pg []leafRec[K]) []leafRec[K] {
 // ensurePrivate guards every structural entry point. A delta fork
 // shares its inner pools and must never restructure, so it panics. A
 // tree shared since it last restructured copies its record pages and
-// what a delta fork of it shares and it writes in place: the upper pool,
-// the node metadata and the last-level page table. t.owned is then the
-// stamp that lets t rewrite a leaf or a last-level page.
+// what a delta fork of it shares and it writes in place: the node
+// metadata and the last-level page table. t.owned is then the stamp
+// that lets t rewrite a leaf, and with the inner floor a last-level
+// page or the upper pool.
 func (t *RegularTree[K]) ensurePrivate() {
 	if t.sharedPools {
 		panic("cpubtree: structural mutation on a delta fork; Clone() first")
@@ -227,11 +246,10 @@ func (t *RegularTree[K]) ensurePrivate() {
 	}
 }
 
-// copyInner gives t its own upper pool, node metadata, free lists and
-// last-level page table; the pages themselves stay shared until written.
+// copyInner gives t its own node metadata, free lists and last-level
+// page table; the pages and the upper pool stay shared until written.
 // The flat pools get the one capacity rule's headroom (reserve).
 func (t *RegularTree[K]) copyInner() {
-	t.upper = clonePool(t.upper, t.nodeSlots)
 	t.upperMeta = clonePool(t.upperMeta, 1)
 	t.last = slices.Clone(t.last)
 	t.lastStamp = slices.Clone(t.lastStamp)
@@ -308,8 +326,8 @@ func (t *RegularTree[K]) addLeafRec() {
 }
 
 // copyTree returns a private copy of t with the given rights: its own
-// upper pool, metadata, free lists, leaf records and last-level page
-// table, sharing t's leaf data and last-level pages.
+// metadata, free lists, leaf records and last-level page table, sharing
+// t's leaf data, last-level pages and upper pool.
 func (t *RegularTree[K]) copyTree(app, born uint64) *RegularTree[K] {
 	c := t.derive(app, born)
 	c.owned = c.excl()

@@ -48,8 +48,9 @@ type RegularTree[K keys.Key] struct {
 	root     int32
 	numPairs int
 
-	upper     []K // inner nodes at height >= 2
-	upperMeta []nodeMeta
+	upper      []K // inner nodes at height >= 2
+	upperStamp uint64
+	upperMeta  []nodeMeta
 
 	// Last-level inner nodes (height 1), index-paired with big leaves,
 	// in pages of LastPageNodes behind a page table (cow.go); lastStamp
@@ -77,9 +78,10 @@ type RegularTree[K keys.Key] struct {
 
 	// Ownership (cow.go): the append floor (allocated with the tree,
 	// regularBox), the birth, the rewrite stamp ensurePrivate last
-	// established, and the stamp of the pools' headroom.
-	app                    *atomic.Uint64
-	born, owned, poolStamp uint64
+	// established, the stamp of the pools' headroom and the inner floor
+	// the device replica's last mirror or sync raised.
+	app                           *atomic.Uint64
+	born, owned, poolStamp, inner uint64
 
 	upperSeg, lastSeg, leafSeg mem.Segment
 }
@@ -215,15 +217,15 @@ func (t *RegularTree[K]) setLastKeys(b int32, pg []K, i int32) {
 // reserve is the one capacity rule of the flat pools: a pool of n nodes
 // is allocated with room for n/32 more (at least one), so the splits
 // after a build, a load or a clone append in place instead of copying
-// the pool. Bulk load, ReadRegular and Clone size through it. The
-// headroom is small because every live tree carries it and the garbage
-// collector's heap goal doubles it: n/8 put wire-mixed-durable's peak
-// RSS about 10 % above the append-grown pools', at its bound. A clone
-// copies the upper pool, the node metadata and the leaf records, never
-// the leaf data or a last-level page it does not write, so the headroom
-// costs it a thirty-second of those. The paged last-level pool needs no
-// headroom: its last page has room to the page's end, and a new page
-// takes the nodes after that.
+// the pool. Bulk load, ReadRegular, Clone and upperW size through it.
+// The headroom is small because every live tree carries it and the
+// garbage collector's heap goal doubles it: n/8 put wire-mixed-durable's
+// peak RSS about 10 % above the append-grown pools', at its bound. The
+// clone path copies the upper pool, the node metadata and the leaf
+// records, never the leaf data or a last-level page it does not write,
+// so the headroom costs it a thirty-second of those. The paged
+// last-level pool needs no headroom: its last page has room to the
+// page's end, and a new page takes the nodes after that.
 func reserve(n int) int {
 	return n + max(n/32, 1)
 }

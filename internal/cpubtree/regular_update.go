@@ -202,6 +202,7 @@ func (t *RegularTree[K]) childPos(u, child int32) int {
 // after a split. leftMax is left's new subtree maximum; right inherits
 // left's old separator. childInLast says which pool the siblings live in.
 func (t *RegularTree[K]) insertIntoParent(left, right int32, leftMax K, childInLast bool) {
+	t.upperW()
 	p := t.parentOf(left, childInLast)
 	if p == nilRef {
 		// left was the root: grow the tree by one level.
@@ -305,6 +306,7 @@ func (t *RegularTree[K]) removeLeaf(b int32) {
 // removeChild deletes child from upper node u, cascading upwards when u
 // empties and collapsing the root when it has a single child left.
 func (t *RegularTree[K]) removeChild(u, child int32, childInLast bool) {
+	t.upperW()
 	n := int(t.upperMeta[u].nchild)
 	pos := t.childPos(u, child)
 	ks := t.nodeKeys(t.upper, u)

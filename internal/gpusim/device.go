@@ -4,11 +4,14 @@
 //
 // The simulation has two halves:
 //
-//   - Functional: device memory is real storage (capacity-checked
-//     against the card's 3 GiB), host<->device copies move real bytes,
+//   - Functional: device memory is charged against the card's 3 GiB
 //     and kernels execute the paper's warp-parallel node-search
 //     algorithm (Snippet 3) on the device-resident replica, computing
-//     real results that tests verify against the host tree.
+//     real results that tests verify against the host tree. A replica's
+//     bytes are a version of the host tree's own memory (PagedBuffer):
+//     mirroring it moves no bytes but is charged as the copy it stands
+//     for. Query and result staging buffers (Buffer) hold real storage
+//     that host<->device copies fill and drain.
 //
 //   - Temporal: every operation returns a virtual duration from the
 //     paper's own cost model (Section 5.4): copies cost
@@ -184,7 +187,8 @@ func (b *Buffer[K]) Free() {
 	b.data = nil
 }
 
-// Data exposes the device-resident storage; kernels read and write it.
+// Data exposes the staging storage; kernels read queries from it and
+// write results into it. A replica (PagedBuffer) is read-only.
 func (b *Buffer[K]) Data() []K { return b.data }
 
 // Len returns the element count.
@@ -201,9 +205,7 @@ func (b *Buffer[K]) CopyFromHost(src []K) (vclock.Duration, error) {
 	}
 	copy(b.data, src)
 	var z K
-	bytes := int64(len(src)) * int64(sizeofAny(z))
-	b.dev.bytesH2D.Add(bytes)
-	return b.dev.CopyDuration(bytes), nil
+	return b.dev.h2d(int64(len(src)) * int64(sizeofAny(z))), nil
 }
 
 // CopyToHost copies the first len(dst) elements back to the host
@@ -220,6 +222,13 @@ func (b *Buffer[K]) CopyToHost(dst []K) (vclock.Duration, error) {
 	bytes := int64(len(dst)) * int64(sizeofAny(z))
 	b.dev.bytesD2H.Add(bytes)
 	return b.dev.CopyDuration(bytes), nil
+}
+
+// h2d counts a host-to-device transfer of bytes and returns its
+// duration.
+func (d *Device) h2d(bytes int64) vclock.Duration {
+	d.bytesH2D.Add(bytes)
+	return d.CopyDuration(bytes)
 }
 
 // CopyDuration is the paper's transfer cost model:

@@ -71,47 +71,44 @@ func TestCopySemantics(t *testing.T) {
 func TestCopyRegion(t *testing.T) {
 	d := dev()
 	b, _ := MallocPaged[uint64](d, 16, 8)
-	if _, err := b.CopyPagesFromHost([][]uint64{make([]uint64, 8), make([]uint64, 8)}, nil); err != nil {
+	host := [][]uint64{make([]uint64, 8), make([]uint64, 8)}
+	if _, err := b.Mirror(host); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.CopyRegionFromHost(8, []uint64{7, 7}); err != nil {
-		t.Fatal(err)
+	// The host writes node 4 (elements 8 and 9) into a copy of page 1,
+	// as it copies every page a replica holds before writing it; the
+	// replica reads the old page until the node's sync.
+	host[1] = slices.Clone(host[1])
+	host[1][0], host[1][1] = 7, 7
+	if b.Pages()[1][0] != 0 {
+		t.Fatal("the replica read a host page it was not synced to")
+	}
+	if n, err := b.SyncNodes(host, []int32{4}, 2); err != nil || n != 1 {
+		t.Fatalf("SyncNodes = %d, %v", n, err)
 	}
 	if pg := b.Pages(); pg[1][0] != 7 || pg[1][1] != 7 || pg[0][0] != 0 {
 		t.Fatal("region copy wrong")
 	}
-	if _, err := b.CopyRegionFromHost(15, []uint64{1, 2}); err == nil {
-		t.Fatal("out-of-range region accepted")
+	for _, bad := range []struct {
+		node int32
+		n    int
+	}{{5, 3}, {-1, 1}, {2, 3}} { // past the end, negative, across a page
+		if _, err := b.SyncNodes(host, []int32{bad.node}, bad.n); err == nil {
+			t.Fatalf("region %+v accepted", bad)
+		}
 	}
-	if _, err := b.CopyRegionFromHost(-1, []uint64{1}); err == nil {
-		t.Fatal("negative offset accepted")
+	// A sync that meets a bad region leaves the buffer on its previous
+	// pages, those of the regions charged before it included.
+	host[0] = slices.Clone(host[0])
+	host[0][0] = 5
+	if n, err := b.SyncNodes(host, []int32{0, 8}, 2); err == nil || n != 1 {
+		t.Fatalf("SyncNodes over a bad region = %d, %v", n, err)
 	}
-
-	// A buffer mirrored from an image that matches b's pages shares
-	// them until either writes one, and copies a page that differs.
-	c, _ := MallocPaged[uint64](d, 16, 8)
-	if _, err := c.CopyPagesFromHost([][]uint64{slices.Clone(b.Pages()[0]), slices.Clone(b.Pages()[1])}, b); err != nil {
-		t.Fatal(err)
+	if b.Pages()[0][0] != 0 {
+		t.Fatal("a failed sync moved the buffer to a new page")
 	}
-	if &c.Pages()[0][0] != &b.Pages()[0][0] || &c.Pages()[1][0] != &b.Pages()[1][0] {
-		t.Fatal("unchanged pages copied")
-	}
-	e, _ := MallocPaged[uint64](d, 16, 8)
-	img := [][]uint64{slices.Clone(b.Pages()[0]), slices.Clone(b.Pages()[1])}
-	img[1][5] = 4
-	if _, err := e.CopyPagesFromHost(img, b); err != nil {
-		t.Fatal(err)
-	}
-	if &e.Pages()[0][0] != &b.Pages()[0][0] || &e.Pages()[1][0] == &b.Pages()[1][0] || e.Pages()[1][5] != 4 || b.Pages()[1][5] != 0 {
-		t.Fatalf("a changed page was shared, or an unchanged one copied: %v, %v", b.Pages(), e.Pages())
-	}
-	c.CopyRegionFromHost(0, []uint64{5})
-	b.CopyRegionFromHost(9, []uint64{3})
-	if b.Pages()[0][0] != 0 || c.Pages()[0][0] != 5 || c.Pages()[1][1] != 7 || b.Pages()[1][1] != 3 {
-		t.Fatalf("writes crossed between sharing buffers: %v, %v", b.Pages(), c.Pages())
-	}
-	if cnt := d.Counters(); cnt.BytesH2D != 3*16*8+4*8 {
-		t.Fatalf("H2D bytes %d, want three full images and four elements", cnt.BytesH2D)
+	if cnt := d.Counters(); cnt.BytesH2D != 16*8+2*2*8 {
+		t.Fatalf("H2D bytes %d, want one full image and two nodes", cnt.BytesH2D)
 	}
 }
 

@@ -510,6 +510,13 @@ func (d *Durable[K]) Snapshot() (uint64, error) {
 		man.Trees = append(man.Trees, rel)
 		man.Pairs += t.NumPairs()
 	}
+	// The images' directory entries must survive a power loss before the
+	// manifest names them and truncation drops the log they replace.
+	// WriteManifest's sync of d.dir covers snapDir's own entry.
+	if err := syncDir(snapDir); err != nil {
+		d.snapFailures.Add(1)
+		return 0, fmt.Errorf("serve: durable: sync %s: %w", snapDir, err)
+	}
 	if err := wal.WriteManifest(d.dir, man); err != nil {
 		d.snapFailures.Add(1)
 		return 0, fmt.Errorf("serve: durable: commit manifest: %w", err)
@@ -528,6 +535,10 @@ func (d *Durable[K]) Snapshot() (uint64, error) {
 	wal.SweepSnapshots(d.dir, ep)
 	return ep, nil
 }
+
+// syncDir fsyncs a directory; tests replace it to record the order of
+// directory syncs.
+var syncDir = wal.SyncDir
 
 // writeTreeImage serialises one tree to path and fsyncs it.
 func writeTreeImage[K keys.Key](path string, t *core.Tree[K]) error {

@@ -459,6 +459,58 @@ func TestDurableWALTruncationAfterSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotSyncsImageDirBeforeCommit: a snapshot fsyncs its
+// snap-<epoch>/ directory once, after the last shard image is in it and
+// before the manifest commit makes the snapshot current, so the images'
+// directory entries are durable before the WAL they replace is
+// truncated.
+func TestSnapshotSyncsImageDirBeforeCommit(t *testing.T) {
+	dir := t.TempDir()
+	const shards = 2
+	d := openDur(t, dir, shards)
+	defer d.closeBackend()
+	defer d.Close()
+	applyOracle(t, d, seedOracle(t), 5, 3)
+	type dirSync struct {
+		path    string
+		entries int
+		current uint64
+	}
+	var syncs []dirSync
+	orig := syncDir
+	t.Cleanup(func() { syncDir = orig })
+	syncDir = func(p string) error {
+		ents, _ := os.ReadDir(p)
+		s := dirSync{path: p, entries: len(ents)}
+		if m, ok, _ := wal.ReadCurrentManifest(dir); ok {
+			s.current = m.Epoch
+		}
+		syncs = append(syncs, s)
+		return orig(p)
+	}
+	ep, err := d.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapDir := filepath.Join(dir, wal.SnapDir(ep))
+	var got []dirSync
+	for _, s := range syncs {
+		if s.path == snapDir {
+			got = append(got, s)
+		}
+	}
+	if len(got) != 1 {
+		t.Fatalf("snapshot %d synced %s %d times, want once (syncs %+v)", ep, snapDir, len(got), syncs)
+	}
+	if got[0].entries != shards || got[0].current >= ep {
+		t.Fatalf("%s synced holding %d images with epoch %d current; want all %d images, before epoch %d commits",
+			snapDir, got[0].entries, got[0].current, shards, ep)
+	}
+	if m, _, err := wal.ReadCurrentManifest(dir); err != nil || m.Epoch != ep {
+		t.Fatalf("current manifest after the snapshot: %+v, %v", m, err)
+	}
+}
+
 // TestDurableCrashMatrix walks the crash points of the commit protocol
 // (ISSUE satellite): for each, the acked state survives and un-acked
 // artifacts are ignored or surface only as the documented "may appear"

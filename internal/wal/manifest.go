@@ -121,7 +121,7 @@ func WriteManifest(dir string, m *Manifest) error {
 	if err := os.Rename(tmp, filepath.Join(dir, currentFile)); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	return SyncDir(dir)
 }
 
 // ReadCurrentManifest loads the committed manifest: the one CURRENT

@@ -155,7 +155,7 @@ func Open(dir string, part int, keyBits byte, opt Options) (*Log, error) {
 			if err := os.Remove(si.path); err != nil {
 				return nil, err
 			}
-			if err := syncDir(pd); err != nil {
+			if err := SyncDir(pd); err != nil {
 				return nil, err
 			}
 			recreate = true
@@ -253,7 +253,7 @@ func (l *Log) newSegmentLocked(firstSeq uint64) error {
 	}
 	l.f = f
 	l.segs = append(l.segs, segInfo{path: path, firstSeq: firstSeq})
-	return syncDir(filepath.Dir(path))
+	return SyncDir(filepath.Dir(path))
 }
 
 // Append frames payload as the next record and blocks until it is
@@ -443,8 +443,8 @@ func (l *Log) Close() error {
 	return ferr
 }
 
-// syncDir fsyncs a directory so entry creation/removal is durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so entry creation/removal is durable.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
