@@ -345,6 +345,43 @@ func TestCPUFallbackAllocFree(t *testing.T) {
 	}
 }
 
+// TestLookupBatchIntoAllocFree pins the plain hybrid path's promise
+// (LookupBatchInto's doc comment): a batch below the kernels' fan-out
+// threshold allocates nothing, staging and timeline coming from the
+// tree's scratch pool and the kernel groups' cursors from the stack. A
+// fanned-out batch pays only for its worker goroutines — one kernel
+// worker per SM, one leaf worker per thread — and their closures, at
+// most two allocations each: 32 at GOMAXPROCS 2, 36 at 4 and 44 at 8,
+// never a number that grows with the batch.
+func TestLookupBatchIntoAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	for _, v := range []Variant{Implicit, Regular} {
+		tr, pairs := build64(t, 1<<16, Options{Variant: v})
+		workers := float64(tr.dev.Config().SMs + tr.opt.Threads)
+		for _, c := range []struct {
+			n         int
+			maxAllocs float64
+		}{{16, 0}, {1000, 0}, {5000, 2 * workers}} {
+			qs := workload.SearchInput(pairs, c.n, 9)
+			vals, fnd := make([]uint64, c.n), make([]bool, c.n)
+			if _, err := tr.LookupBatchInto(qs, vals, fnd); err != nil {
+				t.Fatal(err)
+			}
+			checkBatch(t, tr, qs, vals, fnd)
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, err := tr.LookupBatchInto(qs, vals, fnd); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > c.maxAllocs {
+				t.Errorf("%v, %d keys: %v allocations per batch, want at most %v", v, c.n, allocs, c.maxAllocs)
+			}
+		}
+	}
+}
+
 func TestImplicitRebuildUpdatesReplica(t *testing.T) {
 	tr, _ := build64(t, 30000, Options{Variant: Implicit})
 	pairs2 := workload.Dataset[uint64](workload.Uniform, 45000, 99)

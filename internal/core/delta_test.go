@@ -181,3 +181,64 @@ func TestCloneCompactsHalfFullDeltaRegions(t *testing.T) {
 		t.Fatalf("the clone's image (%d bytes) differs from the clone-only history's (%d bytes)", got.Len(), want.Len())
 	}
 }
+
+// TestInPlaceUpdateAfterForkKeepsForkReplica pins the fork's replica
+// against in-place writes to its parent. A synchronised Update on a tree
+// that ApplyDelta has forked syncs its dirty last-level nodes; the
+// replica buffers are shared with the fork, so the parent must detach
+// into a replica of its own first. Otherwise the fork's GPU path routes
+// by the parent's new separators while its host path does not.
+func TestInPlaceUpdateAfterForkKeepsForkReplica(t *testing.T) {
+	pairs := workload.Dataset[uint64](workload.Uniform, 1<<16, 5)
+	tr, err := Build(pairs, Options{Variant: Regular, LeafFill: 0.875})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var plan cpubtree.DeltaPlan[uint64]
+	fork, _, ok := tr.ApplyDelta([]cpubtree.Op[uint64]{{Key: pairs[7].Key, Value: 7}}, &plan)
+	if !ok {
+		t.Fatal("ApplyDelta rejected a one-op batch")
+	}
+	defer fork.Close()
+
+	// Twenty inserts into big leaf 40 of the parent (224 pairs a leaf at
+	// this fill), one batch each: none splits, so each syncs the leaf's
+	// last-level node instead of re-mirroring.
+	base := 40 * 224
+	for i := 0; i < 20; i++ {
+		k := pairs[base+i].Key + 1
+		if _, err := tr.Update([]cpubtree.Op[uint64]{{Key: k, Value: k}}, Synchronized); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		x    *Tree[uint64]
+	}{{"fork", fork}, {"parent", tr}} {
+		name, x := c.name, c.x
+		qs := make([]uint64, 0, 2048)
+		for _, p := range pairs[base-1024 : base+1024] {
+			qs = append(qs, p.Key, p.Key+1)
+		}
+		vals, fnd, _, err := x.LookupBatch(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := 0
+		for i, q := range qs {
+			if v, f := x.Lookup(q); v != vals[i] || f != fnd[i] {
+				bad++
+			}
+		}
+		if bad > 0 {
+			t.Fatalf("%s: %d of %d LookupBatch answers differ from Lookup", name, bad, len(qs))
+		}
+		if err := x.VerifyReplica(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if tr.bufShare == fork.bufShare {
+		t.Fatal("the updated parent still shares the fork's replica buffers")
+	}
+}

@@ -265,8 +265,12 @@ func (t *Tree[K]) syncDirtyNodes(res cpubtree.BatchResult) (vclock.Duration, int
 	upper, last, root, height, nodeSlots, _ := t.reg.InnerArrays()
 	dirty := len(res.DirtyLast)
 
-	// Pool growth (splits) forces re-allocation of the device buffers.
-	if res.UpperChanged || t.lastBuf.Len() != poolLen(last) || t.upperBuf.Len() != len(upper) {
+	// Pool growth (splits) forces re-allocation of the device buffers,
+	// and so does a replica shared with delta forks (ApplyDelta): a node
+	// sync repoints the page table they read, so this tree detaches
+	// into a replica of its own and pays a full mirror.
+	if res.UpperChanged || t.lastBuf.Len() != poolLen(last) || t.upperBuf.Len() != len(upper) ||
+		(t.bufShare != nil && t.bufShare.refs.Load() > 1) {
 		if err := t.remirror(); err != nil {
 			return 0, dirty, err
 		}

@@ -1,0 +1,196 @@
+package gpusim
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"hbtree/internal/cpubtree"
+	"hbtree/internal/keys"
+	"hbtree/internal/workload"
+)
+
+// Group-boundary tests of the kernels' host execution: a launch descends
+// kernelGroup queries at a time, and a fanned-out launch (1024 queries
+// or more) does so inside each worker's chunk, so every batch size
+// around a group or the fan-out threshold must answer exactly what the
+// per-query host descent answers.
+
+// groupSizes are the batch sizes the boundary tests launch: one query,
+// a group's either side, the fan-out threshold's either side, and a
+// batch whose chunks end in partial groups.
+var groupSizes = []int{1, kernelGroup - 1, kernelGroup, kernelGroup + 1, 1023, 1024, 1025, 16387}
+
+// boundaryQueries returns the largest batch the boundary tests launch:
+// searches drawn from pairs, with the smallest key, MAX and a key above
+// every pair placed across the first group boundary and at the end.
+func boundaryQueries[K keys.Key](pairs []keys.Pair[K], seed uint64) []K {
+	qs := workload.SearchInput(pairs, slices.Max(groupSizes), seed)
+	above := pairs[len(pairs)-1].Key + 1
+	qs[0] = 0
+	qs[kernelGroup-1] = keys.Max[K]()
+	qs[kernelGroup] = above
+	qs[len(qs)-1] = keys.Max[K]()
+	return qs
+}
+
+// implicitDescOf returns the kernel descriptor of tr: the scalar uniform
+// geometry when tr is uniform (the kernel materialises the table), the
+// per-level table otherwise, as internal/core derives it.
+func implicitDescOf[K keys.Key](tr *cpubtree.ImplicitTree[K]) ImplicitDesc {
+	_, levelOff, kpn, fanout := tr.InnerArray()
+	desc := ImplicitDesc{Kpn: kpn, Fanout: fanout, Height: tr.Height(), NumLeaves: tr.NumLeafLines()}
+	for _, o := range levelOff {
+		desc.LevelOff = append(desc.LevelOff, int32(o))
+	}
+	if !tr.UniformLayout() {
+		for _, g := range tr.LevelGeometry() {
+			desc.Levels = append(desc.Levels, LevelGeom{Off: int32(g.Slot), Kpn: int32(g.Kpn), Fanout: int32(g.Fanout), Lines: int32(g.Kpn / kpn)})
+		}
+	}
+	return desc
+}
+
+// implicitBoundaries launches the implicit kernels at every group size,
+// from the root and resumed at every level, against tr.SearchInner.
+func implicitBoundaries[K keys.Key](t *testing.T, tr *cpubtree.ImplicitTree[K], qs []K) {
+	inner, _, _, _ := tr.InnerArray()
+	desc := implicitDescOf(tr)
+	want := make([]int32, len(qs))
+	for i, q := range qs {
+		want[i] = int32(tr.SearchInner(q))
+	}
+	for _, n := range groupSizes {
+		for D := 0; D < tr.Height(); D++ {
+			var starts []int32
+			if D > 0 {
+				starts = make([]int32, n)
+				for i, q := range qs[:n] {
+					starts[i] = int32(tr.WalkToLevel(q, D))
+				}
+			}
+			out := make([]int32, n)
+			trans, err := ImplicitSearchKernel(dev(), inner, desc, qs[:n], out, D, starts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trans != int64(n)*desc.TransPerQuery(D) {
+				t.Fatalf("n=%d D=%d: %d transactions, want %d", n, D, trans, int64(n)*desc.TransPerQuery(D))
+			}
+			if i := firstDiff(out, want[:n]); i >= 0 {
+				t.Fatalf("n=%d D=%d: query %d (key %d) resolves to line %d, host %d", n, D, i, qs[i], out[i], want[i])
+			}
+		}
+		sq := slices.Clone(qs[:n])
+		slices.Sort(sq)
+		out := make([]int32, n)
+		if _, err := ImplicitSearchKernelSorted(dev(), inner, desc, sq, out, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range sq {
+			if int(out[i]) != tr.SearchInner(q) {
+				t.Fatalf("sorted n=%d: key %d resolves to line %d, host %d", n, q, out[i], tr.SearchInner(q))
+			}
+		}
+	}
+}
+
+func buildImplicitFor[K keys.Key](t *testing.T, n int, rootWidths []int) (*cpubtree.ImplicitTree[K], []keys.Pair[K]) {
+	t.Helper()
+	pairs := workload.Dataset[K](workload.Uniform, n, 61)
+	tr, err := cpubtree.BuildImplicit(pairs, cpubtree.Config{Fanout: keys.PerLine[K](), RootWidths: rootWidths})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.UniformLayout() != (rootWidths == nil) {
+		t.Fatalf("RootWidths %v: uniform layout = %v", rootWidths, tr.UniformLayout())
+	}
+	return tr, pairs
+}
+
+func TestImplicitKernelGroupBoundaries(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		width []int
+	}{{"uniform", nil}, {"tuned", []int{64, 32}}} {
+		t.Run(tc.name+"/uint64", func(t *testing.T) {
+			tr, pairs := buildImplicitFor[uint64](t, 1<<16, tc.width)
+			implicitBoundaries(t, tr, boundaryQueries(pairs, 3))
+		})
+		t.Run(tc.name+"/uint32", func(t *testing.T) {
+			tr, pairs := buildImplicitFor[uint32](t, 1<<16, tc.width)
+			implicitBoundaries(t, tr, boundaryQueries(pairs, 4))
+		})
+	}
+}
+
+// regularBoundaries launches the regular kernels at every group size,
+// from the root and resumed at every height, against tr.SearchToLeaf.
+func regularBoundaries[K keys.Key](t *testing.T, tr *cpubtree.RegularTree[K], qs []K) {
+	upper, last, root, height, nodeSlots, kpl := tr.InnerArrays()
+	desc := RegularDesc{Root: root, RootInUpper: height >= 2, Height: height, NodeSlots: nodeSlots, Kpl: kpl}
+	check := func(what string, qs []K, leaf, line []int32) {
+		t.Helper()
+		for i, q := range qs {
+			l, c := tr.SearchToLeaf(q)
+			if leaf[i] != l || int(line[i]) != c {
+				t.Fatalf("%s: query %d (key %d) resolves to (%d,%d), host (%d,%d)", what, i, q, leaf[i], line[i], l, c)
+			}
+		}
+	}
+	for _, n := range groupSizes {
+		for stop := height + 1; stop >= 1; stop-- {
+			var starts []int32
+			if stop <= height {
+				starts = make([]int32, n)
+				for i, q := range qs[:n] {
+					starts[i] = tr.WalkToHeight(q, stop)
+				}
+			}
+			leaf, line := make([]int32, n), make([]int32, n)
+			if _, err := RegularSearchKernel(dev(), upper, last, desc, qs[:n], leaf, line, stop, starts); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("n=%d resumed at height %d", n, stop), qs[:n], leaf, line)
+		}
+		sq := slices.Clone(qs[:n])
+		slices.Sort(sq)
+		leaf, line := make([]int32, n), make([]int32, n)
+		if _, err := RegularSearchKernelSorted(dev(), upper, last, desc, sq, leaf, line, nil); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("sorted n=%d", n), sq, leaf, line)
+	}
+}
+
+func TestRegularKernelGroupBoundaries(t *testing.T) {
+	t.Run("uint64", func(t *testing.T) {
+		pairs := workload.Dataset[uint64](workload.Uniform, 400000, 62)
+		tr, err := cpubtree.BuildRegular(pairs, cpubtree.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Height() < 3 {
+			t.Fatalf("height %d: the resumed launches need an upper level below the root", tr.Height())
+		}
+		regularBoundaries(t, tr, boundaryQueries(pairs, 5))
+	})
+	t.Run("uint32", func(t *testing.T) {
+		pairs := workload.Dataset[uint32](workload.Uniform, 1<<18, 63)
+		tr, err := cpubtree.BuildRegular(pairs, cpubtree.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		regularBoundaries(t, tr, boundaryQueries(pairs, 6))
+	})
+}
+
+// firstDiff returns the first index at which a and b differ, or -1.
+func firstDiff(a, b []int32) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}

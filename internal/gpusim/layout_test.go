@@ -2,55 +2,12 @@ package gpusim
 
 import (
 	"sort"
-	"strings"
 	"testing"
 
 	"hbtree/internal/cpubtree"
 	"hbtree/internal/keys"
 	"hbtree/internal/workload"
 )
-
-// TestWarpSearchWideNodes is the regression for the historical overflow
-// hazard: warpSearch's flag array was hard-coded to 16+1 slots, so a
-// 32-slot node silently read garbage flags. The layout engine's wide
-// root nodes make every width up to MaxNodeWidth a first-class input.
-func TestWarpSearchWideNodes(t *testing.T) {
-	r := workload.NewRNG(13)
-	for _, width := range []int{8, 16, 32, 64} {
-		for iter := 0; iter < 500; iter++ {
-			line := make([]uint64, width)
-			for i := range line {
-				line[i] = r.Uint64() % 1000
-			}
-			sort.Slice(line, func(i, j int) bool { return line[i] < line[j] })
-			line[width-1] = keys.Max[uint64]() // HB+ invariant: last slot is MAX
-			q := r.Uint64() % 1100
-			want := sort.Search(width, func(i int) bool { return q <= line[i] })
-			if got := warpSearch(line, q); got != want {
-				t.Fatalf("width %d: warpSearch(%v, %d) = %d, want %d", width, line, q, got, want)
-			}
-		}
-	}
-}
-
-// TestWarpSearchRejectsOverwideNode pins the explicit failure mode: a
-// node wider than MaxNodeWidth must panic with a message naming the
-// limit, not silently mis-search as the pre-descriptor code did.
-func TestWarpSearchRejectsOverwideNode(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("warpSearch accepted a node wider than MaxNodeWidth")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "MaxNodeWidth") {
-			t.Fatalf("panic message does not name the limit: %v", r)
-		}
-	}()
-	node := make([]uint64, MaxNodeWidth+1)
-	node[MaxNodeWidth] = keys.Max[uint64]()
-	warpSearch(node, uint64(1))
-}
 
 // TestUniformDescriptorOracle is the refactor's compatibility
 // invariant: a descriptor whose Levels table is the materialised

@@ -1,0 +1,177 @@
+package gpusim
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"hbtree/internal/keys"
+	"hbtree/internal/workload"
+)
+
+// warpSearch executes the parallel node search of Snippet 3 literally on
+// one node line: every team thread publishes a flag, and the thread
+// whose flag is set while its predecessor's is not owns the answer. The
+// kernels compute the same answer by rank; this emulation is the oracle
+// the tests hold them to. It requires the node's last slot to be
+// reachable (the HB+-tree pins trailing separators to MAX).
+func warpSearch[K keys.Key](node []K, q K) int {
+	if len(node) > MaxNodeWidth {
+		panic(fmt.Sprintf("gpusim: node width %d exceeds MaxNodeWidth %d", len(node), MaxNodeWidth))
+	}
+	var flag [MaxNodeWidth + 1]bool // flag[0] is the implicit predecessor of thread 0
+	for j, k := range node {
+		flag[j+1] = q <= k // each team thread's comparison
+	}
+	res := len(node) - 1
+	for j := range node {
+		// Thread j owns the result iff its flag is set and thread j-1's
+		// is not ("if r_t = 1 and r_{t-1} = 0").
+		if flag[j+1] && !flag[j] {
+			res = j
+			break
+		}
+	}
+	return res
+}
+
+// sortedNode returns a sorted node of width w drawn from r with keys in
+// [0, span), so duplicates and queries equal to a key are common; with
+// maxLast set its last slot is MAX, the HB+-tree's trailing separator.
+func sortedNode[K keys.Key](r *workload.RNG, w int, span uint64, maxLast bool) []K {
+	node := make([]K, w)
+	for i := range node {
+		node[i] = K(r.Uint64() % span)
+	}
+	slices.Sort(node)
+	if maxLast {
+		node[w-1] = keys.Max[K]()
+	}
+	return node
+}
+
+// checkRank fails t when rank and the Snippet 3 oracle disagree on q.
+func checkRank[K keys.Key](t *testing.T, node []K, q K) {
+	t.Helper()
+	if got, want := rank(node, q), warpSearch(node, q); got != want {
+		t.Fatalf("width %d: rank(%v, %d) = %d, warpSearch = %d", len(node), node, q, got, want)
+	}
+}
+
+// rankProperty checks rank against warpSearch on seeded sorted nodes of
+// every width from 8 to MaxNodeWidth, with and without a MAX last slot:
+// queries inside the key range, equal to a key, q = MAX and q above
+// every key.
+func rankProperty[K keys.Key](t *testing.T, seed uint64) {
+	r := workload.NewRNG(seed)
+	for w := 8; w <= MaxNodeWidth; w++ {
+		for iter := 0; iter < 200; iter++ {
+			span := uint64(4 * w)
+			node := sortedNode[K](r, w, span, iter%2 == 0)
+			checkRank(t, node, K(r.Uint64()%(span+8)))
+			checkRank(t, node, node[r.Intn(w)])
+			checkRank(t, node, keys.Max[K]())
+			checkRank(t, node, K(span)) // above every key but a MAX slot
+		}
+	}
+}
+
+func TestRankMatchesWarpSearch(t *testing.T) {
+	rankProperty[uint64](t, 47)
+	rankProperty[uint32](t, 48)
+}
+
+// FuzzRankMatchesWarpSearch drives rank and the oracle with arbitrary
+// sorted nodes: width 8 + wsel mod 57, keys from data, q given, for both
+// key widths.
+func FuzzRankMatchesWarpSearch(f *testing.F) {
+	f.Add(uint8(0), []byte{1, 2, 3}, uint64(4), true) // q equals two keys
+	f.Add(uint8(56), []byte{0xff, 0, 7}, ^uint64(0), false)
+	f.Add(uint8(8), []byte{9}, uint64(1000), false)
+	f.Fuzz(func(t *testing.T, wsel uint8, data []byte, q uint64, maxLast bool) {
+		w := 8 + int(wsel)%(MaxNodeWidth-7)
+		n64 := make([]uint64, w)
+		n32 := make([]uint32, w)
+		for i := range n64 {
+			var k uint64
+			if len(data) > 0 {
+				k = uint64(data[i%len(data)]) * uint64(i+1)
+			}
+			n64[i], n32[i] = k, uint32(k)
+		}
+		slices.Sort(n64)
+		slices.Sort(n32)
+		if maxLast {
+			n64[w-1], n32[w-1] = keys.Max[uint64](), keys.Max[uint32]()
+		}
+		checkRank(t, n64, q)
+		checkRank(t, n32, uint32(q))
+	})
+}
+
+// TestWarpSearchWideNodes is the regression for the historical overflow
+// hazard: warpSearch's flag array was hard-coded to 16+1 slots, so a
+// 32-slot node silently read garbage flags. The layout engine's wide
+// root nodes make every width up to MaxNodeWidth a first-class input.
+func TestWarpSearchWideNodes(t *testing.T) {
+	r := workload.NewRNG(13)
+	for _, width := range []int{8, 16, 32, 64} {
+		for iter := 0; iter < 500; iter++ {
+			line := sortedNode[uint64](r, width, 1000, true)
+			q := r.Uint64() % 1100
+			want := sort.Search(width, func(i int) bool { return q <= line[i] })
+			if got := warpSearch(line, q); got != want {
+				t.Fatalf("width %d: warpSearch(%v, %d) = %d, want %d", width, line, q, got, want)
+			}
+		}
+	}
+}
+
+// TestKernelRejectsOverwideLevel pins the launch-time width check: a
+// descriptor declaring a level wider than MaxNodeWidth fails every
+// kernel at launch with an error naming the limit, and writes nothing.
+func TestKernelRejectsOverwideLevel(t *testing.T) {
+	const wide = MaxNodeWidth + 1
+	iseg := make([]uint64, 2*wide)
+	for i := range iseg {
+		iseg[i] = keys.Max[uint64]()
+	}
+	desc := ImplicitDesc{Kpn: 8, Fanout: 8, Height: 2, NumLeaves: 64, Levels: []LevelGeom{
+		{Off: 0, Kpn: 8, Fanout: 8, Lines: 1},
+		{Off: 8, Kpn: wide, Fanout: wide, Lines: 9},
+	}}
+	reg := RegularDesc{Root: 0, Height: 1, NodeSlots: wide * (1 + 2*wide), Kpl: wide}
+	last := [][]uint64{make([]uint64, reg.NodeSlots)}
+	qs := []uint64{1, 2, 3}
+	out := []int32{-1, -1, -1}
+	out2 := []int32{-1, -1, -1}
+	launches := map[string]func() error{
+		"implicit": func() error {
+			_, err := ImplicitSearchKernel(dev(), iseg, desc, qs, out, 0, nil)
+			return err
+		},
+		"implicit sorted": func() error {
+			_, err := ImplicitSearchKernelSorted(dev(), iseg, desc, qs, out, nil)
+			return err
+		},
+		"regular": func() error {
+			_, err := RegularSearchKernel(dev(), nil, last, reg, qs, out, out2, 0, nil)
+			return err
+		},
+		"regular sorted": func() error {
+			_, err := RegularSearchKernelSorted(dev(), nil, last, reg, qs, out, out2, nil)
+			return err
+		},
+	}
+	for name, launch := range launches {
+		err := launch()
+		if err == nil || !strings.Contains(err.Error(), "MaxNodeWidth") {
+			t.Fatalf("%s: launch over a %d-slot level returned %v, want an error naming MaxNodeWidth", name, wide, err)
+		}
+		if out[0] != -1 || out2[0] != -1 {
+			t.Fatalf("%s: a refused launch wrote results", name)
+		}
+	}
+}
