@@ -292,12 +292,26 @@ func (t *ImplicitTree[K]) SearchInner(q K) int {
 
 // SearchLeafLine finishes a lookup in leaf line l.
 func (t *ImplicitTree[K]) SearchLeafLine(l int, q K) (K, bool) {
+	return t.searchLoadedLine(l, t.leaves[l*t.kpn], q)
+}
+
+// searchLoadedLine is SearchLeafLine for a line whose first key k0 the
+// caller has loaded: the scan for the first key >= q starts at k0 and
+// goes on through the line's other pairs. Empty slots hold MAX, so the
+// scan needs no size field (Section 4.1).
+func (t *ImplicitTree[K]) searchLoadedLine(l int, k0, q K) (K, bool) {
 	line := t.leafLine(l)
-	i, found := simd.SearchPairsLine(line, q)
+	if q <= k0 {
+		if q != k0 {
+			return 0, false
+		}
+		return line[1], true
+	}
+	i, found := simd.SearchPairsLine(line[2:], q)
 	if !found {
 		return 0, false
 	}
-	return line[2*i+1], true
+	return line[2*i+3], true
 }
 
 // Lookup finds the value stored under q.

@@ -3,11 +3,11 @@
 //
 // The original implementation uses Intel AVX/AVX2 intrinsics
 // (_mm256_cmpgt_epi64 + movemask + popcount, Snippets 1 and 2). Go has no
-// intrinsics, so each kernel here performs the identical algorithm with
-// the identical lane structure — fixed-width groups of comparisons whose
-// boolean results are reduced with a popcount — which both preserves the
-// result semantics exactly and lets the cost model charge SIMD-width-aware
-// per-node costs. Three algorithms are provided, matching the paper's
+// intrinsics, so each kernel here performs the identical algorithm —
+// comparisons whose boolean results are summed, as a popcount sums a
+// compare mask's lanes — which both preserves the result semantics
+// exactly and lets the cost model charge SIMD-width-aware per-node
+// costs. Three algorithms are provided, matching the paper's
 // evaluation (Figure 8):
 //
 //   - Sequential: plain scan, the paper's baseline.
@@ -67,30 +67,20 @@ func SearchSequential[K keys.Key](line []K, q K) int {
 }
 
 // SearchLinear implements the linear AVX search of Snippet 1 generalised
-// to any line length: the line is consumed in SIMD-register-sized lanes
-// (four 64-bit or eight 32-bit keys per 256-bit register) and each lane's
-// greater-than mask is popcounted into the running child index. The
-// result is branch-free with respect to the data.
+// to any line length: each key's greater-than lane adds one to the child
+// index, as the popcount of a 256-bit compare's movemask adds its four
+// 64-bit (or eight 32-bit) lanes. Lanes are independent, so the count is
+// taken key by key; the compiler turns each compare into a conditional
+// move, so the result is branch-free with respect to the data.
 func SearchLinear[K keys.Key](line []K, q K) int {
-	lanes := laneWidth[K]()
 	k := 0
-	i := 0
-	for ; i+lanes <= len(line); i += lanes {
-		// One emulated 256-bit compare + movemask + popcount.
-		c := 0
-		for j := 0; j < lanes; j++ {
-			c += lt(line[i+j], q) // cmpgt(query, key): key < query
+	for _, x := range line {
+		if x < q { // cmpgt(query, key): key < query
+			k++
 		}
-		k += c
-	}
-	for ; i < len(line); i++ {
-		k += lt(line[i], q)
 	}
 	return k
 }
-
-// laneWidth returns how many K values one 256-bit AVX register holds.
-func laneWidth[K keys.Key]() int { return 256 / 8 / keys.Size[K]() }
 
 // SearchLinear8x64 is the fixed-shape 64-bit kernel for one full cache
 // line of eight keys — the exact shape of Snippet 1.
