@@ -26,10 +26,8 @@ const scratchPoolCap = 4
 // maximum in-flight bucket count (numBuffers <= 3).
 const scratchRing = 4
 
-// sortedStage is one bucket's sorted-path staging. Two stages alternate
-// with the two device buffer pairs, so the device worker can stage and
-// search bucket k+1 while the caller's goroutine still needs bucket k's
-// permutation for the result scatter.
+// sortedStage is the sorted path's per-bucket staging, reused by each
+// bucket in turn.
 type sortedStage[K keys.Key] struct {
 	skeys []K     // sorted (then deduplicated) copy of the bucket's keys
 	perm  []int32 // caller position of each sorted slot (nil: identity)
@@ -44,25 +42,6 @@ type sortedStage[K keys.Key] struct {
 	dups     int  // duplicate keys folded out of this bucket
 }
 
-// devJob asks the scratch's device worker to stage one sorted bucket:
-// H2D copy of the unique keys into qbuf, then the shared-descent kernel
-// into rbuf.
-type devJob[K keys.Key] struct {
-	qbuf *gpusim.Buffer[K]
-	rbuf *gpusim.Buffer[int32]
-	keys []K
-	lvl  []int64
-}
-
-// devDone is the worker's reply: the modelled H2D and kernel durations,
-// the kernel's transaction count, and any injected fault.
-type devDone struct {
-	h2d   vclock.Duration
-	kern  vclock.Duration
-	trans int64
-	err   error
-}
-
 // searchScratch is one batch execution's reusable working state.
 type searchScratch[K keys.Key] struct {
 	qbuf *gpusim.Buffer[K]     // device query staging (BucketSize elements)
@@ -74,16 +53,9 @@ type searchScratch[K keys.Key] struct {
 	d2h  [scratchRing]vclock.Duration // completion ring for buffer reuse edges
 	tl   *vclock.Timeline
 
-	// Sorted-path state, allocated grow-once on first use
-	// (ensureSorted): the second device buffer pair that lets the
-	// worker stage bucket k+1 while the host finishes bucket k, and the
-	// two alternating sort/dedup/scatter stages.
-	qbuf2  *gpusim.Buffer[K]
-	rbuf2  *gpusim.Buffer[int32]
-	stage  [2]sortedStage[K]
-	devCh  chan devJob[K]
-	devOut chan devDone
-	worker bool
+	// sorted is the sorted path's sort/dedup/scatter staging, allocated
+	// grow-once on first use (ensureSorted).
+	sorted sortedStage[K]
 }
 
 // newSearchScratch allocates scratch sized for the tree's bucket.
@@ -108,18 +80,10 @@ func (t *Tree[K]) newSearchScratch() (*searchScratch[K], error) {
 	}, nil
 }
 
-// free releases the scratch's device memory and stops its worker.
+// free releases the scratch's device memory.
 func (s *searchScratch[K]) free() {
 	s.qbuf.Free()
 	s.rbuf.Free()
-	if s.qbuf2 != nil {
-		s.qbuf2.Free()
-		s.rbuf2.Free()
-	}
-	if s.worker {
-		close(s.devCh)
-		s.worker = false
-	}
 }
 
 // ensureSorted sizes the sorted-path staging exactly once per scratch
@@ -127,69 +91,17 @@ func (s *searchScratch[K]) free() {
 // so no later batch — at any coalesce window up to BucketSize —
 // triggers a re-allocation). It is the only allocation the sorted path
 // ever performs after the scratch itself is pooled.
-func (t *Tree[K]) ensureSorted(sc *searchScratch[K]) error {
-	if sc.stage[0].skeys != nil {
-		return nil
-	}
-	m := t.opt.BucketSize
-	for i := range sc.stage {
-		st := &sc.stage[i]
-		st.skeys = make([]K, m)
-		st.perm = make([]int32, m)
-		st.uref = make([]int32, m)
-		st.uvals = make([]K, m)
-		st.ufnd = make([]bool, m)
-	}
-	return nil
-}
-
-// ensureSecondPair allocates the second device staging pair for the
-// overlapped multi-bucket pipeline (single-bucket batches never need
-// it, so a serving deployment with MaxBatch <= BucketSize pays no extra
-// device memory).
-func (t *Tree[K]) ensureSecondPair(sc *searchScratch[K]) error {
-	if sc.qbuf2 != nil {
-		return nil
-	}
-	m := t.opt.BucketSize
-	qbuf2, err := gpusim.Malloc[K](t.dev, m)
-	if err != nil {
-		return fmt.Errorf("core: allocating second query buffer: %w", err)
-	}
-	rbuf2, err := gpusim.Malloc[int32](t.dev, 2*m)
-	if err != nil {
-		qbuf2.Free()
-		return fmt.Errorf("core: allocating second result buffer: %w", err)
-	}
-	sc.qbuf2, sc.rbuf2 = qbuf2, rbuf2
-	return nil
-}
-
-// ensureWorker starts the scratch's device worker goroutine, which
-// stays alive until the scratch is freed: the sorted multi-bucket
-// pipeline hands it bucket k+1's H2D copy and kernel while the calling
-// goroutine finishes bucket k's leaf stage — the double-buffered
-// overlap executed for real, not only on the virtual timeline.
-func (t *Tree[K]) ensureWorker(sc *searchScratch[K]) {
-	if sc.worker {
+func (t *Tree[K]) ensureSorted(sc *searchScratch[K]) {
+	st := &sc.sorted
+	if st.skeys != nil {
 		return
 	}
-	sc.devCh = make(chan devJob[K], 1)
-	sc.devOut = make(chan devDone, 1)
-	sc.worker = true
-	go t.devWorker(sc)
-}
-
-// devWorker serves the scratch's device jobs until the channel closes.
-func (t *Tree[K]) devWorker(sc *searchScratch[K]) {
-	for job := range sc.devCh {
-		var out devDone
-		out.h2d, out.err = job.qbuf.CopyFromHost(job.keys)
-		if out.err == nil {
-			out.trans, out.kern, out.err = t.runKernelSorted(job.qbuf, job.rbuf, job.keys, job.lvl)
-		}
-		sc.devOut <- out
-	}
+	m := t.opt.BucketSize
+	st.skeys = make([]K, m)
+	st.perm = make([]int32, m)
+	st.uref = make([]int32, m)
+	st.uvals = make([]K, m)
+	st.ufnd = make([]bool, m)
 }
 
 // acquireScratch takes a pooled scratch or allocates a fresh one.

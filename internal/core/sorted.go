@@ -21,12 +21,12 @@ import (
 // that hand over unsorted batches, and results always return in caller
 // order either way.
 //
-// On top of the virtual-time accounting (fewer, sequential device
-// transactions — see gpusim.KernelDurationShared), the multi-bucket
-// pipeline executes the double-buffered overlap for real: a per-scratch
-// device worker runs bucket k+1's H2D copy and kernel while the calling
-// goroutine finishes bucket k's CPU leaf stage on the second buffer
-// pair.
+// A sorted bucket runs the plain plan's grouped kernel and leaf stage;
+// the sorted launches only count, level by level, the distinct nodes
+// and lines the frontier touches, which the virtual clock charges in
+// place of one probe per query (gpuStageDurationShared,
+// cpuLeafStageDurationShared). Buckets run in order on the caller's
+// goroutine, as plain buckets do; the timeline overlaps them.
 
 // LookupBatchSortedInto resolves the queries with the shared-descent
 // batch search into caller-owned result slices (at least len(queries)
@@ -69,9 +69,8 @@ func (t *Tree[K]) lookupBatchSortedInto(queries []K, values []K, found []bool) (
 		return stats, err
 	}
 	defer t.releaseScratch(sc)
-	if err := t.ensureSorted(sc); err != nil {
-		return stats, err
-	}
+	t.ensureSorted(sc)
+	st := &sc.sorted
 
 	nbuf := t.numBuffers()
 	tl := sc.tl
@@ -84,50 +83,23 @@ func (t *Tree[K]) lookupBatchSortedInto(queries []K, values []K, found []bool) (
 	var sumT1, sumT2, sumT3, sumT4 vclock.Duration
 	lats := sc.lats[:0]
 
-	nBuckets := (n + m - 1) / m
-	// The overlapped pipeline engages for multi-bucket double-buffered
-	// batches; single-bucket batches (the coalesced serving case) run
-	// inline on the caller's goroutine with the original buffer pair.
-	overlap := nBuckets > 1 && t.opt.Strategy == DoubleBuffered
-	if overlap {
-		if err := t.ensureSecondPair(sc); err != nil {
-			return stats, err
-		}
-		t.ensureWorker(sc)
-		t.submitSorted(sc, queries, 0, m)
-	}
-
 	perQuery := t.perQueryTrans()
 	buckets := 0
-	for k := 0; k < nBuckets; k++ {
-		st := &sc.stage[k%2]
-		lo := k * m
+	for lo := 0; lo < n; lo += m {
 		hi := min(lo+m, n)
 		bq := queries[lo:hi]
 		bn := len(bq)
-		qb, rb := sortedPair(sc, k)
 
-		var done devDone
-		if overlap {
-			done = <-sc.devOut
-		} else {
-			prepareSorted(st, bq)
-			clear(st.lvl[:])
-			done.h2d, done.err = qb.CopyFromHost(st.ukeys)
-			if done.err == nil {
-				done.trans, done.kern, done.err = t.runKernelSorted(qb, rb, st.ukeys, st.lvl[:])
-			}
-		}
-		if done.err != nil {
-			return stats, done.err
-		}
+		prepareSorted(st, bq)
 		u := len(st.ukeys)
-
-		// Hand the worker the NEXT bucket before running this bucket's
-		// host leaf stage: the device's H2D and kernel for k+1 overlap
-		// leaf(k) in wall-clock time, on the other buffer pair.
-		if overlap && k+1 < nBuckets {
-			t.submitSorted(sc, queries, k+1, m)
+		clear(st.lvl[:])
+		d1, err := t.copyQueriesToDevice(sc.qbuf, st.ukeys)
+		if err != nil {
+			return stats, err
+		}
+		trans, d2, err := t.runKernelSorted(sc.qbuf, sc.rbuf, u, st.lvl[:])
+		if err != nil {
+			return stats, err
 		}
 
 		stream := buckets
@@ -136,8 +108,8 @@ func (t *Tree[K]) lookupBatchSortedInto(queries []K, values []K, found []bool) (
 		} else if idx := buckets - nbuf; idx >= 0 {
 			tl.AdvanceStream(stream, sc.d2h[idx%scratchRing])
 		}
-		h2dStart, _ := tl.Schedule(stream, vclock.ResPCIeH2D, "H2D", done.h2d)
-		tl.Schedule(stream, vclock.ResGPU, "kernel", done.kern)
+		h2dStart, _ := tl.Schedule(stream, vclock.ResPCIeH2D, "H2D", d1)
+		tl.Schedule(stream, vclock.ResGPU, "kernel", d2)
 		d3 := t.dev.CopyDuration(int64(u) * t.resultSize())
 		_, dEnd := tl.Schedule(stream, vclock.ResPCIeD2H, "D2H", d3)
 		sc.d2h[buckets%scratchRing] = dEnd
@@ -148,25 +120,22 @@ func (t *Tree[K]) lookupBatchSortedInto(queries []K, values []K, found []bool) (
 			// straight into the caller's slices, no scatter needed.
 			uvals, ufnd = values[lo:hi], found[lo:hi]
 		}
-		lines, lerr := t.finishLeavesSorted(rb, st.ukeys, uvals, ufnd, sc.res, sc.refs)
-		if lerr != nil {
-			if overlap && k+1 < nBuckets {
-				<-sc.devOut // never leave a worker result for the next batch
-			}
-			return stats, lerr
+		lines, err := t.finishLeavesSorted(sc.rbuf, st.ukeys, uvals, ufnd, sc.res, sc.refs)
+		if err != nil {
+			return stats, err
 		}
 		scatterSorted(st, bn, values[lo:hi], found[lo:hi])
 		d4 := t.cpuLeafStageDurationShared(u, lines)
 		_, cEnd := tl.Schedule(stream, vclock.ResCPU, "leaf", d4)
 
 		lats = append(lats, cEnd-h2dStart)
-		sumT1 += done.h2d
-		sumT2 += done.kern
+		sumT1 += d1
+		sumT2 += d2
 		sumT3 += d3
 		sumT4 += d4
-		stats.NodeProbes += done.trans
-		if base := int64(bn) * perQuery; base > done.trans {
-			stats.ProbesSaved += base - done.trans
+		stats.NodeProbes += trans
+		if base := int64(bn) * perQuery; base > trans {
+			stats.ProbesSaved += base - trans
 		}
 		stats.DedupFolded += st.dups
 		stats.LeafLines += lines
@@ -185,27 +154,6 @@ func (t *Tree[K]) lookupBatchSortedInto(queries []K, values []K, found []bool) (
 	stats.T4 = sumT4 / vclock.Duration(buckets)
 	stats.finalize(tl)
 	return stats, nil
-}
-
-// submitSorted prepares bucket k's stage and hands its device work to
-// the scratch's worker goroutine.
-func (t *Tree[K]) submitSorted(sc *searchScratch[K], queries []K, k, m int) {
-	st := &sc.stage[k%2]
-	lo := k * m
-	hi := min(lo+m, len(queries))
-	prepareSorted(st, queries[lo:hi])
-	clear(st.lvl[:])
-	qb, rb := sortedPair(sc, k)
-	sc.devCh <- devJob[K]{qbuf: qb, rbuf: rb, keys: st.ukeys, lvl: st.lvl[:]}
-}
-
-// sortedPair alternates the two device staging pairs across buckets;
-// without the second pair (inline mode) every bucket reuses the first.
-func sortedPair[K keys.Key](sc *searchScratch[K], k int) (*gpusim.Buffer[K], *gpusim.Buffer[int32]) {
-	if k%2 == 1 && sc.qbuf2 != nil {
-		return sc.qbuf2, sc.rbuf2
-	}
-	return sc.qbuf, sc.rbuf
 }
 
 // prepareSorted classifies and stages one bucket. A single scan detects
@@ -295,11 +243,10 @@ func (t *Tree[K]) perQueryTrans() int64 {
 	return t.implDesc.TransPerQuery(0)
 }
 
-// runKernelSorted executes the shared-descent traversal on the device
-// replica, returning the transaction count and the modelled T2. Shared
-// by the inline path and the scratch's device worker.
-func (t *Tree[K]) runKernelSorted(qbuf *gpusim.Buffer[K], rbuf *gpusim.Buffer[int32], ukeys []K, lvl []int64) (int64, vclock.Duration, error) {
-	u := len(ukeys)
+// runKernelSorted executes the inner-level traversal of u sorted
+// unique queries on the device replica, returning the shared-descent
+// transaction count and the modelled T2.
+func (t *Tree[K]) runKernelSorted(qbuf *gpusim.Buffer[K], rbuf *gpusim.Buffer[int32], u int, lvl []int64) (int64, vclock.Duration, error) {
 	switch t.opt.Variant {
 	case Implicit:
 		trans, err := gpusim.ImplicitSearchKernelSorted(t.dev, t.isegBuf.Pages()[0], t.implDesc,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 
@@ -203,5 +204,74 @@ func TestSortedEmptyAndShortResults(t *testing.T) {
 	qs := []uint64{pairs[0].Key, pairs[1].Key}
 	if _, err := tr.LookupBatchSortedInto(qs, make([]uint64, 1), make([]bool, 2)); err == nil {
 		t.Fatal("short value slice accepted")
+	}
+}
+
+// TestSortedMultiBucketAccountPinned pins the virtual account of a
+// five-bucket sorted batch: an unsorted, duplicate-laden batch of
+// 5*DefaultBucketSize-1000 queries through LookupBatchSortedInto, on
+// each variant. The expected values were printed at commit 01ef071,
+// whose sorted plan ran buckets after the first on a device-worker
+// goroutine; the buckets now run in order on the caller's goroutine,
+// and the timeline, the probe counts and the fold must not move. The
+// trees are built at GOMAXPROCS 2: their host leaf stage fans out over
+// GOMAXPROCS workers, and LeafLines counts distinct lines per worker
+// chunk.
+func TestSortedMultiBucketAccountPinned(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	type account struct {
+		SimTime, T1, T2, T3, T4            float64
+		LatencyP50, LatencyP95, LatencyP99 float64
+		NodeProbes, ProbesSaved            int64
+		LevelProbes                        [StatLevels]int64
+		LeafLines, DedupFolded             int
+	}
+	for _, tc := range []struct {
+		v    Variant
+		want account
+	}{
+		{Implicit, account{
+			SimTime: 161159.8072916667,
+			T1:      19189.466666666667, T2: 9487.044270833332, T3: 14594.733333333334, T4: 24123.35,
+			LatencyP50: 70367.75, LatencyP95: 75261.89843750001, LatencyP99: 75261.89843750001,
+			NodeProbes: 10985, ProbesSaved: 393615,
+			LevelProbes: [StatLevels]int64{60, 75, 205, 1227, 9418},
+			LeafLines:   45954, DedupFolded: 11999,
+		}},
+		{Regular, account{
+			SimTime: 189659.9322916667,
+			T1:      19189.466666666667, T2: 13076.6796875, T3: 19189.466666666667, T4: 28430.9125,
+			LatencyP50: 82900.5625, LatencyP95: 89405.74479166669, LatencyP99: 89405.74479166669,
+			NodeProbes: 11180, ProbesSaved: 717100,
+			LevelProbes: [StatLevels]int64{180, 355, 10645},
+			LeafLines:   45954, DedupFolded: 11999,
+		}},
+	} {
+		tr, pairs := build64(t, 60000, Options{Variant: tc.v})
+		qs := sortedPropQueries(pairs, 5*DefaultBucketSize-1000, 48)
+		bv, bf, _, err := tr.LookupBatch(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sv, sf, s := lookupSorted(t, tr, qs)
+		for i := range qs {
+			if sv[i] != bv[i] || sf[i] != bf[i] {
+				t.Fatalf("%v: sorted path diverges at %d (key %d)", tc.v, i, qs[i])
+			}
+		}
+		if s.Buckets != 5 {
+			t.Fatalf("%v: %d buckets, want 5", tc.v, s.Buckets)
+		}
+		got := account{
+			SimTime: float64(s.SimTime),
+			T1:      float64(s.T1), T2: float64(s.T2), T3: float64(s.T3), T4: float64(s.T4),
+			LatencyP50: float64(s.LatencyP50), LatencyP95: float64(s.LatencyP95), LatencyP99: float64(s.LatencyP99),
+			NodeProbes: s.NodeProbes, ProbesSaved: s.ProbesSaved,
+			LevelProbes: s.LevelProbes,
+			LeafLines:   s.LeafLines, DedupFolded: s.DedupFolded,
+		}
+		if got != tc.want {
+			t.Fatalf("%v: virtual account moved:\n got %+v\nwant %+v", tc.v, got, tc.want)
+		}
 	}
 }

@@ -49,40 +49,42 @@ func (t *ImplicitTree[K]) lookupPipelined(qs []K, vals []K, fnd []bool) {
 	}
 	var node [maxPipelineGroup]int32
 	for start := 0; start < len(qs); start += p {
-		end := start + p
-		if end > len(qs) {
-			end = len(qs)
-		}
+		end := min(start+p, len(qs))
 		grp := qs[start:end]
-		n := len(grp)
-		for i := 0; i < n; i++ {
-			node[i] = 0
+		t.descendGroup(grp, node[:len(grp)])
+		t.searchLeavesRange(grp, node[:len(grp)], vals[start:end], fnd[start:end], 0, len(grp))
+	}
+}
+
+// descendGroup resolves the inner levels for a group of queries,
+// writing each one's leaf line into lines. It advances the whole group
+// one level per step (Algorithm 2); in hardware the next node line is
+// prefetched while the other group members are processed.
+func (t *ImplicitTree[K]) descendGroup(grp []K, lines []int32) {
+	lines = lines[:len(grp)]
+	clear(lines)
+	for d := 0; d < t.height; d++ {
+		f := int32(t.levelFanout[d])
+		for i, q := range grp {
+			j := simd.Search(t.cfg.NodeSearch, t.node(d, int(lines[i])), q)
+			lines[i] = lines[i]*f + int32(j)
 		}
-		// Advance the whole group one level per step (Algorithm 2); in
-		// hardware the next node line is prefetched while the other
-		// group members are processed.
-		for d := 0; d < t.height; d++ {
-			f := int32(t.levelFanout[d])
-			for i := 0; i < n; i++ {
-				j := simd.Search(t.cfg.NodeSearch, t.node(d, int(node[i])), grp[i])
-				node[i] = node[i]*f + int32(j)
-			}
-		}
-		for i := 0; i < n; i++ {
-			node[i] = min(node[i], int32(t.numLeaves-1))
-		}
-		t.searchLeavesRange(grp, node[:n], vals[start:end], fnd[start:end], 0, n)
+	}
+	for i := range lines {
+		lines[i] = min(lines[i], int32(t.numLeaves-1))
 	}
 }
 
 // SearchInnerBatch resolves the inner-level traversal for a batch of
 // queries, writing the target leaf line index per query. This is the
 // work the HB+-tree runs on the GPU; the CPU-only evaluation of
-// Figure 19 runs it here.
+// Figure 19 runs it here, with the grouped descent of LookupBatch.
 func (t *ImplicitTree[K]) SearchInnerBatch(queries []K, lines []int32) {
+	p := max(min(t.cfg.PipelineDepth, maxPipelineGroup), 1)
 	parallelFor(len(queries), t.cfg.Threads, func(s, e int) {
-		for i := s; i < e; i++ {
-			lines[i] = int32(t.SearchInner(queries[i]))
+		for g := s; g < e; g += p {
+			h := min(g+p, e)
+			t.descendGroup(queries[g:h], lines[g:h])
 		}
 	})
 }
@@ -124,29 +126,31 @@ func (t *ImplicitTree[K]) searchLeavesRange(queries []K, lines []int32, values [
 // leaf line indices arrive non-decreasing: it returns the number of
 // distinct leaf lines touched, which the cost model charges instead of
 // one line per query — adjacent sorted queries landing in the same line
-// find it already resident. Results are identical to SearchLeavesBatch.
+// find it already resident. Each fan-out chunk counts its own lines.
+// Results are identical to SearchLeavesBatch.
 func (t *ImplicitTree[K]) SearchLeavesBatchSorted(queries []K, lines []int32, values []K, found []bool) int {
 	if runsInline(len(queries), t.cfg.Threads) {
-		return t.searchLeavesSortedRange(queries, lines, values, found, 0, len(queries))
+		t.searchLeavesRange(queries, lines, values, found, 0, len(queries))
+		return distinctRuns(lines[:len(queries)])
 	}
 	var distinct atomic.Int64
 	parallelFor(len(queries), t.cfg.Threads, func(s, e int) {
-		distinct.Add(int64(t.searchLeavesSortedRange(queries, lines, values, found, s, e)))
+		t.searchLeavesRange(queries, lines, values, found, s, e)
+		distinct.Add(int64(distinctRuns(lines[s:e])))
 	})
 	return int(distinct.Load())
 }
 
-func (t *ImplicitTree[K]) searchLeavesSortedRange(queries []K, lines []int32, values []K, found []bool, s, e int) int {
-	distinct := 0
-	prev := int32(-1)
-	for i := s; i < e; i++ {
-		if lines[i] != prev {
-			distinct++
-			prev = lines[i]
+// distinctRuns counts the runs of equal adjacent elements of xs: the
+// distinct values of a sorted slice.
+func distinctRuns[T comparable](xs []T) int {
+	n := 0
+	for i, x := range xs {
+		if i == 0 || x != xs[i-1] {
+			n++
 		}
-		values[i], found[i] = t.SearchLeafLine(int(lines[i]), queries[i])
 	}
-	return distinct
+	return n
 }
 
 // LeafRef identifies one leaf cache line of the regular tree: big leaf
@@ -225,30 +229,20 @@ func (t *RegularTree[K]) searchLeavesRange(queries []K, refs []LeafRef, values [
 
 // SearchLeavesBatchSorted is SearchLeavesBatch for a sorted batch: the
 // (leaf, line) references arrive grouped, and the returned distinct
-// count is what the shared cost model charges for the leaf stage's
-// memory traffic. Results are identical to SearchLeavesBatch.
+// count, per fan-out chunk, is what the shared cost model charges for
+// the leaf stage's memory traffic. Results are identical to
+// SearchLeavesBatch.
 func (t *RegularTree[K]) SearchLeavesBatchSorted(queries []K, refs []LeafRef, values []K, found []bool) int {
 	if runsInline(len(queries), t.cfg.Threads) {
-		return t.searchLeavesSortedRange(queries, refs, values, found, 0, len(queries))
+		t.searchLeavesRange(queries, refs, values, found, 0, len(queries))
+		return distinctRuns(refs[:len(queries)])
 	}
 	var distinct atomic.Int64
 	parallelFor(len(queries), t.cfg.Threads, func(s, e int) {
-		distinct.Add(int64(t.searchLeavesSortedRange(queries, refs, values, found, s, e)))
+		t.searchLeavesRange(queries, refs, values, found, s, e)
+		distinct.Add(int64(distinctRuns(refs[s:e])))
 	})
 	return int(distinct.Load())
-}
-
-func (t *RegularTree[K]) searchLeavesSortedRange(queries []K, refs []LeafRef, values []K, found []bool, s, e int) int {
-	distinct := 0
-	prev := LeafRef{Leaf: -1, Line: -1}
-	for i := s; i < e; i++ {
-		if refs[i] != prev {
-			distinct++
-			prev = refs[i]
-		}
-		values[i], found[i] = t.SearchLeafLine(refs[i].Leaf, int(refs[i].Line), queries[i])
-	}
-	return distinct
 }
 
 // MixedKind distinguishes the operations of a mixed search/update batch

@@ -7,7 +7,10 @@
 //   - Functional: device memory is charged against the card's 3 GiB
 //     and kernels execute the paper's warp-parallel node-search
 //     algorithm (Snippet 3) on the device-resident replica, computing
-//     real results that tests verify against the host tree. A replica's
+//     real results that tests verify against the host tree. A sorted
+//     batch runs the same kernel bodies; its launch also counts, level
+//     by level, the distinct nodes the batch's frontier touches, which
+//     is the shared-descent transaction account. A replica's
 //     bytes are a version of the host tree's own memory (PagedBuffer):
 //     mirroring it moves no bytes but is charged as the copy it stands
 //     for. Query and result staging buffers (Buffer) hold real storage

@@ -95,7 +95,7 @@ func implicitBoundaries[K keys.Key](t *testing.T, tr *cpubtree.ImplicitTree[K], 
 	}
 }
 
-func buildImplicitFor[K keys.Key](t *testing.T, n int, rootWidths []int) (*cpubtree.ImplicitTree[K], []keys.Pair[K]) {
+func buildImplicitFor[K keys.Key](t testing.TB, n int, rootWidths []int) (*cpubtree.ImplicitTree[K], []keys.Pair[K]) {
 	t.Helper()
 	pairs := workload.Dataset[K](workload.Uniform, n, 61)
 	tr, err := cpubtree.BuildImplicit(pairs, cpubtree.Config{Fanout: keys.PerLine[K](), RootWidths: rootWidths})

@@ -175,3 +175,52 @@ func TestKernelRejectsOverwideLevel(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelRejectsOvertallTree pins the launch-time height check: a
+// descriptor with more inner levels than maxHeight, the depth of a
+// sorted launch's per-level frontier arrays, fails every kernel at
+// launch, and writes nothing.
+func TestKernelRejectsOvertallTree(t *testing.T) {
+	const tall = maxHeight + 1
+	levels := make([]LevelGeom, tall)
+	for l := range levels {
+		levels[l] = LevelGeom{Off: 0, Kpn: 8, Fanout: 1, Lines: 1}
+	}
+	iseg := make([]uint64, 8)
+	for i := range iseg {
+		iseg[i] = keys.Max[uint64]()
+	}
+	desc := ImplicitDesc{Kpn: 8, Fanout: 8, Height: tall, NumLeaves: 1, Levels: levels}
+	reg := RegularDesc{Root: 0, Height: tall, NodeSlots: 8 * 17, Kpl: 8}
+	last := [][]uint64{make([]uint64, reg.NodeSlots)}
+	qs := []uint64{1, 2, 3}
+	out := []int32{-1, -1, -1}
+	out2 := []int32{-1, -1, -1}
+	launches := map[string]func() error{
+		"implicit": func() error {
+			_, err := ImplicitSearchKernel(dev(), iseg, desc, qs, out, 0, nil)
+			return err
+		},
+		"implicit sorted": func() error {
+			_, err := ImplicitSearchKernelSorted(dev(), iseg, desc, qs, out, nil)
+			return err
+		},
+		"regular": func() error {
+			_, err := RegularSearchKernel(dev(), nil, last, reg, qs, out, out2, 0, nil)
+			return err
+		},
+		"regular sorted": func() error {
+			_, err := RegularSearchKernelSorted(dev(), nil, last, reg, qs, out, out2, nil)
+			return err
+		},
+	}
+	for name, launch := range launches {
+		err := launch()
+		if err == nil || !strings.Contains(err.Error(), "launch bound") {
+			t.Fatalf("%s: launch over %d levels returned %v, want an error naming the launch bound", name, tall, err)
+		}
+		if out[0] != -1 || out2[0] != -1 {
+			t.Fatalf("%s: a refused launch wrote results", name)
+		}
+	}
+}

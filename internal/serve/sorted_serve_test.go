@@ -182,9 +182,9 @@ func TestShardedSortedStatsKeepLevelInvariant(t *testing.T) {
 // TestSortedBatchWindow512AllocFree pins zero allocations per call on
 // the sorted shared-descent batch at a large coalesce window: 512
 // unsorted, duplicate-laden queries span 8 buckets of 64, engaging the
-// per-bucket sort scratch, the dedup compaction and the double-buffered
-// device worker — all of which must come from the pooled scratch after
-// warm-up.
+// per-bucket sort scratch, the dedup compaction and the bucket loop's
+// reuse of one sorted stage — all of which must come from the pooled
+// scratch after warm-up.
 func TestSortedBatchWindow512AllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
