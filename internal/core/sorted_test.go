@@ -207,71 +207,102 @@ func TestSortedEmptyAndShortResults(t *testing.T) {
 	}
 }
 
+// account is the virtual account of one sorted batch: the timeline,
+// the probe counts, the leaf lines and the fold.
+type account struct {
+	SimTime, T1, T2, T3, T4            float64
+	LatencyP50, LatencyP95, LatencyP99 float64
+	NodeProbes, ProbesSaved            int64
+	LevelProbes                        [StatLevels]int64
+	LeafLines, DedupFolded             int
+}
+
+// multiBucketAccount builds a 60 000-pair tree of variant v at the
+// current GOMAXPROCS and returns the virtual account of an unsorted,
+// duplicate-laden batch of 5*DefaultBucketSize-1000 queries through
+// LookupBatchSortedInto, after checking its results against
+// LookupBatch's.
+func multiBucketAccount(t *testing.T, v Variant) account {
+	t.Helper()
+	tr, pairs := build64(t, 60000, Options{Variant: v})
+	qs := sortedPropQueries(pairs, 5*DefaultBucketSize-1000, 48)
+	bv, bf, _, err := tr.LookupBatch(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, sf, s := lookupSorted(t, tr, qs)
+	for i := range qs {
+		if sv[i] != bv[i] || sf[i] != bf[i] {
+			t.Fatalf("%v: sorted path diverges at %d (key %d)", v, i, qs[i])
+		}
+	}
+	if s.Buckets != 5 {
+		t.Fatalf("%v: %d buckets, want 5", v, s.Buckets)
+	}
+	return account{
+		SimTime: float64(s.SimTime),
+		T1:      float64(s.T1), T2: float64(s.T2), T3: float64(s.T3), T4: float64(s.T4),
+		LatencyP50: float64(s.LatencyP50), LatencyP95: float64(s.LatencyP95), LatencyP99: float64(s.LatencyP99),
+		NodeProbes: s.NodeProbes, ProbesSaved: s.ProbesSaved,
+		LevelProbes: s.LevelProbes,
+		LeafLines:   s.LeafLines, DedupFolded: s.DedupFolded,
+	}
+}
+
 // TestSortedMultiBucketAccountPinned pins the virtual account of a
-// five-bucket sorted batch: an unsorted, duplicate-laden batch of
-// 5*DefaultBucketSize-1000 queries through LookupBatchSortedInto, on
-// each variant. The expected values were printed at commit 01ef071,
-// whose sorted plan ran buckets after the first on a device-worker
-// goroutine; the buckets now run in order on the caller's goroutine,
-// and the timeline, the probe counts and the fold must not move. The
-// trees are built at GOMAXPROCS 2: their host leaf stage fans out over
-// GOMAXPROCS workers, and LeafLines counts distinct lines per worker
-// chunk.
+// five-bucket sorted batch on each variant (multiBucketAccount). The
+// probe counts and the fold were first printed at commit 01ef071, whose
+// sorted plan ran buckets after the first on a device-worker goroutine;
+// the buckets now run in order on the caller's goroutine. The leaf
+// lines, and with them T4, the simulated time and the latency
+// percentiles, were re-derived when the sorted leaf stage began to
+// count distinct lines over the whole bucket instead of per worker
+// chunk. The trees are built at GOMAXPROCS 2, the core count the
+// values were first printed at; TestSortedAccountIndependentOfGOMAXPROCS
+// holds the account equal at other counts.
 func TestSortedMultiBucketAccountPinned(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	type account struct {
-		SimTime, T1, T2, T3, T4            float64
-		LatencyP50, LatencyP95, LatencyP99 float64
-		NodeProbes, ProbesSaved            int64
-		LevelProbes                        [StatLevels]int64
-		LeafLines, DedupFolded             int
-	}
 	for _, tc := range []struct {
 		v    Variant
 		want account
 	}{
 		{Implicit, account{
-			SimTime: 161159.8072916667,
-			T1:      19189.466666666667, T2: 9487.044270833332, T3: 14594.733333333334, T4: 24123.35,
-			LatencyP50: 70367.75, LatencyP95: 75261.89843750001, LatencyP99: 75261.89843750001,
+			SimTime: 161158.3072916667,
+			T1:      19189.466666666667, T2: 9487.044270833332, T3: 14594.733333333334, T4: 24123.05,
+			LatencyP50: 70367, LatencyP95: 75260.39843750001, LatencyP99: 75260.39843750001,
 			NodeProbes: 10985, ProbesSaved: 393615,
 			LevelProbes: [StatLevels]int64{60, 75, 205, 1227, 9418},
-			LeafLines:   45954, DedupFolded: 11999,
+			LeafLines:   45952, DedupFolded: 11999,
 		}},
 		{Regular, account{
-			SimTime: 189659.9322916667,
-			T1:      19189.466666666667, T2: 13076.6796875, T3: 19189.466666666667, T4: 28430.9125,
-			LatencyP50: 82900.5625, LatencyP95: 89405.74479166669, LatencyP99: 89405.74479166669,
+			SimTime: 189658.4322916667,
+			T1:      19189.466666666667, T2: 13076.6796875, T3: 19189.466666666667, T4: 28430.6125,
+			LatencyP50: 82899.8125, LatencyP95: 89404.24479166669, LatencyP99: 89404.24479166669,
 			NodeProbes: 11180, ProbesSaved: 717100,
 			LevelProbes: [StatLevels]int64{180, 355, 10645},
-			LeafLines:   45954, DedupFolded: 11999,
+			LeafLines:   45952, DedupFolded: 11999,
 		}},
 	} {
-		tr, pairs := build64(t, 60000, Options{Variant: tc.v})
-		qs := sortedPropQueries(pairs, 5*DefaultBucketSize-1000, 48)
-		bv, bf, _, err := tr.LookupBatch(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sv, sf, s := lookupSorted(t, tr, qs)
-		for i := range qs {
-			if sv[i] != bv[i] || sf[i] != bf[i] {
-				t.Fatalf("%v: sorted path diverges at %d (key %d)", tc.v, i, qs[i])
-			}
-		}
-		if s.Buckets != 5 {
-			t.Fatalf("%v: %d buckets, want 5", tc.v, s.Buckets)
-		}
-		got := account{
-			SimTime: float64(s.SimTime),
-			T1:      float64(s.T1), T2: float64(s.T2), T3: float64(s.T3), T4: float64(s.T4),
-			LatencyP50: float64(s.LatencyP50), LatencyP95: float64(s.LatencyP95), LatencyP99: float64(s.LatencyP99),
-			NodeProbes: s.NodeProbes, ProbesSaved: s.ProbesSaved,
-			LevelProbes: s.LevelProbes,
-			LeafLines:   s.LeafLines, DedupFolded: s.DedupFolded,
-		}
-		if got != tc.want {
+		if got := multiBucketAccount(t, tc.v); got != tc.want {
 			t.Fatalf("%v: virtual account moved:\n got %+v\nwant %+v", tc.v, got, tc.want)
+		}
+	}
+}
+
+// TestSortedAccountIndependentOfGOMAXPROCS: the host's core count sets
+// how many workers the trees' leaf stages fan out over, but not the
+// virtual account. The five-bucket batch of multiBucketAccount, on
+// trees built at GOMAXPROCS 1, 2 and 4, must read the same account.
+func TestSortedAccountIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, v := range []Variant{Implicit, Regular} {
+		runtime.GOMAXPROCS(1)
+		want := multiBucketAccount(t, v)
+		for _, procs := range []int{2, 4} {
+			runtime.GOMAXPROCS(procs)
+			if got := multiBucketAccount(t, v); got != want {
+				t.Fatalf("%v: account at GOMAXPROCS %d differs from GOMAXPROCS 1:\n got %+v\nwant %+v", v, procs, got, want)
+			}
 		}
 	}
 }

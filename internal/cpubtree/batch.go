@@ -126,19 +126,12 @@ func (t *ImplicitTree[K]) searchLeavesRange(queries []K, lines []int32, values [
 // leaf line indices arrive non-decreasing: it returns the number of
 // distinct leaf lines touched, which the cost model charges instead of
 // one line per query — adjacent sorted queries landing in the same line
-// find it already resident. Each fan-out chunk counts its own lines.
-// Results are identical to SearchLeavesBatch.
+// find it already resident. The lines are counted over the whole batch,
+// so the count does not depend on how many workers the search fans out
+// over. Results are identical to SearchLeavesBatch.
 func (t *ImplicitTree[K]) SearchLeavesBatchSorted(queries []K, lines []int32, values []K, found []bool) int {
-	if runsInline(len(queries), t.cfg.Threads) {
-		t.searchLeavesRange(queries, lines, values, found, 0, len(queries))
-		return distinctRuns(lines[:len(queries)])
-	}
-	var distinct atomic.Int64
-	parallelFor(len(queries), t.cfg.Threads, func(s, e int) {
-		t.searchLeavesRange(queries, lines, values, found, s, e)
-		distinct.Add(int64(distinctRuns(lines[s:e])))
-	})
-	return int(distinct.Load())
+	t.SearchLeavesBatch(queries, lines, values, found)
+	return distinctRuns(lines[:len(queries)])
 }
 
 // distinctRuns counts the runs of equal adjacent elements of xs: the
@@ -229,20 +222,12 @@ func (t *RegularTree[K]) searchLeavesRange(queries []K, refs []LeafRef, values [
 
 // SearchLeavesBatchSorted is SearchLeavesBatch for a sorted batch: the
 // (leaf, line) references arrive grouped, and the returned distinct
-// count, per fan-out chunk, is what the shared cost model charges for
-// the leaf stage's memory traffic. Results are identical to
+// count, over the whole batch, is what the shared cost model charges
+// for the leaf stage's memory traffic. Results are identical to
 // SearchLeavesBatch.
 func (t *RegularTree[K]) SearchLeavesBatchSorted(queries []K, refs []LeafRef, values []K, found []bool) int {
-	if runsInline(len(queries), t.cfg.Threads) {
-		t.searchLeavesRange(queries, refs, values, found, 0, len(queries))
-		return distinctRuns(refs[:len(queries)])
-	}
-	var distinct atomic.Int64
-	parallelFor(len(queries), t.cfg.Threads, func(s, e int) {
-		t.searchLeavesRange(queries, refs, values, found, s, e)
-		distinct.Add(int64(distinctRuns(refs[s:e])))
-	})
-	return int(distinct.Load())
+	t.SearchLeavesBatch(queries, refs, values, found)
+	return distinctRuns(refs[:len(queries)])
 }
 
 // MixedKind distinguishes the operations of a mixed search/update batch

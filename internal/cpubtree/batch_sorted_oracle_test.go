@@ -2,7 +2,6 @@ package cpubtree
 
 import (
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"hbtree/internal/keys"
@@ -10,9 +9,9 @@ import (
 )
 
 // The sorted leaf stages run each tree's grouped leaf search and count
-// distinct lines per fan-out chunk. The per-query sweeps below are the
-// bodies they replaced; the tests hold the stages' results and counts
-// to the sweeps', run over the same parallelFor chunks.
+// distinct lines over the whole batch. The per-query sweeps below are
+// the bodies they replaced; the tests hold the stages' results and
+// counts to one sweep over the batch.
 
 // searchLeavesSortedRange is the implicit sorted leaf stage's former
 // body: one query at a time, counting a line whenever it differs from
@@ -94,15 +93,12 @@ func implicitLeavesMatchOracle[K keys.Key](t *testing.T, tr *ImplicitTree[K], qs
 	}
 	gv, gf, wv, wf := make([]K, n), make([]bool, n), make([]K, n), make([]bool, n)
 	got := tr.SearchLeavesBatchSorted(qs, lines, gv, gf)
-	var want atomic.Int64
-	parallelFor(n, tr.cfg.Threads, func(s, e int) {
-		want.Add(int64(tr.searchLeavesSortedRange(qs, lines, wv, wf, s, e)))
-	})
+	want := tr.searchLeavesSortedRange(qs, lines, wv, wf, 0, n)
 	if !slices.Equal(gv, wv) || !slices.Equal(gf, wf) {
 		t.Fatalf("n=%d: sorted leaf stage results differ from the oracle's", n)
 	}
-	if int64(got) != want.Load() {
-		t.Fatalf("n=%d: %d distinct lines, oracle %d", n, got, want.Load())
+	if got != want {
+		t.Fatalf("n=%d: %d distinct lines, oracle %d", n, got, want)
 	}
 }
 
@@ -118,15 +114,12 @@ func regularLeavesMatchOracle[K keys.Key](t *testing.T, tr *RegularTree[K], qs [
 	}
 	gv, gf, wv, wf := make([]K, n), make([]bool, n), make([]K, n), make([]bool, n)
 	got := tr.SearchLeavesBatchSorted(qs, refs, gv, gf)
-	var want atomic.Int64
-	parallelFor(n, tr.cfg.Threads, func(s, e int) {
-		want.Add(int64(tr.searchLeavesSortedRange(qs, refs, wv, wf, s, e)))
-	})
+	want := tr.searchLeavesSortedRange(qs, refs, wv, wf, 0, n)
 	if !slices.Equal(gv, wv) || !slices.Equal(gf, wf) {
 		t.Fatalf("n=%d: sorted leaf stage results differ from the oracle's", n)
 	}
-	if int64(got) != want.Load() {
-		t.Fatalf("n=%d: %d distinct lines, oracle %d", n, got, want.Load())
+	if got != want {
+		t.Fatalf("n=%d: %d distinct lines, oracle %d", n, got, want)
 	}
 }
 
@@ -153,8 +146,8 @@ func leavesMatchOracle[K keys.Key](t *testing.T, seed uint64) {
 // TestSortedLeafStagesMatchOracle is the seeded property of both sorted
 // leaf stages: at every size in leafOracleSizes, on four-worker trees
 // of both key widths and at pipeline depths 16, 1 and off, results and
-// the distinct-line counts equal the per-query oracle's over the same
-// parallelFor chunks; SearchInnerBatch's grouped descent equals
+// the distinct-line counts equal the per-query oracle's over the whole
+// batch; SearchInnerBatch's grouped descent equals
 // SearchInner along the way.
 func TestSortedLeafStagesMatchOracle(t *testing.T) {
 	t.Run("uint64", func(t *testing.T) { leavesMatchOracle[uint64](t, 71) })

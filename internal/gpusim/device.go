@@ -7,11 +7,15 @@
 //   - Functional: device memory is charged against the card's 3 GiB
 //     and kernels execute the paper's warp-parallel node-search
 //     algorithm (Snippet 3) on the device-resident replica, computing
-//     real results that tests verify against the host tree. A sorted
-//     batch runs the same kernel bodies; its launch also counts, level
-//     by level, the distinct nodes the batch's frontier touches, which
-//     is the shared-descent transaction account. A replica's
-//     bytes are a version of the host tree's own memory (PagedBuffer):
+//     real results that tests verify against the host tree. The host
+//     computes a warp's answer as its rank, a query group a level at a
+//     time (kernels.go): the implicit kernel loads the group's nodes
+//     before it searches them, and searches an 8- or 16-slot node with
+//     Snippet 2's hierarchical shape, any other by Snippet 1's count.
+//     A sorted batch runs the same kernel bodies; its launch also
+//     counts, level by level, the distinct nodes the batch's frontier
+//     touches, which is the shared-descent transaction account. A
+//     replica's bytes are a version of the host tree's own memory (PagedBuffer):
 //     mirroring it moves no bytes but is charged as the copy it stands
 //     for. Query and result staging buffers (Buffer) hold real storage
 //     that host<->device copies fill and drain.

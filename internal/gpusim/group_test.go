@@ -194,3 +194,65 @@ func firstDiff(a, b []int32) int {
 	}
 	return -1
 }
+
+// kernelMatchesSearchInner launches the sorted implicit kernel on the
+// sorted batch sq, and the plain one on sq shuffled from level start
+// (resumed at WalkToLevel's indices when start > 0), and holds every
+// leaf line to the per-query host descent.
+func kernelMatchesSearchInner[K keys.Key](t *testing.T, tr *cpubtree.ImplicitTree[K], sq []K, seed uint64, start int) {
+	t.Helper()
+	qs := slices.Clone(sq)
+	workload.Shuffle(qs, seed)
+	inner, _, _, _ := tr.InnerArray()
+	desc := implicitDescOf(tr)
+	var starts []int32
+	if start > 0 {
+		starts = make([]int32, len(qs))
+		for i, q := range qs {
+			starts[i] = int32(tr.WalkToLevel(q, start))
+		}
+	}
+	out := make([]int32, len(qs))
+	if _, err := ImplicitSearchKernel(dev(), inner, desc, qs, out, start, starts); err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range qs {
+		if int(out[i]) != tr.SearchInner(q) {
+			t.Fatalf("n=%d from level %d: query %d (key %d) resolves to line %d, host %d", len(qs), start, i, q, out[i], tr.SearchInner(q))
+		}
+	}
+	if _, err := ImplicitSearchKernelSorted(dev(), inner, desc, sq, out, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range sq {
+		if int(out[i]) != tr.SearchInner(q) {
+			t.Fatalf("sorted n=%d: key %d resolves to line %d, host %d", len(sq), q, out[i], tr.SearchInner(q))
+		}
+	}
+}
+
+// FuzzImplicitKernelMatchesSearchInner holds the implicit kernel body
+// to the per-query host descent on sortedOracleQueries' batches (keys,
+// duplicates, absent keys, 0, MAX and a key above every pair), with a
+// fuzzed seed, batch size (1 + nsel mod 5000: the inline path, and the
+// fanned-out one from 1024 queries) and start level (level mod the
+// tree's height), on four trees: uniform uint64 and uint32 trees,
+// whose every level is one line wide, and tuned ones whose wide root
+// levels (64 and 16 slots for uint64, 64 and 32 for uint32) sit above
+// one-line levels.
+func FuzzImplicitKernelMatchesSearchInner(f *testing.F) {
+	uni64, uni64Pairs := buildImplicitFor[uint64](f, 1<<16, nil)
+	tuned64, tuned64Pairs := buildImplicitFor[uint64](f, 1<<16, []int{64, 16})
+	uni32, uni32Pairs := buildImplicitFor[uint32](f, 1<<16, nil)
+	tuned32, tuned32Pairs := buildImplicitFor[uint32](f, 1<<16, []int{64, 32})
+	f.Add(uint64(1), uint16(kernelGroup+1), uint8(0))
+	f.Add(uint64(2), uint16(1500), uint8(1))
+	f.Add(uint64(3), uint16(4999), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, nsel uint16, level uint8) {
+		n := 1 + int(nsel)%5000
+		kernelMatchesSearchInner(t, uni64, sortedOracleQueries(uni64Pairs, n, seed, 0), seed, int(level)%uni64.Height())
+		kernelMatchesSearchInner(t, tuned64, sortedOracleQueries(tuned64Pairs, n, seed, 0), seed, int(level)%tuned64.Height())
+		kernelMatchesSearchInner(t, uni32, sortedOracleQueries(uni32Pairs, n, seed, 0), seed, int(level)%uni32.Height())
+		kernelMatchesSearchInner(t, tuned32, sortedOracleQueries(tuned32Pairs, n, seed, 0), seed, int(level)%tuned32.Height())
+	})
+}

@@ -18,15 +18,21 @@ import (
 // and the first thread whose key is not below it owns the answer. On a
 // sorted node that thread's slot is the rank of the query — the count of
 // keys below it — so the kernels compute the warp's answer as a
-// branch-free rank, clamped to the last slot. The literal emulation
-// (flags, predecessor test, shared result) is kept as the tests' oracle.
+// branch-free rank, clamped to the last slot. The implicit kernel takes
+// the rank of an 8- or 16-slot node (one line of uint64 or uint32 keys)
+// with the hierarchical search of Snippet 2, the CPU's fastest (Figure
+// 8), and of any other node with Snippet 1's count; the regular kernel
+// counts.
+// The literal emulation (flags, predecessor test, shared result) is
+// kept as the tests' oracle.
 //
 // The host executes a launch the way the paper's CPU search executes a
 // batch (Section 4.2, Algorithm 2): each goroutine standing in for an SM
-// descends a group of queries one level at a time, so one query's cache
-// miss overlaps the others'. The virtual clock and the transaction
-// counts are those of the per-query warp model; only host execution is
-// grouped.
+// descends a group of queries one level at a time, and the implicit
+// kernel loads every member's node before it searches any, so one
+// query's cache miss overlaps the others'. The virtual clock and the
+// transaction counts are those of the per-query warp model; only host
+// execution is grouped.
 //
 // A sorted batch runs the same grouped bodies. Sorting keeps every
 // level's frontier non-decreasing, so the queries that share a node are
@@ -54,7 +60,10 @@ const maxHeight = 32
 // last slot. On a sorted node it is the first slot whose key is not
 // below q, the thread that owns the answer in Snippet 3, and the clamp
 // is the node's last slot catching queries above every key (the
-// HB+-tree pins trailing separators to MAX).
+// HB+-tree pins trailing separators to MAX). The regular kernel
+// searches its lines with it, and the implicit body its nodes wider
+// than 16 slots; on 8- and 16-slot nodes the implicit body computes
+// the same value by the hierarchical search.
 func rank[K keys.Key](node []K, q K) int {
 	return min(simd.SearchLinear(node, q), len(node)-1)
 }
@@ -200,11 +209,19 @@ func ImplicitSearchKernelSorted[K keys.Key](d *Device, iseg []K, desc ImplicitDe
 // implicitSearchRange resolves queries[lo:hi] against the implicit
 // I-segment; the kernel body shared by the inline and fanned-out paths
 // and by the plain and sorted launches. It descends kernelGroup queries
-// at a time, one level per step, so the group's node probes are
-// independent loads. All geometry comes from the per-level layout
-// table. A non-nil f counts the range's shared-descent transactions.
+// at a time, one level per step, as the paper's Algorithm 2 does: at
+// each level it first loads the first key of every member's node, so
+// the group's misses overlap, and only then searches the nodes. Go has
+// no prefetch intrinsic, so every search consumes its loaded key (a
+// load whose value went unused could be deleted by the compiler). The
+// node search is chosen once per level: an 8- or 16-slot node is
+// searched with the fixed hierarchical shape of Snippet 2, any other
+// width by rank; every shape computes rank. All geometry comes from the
+// per-level layout table. A non-nil f counts the range's shared-descent
+// transactions.
 func implicitSearchRange[K keys.Key](iseg []K, geom []LevelGeom, height, numLeaves int, queries []K, out []int32, startLevel int, startIdx []int32, lo, hi int, f *frontier) {
 	var cursor [kernelGroup]int32
+	var loaded [kernelGroup]K
 	leafMax := int32(numLeaves - 1)
 	if f != nil {
 		f.reset()
@@ -212,6 +229,7 @@ func implicitSearchRange[K keys.Key](iseg []K, geom []LevelGeom, height, numLeav
 	for g := lo; g < hi; g += kernelGroup {
 		qs := queries[g:min(g+kernelGroup, hi)]
 		idx := cursor[:len(qs)]
+		first := loaded[:len(qs)]
 		if startIdx != nil {
 			copy(idx, startIdx[g:])
 		} else {
@@ -224,15 +242,61 @@ func implicitSearchRange[K keys.Key](iseg []K, geom []LevelGeom, height, numLeav
 			}
 			kpn := int(lg.Kpn)
 			level := iseg[lg.Off:]
-			for j, q := range qs {
-				off := int(idx[j]) * kpn
-				idx[j] = idx[j]*lg.Fanout + int32(rank(level[off:off+kpn], q))
+			for j, i := range idx {
+				first[j] = level[int(i)*kpn]
+			}
+			// The 8- and 16-slot searches are simd.SearchHier8 and
+			// SearchHier16 (Snippet 2) written out, as calls do not
+			// inline: the boundary keys pick a part of three slots, its
+			// keys finish the count with the loaded key standing in for
+			// slot 0, and the sum is clamped to the last slot. In a
+			// 16-slot node the last part is slot 15 alone; its second
+			// compare reads slot 15 again, and the clamp absorbs it.
+			switch kpn {
+			case 8:
+				for j, k0 := range first {
+					q := qs[j]
+					n := (*[8]K)(level[int(idx[j])*8:])
+					k := 3 * (lt(n[2], q) + lt(n[5], q))
+					x := n[k]
+					if k == 0 {
+						x = k0
+					}
+					idx[j] = idx[j]*lg.Fanout + int32(min(k+lt(x, q)+lt(n[k+1], q), 7))
+				}
+			case 16:
+				for j, k0 := range first {
+					q := qs[j]
+					n := (*[16]K)(level[int(idx[j])*16:])
+					k := 3 * (lt(n[2], q) + lt(n[5], q) + lt(n[8], q) + lt(n[11], q) + lt(n[14], q))
+					x := n[k]
+					if k == 0 {
+						x = k0
+					}
+					idx[j] = idx[j]*lg.Fanout + int32(min(k+lt(x, q)+lt(n[min(k+1, 15)], q), 15))
+				}
+			default:
+				// A query not above the node's first key ranks 0 in a
+				// sorted node, so the loaded key gates the count.
+				for j, q := range qs {
+					off := int(idx[j]) * kpn
+					idx[j] = idx[j]*lg.Fanout + int32(lt(first[j], q)*rank(level[off:off+kpn], q))
+				}
 			}
 		}
 		for j := range qs {
 			out[g+j] = min(idx[j], leafMax)
 		}
 	}
+}
+
+// lt returns 1 if a < b, else 0; the compiler makes it a flag set, not
+// a branch.
+func lt[K keys.Key](a, b K) int {
+	if a < b {
+		return 1
+	}
+	return 0
 }
 
 // RegularDesc describes the regular HB+-tree inner segments resident in

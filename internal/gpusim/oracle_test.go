@@ -38,41 +38,84 @@ func warpSearch[K keys.Key](node []K, q K) int {
 }
 
 // sortedNode returns a sorted node of width w drawn from r with keys in
-// [0, span), so duplicates and queries equal to a key are common; with
-// maxLast set its last slot is MAX, the HB+-tree's trailing separator.
-func sortedNode[K keys.Key](r *workload.RNG, w int, span uint64, maxLast bool) []K {
+// [0, span), so duplicates and queries equal to a key are common, and
+// its last pad slots MAX (sortPad).
+func sortedNode[K keys.Key](r *workload.RNG, w int, span uint64, pad int) []K {
 	node := make([]K, w)
 	for i := range node {
 		node[i] = K(r.Uint64() % span)
 	}
+	return sortPad(node, pad)
+}
+
+// sortPad sorts node and sets its last pad slots to MAX, the HB+-tree's
+// trailing separators and empty slots.
+func sortPad[K keys.Key](node []K, pad int) []K {
 	slices.Sort(node)
-	if maxLast {
-		node[w-1] = keys.Max[K]()
+	for i := len(node) - min(pad, len(node)); i < len(node); i++ {
+		node[i] = keys.Max[K]()
 	}
 	return node
 }
 
-// checkRank fails t when rank and the Snippet 3 oracle disagree on q.
+// levelSearch is the kernel body's node search on node: the launch
+// body run over a one-node, one-level tree, so the query's node is
+// loaded first and searched by the shape the body picks for the width
+// (the hierarchical one for 8 and 16 slots, rank for the others). The
+// tree has one leaf line more than the node has slots, so the launch's
+// final leaf clamp cannot hide a node search that misses its own.
+func levelSearch[K keys.Key](node []K, q K) int {
+	w := int32(len(node))
+	var out [1]int32
+	implicitSearchRange(node, []LevelGeom{{Kpn: w, Fanout: w, Lines: 1}}, 1, len(node)+1, []K{q}, out[:], 0, nil, 0, 1, nil)
+	return int(out[0])
+}
+
+// checkRank fails t when rank, or the kernel body's level search, and
+// the Snippet 3 oracle disagree on q.
 func checkRank[K keys.Key](t *testing.T, node []K, q K) {
 	t.Helper()
-	if got, want := rank(node, q), warpSearch(node, q); got != want {
+	want := warpSearch(node, q)
+	if got := rank(node, q); got != want {
 		t.Fatalf("width %d: rank(%v, %d) = %d, warpSearch = %d", len(node), node, q, got, want)
+	}
+	if got := levelSearch(node, q); got != want {
+		t.Fatalf("width %d: kernel level search (%v, %d) = %d, warpSearch = %d", len(node), node, q, got, want)
 	}
 }
 
-// rankProperty checks rank against warpSearch on seeded sorted nodes of
-// every width from 8 to MaxNodeWidth, with and without a MAX last slot:
-// queries inside the key range, equal to a key, q = MAX and q above
-// every key.
+// checkNodeQueries checks node against the oracle at queries below,
+// equal to, between and above its keys, at 0 and at MAX.
+func checkNodeQueries[K keys.Key](t *testing.T, node []K) {
+	t.Helper()
+	checkRank(t, node, 0)
+	checkRank(t, node, keys.Max[K]())
+	for _, k := range node {
+		checkRank(t, node, k)
+		if k > 0 {
+			checkRank(t, node, k-1)
+		}
+		if k < keys.Max[K]() {
+			checkRank(t, node, k+1)
+		}
+	}
+}
+
+// rankProperty checks rank and the kernel's level search against
+// warpSearch on seeded sorted nodes of every width from 8 to
+// MaxNodeWidth, with no MAX slot, a MAX last slot or a MAX-padded tail:
+// queries drawn from the key range, below, equal to, between and above
+// every key, and q = MAX. Widths 8 and 16 are the one-line nodes the
+// kernel searches hierarchically (uint64 and uint32).
 func rankProperty[K keys.Key](t *testing.T, seed uint64) {
 	r := workload.NewRNG(seed)
 	for w := 8; w <= MaxNodeWidth; w++ {
 		for iter := 0; iter < 200; iter++ {
 			span := uint64(4 * w)
-			node := sortedNode[K](r, w, span, iter%2 == 0)
+			pad := []int{0, 1, r.Intn(w + 1)}[iter%3]
+			node := sortedNode[K](r, w, span, pad)
 			checkRank(t, node, K(r.Uint64()%(span+8)))
-			checkRank(t, node, node[r.Intn(w)])
-			checkRank(t, node, keys.Max[K]())
+			checkNodeQueries(t, node)
 			checkRank(t, node, K(span)) // above every key but a MAX slot
 		}
 	}
@@ -83,31 +126,43 @@ func TestRankMatchesWarpSearch(t *testing.T) {
 	rankProperty[uint32](t, 48)
 }
 
-// FuzzRankMatchesWarpSearch drives rank and the oracle with arbitrary
-// sorted nodes: width 8 + wsel mod 57, keys from data, q given, for both
-// key widths.
+// fuzzNode returns a sorted node of width w with keys from data, and
+// its last pad slots MAX (sortPad).
+func fuzzNode[K keys.Key](w int, data []byte, pad int) []K {
+	node := make([]K, w)
+	for i := range node {
+		if len(data) > 0 {
+			node[i] = K(uint64(data[i%len(data)]) * uint64(i+1))
+		}
+	}
+	return sortPad(node, pad)
+}
+
+// FuzzRankMatchesWarpSearch drives rank, the kernel's level search and
+// the oracle with arbitrary sorted nodes: width 8 + wsel mod 57, keys
+// from data, the last pad mod (width+1) slots MAX (at least one with
+// maxLast), q given, for both key widths; and the one-line nodes, 8
+// slots of uint64 and 16 of uint32, from the same data at q and at
+// queries around each of their keys.
 func FuzzRankMatchesWarpSearch(f *testing.F) {
-	f.Add(uint8(0), []byte{1, 2, 3}, uint64(4), true) // q equals two keys
-	f.Add(uint8(56), []byte{0xff, 0, 7}, ^uint64(0), false)
-	f.Add(uint8(8), []byte{9}, uint64(1000), false)
-	f.Fuzz(func(t *testing.T, wsel uint8, data []byte, q uint64, maxLast bool) {
+	f.Add(uint8(0), []byte{1, 2, 3}, uint64(4), true, uint8(0)) // q equals two keys
+	f.Add(uint8(56), []byte{0xff, 0, 7}, ^uint64(0), false, uint8(0))
+	f.Add(uint8(8), []byte{9}, uint64(1000), false, uint8(0))
+	f.Add(uint8(0), []byte{5, 5, 5, 200}, uint64(6), false, uint8(3))
+	f.Fuzz(func(t *testing.T, wsel uint8, data []byte, q uint64, maxLast bool, pad uint8) {
 		w := 8 + int(wsel)%(MaxNodeWidth-7)
-		n64 := make([]uint64, w)
-		n32 := make([]uint32, w)
-		for i := range n64 {
-			var k uint64
-			if len(data) > 0 {
-				k = uint64(data[i%len(data)]) * uint64(i+1)
-			}
-			n64[i], n32[i] = k, uint32(k)
-		}
-		slices.Sort(n64)
-		slices.Sort(n32)
+		p := int(pad) % (w + 1)
 		if maxLast {
-			n64[w-1], n32[w-1] = keys.Max[uint64](), keys.Max[uint32]()
+			p = max(p, 1)
 		}
+		checkRank(t, fuzzNode[uint64](w, data, p), q)
+		checkRank(t, fuzzNode[uint32](w, data, p), uint32(q))
+		n64 := fuzzNode[uint64](8, data, p%9)
+		n32 := fuzzNode[uint32](16, data, p%17)
 		checkRank(t, n64, q)
 		checkRank(t, n32, uint32(q))
+		checkNodeQueries(t, n64)
+		checkNodeQueries(t, n32)
 	})
 }
 
@@ -119,7 +174,7 @@ func TestWarpSearchWideNodes(t *testing.T) {
 	r := workload.NewRNG(13)
 	for _, width := range []int{8, 16, 32, 64} {
 		for iter := 0; iter < 500; iter++ {
-			line := sortedNode[uint64](r, width, 1000, true)
+			line := sortedNode[uint64](r, width, 1000, 1)
 			q := r.Uint64() % 1100
 			want := sort.Search(width, func(i int) bool { return q <= line[i] })
 			if got := warpSearch(line, q); got != want {
