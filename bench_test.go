@@ -14,7 +14,6 @@ import (
 	"hbtree/internal/cpubtree"
 	"hbtree/internal/fast"
 	"hbtree/internal/platform"
-	"hbtree/internal/simd"
 	"hbtree/internal/workload"
 )
 
@@ -28,7 +27,7 @@ func benchPairs() []hbtree.Pair[uint64] {
 
 func BenchmarkWallImplicitLookup(b *testing.B) {
 	pairs := benchPairs()
-	t, err := cpubtree.BuildImplicit(pairs, cpubtree.Config{NodeSearch: simd.Hierarchical})
+	t, err := cpubtree.BuildImplicit(pairs, cpubtree.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -43,7 +42,7 @@ func BenchmarkWallImplicitLookup(b *testing.B) {
 
 func BenchmarkWallRegularLookup(b *testing.B) {
 	pairs := benchPairs()
-	t, err := cpubtree.BuildRegular(pairs, cpubtree.Config{NodeSearch: simd.Hierarchical})
+	t, err := cpubtree.BuildRegular(pairs, cpubtree.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,24 +129,6 @@ func BenchmarkAblationIndexLine(b *testing.B) {
 			t.LookupScanAblation(qs[i&(len(qs)-1)])
 		}
 	})
-}
-
-// BenchmarkAblationNodeSearch compares the three in-node kernels inside
-// full tree lookups (complements the line-level bench in internal/simd).
-func BenchmarkAblationNodeSearch(b *testing.B) {
-	pairs := benchPairs()
-	for _, alg := range []simd.Algorithm{simd.Sequential, simd.Linear, simd.Hierarchical} {
-		t, err := cpubtree.BuildImplicit(pairs, cpubtree.Config{NodeSearch: alg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		qs := workload.SearchInput(pairs, 1<<16, 3)
-		b.Run(alg.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t.Lookup(qs[i&(len(qs)-1)])
-			}
-		})
-	}
 }
 
 // BenchmarkAblationLeafSize measures range scans against the big-leaf

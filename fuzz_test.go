@@ -29,7 +29,7 @@ func FuzzNodeSearchKernels(f *testing.F) {
 		if got := simd.SearchLinear(line, q); got != want {
 			t.Fatalf("linear: %d != %d", got, want)
 		}
-		if got := simd.SearchHier8(line, q); got != want {
+		if got := simd.SearchHierarchical(line, q); got != want {
 			t.Fatalf("hier: %d != %d", got, want)
 		}
 	})

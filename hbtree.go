@@ -48,7 +48,6 @@ import (
 	"hbtree/internal/cpubtree"
 	"hbtree/internal/keys"
 	"hbtree/internal/platform"
-	"hbtree/internal/simd"
 	"hbtree/internal/workload"
 )
 
@@ -61,7 +60,8 @@ type Pair[K Key] = keys.Pair[K]
 
 // Options configures a tree; the zero value reproduces the paper's final
 // configuration (machine M1, implicit variant, 16K buckets, double
-// buffering, hierarchical SIMD node search, pipeline depth 16).
+// buffering, pipeline depth 16). Nodes are always searched with the
+// hierarchical SIMD search, the paper's fastest (Figure 8).
 type Options = core.Options
 
 // Variant selects the tree organisation.
@@ -85,13 +85,6 @@ const (
 	Sequential     = core.Sequential
 	Pipelined      = core.Pipelined
 	DoubleBuffered = core.DoubleBuffered
-)
-
-// NodeSearch algorithms for the CPU side (Figure 8).
-const (
-	SearchSequential   = simd.Sequential
-	SearchLinear       = simd.Linear
-	SearchHierarchical = simd.Hierarchical
 )
 
 // Layout selects the implicit variant's inner-node geometry engine

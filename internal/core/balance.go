@@ -348,7 +348,7 @@ func (t *Tree[K]) runKernelFrom(qbuf *gpusim.Buffer[K], sbuf, rbuf *gpusim.Buffe
 func (t *Tree[K]) cpuPreStageDuration(n int, depth float64) vclock.Duration {
 	cpu := t.opt.Machine.CPU
 	top, searches := t.topLevelsProfile(depth)
-	pq := cpuPerQuery(cpu, t.opt.NodeSearch, searches, top, 0, t.opt.PipelineDepth, 0)
+	pq := cpuPerQuery(cpu, searches, top, 0, t.opt.PipelineDepth, 0)
 	// The common dispatch overhead is charged once, in the leaf stage.
 	pq -= cpu.CostQuerycommon
 	if pq < 0 {

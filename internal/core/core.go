@@ -49,7 +49,6 @@ import (
 	"hbtree/internal/keys"
 	"hbtree/internal/model"
 	"hbtree/internal/platform"
-	"hbtree/internal/simd"
 	"hbtree/internal/vclock"
 )
 
@@ -126,9 +125,6 @@ type Options struct {
 
 	// Variant selects implicit or regular organisation.
 	Variant Variant
-
-	// NodeSearch is the CPU in-node search kernel.
-	NodeSearch simd.Algorithm
 
 	// BucketSize is M, the number of queries per bucket; zero selects
 	// DefaultBucketSize (16K).
@@ -325,7 +321,6 @@ func Build[K keys.Key](pairs []keys.Pair[K], opt Options) (*Tree[K], error) {
 		scratch: make(chan *searchScratch[K], scratchPoolCap)}
 
 	cfg := cpubtree.Config{
-		NodeSearch:    opt.NodeSearch,
 		PipelineDepth: opt.PipelineDepth,
 		LeafFill:      opt.LeafFill,
 	}
@@ -674,7 +669,6 @@ func Load[K keys.Key](r io.Reader, opt Options) (*Tree[K], error) {
 		return nil, fmt.Errorf("core: reading variant: %w", err)
 	}
 	cfg := cpubtree.Config{
-		NodeSearch:    opt.NodeSearch,
 		PipelineDepth: opt.PipelineDepth,
 		LeafFill:      opt.LeafFill,
 	}
@@ -740,7 +734,7 @@ func (t *Tree[K]) Describe() string {
 	fmt.Fprintf(&b, "  device memory: %.2f / %.0f MiB used\n",
 		float64(t.dev.MemUsed())/(1<<20), float64(t.opt.Machine.GPU.MemBytes)/(1<<20))
 	fmt.Fprintf(&b, "  buckets: %d queries, %s strategy, node search: %s\n",
-		t.opt.BucketSize, t.opt.Strategy, t.opt.NodeSearch)
+		t.opt.BucketSize, t.opt.Strategy, nodeSearch)
 	if t.impl != nil {
 		fmt.Fprintf(&b, "  layout: %s, level widths: %v\n", t.opt.Layout, t.impl.LevelWidths())
 	}

@@ -84,7 +84,7 @@ func (t *Tree[K]) ApplyDelta(ops []cpubtree.Op[K], plan *cpubtree.DeltaPlan[K]) 
 func (t *Tree[K]) deltaPerOpCost() vclock.Duration {
 	cpu := t.opt.Machine.CPU
 	p, searches := t.lookupProfile()
-	return cpuPerQuery(cpu, t.opt.NodeSearch, searches, p, 0, 1, lockOverhead)
+	return cpuPerQuery(cpu, searches, p, 0, 1, lockOverhead)
 }
 
 // CloneFootprint reports the host copy cost of cloning this tree — the

@@ -170,9 +170,14 @@ func (t *Tree[K]) topLevelsProfile(depth float64) (missProfile, float64) {
 	return profileLevels(bytes, lines, llc), searches
 }
 
+// nodeSearch is the in-node search the cost model charges the CPU for:
+// the hierarchical search (Figure 8's fastest), the one every host
+// descent runs.
+const nodeSearch = simd.Hierarchical
+
 // cpuPerQuery and cpuBatchDuration delegate to the shared cost model.
-func cpuPerQuery(cpu platform.CPU, algo simd.Algorithm, nodeSearches float64, p missProfile, walk vclock.Duration, swDepth int, extra vclock.Duration) vclock.Duration {
-	return model.PerQuery(cpu, algo, nodeSearches, p, walk, swDepth, extra)
+func cpuPerQuery(cpu platform.CPU, nodeSearches float64, p missProfile, walk vclock.Duration, swDepth int, extra vclock.Duration) vclock.Duration {
+	return model.PerQuery(cpu, nodeSearch, nodeSearches, p, walk, swDepth, extra)
 }
 
 func cpuBatchDuration(cpu platform.CPU, n int, perQuery vclock.Duration, missBytes float64, threads int) vclock.Duration {
@@ -185,7 +190,7 @@ func cpuBatchDuration(cpu platform.CPU, n int, perQuery vclock.Duration, missByt
 // the per-query cost it is built from.
 func (t *Tree[K]) cpuFullLookupBatch(n int) (batch, perQuery vclock.Duration) {
 	p, searches := t.lookupProfile()
-	pq := cpuPerQuery(t.opt.Machine.CPU, t.opt.NodeSearch, searches, p, 0, t.opt.PipelineDepth, 0)
+	pq := cpuPerQuery(t.opt.Machine.CPU, searches, p, 0, t.opt.PipelineDepth, 0)
 	return cpuBatchDuration(t.opt.Machine.CPU, n, pq, p.Miss*keys.LineBytes, t.opt.Threads), pq
 }
 
@@ -215,7 +220,7 @@ func (t *Tree[K]) leafStagePerQuery(p missProfile) vclock.Duration {
 	}
 	mem := (vclock.Duration(p.Miss)*cpu.LatMem + vclock.Duration(p.Hit)*cpu.LatLLC) /
 		vclock.Duration(mlpLeafStage)
-	return extra + vclock.Duration(float64(model.AlgoCost(cpu, t.opt.NodeSearch))*p.Lines()) + mem
+	return extra + vclock.Duration(float64(model.AlgoCost(cpu, nodeSearch))*p.Lines()) + mem
 }
 
 // cpuLeafStageDurationShared is cpuLeafStageDuration for a sorted
@@ -294,7 +299,7 @@ func (t *Tree[K]) SetLeafMissOverride(frac float64) {
 // every request served outside a batch.
 func (t *Tree[K]) PointLookupCost() vclock.Duration {
 	p, searches := t.lookupProfile()
-	return cpuPerQuery(t.opt.Machine.CPU, t.opt.NodeSearch, searches, p, 0, 1, 0)
+	return cpuPerQuery(t.opt.Machine.CPU, searches, p, 0, 1, 0)
 }
 
 // GPUStageDuration exposes the modelled kernel time (T2 of Section 5.4)

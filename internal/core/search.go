@@ -387,7 +387,7 @@ func (t *Tree[K]) RangeQueryBatch(starts []K, count int) ([][]keys.Pair[K], Rang
 		scan := model.MissProfile{Hit: leafLines * p.Hit, Miss: leafLines * p.Miss}
 		mem := (vclock.Duration(scan.Miss)*cpu.LatMem + vclock.Duration(scan.Hit)*cpu.LatLLC) /
 			vclock.Duration(cpu.MLPMax)
-		pq := cpu.CostHybridSched + vclock.Duration(leafLines*float64(model.AlgoCost(cpu, t.opt.NodeSearch))) + mem
+		pq := cpu.CostHybridSched + vclock.Duration(leafLines*float64(model.AlgoCost(cpu, nodeSearch))) + mem
 		d4 := model.BatchDuration(cpu, bn, pq, scan.MissBytes(), t.opt.Threads)
 		tl.Schedule(stream, vclock.ResCPU, "scan", d4)
 		buckets++

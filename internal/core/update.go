@@ -244,7 +244,7 @@ func (t *Tree[K]) Update(ops []cpubtree.Op[K], method UpdateMethod) (UpdateStats
 func (t *Tree[K]) updatePerOpCost() vclock.Duration {
 	cpu := t.opt.Machine.CPU
 	p, searches := t.lookupProfile()
-	lookup := cpuPerQuery(cpu, t.opt.NodeSearch, searches, p, 0, 1, lockOverhead)
+	lookup := cpuPerQuery(cpu, searches, p, 0, 1, lockOverhead)
 	// Shifting half a big leaf on average (leafCap/2 pairs), at the
 	// single-thread copy bandwidth (~1/4 of the socket's).
 	shiftBytes := float64(t.reg.LeafCapacity()) / 2 * float64(2*keys.Size[K]())
@@ -321,7 +321,7 @@ func (t *Tree[K]) MixedBatch(ops []cpubtree.MixedOp[K], method UpdateMethod) (cp
 	// parallelism cap.
 	cpu := t.opt.Machine.CPU
 	p, searches := t.lookupProfile()
-	searchCost := cpuPerQuery(cpu, t.opt.NodeSearch, searches, p, 0, 1, lockOverhead)
+	searchCost := cpuPerQuery(cpu, searches, p, 0, 1, lockOverhead)
 	updateCost := t.updatePerOpCost()
 	nUpd := 0
 	for _, op := range ops {
@@ -474,7 +474,7 @@ func (t *Tree[K]) UpdateGPUAssisted(ops []cpubtree.Op[K]) (UpdateStats, error) {
 	cpu := t.opt.Machine.CPU
 	shiftBytes := float64(t.reg.LeafCapacity()) / 2 * float64(2*keys.Size[K]())
 	perOp := lockOverhead + vclock.Duration(shiftBytes/(cpu.MemBWBytes/4)*1e9) +
-		vclock.Duration(float64(model.AlgoCost(cpu, t.opt.NodeSearch)))
+		vclock.Duration(float64(model.AlgoCost(cpu, nodeSearch)))
 	speedup := float64(t.opt.Threads)
 	if speedup > updateMaxSpeedup {
 		speedup = updateMaxSpeedup

@@ -58,17 +58,15 @@ func (t *ImplicitTree[K]) lookupPipelined(qs []K, vals []K, fnd []bool) {
 
 // descendGroup resolves the inner levels for a group of queries,
 // writing each one's leaf line into lines. It advances the whole group
-// one level per step (Algorithm 2); in hardware the next node line is
-// prefetched while the other group members are processed.
+// one level per step (Algorithm 2) with simd.DescendLevel, the level
+// step of the device kernel, which loads every member's node before it
+// searches any.
 func (t *ImplicitTree[K]) descendGroup(grp []K, lines []int32) {
+	var loaded [maxPipelineGroup]K
 	lines = lines[:len(grp)]
 	clear(lines)
 	for d := 0; d < t.height; d++ {
-		f := int32(t.levelFanout[d])
-		for i, q := range grp {
-			j := simd.Search(t.cfg.NodeSearch, t.node(d, int(lines[i])), q)
-			lines[i] = lines[i]*f + int32(j)
-		}
+		simd.DescendLevel(t.inner[t.levelSlot[d]:], t.levelKpn[d], t.levelFanout[d], grp, lines, loaded[:])
 	}
 	for i := range lines {
 		lines[i] = min(lines[i], int32(t.numLeaves-1))

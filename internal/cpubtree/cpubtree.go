@@ -5,8 +5,9 @@
 //
 // The three optimisations of Section 4 are all present:
 //
-//  1. SIMD-enabled node search (internal/simd) with the sequential,
-//     linear and hierarchical kernels of Figure 3;
+//  1. SIMD-enabled node search (internal/simd): the hierarchical
+//     kernel of Figure 3(c), the fastest of Figure 8, per query, and
+//     its grouped level step in batches;
 //  2. cache blocking — every node is built from 64-byte lines, the
 //     regular tree's inner nodes carry an index line so a node search
 //     touches 3 lines instead of 17, and leaves are packed into big
@@ -26,7 +27,6 @@ import (
 	"sync"
 
 	"hbtree/internal/mem"
-	"hbtree/internal/simd"
 )
 
 // DefaultPipelineDepth is the software-pipeline length that performed
@@ -51,9 +51,6 @@ type Config struct {
 	// concrete heights, so Rebuild re-derives a valid layout at any data
 	// size. The regular tree ignores it.
 	RootWidths []int
-
-	// NodeSearch selects the in-node search kernel.
-	NodeSearch simd.Algorithm
 
 	// PipelineDepth is the software-pipeline length for batch lookups;
 	// zero selects DefaultPipelineDepth, negative disables pipelining.

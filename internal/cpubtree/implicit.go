@@ -279,13 +279,28 @@ func (t *ImplicitTree[K]) leafLine(l int) []K {
 // index holding the lower bound of q. This is the part of the lookup the
 // HB+-tree offloads to the GPU.
 func (t *ImplicitTree[K]) SearchInner(q K) int {
+	return min(t.walk(q, t.height, nil), t.numLeaves-1)
+}
+
+// walk descends q through the top depth inner levels, one node search
+// (simd.SearchHierarchical, clamped to the node's last child) per level,
+// and returns its node index at level depth: the per-query walk of
+// SearchInner, WalkToLevel and LookupInstrumented. A non-nil h is told
+// every cache line of every node searched; wide tuned nodes span
+// several lines, uniform nodes exactly one.
+func (t *ImplicitTree[K]) walk(q K, depth int, h mem.Toucher) int {
 	idx := 0
-	for d := 0; d < t.height; d++ {
-		j := simd.Search(t.cfg.NodeSearch, t.node(d, idx), q)
-		idx = idx*t.levelFanout[d] + j
-	}
-	if idx >= t.numLeaves {
-		idx = t.numLeaves - 1
+	for d := 0; d < depth; d++ {
+		node := t.node(d, idx)
+		if h != nil {
+			sz := int64(keys.Size[K]())
+			slot := int64(t.levelSlot[d] + idx*t.levelKpn[d])
+			for ln := 0; ln < t.levelKpn[d]; ln += t.kpn {
+				h.Touch(t.iseg.Addr((slot+int64(ln))*sz), t.iseg.Kind)
+			}
+		}
+		f := t.levelFanout[d]
+		idx = idx*f + min(simd.SearchHierarchical(node, q), f-1)
 	}
 	return idx
 }
@@ -323,22 +338,8 @@ func (t *ImplicitTree[K]) Lookup(q K) (K, bool) {
 // touch to the memory-hierarchy simulator (the PAPI-style measurement of
 // Figure 7).
 func (t *ImplicitTree[K]) LookupInstrumented(q K, h mem.Toucher) (K, bool) {
-	sz := int64(keys.Size[K]())
-	idx := 0
-	for d := 0; d < t.height; d++ {
-		// One touch per cache line of the node: wide tuned nodes span
-		// several lines, uniform nodes exactly one.
-		slot := int64(t.levelSlot[d] + idx*t.levelKpn[d])
-		for ln := 0; ln < t.levelKpn[d]; ln += t.kpn {
-			h.Touch(t.iseg.Addr((slot+int64(ln))*sz), t.iseg.Kind)
-		}
-		j := simd.Search(t.cfg.NodeSearch, t.node(d, idx), q)
-		idx = idx*t.levelFanout[d] + j
-	}
-	if idx >= t.numLeaves {
-		idx = t.numLeaves - 1
-	}
-	h.Touch(t.lseg.Addr(int64(idx)*int64(t.kpn)*sz), t.lseg.Kind)
+	idx := min(t.walk(q, t.height, h), t.numLeaves-1)
+	h.Touch(t.lseg.Addr(int64(idx)*int64(t.kpn)*int64(keys.Size[K]())), t.lseg.Kind)
 	return t.SearchLeafLine(idx, q)
 }
 
@@ -467,13 +468,9 @@ func (t *ImplicitTree[K]) WalkToLevel(q K, depth int) int {
 	if depth > t.height {
 		depth = t.height
 	}
-	idx := 0
-	for d := 0; d < depth; d++ {
-		j := simd.Search(t.cfg.NodeSearch, t.node(d, idx), q)
-		idx = idx*t.levelFanout[d] + j
-	}
-	if depth == t.height && idx >= t.numLeaves {
-		idx = t.numLeaves - 1
+	idx := t.walk(q, depth, nil)
+	if depth == t.height {
+		idx = min(idx, t.numLeaves-1)
 	}
 	return idx
 }

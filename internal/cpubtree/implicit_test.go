@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"hbtree/internal/keys"
-	"hbtree/internal/simd"
 	"hbtree/internal/workload"
 )
 
@@ -158,21 +157,6 @@ func TestImplicitPipelineDepths(t *testing.T) {
 		for i := range qs {
 			if !fnd[i] || vals[i] != want[i] {
 				t.Fatalf("pipeline depth %d: query %d wrong", p, i)
-			}
-		}
-	}
-}
-
-func TestImplicitNodeSearchAlgorithms(t *testing.T) {
-	pairs := workload.Dataset[uint64](workload.Uniform, 8000, 17)
-	for _, alg := range []simd.Algorithm{simd.Sequential, simd.Linear, simd.Hierarchical} {
-		tr, err := BuildImplicit(pairs, Config{NodeSearch: alg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < len(pairs); i += 7 {
-			if v, ok := tr.Lookup(pairs[i].Key); !ok || v != pairs[i].Value {
-				t.Fatalf("%v: Lookup(%d) failed", alg, pairs[i].Key)
 			}
 		}
 	}

@@ -437,15 +437,18 @@ func (t *RegularTree[K]) buildUpper(leafMax []K, perNode int) {
 // line, selected key line, selected reference slot. It returns the child
 // position c within the node.
 func (t *RegularTree[K]) searchNode(pool []K, idx int32, q K) int {
-	s := simd.Search(t.cfg.NodeSearch, t.indexLine(pool, idx), q)
-	if s >= t.kpl {
-		s = t.kpl - 1 // cannot happen: the last index slot is MAX
-	}
-	u := simd.Search(t.cfg.NodeSearch, t.keyLine(pool, idx, s), q)
-	if u >= t.kpl {
-		u = t.kpl - 1
-	}
+	s, u := t.searchLines(pool, idx, q)
 	return s*t.kpl + u
+}
+
+// searchLines searches node idx's index line for the key line to read
+// (s) and that key line for the child within it (u), each with
+// simd.SearchHierarchical clamped to the line's last slot; the index
+// line's last slot is MAX, so its clamp never fires.
+func (t *RegularTree[K]) searchLines(pool []K, idx int32, q K) (s, u int) {
+	s = min(simd.SearchHierarchical(t.indexLine(pool, idx), q), t.kpl-1)
+	u = min(simd.SearchHierarchical(t.keyLine(pool, idx, s), q), t.kpl-1)
+	return s, u
 }
 
 // SearchToLeaf traverses every inner level and returns the big leaf and
@@ -495,34 +498,26 @@ func (t *RegularTree[K]) Lookup(q K) (K, bool) {
 func (t *RegularTree[K]) LookupInstrumented(q K, h mem.Toucher) (K, bool) {
 	sz := int64(keys.Size[K]())
 	lineB := int64(keys.LineBytes)
+	// touch reports node idx's index line, the key line s it selected
+	// and, when refs, the reference line, in the order a search reads
+	// them.
+	touch := func(seg mem.Segment, idx int32, s int, refs bool) {
+		base := seg.Addr(int64(idx) * int64(t.nodeSlots) * sz)
+		h.Touch(base, seg.Kind)
+		h.Touch(base+int64(1+s)*lineB, seg.Kind)
+		if refs {
+			h.Touch(base+int64(1+t.kpl+s)*lineB, seg.Kind)
+		}
+	}
 	idx := t.root
 	for lvl := t.height; lvl >= 2; lvl-- {
-		base := t.upperSeg.Addr(int64(idx) * int64(t.nodeSlots) * sz)
-		h.Touch(base, t.upperSeg.Kind) // index line
-		s := simd.Search(t.cfg.NodeSearch, t.indexLine(t.upper, idx), q)
-		if s >= t.kpl {
-			s = t.kpl - 1
-		}
-		h.Touch(base+int64(1+s)*lineB, t.upperSeg.Kind) // key line
-		u := simd.Search(t.cfg.NodeSearch, t.keyLine(t.upper, idx, s), q)
-		if u >= t.kpl {
-			u = t.kpl - 1
-		}
-		h.Touch(base+int64(1+t.kpl+s)*lineB, t.upperSeg.Kind) // ref line
+		s, u := t.searchLines(t.upper, idx, q)
+		touch(t.upperSeg, idx, s, true)
 		idx = int32(t.nodeRefs(t.upper, idx)[s*t.kpl+u])
 	}
-	base := t.lastSeg.Addr(int64(idx) * int64(t.nodeSlots) * sz)
-	h.Touch(base, t.lastSeg.Kind)
 	pg, i := t.lastAt(idx)
-	s := simd.Search(t.cfg.NodeSearch, t.indexLine(pg, i), q)
-	if s >= t.kpl {
-		s = t.kpl - 1
-	}
-	h.Touch(base+int64(1+s)*lineB, t.lastSeg.Kind)
-	u := simd.Search(t.cfg.NodeSearch, t.keyLine(pg, i, s), q)
-	if u >= t.kpl {
-		u = t.kpl - 1
-	}
+	s, u := t.searchLines(pg, i, q)
+	touch(t.lastSeg, idx, s, false)
 	c := s*t.kpl + u
 	h.Touch(t.leafSeg.Addr((int64(idx)*int64(t.leafSlots)+int64(c*t.kpl))*sz), t.leafSeg.Kind)
 	return t.SearchLeafLine(idx, c, q)

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"hbtree/internal/keys"
-	"hbtree/internal/simd"
 	"hbtree/internal/workload"
 )
 
@@ -487,21 +486,6 @@ func TestRegularQuickUpdates(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRegularNodeSearchAlgorithms(t *testing.T) {
-	pairs := workload.Dataset[uint64](workload.Uniform, 50000, 6)
-	for _, alg := range []simd.Algorithm{simd.Sequential, simd.Linear, simd.Hierarchical} {
-		tr, err := BuildRegular(pairs, Config{NodeSearch: alg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < len(pairs); i += 17 {
-			if v, ok := tr.Lookup(pairs[i].Key); !ok || v != pairs[i].Value {
-				t.Fatalf("%v: Lookup(%d) failed", alg, pairs[i].Key)
-			}
-		}
 	}
 }
 

@@ -8,10 +8,13 @@
 //     and kernels execute the paper's warp-parallel node-search
 //     algorithm (Snippet 3) on the device-resident replica, computing
 //     real results that tests verify against the host tree. The host
-//     computes a warp's answer as its rank, a query group a level at a
-//     time (kernels.go): the implicit kernel loads the group's nodes
-//     before it searches them, and searches an 8- or 16-slot node with
-//     Snippet 2's hierarchical shape, any other by Snippet 1's count.
+//     computes a warp's answer with the host tree's own node search
+//     (internal/simd), a query group a level at a time (kernels.go):
+//     the implicit kernel's level step is simd.DescendLevel, which
+//     loads the group's nodes before it searches them, and searches an
+//     8- or 16-slot node with Snippet 2's hierarchical shape, any other
+//     by Snippet 1's count; the regular kernel's lines take
+//     simd.SearchHierarchical.
 //     A sorted batch runs the same kernel bodies; its launch also
 //     counts, level by level, the distinct nodes the batch's frontier
 //     touches, which is the shared-descent transaction account. A

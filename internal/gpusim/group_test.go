@@ -3,6 +3,7 @@ package gpusim
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"testing"
 
 	"hbtree/internal/cpubtree"
@@ -13,8 +14,10 @@ import (
 // Group-boundary tests of the kernels' host execution: a launch descends
 // kernelGroup queries at a time, and a fanned-out launch (1024 queries
 // or more) does so inside each worker's chunk, so every batch size
-// around a group or the fan-out threshold must answer exactly what the
-// per-query host descent answers.
+// around a group or the fan-out threshold must answer exactly what a
+// per-query descent answers. That descent is the tests' own oracle
+// (implicitOracle, regularOracle): the kernels and the host trees share
+// their node search (internal/simd), so the host trees cannot be it.
 
 // groupSizes are the batch sizes the boundary tests launch: one query,
 // a group's either side, the fan-out threshold's either side, and a
@@ -51,14 +54,47 @@ func implicitDescOf[K keys.Key](tr *cpubtree.ImplicitTree[K]) ImplicitDesc {
 	return desc
 }
 
+// implicitOracle is the tests' per-query descent of an implicit tree.
+// It shares no code with the kernel or the host tree's search: each
+// node is searched by sort.Search for the lower bound, clamped to the
+// node's last child.
+type implicitOracle[K keys.Key] struct {
+	inner  []K
+	geom   []cpubtree.LevelGeomEntry
+	leaves int
+}
+
+func newImplicitOracle[K keys.Key](tr *cpubtree.ImplicitTree[K]) implicitOracle[K] {
+	inner, _, _, _ := tr.InnerArray()
+	return implicitOracle[K]{inner: inner, geom: tr.LevelGeometry(), leaves: tr.NumLeafLines()}
+}
+
+// walk descends q through the top depth levels and returns its node
+// index at level depth; at the tree's height, its leaf line.
+func (o implicitOracle[K]) walk(q K, depth int) int32 {
+	idx := 0
+	for _, g := range o.geom[:depth] {
+		node := o.inner[g.Slot+idx*g.Kpn : g.Slot+(idx+1)*g.Kpn]
+		idx = idx*g.Fanout + min(sort.Search(len(node), func(i int) bool { return q <= node[i] }), g.Fanout-1)
+	}
+	if depth == len(o.geom) {
+		idx = min(idx, o.leaves-1)
+	}
+	return int32(idx)
+}
+
+// leafLine is q's leaf line.
+func (o implicitOracle[K]) leafLine(q K) int32 { return o.walk(q, len(o.geom)) }
+
 // implicitBoundaries launches the implicit kernels at every group size,
-// from the root and resumed at every level, against tr.SearchInner.
+// from the root and resumed at every level, against implicitOracle.
 func implicitBoundaries[K keys.Key](t *testing.T, tr *cpubtree.ImplicitTree[K], qs []K) {
 	inner, _, _, _ := tr.InnerArray()
 	desc := implicitDescOf(tr)
+	o := newImplicitOracle(tr)
 	want := make([]int32, len(qs))
 	for i, q := range qs {
-		want[i] = int32(tr.SearchInner(q))
+		want[i] = o.leafLine(q)
 	}
 	for _, n := range groupSizes {
 		for D := 0; D < tr.Height(); D++ {
@@ -66,7 +102,7 @@ func implicitBoundaries[K keys.Key](t *testing.T, tr *cpubtree.ImplicitTree[K], 
 			if D > 0 {
 				starts = make([]int32, n)
 				for i, q := range qs[:n] {
-					starts[i] = int32(tr.WalkToLevel(q, D))
+					starts[i] = o.walk(q, D)
 				}
 			}
 			out := make([]int32, n)
@@ -78,7 +114,7 @@ func implicitBoundaries[K keys.Key](t *testing.T, tr *cpubtree.ImplicitTree[K], 
 				t.Fatalf("n=%d D=%d: %d transactions, want %d", n, D, trans, int64(n)*desc.TransPerQuery(D))
 			}
 			if i := firstDiff(out, want[:n]); i >= 0 {
-				t.Fatalf("n=%d D=%d: query %d (key %d) resolves to line %d, host %d", n, D, i, qs[i], out[i], want[i])
+				t.Fatalf("n=%d D=%d: query %d (key %d) resolves to line %d, oracle %d", n, D, i, qs[i], out[i], want[i])
 			}
 		}
 		sq := slices.Clone(qs[:n])
@@ -88,8 +124,8 @@ func implicitBoundaries[K keys.Key](t *testing.T, tr *cpubtree.ImplicitTree[K], 
 			t.Fatal(err)
 		}
 		for i, q := range sq {
-			if int(out[i]) != tr.SearchInner(q) {
-				t.Fatalf("sorted n=%d: key %d resolves to line %d, host %d", n, q, out[i], tr.SearchInner(q))
+			if out[i] != o.leafLine(q) {
+				t.Fatalf("sorted n=%d: key %d resolves to line %d, oracle %d", n, q, out[i], o.leafLine(q))
 			}
 		}
 	}
@@ -124,17 +160,58 @@ func TestImplicitKernelGroupBoundaries(t *testing.T) {
 	}
 }
 
+// regularOracle is the tests' per-query descent of a regular tree. It
+// shares no code with the kernel or the host tree's search: each node's
+// index line and then its selected key line are searched by warpSearch.
+type regularOracle[K keys.Key] struct {
+	upper                  []K
+	last                   [][]K
+	root                   int32
+	height, nodeSlots, kpl int
+}
+
+func newRegularOracle[K keys.Key](tr *cpubtree.RegularTree[K]) regularOracle[K] {
+	upper, last, root, height, nodeSlots, kpl := tr.InnerArrays()
+	return regularOracle[K]{upper: upper, last: last, root: root, height: height, nodeSlots: nodeSlots, kpl: kpl}
+}
+
+// child returns q's child slot in the node starting at pool[base].
+func (o regularOracle[K]) child(pool []K, base int, q K) int {
+	s := warpSearch(pool[base:base+o.kpl], q)
+	u := warpSearch(pool[base+o.kpl*(1+s):base+o.kpl*(2+s)], q)
+	return s*o.kpl + u
+}
+
+// walk descends q from the root to height stop (at least 1, the last
+// inner level) and returns its node there.
+func (o regularOracle[K]) walk(q K, stop int) int32 {
+	idx := o.root
+	for h := o.height; h > max(stop, 1); h-- {
+		base := int(idx) * o.nodeSlots
+		idx = int32(o.upper[base+o.kpl*(1+o.kpl)+o.child(o.upper, base, q)])
+	}
+	return idx
+}
+
+// toLeaf returns q's big leaf and leaf line.
+func (o regularOracle[K]) toLeaf(q K) (int32, int32) {
+	idx := o.walk(q, 1)
+	perPage := cap(o.last[0]) / o.nodeSlots
+	return idx, int32(o.child(o.last[int(idx)/perPage], int(idx)%perPage*o.nodeSlots, q))
+}
+
 // regularBoundaries launches the regular kernels at every group size,
-// from the root and resumed at every height, against tr.SearchToLeaf.
+// from the root and resumed at every height, against regularOracle.
 func regularBoundaries[K keys.Key](t *testing.T, tr *cpubtree.RegularTree[K], qs []K) {
 	upper, last, root, height, nodeSlots, kpl := tr.InnerArrays()
 	desc := RegularDesc{Root: root, RootInUpper: height >= 2, Height: height, NodeSlots: nodeSlots, Kpl: kpl}
+	o := newRegularOracle(tr)
 	check := func(what string, qs []K, leaf, line []int32) {
 		t.Helper()
 		for i, q := range qs {
-			l, c := tr.SearchToLeaf(q)
-			if leaf[i] != l || int(line[i]) != c {
-				t.Fatalf("%s: query %d (key %d) resolves to (%d,%d), host (%d,%d)", what, i, q, leaf[i], line[i], l, c)
+			l, c := o.toLeaf(q)
+			if leaf[i] != l || line[i] != c {
+				t.Fatalf("%s: query %d (key %d) resolves to (%d,%d), oracle (%d,%d)", what, i, q, leaf[i], line[i], l, c)
 			}
 		}
 	}
@@ -144,7 +221,7 @@ func regularBoundaries[K keys.Key](t *testing.T, tr *cpubtree.RegularTree[K], qs
 			if stop <= height {
 				starts = make([]int32, n)
 				for i, q := range qs[:n] {
-					starts[i] = tr.WalkToHeight(q, stop)
+					starts[i] = o.walk(q, stop)
 				}
 			}
 			leaf, line := make([]int32, n), make([]int32, n)
@@ -197,19 +274,21 @@ func firstDiff(a, b []int32) int {
 
 // kernelMatchesSearchInner launches the sorted implicit kernel on the
 // sorted batch sq, and the plain one on sq shuffled from level start
-// (resumed at WalkToLevel's indices when start > 0), and holds every
-// leaf line to the per-query host descent.
+// (resumed at the oracle's indices when start > 0), and holds every
+// leaf line to implicitOracle, the per-query descent SearchInner
+// specifies.
 func kernelMatchesSearchInner[K keys.Key](t *testing.T, tr *cpubtree.ImplicitTree[K], sq []K, seed uint64, start int) {
 	t.Helper()
 	qs := slices.Clone(sq)
 	workload.Shuffle(qs, seed)
 	inner, _, _, _ := tr.InnerArray()
 	desc := implicitDescOf(tr)
+	o := newImplicitOracle(tr)
 	var starts []int32
 	if start > 0 {
 		starts = make([]int32, len(qs))
 		for i, q := range qs {
-			starts[i] = int32(tr.WalkToLevel(q, start))
+			starts[i] = o.walk(q, start)
 		}
 	}
 	out := make([]int32, len(qs))
@@ -217,22 +296,22 @@ func kernelMatchesSearchInner[K keys.Key](t *testing.T, tr *cpubtree.ImplicitTre
 		t.Fatal(err)
 	}
 	for i, q := range qs {
-		if int(out[i]) != tr.SearchInner(q) {
-			t.Fatalf("n=%d from level %d: query %d (key %d) resolves to line %d, host %d", len(qs), start, i, q, out[i], tr.SearchInner(q))
+		if out[i] != o.leafLine(q) {
+			t.Fatalf("n=%d from level %d: query %d (key %d) resolves to line %d, oracle %d", len(qs), start, i, q, out[i], o.leafLine(q))
 		}
 	}
 	if _, err := ImplicitSearchKernelSorted(dev(), inner, desc, sq, out, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, q := range sq {
-		if int(out[i]) != tr.SearchInner(q) {
-			t.Fatalf("sorted n=%d: key %d resolves to line %d, host %d", len(sq), q, out[i], tr.SearchInner(q))
+		if out[i] != o.leafLine(q) {
+			t.Fatalf("sorted n=%d: key %d resolves to line %d, oracle %d", len(sq), q, out[i], o.leafLine(q))
 		}
 	}
 }
 
 // FuzzImplicitKernelMatchesSearchInner holds the implicit kernel body
-// to the per-query host descent on sortedOracleQueries' batches (keys,
+// to the per-query oracle descent on sortedOracleQueries' batches (keys,
 // duplicates, absent keys, 0, MAX and a key above every pair), with a
 // fuzzed seed, batch size (1 + nsel mod 5000: the inline path, and the
 // fanned-out one from 1024 queries) and start level (level mod the

@@ -16,20 +16,18 @@ import (
 // 32-bit keys; Section 5.3) executing the parallel node search of
 // Snippet 3: every team thread compares its assigned key with the query
 // and the first thread whose key is not below it owns the answer. On a
-// sorted node that thread's slot is the rank of the query — the count of
-// keys below it — so the kernels compute the warp's answer as a
-// branch-free rank, clamped to the last slot. The implicit kernel takes
-// the rank of an 8- or 16-slot node (one line of uint64 or uint32 keys)
-// with the hierarchical search of Snippet 2, the CPU's fastest (Figure
-// 8), and of any other node with Snippet 1's count; the regular kernel
-// counts.
-// The literal emulation (flags, predecessor test, shared result) is
-// kept as the tests' oracle.
+// sorted node that thread's slot is the query's lower bound, clamped to
+// the last slot, so the kernels compute the warp's answer with the host
+// tree's own node search (internal/simd), the CPU's fastest (Figure 8):
+// the implicit kernel descends by simd.DescendLevel, the level step
+// cpubtree's grouped descent runs too, and the regular kernel searches
+// its lines with simd.SearchHierarchical. The literal emulation (flags,
+// predecessor test, shared result) is kept as the tests' oracle.
 //
 // The host executes a launch the way the paper's CPU search executes a
 // batch (Section 4.2, Algorithm 2): each goroutine standing in for an SM
 // descends a group of queries one level at a time, and the implicit
-// kernel loads every member's node before it searches any, so one
+// level step loads every member's node before it searches any, so one
 // query's cache miss overlaps the others'. The virtual clock and the
 // transaction counts are those of the per-query warp model; only host
 // execution is grouped.
@@ -54,19 +52,6 @@ const kernelGroup = 16
 // sorted launch carries per-level frontier state in fixed arrays, and
 // every launch checks its descriptor against the bound once.
 const maxHeight = 32
-
-// rank is the warp's node search: the count of node's keys below q
-// (simd.SearchLinear, Snippet 1's branch-free count), clamped to the
-// last slot. On a sorted node it is the first slot whose key is not
-// below q, the thread that owns the answer in Snippet 3, and the clamp
-// is the node's last slot catching queries above every key (the
-// HB+-tree pins trailing separators to MAX). The regular kernel
-// searches its lines with it, and the implicit body its nodes wider
-// than 16 slots; on 8- and 16-slot nodes the implicit body computes
-// the same value by the hierarchical search.
-func rank[K keys.Key](node []K, q K) int {
-	return min(simd.SearchLinear(node, q), len(node)-1)
-}
 
 // checkGeom fails a launch whose layout table declares a level wider
 // than MaxNodeWidth, or more levels than maxHeight.
@@ -209,16 +194,11 @@ func ImplicitSearchKernelSorted[K keys.Key](d *Device, iseg []K, desc ImplicitDe
 // implicitSearchRange resolves queries[lo:hi] against the implicit
 // I-segment; the kernel body shared by the inline and fanned-out paths
 // and by the plain and sorted launches. It descends kernelGroup queries
-// at a time, one level per step, as the paper's Algorithm 2 does: at
-// each level it first loads the first key of every member's node, so
-// the group's misses overlap, and only then searches the nodes. Go has
-// no prefetch intrinsic, so every search consumes its loaded key (a
-// load whose value went unused could be deleted by the compiler). The
-// node search is chosen once per level: an 8- or 16-slot node is
-// searched with the fixed hierarchical shape of Snippet 2, any other
-// width by rank; every shape computes rank. All geometry comes from the
-// per-level layout table. A non-nil f counts the range's shared-descent
-// transactions.
+// at a time, one level per step, as the paper's Algorithm 2 does: each
+// level is simd.DescendLevel, the host tree's level step, which loads
+// every member's node before it searches any, so the group's misses
+// overlap. All geometry comes from the per-level layout table. A
+// non-nil f counts the range's shared-descent transactions.
 func implicitSearchRange[K keys.Key](iseg []K, geom []LevelGeom, height, numLeaves int, queries []K, out []int32, startLevel int, startIdx []int32, lo, hi int, f *frontier) {
 	var cursor [kernelGroup]int32
 	var loaded [kernelGroup]K
@@ -229,7 +209,6 @@ func implicitSearchRange[K keys.Key](iseg []K, geom []LevelGeom, height, numLeav
 	for g := lo; g < hi; g += kernelGroup {
 		qs := queries[g:min(g+kernelGroup, hi)]
 		idx := cursor[:len(qs)]
-		first := loaded[:len(qs)]
 		if startIdx != nil {
 			copy(idx, startIdx[g:])
 		} else {
@@ -240,63 +219,12 @@ func implicitSearchRange[K keys.Key](iseg []K, geom []LevelGeom, height, numLeav
 			if f != nil {
 				f.count(lvl, idx, lg.Lines)
 			}
-			kpn := int(lg.Kpn)
-			level := iseg[lg.Off:]
-			for j, i := range idx {
-				first[j] = level[int(i)*kpn]
-			}
-			// The 8- and 16-slot searches are simd.SearchHier8 and
-			// SearchHier16 (Snippet 2) written out, as calls do not
-			// inline: the boundary keys pick a part of three slots, its
-			// keys finish the count with the loaded key standing in for
-			// slot 0, and the sum is clamped to the last slot. In a
-			// 16-slot node the last part is slot 15 alone; its second
-			// compare reads slot 15 again, and the clamp absorbs it.
-			switch kpn {
-			case 8:
-				for j, k0 := range first {
-					q := qs[j]
-					n := (*[8]K)(level[int(idx[j])*8:])
-					k := 3 * (lt(n[2], q) + lt(n[5], q))
-					x := n[k]
-					if k == 0 {
-						x = k0
-					}
-					idx[j] = idx[j]*lg.Fanout + int32(min(k+lt(x, q)+lt(n[k+1], q), 7))
-				}
-			case 16:
-				for j, k0 := range first {
-					q := qs[j]
-					n := (*[16]K)(level[int(idx[j])*16:])
-					k := 3 * (lt(n[2], q) + lt(n[5], q) + lt(n[8], q) + lt(n[11], q) + lt(n[14], q))
-					x := n[k]
-					if k == 0 {
-						x = k0
-					}
-					idx[j] = idx[j]*lg.Fanout + int32(min(k+lt(x, q)+lt(n[min(k+1, 15)], q), 15))
-				}
-			default:
-				// A query not above the node's first key ranks 0 in a
-				// sorted node, so the loaded key gates the count.
-				for j, q := range qs {
-					off := int(idx[j]) * kpn
-					idx[j] = idx[j]*lg.Fanout + int32(lt(first[j], q)*rank(level[off:off+kpn], q))
-				}
-			}
+			simd.DescendLevel(iseg[lg.Off:], int(lg.Kpn), int(lg.Fanout), qs, idx, loaded[:])
 		}
 		for j := range qs {
 			out[g+j] = min(idx[j], leafMax)
 		}
 	}
-}
-
-// lt returns 1 if a < b, else 0; the compiler makes it a flag set, not
-// a branch.
-func lt[K keys.Key](a, b K) int {
-	if a < b {
-		return 1
-	}
-	return 0
 }
 
 // RegularDesc describes the regular HB+-tree inner segments resident in
@@ -367,12 +295,14 @@ func RegularSearchKernel[K keys.Key](d *Device, upper []K, last [][]K, desc Regu
 }
 
 // regularSearchNode runs the two dependent warp searches of one regular
-// inner node (index line, then key line), returning the child slot.
+// inner node (index line, then key line), returning the child slot. A
+// warp's search is the host's node search, simd.SearchHierarchical,
+// clamped to the line's last slot.
 func regularSearchNode[K keys.Key](pool []K, desc RegularDesc, idx int32, q K) int {
 	kpl := desc.Kpl
 	base := int(idx) * desc.NodeSlots
-	s := rank(pool[base:base+kpl], q)                     // index line
-	u := rank(pool[base+kpl+s*kpl:base+kpl+(s+1)*kpl], q) // key line
+	s := min(simd.SearchHierarchical(pool[base:base+kpl], q), kpl-1)                     // index line
+	u := min(simd.SearchHierarchical(pool[base+kpl+s*kpl:base+kpl+(s+1)*kpl], q), kpl-1) // key line
 	return s*kpl + u
 }
 

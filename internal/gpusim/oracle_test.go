@@ -8,14 +8,15 @@ import (
 	"testing"
 
 	"hbtree/internal/keys"
+	"hbtree/internal/simd"
 	"hbtree/internal/workload"
 )
 
 // warpSearch executes the parallel node search of Snippet 3 literally on
 // one node line: every team thread publishes a flag, and the thread
 // whose flag is set while its predecessor's is not owns the answer. The
-// kernels compute the same answer by rank; this emulation is the oracle
-// the tests hold them to. It requires the node's last slot to be
+// kernels compute the same answer with the host's node search
+// (internal/simd); this emulation is the oracle the tests hold them to. It requires the node's last slot to be
 // reachable (the HB+-tree pins trailing separators to MAX).
 func warpSearch[K keys.Key](node []K, q K) int {
 	if len(node) > MaxNodeWidth {
@@ -58,26 +59,26 @@ func sortPad[K keys.Key](node []K, pad int) []K {
 	return node
 }
 
-// levelSearch is the kernel body's node search on node: the launch
-// body run over a one-node, one-level tree, so the query's node is
-// loaded first and searched by the shape the body picks for the width
-// (the hierarchical one for 8 and 16 slots, rank for the others). The
-// tree has one leaf line more than the node has slots, so the launch's
-// final leaf clamp cannot hide a node search that misses its own.
+// levelSearch is the implicit kernel's node search on node: the
+// kernel body's level step, simd.DescendLevel, run for one query at a
+// one-node level whose fanout is the node's width, so the query's node
+// is loaded first and searched by the shape the step picks for the
+// width (the hierarchical one for 8 and 16 slots, the count for the
+// others).
 func levelSearch[K keys.Key](node []K, q K) int {
-	w := int32(len(node))
-	var out [1]int32
-	implicitSearchRange(node, []LevelGeom{{Kpn: w, Fanout: w, Lines: 1}}, 1, len(node)+1, []K{q}, out[:], 0, nil, 0, 1, nil)
-	return int(out[0])
+	var idx [1]int32
+	var loaded [1]K
+	simd.DescendLevel(node, len(node), len(node), []K{q}, idx[:], loaded[:])
+	return int(idx[0])
 }
 
-// checkRank fails t when rank, or the kernel body's level search, and
-// the Snippet 3 oracle disagree on q.
+// checkRank fails t when the regular kernel's line search, or the
+// implicit kernel's level step, and the Snippet 3 oracle disagree on q.
 func checkRank[K keys.Key](t *testing.T, node []K, q K) {
 	t.Helper()
 	want := warpSearch(node, q)
-	if got := rank(node, q); got != want {
-		t.Fatalf("width %d: rank(%v, %d) = %d, warpSearch = %d", len(node), node, q, got, want)
+	if got := min(simd.SearchHierarchical(node, q), len(node)-1); got != want {
+		t.Fatalf("width %d: line search (%v, %d) = %d, warpSearch = %d", len(node), node, q, got, want)
 	}
 	if got := levelSearch(node, q); got != want {
 		t.Fatalf("width %d: kernel level search (%v, %d) = %d, warpSearch = %d", len(node), node, q, got, want)
@@ -101,12 +102,13 @@ func checkNodeQueries[K keys.Key](t *testing.T, node []K) {
 	}
 }
 
-// rankProperty checks rank and the kernel's level search against
-// warpSearch on seeded sorted nodes of every width from 8 to
-// MaxNodeWidth, with no MAX slot, a MAX last slot or a MAX-padded tail:
-// queries drawn from the key range, below, equal to, between and above
-// every key, and q = MAX. Widths 8 and 16 are the one-line nodes the
-// kernel searches hierarchically (uint64 and uint32).
+// rankProperty checks the regular kernel's line search and the
+// implicit kernel's level step against warpSearch on seeded sorted
+// nodes of every width from 8 to MaxNodeWidth, with no MAX slot, a MAX
+// last slot or a MAX-padded tail: queries drawn from the key range,
+// below, equal to, between and above every key, and q = MAX. Widths 8
+// and 16 are the one-line nodes searched hierarchically (uint64 and
+// uint32).
 func rankProperty[K keys.Key](t *testing.T, seed uint64) {
 	r := workload.NewRNG(seed)
 	for w := 8; w <= MaxNodeWidth; w++ {
@@ -138,7 +140,7 @@ func fuzzNode[K keys.Key](w int, data []byte, pad int) []K {
 	return sortPad(node, pad)
 }
 
-// FuzzRankMatchesWarpSearch drives rank, the kernel's level search and
+// FuzzRankMatchesWarpSearch drives the line search, the level step and
 // the oracle with arbitrary sorted nodes: width 8 + wsel mod 57, keys
 // from data, the last pad mod (width+1) slots MAX (at least one with
 // maxLast), q given, for both key widths; and the one-line nodes, 8

@@ -41,7 +41,7 @@ func implicitSortedRange[K keys.Key](iseg []K, geom []LevelGeom, height, numLeav
 				off := int(g.Off) + int(idx)*int(g.Kpn)
 				node = iseg[off : off+int(g.Kpn)]
 				prevIdx = idx
-				res = rank(node, q)
+				res = warpSearch(node, q)
 				lt += int64(g.Lines)
 			} else if q > node[res] {
 				// Monotone advance: a later sorted query's lower bound
@@ -94,8 +94,8 @@ func regularSortedRange[K keys.Key](upper []K, last [][]K, desc RegularDesc, que
 			}
 			newNode := idx != prevIdx
 			base := int(idx) * desc.NodeSlots
-			s := rank(upper[base:base+kpl], q)
-			u := rank(upper[base+kpl+s*kpl:base+kpl+(s+1)*kpl], q)
+			s := warpSearch(upper[base:base+kpl], q)
+			u := warpSearch(upper[base+kpl+s*kpl:base+kpl+(s+1)*kpl], q)
 			sep = upper[base+kpl+s*kpl+u]
 			next = int32(upper[base+kpl+kpl*kpl+s*kpl+u])
 			switch {
@@ -127,8 +127,8 @@ func regularSortedRange[K keys.Key](upper []K, last [][]K, desc RegularDesc, que
 		newNode := idx != prevIdx
 		pg := last[idx>>shift]
 		base := int(idx&mask) * desc.NodeSlots
-		s := rank(pg[base:base+kpl], q)
-		u := rank(pg[base+kpl+s*kpl:base+kpl+(s+1)*kpl], q)
+		s := warpSearch(pg[base:base+kpl], q)
+		u := warpSearch(pg[base+kpl+s*kpl:base+kpl+(s+1)*kpl], q)
 		sep = pg[base+kpl+s*kpl+u]
 		line = int32(s*kpl + u)
 		switch {

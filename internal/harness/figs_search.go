@@ -375,7 +375,7 @@ func hybridRangeThroughput(tr *core.Tree[uint64], matches, ppl int, leafMiss flo
 	// CPU tree uses, so both overlap misses at the pipelined MLP.
 	scanOverlap := vclock.Duration(cpu.MLPMax)
 	mem := (vclock.Duration(p.Miss)*cpu.LatMem + vclock.Duration(p.Hit)*cpu.LatLLC) / scanOverlap
-	pq := cpu.CostHybridSched + vclock.Duration(leafLines*float64(model.AlgoCost(cpu, opt.NodeSearch))) + mem
+	pq := cpu.CostHybridSched + vclock.Duration(leafLines*float64(model.AlgoCost(cpu, simd.Hierarchical))) + mem
 	t4 := model.BatchDuration(cpu, m, pq, p.MissBytes(), opt.Threads)
 	t2 := tr.GPUStageDuration(m)
 	period := vclock.Max(t2, t4)

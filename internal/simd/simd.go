@@ -19,6 +19,12 @@
 // All kernels compute the lower bound: the minimum index i such that
 // q <= line[i]. Inner nodes keep their trailing slots at keys.Max, so for
 // tree traversal the result is always a valid child index.
+//
+// This package is the only place a B+-tree node is searched: the CPU trees
+// and the simulated GPU kernels search one query's node with
+// SearchHierarchical, and advance a group of queries one implicit-tree
+// level with DescendLevel. Sequential and Linear are the baselines of
+// Figure 8 and inputs of its cost model.
 package simd
 
 import "hbtree/internal/keys"
@@ -82,51 +88,85 @@ func SearchLinear[K keys.Key](line []K, q K) int {
 	return k
 }
 
-// SearchLinear8x64 is the fixed-shape 64-bit kernel for one full cache
-// line of eight keys — the exact shape of Snippet 1.
-func SearchLinear8x64(line *[8]uint64, q uint64) int {
-	k := lt(line[0], q) + lt(line[1], q) + lt(line[2], q) + lt(line[3], q)
-	k += lt(line[4], q) + lt(line[5], q) + lt(line[6], q) + lt(line[7], q)
-	return k
-}
-
-// SearchHier8 implements the hierarchical search of Snippet 2 on an
-// 8-key line (64-bit tree nodes): the boundary keys at positions 2 and 5
-// split the line into three parts; a second two-key compare finishes
-// within the selected part.
-func SearchHier8[K keys.Key](line []K, q K) int {
-	_ = line[7]
-	k := 3 * (lt(line[2], q) + lt(line[5], q))
-	k += lt(line[k], q) + lt(line[k+1], q)
-	return k
-}
-
-// SearchHier16 is the 32-bit-tree hierarchical variant (Figure 3(c)):
-// one 8-lane compare against the five boundary keys at positions
-// 2, 5, 8, 11 and 14 splits the 16-key line into parts of three, then a
-// two-key compare finishes within the selected part (the last part has
-// only one in-range key, so its second compare is skipped).
-func SearchHier16[K keys.Key](line []K, q K) int {
-	_ = line[15]
-	base := 3 * (lt(line[2], q) + lt(line[5], q) + lt(line[8], q) + lt(line[11], q) + lt(line[14], q))
-	c := lt(line[base], q)
-	if base < 15 {
-		c += lt(line[base+1], q)
-	}
-	return base + c
-}
-
-// SearchHierarchical dispatches to the fixed-shape hierarchical kernel
-// for 8- or 16-key lines and falls back to the linear kernel for other
-// lengths (hierarchical blocking is only defined for full lines).
+// SearchHierarchical implements the hierarchical search of Snippet 2
+// on one full line. On an 8-key line (64-bit tree nodes) the boundary
+// keys at positions 2 and 5 split the line into three parts; on a
+// 16-key line (32-bit nodes, Figure 3(c)) one 8-lane compare against
+// the boundary keys at 2, 5, 8, 11 and 14 splits it into parts of
+// three. A second two-key compare finishes within the selected part
+// (the last 16-key part has only one in-range key, so its second
+// compare is skipped). Other lengths fall back to the linear kernel
+// (hierarchical blocking is only defined for full lines).
 func SearchHierarchical[K keys.Key](line []K, q K) int {
 	switch len(line) {
 	case 8:
-		return SearchHier8(line, q)
+		k := 3 * (lt(line[2], q) + lt(line[5], q))
+		return k + lt(line[k], q) + lt(line[k+1], q)
 	case 16:
-		return SearchHier16(line, q)
+		k := 3 * (lt(line[2], q) + lt(line[5], q) + lt(line[8], q) + lt(line[11], q) + lt(line[14], q))
+		c := lt(line[k], q)
+		if k < 15 {
+			c += lt(line[k+1], q)
+		}
+		return k + c
+	}
+	return SearchLinear(line, q)
+}
+
+// DescendLevel advances a group of queries one level down an implicit
+// tree, the level step of the paper's batch search (Algorithm 2):
+// idx[j] is the node that qs[j] sits at within level, whose nodes hold
+// kpn key slots each and fan out fanout ways, and becomes the child the
+// query descends to. The step first loads the first key of every
+// member's node into loaded (the caller's scratch, at least len(qs)
+// long), so the group's cache misses overlap, and only then searches
+// the nodes. Go has no prefetch intrinsic, so every search consumes its
+// loaded key; a load whose value went unused could be deleted by the
+// compiler. An 8- or 16-slot node is searched with SearchHierarchical's
+// shape written out, as a call would not inline: the boundary keys pick
+// a part of three slots and its keys finish the count, the loaded key
+// standing in for slot 0. A wider node is searched by SearchHierarchical
+// (SearchLinear's count), gated by the loaded key (a query not above a
+// sorted node's first key ranks 0). The call stays a call: inlined, the
+// count loop read ~110 against ~70 ns per query on a [64 32 8 8 8]-slot
+// tree of 2^20 uint64 keys (one goroutine, 2-vCPU x86-64 host). Every
+// shape computes the lower bound, clamped to the last child (fanout-1):
+// a 16-slot node's last part is slot 15 alone, whose second compare
+// reads slot 15 again, and the clamp absorbs it.
+func DescendLevel[K keys.Key](level []K, kpn, fanout int, qs []K, idx []int32, loaded []K) {
+	first := loaded[:len(qs)]
+	for j, i := range idx[:len(qs)] {
+		first[j] = level[int(i)*kpn]
+	}
+	f, last := int32(fanout), fanout-1
+	switch kpn {
+	case 8:
+		for j, k0 := range first {
+			q := qs[j]
+			n := (*[8]K)(level[int(idx[j])*8:])
+			k := 3 * (lt(n[2], q) + lt(n[5], q))
+			x := n[k]
+			if k == 0 {
+				x = k0
+			}
+			idx[j] = idx[j]*f + int32(min(k+lt(x, q)+lt(n[k+1], q), last))
+		}
+	case 16:
+		for j, k0 := range first {
+			q := qs[j]
+			n := (*[16]K)(level[int(idx[j])*16:])
+			k := 3 * (lt(n[2], q) + lt(n[5], q) + lt(n[8], q) + lt(n[11], q) + lt(n[14], q))
+			x := n[k]
+			if k == 0 {
+				x = k0
+			}
+			idx[j] = idx[j]*f + int32(min(k+lt(x, q)+lt(n[min(k+1, 15)], q), last))
+		}
 	default:
-		return SearchLinear(line, q)
+		for j, q := range qs {
+			off := int(idx[j]) * kpn
+			idx[j] = idx[j]*f + int32(min(lt(first[j], q)*SearchHierarchical(level[off:off+kpn], q), last))
+		}
 	}
 }
 

@@ -44,13 +44,8 @@ func TestKernelsMatchLowerBound64(t *testing.T) {
 		if got := SearchLinear(line, q); got != want {
 			t.Fatalf("linear(%v, %d) = %d, want %d", line, q, got, want)
 		}
-		if got := SearchHier8(line, q); got != want {
-			t.Fatalf("hier8(%v, %d) = %d, want %d", line, q, got, want)
-		}
-		var arr [8]uint64
-		copy(arr[:], line)
-		if got := SearchLinear8x64(&arr, q); got != want {
-			t.Fatalf("linear8x64(%v, %d) = %d, want %d", line, q, got, want)
+		if got := SearchHierarchical(line, q); got != want {
+			t.Fatalf("hierarchical(%v, %d) = %d, want %d", line, q, got, want)
 		}
 	}
 }
@@ -67,8 +62,8 @@ func TestKernelsMatchLowerBound32(t *testing.T) {
 		if got := SearchLinear(line, q); got != want {
 			t.Fatalf("linear(%v, %d) = %d, want %d", line, q, got, want)
 		}
-		if got := SearchHier16(line, q); got != want {
-			t.Fatalf("hier16(%v, %d) = %d, want %d", line, q, got, want)
+		if got := SearchHierarchical(line, q); got != want {
+			t.Fatalf("hierarchical(%v, %d) = %d, want %d", line, q, got, want)
 		}
 	}
 }
@@ -82,7 +77,7 @@ func TestKernelsQuick(t *testing.T) {
 		want := lowerBound(line, q)
 		return SearchSequential(line, q) == want &&
 			SearchLinear(line, q) == want &&
-			SearchHier8(line, q) == want
+			SearchHierarchical(line, q) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 4000}); err != nil {
 		t.Fatal(err)
@@ -96,7 +91,7 @@ func TestKernelsQuick32(t *testing.T) {
 		want := lowerBound(line, q)
 		return SearchSequential(line, q) == want &&
 			SearchLinear(line, q) == want &&
-			SearchHier16(line, q) == want
+			SearchHierarchical(line, q) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 4000}); err != nil {
 		t.Fatal(err)
@@ -169,7 +164,7 @@ func TestSearchEmptyAndBounds(t *testing.T) {
 	if got := SearchLinear(line, 100); got != 8 {
 		t.Fatalf("above-all linear = %d", got)
 	}
-	if got := SearchHier8(line, 100); got != 8 {
+	if got := SearchHierarchical(line, 100); got != 8 {
 		t.Fatalf("above-all hier = %d", got)
 	}
 }
